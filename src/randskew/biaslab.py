@@ -16,22 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rsrng
-from .debias import DebiasMode, DebiasSpec, apply_debias
+from .debias import (DebiasMode, DebiasSpec, SrhtScheme, debiased_sketch,
+                     make_debias_spec)
 from .errors import AllTrialsSingular, NotPositiveDefinite
-from .hadamard import srht_apply, srht_draw
 from .linalg import (cholesky, gram, psd_relative_error, spd_inverse,
                      spectral_norm, sqrt_psd)
-from .sampling import (SamplingPlan, apply_sketch, draw,
-                       exact_leverage_scores)
+from .sampling import SamplingPlan, exact_leverage_scores
 from scipy.linalg import solve_triangular
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
-
-
-@dataclass(frozen=True)
-class SrhtScheme:
-    """Marker selecting the sign-flip Hadamard sketch instead of a plan."""
-    n: int
 
 
 @dataclass(frozen=True)
@@ -73,19 +66,6 @@ class _PairwiseSum:
         return acc
 
 
-def _sketched_matrix(scheme, A, m, debias, trial_seed):
-    if isinstance(scheme, SrhtScheme):
-        sd = srht_draw(A.shape[0], m, trial_seed)
-        if debias.mode not in (DebiasMode.NONE, DebiasMode.SCALAR):
-            raise ValueError("the Hadamard sketch only supports scalar "
-                             "debiasing")
-        sd = type(sd)(signs=sd.signs, sample=apply_debias(sd.sample, debias),
-                      n_original=sd.n_original, n_padded=sd.n_padded)
-        return srht_apply(sd, A)
-    sk = apply_debias(draw(scheme, m, trial_seed), debias)
-    return apply_sketch(sk, A)
-
-
 def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
                   m: int, trials: int, seed: int) -> BiasEstimate:
     """Monte-Carlo inversion-bias estimate for one configuration.
@@ -120,7 +100,7 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
         kept_in_batch = 0
 
     for t in range(trials):
-        At = _sketched_matrix(plan, A, m, debias, rsrng.split(seed, t))
+        At, _ = debiased_sketch(plan, A, m, debias, rsrng.split(seed, t))
         try:
             L = cholesky(gram(At) + C)
         except NotPositiveDefinite:
@@ -179,32 +159,6 @@ def gaussian_sketch(A: np.ndarray, m: int, seed: int) -> np.ndarray:
     return S @ A
 
 
-def make_debias_spec(mode: DebiasMode, plan, A, C, m: int,
-                     d_eff: float | None = None) -> DebiasSpec:
-    """Build the debias spec a (plan, m) cell needs.
-
-    Scalar mode uses the plan's d_eff (for the Hadamard scheme: the exact
-    effective dimension of A, identical to the rotated matrix's by
-    orthogonality).  Fine-grained modes recompute exact scores of A.
-    """
-    if mode is DebiasMode.NONE:
-        return DebiasSpec.none()
-    if d_eff is None:
-        if isinstance(plan, SamplingPlan):
-            d_eff = plan.d_eff
-        else:
-            d_eff = float(exact_leverage_scores(A, C).sum())
-    if mode is DebiasMode.SCALAR:
-        return DebiasSpec.scalar(m, d_eff)
-    if not isinstance(plan, SamplingPlan):
-        raise ValueError("fine-grained debiasing requires a sampling plan")
-    scores = exact_leverage_scores(A, C)
-    if mode is DebiasMode.FINE_GRAINED_EXACT:
-        return DebiasSpec.fine_grained(plan, scores, m)
-    raise ValueError(f"cannot build spec for mode {mode!r} without "
-                     "approximate scores")
-
-
 @dataclass(frozen=True)
 class BiasSweepRow:
     scheme: str
@@ -218,15 +172,20 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
 
     ``plan_specs`` is a list of (name, plan-or-SrhtScheme) pairs; seeds
     are stream-split per cell so cells are independent of each other.
+    Scalar debiasing uses the plan's d_eff; the Hadamard scheme uses the
+    exact d_eff of A, which the rotation preserves.
     """
     m_grid = list(m_grid)
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be nonempty and ascending")
+    exact = exact_leverage_scores(A, C)
     rows = []
     for pi, (name, plan) in enumerate(plan_specs):
+        d_eff = (plan.d_eff if isinstance(plan, SamplingPlan)
+                 else float(exact.sum()))
         for di, mode in enumerate(debias_modes):
             for mi, m in enumerate(m_grid):
-                spec = make_debias_spec(mode, plan, A, C, m)
+                spec = make_debias_spec(mode, plan, m, d_eff, exact)
                 est = estimate_bias(A, C, plan, spec, m, trials,
                                     rsrng.split(seed, pi, di, mi))
                 rows.append(BiasSweepRow(scheme=name, debias=mode,

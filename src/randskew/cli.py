@@ -127,9 +127,8 @@ def _data_source(cfg: Config, seed: int) -> DataSource:
         path = cfg.get("path")
         if not path:
             raise ConfigError("libsvm data requires 'path'")
-        dim = cfg.get("libsvm_dim")
         return DataSource(format="libsvm", path=path,
-                          libsvm_dim=int(dim) if dim else None)
+                          libsvm_dim=cfg.get_int("libsvm_dim", 0) or None)
     if fmt == "synthetic":
         kind_name = cfg.get("synthetic", "gaussian")
         try:
@@ -153,21 +152,11 @@ def _plan_from_name(name: str, A, C, cfg: Config, seed: int):
         return SrhtScheme(n=A.shape[0])
     if name not in _PLAN_NAMES:
         raise ConfigError(f"unknown sampling plan '{name}'")
-    kind = _PLAN_NAMES[name]
-    m1 = cfg.get("m1")
-    m2 = cfg.get("m2")
-    return build_plan(kind, A, C,
+    return build_plan(_PLAN_NAMES[name], A, C,
                       mix=cfg.get_float("mix", 0.5),
-                      m1=int(m1) if m1 else None,
-                      m2=int(m2) if m2 else None,
+                      m1=cfg.get_int("m1", 0) or None,
+                      m2=cfg.get_int("m2", 0) or None,
                       seed=rsrng.split(seed, 101))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_json_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -305,8 +294,6 @@ def _build_method(cfg: Config):
         step_name = cfg.get("step", "armijo")
         if step_name not in _STEP_NAMES:
             raise ConfigError(f"unknown step rule '{step_name}'")
-        m1 = cfg.get("m1")
-        m2 = cfg.get("m2")
         config = SsnConfig(
             plan_kind=("srht" if plan_name == "srht"
                        else _PLAN_NAMES[plan_name]),
@@ -315,8 +302,8 @@ def _build_method(cfg: Config):
             step_rule=_STEP_NAMES[step_name],
             fixed_step=cfg.get_float("fixed_step", 1.0),
             mix=cfg.get_float("mix", 0.5),
-            m1=int(m1) if m1 else None,
-            m2=int(m2) if m2 else None,
+            m1=cfg.get_int("m1", 0) or None,
+            m2=cfg.get_int("m2", 0) or None,
         )
         return SsnMethod(config=config)
     raise ConfigError(f"unknown method '{name}'")

@@ -1,24 +1,27 @@
-"""Inversion-bias correction for row-sampling sketches.
+"""Inversion-bias correction for row-sampling and Hadamard sketches.
 
 Three correction modes: the scalar factor m/(m - d_eff); per-row
 fine-grained weights sqrt(m / (m - l_i / pi_i)) (with exact or approximate
 leverage scores); and the self-consistent diagonal D that characterizes
-what the uncorrected sketched inverse actually estimates.
+what the uncorrected sketched inverse actually estimates.  The bias lab
+and the sketched Newton solver share :func:`make_debias_spec` and
+:func:`debiased_sketch`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (NoConvergence, NotPositiveDefinite, SketchTooSmall,
                      ZeroProbabilityWithPositiveScore)
+from .hadamard import srht_apply, srht_draw
 from .linalg import cholesky
-from .sampling import (SamplingPlan, SketchDraw, PlanKind,
-                       approximation_factors, exact_leverage_scores)
+from .sampling import (SamplingPlan, SketchDraw, PlanKind, apply_sketch,
+                       approximation_factors, draw, exact_leverage_scores)
 from scipy.linalg import solve_triangular
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
@@ -36,7 +39,6 @@ class DebiasSpec:
     mode: DebiasMode
     factor: float | None = None            # scalar mode
     row_weights: np.ndarray | None = None  # fine-grained multipliers, length n
-    omega_hint: float | None = None        # approx mode accuracy hint
 
     @staticmethod
     def none() -> "DebiasSpec":
@@ -51,14 +53,6 @@ class DebiasSpec:
                      m: int) -> "DebiasSpec":
         return DebiasSpec(DebiasMode.FINE_GRAINED_EXACT,
                           row_weights=fine_grained_weights(plan, scores, m))
-
-    @staticmethod
-    def fine_grained_approx(plan: SamplingPlan, approx_scores: np.ndarray,
-                            m: int,
-                            omega_hint: float | None = None) -> "DebiasSpec":
-        w = approx_fine_grained_weights(plan, approx_scores, m)
-        return DebiasSpec(DebiasMode.FINE_GRAINED_APPROX, row_weights=w,
-                          omega_hint=omega_hint)
 
 
 def scalar_factor(m: int, d_eff: float) -> float:
@@ -98,12 +92,6 @@ def fine_grained_weights(plan: SamplingPlan, scores: np.ndarray,
     return np.sqrt(m / (m - ratios))
 
 
-def approx_fine_grained_weights(plan: SamplingPlan, approx_scores: np.ndarray,
-                                m: int) -> np.ndarray:
-    """fine_grained_weights with approximate scores substituted for exact."""
-    return fine_grained_weights(plan, approx_scores, m)
-
-
 def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
     """Re-weight a realized sketch according to the debias spec."""
     if spec.mode is DebiasMode.NONE:
@@ -115,6 +103,53 @@ def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
     return SketchDraw(m=sketch.m, indices=sketch.indices,
                       weights=sketch.weights
                       * spec.row_weights[sketch.indices])
+
+
+@dataclass(frozen=True)
+class SrhtScheme:
+    """Marker selecting the sign-flip Hadamard sketch instead of a plan."""
+    n: int
+
+
+def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,
+                     exact_scores: np.ndarray) -> DebiasSpec:
+    """Build the debias spec a (plan, m) cell needs.
+
+    ``plan`` is a :class:`SamplingPlan` or :class:`SrhtScheme`.  Scalar
+    mode uses the caller's ``d_eff``; fine-grained exact mode uses
+    ``exact_scores``; fine-grained approximate mode uses the plan's own
+    scores.  The Hadamard sketch supports scalar debiasing only.
+    """
+    if mode is DebiasMode.NONE:
+        return DebiasSpec.none()
+    if mode is DebiasMode.SCALAR:
+        return DebiasSpec.scalar(m, d_eff)
+    if not isinstance(plan, SamplingPlan):
+        raise ValueError("the Hadamard sketch only supports scalar "
+                         "debiasing")
+    if mode is DebiasMode.FINE_GRAINED_EXACT:
+        return DebiasSpec.fine_grained(plan, exact_scores, m)
+    if plan.scores is None:
+        raise ValueError(f"{mode.value} debiasing needs approximate leverage "
+                         f"scores, and a {plan.kind.value} plan has none")
+    return DebiasSpec(DebiasMode.FINE_GRAINED_APPROX,
+                      row_weights=fine_grained_weights(plan, plan.scores, m))
+
+
+def debiased_sketch(scheme, A: np.ndarray, m: int, spec: DebiasSpec,
+                    seed: int):
+    """Draw an m-row sketch, debias it by ``spec`` and apply it to A.
+
+    ``scheme`` is a :class:`SamplingPlan` or :class:`SrhtScheme`, and
+    ``spec`` comes from :func:`make_debias_spec` for it.  Returns the m x d
+    sketched matrix and the debiased draw (SketchDraw or SrhtDraw).
+    """
+    if isinstance(scheme, SrhtScheme):
+        sd = srht_draw(scheme.n, m, seed)
+        sd = replace(sd, sample=apply_debias(sd.sample, spec))
+        return srht_apply(sd, A), sd
+    sk = apply_debias(draw(scheme, m, seed), spec)
+    return apply_sketch(sk, A), sk
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ are pure functions; nothing here holds state.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 # Numerical PSD tolerances.  Chosen so that ridge-regularized Hessians
 # with lambda >= 1e-6 always pass.
@@ -49,48 +49,32 @@ def gram(A: np.ndarray) -> np.ndarray:
 
 
 def cholesky(M: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = M.
+    """Lower-triangular L with L L^T = M, by LAPACK ``potrf``.
 
     Raises :class:`NotPositiveDefinite` (carrying the pivot index) when a
-    pivot falls below ``PIVOT_RTOL * trace(M) / dim``.
+    pivot ``L[j, j]**2`` falls below ``PIVOT_RTOL * trace(M) / dim``, or
+    when ``potrf`` stops at a nonpositive pivot.
     """
     M = check_symmetric(M)
     dim = M.shape[0]
     threshold = PIVOT_RTOL * np.trace(M) / dim
-    L = np.zeros_like(M)
-    for j in range(dim):
-        pivot = M[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > threshold:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} below threshold "
-                f"{threshold:.3e}", pivot_index=j)
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < dim:
-            L[j + 1:, j] = (M[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    L, info = lapack.dpotrf(M, lower=1, clean=1)
+    # potrf stops (info > 0) at a nonpositive pivot; test the prefix it made
+    pivots = np.diag(L)[:info - 1 if info else dim] ** 2
+    low = np.flatnonzero(~(pivots > threshold))
+    if low.size or info:
+        j = int(low[0]) if low.size else info - 1
+        raise NotPositiveDefinite(
+            f"pivot at index {j} is nonpositive or below threshold "
+            f"{threshold:.3e}", pivot_index=j)
     return L
 
 
 def solve_spd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve M X = B for symmetric positive definite M."""
-    L = cholesky(M)
-    B = np.asarray(B, dtype=np.float64)
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    Y = solve_triangular(L, B, lower=True)
-    X = solve_triangular(L.T, Y, lower=False)
-    return X[:, 0] if squeeze else X
-
-
-def solve_spd_from_factor(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve L L^T X = B given an existing Cholesky factor."""
-    B = np.asarray(B, dtype=np.float64)
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    Y = solve_triangular(L, B, lower=True)
-    X = solve_triangular(L.T, Y, lower=False)
-    return X[:, 0] if squeeze else X
+    X, _ = lapack.dpotrs(cholesky(M), np.asarray(B, dtype=np.float64),
+                         lower=1)
+    return X
 
 
 def spd_inverse(M: np.ndarray) -> np.ndarray:
@@ -99,44 +83,12 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
     return (Minv + Minv.T) / 2.0
 
 
-def spectral_norm(M: np.ndarray, tol: float = 1e-10,
-                  max_iters: int = 10_000) -> float:
-    """Largest |eigenvalue| of symmetric M by power iteration on M^2.
-
-    Deterministic: starts from the normalized all-ones vector and
-    re-randomizes (fixed auxiliary stream) only on stagnation.
-    """
+def spectral_norm(M: np.ndarray) -> float:
+    """Largest |eigenvalue| of symmetric M."""
     M = check_symmetric(M)
-    dim = M.shape[0]
-    if dim < 1:
+    if M.shape[0] < 1:
         raise ValueError("spectral_norm requires dim >= 1")
-    if dim == 1:
-        return abs(float(M[0, 0]))
-    v = np.ones(dim) / np.sqrt(dim)
-    rng = np.random.Generator(np.random.Philox(key=0x5EED))
-    prev = np.inf
-    for it in range(max_iters):
-        w = M @ (M @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            if np.abs(M).max() == 0.0:
-                return 0.0
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            continue
-        est = np.sqrt(norm_w)  # ||v|| == 1, so lambda^2 estimate is norm_w
-        v = w / norm_w
-        if abs(est - prev) <= tol * max(est, 1e-300):
-            return float(est)
-        if it > 0 and it % 500 == 0 and abs(est - prev) > 0.5 * abs(est):
-            # stagnating oscillation; restart from a fresh direction
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            prev = np.inf
-            continue
-        prev = est
-    raise NoConvergence(f"power iteration did not converge in {max_iters} "
-                        "iterations", iterations=max_iters)
+    return float(np.abs(np.linalg.eigvalsh(M)).max())
 
 
 def _eigh_pd(M: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:

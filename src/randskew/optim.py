@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rsrng
-from .debias import DebiasMode, DebiasSpec
-from .hadamard import rotated_leverage_scores, srht_apply, srht_draw
+from .debias import DebiasMode, SrhtScheme, debiased_sketch, make_debias_spec
+from .hadamard import rotated_leverage_scores
 from .linalg import gram, solve_spd
-from .sampling import (PlanKind, SamplingPlan, apply_sketch,
-                       approximation_factors, build_plan, draw,
-                       exact_leverage_scores, full_draw)
-from .debias import apply_debias
+from .sampling import (PlanKind, apply_sketch, approximation_factors,
+                       build_plan, exact_leverage_scores, full_draw)
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
@@ -206,38 +204,27 @@ def _ssn_direction(p: GlmProblem, obj: Objective, config: SsnConfig,
         At = apply_sketch(full_draw(n), hs)
         d_eff = float(exact_leverage_scores(hs, C).sum())
         rho_max = 1.0
-    elif config.plan_kind == "srht":
-        sd = srht_draw(n, config.m, rsrng.split(seed, 0))
-        scores = exact_leverage_scores(hs, C)
-        d_eff = float(scores.sum())
-        if config.debias is DebiasMode.SCALAR:
-            sample = apply_debias(sd.sample, DebiasSpec.scalar(config.m, d_eff))
-            sd = type(sd)(signs=sd.signs, sample=sample,
-                          n_original=sd.n_original, n_padded=sd.n_padded)
-        elif config.debias is not DebiasMode.NONE:
-            raise ValueError("the Hadamard sketch only supports scalar "
-                             "debiasing")
-        At = srht_apply(sd, hs)
-        rot = rotated_leverage_scores(hs, C, sd.signs)
-        rho_max = float(rot.max() * sd.n_padded / d_eff)
     else:
-        plan = build_plan(config.plan_kind, hs, C, mix=config.mix,
-                          m1=config.m1, m2=config.m2,
-                          seed=rsrng.split(seed, 1))
-        exact = (plan.scores if plan.kind is PlanKind.EXACT_LEVERAGE
-                 else exact_leverage_scores(hs, C))
-        d_eff = float(exact.sum())
-        if config.debias is DebiasMode.NONE:
-            spec = DebiasSpec.none()
-        elif config.debias is DebiasMode.SCALAR:
-            spec = DebiasSpec.scalar(config.m, d_eff)
-        elif config.debias is DebiasMode.FINE_GRAINED_EXACT:
-            spec = DebiasSpec.fine_grained(plan, exact, config.m)
+        if config.plan_kind == "srht":
+            scheme = SrhtScheme(n)
+            sketch_seed = rsrng.split(seed, 0)
+            exact = exact_leverage_scores(hs, C)
         else:
-            spec = DebiasSpec.fine_grained_approx(plan, plan.scores, config.m)
-        sk = apply_debias(draw(plan, config.m, rsrng.split(seed, 2)), spec)
-        At = apply_sketch(sk, hs)
-        rho_max = approximation_factors(plan, exact).rho_max
+            scheme = build_plan(config.plan_kind, hs, C, mix=config.mix,
+                                m1=config.m1, m2=config.m2,
+                                seed=rsrng.split(seed, 1))
+            sketch_seed = rsrng.split(seed, 2)
+            exact = (scheme.scores if scheme.kind in (PlanKind.EXACT_LEVERAGE,
+                                                      PlanKind.SHRINKAGE)
+                     else exact_leverage_scores(hs, C))
+        d_eff = float(exact.sum())
+        spec = make_debias_spec(config.debias, scheme, config.m, d_eff, exact)
+        At, drawn = debiased_sketch(scheme, hs, config.m, spec, sketch_seed)
+        if isinstance(scheme, SrhtScheme):
+            rot = rotated_leverage_scores(hs, C, drawn.signs)
+            rho_max = float(rot.max() * drawn.n_padded / d_eff)
+        else:
+            rho_max = approximation_factors(scheme, exact).rho_max
 
     direction = solve_spd(gram(At) + C, obj.gradient)
     return direction, d_eff, rho_max

@@ -115,31 +115,22 @@ def default_double_sketch_width(n: int) -> int:
 
 
 def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
-                         m2: int | None = None, seed: int = 0,
-                         identity_sketch: bool = False) -> np.ndarray:
+                         m2: int | None = None, seed: int = 0) -> np.ndarray:
     """Approximate leverage scores via a sparse JL sketch of the Gram.
 
     Single-sketch mode returns ``||e_i^T A (A^T S1^T S1 A + C)^{-1/2}||^2``;
     when ``m2`` is given the inverse-sqrt factor is post-multiplied by a
     second sketch of width m2 before row norms are taken.
-
-    ``identity_sketch`` replaces S1 by the identity (requires m1 == n);
-    this degenerate path recovers the exact scores and exists for testing.
     """
     from .linalg import inv_sqrt
 
     A = np.asarray(A, dtype=np.float64)
-    n, d = A.shape
+    d = A.shape[1]
     if m1 < d:
         raise ValueError(f"sketch width m1={m1} below cols(A)={d}")
     if m2 is not None and not m2 < m1:
         raise ValueError("double-sketch width m2 must satisfy m2 < m1")
-    if identity_sketch:
-        if m1 != n:
-            raise ValueError("identity sketch requires m1 == rows(A)")
-        SA = A
-    else:
-        SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
+    SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
     try:
         R = inv_sqrt(gram(SA) + C)
     except NotPositiveDefinite as exc:
@@ -236,10 +227,12 @@ def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
     if m < 1:
         raise ValueError("sketch size m must be >= 1")
     gen = rsrng.generator(seed)
-    cdf = np.cumsum(plan.probs)
+    # over the support only: u near 1 must not land on a trailing zero row
+    support = np.flatnonzero(plan.probs)
+    cdf = np.cumsum(plan.probs[support])
     cdf[-1] = 1.0
     u = gen.random(m)
-    indices = np.searchsorted(cdf, u, side="right")
+    indices = support[np.searchsorted(cdf, u, side="right")]
     weights = 1.0 / np.sqrt(m * plan.probs[indices])
     return SketchDraw(m=m, indices=indices, weights=weights)
 

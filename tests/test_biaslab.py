@@ -95,10 +95,11 @@ def test_srht_scheme_runs_and_reports():
 
 def test_make_debias_spec_scalar_uses_plan_d_eff():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-    spec = make_debias_spec(DebiasMode.SCALAR, plan, A_CE, C0, m=16)
+    spec = make_debias_spec(DebiasMode.SCALAR, plan, 16, plan.d_eff,
+                            plan.scores)
     assert spec.factor == pytest.approx(16 / (16 - plan.d_eff))
     with pytest.raises(SketchTooSmall):
-        make_debias_spec(DebiasMode.SCALAR, plan, A_CE, C0, m=4)
+        make_debias_spec(DebiasMode.SCALAR, plan, 4, plan.d_eff, plan.scores)
 
 
 class TestBiasSweep:

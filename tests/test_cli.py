@@ -219,3 +219,58 @@ def test_json_format_output(tmp_path):
                     str(out), "--format", "json"]) == 0
     rows = json.loads(out.read_text())
     assert rows[0]["score_exact"] == pytest.approx(0.25, abs=1e-12)
+
+
+BIAS_CFG = """
+data = synthetic
+synthetic = coherent
+n = 64
+d = 4
+heavy_rows = 4
+lambda = 0.01
+plans = exact_leverage
+debias = none
+m_grid = 32,48
+trials = 16
+"""
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("bias", ["plans=approx_leverage", "m1=abc"]),
+    ("solve", ["plan=approx_leverage", "m2=1.5"]),
+    ("solve", ["data=libsvm", "path=absent.svm", "libsvm_dim=x"]),
+], ids=["m1", "m2", "libsvm_dim"])
+def test_non_integer_key_is_config_error(tmp_path, command, overrides):
+    cfg = write_cfg(tmp_path, "c.cfg",
+                    BIAS_CFG if command == "bias" else SOLVE_CFG)
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), *overrides]) == 4
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("bias", ["plans=srht", "debias=fine_exact"], "only supports scalar"),
+    ("solve", ["plan=srht", "debias=fine_exact"], "only supports scalar"),
+    ("solve", ["plan=uniform", "debias=fine_approx"],
+     "needs approximate leverage scores"),
+], ids=["bias-srht-fine", "solve-srht-fine", "solve-uniform-fine-approx"])
+def test_unsupported_debias_is_numerical_error(tmp_path, capsys, command,
+                                               overrides, message):
+    cfg = write_cfg(tmp_path, "c.cfg",
+                    BIAS_CFG if command == "bias" else SOLVE_CFG)
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), *overrides]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_bias_fine_approx_on_exact_leverage_equals_fine_exact(tmp_path):
+    # an exact-leverage plan's own scores are the exact scores
+    cfg = write_cfg(tmp_path, "bias.cfg", BIAS_CFG)
+    cells = {}
+    for mode in ("fine_exact", "fine_approx"):
+        out = tmp_path / f"{mode}.csv"
+        assert run_cli(["bias", "--config", cfg, "--seed", "4", "--out",
+                        str(out), f"debias={mode}"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        cells[mode] = [[r[0]] + r[2:] for r in rows]
+    assert len(cells["fine_exact"]) == 2
+    assert cells["fine_approx"] == cells["fine_exact"]

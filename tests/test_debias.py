@@ -4,9 +4,8 @@ import pytest
 from randskew import rng as rsrng
 from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, apply_debias,
-                             approx_fine_grained_weights,
-                             fine_grained_weights, scalar_factor,
-                             solve_fixed_point_d)
+                             fine_grained_weights, make_debias_spec,
+                             scalar_factor, solve_fixed_point_d)
 from randskew.errors import SketchTooSmall
 from randskew.linalg import gram, psd_relative_error, spd_inverse
 from randskew.sampling import (PlanKind, apply_sketch, build_plan, draw,
@@ -65,20 +64,22 @@ class TestApproxFineGrainedWeights:
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
         scores = exact_leverage_scores(A_CE, C0)
         m = 8 * D
-        assert np.array_equal(approx_fine_grained_weights(plan, scores, m),
+        spec = make_debias_spec(DebiasMode.FINE_GRAINED_APPROX, plan, m,
+                                plan.d_eff, scores)
+        assert np.array_equal(spec.row_weights,
                               fine_grained_weights(plan, scores, m))
 
     def test_inflated_scores_substitution(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
         m = 8 * D
-        w = approx_fine_grained_weights(plan, 1.2 * plan.scores, m)
+        w = fine_grained_weights(plan, 1.2 * plan.scores, m)
         want = np.sqrt(m / (m - 1.2 * plan.d_eff))
         assert np.allclose(w, want)
 
     def test_violating_scores_rejected(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
         with pytest.raises(SketchTooSmall):
-            approx_fine_grained_weights(plan, 100.0 * plan.scores, 8 * D)
+            fine_grained_weights(plan, 100.0 * plan.scores, 8 * D)
 
 
 class TestApplyDebias:

@@ -65,6 +65,12 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(-np.eye(3))
 
+    def test_tiny_pivot_below_threshold_rejected(self):
+        # potrf factors this matrix; the relative pivot test must still fire
+        with pytest.raises(NotPositiveDefinite) as err:
+            cholesky(np.diag([1.0, 1e-16, 1.0]))
+        assert err.value.pivot_index == 1
+
 
 class TestSolveSpd:
     def test_identity_solve(self):
@@ -112,6 +118,10 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((4, 4))) == 0.0
+
+    def test_nearly_tied_extremes_of_opposite_sign(self):
+        M = np.diag([1.0, -0.9995, 0.5])
+        assert spectral_norm(M) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestPsdRelativeError:

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from randskew import rng as rsrng
+from randskew import sampling
 from randskew.data import counterexample_matrix
 from randskew.errors import (AllZeroRows, IndexOutOfRange,
                              ZeroProbabilityWithPositiveScore)
@@ -60,10 +61,12 @@ class TestEffectiveDimension:
 
 
 class TestSjltApproxLeverage:
-    def test_identity_sketch_recovers_exact(self):
+    def test_identity_sketch_recovers_exact(self, monkeypatch):
+        # with S1 = I the sketched formula is the exact score formula
+        monkeypatch.setattr(sampling, "_sjlt_apply", lambda A, m, gen: A)
         n = A_CE.shape[0]
         exact = exact_leverage_scores(A_CE, C0)
-        approx = sjlt_approx_leverage(A_CE, C0, m1=n, identity_sketch=True)
+        approx = sjlt_approx_leverage(A_CE, C0, m1=n)
         assert np.abs(approx - exact).max() < 1e-12
 
     def test_monte_carlo_mean_near_exact(self):
@@ -200,6 +203,19 @@ class TestDraw:
         plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
         sk = draw(plan, 10_000, seed=3)
         assert np.all(np.isin(sk.indices, [1, 2]))
+
+    def test_u_near_one_skips_trailing_zero_row(self, monkeypatch):
+        # the partial sums of [0.1] * 10 end just below 1
+        class TopOfUnitInterval:
+            def random(self, m):
+                return np.full(m, 1.0 - 2.0 ** -53)
+
+        monkeypatch.setattr(rsrng, "generator",
+                            lambda *path: TopOfUnitInterval())
+        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]),
+                            d_eff=1.0)
+        sk = draw(plan, 4, seed=0)
+        assert np.all(sk.indices == 9)
 
 
 class TestApplySketch:
