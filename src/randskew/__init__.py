@@ -11,7 +11,7 @@ from .linalg import (cholesky, gram, inv_sqrt, psd_relative_error,
 from .sampling import (ApproxFactors, PlanKind, SamplingPlan, SketchDraw,
                        apply_sketch, approximation_factors, build_plan,
                        draw, effective_dimension, exact_leverage_scores,
-                       full_draw, sjlt_approx_leverage)
+                       sjlt_approx_leverage)
 from .hadamard import (SrhtDraw, fwht_inplace, next_power_of_two,
                        rotated_leverage_scores, srht_apply, srht_draw)
 from .debias import (DebiasMode, DebiasSpec, FixedPointD, apply_debias,
@@ -23,8 +23,7 @@ from .data import (DataSource, SyntheticKind, SyntheticSpec,
                    counterexample_matrix, load_data)
 from .optim import (GdMethod, GlmProblem, NewtonExactMethod, ProblemKind,
                     RunTrace, SgdMethod, SparseProjMethod, SsnConfig,
-                    SsnMethod, StepRule, newton_exact, objective_eval,
-                    reference_solution, run_solver, ssn_step,
-                    analytic_step_size)
+                    SsnMethod, StepRule, objective_eval, reference_solution,
+                    run_solver, ssn_step, analytic_step_size)
 
 __version__ = "0.1.0"

@@ -276,8 +276,10 @@ def _build_method(cfg: Config):
     if name == "gd":
         return GdMethod(lr=cfg.get_float("lr", 0.5))
     if name == "sgd":
-        return SgdMethod(lr=cfg.get_float("lr", 0.1),
-                         batch=cfg.get_int("batch", 32))
+        batch = cfg.get_int("batch", 32)
+        if batch < 1:
+            raise ConfigError(f"sgd batch must be at least 1, got {batch}")
+        return SgdMethod(lr=cfg.get_float("lr", 0.1), batch=batch)
     if name == "newton":
         return NewtonExactMethod(line_search=cfg.get_bool("line_search",
                                                           True))

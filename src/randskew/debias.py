@@ -25,6 +25,7 @@ from .sampling import (SamplingPlan, SketchDraw, PlanKind, apply_sketch,
 from scipy.linalg import solve_triangular
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
+SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
 
 
 class DebiasMode(enum.Enum):
@@ -125,8 +126,7 @@ def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,
     if mode is DebiasMode.SCALAR:
         return DebiasSpec.scalar(m, d_eff)
     if not isinstance(plan, SamplingPlan):
-        raise ValueError("the Hadamard sketch only supports scalar "
-                         "debiasing")
+        raise ValueError(SRHT_SCALAR_ONLY)
     if mode is DebiasMode.FINE_GRAINED_EXACT:
         return DebiasSpec.fine_grained(plan, exact_scores, m)
     if plan.scores is None:
@@ -145,6 +145,8 @@ def debiased_sketch(scheme, A: np.ndarray, m: int, spec: DebiasSpec,
     sketched matrix and the debiased draw (SketchDraw or SrhtDraw).
     """
     if isinstance(scheme, SrhtScheme):
+        if spec.row_weights is not None:
+            raise ValueError(SRHT_SCALAR_ONLY)
         sd = srht_draw(scheme.n, m, seed)
         sd = replace(sd, sample=apply_debias(sd.sample, spec))
         return srht_apply(sd, A), sd

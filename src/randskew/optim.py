@@ -9,6 +9,7 @@ the row-sampling machinery consumes.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,15 +17,17 @@ import numpy as np
 
 from . import rng as rsrng
 from .debias import DebiasMode, SrhtScheme, debiased_sketch, make_debias_spec
+from .errors import NoConvergence
 from .hadamard import rotated_leverage_scores
 from .linalg import gram, solve_spd
-from .sampling import (PlanKind, apply_sketch, approximation_factors,
-                       build_plan, exact_leverage_scores, full_draw)
+from .sampling import (PlanKind, approximation_factors, build_plan,
+                       exact_leverage_scores)
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
 ARMIJO_RATIO = 0.5
 ARMIJO_MAX_HALVINGS = 40
+REFERENCE_GRAD_TOL = 1e-12
 
 
 class ProblemKind(enum.Enum):
@@ -98,6 +101,19 @@ def _armijo(p: GlmProblem, beta, value, gradient, direction) -> float:
     return mu
 
 
+def _newton_update(p: GlmProblem, beta, obj: Objective, At: np.ndarray,
+                   armijo: bool, mu: float) -> tuple[np.ndarray, float]:
+    """Step along -(gram(At) + lambda I)^{-1} g, by Armijo or by ``mu``.
+
+    Exact Newton is At = obj.hessian_sqrt; the sketched methods pass a
+    sketch of it.  Returns the next iterate and the step size taken.
+    """
+    direction = solve_spd(gram(At) + p.lam * np.eye(p.dim), obj.gradient)
+    if armijo:
+        mu = _armijo(p, beta, obj.value, obj.gradient, direction)
+    return beta - mu * direction, mu
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     t: int
@@ -110,9 +126,7 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     records: list[IterationRecord] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
     beta: np.ndarray | None = None
-    reference_grad_norm: float | None = None
 
 
 class _ErrorMeter:
@@ -136,44 +150,6 @@ class _ErrorMeter:
         return err / self.base if self.base > 0 else 0.0
 
 
-def newton_exact(p: GlmProblem, beta0, iters: int, line_search: bool = True,
-                 reference: np.ndarray | None = None,
-                 grad_tol: float = 0.0) -> RunTrace:
-    """Exact damped Newton iteration; stops early at grad_tol when set."""
-    beta = np.asarray(beta0, dtype=np.float64).copy()
-    meter = _ErrorMeter(p, reference, beta)
-    trace = RunTrace(config={"method": "newton_exact",
-                             "line_search": line_search})
-    eye = np.eye(p.dim)
-    for t in range(iters + 1):
-        t_start = time.perf_counter_ns()
-        obj = objective_eval(p, beta)
-        grad_norm = float(np.linalg.norm(obj.gradient))
-        if t == iters or (grad_tol > 0 and grad_norm < grad_tol):
-            trace.records.append(IterationRecord(
-                t, meter(beta), grad_norm, 0.0, 0))
-            break
-        H = gram(obj.hessian_sqrt) + p.lam * eye
-        direction = solve_spd(H, obj.gradient)
-        mu = (_armijo(p, beta, obj.value, obj.gradient, direction)
-              if line_search else 1.0)
-        trace.records.append(IterationRecord(
-            t, meter(beta), grad_norm, mu,
-            time.perf_counter_ns() - t_start))
-        beta = beta - mu * direction
-    trace.beta = beta
-    return trace
-
-
-def reference_solution(p: GlmProblem,
-                       grad_tol: float = 1e-12) -> tuple[np.ndarray, float]:
-    """Run exact Newton to near-stationarity; returns (beta*, grad norm)."""
-    trace = newton_exact(p, np.zeros(p.dim), iters=200, line_search=True,
-                         grad_tol=grad_tol)
-    grad = objective_eval(p, trace.beta).gradient
-    return trace.beta, float(np.linalg.norm(grad))
-
-
 class StepRule(enum.Enum):
     ANALYTIC = "analytic"
     ARMIJO = "armijo"
@@ -190,66 +166,53 @@ class SsnConfig:
     mix: float = 0.5                # shrinkage plans
     m1: int | None = None           # approximate-leverage sketch width
     m2: int | None = None
-    full_coverage: bool = False     # test path: sketch = the full matrix
 
 
-def _ssn_direction(p: GlmProblem, obj: Objective, config: SsnConfig,
-                   seed: int):
-    """Sketched Newton direction plus the quantities the step rule needs."""
-    hs = obj.hessian_sqrt
+def _ssn_sketch(p: GlmProblem, hs: np.ndarray, config: SsnConfig,
+                seed: int):
+    """Debiased sketch of the Hessian factor ``hs``, with the d_eff and
+    rho_max the analytic step rule needs."""
     n = hs.shape[0]
     C = p.lam * np.eye(p.dim)
-
-    if config.full_coverage:
-        At = apply_sketch(full_draw(n), hs)
-        d_eff = float(exact_leverage_scores(hs, C).sum())
-        rho_max = 1.0
+    if config.plan_kind == "srht":
+        scheme = SrhtScheme(n)
+        sketch_seed = rsrng.split(seed, 0)
+        exact = exact_leverage_scores(hs, C)
     else:
-        if config.plan_kind == "srht":
-            scheme = SrhtScheme(n)
-            sketch_seed = rsrng.split(seed, 0)
-            exact = exact_leverage_scores(hs, C)
-        else:
-            scheme = build_plan(config.plan_kind, hs, C, mix=config.mix,
-                                m1=config.m1, m2=config.m2,
-                                seed=rsrng.split(seed, 1))
-            sketch_seed = rsrng.split(seed, 2)
-            exact = (scheme.scores if scheme.kind in (PlanKind.EXACT_LEVERAGE,
-                                                      PlanKind.SHRINKAGE)
-                     else exact_leverage_scores(hs, C))
-        d_eff = float(exact.sum())
-        spec = make_debias_spec(config.debias, scheme, config.m, d_eff, exact)
-        At, drawn = debiased_sketch(scheme, hs, config.m, spec, sketch_seed)
-        if isinstance(scheme, SrhtScheme):
-            rot = rotated_leverage_scores(hs, C, drawn.signs)
-            rho_max = float(rot.max() * drawn.n_padded / d_eff)
-        else:
-            rho_max = approximation_factors(scheme, exact).rho_max
-
-    direction = solve_spd(gram(At) + C, obj.gradient)
-    return direction, d_eff, rho_max
+        scheme = build_plan(config.plan_kind, hs, C, mix=config.mix,
+                            m1=config.m1, m2=config.m2,
+                            seed=rsrng.split(seed, 1))
+        sketch_seed = rsrng.split(seed, 2)
+        exact = (scheme.scores if scheme.kind in (PlanKind.EXACT_LEVERAGE,
+                                                  PlanKind.SHRINKAGE)
+                 else exact_leverage_scores(hs, C))
+    d_eff = float(exact.sum())
+    spec = make_debias_spec(config.debias, scheme, config.m, d_eff, exact)
+    At, drawn = debiased_sketch(scheme, hs, config.m, spec, sketch_seed)
+    if isinstance(scheme, SrhtScheme):
+        rot = rotated_leverage_scores(hs, C, drawn.signs)
+        rho_max = float(rot.max() * drawn.n_padded / d_eff)
+    else:
+        rho_max = approximation_factors(scheme, exact).rho_max
+    return At, d_eff, rho_max
 
 
 def analytic_step_size(m: int, d_eff: float, rho_max: float) -> float:
     return 1.0 - rho_max / (m / d_eff + rho_max)
 
 
-def ssn_step(p: GlmProblem, beta, config: SsnConfig,
+def ssn_step(p: GlmProblem, beta, obj: Objective, config: SsnConfig,
              seed: int) -> tuple[np.ndarray, dict]:
-    """One sketched Newton step with a fresh sketch of the current Hessian."""
-    beta = np.asarray(beta, dtype=np.float64)
-    obj = objective_eval(p, beta)
-    direction, d_eff, rho_max = _ssn_direction(p, obj, config, seed)
-    if config.step_rule is StepRule.ANALYTIC:
-        m_eff = p.A.shape[0] if config.full_coverage else config.m
-        mu = analytic_step_size(m_eff, d_eff, rho_max)
-    elif config.step_rule is StepRule.ARMIJO:
-        mu = _armijo(p, beta, obj.value, obj.gradient, direction)
-    else:
-        mu = config.fixed_step
-    diagnostics = {"step_size": mu, "d_eff": d_eff, "rho_max": rho_max,
-                   "grad_norm": float(np.linalg.norm(obj.gradient))}
-    return beta - mu * direction, diagnostics
+    """One sketched Newton step with a fresh sketch of the current Hessian.
+
+    ``obj`` is ``objective_eval(p, beta)``.
+    """
+    At, d_eff, rho_max = _ssn_sketch(p, obj.hessian_sqrt, config, seed)
+    mu = (analytic_step_size(config.m, d_eff, rho_max)
+          if config.step_rule is StepRule.ANALYTIC else config.fixed_step)
+    beta_next, mu = _newton_update(p, beta, obj, At,
+                                   config.step_rule is StepRule.ARMIJO, mu)
+    return beta_next, {"step_size": mu, "d_eff": d_eff, "rho_max": rho_max}
 
 
 def sparse_rademacher_sketch(A: np.ndarray, m: int, nnz_per_row: int,
@@ -271,25 +234,51 @@ def sparse_rademacher_sketch(A: np.ndarray, m: int, nnz_per_row: int,
     return out
 
 
+# Each method's update(p, beta, obj, seed, t) returns the next iterate and
+# the step size, given obj = objective_eval(p, beta) and iteration t.
+
 @dataclass(frozen=True)
 class GdMethod:
     lr: float
 
+    def update(self, p, beta, obj, seed, t):
+        return beta - self.lr * obj.gradient, self.lr
+
 
 @dataclass(frozen=True)
 class SgdMethod:
+    """Mini-batches without replacement, reshuffled each epoch; the
+    n mod batch rows left over in an epoch are skipped."""
     lr: float
     batch: int
+
+    def update(self, p, beta, obj, seed, t):
+        n = p.A.shape[0]
+        per_epoch = max(n // self.batch, 1)
+        perm = rsrng.generator(seed, 3, t // per_epoch).permutation(n)
+        offset = (t % per_epoch) * self.batch
+        idx = perm[offset:offset + self.batch]
+        sub = GlmProblem(p.A[idx], p.y[idx], p.lam, p.kind)
+        return beta - self.lr * objective_eval(sub, beta).gradient, self.lr
 
 
 @dataclass(frozen=True)
 class NewtonExactMethod:
     line_search: bool = True
 
+    def update(self, p, beta, obj, seed, t):
+        return _newton_update(p, beta, obj, obj.hessian_sqrt,
+                              self.line_search, 1.0)
+
 
 @dataclass(frozen=True)
 class SsnMethod:
     config: SsnConfig
+
+    def update(self, p, beta, obj, seed, t):
+        beta_next, diagnostics = ssn_step(p, beta, obj, self.config,
+                                          rsrng.split(seed, 4, t))
+        return beta_next, diagnostics["step_size"]
 
 
 @dataclass(frozen=True)
@@ -299,66 +288,50 @@ class SparseProjMethod:
     step_rule: StepRule = StepRule.ARMIJO
     fixed_step: float = 1.0
 
+    def update(self, p, beta, obj, seed, t):
+        At = sparse_rademacher_sketch(obj.hessian_sqrt, self.m,
+                                      self.nnz_per_row,
+                                      rsrng.split(seed, 5, t))
+        return _newton_update(p, beta, obj, At,
+                              self.step_rule is StepRule.ARMIJO,
+                              self.fixed_step)
+
 
 def run_solver(p: GlmProblem, method, beta0, iters: int,
                reference: np.ndarray | None = None,
-               seed: int = 0) -> RunTrace:
-    """Iterate a solver, recording per-iteration error, gradient and time."""
-    if isinstance(method, NewtonExactMethod):
-        trace = newton_exact(p, beta0, iters, method.line_search,
-                             reference=reference)
-        return trace
+               seed: int = 0, grad_tol: float = 0.0) -> RunTrace:
+    """Iterate ``method.update``, recording per-iteration error, gradient
+    and time; stops early once the gradient norm falls below grad_tol.
 
+    Raises :class:`NoConvergence` when the objective or its gradient
+    stops being finite.
+    """
     beta = np.asarray(beta0, dtype=np.float64).copy()
     meter = _ErrorMeter(p, reference, beta)
-    trace = RunTrace(config={"method": type(method).__name__})
-    eye = np.eye(p.dim)
-    perm = None
-    cursor = 0
-    epoch = 0
-
+    trace = RunTrace()
     for t in range(iters + 1):
         t_start = time.perf_counter_ns()
         obj = objective_eval(p, beta)
         grad_norm = float(np.linalg.norm(obj.gradient))
-        if t == iters:
+        if not (math.isfinite(obj.value) and math.isfinite(grad_norm)):
+            raise NoConvergence(
+                f"iterate {t} is not finite: objective {obj.value}, "
+                f"gradient norm {grad_norm}", iterations=t)
+        if t == iters or grad_norm < grad_tol:
             trace.records.append(IterationRecord(
                 t, meter(beta), grad_norm, 0.0, 0))
             break
-        if isinstance(method, GdMethod):
-            step = method.lr
-            beta_next = beta - step * obj.gradient
-        elif isinstance(method, SgdMethod):
-            n = p.A.shape[0]
-            if perm is None or cursor + method.batch > n:
-                perm = rsrng.generator(seed, 3, epoch).permutation(n)
-                cursor = 0
-                epoch += 1
-            idx = perm[cursor:cursor + method.batch]
-            cursor += method.batch
-            sub = GlmProblem(p.A[idx], p.y[idx], p.lam, p.kind)
-            g = objective_eval(sub, beta).gradient
-            step = method.lr
-            beta_next = beta - step * g
-        elif isinstance(method, SsnMethod):
-            beta_next, diag = ssn_step(p, beta, method.config,
-                                       rsrng.split(seed, 4, t))
-            step = diag["step_size"]
-        elif isinstance(method, SparseProjMethod):
-            At = sparse_rademacher_sketch(obj.hessian_sqrt, method.m,
-                                          method.nnz_per_row,
-                                          rsrng.split(seed, 5, t))
-            direction = solve_spd(gram(At) + p.lam * eye, obj.gradient)
-            if method.step_rule is StepRule.ARMIJO:
-                step = _armijo(p, beta, obj.value, obj.gradient, direction)
-            else:
-                step = method.fixed_step
-            beta_next = beta - step * direction
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        beta_next, step = method.update(p, beta, obj, seed, t)
         trace.records.append(IterationRecord(
             t, meter(beta), grad_norm, step,
             time.perf_counter_ns() - t_start))
         beta = beta_next
     trace.beta = beta
     return trace
+
+
+def reference_solution(p: GlmProblem) -> tuple[np.ndarray, float]:
+    """Run exact Newton to near-stationarity; returns (beta*, grad norm)."""
+    trace = run_solver(p, NewtonExactMethod(), np.zeros(p.dim), iters=200,
+                       grad_tol=REFERENCE_GRAD_TOL)
+    return trace.beta, trace.records[-1].grad_norm

@@ -237,15 +237,6 @@ def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
     return SketchDraw(m=m, indices=indices, weights=weights)
 
 
-def full_draw(n: int) -> SketchDraw:
-    """Deterministic draw covering every row once with unit weight.
-
-    Degenerates the sketch to the full matrix; used for no-sketching test
-    paths.
-    """
-    return SketchDraw(m=n, indices=np.arange(n), weights=np.ones(n))
-
-
 def apply_sketch(sketch: SketchDraw, A: np.ndarray) -> np.ndarray:
     """The m-by-d sketched matrix: row s is weights[s] * A[indices[s]]."""
     A = np.asarray(A, dtype=np.float64)

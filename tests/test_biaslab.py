@@ -93,6 +93,19 @@ def test_srht_scheme_runs_and_reports():
     assert est.trials == 50
 
 
+@pytest.mark.parametrize("n", [64, 60])
+def test_srht_rejects_fine_grained_spec(n):
+    # a spec built for a sampling plan must not reach the Hadamard sketch,
+    # whose padded row indices do not match the plan's row weights
+    A = np.random.default_rng(n).standard_normal((n, 3))
+    C = 1e-2 * np.eye(3)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+    spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, 32,
+                            plan.d_eff, plan.scores)
+    with pytest.raises(ValueError, match="only supports scalar"):
+        estimate_bias(A, C, SrhtScheme(n), spec, m=32, trials=4, seed=0)
+
+
 def test_make_debias_spec_scalar_uses_plan_d_eff():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
     spec = make_debias_spec(DebiasMode.SCALAR, plan, 16, plan.d_eff,

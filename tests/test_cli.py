@@ -274,3 +274,20 @@ def test_bias_fine_approx_on_exact_leverage_equals_fine_exact(tmp_path):
         cells[mode] = [[r[0]] + r[2:] for r in rows]
     assert len(cells["fine_exact"]) == 2
     assert cells["fine_approx"] == cells["fine_exact"]
+
+
+def test_sgd_batch_below_one_is_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), "method=sgd", "batch=0"]) == 4
+    assert "batch" in capsys.readouterr().err
+
+
+def test_diverging_solver_is_numerical_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
+                    str(out), "n=100", "d=4", "problem=least_squares",
+                    "method=gd", "lr=1e3", "iters=300"]) == 3
+    assert "NoConvergence" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,12 +5,12 @@ from randskew import rng as rsrng
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode
-from randskew.errors import LabelDomainError
+from randskew.errors import LabelDomainError, NoConvergence
 from randskew.linalg import gram
 from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
                             ProblemKind, SgdMethod, SparseProjMethod,
-                            SsnConfig, SsnMethod, StepRule, newton_exact,
-                            objective_eval, reference_solution, run_solver,
+                            SsnConfig, SsnMethod, StepRule, objective_eval,
+                            reference_solution, run_solver,
                             sparse_rademacher_sketch, ssn_step,
                             analytic_step_size)
 from randskew.sampling import PlanKind
@@ -102,36 +102,38 @@ class TestNewtonExact:
     def test_quadratic_converges_in_one_step(self):
         p = make_least_squares()
         ref, _ = reference_solution(p)
-        trace = newton_exact(p, np.zeros(p.dim), iters=1, line_search=False,
-                             reference=ref)
+        trace = run_solver(p, NewtonExactMethod(line_search=False),
+                           np.zeros(p.dim), 1, reference=ref)
         assert trace.records[-1].rel_error_H < 1e-20
 
     def test_separable_two_points(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])
         y = np.array([1.0, -1.0])
         p = GlmProblem(A, y, 0.1, ProblemKind.LOGISTIC)
-        trace = newton_exact(p, np.zeros(2), iters=30, grad_tol=1e-12)
+        trace = run_solver(p, NewtonExactMethod(), np.zeros(2), 30,
+                           grad_tol=1e-12)
         grad = objective_eval(p, trace.beta).gradient
         assert np.linalg.norm(grad) < 1e-12
 
     def test_stationary_start_takes_zero_step(self):
         p = make_logistic()
         ref, _ = reference_solution(p)
-        trace = newton_exact(p, ref, iters=3, reference=ref)
+        trace = run_solver(p, NewtonExactMethod(), ref, 3, reference=ref)
         assert np.linalg.norm(trace.beta - ref) < 1e-10
 
     def test_objective_decreases_with_line_search(self):
         p = make_logistic(seed=6)
         beta = np.zeros(p.dim)
         values = [objective_eval(p, beta).value]
-        trace = newton_exact(p, beta, iters=6)
+        trace = run_solver(p, NewtonExactMethod(), beta, 6)
         values.append(objective_eval(p, trace.beta).value)
         assert values[1] < values[0]
 
     def test_error_meter_starts_at_one(self):
         p = make_logistic()
         ref, _ = reference_solution(p)
-        trace = newton_exact(p, np.zeros(p.dim), iters=2, reference=ref)
+        trace = run_solver(p, NewtonExactMethod(), np.zeros(p.dim), 2,
+                           reference=ref)
         assert trace.records[0].rel_error_H == pytest.approx(1.0)
 
 
@@ -139,10 +141,9 @@ class TestSsnStep:
     def test_full_coverage_equals_exact_newton_step(self):
         p = make_logistic(seed=7)
         beta = 0.1 * np.ones(p.dim)
-        cfg = SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=p.A.shape[0],
-                        debias=DebiasMode.NONE, step_rule=StepRule.FIXED,
-                        fixed_step=1.0, full_coverage=True)
-        nxt, _ = ssn_step(p, beta, cfg, seed=0)
+        # one undamped step of the Newton update SSN shares, unsketched
+        nxt = run_solver(p, NewtonExactMethod(line_search=False), beta,
+                         1).beta
         obj = objective_eval(p, beta)
         H = gram(obj.hessian_sqrt) + p.lam * np.eye(p.dim)
         want = beta - np.linalg.solve(H, obj.gradient)
@@ -159,6 +160,7 @@ class TestSsnStep:
         H = gram(obj.hessian_sqrt) + C
         rng = np.random.default_rng(9)
         beta_t = ref + 0.5 * rng.standard_normal(p.dim)
+        obj_t = objective_eval(p, beta_t)
         base = (beta_t - ref) @ H @ (beta_t - ref)
         cfg = SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
                         debias=DebiasMode.SCALAR,
@@ -166,7 +168,7 @@ class TestSsnStep:
         T = 2000
         errs = np.empty(T)
         for t in range(T):
-            nxt, _ = ssn_step(p, beta_t, cfg, rsrng.split(5, t))
+            nxt, _ = ssn_step(p, beta_t, obj_t, cfg, rsrng.split(5, t))
             errs[t] = (nxt - ref) @ H @ (nxt - ref)
         assert errs.mean() / base <= 1.3 * d_eff / m
 
@@ -181,13 +183,15 @@ class TestSsnStep:
         H = gram(obj.hessian_sqrt) + C
         rng = np.random.default_rng(10)
         beta_t = ref + 0.5 * rng.standard_normal(p.dim)
+        obj_t = objective_eval(p, beta_t)
         results = {}
         for mode in (DebiasMode.SCALAR, DebiasMode.NONE):
             cfg = SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
                             debias=mode, step_rule=StepRule.ANALYTIC)
             errs = np.empty(600)
             for t in range(600):
-                nxt, _ = ssn_step(p, beta_t, cfg, rsrng.split(6, t))
+                nxt, _ = ssn_step(p, beta_t, obj_t, cfg,
+                                  rsrng.split(6, t))
                 errs[t] = (nxt - ref) @ H @ (nxt - ref)
             results[mode] = errs.mean()
         assert results[DebiasMode.SCALAR] < results[DebiasMode.NONE]
@@ -213,7 +217,7 @@ class TestSsnStep:
         T = 2000
         steps = np.empty((T, p.dim))
         for t in range(T):
-            steps[t], _ = ssn_step(p, beta_t, cfg, rsrng.split(7, t))
+            steps[t], _ = ssn_step(p, beta_t, obj, cfg, rsrng.split(7, t))
         mean_step = steps.mean(axis=0)
         dev = mean_step - target
         hnorm = np.sqrt(dev @ H @ dev)
@@ -304,6 +308,15 @@ class TestRunSolver:
         trace = run_solver(p, SparseProjMethod(m=64, nnz_per_row=4),
                            np.zeros(p.dim), 8, reference=ref, seed=2)
         assert trace.records[-1].rel_error_H < 0.05
+
+    def test_non_finite_iterate_raises(self):
+        # gd with lr=1e3 overflows to inf and then NaN within the budget
+        spec = SyntheticSpec(SyntheticKind.GAUSSIAN_IID, 100, 4, seed=25)
+        A = synthetic_matrix(spec)
+        p = GlmProblem(A, A @ np.ones(4), 1e-2, ProblemKind.LEAST_SQUARES)
+        with pytest.raises(NoConvergence) as info:
+            run_solver(p, GdMethod(lr=1e3), np.zeros(p.dim), 300)
+        assert 0 < info.value.iterations < 300
 
     def test_srht_ssn_runs(self):
         p = make_least_squares(n=256, d=8, seed=24)
