@@ -25,7 +25,8 @@ from .debias import DebiasMode
 from .errors import (ConfigError, ParseError, RandskewError)
 from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
                     SgdMethod, SparseProjMethod, SsnConfig, SsnMethod,
-                    StepRule, reference_solution, run_solver)
+                    StepRule, reference_point, reference_solution,
+                    run_solver)
 from .sampling import (PlanKind, approximation_factors, build_plan,
                        exact_leverage_scores, sjlt_approx_leverage)
 from .linalg import gram
@@ -369,7 +370,7 @@ def cmd_sweep(cfg: Config, seed: int, out: Path, fmt: str,
     zero_timing = cfg.get("timing", "real") == "zero"
     method_name = cfg.get("method", "ssn")
 
-    reference, _ = reference_solution(p)
+    reference = reference_point(p, reference_solution(p)[0])
 
     header = ["method", "m", "final_rel_error", "total_wall_ns"]
     rows = []

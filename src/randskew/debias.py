@@ -168,7 +168,8 @@ def solve_fixed_point_d(A: np.ndarray, C: np.ndarray, plan: SamplingPlan,
 
     Plain fixed-point iteration from the midpoint initialization
     D = m/(m + d_eff).  The result is checked against the proven range
-    [m/(m + 2 rho_max d_eff), m/(m + rho_min d_eff)].
+    [m/(m + 2 rho_max d_eff), m/(m + rho_min d_eff)]; a fixed point
+    outside it raises :class:`NoConvergence`, as does running out of sweeps.
     """
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
@@ -212,9 +213,10 @@ def solve_fixed_point_d(A: np.ndarray, C: np.ndarray, plan: SamplingPlan,
             active_diag = diag[active]
             if active_diag.size and (active_diag.min() < lo
                                      or active_diag.max() > hi):
-                raise AssertionError(
+                raise NoConvergence(
                     f"fixed point left its proven range [{lo:.6g}, {hi:.6g}]:"
-                    f" [{active_diag.min():.6g}, {active_diag.max():.6g}]")
+                    f" [{active_diag.min():.6g}, {active_diag.max():.6g}]",
+                    iterations=it, residual=residual)
             return FixedPointD(diag=diag, iterations=it, residual=residual)
     raise NoConvergence(
         f"fixed-point iteration did not reach tol={tol} in {max_iters} "

@@ -129,16 +129,32 @@ class RunTrace:
     beta: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
+class ReferencePoint:
+    """A reference iterate and the Hessian that errors are measured in."""
+    beta: np.ndarray
+    hessian: np.ndarray
+
+
+def reference_point(p: GlmProblem, beta: np.ndarray) -> ReferencePoint:
+    """The reference at ``beta``; build it once to share it across runs."""
+    beta = np.asarray(beta, dtype=np.float64)
+    hs = objective_eval(p, beta).hessian_sqrt
+    return ReferencePoint(beta, gram(hs) + p.lam * np.eye(p.dim))
+
+
 class _ErrorMeter:
     """Relative squared error in the Hessian norm at the reference point."""
 
-    def __init__(self, p: GlmProblem, reference: np.ndarray | None,
+    def __init__(self, p: GlmProblem,
+                 reference: np.ndarray | ReferencePoint | None,
                  beta0: np.ndarray):
         self.reference = None
         if reference is not None:
-            self.reference = np.asarray(reference, dtype=np.float64)
-            obj = objective_eval(p, self.reference)
-            self.H = gram(obj.hessian_sqrt) + p.lam * np.eye(p.dim)
+            if not isinstance(reference, ReferencePoint):
+                reference = reference_point(p, reference)
+            self.reference = reference.beta
+            self.H = reference.hessian
             delta0 = beta0 - self.reference
             self.base = float(delta0 @ self.H @ delta0)
 
@@ -298,10 +314,14 @@ class SparseProjMethod:
 
 
 def run_solver(p: GlmProblem, method, beta0, iters: int,
-               reference: np.ndarray | None = None,
+               reference: np.ndarray | ReferencePoint | None = None,
                seed: int = 0, grad_tol: float = 0.0) -> RunTrace:
     """Iterate ``method.update``, recording per-iteration error, gradient
     and time; stops early once the gradient norm falls below grad_tol.
+
+    With grad_tol set, a step that leaves beta bitwise unchanged also ends
+    the run after its record: for a method whose update depends on beta
+    alone, every later step would repeat it.
 
     Raises :class:`NoConvergence` when the objective or its gradient
     stops being finite.
@@ -325,6 +345,8 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
         trace.records.append(IterationRecord(
             t, meter(beta), grad_norm, step,
             time.perf_counter_ns() - t_start))
+        if grad_tol > 0 and beta_next.tobytes() == beta.tobytes():
+            break
         beta = beta_next
     trace.beta = beta
     return trace

@@ -99,15 +99,21 @@ def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator) -> np.ndarray:
     Each of the n columns of S carries ``SJLT_NNZ_PER_COLUMN`` entries of
     +-1/sqrt(s) at uniformly random rows.
     """
+    # scipy.sparse is imported here so that loading the CLI does not pay for it
+    from scipy.sparse import csr_array
+
     n = A.shape[0]
     s = SJLT_NNZ_PER_COLUMN
     rows = gen.integers(0, m, size=(n, s))
     signs = gen.integers(0, 2, size=(n, s)) * 2.0 - 1.0
-    out = np.zeros((m, A.shape[1]))
     scale = 1.0 / math.sqrt(s)
-    contrib = A[:, None, :] * (signs * scale)[:, :, None]
-    np.add.at(out, rows.ravel(), contrib.reshape(n * s, -1))
-    return out
+    # S^T is built from the raw (rows, signs) arrays, not through COO or
+    # sum_duplicates, so colliding entries stay separate: the CSC product
+    # S_T.T @ A then adds the exact terms +-A[j]/2 into each output row in
+    # (j, s) order, bitwise as a scatter-add over rows.ravel() does.
+    S_T = csr_array(((signs * scale).ravel(), rows.ravel(),
+                     np.arange(0, n * s + 1, s)), shape=(n, m))
+    return S_T.T @ A
 
 
 def default_double_sketch_width(n: int) -> int:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from randskew import debias
 from randskew import rng as rsrng
 from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, apply_debias,
                              fine_grained_weights, make_debias_spec,
                              scalar_factor, solve_fixed_point_d)
-from randskew.errors import SketchTooSmall
+from randskew.errors import RandskewError, SketchTooSmall
 from randskew.linalg import gram, psd_relative_error, spd_inverse
 from randskew.sampling import (PlanKind, apply_sketch, build_plan, draw,
                                exact_leverage_scores)
@@ -157,6 +158,15 @@ class TestFixedPointD:
         plan = build_plan(PlanKind.UNIFORM, A, C0)
         fp = solve_fixed_point_d(A, C0, plan, m=16 * D)
         assert fp.diag[-1] == 1.0
+
+    def test_leaving_proven_range_is_a_package_error(self, monkeypatch):
+        # a negative slack puts every fixed point outside its range
+        monkeypatch.setattr(debias, "RANGE_SLACK", -1.0)
+        plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
+        with pytest.raises(RandskewError) as info:
+            solve_fixed_point_d(A_CE, C0, plan, m=16 * D)
+        assert info.value.iterations >= 1
+        assert info.value.residual < 1e-10
 
 
 def test_fixed_point_matches_monte_carlo_mean_inverse():

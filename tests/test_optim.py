@@ -10,7 +10,7 @@ from randskew.linalg import gram
 from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
                             ProblemKind, SgdMethod, SparseProjMethod,
                             SsnConfig, SsnMethod, StepRule, objective_eval,
-                            reference_solution, run_solver,
+                            reference_point, reference_solution, run_solver,
                             sparse_rademacher_sketch, ssn_step,
                             analytic_step_size)
 from randskew.sampling import PlanKind
@@ -114,6 +114,17 @@ class TestNewtonExact:
                            grad_tol=1e-12)
         grad = objective_eval(p, trace.beta).gradient
         assert np.linalg.norm(grad) < 1e-12
+
+    def test_stops_at_floating_point_fixed_point(self):
+        # no gradient norm reaches 1e-300; the run ends once a step leaves
+        # beta bitwise unchanged, where a full-length run ends too
+        p = make_logistic()
+        early = run_solver(p, NewtonExactMethod(), np.zeros(p.dim), 60,
+                           grad_tol=1e-300)
+        full = run_solver(p, NewtonExactMethod(), np.zeros(p.dim), 60)
+        assert len(early.records) < len(full.records)
+        np.testing.assert_array_equal(early.beta, full.beta)
+        assert early.records[-1].grad_norm == full.records[-1].grad_norm
 
     def test_stationary_start_takes_zero_step(self):
         p = make_logistic()
@@ -275,6 +286,17 @@ class TestRunSolver:
         trace = run_solver(p, NewtonExactMethod(line_search=False),
                            np.zeros(p.dim), 2, reference=ref)
         assert trace.records[1].rel_error_H < 1e-20
+
+    def test_shared_reference_point_matches_array_reference(self):
+        p = make_logistic()
+        ref, _ = reference_solution(p)
+        method = SsnMethod(SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=40))
+        by_array = run_solver(p, method, np.zeros(p.dim), 3, reference=ref,
+                              seed=4)
+        shared = run_solver(p, method, np.zeros(p.dim), 3,
+                            reference=reference_point(p, ref), seed=4)
+        assert ([r.rel_error_H for r in shared.records]
+                == [r.rel_error_H for r in by_array.records])
 
     def test_ssn_desk_scale_convergence(self):
         spec = SyntheticSpec(SyntheticKind.GAUSSIAN_IID, 2048, 64, seed=21)

@@ -97,6 +97,35 @@ class TestSjltApproxLeverage:
             sjlt_approx_leverage(A_CE, C0, m1=8, m2=8)
 
 
+def _sjlt_scatter_reference(A, m, gen):
+    """S A by scatter-adding each signed, scaled row of A into its rows."""
+    n = A.shape[0]
+    s = sampling.SJLT_NNZ_PER_COLUMN
+    rows = gen.integers(0, m, size=(n, s))
+    signs = gen.integers(0, 2, size=(n, s)) * 2.0 - 1.0
+    out = np.zeros((m, A.shape[1]))
+    contrib = A[:, None, :] * (signs / np.sqrt(s))[:, :, None]
+    np.add.at(out, rows.ravel(), contrib.reshape(n * s, -1))
+    return out
+
+
+_SJLT_A = (np.random.default_rng(5).standard_normal((300, 6))
+           * np.exp(3.0 * np.random.default_rng(6).standard_normal((300, 1))))
+
+
+@pytest.mark.parametrize("A, m", [
+    (_SJLT_A, 2),                        # every output row takes collisions
+    (_SJLT_A, 37),
+    (np.asfortranarray(_SJLT_A), 37),
+    (np.eye(9), 5),                      # the double-sketch (m2) path
+], ids=["collisions", "m37", "fortran", "identity"])
+def test_sjlt_apply_matches_scatter_bitwise(A, m):
+    got = sampling._sjlt_apply(A, m, rsrng.generator(11, 0))
+    want = _sjlt_scatter_reference(A, m, rsrng.generator(11, 0))
+    assert isinstance(got, np.ndarray)
+    np.testing.assert_array_equal(got, want)
+
+
 class TestBuildPlan:
     def test_uniform(self):
         plan = build_plan(PlanKind.UNIFORM, np.eye(4), np.zeros((4, 4)))
