@@ -16,8 +16,6 @@ from .errors import NotPositiveDefinite
 SYMMETRY_RTOL = 1e-12
 PSD_EIG_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
-# Cap on iterative-refinement steps in solve_spd (ITMAX of LAPACK porfs).
-REFINE_MAX_STEPS = 5
 
 
 def as_dense(a, name: str = "matrix") -> np.ndarray:
@@ -72,34 +70,10 @@ def cholesky(M: np.ndarray) -> np.ndarray:
     return L
 
 
-def solve_spd(M: np.ndarray, B: np.ndarray, refine: bool = True
-              ) -> np.ndarray:
-    """Solve M X = B for symmetric positive definite M.
-
-    With ``refine``, iterative refinement follows the Cholesky solve: a
-    step is kept while it lowers the residual norm ``||B - M X||``, at
-    most ``REFINE_MAX_STEPS`` times.  At cond(M) ~ 1e8 the plain solve's
-    relative residual sits at the rounding floor (~1e-8) and lands on
-    either side of it; steps that only reach the floor do not halve the
-    residual, so LAPACK's ``porfs`` rule of stopping there is not used.
-    Each step costs O(d^2) per right-hand side.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    L = cholesky(M)
-    X, _ = lapack.dpotrs(L, B, lower=1)
-    if not refine:
-        return X
-    R = B - M @ X
-    res = np.linalg.norm(R)
-    for _ in range(REFINE_MAX_STEPS):
-        D, _ = lapack.dpotrs(L, R, lower=1)
-        X_next = X + D
-        R_next = B - M @ X_next
-        res_next = np.linalg.norm(R_next)
-        if not res_next < res:
-            break
-        X, R, res = X_next, R_next, res_next
+def solve_spd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve M X = B for symmetric positive definite M."""
+    X, _ = lapack.dpotrs(cholesky(M), np.asarray(B, dtype=np.float64),
+                         lower=1)
     return X
 
 

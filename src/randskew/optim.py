@@ -107,12 +107,8 @@ def _newton_update(p: GlmProblem, beta, obj: Objective, At: np.ndarray,
 
     Exact Newton is At = obj.hessian_sqrt; the sketched methods pass a
     sketch of it.  Returns the next iterate and the step size taken.
-    The direction is not refined: the next step corrects its error, and
-    near the optimum refinement can turn the floating-point fixed point
-    that ends a reference solve into a two-iterate cycle.
     """
-    direction = solve_spd(gram(At) + p.lam * np.eye(p.dim), obj.gradient,
-                          refine=False)
+    direction = solve_spd(gram(At) + p.lam * np.eye(p.dim), obj.gradient)
     if armijo:
         mu = _armijo(p, beta, obj.value, obj.gradient, direction)
     return beta - mu * direction, mu
