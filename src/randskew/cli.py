@@ -28,22 +28,52 @@ from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
                     StepRule, reference_point, reference_solution,
                     run_solver)
 from .sampling import (PlanKind, approximation_factors, build_plan,
-                       exact_leverage_scores, sjlt_approx_leverage)
-from .linalg import gram
+                       exact_leverage_scores)
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
 
-_PLAN_NAMES = {k.value: k for k in PlanKind}
+# name tables for keys whose accepted words are not an enum's values
 _DEBIAS_NAMES = {
     "none": DebiasMode.NONE,
     "scalar": DebiasMode.SCALAR,
     "fine_exact": DebiasMode.FINE_GRAINED_EXACT,
     "fine_approx": DebiasMode.FINE_GRAINED_APPROX,
 }
-_STEP_NAMES = {r.value: r for r in StepRule}
+_APPROX_NAMES = {"none": None, "sjlt": PlanKind.APPROX_LEVERAGE,
+                 "double": PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE}
+_TIMING_NAMES = {"real": False, "zero": True}   # value: blank wall_ns
+_BOOL_NAMES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
+_REQUIRED = object()
+
+
+def _bool(raw: str) -> bool:
+    return _BOOL_NAMES[raw.lower()]
+
+
+def _plan_kind(raw: str) -> PlanKind | str:
+    # "srht" is the Hadamard sketch, which is not a sampling plan
+    return raw if raw == "srht" else PlanKind(raw)
+
+
+def _list_of(parse):
+    """A parser for a nonempty comma-separated list of ``parse`` items."""
+    def parse_list(raw: str) -> list:
+        items = [parse(tok.strip()) for tok in raw.split(",") if tok.strip()]
+        if not items:
+            raise ValueError("the list is empty")
+        return items
+    return parse_list
+
+
+def _m_grid(raw: str) -> list[int]:
+    grid = _list_of(int)(raw)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("m_grid must be ascending")
+    return grid
 
 
 def _fmt(value) -> str:
@@ -67,198 +97,110 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 class Config:
-    """Flat config with typed accessors and unknown-key tracking."""
+    """Flat ``key = value`` strings, read through one typed accessor."""
 
     def __init__(self, values: dict[str, str]):
         self.values = dict(values)
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
+    def get(self, key: str, default=_REQUIRED, parse=str):
+        """``parse`` of the key's string, or ``default`` when it is absent.
 
-    def get_int(self, key, default=None):
+        A missing key without a default, or a value that ``parse`` rejects
+        with ``ValueError`` or ``KeyError``, raises :class:`ConfigError`.
+        """
         raw = self.values.get(key)
         if raw is None:
-            if default is None:
-                raise ConfigError(f"missing integer config key '{key}'")
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' is not an integer: {raw}")
-
-    def get_float(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing float config key '{key}'")
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key '{key}' is not a number: {raw}")
-
-    def get_bool(self, key, default=False):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key '{key}' is not a boolean: {raw}")
-
-    def get_list(self, key, default=None):
-        raw = self.values.get(key)
-        if raw is None:
-            if default is None:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing config key '{key}'")
             return default
-        return [tok.strip() for tok in raw.split(",") if tok.strip()]
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config key '{key}' cannot be '{raw}': {exc}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"config key '{key}' cannot be '{raw}'") from exc
 
 
 def _data_source(cfg: Config, seed: int) -> DataSource:
     fmt = cfg.get("data", "synthetic")
-    seed = cfg.get_int("data_seed", seed)
-    if fmt == "csv":
-        path = cfg.get("path")
-        if not path:
-            raise ConfigError("csv data requires 'path'")
-        return DataSource(format="csv", path=path)
-    if fmt == "libsvm":
-        path = cfg.get("path")
-        if not path:
-            raise ConfigError("libsvm data requires 'path'")
-        return DataSource(format="libsvm", path=path,
-                          libsvm_dim=cfg.get_int("libsvm_dim", 0) or None)
+    seed = cfg.get("data_seed", seed, int)
     if fmt == "synthetic":
-        kind_name = cfg.get("synthetic", "gaussian")
-        try:
-            kind = SyntheticKind(kind_name)
-        except ValueError:
-            raise ConfigError(f"unknown synthetic kind '{kind_name}'")
         spec = SyntheticSpec(
-            kind=kind,
-            n=cfg.get_int("n", 256),
-            d=cfg.get_int("d", 16),
-            decay=cfg.get_float("decay", 0.5),
-            heavy_row_count=cfg.get_int("heavy_rows", 0),
+            kind=cfg.get("synthetic", SyntheticKind.GAUSSIAN_IID,
+                         SyntheticKind),
+            n=cfg.get("n", 256, int),
+            d=cfg.get("d", 16, int),
+            decay=cfg.get("decay", 0.5, float),
+            heavy_row_count=cfg.get("heavy_rows", 0, int),
             seed=seed,
         )
         return DataSource(format="synthetic", synthetic=spec)
-    raise ConfigError(f"unknown data format '{fmt}'")
+    if fmt not in ("csv", "libsvm"):
+        raise ConfigError(f"unknown data format '{fmt}'")
+    path = cfg.get("path", None)
+    if not path:
+        raise ConfigError(f"{fmt} data requires 'path'")
+    if fmt == "csv":
+        return DataSource(format="csv", path=path)
+    return DataSource(format="libsvm", path=path,
+                      libsvm_dim=cfg.get("libsvm_dim", 0, int) or None)
 
 
-def _plan_from_name(name: str, A, C, cfg: Config, seed: int):
-    if name == "srht":
+def _make_plan(kind: PlanKind | str, A, C, cfg: Config, seed: int):
+    if kind == "srht":
         return SrhtScheme(n=A.shape[0])
-    if name not in _PLAN_NAMES:
-        raise ConfigError(f"unknown sampling plan '{name}'")
-    return build_plan(_PLAN_NAMES[name], A, C,
-                      mix=cfg.get_float("mix", 0.5),
-                      m1=cfg.get_int("m1", 0) or None,
-                      m2=cfg.get_int("m2", 0) or None,
+    return build_plan(kind, A, C,
+                      mix=cfg.get("mix", 0.5, float),
+                      m1=cfg.get("m1", 0, int) or None,
+                      m2=cfg.get("m2", 0, int) or None,
                       seed=rsrng.split(seed, 101))
 
 
-def _write_json_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    objs = [dict(zip(header, row)) for row in rows]
-    path.write_text(json.dumps(objs, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def _write_table(path: Path, fmt: str, header, rows,
-                 extra_sections=None) -> None:
-    if fmt == "json":
-        _write_json_rows(path, header, rows)
-        return
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    for sec_header, sec_rows in (extra_sections or []):
-        lines.append("")
-        lines.append(",".join(sec_header))
-        for row in sec_rows:
-            lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_sidecar(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
-def _config_echo(cfg: Config, seed: int, command: str) -> dict:
-    echo = dict(sorted(cfg.values.items()))
-    echo["seed"] = str(seed)
-    echo["command"] = command
-    return echo
-
-
-def cmd_lev(cfg: Config, seed: int, out: Path, fmt: str,
-            standardize: bool) -> None:
+def cmd_lev(cfg: Config, seed: int, standardize: bool):
     A, _ = load_data(_data_source(cfg, seed), standardize)
-    lam = cfg.get_float("lambda", 0.0)
+    lam = cfg.get("lambda", 0.0, float)
     C = lam * np.eye(A.shape[1])
     exact = exact_leverage_scores(A, C)
 
-    approx_mode = cfg.get("approx", "none")
-    approx = None
-    if approx_mode != "none":
-        m1 = cfg.get_int("m1", 8 * A.shape[1])
-        m2 = cfg.get_int("m2", 0) or None
-        if approx_mode == "sjlt":
-            approx = sjlt_approx_leverage(A, C, m1, None,
-                                          seed=rsrng.split(seed, 101))
-        elif approx_mode == "double":
-            approx = sjlt_approx_leverage(A, C, m1, m2,
-                                          seed=rsrng.split(seed, 101))
-        else:
-            raise ConfigError(f"unknown approx mode '{approx_mode}'")
-
-    if approx is None:
-        header = ["index", "score_exact"]
-        rows = [[i, float(exact[i])] for i in range(len(exact))]
-    else:
-        header = ["index", "score_exact", "score_approx"]
-        rows = [[i, float(exact[i]), float(approx[i])]
-                for i in range(len(exact))]
+    header, columns = ["index", "score_exact"], [exact]
+    approx_kind = cfg.get("approx", None, _APPROX_NAMES.__getitem__)
+    if approx_kind is not None:
+        header.append("score_approx")
+        # unlike for the plans below, m1 = 0 here is a width, not unset
+        columns.append(build_plan(approx_kind, A, C,
+                                  m1=cfg.get("m1", None, int),
+                                  m2=cfg.get("m2", 0, int) or None,
+                                  seed=rsrng.split(seed, 101)).scores)
+    rows = [[i, *(float(col[i]) for col in columns)]
+            for i in range(len(exact))]
 
     summary_rows = []
-    for name in cfg.get_list("plans", ["uniform"]):
-        plan = _plan_from_name(name, A, C, cfg, seed)
+    for kind in cfg.get("plans", [PlanKind.UNIFORM], _list_of(_plan_kind)):
+        plan = _make_plan(kind, A, C, cfg, seed)
         if isinstance(plan, SrhtScheme):
             raise ConfigError("srht has no sampling plan summary")
         fac = approximation_factors(plan, exact)
-        summary_rows.append([name, float(exact.sum()),
+        summary_rows.append([kind.value, float(exact.sum()),
                              fac.rho_min, fac.rho_max])
-
-    _write_table(out, fmt, header, rows, extra_sections=[
-        (["plan", "d_eff", "rho_min", "rho_max"], summary_rows)])
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), {
-        "config": _config_echo(cfg, seed, "lev"),
-        "d_eff": float(exact.sum()),
-    })
+    return ([(header, rows),
+             (["plan", "d_eff", "rho_min", "rho_max"], summary_rows)],
+            {"d_eff": float(exact.sum())})
 
 
-def cmd_bias(cfg: Config, seed: int, out: Path, fmt: str,
-             standardize: bool) -> None:
+def cmd_bias(cfg: Config, seed: int, standardize: bool):
     A, _ = load_data(_data_source(cfg, seed), standardize)
-    lam = cfg.get_float("lambda", 0.0)
+    lam = cfg.get("lambda", 0.0, float)
     C = lam * np.eye(A.shape[1])
 
-    plan_names = cfg.get_list("plans", ["exact_leverage"])
-    plan_specs = [(name, _plan_from_name(name, A, C, cfg, seed))
-                  for name in plan_names]
-    debias_modes = []
-    for name in cfg.get_list("debias", ["none", "scalar"]):
-        if name not in _DEBIAS_NAMES:
-            raise ConfigError(f"unknown debias mode '{name}'")
-        debias_modes.append(_DEBIAS_NAMES[name])
-    m_grid = [int(tok) for tok in cfg.get_list("m_grid")]
-    trials = cfg.get_int("trials", 500)
-
-    results = bias_sweep(A, C, plan_specs, debias_modes, m_grid, trials,
-                         seed)
+    kinds = cfg.get("plans", [PlanKind.EXACT_LEVERAGE], _list_of(_plan_kind))
+    plan_specs = [(getattr(kind, "value", kind),
+                   _make_plan(kind, A, C, cfg, seed)) for kind in kinds]
+    debias_modes = cfg.get("debias", [DebiasMode.NONE, DebiasMode.SCALAR],
+                           _list_of(_DEBIAS_NAMES.__getitem__))
+    results = bias_sweep(A, C, plan_specs, debias_modes,
+                         cfg.get("m_grid", parse=_m_grid),
+                         cfg.get("trials", 500, int), seed)
     header = ["scheme", "debias", "m", "trials", "discarded", "bias",
               "stderr_proxy", "eps_def5"]
     rows = []
@@ -266,108 +208,76 @@ def cmd_bias(cfg: Config, seed: int, out: Path, fmt: str,
         e = row.estimate
         rows.append([row.scheme, row.debias.value, e.m, e.trials,
                      e.discarded, e.bias, e.stderr_proxy, e.eps_two_sided])
-    _write_table(out, fmt, header, rows)
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), {
-        "config": _config_echo(cfg, seed, "bias"),
-    })
+    return [(header, rows)], {}
 
 
 def _build_method(cfg: Config):
     name = cfg.get("method", "newton")
     if name == "gd":
-        return GdMethod(lr=cfg.get_float("lr", 0.5))
+        return GdMethod(lr=cfg.get("lr", 0.5, float))
     if name == "sgd":
-        batch = cfg.get_int("batch", 32)
+        batch = cfg.get("batch", 32, int)
         if batch < 1:
             raise ConfigError(f"sgd batch must be at least 1, got {batch}")
-        return SgdMethod(lr=cfg.get_float("lr", 0.1), batch=batch)
+        return SgdMethod(lr=cfg.get("lr", 0.1, float), batch=batch)
     if name == "newton":
-        return NewtonExactMethod(line_search=cfg.get_bool("line_search",
-                                                          True))
+        return NewtonExactMethod(
+            line_search=cfg.get("line_search", True, _bool))
     if name == "sparse_proj":
-        return SparseProjMethod(m=cfg.get_int("m"),
-                                nnz_per_row=cfg.get_int("nnz", 4))
+        return SparseProjMethod(m=cfg.get("m", parse=int),
+                                nnz_per_row=cfg.get("nnz", 4, int))
     if name == "ssn":
-        plan_name = cfg.get("plan", "exact_leverage")
-        if plan_name != "srht" and plan_name not in _PLAN_NAMES:
-            raise ConfigError(f"unknown sampling plan '{plan_name}'")
-        debias_name = cfg.get("debias", "scalar")
-        if debias_name not in _DEBIAS_NAMES:
-            raise ConfigError(f"unknown debias mode '{debias_name}'")
-        step_name = cfg.get("step", "armijo")
-        if step_name not in _STEP_NAMES:
-            raise ConfigError(f"unknown step rule '{step_name}'")
-        config = SsnConfig(
-            plan_kind=("srht" if plan_name == "srht"
-                       else _PLAN_NAMES[plan_name]),
-            m=cfg.get_int("m"),
-            debias=_DEBIAS_NAMES[debias_name],
-            step_rule=_STEP_NAMES[step_name],
-            fixed_step=cfg.get_float("fixed_step", 1.0),
-            mix=cfg.get_float("mix", 0.5),
-            m1=cfg.get_int("m1", 0) or None,
-            m2=cfg.get_int("m2", 0) or None,
-        )
-        return SsnMethod(config=config)
+        return SsnMethod(config=SsnConfig(
+            plan_kind=cfg.get("plan", PlanKind.EXACT_LEVERAGE, _plan_kind),
+            debias=cfg.get("debias", DebiasMode.SCALAR,
+                           _DEBIAS_NAMES.__getitem__),
+            step_rule=cfg.get("step", StepRule.ARMIJO, StepRule),
+            m=cfg.get("m", parse=int),
+            fixed_step=cfg.get("fixed_step", 1.0, float),
+            mix=cfg.get("mix", 0.5, float),
+            m1=cfg.get("m1", 0, int) or None,
+            m2=cfg.get("m2", 0, int) or None,
+        ))
     raise ConfigError(f"unknown method '{name}'")
 
 
 def _problem(cfg: Config, seed: int, standardize: bool) -> GlmProblem:
     A, y = load_data(_data_source(cfg, seed), standardize)
-    kind_name = cfg.get("problem", "logistic")
-    if kind_name == "logistic":
-        kind = ProblemKind.LOGISTIC
-    elif kind_name == "least_squares":
-        kind = ProblemKind.LEAST_SQUARES
-    else:
-        raise ConfigError(f"unknown problem kind '{kind_name}'")
-    return GlmProblem(A, y, cfg.get_float("lambda", 1e-2), kind)
+    kind = cfg.get("problem", ProblemKind.LOGISTIC, ProblemKind)
+    return GlmProblem(A, y, cfg.get("lambda", 1e-2, float), kind)
 
 
-def _trace_rows(trace, zero_timing: bool):
-    rows = []
-    for rec in trace.records:
-        rows.append([rec.t, rec.rel_error_H, rec.grad_norm, rec.step_size,
-                     0 if zero_timing else rec.wall_ns])
-    return rows
-
-
-def cmd_solve(cfg: Config, seed: int, out: Path, fmt: str,
-              standardize: bool) -> None:
+def cmd_solve(cfg: Config, seed: int, standardize: bool):
     p = _problem(cfg, seed, standardize)
     method = _build_method(cfg)
-    iters = cfg.get_int("iters", 10)
-    zero_timing = cfg.get("timing", "real") == "zero"
+    iters = cfg.get("iters", 10, int)
+    zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
 
     reference = None
     ref_grad = None
-    if cfg.get_bool("reference", True):
+    if cfg.get("reference", True, _bool):
         reference, ref_grad = reference_solution(p)
 
     trace = run_solver(p, method, np.zeros(p.dim), iters,
                        reference=reference, seed=seed)
     header = ["t", "rel_error_H", "grad_norm", "step_size", "wall_ns"]
-    _write_table(out, fmt, header, _trace_rows(trace, zero_timing))
-    sidecar = {
-        "config": _config_echo(cfg, seed, "solve"),
+    rows = [[rec.t, rec.rel_error_H, rec.grad_norm, rec.step_size,
+             0 if zero_timing else rec.wall_ns] for rec in trace.records]
+    return [(header, rows)], {
         "seeds": {"run": seed},
         "beta_star": (None if reference is None
                       else [float(v) for v in reference]),
         "reference_grad_norm": ref_grad,
         "beta_final": [float(v) for v in trace.beta],
     }
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), sidecar)
 
 
-def cmd_sweep(cfg: Config, seed: int, out: Path, fmt: str,
-              standardize: bool) -> None:
+def cmd_sweep(cfg: Config, seed: int, standardize: bool):
     p = _problem(cfg, seed, standardize)
-    m_grid = [int(tok) for tok in cfg.get_list("m_grid")]
-    if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ConfigError("m_grid must be ascending")
-    iters = cfg.get_int("iters", 5)
-    replicates = cfg.get_int("replicates", 5)
-    zero_timing = cfg.get("timing", "real") == "zero"
+    m_grid = cfg.get("m_grid", parse=_m_grid)
+    iters = cfg.get("iters", 5, int)
+    replicates = cfg.get("replicates", 5, int)
+    zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
     method_name = cfg.get("method", "ssn")
 
     reference = reference_point(p, reference_solution(p)[0])
@@ -375,23 +285,37 @@ def cmd_sweep(cfg: Config, seed: int, out: Path, fmt: str,
     header = ["method", "m", "final_rel_error", "total_wall_ns"]
     rows = []
     for m in m_grid:
-        finals = []
-        walls = []
-        for r in range(replicates):
-            sub = Config(dict(cfg.values))
-            sub.values["m"] = str(m)
-            method = _build_method(sub)
-            trace = run_solver(p, method, np.zeros(p.dim), iters,
-                               reference=reference,
-                               seed=rsrng.split(seed, m, r))
-            finals.append(trace.records[-1].rel_error_H)
-            walls.append(sum(rec.wall_ns for rec in trace.records))
-        rows.append([method_name, m, statistics.median(finals),
-                     0 if zero_timing else int(statistics.median(walls))])
-    _write_table(out, fmt, header, rows)
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), {
-        "config": _config_echo(cfg, seed, "sweep"),
-    })
+        method = _build_method(Config({**cfg.values, "m": str(m)}))
+        traces = [run_solver(p, method, np.zeros(p.dim), iters,
+                             reference=reference,
+                             seed=rsrng.split(seed, m, r))
+                  for r in range(replicates)]
+        wall = statistics.median(sum(rec.wall_ns for rec in t.records)
+                                 for t in traces)
+        rows.append([method_name, m,
+                     statistics.median(t.records[-1].rel_error_H
+                                       for t in traces),
+                     0 if zero_timing else int(wall)])
+    return [(header, rows)], {}
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8")
+
+
+def _write_outputs(out: Path, fmt: str, tables, sidecar: dict) -> None:
+    """The tables as CSV blocks (JSON keeps only the first) and the
+    sidecar next to them."""
+    if fmt == "json":
+        header, rows = tables[0]
+        _write_json(out, [dict(zip(header, row)) for row in rows])
+    else:
+        blocks = ["\n".join(",".join(_fmt(v) for v in row)
+                            for row in [header, *rows])
+                  for header, rows in tables]
+        out.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    _write_json(out.with_suffix(out.suffix + ".json"), sidecar)
 
 
 _COMMANDS = {"lev": cmd_lev, "bias": cmd_bias, "solve": cmd_solve,
@@ -431,16 +355,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             seed = args.seed
         elif "seed" in cfg.values:
-            seed = cfg.get_int("seed")
+            seed = cfg.get("seed", parse=int)
         elif os.environ.get("RANDSKEW_SEED"):
             seed = int(os.environ["RANDSKEW_SEED"])
         else:
             raise ConfigError("no seed given (--seed, config 'seed', or "
                               "RANDSKEW_SEED)")
 
-        out = Path(args.out or cfg.get("out") or f"randskew_{args.command}.csv")
-        _COMMANDS[args.command](cfg, seed, out, args.format,
-                                args.standardize or cfg.get_bool("standardize"))
+        out = Path(args.out or cfg.get("out", None)
+                   or f"randskew_{args.command}.csv")
+        tables, fields = _COMMANDS[args.command](
+            cfg, seed, args.standardize or cfg.get("standardize", False, _bool))
+        _write_outputs(out, args.format, tables, {
+            "config": {**cfg.values, "seed": str(seed),
+                       "command": args.command},
+            **fields})
         return EXIT_OK
     except ConfigError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

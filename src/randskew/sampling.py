@@ -38,7 +38,6 @@ class SamplingPlan:
     probs: np.ndarray           # length n, nonnegative, sums to 1
     d_eff: float                # effective dimension of A given C
     scores: np.ndarray | None = None   # leverage scores used, if any
-    mix: float | None = None           # shrinkage mixing weight
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -197,7 +196,7 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
         scores = exact_leverage_scores(A, C)
         d_eff = effective_dimension(scores)
         probs = mix / n + (1.0 - mix) * scores / scores.sum()
-        return SamplingPlan(kind, probs, d_eff, scores=scores, mix=mix)
+        return SamplingPlan(kind, probs, d_eff, scores=scores)
     raise ValueError(f"unknown plan kind {kind!r}")
 
 

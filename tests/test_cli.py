@@ -291,3 +291,57 @@ def test_diverging_solver_is_numerical_error(tmp_path, capsys):
                     "method=gd", "lr=1e3", "iters=300"]) == 3
     assert "NoConvergence" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("bias", ["m_grid=32,x"]),
+    ("bias", ["m_grid=64,32"]),
+    ("bias", ["m_grid="]),
+    ("bias", ["plans="]),
+    ("sweep", ["m_grid=32,x"]),
+    ("sweep", ["m_grid=64,32"]),
+    ("sweep", ["m_grid="]),
+    ("solve", ["timing=x"]),
+    ("sweep", ["timing=x", "m_grid=64"]),
+], ids=["bias-m_grid-int", "bias-m_grid-order", "bias-m_grid-empty",
+        "bias-plans-empty", "sweep-m_grid-int", "sweep-m_grid-order",
+        "sweep-m_grid-empty", "solve-timing", "sweep-timing"])
+def test_bad_value_is_config_error_and_writes_nothing(tmp_path, command,
+                                                      overrides):
+    cfg = write_cfg(tmp_path, "c.cfg",
+                    BIAS_CFG if command == "bias" else SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(out), *overrides]) == 4
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
+def test_config_error_names_key_and_value():
+    from randskew.cli import Config
+    from randskew.errors import ConfigError
+    cfg = Config({"n": "ten"})
+    with pytest.raises(ConfigError, match="'n'.*'ten'"):
+        cfg.get("n", 256, int)
+    with pytest.raises(ConfigError, match="missing config key 'd'"):
+        cfg.get("d", parse=int)
+    assert cfg.get("d", 16, int) == 16
+
+
+def test_lev_double_approx_uses_default_second_width(tmp_path):
+    cfg = write_cfg(tmp_path, "lev.cfg", LEV_CFG)
+    columns = {}
+    for mode in ("sjlt", "double"):
+        out = tmp_path / f"{mode}.csv"
+        assert run_cli(["lev", "--config", cfg, "--seed", "6", "--out",
+                        str(out), f"approx={mode}"]) == 0
+        columns[mode] = [float(line.split(",")[2])
+                         for line in out.read_text().splitlines()[1:9]]
+
+    from randskew import rng as rsrng
+    from randskew.data import counterexample_matrix
+    from randskew.sampling import PlanKind, build_plan
+    plan = build_plan(PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE,
+                      counterexample_matrix(4), np.zeros((4, 4)),
+                      seed=rsrng.split(6, 101))
+    assert columns["double"] != columns["sjlt"]
+    assert columns["double"] == plan.scores.tolist()
