@@ -48,6 +48,11 @@ _TIMING_NAMES = {"real": False, "zero": True}   # value: blank wall_ns
 _BOOL_NAMES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                **dict.fromkeys(("0", "false", "no", "off"), False)}
 _REQUIRED = object()
+# variables through which a user sets the BLAS thread count
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS")
+# package bundling an OpenBLAS, and its symbols' suffix (numpy's is ILP64)
+_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
 
 
 def _bool(raw: str) -> bool:
@@ -212,22 +217,23 @@ def cmd_bias(cfg: Config, seed: int, standardize: bool):
 
 
 def _build_method(cfg: Config):
+    """The configured method and the name it was built from."""
     name = cfg.get("method", "newton")
     if name == "gd":
-        return GdMethod(lr=cfg.get("lr", 0.5, float))
+        return name, GdMethod(lr=cfg.get("lr", 0.5, float))
     if name == "sgd":
         batch = cfg.get("batch", 32, int)
         if batch < 1:
             raise ConfigError(f"sgd batch must be at least 1, got {batch}")
-        return SgdMethod(lr=cfg.get("lr", 0.1, float), batch=batch)
+        return name, SgdMethod(lr=cfg.get("lr", 0.1, float), batch=batch)
     if name == "newton":
-        return NewtonExactMethod(
+        return name, NewtonExactMethod(
             line_search=cfg.get("line_search", True, _bool))
     if name == "sparse_proj":
-        return SparseProjMethod(m=cfg.get("m", parse=int),
-                                nnz_per_row=cfg.get("nnz", 4, int))
+        return name, SparseProjMethod(m=cfg.get("m", parse=int),
+                                      nnz_per_row=cfg.get("nnz", 4, int))
     if name == "ssn":
-        return SsnMethod(config=SsnConfig(
+        return name, SsnMethod(config=SsnConfig(
             plan_kind=cfg.get("plan", PlanKind.EXACT_LEVERAGE, _plan_kind),
             debias=cfg.get("debias", DebiasMode.SCALAR,
                            _DEBIAS_NAMES.__getitem__),
@@ -249,7 +255,7 @@ def _problem(cfg: Config, seed: int, standardize: bool) -> GlmProblem:
 
 def cmd_solve(cfg: Config, seed: int, standardize: bool):
     p = _problem(cfg, seed, standardize)
-    method = _build_method(cfg)
+    _, method = _build_method(cfg)
     iters = cfg.get("iters", 10, int)
     zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
 
@@ -278,14 +284,14 @@ def cmd_sweep(cfg: Config, seed: int, standardize: bool):
     iters = cfg.get("iters", 5, int)
     replicates = cfg.get("replicates", 5, int)
     zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
-    method_name = cfg.get("method", "ssn")
 
     reference = reference_point(p, reference_solution(p)[0])
 
     header = ["method", "m", "final_rel_error", "total_wall_ns"]
     rows = []
     for m in m_grid:
-        method = _build_method(Config({**cfg.values, "m": str(m)}))
+        method_name, method = _build_method(
+            Config({**cfg.values, "m": str(m)}))
         traces = [run_solver(p, method, np.zeros(p.dim), iters,
                              reference=reference,
                              seed=rsrng.split(seed, m, r))
@@ -318,6 +324,35 @@ def _write_outputs(out: Path, fmt: str, tables, sidecar: dict) -> None:
     _write_json(out.with_suffix(out.suffix + ".json"), sidecar)
 
 
+def _openblas_pools() -> list[tuple]:
+    """``(package, library file name, get_num_threads, set_num_threads)``
+    of each OpenBLAS that numpy and scipy bundle.
+
+    A package without a bundled OpenBLAS (built against a system BLAS or
+    MKL), or a library without these symbols, contributes nothing.
+    """
+    import ctypes
+    import importlib.util
+
+    pools = []
+    for package, suffix in _OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        libdir = Path(spec.origin).parent.parent / f"{package}.libs"
+        for lib in sorted(libdir.glob("*openblas*")):
+            try:
+                cdll = ctypes.CDLL(str(lib))
+                get = getattr(cdll, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(cdll, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pools.append((package, lib.name, get, set_))
+    return pools
+
+
 _COMMANDS = {"lev": cmd_lev, "bias": cmd_bias, "solve": cmd_solve,
              "sweep": cmd_sweep}
 
@@ -338,7 +373,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    This is the process entry point.  Unless the user sets a BLAS thread
+    count (any of ``_THREAD_VARS`` nonempty), it sets numpy's and scipy's
+    OpenBLAS pools to one thread for the rest of the process and does not
+    restore them: the commands make many small dense calls, for which
+    waking a second BLAS thread costs more than it saves, and outputs do
+    not depend on the thread count.
+    """
     args = build_parser().parse_intermixed_args(argv)
+    if not any(os.environ.get(var) for var in _THREAD_VARS):
+        for *_, set_threads in _openblas_pools():
+            set_threads(1)
     try:
         try:
             values = parse_config_file(args.config)
@@ -357,7 +404,12 @@ def main(argv: list[str] | None = None) -> int:
         elif "seed" in cfg.values:
             seed = cfg.get("seed", parse=int)
         elif os.environ.get("RANDSKEW_SEED"):
-            seed = int(os.environ["RANDSKEW_SEED"])
+            raw = os.environ["RANDSKEW_SEED"]
+            try:
+                seed = int(raw)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"RANDSKEW_SEED cannot be '{raw}': {exc}") from exc
         else:
             raise ConfigError("no seed given (--seed, config 'seed', or "
                               "RANDSKEW_SEED)")

@@ -324,8 +324,10 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
     alone, every later step would repeat it.
 
     Raises :class:`NoConvergence` when the objective or its gradient
-    stops being finite.
+    stops being finite, and ``ValueError`` when ``iters`` is negative.
     """
+    if iters < 0:
+        raise ValueError(f"iters must be at least 0, got {iters}")
     beta = np.asarray(beta0, dtype=np.float64).copy()
     meter = _ErrorMeter(p, reference, beta)
     trace = RunTrace()

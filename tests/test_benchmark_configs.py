@@ -6,34 +6,68 @@ rather than on every benchmark input.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from randskew.cli import main
+import randskew
+from randskew.cli import _THREAD_VARS, main
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_SRC = str(Path(randskew.__file__).resolve().parents[1])
 
 
-def _workloads():
+def _load_workloads():
     spec = importlib.util.spec_from_file_location("_perfbench_workloads",
                                                   _WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-@pytest.mark.parametrize("workload", list(_workloads().values()),
-                         ids=lambda w: w.name)
-def test_smoke_config_runs_and_passes_its_check(tmp_path, workload):
+_workloads = _load_workloads()
+_each_workload = pytest.mark.parametrize(
+    "workload", list(_workloads.WORKLOADS.values()), ids=lambda w: w.name)
+
+
+def _write_smoke_config(directory: Path, workload) -> tuple[Path, dict]:
     cfg = workload.config_for(smoke=True)
-    path = tmp_path / "config.txt"
+    path = directory / "config.txt"
     path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    return path, cfg
+
+
+@_each_workload
+def test_smoke_config_runs_and_passes_its_check(tmp_path, workload):
+    path, cfg = _write_smoke_config(tmp_path, workload)
     out = tmp_path / "out.csv"
     assert main([workload.command, "--config", str(path), "--seed", "1",
                  "--out", str(out)]) == 0
     problems, _ = workload.check(out, cfg)
     assert problems == []
+
+
+@_each_workload
+def test_smoke_output_does_not_depend_on_blas_threads(tmp_path, workload):
+    # The CLI runs BLAS single-threaded by default; that is only free
+    # while the output is the same at every thread count.
+    path, _ = _write_smoke_config(tmp_path, workload)
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    digests = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        out = run_dir / "out.csv"
+        subprocess.run(
+            [sys.executable, "-m", "randskew.cli", workload.command,
+             "--config", str(path), "--seed", "1", "--out", str(out)],
+            env={**env, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC},
+            timeout=120, check=True)
+        digests.append(_workloads.digests(out))
+    assert set(digests[0]) == {"output", "sidecar"}
+    assert digests[0] == digests[1]

@@ -1,0 +1,70 @@
+"""The CLI's BLAS thread policy: ``cli.main`` runs numpy's and scipy's
+OpenBLAS pools single-threaded unless the user sets a thread count.
+
+The policy is process-wide, so each check that lets it act runs ``main``
+in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import randskew
+from randskew import cli
+
+_SRC = str(Path(randskew.__file__).resolve().parents[1])
+
+_PROBE = """
+import json, sys
+from randskew import cli
+pools = cli._openblas_pools()
+before = [get() for *_, get, _ in pools]
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "before": before,
+                  "after": [get() for *_, get, _ in pools]}))
+"""
+
+LEV_CFG = "data = synthetic\nn = 64\nd = 4\n"
+
+
+def _probe(tmp_path, **thread_env):
+    cfg = tmp_path / "lev.cfg"
+    cfg.write_text(LEV_CFG)
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    env.update(thread_env, PYTHONPATH=_SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, "lev", "--config", str(cfg),
+         "--seed", "1", "--out", str(tmp_path / "lev.csv")],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0
+    if not result["before"]:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    return result
+
+
+def test_main_sets_both_pools_to_one_thread(tmp_path):
+    result = _probe(tmp_path)
+    assert result["after"] == [1] * len(result["before"])
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_thread_variable_leaves_pools_alone(tmp_path, var):
+    result = _probe(tmp_path, **{var: "2"})
+    assert result["after"] == result["before"]
+
+
+def test_missing_library_or_symbol_is_a_silent_no_op(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_OPENBLAS", (("no_such_package", ""),
+                                           ("numpy", "_no_such_suffix")))
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert cli._openblas_pools() == []
+    cfg = tmp_path / "lev.cfg"
+    cfg.write_text(LEV_CFG)
+    assert cli.main(["lev", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "lev.csv")]) == 0

@@ -207,6 +207,17 @@ def test_seed_from_environment(tmp_path, monkeypatch):
     assert sidecar["config"]["seed"] == "9"
 
 
+def test_non_integer_seed_variable_is_config_error(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setenv("RANDSKEW_SEED", "abc")
+    cfg = write_cfg(tmp_path, "lev.cfg", LEV_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli(["lev", "--config", cfg, "--out", str(out)]) == 4
+    assert "ConfigError: RANDSKEW_SEED cannot be 'abc'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert run_cli(["lev", "--config", str(tmp_path / "nope.cfg"),
                     "--seed", "1"]) == 2
@@ -345,3 +356,27 @@ def test_lev_double_approx_uses_default_second_width(tmp_path):
                       seed=rsrng.split(6, 101))
     assert columns["double"] != columns["sjlt"]
     assert columns["double"] == plan.scores.tolist()
+
+
+def test_sweep_without_method_labels_rows_newton(tmp_path):
+    cfg = write_cfg(tmp_path, "c.cfg",
+                    "\n".join(line for line in SOLVE_CFG.splitlines()
+                              if not line.startswith("method")))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--config", cfg, "--seed", "1", "--out",
+                    str(out), "m_grid=16,32", "replicates=1"]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == [
+        "method", "newton", "newton"]
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_negative_iters_is_numerical_error_and_writes_nothing(
+        tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(out), "iters=-1", "m_grid=32"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: iters must be at least 0")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
