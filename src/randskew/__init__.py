@@ -12,13 +12,13 @@ from .sampling import (ApproxFactors, PlanKind, SamplingPlan, SketchDraw,
                        apply_sketch, approximation_factors, build_plan,
                        draw, effective_dimension, exact_leverage_scores,
                        sjlt_approx_leverage)
-from .hadamard import (SrhtDraw, fwht_inplace, next_power_of_two,
+from .hadamard import (SrhtDraw, SrhtPlan, fwht_inplace, next_power_of_two,
                        rotated_leverage_scores, srht_apply, srht_draw)
 from .debias import (DebiasMode, DebiasSpec, FixedPointD, apply_debias,
                      fine_grained_weights, scalar_factor,
                      solve_fixed_point_d)
-from .biaslab import (BiasEstimate, BiasSweepRow, SrhtScheme, bias_sweep,
-                      estimate_bias, gaussian_sketch, make_debias_spec)
+from .biaslab import (BiasEstimate, BiasSweepRow, bias_sweep, estimate_bias,
+                      gaussian_sketch, make_debias_spec)
 from .data import (DataSource, SyntheticKind, SyntheticSpec,
                    counterexample_matrix, load_data)
 from .optim import (GdMethod, GlmProblem, NewtonExactMethod, ProblemKind,

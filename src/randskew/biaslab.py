@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rsrng
-from .debias import (DebiasMode, DebiasSpec, SrhtScheme, debiased_sketch,
-                     make_debias_spec)
+from .debias import DebiasMode, DebiasSpec, make_debias_spec
 from .errors import AllTrialsSingular, NotPositiveDefinite
 from .linalg import (cholesky, gram, psd_relative_error, spd_inverse,
                      spectral_norm, sqrt_psd)
-from .sampling import SamplingPlan, exact_leverage_scores
+from .sampling import exact_leverage_scores
 from scipy.linalg import solve_triangular
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
@@ -70,7 +69,7 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
                   m: int, trials: int, seed: int) -> BiasEstimate:
     """Monte-Carlo inversion-bias estimate for one configuration.
 
-    ``plan`` is a :class:`SamplingPlan` or :class:`SrhtScheme`.
+    ``plan`` is any plan :func:`~randskew.sampling.build_plan` returns.
     Deterministic given ``seed``; per-trial streams are split by trial
     index and reduced pairwise in index order.
     """
@@ -100,7 +99,7 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
         kept_in_batch = 0
 
     for t in range(trials):
-        At, _ = debiased_sketch(plan, A, m, debias, rsrng.split(seed, t))
+        At, _ = plan.sketch(A, m, debias, rsrng.split(seed, t))
         try:
             L = cholesky(gram(At) + C)
         except NotPositiveDefinite:
@@ -170,10 +169,9 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
                m_grid, trials: int, seed: int) -> list[BiasSweepRow]:
     """Cross product of (scheme, debias mode, m) cells, deterministic order.
 
-    ``plan_specs`` is a list of (name, plan-or-SrhtScheme) pairs; seeds
-    are stream-split per cell so cells are independent of each other.
-    Scalar debiasing uses the plan's d_eff; the Hadamard scheme uses the
-    exact d_eff of A, which the rotation preserves.
+    ``plan_specs`` is a list of (name, plan) pairs; seeds are
+    stream-split per cell so cells are independent of each other.  Scalar
+    debiasing uses the plan's d_eff.
     """
     m_grid = list(m_grid)
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
@@ -181,11 +179,9 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
     exact = exact_leverage_scores(A, C)
     rows = []
     for pi, (name, plan) in enumerate(plan_specs):
-        d_eff = (plan.d_eff if isinstance(plan, SamplingPlan)
-                 else float(exact.sum()))
         for di, mode in enumerate(debias_modes):
             for mi, m in enumerate(m_grid):
-                spec = make_debias_spec(mode, plan, m, d_eff, exact)
+                spec = make_debias_spec(mode, plan, m, plan.d_eff, exact)
                 est = estimate_bias(A, C, plan, spec, m, trials,
                                     rsrng.split(seed, pi, di, mi))
                 rows.append(BiasSweepRow(scheme=name, debias=mode,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rsrng
-from .biaslab import SrhtScheme, bias_sweep
+from .biaslab import bias_sweep
 from .data import (DataSource, SyntheticKind, SyntheticSpec, load_data)
 from .debias import DebiasMode
 from .errors import (ConfigError, ParseError, RandskewError)
@@ -57,11 +57,6 @@ _OPENBLAS = (("numpy", "64_"), ("scipy", ""))
 
 def _bool(raw: str) -> bool:
     return _BOOL_NAMES[raw.lower()]
-
-
-def _plan_kind(raw: str) -> PlanKind | str:
-    # "srht" is the Hadamard sketch, which is not a sampling plan
-    return raw if raw == "srht" else PlanKind(raw)
 
 
 def _list_of(parse):
@@ -152,9 +147,7 @@ def _data_source(cfg: Config, seed: int) -> DataSource:
                       libsvm_dim=cfg.get("libsvm_dim", 0, int) or None)
 
 
-def _make_plan(kind: PlanKind | str, A, C, cfg: Config, seed: int):
-    if kind == "srht":
-        return SrhtScheme(n=A.shape[0])
+def _make_plan(kind: PlanKind, A, C, cfg: Config, seed: int):
     return build_plan(kind, A, C,
                       mix=cfg.get("mix", 0.5, float),
                       m1=cfg.get("m1", 0, int) or None,
@@ -180,17 +173,14 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
     rows = [[i, *(float(col[i]) for col in columns)]
             for i in range(len(exact))]
 
-    summary_rows = []
-    for kind in cfg.get("plans", [PlanKind.UNIFORM], _list_of(_plan_kind)):
-        plan = _make_plan(kind, A, C, cfg, seed)
-        if isinstance(plan, SrhtScheme):
-            raise ConfigError("srht has no sampling plan summary")
-        fac = approximation_factors(plan, exact)
-        summary_rows.append([kind.value, float(exact.sum()),
-                             fac.rho_min, fac.rho_max])
-    return ([(header, rows),
-             (["plan", "d_eff", "rho_min", "rho_max"], summary_rows)],
-            {"d_eff": float(exact.sum())})
+    summary = []
+    for kind in cfg.get("plans", [PlanKind.UNIFORM], _list_of(PlanKind)):
+        if kind is PlanKind.SRHT:
+            raise ConfigError(f"{kind.value} has no sampling plan summary")
+        fac = approximation_factors(_make_plan(kind, A, C, cfg, seed), exact)
+        summary.append({"plan": kind.value, "d_eff": float(exact.sum()),
+                        "rho_min": fac.rho_min, "rho_max": fac.rho_max})
+    return header, rows, {"d_eff": float(exact.sum()), "plans": summary}
 
 
 def cmd_bias(cfg: Config, seed: int, standardize: bool):
@@ -198,9 +188,9 @@ def cmd_bias(cfg: Config, seed: int, standardize: bool):
     lam = cfg.get("lambda", 0.0, float)
     C = lam * np.eye(A.shape[1])
 
-    kinds = cfg.get("plans", [PlanKind.EXACT_LEVERAGE], _list_of(_plan_kind))
-    plan_specs = [(getattr(kind, "value", kind),
-                   _make_plan(kind, A, C, cfg, seed)) for kind in kinds]
+    kinds = cfg.get("plans", [PlanKind.EXACT_LEVERAGE], _list_of(PlanKind))
+    plan_specs = [(kind.value, _make_plan(kind, A, C, cfg, seed))
+                  for kind in kinds]
     debias_modes = cfg.get("debias", [DebiasMode.NONE, DebiasMode.SCALAR],
                            _list_of(_DEBIAS_NAMES.__getitem__))
     results = bias_sweep(A, C, plan_specs, debias_modes,
@@ -213,7 +203,7 @@ def cmd_bias(cfg: Config, seed: int, standardize: bool):
         e = row.estimate
         rows.append([row.scheme, row.debias.value, e.m, e.trials,
                      e.discarded, e.bias, e.stderr_proxy, e.eps_two_sided])
-    return [(header, rows)], {}
+    return header, rows, {}
 
 
 def _build_method(cfg: Config):
@@ -234,7 +224,7 @@ def _build_method(cfg: Config):
                                       nnz_per_row=cfg.get("nnz", 4, int))
     if name == "ssn":
         return name, SsnMethod(config=SsnConfig(
-            plan_kind=cfg.get("plan", PlanKind.EXACT_LEVERAGE, _plan_kind),
+            plan_kind=cfg.get("plan", PlanKind.EXACT_LEVERAGE, PlanKind),
             debias=cfg.get("debias", DebiasMode.SCALAR,
                            _DEBIAS_NAMES.__getitem__),
             step_rule=cfg.get("step", StepRule.ARMIJO, StepRule),
@@ -269,7 +259,7 @@ def cmd_solve(cfg: Config, seed: int, standardize: bool):
     header = ["t", "rel_error_H", "grad_norm", "step_size", "wall_ns"]
     rows = [[rec.t, rec.rel_error_H, rec.grad_norm, rec.step_size,
              0 if zero_timing else rec.wall_ns] for rec in trace.records]
-    return [(header, rows)], {
+    return header, rows, {
         "seeds": {"run": seed},
         "beta_star": (None if reference is None
                       else [float(v) for v in reference]),
@@ -302,7 +292,7 @@ def cmd_sweep(cfg: Config, seed: int, standardize: bool):
                      statistics.median(t.records[-1].rel_error_H
                                        for t in traces),
                      0 if zero_timing else int(wall)])
-    return [(header, rows)], {}
+    return header, rows, {}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -310,17 +300,13 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
-def _write_outputs(out: Path, fmt: str, tables, sidecar: dict) -> None:
-    """The tables as CSV blocks (JSON keeps only the first) and the
-    sidecar next to them."""
+def _write_outputs(out: Path, fmt: str, header, rows, sidecar: dict) -> None:
+    """The table as CSV or JSON, and the sidecar next to it."""
     if fmt == "json":
-        header, rows = tables[0]
         _write_json(out, [dict(zip(header, row)) for row in rows])
     else:
-        blocks = ["\n".join(",".join(_fmt(v) for v in row)
-                            for row in [header, *rows])
-                  for header, rows in tables]
-        out.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        out.write_text("".join(",".join(_fmt(v) for v in row) + "\n"
+                               for row in [header, *rows]), encoding="utf-8")
     _write_json(out.with_suffix(out.suffix + ".json"), sidecar)
 
 
@@ -416,9 +402,9 @@ def main(argv: list[str] | None = None) -> int:
 
         out = Path(args.out or cfg.get("out", None)
                    or f"randskew_{args.command}.csv")
-        tables, fields = _COMMANDS[args.command](
+        header, rows, fields = _COMMANDS[args.command](
             cfg, seed, args.standardize or cfg.get("standardize", False, _bool))
-        _write_outputs(out, args.format, tables, {
+        _write_outputs(out, args.format, header, rows, {
             "config": {**cfg.values, "seed": str(seed),
                        "command": args.command},
             **fields})

@@ -4,28 +4,25 @@ Three correction modes: the scalar factor m/(m - d_eff); per-row
 fine-grained weights sqrt(m / (m - l_i / pi_i)) (with exact or approximate
 leverage scores); and the self-consistent diagonal D that characterizes
 what the uncorrected sketched inverse actually estimates.  The bias lab
-and the sketched Newton solver share :func:`make_debias_spec` and
-:func:`debiased_sketch`.
+and the sketched Newton solver share :func:`make_debias_spec`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NoConvergence, NotPositiveDefinite, SketchTooSmall,
                      ZeroProbabilityWithPositiveScore)
-from .hadamard import srht_apply, srht_draw
 from .linalg import cholesky
-from .sampling import (SamplingPlan, SketchDraw, PlanKind, apply_sketch,
-                       approximation_factors, draw, exact_leverage_scores)
+from .sampling import (SamplingPlan, SketchDraw, PlanKind,
+                       approximation_factors, exact_leverage_scores)
 from scipy.linalg import solve_triangular
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
-SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
 
 
 class DebiasMode(enum.Enum):
@@ -106,52 +103,22 @@ def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
                       * spec.row_weights[sketch.indices])
 
 
-@dataclass(frozen=True)
-class SrhtScheme:
-    """Marker selecting the sign-flip Hadamard sketch instead of a plan."""
-    n: int
-
-
 def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,
                      exact_scores: np.ndarray) -> DebiasSpec:
     """Build the debias spec a (plan, m) cell needs.
 
-    ``plan`` is a :class:`SamplingPlan` or :class:`SrhtScheme`.  Scalar
-    mode uses the caller's ``d_eff``; fine-grained exact mode uses
+    Scalar mode uses the caller's ``d_eff``; fine-grained exact mode uses
     ``exact_scores``; fine-grained approximate mode uses the plan's own
-    scores.  The Hadamard sketch supports scalar debiasing only.
+    scores.  The plan's ``row_weights`` turns scores into multipliers, or
+    refuses when the plan supports scalar debiasing only.
     """
     if mode is DebiasMode.NONE:
         return DebiasSpec.none()
     if mode is DebiasMode.SCALAR:
         return DebiasSpec.scalar(m, d_eff)
-    if not isinstance(plan, SamplingPlan):
-        raise ValueError(SRHT_SCALAR_ONLY)
-    if mode is DebiasMode.FINE_GRAINED_EXACT:
-        return DebiasSpec.fine_grained(plan, exact_scores, m)
-    if plan.scores is None:
-        raise ValueError(f"{mode.value} debiasing needs approximate leverage "
-                         f"scores, and a {plan.kind.value} plan has none")
-    return DebiasSpec(DebiasMode.FINE_GRAINED_APPROX,
-                      row_weights=fine_grained_weights(plan, plan.scores, m))
-
-
-def debiased_sketch(scheme, A: np.ndarray, m: int, spec: DebiasSpec,
-                    seed: int):
-    """Draw an m-row sketch, debias it by ``spec`` and apply it to A.
-
-    ``scheme`` is a :class:`SamplingPlan` or :class:`SrhtScheme`, and
-    ``spec`` comes from :func:`make_debias_spec` for it.  Returns the m x d
-    sketched matrix and the debiased draw (SketchDraw or SrhtDraw).
-    """
-    if isinstance(scheme, SrhtScheme):
-        if spec.row_weights is not None:
-            raise ValueError(SRHT_SCALAR_ONLY)
-        sd = srht_draw(scheme.n, m, seed)
-        sd = replace(sd, sample=apply_debias(sd.sample, spec))
-        return srht_apply(sd, A), sd
-    sk = apply_debias(draw(scheme, m, seed), spec)
-    return apply_sketch(sk, A), sk
+    scores = (exact_scores if mode is DebiasMode.FINE_GRAINED_EXACT
+              else plan.scores)
+    return DebiasSpec(mode, row_weights=plan.row_weights(scores, m))
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,23 @@
 The sketch is S H D A / sqrt(n): random column signs, Hadamard rotation,
 then uniform with-replacement row sampling.  Inputs whose row count is not
 a power of two are zero-padded; zero rows carry zero leverage and never
-perturb A^T A.
+perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import rng as rsrng
+from .debias import DebiasSpec, apply_debias
 from .errors import NotPowerOfTwo
 from .linalg import gram, inv_sqrt
 from .sampling import SamplingPlan, SketchDraw, PlanKind, apply_sketch, draw
+
+SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -69,29 +73,15 @@ def srht_draw(n: int, m: int, seed: int) -> SrhtDraw:
                     n_padded=n_padded)
 
 
-def identity_srht_draw(n: int, signs: np.ndarray | None = None) -> SrhtDraw:
-    """Full-coverage sample with the given (default all +1) signs.
-
-    Test path: with m = n_padded and every padded row taken once, the
-    sketch is exactly H D A / sqrt(n).
-    """
-    n_padded = next_power_of_two(n)
-    if signs is None:
-        signs = np.ones(n_padded)
-    sample = SketchDraw(m=n_padded, indices=np.arange(n_padded),
-                        weights=np.ones(n_padded))
-    return SrhtDraw(signs=np.asarray(signs, dtype=np.float64), sample=sample,
-                    n_original=n, n_padded=n_padded)
-
-
-def _rotate(sketch: SrhtDraw, A: np.ndarray) -> np.ndarray:
-    """H D A_padded / sqrt(n_padded)."""
+def _rotate(signs: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """H D A_padded / sqrt(n_padded), padded to the length of ``signs``."""
     n, d = A.shape
-    padded = np.zeros((sketch.n_padded, d))
+    n_padded = signs.shape[0]
+    padded = np.zeros((n_padded, d))
     padded[:n] = A
-    padded *= sketch.signs[:, None]
+    padded *= signs[:, None]
     fwht_inplace(padded)
-    padded /= np.sqrt(sketch.n_padded)
+    padded /= np.sqrt(n_padded)
     return padded
 
 
@@ -101,7 +91,7 @@ def srht_apply(sketch: SrhtDraw, A: np.ndarray) -> np.ndarray:
     if A.shape[0] != sketch.n_original:
         raise ValueError(
             f"rows(A)={A.shape[0]} does not match draw n={sketch.n_original}")
-    return apply_sketch(sketch.sample, _rotate(sketch, A))
+    return apply_sketch(sketch.sample, _rotate(sketch.signs, A))
 
 
 def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
@@ -113,6 +103,38 @@ def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
     """
     A = np.asarray(A, dtype=np.float64)
     R = inv_sqrt(gram(A) + C)
-    sketch = identity_srht_draw(A.shape[0], signs=signs)
-    B = _rotate(sketch, A @ R)
+    B = _rotate(np.asarray(signs, dtype=np.float64), A @ R)
     return np.einsum("ij,ij->i", B, B)
+
+
+@dataclass(frozen=True)
+class SrhtPlan:
+    """The Hadamard sketch as a plan: uniform row sampling of the rotated
+    matrix H D A / sqrt(n), with fresh signs for every sketch.
+
+    The rotation is orthogonal, so ``d_eff`` is the exact effective
+    dimension of A.  Only scalar debiasing applies: row weights of A do not
+    carry over to the rows of the rotated matrix.
+    """
+    d_eff: float
+    exact: np.ndarray    # exact leverage scores of A given C
+    kind: ClassVar[PlanKind] = PlanKind.SRHT
+    scores: ClassVar[None] = None
+
+    def sketch(self, A: np.ndarray, m: int, spec: DebiasSpec, seed: int):
+        """Draw signs and m rows, debias them by ``spec`` and apply them
+        to A; returns the m x d sketched matrix and the debiased draw."""
+        if spec.row_weights is not None:
+            raise ValueError(SRHT_SCALAR_ONLY)
+        sd = srht_draw(A.shape[0], m, seed)
+        sd = replace(sd, sample=apply_debias(sd.sample, spec))
+        return srht_apply(sd, A), sd
+
+    def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
+                drawn: SrhtDraw) -> float:
+        """rho_max of uniform sampling from the rotation ``drawn`` used."""
+        rot = rotated_leverage_scores(A, C, drawn.signs)
+        return float(rot.max() * drawn.n_padded / exact.sum())
+
+    def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:
+        raise ValueError(SRHT_SCALAR_ONLY)

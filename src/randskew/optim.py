@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rsrng
-from .debias import DebiasMode, SrhtScheme, debiased_sketch, make_debias_spec
+from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence
-from .hadamard import rotated_leverage_scores
 from .linalg import gram, solve_spd
-from .sampling import (PlanKind, approximation_factors, build_plan,
-                       exact_leverage_scores)
+from .sampling import PlanKind, build_plan, exact_leverage_scores
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
@@ -174,7 +172,7 @@ class StepRule(enum.Enum):
 
 @dataclass(frozen=True)
 class SsnConfig:
-    plan_kind: PlanKind | str       # a PlanKind, or "srht"
+    plan_kind: PlanKind
     m: int
     debias: DebiasMode = DebiasMode.SCALAR
     step_rule: StepRule = StepRule.ANALYTIC
@@ -188,29 +186,15 @@ def _ssn_sketch(p: GlmProblem, hs: np.ndarray, config: SsnConfig,
                 seed: int):
     """Debiased sketch of the Hessian factor ``hs``, with the d_eff and
     rho_max the analytic step rule needs."""
-    n = hs.shape[0]
     C = p.lam * np.eye(p.dim)
-    if config.plan_kind == "srht":
-        scheme = SrhtScheme(n)
-        sketch_seed = rsrng.split(seed, 0)
-        exact = exact_leverage_scores(hs, C)
-    else:
-        scheme = build_plan(config.plan_kind, hs, C, mix=config.mix,
-                            m1=config.m1, m2=config.m2,
-                            seed=rsrng.split(seed, 1))
-        sketch_seed = rsrng.split(seed, 2)
-        exact = (scheme.scores if scheme.kind in (PlanKind.EXACT_LEVERAGE,
-                                                  PlanKind.SHRINKAGE)
-                 else exact_leverage_scores(hs, C))
+    plan = build_plan(config.plan_kind, hs, C, mix=config.mix, m1=config.m1,
+                      m2=config.m2, seed=rsrng.split(seed, 1))
+    exact = (plan.exact if plan.exact is not None
+             else exact_leverage_scores(hs, C))
     d_eff = float(exact.sum())
-    spec = make_debias_spec(config.debias, scheme, config.m, d_eff, exact)
-    At, drawn = debiased_sketch(scheme, hs, config.m, spec, sketch_seed)
-    if isinstance(scheme, SrhtScheme):
-        rot = rotated_leverage_scores(hs, C, drawn.signs)
-        rho_max = float(rot.max() * drawn.n_padded / d_eff)
-    else:
-        rho_max = approximation_factors(scheme, exact).rho_max
-    return At, d_eff, rho_max
+    spec = make_debias_spec(config.debias, plan, config.m, d_eff, exact)
+    At, drawn = plan.sketch(hs, config.m, spec, rsrng.split(seed, 2))
+    return At, d_eff, plan.rho_max(hs, C, exact, drawn)
 
 
 def analytic_step_size(m: int, d_eff: float, rho_max: float) -> float:

@@ -4,6 +4,12 @@ A :class:`SamplingPlan` holds the sampling probabilities (and the leverage
 scores they were built from, when applicable); a :class:`SketchDraw` is one
 realized with-replacement sketch, stored as row indices plus per-slot
 scales so that the m-by-n sampling matrix is never materialized.
+
+Every plan :func:`build_plan` returns, the Hadamard plan included, answers
+one protocol: ``kind``, ``d_eff``, ``scores`` (sampling scores or None),
+``exact`` (exact leverage scores when the plan computed them, else None),
+``sketch(A, m, spec, seed)``, ``rho_max(A, C, exact, draw)`` and
+``row_weights(scores, m)``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ class PlanKind(enum.Enum):
     APPROX_LEVERAGE = "approx_leverage"
     DOUBLE_SKETCH_APPROX_LEVERAGE = "double_sketch_approx_leverage"
     SHRINKAGE = "shrinkage"
+    SRHT = "srht"
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class SamplingPlan:
     probs: np.ndarray           # length n, nonnegative, sums to 1
     d_eff: float                # effective dimension of A given C
     scores: np.ndarray | None = None   # leverage scores used, if any
+    exact: np.ndarray | None = None    # exact leverage scores, if computed
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -53,6 +61,29 @@ class SamplingPlan:
     @property
     def n(self) -> int:
         return self.probs.shape[0]
+
+    def sketch(self, A: np.ndarray, m: int, spec, seed: int):
+        """Draw m rows, debias them by ``spec`` and apply them to A.
+
+        Returns the m x d sketched matrix and the debiased draw.
+        """
+        from .debias import apply_debias  # debias imports this module
+        sk = apply_debias(draw(self, m, seed), spec)
+        return apply_sketch(sk, A), sk
+
+    def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
+                drawn: SketchDraw) -> float:
+        return approximation_factors(self, exact).rho_max
+
+    def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:
+        """Fine-grained debias multipliers for ``scores``; None stands for
+        the approximate scores of a plan that keeps none."""
+        if scores is None:
+            raise ValueError(f"fine_grained_approx debiasing needs "
+                             f"approximate leverage scores, and a "
+                             f"{self.kind.value} plan has none")
+        from .debias import fine_grained_weights
+        return fine_grained_weights(self, scores, m)
 
 
 @dataclass(frozen=True)
@@ -155,28 +186,14 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
 
     ``d_eff`` is always the exact effective dimension of A given C except
     for the approximate-leverage kinds, where it is the sum of the
-    approximate scores actually used for sampling.
+    approximate scores actually used for sampling.  ``PlanKind.SRHT``
+    returns a :class:`~randskew.hadamard.SrhtPlan`.
     """
     A = np.asarray(A, dtype=np.float64)
     n, d = A.shape
     if n < 1:
         raise ValueError("A must have at least one row")
 
-    if kind is PlanKind.UNIFORM:
-        probs = np.full(n, 1.0 / n)
-        return SamplingPlan(kind, probs,
-                            effective_dimension(exact_leverage_scores(A, C)))
-    if kind is PlanKind.ROW_NORM:
-        sq = np.einsum("ij,ij->i", A, A)
-        total = sq.sum()
-        if total == 0.0:
-            raise AllZeroRows("row-norm sampling on an all-zero matrix")
-        return SamplingPlan(kind, sq / total,
-                            effective_dimension(exact_leverage_scores(A, C)))
-    if kind is PlanKind.EXACT_LEVERAGE:
-        scores = exact_leverage_scores(A, C)
-        d_eff = effective_dimension(scores)
-        return SamplingPlan(kind, scores / scores.sum(), d_eff, scores=scores)
     if kind in (PlanKind.APPROX_LEVERAGE,
                 PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE):
         if m1 is None:
@@ -190,13 +207,29 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
         if total <= 0:
             raise AllZeroRows("approximate leverage scores are all zero")
         return SamplingPlan(kind, scores / total, float(total), scores=scores)
+    if kind is PlanKind.ROW_NORM:
+        sq = np.einsum("ij,ij->i", A, A)
+        total = sq.sum()
+        if total == 0.0:
+            raise AllZeroRows("row-norm sampling on an all-zero matrix")
+    if kind is PlanKind.SHRINKAGE and not 0.0 <= mix <= 1.0:
+        raise ValueError("shrinkage mix must lie in [0, 1]")
+
+    exact = exact_leverage_scores(A, C)
+    d_eff = effective_dimension(exact)
+    if kind is PlanKind.SRHT:
+        from .hadamard import SrhtPlan  # hadamard imports this module
+        return SrhtPlan(d_eff, exact)
+    if kind is PlanKind.UNIFORM:
+        return SamplingPlan(kind, np.full(n, 1.0 / n), d_eff, exact=exact)
+    if kind is PlanKind.ROW_NORM:
+        return SamplingPlan(kind, sq / total, d_eff, exact=exact)
+    if kind is PlanKind.EXACT_LEVERAGE:
+        return SamplingPlan(kind, exact / exact.sum(), d_eff, scores=exact,
+                            exact=exact)
     if kind is PlanKind.SHRINKAGE:
-        if not 0.0 <= mix <= 1.0:
-            raise ValueError("shrinkage mix must lie in [0, 1]")
-        scores = exact_leverage_scores(A, C)
-        d_eff = effective_dimension(scores)
-        probs = mix / n + (1.0 - mix) * scores / scores.sum()
-        return SamplingPlan(kind, probs, d_eff, scores=scores)
+        probs = mix / n + (1.0 - mix) * exact / exact.sum()
+        return SamplingPlan(kind, probs, d_eff, scores=exact, exact=exact)
     raise ValueError(f"unknown plan kind {kind!r}")
 
 

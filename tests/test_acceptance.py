@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from randskew import rng as rsrng
-from randskew.biaslab import (SrhtScheme, bias_sweep, estimate_bias,
-                              gaussian_sketch)
+from randskew.biaslab import bias_sweep, estimate_bias, gaussian_sketch
 from randskew.cli import main as cli_main
 from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, fine_grained_weights,
@@ -277,7 +276,7 @@ def test_criterion_10_fwht_and_srht_debias():
     C = 1e-2 * np.eye(d)
     d_eff = float(exact_leverage_scores(Ac, C).sum())
     m = int(np.ceil(16 * d_eff))
-    scheme = SrhtScheme(n=Ac.shape[0])
+    scheme = build_plan(PlanKind.SRHT, Ac, C)
     none = estimate_bias(Ac, C, scheme, DebiasSpec.none(), m, 500, seed=21)
     scal = estimate_bias(Ac, C, scheme, DebiasSpec.scalar(m, d_eff), m,
                          500, seed=21)

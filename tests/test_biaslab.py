@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from randskew import rng as rsrng
-from randskew.biaslab import (SrhtScheme, bias_sweep, estimate_bias,
-                              gaussian_sketch, make_debias_spec)
+from randskew.biaslab import (bias_sweep, estimate_bias, gaussian_sketch,
+                              make_debias_spec)
 from randskew.data import counterexample_matrix
 from randskew.debias import DebiasMode, DebiasSpec
 from randskew.errors import AllTrialsSingular, SketchTooSmall
@@ -87,7 +87,7 @@ def test_bitwise_reproducibility():
 
 
 def test_srht_scheme_runs_and_reports():
-    est = estimate_bias(A_CE, C0, SrhtScheme(n=A_CE.shape[0]),
+    est = estimate_bias(A_CE, C0, build_plan(PlanKind.SRHT, A_CE, C0),
                         DebiasSpec.none(), m=16, trials=50, seed=4)
     assert est.bias >= 0
     assert est.trials == 50
@@ -103,7 +103,8 @@ def test_srht_rejects_fine_grained_spec(n):
     spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, 32,
                             plan.d_eff, plan.scores)
     with pytest.raises(ValueError, match="only supports scalar"):
-        estimate_bias(A, C, SrhtScheme(n), spec, m=32, trials=4, seed=0)
+        estimate_bias(A, C, build_plan(PlanKind.SRHT, A, C), spec, m=32,
+                      trials=4, seed=0)
 
 
 def test_make_debias_spec_scalar_uses_plan_d_eff():

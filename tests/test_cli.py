@@ -232,6 +232,20 @@ def test_json_format_output(tmp_path):
     assert rows[0]["score_exact"] == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lev_plan_summary_is_in_the_sidecar(tmp_path, fmt):
+    cfg = write_cfg(tmp_path, "lev.cfg", LEV_CFG)
+    out = tmp_path / f"lev.{fmt}"
+    assert run_cli(["lev", "--config", cfg, "--seed", "1", "--out", str(out),
+                    "--format", fmt, "plans=uniform,exact_leverage"]) == 0
+    plans = json.loads(out.with_suffix(f".{fmt}.json").read_text())["plans"]
+    assert [row["plan"] for row in plans] == ["uniform", "exact_leverage"]
+    # the counterexample's scores are 1/4, 3/4 and six 1/2 (d_eff = 4)
+    assert np.allclose(
+        [[row["d_eff"], row["rho_min"], row["rho_max"]] for row in plans],
+        [[4.0, 0.5, 1.5], [4.0, 1.0, 1.0]])
+
+
 BIAS_CFG = """
 data = synthetic
 synthetic = coherent
@@ -314,9 +328,11 @@ def test_diverging_solver_is_numerical_error(tmp_path, capsys):
     ("sweep", ["m_grid="]),
     ("solve", ["timing=x"]),
     ("sweep", ["timing=x", "m_grid=64"]),
+    ("lev", ["plans=srht"]),
 ], ids=["bias-m_grid-int", "bias-m_grid-order", "bias-m_grid-empty",
         "bias-plans-empty", "sweep-m_grid-int", "sweep-m_grid-order",
-        "sweep-m_grid-empty", "solve-timing", "sweep-timing"])
+        "sweep-m_grid-empty", "solve-timing", "sweep-timing",
+        "lev-plans-srht"])
 def test_bad_value_is_config_error_and_writes_nothing(tmp_path, command,
                                                       overrides):
     cfg = write_cfg(tmp_path, "c.cfg",

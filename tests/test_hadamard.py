@@ -4,10 +4,10 @@ import pytest
 from randskew import rng as rsrng
 from randskew.data import counterexample_matrix
 from randskew.errors import NotPowerOfTwo
-from randskew.hadamard import (fwht_inplace, identity_srht_draw,
-                               next_power_of_two, rotated_leverage_scores,
-                               srht_apply, srht_draw)
+from randskew.hadamard import (SrhtDraw, fwht_inplace, next_power_of_two,
+                               rotated_leverage_scores, srht_apply, srht_draw)
 from randskew.linalg import gram
+from randskew.sampling import SketchDraw
 
 # frozen from a one-off 50-draw calibration at n=2^10, d=2^4
 # (worst observed constant 3.21)
@@ -65,7 +65,10 @@ class TestSrhtApply:
         A = np.zeros((n, 2))
         A[0, 0] = 1.0
         A[3, 1] = 2.0
-        sd = identity_srht_draw(n)
+        sd = SrhtDraw(signs=np.ones(n),
+                      sample=SketchDraw(m=n, indices=np.arange(n),
+                                        weights=np.ones(n)),
+                      n_original=n, n_padded=n)
         At = srht_apply(sd, A)
         assert np.abs(gram(At) - gram(A)).max() < 1e-12
 

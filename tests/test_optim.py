@@ -343,8 +343,8 @@ class TestRunSolver:
     def test_srht_ssn_runs(self):
         p = make_least_squares(n=256, d=8, seed=24)
         ref, _ = reference_solution(p)
-        cfg = SsnConfig(plan_kind="srht", m=128, debias=DebiasMode.SCALAR,
-                        step_rule=StepRule.ARMIJO)
+        cfg = SsnConfig(plan_kind=PlanKind.SRHT, m=128,
+                        debias=DebiasMode.SCALAR, step_rule=StepRule.ARMIJO)
         trace = run_solver(p, SsnMethod(cfg), np.zeros(p.dim), 5,
                            reference=ref, seed=3)
         assert trace.records[-1].rel_error_H < 0.1
