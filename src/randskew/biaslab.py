@@ -24,6 +24,8 @@ from .sampling import exact_leverage_scores
 from scipy.linalg import solve_triangular
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
+# floats in one sub-block's m x d sketches; bounds every stacked temporary
+SUBBLOCK_FLOATS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -84,37 +86,31 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     total = _PairwiseSum()
     batch_sums: list[np.ndarray] = []
     batch_kept: list[int] = []
-    batch = _PairwiseSum()
-    in_batch = 0
-    kept_in_batch = 0
     discarded = 0
     eye = np.eye(d)
+    step = max(1, SUBBLOCK_FLOATS // max(m * d, 1))
 
-    def flush():
-        nonlocal batch, in_batch, kept_in_batch
-        batch_sums.append(batch.total() if kept_in_batch else np.zeros((d, d)))
-        batch_kept.append(kept_in_batch)
+    for start in range(0, trials, JACKKNIFE_BATCH):
+        stop = min(start + JACKKNIFE_BATCH, trials)
         batch = _PairwiseSum()
-        in_batch = 0
         kept_in_batch = 0
-
-    for t in range(trials):
-        At, _ = plan.sketch(A, m, debias, rsrng.split(seed, t))
-        try:
-            L = cholesky(gram(At) + C)
-        except NotPositiveDefinite:
-            discarded += 1
-        else:
-            Y = solve_triangular(L, eye, lower=True)
-            Q = Y.T @ Y
-            total.push(Q)
-            batch.push(Q)
-            kept_in_batch += 1
-        in_batch += 1
-        if in_batch == JACKKNIFE_BATCH:
-            flush()
-    if in_batch:
-        flush()
+        for lo in range(start, stop, step):
+            seeds = [rsrng.split(seed, t) for t in range(lo, min(lo + step,
+                                                                  stop))]
+            for At in plan.sketch_many(A, m, debias, seeds):
+                try:
+                    L = cholesky(gram(At) + C)
+                except NotPositiveDefinite:
+                    discarded += 1
+                else:
+                    Y = solve_triangular(L, eye, lower=True)
+                    Q = Y.T @ Y
+                    total.push(Q)
+                    batch.push(Q)
+                    kept_in_batch += 1
+        batch_sums.append(batch.total() if kept_in_batch
+                          else np.zeros((d, d)))
+        batch_kept.append(kept_in_batch)
 
     kept = trials - discarded
     if kept == 0:

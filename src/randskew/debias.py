@@ -90,17 +90,24 @@ def fine_grained_weights(plan: SamplingPlan, scores: np.ndarray,
     return np.sqrt(m / (m - ratios))
 
 
+def debiased_weights(spec: DebiasSpec, indices: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """Sketch weights of rows ``indices`` re-weighted by the debias spec;
+    arrays of any shape."""
+    if spec.mode is DebiasMode.NONE:
+        return weights
+    if spec.mode is DebiasMode.SCALAR:
+        return weights * math.sqrt(spec.factor)
+    return weights * spec.row_weights[indices]
+
+
 def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
     """Re-weight a realized sketch according to the debias spec."""
     if spec.mode is DebiasMode.NONE:
         return sketch
-    if spec.mode is DebiasMode.SCALAR:
-        scale = math.sqrt(spec.factor)
-        return SketchDraw(m=sketch.m, indices=sketch.indices,
-                          weights=sketch.weights * scale)
     return SketchDraw(m=sketch.m, indices=sketch.indices,
-                      weights=sketch.weights
-                      * spec.row_weights[sketch.indices])
+                      weights=debiased_weights(spec, sketch.indices,
+                                               sketch.weights))
 
 
 def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,

@@ -130,6 +130,13 @@ class SrhtPlan:
         sd = replace(sd, sample=apply_debias(sd.sample, spec))
         return srht_apply(sd, A), sd
 
+    def sketch_many(self, A: np.ndarray, m: int, spec: DebiasSpec,
+                    seeds) -> np.ndarray:
+        """The T x m x d stack of ``sketch(A, m, spec, s)[0]`` over the T
+        ``seeds``: trial by trial, as each trial's signs come from its own
+        ``Generator.integers`` stream."""
+        return np.stack([self.sketch(A, m, spec, s)[0] for s in seeds])
+
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
                 drawn: SrhtDraw) -> float:
         """rho_max of uniform sampling from the rotation ``drawn`` used."""

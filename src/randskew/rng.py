@@ -32,3 +32,28 @@ def split(seed: int, *path: int) -> int:
 def generator(seed: int, *path: int) -> np.random.Generator:
     """A Philox generator keyed by ``split(seed, *path)``."""
     return np.random.Generator(np.random.Philox(key=split(seed, *path)))
+
+
+def uniform_rows(seeds, m: int) -> np.ndarray:
+    """A T x m array whose row t is ``generator(seeds[t]).random(m)``, bitwise.
+
+    One Philox is built per call and reset to each seed's key with a zero
+    counter and an empty buffer, which costs far less than building a
+    generator per seed; the rows share no stream, and nothing outlives the
+    call.
+    """
+    seeds = list(seeds)
+    out = np.empty((len(seeds), m))
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    key = np.zeros(2, dtype=np.uint64)
+    # counter zero and an empty buffer (position 4 of 4), as Philox(key=k)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for t, seed in enumerate(seeds):
+        key[0] = split(seed)
+        bits.state = state
+        gen.random(out=out[t])
+    return out

@@ -8,8 +8,8 @@ scales so that the m-by-n sampling matrix is never materialized.
 Every plan :func:`build_plan` returns, the Hadamard plan included, answers
 one protocol: ``kind``, ``d_eff``, ``scores`` (sampling scores or None),
 ``exact`` (exact leverage scores when the plan computed them, else None),
-``sketch(A, m, spec, seed)``, ``rho_max(A, C, exact, draw)`` and
-``row_weights(scores, m)``.
+``sketch(A, m, spec, seed)``, its batched form ``sketch_many(A, m, spec,
+seeds)``, ``rho_max(A, C, exact, draw)`` and ``row_weights(scores, m)``.
 """
 
 from __future__ import annotations
@@ -70,6 +70,13 @@ class SamplingPlan:
         from .debias import apply_debias  # debias imports this module
         sk = apply_debias(draw(self, m, seed), spec)
         return apply_sketch(sk, A), sk
+
+    def sketch_many(self, A: np.ndarray, m: int, spec, seeds) -> np.ndarray:
+        """The T x m x d stack of ``sketch(A, m, spec, s)[0]`` over the T
+        ``seeds``, bitwise, without a SketchDraw per trial."""
+        from .debias import debiased_weights
+        indices, weights = draw_many(self, m, seeds)
+        return _gather(A, indices, debiased_weights(spec, indices, weights))
 
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
                 drawn: SketchDraw) -> float:
@@ -260,25 +267,44 @@ def approximation_factors(plan: SamplingPlan,
                          argmax_index=int(idx_active[k]))
 
 
-def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
-    """One with-replacement sketch of size m, deterministic given seed."""
-    if m < 1:
-        raise ValueError("sketch size m must be >= 1")
-    gen = rsrng.generator(seed)
+def _sample(plan: SamplingPlan, m: int, u: np.ndarray):
+    """Row indices and weights of the draws that the uniforms ``u`` make."""
     # over the support only: u near 1 must not land on a trailing zero row
     support = np.flatnonzero(plan.probs)
     cdf = np.cumsum(plan.probs[support])
     cdf[-1] = 1.0
-    u = gen.random(m)
     indices = support[np.searchsorted(cdf, u, side="right")]
-    weights = 1.0 / np.sqrt(m * plan.probs[indices])
+    return indices, 1.0 / np.sqrt(m * plan.probs[indices])
+
+
+def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
+    """One with-replacement sketch of size m, deterministic given seed."""
+    if m < 1:
+        raise ValueError("sketch size m must be >= 1")
+    indices, weights = _sample(plan, m, rsrng.generator(seed).random(m))
     return SketchDraw(m=m, indices=indices, weights=weights)
+
+
+def draw_many(plan: SamplingPlan, m: int, seeds) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """Indices and weights (T x m each) of ``draw(plan, m, s)`` for each of
+    the T ``seeds``, bitwise."""
+    if m < 1:
+        raise ValueError("sketch size m must be >= 1")
+    return _sample(plan, m, rsrng.uniform_rows(seeds, m))
+
+
+def _gather(A: np.ndarray, indices: np.ndarray,
+            weights: np.ndarray) -> np.ndarray:
+    """Row s of the result is weights[s] * A[indices[s]], for index arrays
+    of any shape."""
+    A = np.asarray(A, dtype=np.float64)
+    if indices.size and int(indices.max()) >= A.shape[0]:
+        raise IndexOutOfRange(
+            f"sketch index {int(indices.max())} >= rows(A)={A.shape[0]}")
+    return A[indices] * weights[..., None]
 
 
 def apply_sketch(sketch: SketchDraw, A: np.ndarray) -> np.ndarray:
     """The m-by-d sketched matrix: row s is weights[s] * A[indices[s]]."""
-    A = np.asarray(A, dtype=np.float64)
-    if sketch.indices.size and int(sketch.indices.max()) >= A.shape[0]:
-        raise IndexOutOfRange(
-            f"sketch index {int(sketch.indices.max())} >= rows(A)={A.shape[0]}")
-    return A[sketch.indices] * sketch.weights[:, None]
+    return _gather(A, sketch.indices, sketch.weights)

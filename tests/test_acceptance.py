@@ -21,8 +21,9 @@ from randskew.linalg import (gram, inv_sqrt, psd_relative_error,
                              spd_inverse)
 from randskew.optim import (GlmProblem, ProblemKind, SsnConfig, SsnMethod,
                             objective_eval, reference_solution, run_solver)
-from randskew.sampling import (PlanKind, apply_sketch, approximation_factors,
-                               build_plan, draw, exact_leverage_scores)
+from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
+                               approximation_factors, build_plan, draw,
+                               draw_many, exact_leverage_scores)
 
 D = 4
 A_CE = counterexample_matrix(D)
@@ -40,6 +41,9 @@ def coherent_matrix(n=1024, d=32, heavy=64, seed=42):
     return A
 
 
+CE_BLOCK = 8192  # trials drawn at once, to bound memory
+
+
 def ce_coordinate_counts(plan, m, trials, seed):
     """Coordinate hit counts b_j for sketches of the skewed-pair matrix.
 
@@ -47,17 +51,25 @@ def ce_coordinate_counts(plan, m, trials, seed):
     diagonal Gram entry of its coordinate, so the sketched Gram is
     diag(d*b_j/m).  That identity is re-verified against the full
     apply_sketch pipeline on the first 200 trials before being used.
+    Trial t draws ``draw(plan, m, split(seed, t))``, taken in blocks by
+    ``draw_many``, which is bitwise the same.
     """
     d = plan.probs.shape[0] // 2
     counts = np.empty((trials, d), dtype=np.int64)
-    for t in range(trials):
-        sk = draw(plan, m, rsrng.split(seed, t))
-        coords = np.where(sk.indices < 2, 0, sk.indices // 2)
-        b = np.bincount(coords, minlength=d)
-        counts[t] = b
-        if t < 200:
+    for lo in range(0, trials, CE_BLOCK):
+        hi = min(lo + CE_BLOCK, trials)
+        indices, weights = draw_many(
+            plan, m, [rsrng.split(seed, t) for t in range(lo, hi)])
+        coords = np.where(indices < 2, 0, indices // 2)
+        # one bincount for the block: trial k's coordinates shifted by k*d
+        coords += d * np.arange(hi - lo)[:, None]
+        counts[lo:hi] = np.bincount(coords.ravel(),
+                                    minlength=(hi - lo) * d).reshape(-1, d)
+        for t in range(lo, min(hi, 200)):
+            sk = SketchDraw(m=m, indices=indices[t - lo],
+                            weights=weights[t - lo])
             G = gram(apply_sketch(sk, counterexample_matrix(d)))
-            assert np.abs(G - np.diag(d * b / m)).max() < 1e-12
+            assert np.abs(G - np.diag(d * counts[t] / m)).max() < 1e-12
     return counts
 
 

@@ -247,6 +247,41 @@ class TestDraw:
         assert np.all(sk.indices == 9)
 
 
+
+class TestDrawMany:
+    # interior and trailing zero-probability rows
+    PLAN = SamplingPlan(PlanKind.UNIFORM,
+                        np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.4, 0.0]),
+                        d_eff=1.0)
+    SEEDS = [0, 1, 2 ** 64 - 1, 2 ** 64 - 2, 2 ** 64 - 5, 2 ** 63,
+             *(rsrng.split(11, t) for t in range(40))]
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 16, 257])
+    @pytest.mark.parametrize("plan", [
+        PLAN, build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)],
+        ids=["zero_rows", "exact_leverage"])
+    def test_equals_stacked_draws(self, plan, m):
+        indices, weights = sampling.draw_many(plan, m, self.SEEDS)
+        draws = [draw(plan, m, s) for s in self.SEEDS]
+        np.testing.assert_array_equal(indices,
+                                      np.stack([d.indices for d in draws]))
+        np.testing.assert_array_equal(weights,
+                                      np.stack([d.weights for d in draws]))
+
+    def test_u_near_one_skips_trailing_zero_row(self, monkeypatch):
+        monkeypatch.setattr(rsrng, "uniform_rows",
+                            lambda seeds, m: np.full((len(list(seeds)), m),
+                                                     1.0 - 2.0 ** -53))
+        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]),
+                            d_eff=1.0)
+        indices, _ = sampling.draw_many(plan, 4, [0, 1, 2])
+        assert indices.shape == (3, 4)
+        assert np.all(indices == 9)
+
+    def test_rejects_empty_sketch(self):
+        with pytest.raises(ValueError):
+            sampling.draw_many(self.PLAN, 0, [0])
+
 class TestApplySketch:
     def test_identity_draw(self):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
