@@ -17,11 +17,10 @@ import numpy as np
 
 from . import rng as rsrng
 from .debias import DebiasMode, DebiasSpec, make_debias_spec
-from .errors import AllTrialsSingular, NotPositiveDefinite
-from .linalg import (cholesky, gram, psd_relative_error, spd_inverse,
-                     spectral_norm, sqrt_psd)
+from .errors import AllTrialsSingular
+from .linalg import (accepted_inverses, gram, psd_relative_error,
+                     spd_inverse, spectral_norm, sqrt_psd)
 from .sampling import exact_leverage_scores
-from scipy.linalg import solve_triangular
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
 # floats in one sub-block's m x d sketches; bounds every stacked temporary
@@ -87,7 +86,6 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     batch_sums: list[np.ndarray] = []
     batch_kept: list[int] = []
     discarded = 0
-    eye = np.eye(d)
     step = max(1, SUBBLOCK_FLOATS // max(m * d, 1))
 
     for start in range(0, trials, JACKKNIFE_BATCH):
@@ -97,17 +95,14 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
         for lo in range(start, stop, step):
             seeds = [rsrng.split(seed, t) for t in range(lo, min(lo + step,
                                                                   stop))]
-            for At in plan.sketch_many(A, m, debias, seeds):
-                try:
-                    L = cholesky(gram(At) + C)
-                except NotPositiveDefinite:
-                    discarded += 1
-                else:
-                    Y = solve_triangular(L, eye, lower=True)
-                    Q = Y.T @ Y
-                    total.push(Q)
-                    batch.push(Q)
-                    kept_in_batch += 1
+            At = plan.sketch_many(A, m, debias, seeds)
+            G = At.transpose(0, 2, 1) @ At
+            Qs, ok = accepted_inverses((G + G.transpose(0, 2, 1)) / 2.0 + C)
+            discarded += int(np.count_nonzero(~ok))
+            for Q in Qs:
+                total.push(Q)
+                batch.push(Q)
+            kept_in_batch += len(Qs)
         batch_sums.append(batch.total() if kept_in_batch
                           else np.zeros((d, d)))
         batch_kept.append(kept_in_batch)

@@ -48,6 +48,12 @@ def gram(A: np.ndarray) -> np.ndarray:
     return (G + G.T) / 2.0
 
 
+def _pivot_threshold(M: np.ndarray):
+    """The smallest accepted squared pivot of M, or of each matrix of a
+    stack: ``PIVOT_RTOL * trace / dim``."""
+    return PIVOT_RTOL * np.trace(M, axis1=-2, axis2=-1) / M.shape[-1]
+
+
 def cholesky(M: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = M, by LAPACK ``potrf``.
 
@@ -57,7 +63,7 @@ def cholesky(M: np.ndarray) -> np.ndarray:
     """
     M = check_symmetric(M)
     dim = M.shape[0]
-    threshold = PIVOT_RTOL * np.trace(M) / dim
+    threshold = _pivot_threshold(M)
     L, info = lapack.dpotrf(M, lower=1, clean=1)
     # potrf stops (info > 0) at a nonpositive pivot; test the prefix it made
     pivots = np.diag(L)[:info - 1 if info else dim] ** 2
@@ -81,6 +87,37 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky."""
     Minv = solve_spd(M, np.eye(M.shape[0]))
     return (Minv + Minv.T) / 2.0
+
+
+def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the matrices of a stack of symmetric matrices that
+    :func:`cholesky` accepts.
+
+    Returns ``(Q, ok)``: ``ok[t]`` says whether ``cholesky`` accepts
+    ``M[t]``, and ``Q`` stacks ``L^-T L^-1`` (symmetrized) for those, in
+    order.  One stacked Cholesky covers the stack, and ``cholesky``'s pivot
+    rule is applied to each factor.  If the stacked factorization fails
+    anywhere, ``cholesky`` judges each matrix on its own and the accepted
+    ones are factored again as one stack, so every factor comes from the
+    same routine wherever the stack is cut.
+    """
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        ok = np.ones(M.shape[0], dtype=bool)
+        for t, Mt in enumerate(M):
+            try:
+                cholesky(Mt)
+            except NotPositiveDefinite:
+                ok[t] = False
+        L = np.linalg.cholesky(M[ok])
+    else:
+        pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+        ok = np.all(pivots > _pivot_threshold(M)[:, None], axis=1)
+        L = L[ok]
+    Y = np.linalg.inv(L)
+    Q = Y.transpose(0, 2, 1) @ Y
+    return (Q + Q.transpose(0, 2, 1)) / 2.0, ok
 
 
 def spectral_norm(M: np.ndarray) -> float:

@@ -2,14 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
+from randskew import biaslab
 from randskew import rng as rsrng
-from randskew.biaslab import (bias_sweep, estimate_bias, gaussian_sketch,
-                              make_debias_spec)
+from randskew.biaslab import (JACKKNIFE_BATCH, bias_sweep, estimate_bias,
+                              gaussian_sketch, make_debias_spec)
 from randskew.data import counterexample_matrix
 from randskew.debias import DebiasMode, DebiasSpec
-from randskew.errors import AllTrialsSingular, SketchTooSmall
-from randskew.linalg import gram, spd_inverse
+from randskew.errors import (AllTrialsSingular, NotPositiveDefinite,
+                             SketchTooSmall)
+from randskew.linalg import (cholesky, gram, psd_relative_error, spd_inverse,
+                             spectral_norm, sqrt_psd)
 from randskew.sampling import PlanKind, SamplingPlan, build_plan
 
 D = 4
@@ -105,6 +109,84 @@ def test_srht_rejects_fine_grained_spec(n):
     with pytest.raises(ValueError, match="only supports scalar"):
         estimate_bias(A, C, build_plan(PlanKind.SRHT, A, C), spec, m=32,
                       trials=4, seed=0)
+
+
+def _per_trial_estimate(A, C, plan, spec, m, trials, seed):
+    """The estimator one trial at a time: ``cholesky``, ``solve_triangular``
+    and Y^T Y per trial, plain sums.  Returns the estimate's fields and the
+    number of discarded trials in each jackknife group."""
+    d = A.shape[1]
+    Qs = []
+    for t in range(trials):
+        At, _ = plan.sketch(A, m, spec, rsrng.split(seed, t))
+        try:
+            L = cholesky(gram(At) + C)
+        except NotPositiveDefinite:
+            Qs.append(None)
+            continue
+        Y = solve_triangular(L, np.eye(d), lower=True)
+        Qs.append(Y.T @ Y)
+    H = gram(A) + C
+    H_inv, H_half = spd_inverse(H), sqrt_psd(H)
+
+    def theta(S, k):
+        M = H_half @ (S / k - H_inv) @ H_half
+        return spectral_norm((M + M.T) / 2.0)
+
+    kept = [Q for Q in Qs if Q is not None]
+    grand = sum(kept, np.zeros((d, d)))
+    thetas, group_discards = [], []
+    for lo in range(0, trials, JACKKNIFE_BATCH):
+        group = [Q for Q in Qs[lo:lo + JACKKNIFE_BATCH] if Q is not None]
+        group_discards.append(len(Qs[lo:lo + JACKKNIFE_BATCH]) - len(group))
+        if len(kept) > len(group):
+            thetas.append(theta(grand - sum(group, np.zeros((d, d))),
+                                len(kept) - len(group)))
+    th = np.asarray(thetas)
+    stderr = float(np.sqrt((len(th) - 1) / len(th)
+                           * np.sum((th - th.mean()) ** 2)))
+    return dict(discarded=trials - len(kept), bias=theta(grand, len(kept)),
+                stderr_proxy=stderr,
+                eps_two_sided=psd_relative_error(grand / len(kept), H_inv),
+                group_discards=group_discards)
+
+
+@pytest.mark.parametrize("kind, lam, m", [
+    (PlanKind.EXACT_LEVERAGE, 0.0, 8),
+    (PlanKind.EXACT_LEVERAGE, 0.0, 16),
+    (PlanKind.EXACT_LEVERAGE, 1e-2, 8),
+    (PlanKind.SRHT, 0.0, 6),
+    (PlanKind.SRHT, 1e-2, 16)])
+def test_stacked_trials_match_the_per_trial_oracle(kind, lam, m):
+    C = lam * np.eye(D)
+    plan = build_plan(kind, A_CE, C)
+    trials = 3 * JACKKNIFE_BATCH + 5
+    est = estimate_bias(A_CE, C, plan, DebiasSpec.none(), m, trials, seed=8)
+    want = _per_trial_estimate(A_CE, C, plan, DebiasSpec.none(), m, trials,
+                               seed=8)
+    if lam == 0.0 and kind is PlanKind.EXACT_LEVERAGE:
+        # a sub-block (here a whole group) mixes singular and kept trials
+        assert any(0 < k < JACKKNIFE_BATCH for k in want["group_discards"])
+    assert est.discarded == want["discarded"]
+    for key in ("bias", "stderr_proxy", "eps_two_sided"):
+        assert getattr(est, key) == pytest.approx(want[key], rel=1e-10), key
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    spec = DebiasSpec.scalar(m, plan.d_eff)
+    runs = []
+    # one sub-block per jackknife group, then 3, 2 and 1 trials per block
+    for floats in (JACKKNIFE_BATCH * m * D, 3 * m * D, 2 * m * D, 1):
+        monkeypatch.setattr(biaslab, "SUBBLOCK_FLOATS", floats)
+        runs.append(dataclasses.asdict(
+            estimate_bias(A_CE, C0, plan, spec, m, 2 * JACKKNIFE_BATCH + 7,
+                          seed=3)))
+    assert runs[0]["discarded"] > 0
+    for run in runs[1:]:
+        for key, value in runs[0].items():
+            np.testing.assert_array_equal(run[key], value, err_msg=key)
 
 
 def test_make_debias_spec_scalar_uses_plan_d_eff():
