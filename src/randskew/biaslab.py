@@ -72,7 +72,10 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
 
     ``plan`` is any plan :func:`~randskew.sampling.build_plan` returns.
     Deterministic given ``seed``; per-trial streams are split by trial
-    index and reduced pairwise in index order.
+    index and reduced pairwise in index order.  Trials are sketched and
+    inverted in stacks of at most ``SUBBLOCK_FLOATS`` sketched entries,
+    cut inside the jackknife groups; where they are cut does not change
+    the result.
     """
     if m < 1 or trials < 2:
         raise ValueError("need m >= 1 and trials >= 2")
@@ -86,16 +89,16 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     batch_sums: list[np.ndarray] = []
     batch_kept: list[int] = []
     discarded = 0
-    step = max(1, SUBBLOCK_FLOATS // max(m * d, 1))
+    step = max(1, SUBBLOCK_FLOATS // (m * d))
 
     for start in range(0, trials, JACKKNIFE_BATCH):
         stop = min(start + JACKKNIFE_BATCH, trials)
         batch = _PairwiseSum()
         kept_in_batch = 0
         for lo in range(start, stop, step):
-            seeds = [rsrng.split(seed, t) for t in range(lo, min(lo + step,
-                                                                  stop))]
-            At = plan.sketch_many(A, m, debias, seeds)
+            trials_here = range(lo, min(lo + step, stop))
+            At = plan.sketch_many(A, m, debias,
+                                  [rsrng.split(seed, t) for t in trials_here])
             G = At.transpose(0, 2, 1) @ At
             Qs, ok = accepted_inverses((G + G.transpose(0, 2, 1)) / 2.0 + C)
             discarded += int(np.count_nonzero(~ok))

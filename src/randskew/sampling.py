@@ -285,8 +285,8 @@ def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
     return SketchDraw(m=m, indices=indices, weights=weights)
 
 
-def draw_many(plan: SamplingPlan, m: int, seeds) -> tuple[np.ndarray,
-                                                         np.ndarray]:
+def draw_many(plan: SamplingPlan, m: int,
+              seeds) -> tuple[np.ndarray, np.ndarray]:
     """Indices and weights (T x m each) of ``draw(plan, m, s)`` for each of
     the T ``seeds``, bitwise."""
     if m < 1:

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randskew.errors import NotPositiveDefinite
-from randskew.linalg import (cholesky, gram, inv_sqrt, psd_relative_error,
-                             solve_spd, spd_inverse, spectral_norm, sqrt_psd)
+from randskew.linalg import (accepted_inverses, cholesky, gram, inv_sqrt,
+                             psd_relative_error, solve_spd, spd_inverse,
+                             spectral_norm, sqrt_psd)
 
 
 def random_spd(d, rng, cond=1e3):
@@ -70,6 +71,57 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite) as err:
             cholesky(np.diag([1.0, 1e-16, 1.0]))
         assert err.value.pivot_index == 1
+
+
+class TestAcceptedInverses:
+    def _check(self, M):
+        def accepts(Mt):
+            try:
+                cholesky(Mt)
+            except NotPositiveDefinite:
+                return False
+            return True
+
+        Q, ok = accepted_inverses(M)
+        np.testing.assert_array_equal(ok, [accepts(Mt) for Mt in M])
+        assert Q.shape == (int(ok.sum()),) + M.shape[1:]
+        for Qt, Mt in zip(Q, M[ok]):
+            assert np.array_equal(Qt, Qt.T)
+            assert np.abs(Qt @ Mt - np.eye(len(Mt))).max() < 1e-10
+        return ok
+
+    def test_pivot_rule_rejects_what_factorization_passes(self):
+        # potrf factors diag(1, 1, 1e-20); its last squared pivot is below
+        # the PIVOT_RTOL threshold
+        rng = np.random.default_rng(5)
+        M = np.stack([random_spd(3, rng), np.diag([1.0, 1.0, 1e-20]),
+                      random_spd(3, rng)])
+        assert list(self._check(M)) == [True, False, True]
+
+    def test_failed_stack_is_judged_matrix_by_matrix(self):
+        rng = np.random.default_rng(6)
+        M = np.stack([random_spd(3, rng), np.diag([1.0, 0.0, 1.0]),
+                      np.diag([1.0, 1.0, 1e-20]), -np.eye(3),
+                      random_spd(3, rng)])
+        assert list(self._check(M)) == [True, False, False, False, True]
+
+    def test_inverses_do_not_depend_on_the_rest_of_the_stack(self):
+        # numpy's and scipy's Cholesky factors of a 32 x 32 matrix often
+        # differ in the last bits; a stack with a singular member must not
+        # take its factors from the fallback's routine
+        rng = np.random.default_rng(7)
+        M = np.stack([random_spd(32, rng) for _ in range(12)])
+        M[5] = np.diag(np.r_[np.ones(31), 0.0])
+        Q, ok = accepted_inverses(M)
+        assert not ok[5]
+        np.testing.assert_array_equal(Q, accepted_inverses(M[ok])[0])
+        for t, Qt in zip(np.flatnonzero(ok), Q):
+            alone, _ = accepted_inverses(M[t:t + 1])
+            np.testing.assert_array_equal(Qt, alone[0])
+
+    def test_nothing_accepted(self):
+        Q, ok = accepted_inverses(np.zeros((2, 3, 3)))
+        assert Q.shape == (0, 3, 3) and not ok.any()
 
 
 class TestSolveSpd:
