@@ -20,6 +20,9 @@ from .linalg import gram, inv_sqrt
 from .sampling import SamplingPlan, SketchDraw, PlanKind, apply_sketch, draw
 
 SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
+# floats in one row block of the FWHT's low levels (512 KiB): the block
+# stays in cache while its levels run
+FWHT_BLOCK_FLOATS = 2 ** 16
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -33,25 +36,50 @@ def next_power_of_two(n: int) -> int:
     return p
 
 
+def _butterflies(flat: np.ndarray, h: int, h_end: int,
+                 tmp: np.ndarray) -> None:
+    """Butterfly levels h, 2h, ... below ``h_end`` of the n-by-d ``flat``,
+    in place; ``tmp`` holds at least n*d/2 floats."""
+    n, d = flat.shape
+    while h < h_end:
+        y = flat.reshape(n // (2 * h), 2, h, d)
+        top, bot = y[:, 0], y[:, 1]
+        t = tmp[:top.size].reshape(top.shape)
+        np.add(top, bot, out=t)
+        np.subtract(top, bot, out=bot)
+        top[...] = t
+        h *= 2
+
+
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along axis 0.
 
-    Accepts a vector or a matrix (transform applied to each column).
-    Self-inverse up to a factor of n.
+    Accepts a writable C-contiguous float64 vector or matrix (transform
+    applied to each column) and returns it; any other input raises
+    ValueError rather than being transformed in a copy.  Self-inverse up
+    to a factor of n.
+
+    The levels whose butterflies stay within ``FWHT_BLOCK_FLOATS``-float
+    row blocks run block by block, the rest over the whole array.  Every
+    entry takes the same adds in the same order either way, so the result
+    does not depend on the block size.
     """
-    v = np.ascontiguousarray(v, dtype=np.float64)
+    if not (isinstance(v, np.ndarray) and v.dtype == np.float64
+            and v.flags.c_contiguous and v.flags.writeable):
+        raise ValueError("fwht_inplace needs a writable C-contiguous "
+                         "float64 array")
     n = v.shape[0]
     if not _is_power_of_two(n):
         raise NotPowerOfTwo(f"length {n} is not a power of two")
     flat = v.reshape(n, -1)
-    h = 1
-    while h < n:
-        y = flat.reshape(n // (2 * h), 2, h, flat.shape[1])
-        top = y[:, 0].copy()
-        y[:, 0] += y[:, 1]
-        y[:, 1] = top - y[:, 1]
-        h *= 2
-    return flat.reshape(v.shape)
+    d = flat.shape[1]
+    rows = max(2, FWHT_BLOCK_FLOATS // max(d, 1))
+    block = min(n, 1 << (rows.bit_length() - 1))
+    tmp = np.empty(n // 2 * d)
+    for start in range(0, n, block):
+        _butterflies(flat[start:start + block], 1, block, tmp)
+    _butterflies(flat, block, n, tmp)
+    return v
 
 
 @dataclass(frozen=True)
@@ -60,6 +88,7 @@ class SrhtDraw:
     sample: SketchDraw     # uniform draw over the padded rows
     n_original: int
     n_padded: int
+    rotated: np.ndarray | None = None  # H D A / sqrt(n) of the A sketched
 
 
 def srht_draw(n: int, m: int, seed: int) -> SrhtDraw:
@@ -94,6 +123,14 @@ def srht_apply(sketch: SrhtDraw, A: np.ndarray) -> np.ndarray:
     return apply_sketch(sketch.sample, _rotate(sketch.signs, A))
 
 
+def _scores_of_rotation(rotated: np.ndarray, A: np.ndarray,
+                        C: np.ndarray) -> np.ndarray:
+    """Leverage scores given C of ``rotated`` = H D A / sqrt(n): the squared
+    row norms of rotated (A^T A + C)^(-1/2)."""
+    BR = rotated @ inv_sqrt(gram(A) + C)
+    return np.einsum("ij,ij->i", BR, BR)
+
+
 def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
                             signs: np.ndarray) -> np.ndarray:
     """Leverage scores of H D A / sqrt(n) given C.
@@ -102,9 +139,8 @@ def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
     dimension of A itself.
     """
     A = np.asarray(A, dtype=np.float64)
-    R = inv_sqrt(gram(A) + C)
-    B = _rotate(np.asarray(signs, dtype=np.float64), A @ R)
-    return np.einsum("ij,ij->i", B, B)
+    return _scores_of_rotation(
+        _rotate(np.asarray(signs, dtype=np.float64), A), A, C)
 
 
 @dataclass(frozen=True)
@@ -123,12 +159,15 @@ class SrhtPlan:
 
     def sketch(self, A: np.ndarray, m: int, spec: DebiasSpec, seed: int):
         """Draw signs and m rows, debias them by ``spec`` and apply them
-        to A; returns the m x d sketched matrix and the debiased draw."""
+        to A; returns the m x d sketched matrix and the debiased draw,
+        which keeps the rotation of A for ``rho_max``."""
         if spec.row_weights is not None:
             raise ValueError(SRHT_SCALAR_ONLY)
         sd = srht_draw(A.shape[0], m, seed)
-        sd = replace(sd, sample=apply_debias(sd.sample, spec))
-        return srht_apply(sd, A), sd
+        rotated = _rotate(sd.signs, A)
+        sd = replace(sd, sample=apply_debias(sd.sample, spec),
+                     rotated=rotated)
+        return apply_sketch(sd.sample, rotated), sd
 
     def sketch_many(self, A: np.ndarray, m: int, spec: DebiasSpec,
                     seeds) -> np.ndarray:
@@ -139,8 +178,11 @@ class SrhtPlan:
 
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
                 drawn: SrhtDraw) -> float:
-        """rho_max of uniform sampling from the rotation ``drawn`` used."""
-        rot = rotated_leverage_scores(A, C, drawn.signs)
+        """rho_max of uniform sampling from the rotation ``drawn`` used,
+        reusing the rotation of A that ``sketch`` kept on it."""
+        rotated = (drawn.rotated if drawn.rotated is not None
+                   else _rotate(drawn.signs, A))
+        rot = _scores_of_rotation(rotated, A, C)
         return float(rot.max() * drawn.n_padded / exact.sum())
 
     def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
+from randskew import hadamard
 from randskew import rng as rsrng
 from randskew.data import counterexample_matrix
+from randskew.debias import DebiasSpec, apply_debias
 from randskew.errors import NotPowerOfTwo
 from randskew.hadamard import (SrhtDraw, fwht_inplace, next_power_of_two,
                                rotated_leverage_scores, srht_apply, srht_draw)
-from randskew.linalg import gram
-from randskew.sampling import SketchDraw
+from randskew.linalg import gram, inv_sqrt
+from randskew.sampling import PlanKind, SketchDraw, build_plan
 
 # frozen from a one-off 50-draw calibration at n=2^10, d=2^4
 # (worst observed constant 3.21)
@@ -19,6 +24,37 @@ def dense_hadamard(n):
     while H.shape[0] < n:
         H = np.block([[H, H], [H, -H]])
     return H
+
+
+def fwht_per_level_copy(v):
+    """The unblocked transform, copying the top half at every level: the
+    bitwise reference for ``fwht_inplace``."""
+    n = v.shape[0]
+    flat = v.reshape(n, -1)
+    h = 1
+    while h < n:
+        y = flat.reshape(n // (2 * h), 2, h, flat.shape[1])
+        top = y[:, 0].copy()
+        y[:, 0] += y[:, 1]
+        y[:, 1] = top - y[:, 1]
+        h *= 2
+    return v
+
+
+def assert_matches_per_level_copy(n, cols):
+    """``fwht_inplace`` of an n-row random input (a vector when ``cols`` is
+    None) equals the reference bit for bit, in place."""
+    shape = (n,) if cols is None else (n, cols)
+    v = np.random.default_rng(n).standard_normal(shape)
+    want = fwht_per_level_copy(v.copy())
+    assert fwht_inplace(v) is v
+    assert_array_equal(v, want)
+
+
+def _read_only():
+    v = np.ones((4, 3))
+    v.flags.writeable = False
+    return v
 
 
 class TestFwht:
@@ -50,6 +86,39 @@ class TestFwht:
         fwht_inplace(M)
         fwht_inplace(M)
         assert np.array_equal(M, n * np.eye(n))
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.array([1, 2, 3, 4]),
+        lambda: np.asfortranarray(np.ones((4, 3))),
+        lambda: np.ones((8, 3))[::2],
+        _read_only,
+    ], ids=["int", "fortran_order", "strided", "read_only"])
+    def test_refuses_input_it_cannot_transform_in_place(self, make):
+        v = make()
+        before = v.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            fwht_inplace(v)
+        assert_array_equal(v, before)
+
+    @pytest.mark.parametrize("cols", [None, 1, 3, 64])
+    @pytest.mark.parametrize("k", range(16))
+    def test_bitwise_equal_to_per_level_copy(self, k, cols):
+        assert_matches_per_level_copy(2 ** k, cols)
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_bitwise_equal_when_a_block_is_one_row_pair(self, k):
+        # rows this wide leave room for a single row pair per block
+        wide = hadamard.FWHT_BLOCK_FLOATS // 2
+        assert_matches_per_level_copy(2 ** k, wide)
+
+    @pytest.mark.parametrize("cols", [None, 3, 64])
+    @pytest.mark.parametrize("block_floats", [1, 2 ** 40],
+                             ids=["one_row_pair", "past_n"])
+    def test_block_size_does_not_change_the_transform(
+            self, block_floats, cols, monkeypatch):
+        monkeypatch.setattr(hadamard, "FWHT_BLOCK_FLOATS", block_floats)
+        for k in (0, 1, 2, 7, 12):
+            assert_matches_per_level_copy(2 ** k, cols)
 
 
 def test_next_power_of_two():
@@ -141,3 +210,49 @@ class TestRotatedLeverageScores:
             rotated = (M @ rotated) / np.sqrt(32)
             rel = np.linalg.norm(gram(rotated) - gram(A))
             assert rel < 1e-10 * np.linalg.norm(gram(A))
+
+
+def rotated_scores_of_whitened_factor(A, C, signs):
+    """Leverage scores of H D A / sqrt(n) given C, as the squared row norms
+    of the rotation of A R, R = (A^T A + C)^(-1/2): the reference for the
+    rotate-A-once formula."""
+    n, n_padded = A.shape[0], signs.shape[0]
+    B = np.zeros((n_padded, A.shape[1]))
+    B[:n] = A @ inv_sqrt(gram(A) + C)
+    B *= signs[:, None]
+    fwht_inplace(B)
+    B /= np.sqrt(n_padded)
+    return np.einsum("ij,ij->i", B, B)
+
+
+class TestSrhtPlan:
+    A = np.random.default_rng(4).standard_normal((10, 4))  # padded to 16
+    C = 1e-2 * np.eye(4)
+    M = 12
+
+    def _sketch(self, seed):
+        plan = build_plan(PlanKind.SRHT, self.A, self.C)
+        spec = DebiasSpec.scalar(self.M, plan.d_eff)
+        return plan, spec, plan.sketch(self.A, self.M, spec, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sketch_equals_srht_apply_of_the_debiased_draw(self, seed):
+        _, spec, (At, drawn) = self._sketch(seed)
+        sd = srht_draw(self.A.shape[0], self.M, seed)
+        sd = replace(sd, sample=apply_debias(sd.sample, spec))
+        assert_array_equal(At, srht_apply(sd, self.A))
+        assert_array_equal(drawn.sample.weights, sd.sample.weights)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_rho_max_matches_rotating_the_whitened_factor(self, seed):
+        plan, _, (_, drawn) = self._sketch(seed)
+        ref = rotated_scores_of_whitened_factor(self.A, self.C, drawn.signs)
+        rho = plan.rho_max(self.A, self.C, plan.exact, drawn)
+        assert rho == pytest.approx(
+            ref.max() * drawn.n_padded / plan.exact.sum(), rel=1e-12, abs=0)
+        assert_allclose(
+            rotated_leverage_scores(self.A, self.C, drawn.signs), ref,
+            rtol=1e-12)
+        # a draw that carries no rotation is rotated on the spot
+        bare = replace(drawn, rotated=None)
+        assert plan.rho_max(self.A, self.C, plan.exact, bare) == rho

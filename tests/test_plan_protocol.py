@@ -10,6 +10,7 @@ from randskew.biaslab import estimate_bias, make_debias_spec
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode, DebiasSpec
+from randskew.hadamard import fwht_inplace
 from randskew.optim import (GlmProblem, ProblemKind, SsnConfig, StepRule,
                             objective_eval, ssn_step)
 from randskew.sampling import PlanKind, build_plan, exact_leverage_scores
@@ -41,21 +42,34 @@ def test_every_plan_kind_runs_the_bias_lab_and_an_ssn_step(kind):
     assert 0.0 < diagnostics["step_size"] <= 1.0
 
 
-@KINDS
-def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
+def _count_calls(monkeypatch, fn) -> list:
+    """Replace ``fn`` in every module holding a reference to it, as
+    ``from .x import f`` copies the reference; returns the list that
+    grows by one per call."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return exact_leverage_scores(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    # every module holding a reference, as ``from .x import f`` copies it
     for name, module in list(sys.modules.items()):
         if name.startswith("randskew") and getattr(
-                module, "exact_leverage_scores", None) is \
-                exact_leverage_scores:
-            monkeypatch.setattr(module, "exact_leverage_scores", counting)
+                module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+@KINDS
+def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
+    calls = _count_calls(monkeypatch, exact_leverage_scores)
     _one_ssn_step(kind)
+    assert len(calls) == 1
+
+
+def test_srht_ssn_step_rotates_once(monkeypatch):
+    # the sketch and rho_max share one Hadamard rotation of the factor
+    calls = _count_calls(monkeypatch, fwht_inplace)
+    _one_ssn_step(PlanKind.SRHT)
     assert len(calls) == 1
 
 
