@@ -180,9 +180,9 @@ class SrhtPlan:
                 drawn: SrhtDraw) -> float:
         """rho_max of uniform sampling from the rotation ``drawn`` used,
         reusing the rotation of A that ``sketch`` kept on it."""
-        rotated = (drawn.rotated if drawn.rotated is not None
-                   else _rotate(drawn.signs, A))
-        rot = _scores_of_rotation(rotated, A, C)
+        if drawn.rotated is None:
+            raise ValueError("rho_max needs the draw returned by sketch")
+        rot = _scores_of_rotation(drawn.rotated, A, C)
         return float(rot.max() * drawn.n_padded / exact.sum())
 
     def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:

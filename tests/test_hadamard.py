@@ -253,6 +253,9 @@ class TestSrhtPlan:
         assert_allclose(
             rotated_leverage_scores(self.A, self.C, drawn.signs), ref,
             rtol=1e-12)
-        # a draw that carries no rotation is rotated on the spot
+
+    def test_rho_max_refuses_a_draw_without_its_rotation(self):
+        plan, _, (_, drawn) = self._sketch(0)
         bare = replace(drawn, rotated=None)
-        assert plan.rho_max(self.A, self.C, plan.exact, bare) == rho
+        with pytest.raises(ValueError, match="draw returned by sketch"):
+            plan.rho_max(self.A, self.C, plan.exact, bare)
