@@ -23,7 +23,8 @@ from .data import (DataSource, SyntheticKind, SyntheticSpec,
                    counterexample_matrix, load_data)
 from .optim import (GdMethod, GlmProblem, NewtonExactMethod, ProblemKind,
                     RunTrace, SgdMethod, SparseProjMethod, SsnConfig,
-                    SsnMethod, StepRule, objective_eval, reference_solution,
-                    run_solver, ssn_step, analytic_step_size)
+                    SsnMethod, StepRule, objective_eval, objective_value,
+                    reference_solution, run_solver, ssn_step,
+                    analytic_step_size)
 
 __version__ = "0.1.0"

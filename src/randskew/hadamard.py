@@ -153,9 +153,9 @@ class SrhtPlan:
     carry over to the rows of the rotated matrix.
     """
     d_eff: float
-    exact: np.ndarray    # exact leverage scores of A given C
     kind: ClassVar[PlanKind] = PlanKind.SRHT
     scores: ClassVar[None] = None
+    exact: ClassVar[None] = None
 
     def sketch(self, A: np.ndarray, m: int, spec: DebiasSpec, seed: int):
         """Draw signs and m rows, debias them by ``spec`` and apply them
@@ -176,14 +176,15 @@ class SrhtPlan:
         ``Generator.integers`` stream."""
         return np.stack([self.sketch(A, m, spec, s)[0] for s in seeds])
 
-    def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
+    def rho_max(self, A: np.ndarray, C: np.ndarray, exact,
                 drawn: SrhtDraw) -> float:
         """rho_max of uniform sampling from the rotation ``drawn`` used,
-        reusing the rotation of A that ``sketch`` kept on it."""
+        from the rotation of A that ``sketch`` kept on it; ``exact`` is
+        unread."""
         if drawn.rotated is None:
             raise ValueError("rho_max needs the draw returned by sketch")
         rot = _scores_of_rotation(drawn.rotated, A, C)
-        return float(rot.max() * drawn.n_padded / exact.sum())
+        return float(rot.max() * drawn.n_padded / self.d_eff)
 
     def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:
         raise ValueError(SRHT_SCALAR_ONLY)

@@ -61,6 +61,21 @@ class Objective:
     hessian_sqrt: np.ndarray  # n x d factor of the data term of the Hessian
 
 
+def _value(p: GlmProblem, beta: np.ndarray) -> tuple[float, np.ndarray]:
+    """The objective at beta and its margins y*(A beta) or residual."""
+    if p.kind is ProblemKind.LOGISTIC:
+        z = p.y * (p.A @ beta)
+        return float(np.mean(np.logaddexp(0.0, -z))
+                     + 0.5 * p.lam * beta @ beta), z
+    r = p.A @ beta - p.y
+    return float(0.5 * (r @ r) / p.A.shape[0] + 0.5 * p.lam * beta @ beta), r
+
+
+def objective_value(p: GlmProblem, beta: np.ndarray) -> float:
+    """``objective_eval(p, beta).value``, bitwise, computed alone."""
+    return _value(p, np.asarray(beta, dtype=np.float64))[0]
+
+
 def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
     """Value, gradient, and Hessian square-root factor at beta.
 
@@ -71,18 +86,15 @@ def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
     A, y, lam = p.A, p.y, p.lam
     n = A.shape[0]
     beta = np.asarray(beta, dtype=np.float64)
+    value, r = _value(p, beta)
     if p.kind is ProblemKind.LOGISTIC:
-        z = y * (A @ beta)
-        value = float(np.mean(np.logaddexp(0.0, -z))
-                      + 0.5 * lam * beta @ beta)
-        sig_neg = 1.0 / (1.0 + np.exp(np.minimum(z, 50.0)))
-        sig_neg = np.where(z > 50.0, np.exp(-z), sig_neg)
+        sig_neg = 1.0 / (1.0 + np.exp(np.minimum(r, 50.0)))
+        tail = r > 50.0  # exp(-r) only there: it overflows for r < -709
+        sig_neg[tail] = np.exp(-r[tail])
         gradient = -(A.T @ (y * sig_neg)) / n + lam * beta
         w = sig_neg * (1.0 - sig_neg)
         hessian_sqrt = A * np.sqrt(w / n)[:, None]
         return Objective(value, gradient, hessian_sqrt)
-    r = A @ beta - y
-    value = float(0.5 * (r @ r) / n + 0.5 * lam * beta @ beta)
     gradient = (A.T @ r) / n + lam * beta
     return Objective(value, gradient, A / np.sqrt(n))
 
@@ -92,7 +104,7 @@ def _armijo(p: GlmProblem, beta, value, gradient, direction) -> float:
     slope = float(gradient @ direction)
     mu = 1.0
     for _ in range(ARMIJO_MAX_HALVINGS):
-        cand = objective_eval(p, beta - mu * direction).value
+        cand = objective_value(p, beta - mu * direction)
         if cand <= value - ARMIJO_C1 * mu * slope:
             return mu
         mu *= ARMIJO_RATIO
@@ -184,17 +196,22 @@ class SsnConfig:
 
 def _ssn_sketch(p: GlmProblem, hs: np.ndarray, config: SsnConfig,
                 seed: int):
-    """Debiased sketch of the Hessian factor ``hs``, with the d_eff and
-    rho_max the analytic step rule needs."""
+    """Debiased sketch of the Hessian factor ``hs``, its d_eff, and the
+    rho_max only the analytic step rule reads (else None).  Exact scores
+    are computed only if the plan keeps none and they are read: by
+    fine_exact debias, or for the exact d_eff of an approximate plan."""
     C = p.lam * np.eye(p.dim)
     plan = build_plan(config.plan_kind, hs, C, mix=config.mix, m1=config.m1,
                       m2=config.m2, seed=rsrng.split(seed, 1))
-    exact = (plan.exact if plan.exact is not None
-             else exact_leverage_scores(hs, C))
-    d_eff = float(exact.sum())
+    exact = plan.exact
+    if exact is None and (plan.scores is not None or config.debias
+                          is DebiasMode.FINE_GRAINED_EXACT):
+        exact = exact_leverage_scores(hs, C)
+    d_eff = plan.d_eff if exact is None else float(exact.sum())
     spec = make_debias_spec(config.debias, plan, config.m, d_eff, exact)
     At, drawn = plan.sketch(hs, config.m, spec, rsrng.split(seed, 2))
-    return At, d_eff, plan.rho_max(hs, C, exact, drawn)
+    return At, d_eff, (plan.rho_max(hs, C, exact, drawn)
+                       if config.step_rule is StepRule.ANALYTIC else None)
 
 
 def analytic_step_size(m: int, d_eff: float, rho_max: float) -> float:
@@ -205,7 +222,9 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, config: SsnConfig,
              seed: int) -> tuple[np.ndarray, dict]:
     """One sketched Newton step with a fresh sketch of the current Hessian.
 
-    ``obj`` is ``objective_eval(p, beta)``.
+    ``obj`` is ``objective_eval(p, beta)``.  Returns the next iterate and
+    the diagnostics ``step_size``, ``d_eff`` and ``rho_max``; ``rho_max``
+    is None unless the step rule is analytic, the one rule that reads it.
     """
     At, d_eff, rho_max = _ssn_sketch(p, obj.hessian_sqrt, config, seed)
     mu = (analytic_step_size(config.m, d_eff, rho_max)

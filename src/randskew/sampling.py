@@ -7,7 +7,8 @@ scales so that the m-by-n sampling matrix is never materialized.
 
 Every plan :func:`build_plan` returns, the Hadamard plan included, answers
 one protocol: ``kind``, ``d_eff``, ``scores`` (sampling scores or None),
-``exact`` (exact leverage scores when the plan computed them, else None),
+``exact`` (exact leverage scores when the plan computed them, else None;
+always None for the Hadamard plan, which takes d_eff from the d x d Gram),
 ``sketch(A, m, spec, seed)``, its batched form ``sketch_many(A, m, spec,
 seeds)``, ``rho_max(A, C, exact, draw)`` and ``row_weights(scores, m)``.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from . import rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import cholesky, gram
+from .linalg import cholesky, gram, solve_spd
 from scipy.linalg import solve_triangular
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
@@ -194,7 +195,8 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
     ``d_eff`` is always the exact effective dimension of A given C except
     for the approximate-leverage kinds, where it is the sum of the
     approximate scores actually used for sampling.  ``PlanKind.SRHT``
-    returns a :class:`~randskew.hadamard.SrhtPlan`.
+    returns a :class:`~randskew.hadamard.SrhtPlan`, whose ``d_eff`` is
+    trace((G + C)^-1 G) from the d x d Gram G, with no n-row scores.
     """
     A = np.asarray(A, dtype=np.float64)
     n, d = A.shape
@@ -214,6 +216,10 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
         if total <= 0:
             raise AllZeroRows("approximate leverage scores are all zero")
         return SamplingPlan(kind, scores / total, float(total), scores=scores)
+    if kind is PlanKind.SRHT:
+        from .hadamard import SrhtPlan  # hadamard imports this module
+        G = gram(A)
+        return SrhtPlan(float(np.trace(solve_spd(G + C, G))))
     if kind is PlanKind.ROW_NORM:
         sq = np.einsum("ij,ij->i", A, A)
         total = sq.sum()
@@ -224,9 +230,6 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
 
     exact = exact_leverage_scores(A, C)
     d_eff = effective_dimension(exact)
-    if kind is PlanKind.SRHT:
-        from .hadamard import SrhtPlan  # hadamard imports this module
-        return SrhtPlan(d_eff, exact)
     if kind is PlanKind.UNIFORM:
         return SamplingPlan(kind, np.full(n, 1.0 / n), d_eff, exact=exact)
     if kind is PlanKind.ROW_NORM:

@@ -12,7 +12,8 @@ from randskew.errors import NotPowerOfTwo
 from randskew.hadamard import (SrhtDraw, fwht_inplace, next_power_of_two,
                                rotated_leverage_scores, srht_apply, srht_draw)
 from randskew.linalg import gram, inv_sqrt
-from randskew.sampling import PlanKind, SketchDraw, build_plan
+from randskew.sampling import (PlanKind, SketchDraw, build_plan,
+                               exact_leverage_scores)
 
 # frozen from a one-off 50-draw calibration at n=2^10, d=2^4
 # (worst observed constant 3.21)
@@ -247,9 +248,10 @@ class TestSrhtPlan:
     def test_rho_max_matches_rotating_the_whitened_factor(self, seed):
         plan, _, (_, drawn) = self._sketch(seed)
         ref = rotated_scores_of_whitened_factor(self.A, self.C, drawn.signs)
-        rho = plan.rho_max(self.A, self.C, plan.exact, drawn)
+        rho = plan.rho_max(self.A, self.C, None, drawn)
+        d_eff = exact_leverage_scores(self.A, self.C).sum()
         assert rho == pytest.approx(
-            ref.max() * drawn.n_padded / plan.exact.sum(), rel=1e-12, abs=0)
+            ref.max() * drawn.n_padded / d_eff, rel=1e-12, abs=0)
         assert_allclose(
             rotated_leverage_scores(self.A, self.C, drawn.signs), ref,
             rtol=1e-12)

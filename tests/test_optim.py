@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randskew import rng as rsrng
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
@@ -10,6 +14,7 @@ from randskew.linalg import gram
 from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
                             ProblemKind, SgdMethod, SparseProjMethod,
                             SsnConfig, SsnMethod, StepRule, objective_eval,
+                            objective_value,
                             reference_point, reference_solution, run_solver,
                             sparse_rademacher_sketch, ssn_step,
                             analytic_step_size)
@@ -57,6 +62,42 @@ class TestObjectiveEval:
         assert np.isfinite(obj.value)
         assert np.all(np.isfinite(obj.gradient))
         assert np.all(np.isfinite(obj.hessian_sqrt))
+
+    def test_margins_below_minus_709_raise_no_overflow_warning(self):
+        p = GlmProblem(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), 0.1,
+                       ProblemKind.LOGISTIC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            obj = objective_eval(p, np.array([800.0]))  # margins 800, -1600
+        assert np.isfinite(obj.value)
+        assert np.all(np.isfinite(obj.gradient))
+        assert np.all(np.isfinite(obj.hessian_sqrt))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(ProblemKind)), st.integers(1, 6),
+           st.integers(0, 2**31), st.sampled_from([1e-3, 1.0, 100.0, 1e3]))
+    def test_value_is_the_eval_value_bitwise(self, kind, d, seed, scale):
+        # Armijo accepts a step by objective_value: the same bits as the
+        # value the solver reads from objective_eval
+        gen = np.random.default_rng(seed)
+        A = gen.standard_normal((16, d))
+        y = (gen.choice([-1.0, 1.0], 16) if kind is ProblemKind.LOGISTIC
+             else gen.standard_normal(16))
+        p = GlmProblem(A, y, 0.1, kind)
+        beta = scale * gen.standard_normal(d)
+        assert objective_value(p, beta) == objective_eval(p, beta).value
+
+    @settings(max_examples=60, deadline=None)
+    @example([60.0, -800.0, 0.0])
+    @given(st.lists(st.floats(-2000.0, 2000.0), min_size=1, max_size=8))
+    def test_value_is_bitwise_at_extreme_margins(self, margins):
+        # one column of margins and beta = 1, so z = y * (A beta) = margins
+        p = GlmProblem(np.array(margins)[:, None], np.ones(len(margins)),
+                       0.1, ProblemKind.LOGISTIC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = objective_eval(p, np.ones(1)).value
+        assert objective_value(p, np.ones(1)) == value
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
