@@ -23,7 +23,8 @@ from .linalg import (accepted_inverses, gram, psd_relative_error,
 from .sampling import exact_leverage_scores
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
-# floats in one sub-block's m x d sketches; bounds every stacked temporary
+# floats in one sub-block's m x d sketches; a group's stacked inverses
+# take at most JACKKNIFE_BATCH d x d more
 SUBBLOCK_FLOATS = 2 ** 15
 
 
@@ -38,44 +39,16 @@ class BiasEstimate:
     eps_two_sided: float  # smallest two-sided PSD sandwich factor minus one
 
 
-class _PairwiseSum:
-    """Deterministic pairwise tree reduction over a stream of matrices.
-
-    The reduction tree depends only on the number of pushed items, so
-    serial accumulation and any parallel schedule that merges in index
-    order agree bitwise.
-    """
-
-    def __init__(self):
-        self._stack: list[tuple[int, np.ndarray]] = []
-
-    def push(self, value: np.ndarray) -> None:
-        level = 0
-        while self._stack and self._stack[-1][0] == level:
-            _, prev = self._stack.pop()
-            value = prev + value
-            level += 1
-        self._stack.append((level, value))
-
-    def total(self) -> np.ndarray:
-        if not self._stack:
-            raise ValueError("empty reduction")
-        acc = None
-        for _, value in self._stack:
-            acc = value if acc is None else value + acc
-        return acc
-
-
 def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
                   m: int, trials: int, seed: int) -> BiasEstimate:
     """Monte-Carlo inversion-bias estimate for one configuration.
 
     ``plan`` is any plan :func:`~randskew.sampling.build_plan` returns.
     Deterministic given ``seed``; per-trial streams are split by trial
-    index and reduced pairwise in index order.  Trials are sketched and
-    inverted in stacks of at most ``SUBBLOCK_FLOATS`` sketched entries,
-    cut inside the jackknife groups; where they are cut does not change
-    the result.
+    index.  Trials are sketched and inverted in stacks of at most
+    ``SUBBLOCK_FLOATS`` sketched entries, cut inside the jackknife groups;
+    each group's kept inverses are summed once, in trial order, so where
+    a group's sub-blocks are cut does not change the result.
     """
     if m < 1 or trials < 2:
         raise ValueError("need m >= 1 and trials >= 2")
@@ -85,16 +58,14 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     H_inv = spd_inverse(H)
     H_half = sqrt_psd(H)
 
-    total = _PairwiseSum()
-    batch_sums: list[np.ndarray] = []
-    batch_kept: list[int] = []
+    group_sums: list[np.ndarray] = []
+    group_kept: list[int] = []
     discarded = 0
     step = max(1, SUBBLOCK_FLOATS // (m * d))
 
     for start in range(0, trials, JACKKNIFE_BATCH):
         stop = min(start + JACKKNIFE_BATCH, trials)
-        batch = _PairwiseSum()
-        kept_in_batch = 0
+        kept_Qs = []
         for lo in range(start, stop, step):
             trials_here = range(lo, min(lo + step, stop))
             At = plan.sketch_many(A, m, debias,
@@ -102,19 +73,16 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
             G = At.transpose(0, 2, 1) @ At
             Qs, ok = accepted_inverses((G + G.transpose(0, 2, 1)) / 2.0 + C)
             discarded += int(np.count_nonzero(~ok))
-            for Q in Qs:
-                total.push(Q)
-                batch.push(Q)
-            kept_in_batch += len(Qs)
-        batch_sums.append(batch.total() if kept_in_batch
-                          else np.zeros((d, d)))
-        batch_kept.append(kept_in_batch)
+            kept_Qs.append(Qs)
+        Qs = np.concatenate(kept_Qs)
+        group_sums.append(Qs.sum(axis=0))
+        group_kept.append(len(Qs))
 
     kept = trials - discarded
     if kept == 0:
         raise AllTrialsSingular(
             f"all {trials} trials produced singular sketched Grams")
-    grand = total.total()
+    grand = sum(group_sums)
     mean = grand / kept
 
     def weighted_bias(S, k):
@@ -124,7 +92,7 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     bias = weighted_bias(grand, kept)
 
     thetas = []
-    for bs, bk in zip(batch_sums, batch_kept):
+    for bs, bk in zip(group_sums, group_kept):
         rest = kept - bk
         if rest > 0:
             thetas.append(weighted_bias(grand - bs, rest))

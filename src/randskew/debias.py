@@ -46,12 +46,6 @@ class DebiasSpec:
     def scalar(m: int, d_eff: float) -> "DebiasSpec":
         return DebiasSpec(DebiasMode.SCALAR, factor=scalar_factor(m, d_eff))
 
-    @staticmethod
-    def fine_grained(plan: SamplingPlan, scores: np.ndarray,
-                     m: int) -> "DebiasSpec":
-        return DebiasSpec(DebiasMode.FINE_GRAINED_EXACT,
-                          row_weights=fine_grained_weights(plan, scores, m))
-
 
 def scalar_factor(m: int, d_eff: float) -> float:
     """m / (m - d_eff); requires m > d_eff."""

@@ -304,16 +304,12 @@ class SsnMethod:
 class SparseProjMethod:
     m: int
     nnz_per_row: int = 4
-    step_rule: StepRule = StepRule.ARMIJO
-    fixed_step: float = 1.0
 
     def update(self, p, beta, obj, seed, t):
         At = sparse_rademacher_sketch(obj.hessian_sqrt, self.m,
                                       self.nnz_per_row,
                                       rsrng.split(seed, 5, t))
-        return _newton_update(p, beta, obj, At,
-                              self.step_rule is StepRule.ARMIJO,
-                              self.fixed_step)
+        return _newton_update(p, beta, obj, At, True, 1.0)
 
 
 def run_solver(p: GlmProblem, method, beta0, iters: int,

@@ -15,7 +15,7 @@ from randskew.biaslab import bias_sweep, estimate_bias, gaussian_sketch
 from randskew.cli import main as cli_main
 from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, fine_grained_weights,
-                             solve_fixed_point_d)
+                             make_debias_spec, solve_fixed_point_d)
 from randskew.hadamard import fwht_inplace
 from randskew.linalg import (gram, inv_sqrt, psd_relative_error,
                              spd_inverse)
@@ -201,7 +201,9 @@ def test_criterion_07_scalar_fine_grained_coincidence():
     sk = draw(plan, m, seed=77)
     from randskew.debias import apply_debias
     a = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
-    b = apply_debias(sk, DebiasSpec.fine_grained(plan, plan.scores, m))
+    fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m,
+                                 plan.d_eff, plan.scores)
+    b = apply_debias(sk, fine_spec)
     assert np.array_equal(a.weights, b.weights)
     report("criterion 7", "weights bitwise identical")
 

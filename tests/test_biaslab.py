@@ -155,6 +155,7 @@ def _per_trial_estimate(A, C, plan, spec, m, trials, seed):
     (PlanKind.EXACT_LEVERAGE, 0.0, 8),
     (PlanKind.EXACT_LEVERAGE, 0.0, 16),
     (PlanKind.EXACT_LEVERAGE, 1e-2, 8),
+    (PlanKind.EXACT_LEVERAGE, 0.0, 5),
     (PlanKind.SRHT, 0.0, 6),
     (PlanKind.SRHT, 1e-2, 16)])
 def test_stacked_trials_match_the_per_trial_oracle(kind, lam, m):
@@ -167,6 +168,11 @@ def test_stacked_trials_match_the_per_trial_oracle(kind, lam, m):
     if lam == 0.0 and kind is PlanKind.EXACT_LEVERAGE:
         # a sub-block (here a whole group) mixes singular and kept trials
         assert any(0 < k < JACKKNIFE_BATCH for k in want["group_discards"])
+    if m == 5:
+        # a whole group (here the 5-trial tail) discards every trial
+        sizes = [min(JACKKNIFE_BATCH, trials - lo)
+                 for lo in range(0, trials, JACKKNIFE_BATCH)]
+        assert any(k == n for k, n in zip(want["group_discards"], sizes))
     assert est.discarded == want["discarded"]
     for key in ("bias", "stderr_proxy", "eps_two_sided"):
         assert getattr(est, key) == pytest.approx(want[key], rel=1e-10), key

@@ -108,7 +108,9 @@ class TestApplyDebias:
         m = 8 * D
         sk = draw(plan, m, seed=13)
         scalar = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
-        fine = apply_debias(sk, DebiasSpec.fine_grained(plan, plan.scores, m))
+        fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m,
+                                     plan.d_eff, plan.scores)
+        fine = apply_debias(sk, fine_spec)
         assert np.array_equal(scalar.weights, fine.weights)
 
 
