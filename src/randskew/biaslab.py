@@ -20,6 +20,7 @@ from .debias import DebiasMode, DebiasSpec, make_debias_spec
 from .errors import AllTrialsSingular
 from .linalg import (accepted_inverses, gram, psd_relative_error,
                      spd_inverse, spectral_norm, sqrt_psd)
+from .parallel import pmap
 from .sampling import exact_leverage_scores
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
@@ -133,19 +134,25 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
 
     ``plan_specs`` is a list of (name, plan) pairs; seeds are
     stream-split per cell so cells are independent of each other.  Scalar
-    debiasing uses the plan's d_eff.
+    debiasing uses the plan's d_eff.  Cells run through
+    :func:`~randskew.parallel.pmap`, so the rows do not depend on its
+    worker count.
     """
     m_grid = list(m_grid)
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be nonempty and ascending")
     exact = exact_leverage_scores(A, C)
-    rows = []
-    for pi, (name, plan) in enumerate(plan_specs):
-        for di, mode in enumerate(debias_modes):
-            for mi, m in enumerate(m_grid):
-                spec = make_debias_spec(mode, plan, m, plan.d_eff, exact)
-                est = estimate_bias(A, C, plan, spec, m, trials,
-                                    rsrng.split(seed, pi, di, mi))
-                rows.append(BiasSweepRow(scheme=name, debias=mode,
-                                         estimate=est))
-    return rows
+
+    cells = [(pi, di, mi, name, plan, mode, m)
+             for pi, (name, plan) in enumerate(plan_specs)
+             for di, mode in enumerate(debias_modes)
+             for mi, m in enumerate(m_grid)]
+
+    def run_cell(cell) -> BiasSweepRow:
+        pi, di, mi, name, plan, mode, m = cell
+        spec = make_debias_spec(mode, plan, m, plan.d_eff, exact)
+        est = estimate_bias(A, C, plan, spec, m, trials,
+                            rsrng.split(seed, pi, di, mi))
+        return BiasSweepRow(scheme=name, debias=mode, estimate=est)
+
+    return pmap(run_cell, cells)

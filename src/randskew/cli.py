@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng as rsrng
+from . import parallel, rng as rsrng
 from .biaslab import bias_sweep
 from .data import (DataSource, SyntheticKind, SyntheticSpec, load_data)
 from .debias import DebiasMode
@@ -277,20 +277,27 @@ def cmd_sweep(cfg: Config, seed: int, standardize: bool):
 
     reference = reference_point(p, reference_solution(p)[0])
 
+    methods = [_build_method(Config({**cfg.values, "m": str(m)}))
+               for m in m_grid]
+
+    def run(job):
+        method, run_seed = job
+        return run_solver(p, method, np.zeros(p.dim), iters,
+                          reference=reference, seed=run_seed)
+
+    traces = parallel.pmap(run, [(method, rsrng.split(seed, m, r))
+                                 for m, (_, method) in zip(m_grid, methods)
+                                 for r in range(replicates)])
+
     header = ["method", "m", "final_rel_error", "total_wall_ns"]
     rows = []
-    for m in m_grid:
-        method_name, method = _build_method(
-            Config({**cfg.values, "m": str(m)}))
-        traces = [run_solver(p, method, np.zeros(p.dim), iters,
-                             reference=reference,
-                             seed=rsrng.split(seed, m, r))
-                  for r in range(replicates)]
+    for i, (m, (method_name, _)) in enumerate(zip(m_grid, methods)):
+        traces_m = traces[i * replicates:(i + 1) * replicates]
         wall = statistics.median(sum(rec.wall_ns for rec in t.records)
-                                 for t in traces)
+                                 for t in traces_m)
         rows.append([method_name, m,
                      statistics.median(t.records[-1].rel_error_H
-                                       for t in traces),
+                                       for t in traces_m),
                      0 if zero_timing else int(wall)])
     return header, rows, {}
 
@@ -366,12 +373,17 @@ def main(argv: list[str] | None = None) -> int:
     OpenBLAS pools to one thread for the rest of the process and does not
     restore them: the commands make many small dense calls, for which
     waking a second BLAS thread costs more than it saves, and outputs do
-    not depend on the thread count.
+    not depend on the thread count.  It then lets
+    :func:`~randskew.parallel.pmap` fork one worker per CPU the process
+    may run on, so ``bias`` cells and ``sweep`` runs use the cores; outputs
+    do not depend on the worker count either.
     """
     args = build_parser().parse_intermixed_args(argv)
     if not any(os.environ.get(var) for var in _THREAD_VARS):
         for *_, set_threads in _openblas_pools():
             set_threads(1)
+        if hasattr(os, "sched_getaffinity"):
+            parallel.workers = len(os.sched_getaffinity(0))
     try:
         try:
             values = parse_config_file(args.config)
