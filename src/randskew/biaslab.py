@@ -24,9 +24,11 @@ from .parallel import pmap
 from .sampling import exact_leverage_scores
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
-# floats in one sub-block's m x d sketches; a group's stacked inverses
-# take at most JACKKNIFE_BATCH d x d more
-SUBBLOCK_FLOATS = 2 ** 15
+# floats in one sub-block's m x d sketches: 2 MiB, one core's L2 on the
+# Xeon it was tuned on (64, 32 and 16 trials per call at m = 128, 256 and
+# 512 with d = 32); a group's stacked inverses take at most
+# JACKKNIFE_BATCH d x d more
+SUBBLOCK_FLOATS = 2 ** 18
 
 
 @dataclass(frozen=True)

@@ -94,12 +94,15 @@ def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`cholesky` accepts.
 
     Returns ``(Q, ok)``: ``ok[t]`` says whether ``cholesky`` accepts
-    ``M[t]``, and ``Q`` stacks ``L^-T L^-1`` (symmetrized) for those, in
-    order.  One stacked Cholesky covers the stack, and ``cholesky``'s pivot
-    rule is applied to each factor.  If the stacked factorization fails
-    anywhere, ``cholesky`` judges each matrix on its own and the accepted
-    ones are factored again as one stack, so every factor comes from the
-    same routine wherever the stack is cut.
+    ``M[t]``, and ``Q`` stacks ``Y^T Y`` (symmetrized) for those, in
+    order, where ``Y = L^-1`` comes from LAPACK's triangular inverse
+    ``trtri``.  One stacked Cholesky covers the stack, and ``cholesky``'s
+    pivot rule is applied to each factor.  If the stacked factorization
+    fails anywhere, ``cholesky`` judges each matrix on its own and the
+    accepted ones are factored again as one stack, so every factor comes
+    from the same routine wherever the stack is cut; ``trtri`` inverts
+    each factor on its own.  A nonzero ``trtri`` status raises
+    :class:`NotPositiveDefinite`.
     """
     try:
         L = np.linalg.cholesky(M)
@@ -115,7 +118,13 @@ def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
         ok = np.all(pivots > _pivot_threshold(M)[:, None], axis=1)
         L = L[ok]
-    Y = np.linalg.inv(L)
+    Y = np.empty_like(L)
+    for t, Lt in enumerate(L):
+        Y[t], info = lapack.dtrtri(Lt, lower=1)
+        if info:
+            raise NotPositiveDefinite(
+                f"trtri failed on accepted factor {t} (info={info})",
+                pivot_index=info - 1 if info > 0 else None)
     Q = Y.transpose(0, 2, 1) @ Y
     return (Q + Q.transpose(0, 2, 1)) / 2.0, ok
 

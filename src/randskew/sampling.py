@@ -300,12 +300,15 @@ def draw_many(plan: SamplingPlan, m: int,
 def _gather(A: np.ndarray, indices: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
     """Row s of the result is weights[s] * A[indices[s]], for index arrays
-    of any shape."""
+    of any shape.  The result is a new array."""
     A = np.asarray(A, dtype=np.float64)
-    if indices.size and int(indices.max()) >= A.shape[0]:
+    if indices.size and (indices.min() < 0 or indices.max() >= A.shape[0]):
         raise IndexOutOfRange(
-            f"sketch index {int(indices.max())} >= rows(A)={A.shape[0]}")
-    return A[indices] * weights[..., None]
+            f"sketch indices span [{indices.min()}, {indices.max()}], "
+            f"outside [0, rows(A)={A.shape[0]})")
+    out = A.take(indices, axis=0)
+    out *= weights[..., None]
+    return out
 
 
 def apply_sketch(sketch: SketchDraw, A: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randskew import linalg
 from randskew.errors import NotPositiveDefinite
 from randskew.linalg import (accepted_inverses, cholesky, gram, inv_sqrt,
                              psd_relative_error, solve_spd, spd_inverse,
@@ -74,16 +75,17 @@ class TestCholesky:
 
 
 class TestAcceptedInverses:
-    def _check(self, M):
-        def accepts(Mt):
-            try:
-                cholesky(Mt)
-            except NotPositiveDefinite:
-                return False
-            return True
+    @staticmethod
+    def _accepts(Mt):
+        try:
+            cholesky(Mt)
+        except NotPositiveDefinite:
+            return False
+        return True
 
+    def _check(self, M):
         Q, ok = accepted_inverses(M)
-        np.testing.assert_array_equal(ok, [accepts(Mt) for Mt in M])
+        np.testing.assert_array_equal(ok, [self._accepts(Mt) for Mt in M])
         assert Q.shape == (int(ok.sum()),) + M.shape[1:]
         for Qt, Mt in zip(Q, M[ok]):
             assert np.array_equal(Qt, Qt.T)
@@ -122,6 +124,36 @@ class TestAcceptedInverses:
     def test_nothing_accepted(self):
         Q, ok = accepted_inverses(np.zeros((2, 3, 3)))
         assert Q.shape == (0, 3, 3) and not ok.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=32),
+           st.lists(st.one_of(st.floats(min_value=0.0, max_value=10.0),
+                              st.sampled_from(["zero", "negated"])),
+                    min_size=1, max_size=6),
+           st.integers(min_value=0, max_value=2**31))
+    def test_matches_spd_inverse_within_conditioning(self, d, members, seed):
+        # SPD members have condition number 10**member; "zero" and
+        # "negated" members are rejected by every pivot test
+        rng = np.random.default_rng(seed)
+        M = np.stack([random_spd(d, rng, cond=10.0 ** m)
+                      if isinstance(m, float)
+                      else (0.0 if m == "zero" else -1.0) * random_spd(d, rng)
+                      for m in members])
+        Q, ok = accepted_inverses(M)
+        assert list(ok) == [self._accepts(Mt) for Mt in M]
+        assert list(ok) == [isinstance(m, float) for m in members]
+        for Qt, Mt in zip(Q, M[ok]):
+            assert np.array_equal(Qt, Qt.T)
+            want = spd_inverse(Mt)
+            rel = np.linalg.norm(Qt - want) / np.linalg.norm(want)
+            assert rel <= 8.0 * np.linalg.cond(Mt) * np.finfo(float).eps
+
+    def test_failed_triangular_inverse_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg.lapack, "dtrtri",
+                            lambda c, lower: (c, 2))
+        with pytest.raises(NotPositiveDefinite) as err:
+            accepted_inverses(np.eye(3)[None])
+        assert err.value.pivot_index == 1
 
 
 class TestSolveSpd:

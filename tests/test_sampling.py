@@ -310,6 +310,31 @@ class TestApplySketch:
         with pytest.raises(IndexOutOfRange):
             apply_sketch(sk, np.eye(3))
 
+    @pytest.mark.parametrize("index", [-1, 3], ids=["below", "above"])
+    def test_index_just_outside_either_bound(self, index):
+        # -1 must not wrap around to the last row of A
+        sk = SketchDraw(m=1, indices=[index], weights=[1.0])
+        with pytest.raises(IndexOutOfRange):
+            apply_sketch(sk, np.eye(3))
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_first_and_last_rows_are_in_range(self, index):
+        sk = SketchDraw(m=1, indices=[index], weights=[1.0])
+        np.testing.assert_array_equal(apply_sketch(sk, np.eye(3)),
+                                      np.eye(3)[[index]])
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (5, 7)],
+                             ids=["empty", "m", "T-by-m"])
+    def test_gather_matches_fancy_indexing_bitwise(self, shape):
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((40, 3))
+        indices = rng.integers(0, 40, size=shape)
+        weights = rng.uniform(0.1, 3.0, size=shape)
+        got = sampling._gather(A, indices, weights)
+        np.testing.assert_array_equal(got, A[indices] * weights[..., None])
+        assert got.shape == shape + (3,)
+        assert not np.shares_memory(got, A)
+
 
 def test_sketch_gram_unbiasedness():
     # mean of sketched Grams over 2000 draws approaches A^T A entrywise
