@@ -18,7 +18,7 @@ from .debias import (DebiasMode, DebiasSpec, FixedPointD, apply_debias,
                      fine_grained_weights, scalar_factor,
                      solve_fixed_point_d)
 from .biaslab import (BiasEstimate, BiasSweepRow, bias_sweep, estimate_bias,
-                      gaussian_sketch, make_debias_spec)
+                      make_debias_spec)
 from .data import (DataSource, SyntheticKind, SyntheticSpec,
                    counterexample_matrix, load_data)
 from .optim import (GdMethod, GlmProblem, NewtonExactMethod, ProblemKind,

@@ -147,11 +147,16 @@ def _data_source(cfg: Config, seed: int) -> DataSource:
                       libsvm_dim=cfg.get("libsvm_dim", 0, int) or None)
 
 
+def _plan_options(cfg: Config) -> dict:
+    """The plan keys ``build_plan`` and ``SsnConfig`` share; an ``m1`` or
+    ``m2`` of 0 means unset."""
+    return {"mix": cfg.get("mix", 0.5, float),
+            "m1": cfg.get("m1", 0, int) or None,
+            "m2": cfg.get("m2", 0, int) or None}
+
+
 def _make_plan(kind: PlanKind, A, C, cfg: Config, seed: int):
-    return build_plan(kind, A, C,
-                      mix=cfg.get("mix", 0.5, float),
-                      m1=cfg.get("m1", 0, int) or None,
-                      m2=cfg.get("m2", 0, int) or None,
+    return build_plan(kind, A, C, **_plan_options(cfg),
                       seed=rsrng.split(seed, 101))
 
 
@@ -165,11 +170,7 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
     approx_kind = cfg.get("approx", None, _APPROX_NAMES.__getitem__)
     if approx_kind is not None:
         header.append("score_approx")
-        # unlike for the plans below, m1 = 0 here is a width, not unset
-        columns.append(build_plan(approx_kind, A, C,
-                                  m1=cfg.get("m1", None, int),
-                                  m2=cfg.get("m2", 0, int) or None,
-                                  seed=rsrng.split(seed, 101)).scores)
+        columns.append(_make_plan(approx_kind, A, C, cfg, seed).scores)
     rows = [[i, *(float(col[i]) for col in columns)]
             for i in range(len(exact))]
 
@@ -230,9 +231,7 @@ def _build_method(cfg: Config):
             step_rule=cfg.get("step", StepRule.ARMIJO, StepRule),
             m=cfg.get("m", parse=int),
             fixed_step=cfg.get("fixed_step", 1.0, float),
-            mix=cfg.get("mix", 0.5, float),
-            m1=cfg.get("m1", 0, int) or None,
-            m2=cfg.get("m2", 0, int) or None,
+            **_plan_options(cfg),
         ))
     raise ConfigError(f"unknown method '{name}'")
 
@@ -273,6 +272,9 @@ def cmd_sweep(cfg: Config, seed: int, standardize: bool):
     m_grid = cfg.get("m_grid", parse=_m_grid)
     iters = cfg.get("iters", 5, int)
     replicates = cfg.get("replicates", 5, int)
+    if replicates < 1:
+        raise ConfigError(f"sweep replicates must be at least 1, "
+                          f"got {replicates}")
     zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
 
     reference = reference_point(p, reference_solution(p)[0])

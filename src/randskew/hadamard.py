@@ -8,7 +8,7 @@ perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -88,7 +88,6 @@ class SrhtDraw:
     sample: SketchDraw     # uniform draw over the padded rows
     n_original: int
     n_padded: int
-    rotated: np.ndarray | None = None  # H D A / sqrt(n) of the A sketched
 
 
 def srht_draw(n: int, m: int, seed: int) -> SrhtDraw:
@@ -159,15 +158,13 @@ class SrhtPlan:
 
     def sketch(self, A: np.ndarray, m: int, spec: DebiasSpec, seed: int):
         """Draw signs and m rows, debias them by ``spec`` and apply them
-        to A; returns the m x d sketched matrix and the debiased draw,
-        which keeps the rotation of A for ``rho_max``."""
+        to A; returns the m x d sketched matrix and the rotation
+        H D A / sqrt(n) it sampled, for ``rho_max``."""
         if spec.row_weights is not None:
             raise ValueError(SRHT_SCALAR_ONLY)
         sd = srht_draw(A.shape[0], m, seed)
         rotated = _rotate(sd.signs, A)
-        sd = replace(sd, sample=apply_debias(sd.sample, spec),
-                     rotated=rotated)
-        return apply_sketch(sd.sample, rotated), sd
+        return apply_sketch(apply_debias(sd.sample, spec), rotated), rotated
 
     def sketch_many(self, A: np.ndarray, m: int, spec: DebiasSpec,
                     seeds) -> np.ndarray:
@@ -177,14 +174,11 @@ class SrhtPlan:
         return np.stack([self.sketch(A, m, spec, s)[0] for s in seeds])
 
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact,
-                drawn: SrhtDraw) -> float:
-        """rho_max of uniform sampling from the rotation ``drawn`` used,
-        from the rotation of A that ``sketch`` kept on it; ``exact`` is
-        unread."""
-        if drawn.rotated is None:
-            raise ValueError("rho_max needs the draw returned by sketch")
-        rot = _scores_of_rotation(drawn.rotated, A, C)
-        return float(rot.max() * drawn.n_padded / self.d_eff)
+                rotated: np.ndarray) -> float:
+        """rho_max of uniform sampling from ``rotated``, the rotation of A
+        that ``sketch`` returned; ``exact`` is unread."""
+        rot = _scores_of_rotation(rotated, A, C)
+        return float(rot.max() * rotated.shape[0] / self.d_eff)
 
     def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:
         raise ValueError(SRHT_SCALAR_ONLY)

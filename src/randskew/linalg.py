@@ -14,7 +14,6 @@ from .errors import NotPositiveDefinite
 # Numerical PSD tolerances.  Chosen so that ridge-regularized Hessians
 # with lambda >= 1e-6 always pass.
 SYMMETRY_RTOL = 1e-12
-PSD_EIG_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
 
 

@@ -209,8 +209,8 @@ def _ssn_sketch(p: GlmProblem, hs: np.ndarray, config: SsnConfig,
         exact = exact_leverage_scores(hs, C)
     d_eff = plan.d_eff if exact is None else float(exact.sum())
     spec = make_debias_spec(config.debias, plan, config.m, d_eff, exact)
-    At, drawn = plan.sketch(hs, config.m, spec, rsrng.split(seed, 2))
-    return At, d_eff, (plan.rho_max(hs, C, exact, drawn)
+    At, rotated = plan.sketch(hs, config.m, spec, rsrng.split(seed, 2))
+    return At, d_eff, (plan.rho_max(hs, C, exact, rotated)
                        if config.step_rule is StepRule.ANALYTIC else None)
 
 

@@ -10,7 +10,10 @@ one protocol: ``kind``, ``d_eff``, ``scores`` (sampling scores or None),
 ``exact`` (exact leverage scores when the plan computed them, else None;
 always None for the Hadamard plan, which takes d_eff from the d x d Gram),
 ``sketch(A, m, spec, seed)``, its batched form ``sketch_many(A, m, spec,
-seeds)``, ``rho_max(A, C, exact, draw)`` and ``row_weights(scores, m)``.
+seeds)``, ``rho_max(A, C, exact, rotated)`` and ``row_weights(scores, m)``.
+``sketch`` returns the m x d sketched matrix and what ``rho_max`` reads of
+it as ``rotated``: None for a sampling plan, whose rho_max depends on the
+plan alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
 """
 
 from __future__ import annotations
@@ -66,21 +69,20 @@ class SamplingPlan:
     def sketch(self, A: np.ndarray, m: int, spec, seed: int):
         """Draw m rows, debias them by ``spec`` and apply them to A.
 
-        Returns the m x d sketched matrix and the debiased draw.
+        Returns the m x d sketched matrix and None: ``rho_max`` reads
+        nothing of the draw.
         """
-        from .debias import apply_debias  # debias imports this module
-        sk = apply_debias(draw(self, m, seed), spec)
-        return apply_sketch(sk, A), sk
+        return self.sketch_many(A, m, spec, [seed])[0], None
 
     def sketch_many(self, A: np.ndarray, m: int, spec, seeds) -> np.ndarray:
-        """The T x m x d stack of ``sketch(A, m, spec, s)[0]`` over the T
-        ``seeds``, bitwise, without a SketchDraw per trial."""
-        from .debias import debiased_weights
+        """The T x m x d stack of sketches, one per seed; each is
+        ``apply_sketch(apply_debias(draw(self, m, s), spec), A)`` bitwise."""
+        from .debias import debiased_weights  # debias imports this module
         indices, weights = draw_many(self, m, seeds)
         return _gather(A, indices, debiased_weights(spec, indices, weights))
 
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
-                drawn: SketchDraw) -> float:
+                rotated: None) -> float:
         return approximation_factors(self, exact).rho_max
 
     def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from randskew import rng as rsrng
-from randskew.biaslab import bias_sweep, estimate_bias, gaussian_sketch
+from randskew.biaslab import bias_sweep, estimate_bias
 from randskew.cli import main as cli_main
 from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, fine_grained_weights,
@@ -24,6 +24,8 @@ from randskew.optim import (GlmProblem, ProblemKind, SsnConfig, SsnMethod,
 from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
                                approximation_factors, build_plan, draw,
                                draw_many, exact_leverage_scores)
+
+from oracles import gaussian_sketch
 
 D = 4
 A_CE = counterexample_matrix(D)

@@ -7,7 +7,7 @@ from scipy.linalg import solve_triangular
 from randskew import biaslab
 from randskew import rng as rsrng
 from randskew.biaslab import (JACKKNIFE_BATCH, bias_sweep, estimate_bias,
-                              gaussian_sketch, make_debias_spec)
+                              make_debias_spec)
 from randskew.data import counterexample_matrix
 from randskew.debias import DebiasMode, DebiasSpec
 from randskew.errors import (AllTrialsSingular, NotPositiveDefinite,
@@ -15,6 +15,8 @@ from randskew.errors import (AllTrialsSingular, NotPositiveDefinite,
 from randskew.linalg import (cholesky, gram, psd_relative_error, spd_inverse,
                              spectral_norm, sqrt_psd)
 from randskew.sampling import PlanKind, SamplingPlan, build_plan
+
+from oracles import gaussian_sketch
 
 D = 4
 A_CE = counterexample_matrix(D)

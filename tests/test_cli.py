@@ -264,10 +264,11 @@ trials = 16
     ("bias", ["plans=approx_leverage", "m1=abc"]),
     ("solve", ["plan=approx_leverage", "m2=1.5"]),
     ("solve", ["data=libsvm", "path=absent.svm", "libsvm_dim=x"]),
-], ids=["m1", "m2", "libsvm_dim"])
+    ("lev", ["approx=sjlt", "m1=abc"]),
+], ids=["m1", "m2", "libsvm_dim", "lev-m1"])
 def test_non_integer_key_is_config_error(tmp_path, command, overrides):
-    cfg = write_cfg(tmp_path, "c.cfg",
-                    BIAS_CFG if command == "bias" else SOLVE_CFG)
+    cfg = write_cfg(tmp_path, "c.cfg", {"bias": BIAS_CFG, "lev": LEV_CFG}.get(
+        command, SOLVE_CFG))
     assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
                     str(tmp_path / "x.csv"), *overrides]) == 4
 
@@ -306,6 +307,20 @@ def test_sgd_batch_below_one_is_config_error(tmp_path, capsys):
     assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
                     str(tmp_path / "x.csv"), "method=sgd", "batch=0"]) == 4
     assert "batch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("replicates", ["0", "-1"])
+def test_sweep_replicates_below_one_is_config_error(tmp_path, capsys,
+                                                    monkeypatch, replicates):
+    from randskew import cli
+    monkeypatch.setattr(cli, "reference_solution", None)  # never reached
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep", "--config", cfg, "--seed", "1", "--out",
+                    str(out), "m_grid=32", f"replicates={replicates}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: sweep replicates must be at least 1")
+    assert not out.exists()
 
 
 def test_diverging_solver_is_numerical_error(tmp_path, capsys):
@@ -372,6 +387,19 @@ def test_lev_double_approx_uses_default_second_width(tmp_path):
                       seed=rsrng.split(6, 101))
     assert columns["double"] != columns["sjlt"]
     assert columns["double"] == plan.scores.tolist()
+
+
+def test_lev_approx_m1_zero_means_the_default_width(tmp_path):
+    # m1 = 0 means unset (8 d) for the approx column, as for every plan
+    cfg = write_cfg(tmp_path, "lev.cfg", LEV_CFG)
+    outputs = []
+    for overrides in ([], ["m1=0"]):
+        out = tmp_path / f"lev{len(overrides)}.csv"
+        assert run_cli(["lev", "--config", cfg, "--seed", "6", "--out",
+                        str(out), "approx=sjlt", *overrides]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0].splitlines()[0] == "index,score_exact,score_approx"
+    assert outputs[1] == outputs[0]
 
 
 def test_sweep_without_method_labels_rows_newton(tmp_path):

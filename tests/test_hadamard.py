@@ -238,26 +238,34 @@ class TestSrhtPlan:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_sketch_equals_srht_apply_of_the_debiased_draw(self, seed):
-        _, spec, (At, drawn) = self._sketch(seed)
+        _, spec, (At, _) = self._sketch(seed)
         sd = srht_draw(self.A.shape[0], self.M, seed)
         sd = replace(sd, sample=apply_debias(sd.sample, spec))
         assert_array_equal(At, srht_apply(sd, self.A))
-        assert_array_equal(drawn.sample.weights, sd.sample.weights)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sketch_returns_the_rotation_it_sampled(self, seed):
+        _, spec, (At, rotated) = self._sketch(seed)
+        sd = srht_draw(self.A.shape[0], self.M, seed)
+        padded = np.zeros((sd.n_padded, self.A.shape[1]))
+        padded[:self.A.shape[0]] = self.A
+        want = (dense_hadamard(sd.n_padded) @ (sd.signs[:, None] * padded)
+                / np.sqrt(sd.n_padded))
+        assert_allclose(rotated, want, rtol=1e-12, atol=1e-14)
+        # the sketch's rows are debiased rows of that rotation
+        weights = sd.sample.weights * np.sqrt(spec.factor)
+        assert_allclose(At, rotated[sd.sample.indices] * weights[:, None],
+                        rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_rho_max_matches_rotating_the_whitened_factor(self, seed):
-        plan, _, (_, drawn) = self._sketch(seed)
-        ref = rotated_scores_of_whitened_factor(self.A, self.C, drawn.signs)
-        rho = plan.rho_max(self.A, self.C, None, drawn)
+        plan, _, (_, rotated) = self._sketch(seed)
+        signs = srht_draw(self.A.shape[0], self.M, seed).signs
+        ref = rotated_scores_of_whitened_factor(self.A, self.C, signs)
+        rho = plan.rho_max(self.A, self.C, None, rotated)
         d_eff = exact_leverage_scores(self.A, self.C).sum()
         assert rho == pytest.approx(
-            ref.max() * drawn.n_padded / d_eff, rel=1e-12, abs=0)
+            ref.max() * signs.shape[0] / d_eff, rel=1e-12, abs=0)
         assert_allclose(
-            rotated_leverage_scores(self.A, self.C, drawn.signs), ref,
+            rotated_leverage_scores(self.A, self.C, signs), ref,
             rtol=1e-12)
-
-    def test_rho_max_refuses_a_draw_without_its_rotation(self):
-        plan, _, (_, drawn) = self._sketch(0)
-        bare = replace(drawn, rotated=None)
-        with pytest.raises(ValueError, match="draw returned by sketch"):
-            plan.rho_max(self.A, self.C, plan.exact, bare)

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randskew import rng as rsrng
 from randskew.biaslab import estimate_bias, make_debias_spec
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
-from randskew.debias import DebiasMode, DebiasSpec
+from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPositiveDefinite
 from randskew.hadamard import fwht_inplace
 from randskew.linalg import gram, inv_sqrt
 from randskew.optim import (GlmProblem, ProblemKind, SsnConfig, StepRule,
                             objective_eval, ssn_step)
-from randskew.sampling import (PlanKind, approximation_factors, build_plan,
-                               exact_leverage_scores)
+from randskew.sampling import (PlanKind, apply_sketch, approximation_factors,
+                               build_plan, draw, exact_leverage_scores)
 
 N, D, M = 64, 4, 32
 A = synthetic_matrix(SyntheticSpec(SyntheticKind.COHERENT, N, D,
@@ -45,6 +46,28 @@ def test_every_plan_kind_runs_the_bias_lab_and_an_ssn_step(kind):
     beta, diagnostics = _one_ssn_step(kind)
     assert np.all(np.isfinite(beta))
     assert 0.0 < diagnostics["step_size"] <= 1.0
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype \
+        and a.tobytes() == b.tobytes()
+
+
+@KINDS
+@pytest.mark.parametrize("mode", [DebiasMode.NONE, DebiasMode.SCALAR],
+                         ids=lambda m: m.value)
+def test_sketch_is_the_one_seed_sketch_many(kind, mode):
+    plan = build_plan(kind, A, C)
+    spec = make_debias_spec(mode, plan, M, plan.d_eff, plan.exact)
+    for seed in (0, 7, rsrng.split(3, 1)):
+        At, rotated = plan.sketch(A, M, spec, seed)
+        assert _same_bits(At, plan.sketch_many(A, M, spec, [seed])[0])
+        if kind is PlanKind.SRHT:
+            continue
+        # the per-draw chain stays an independent reference
+        assert rotated is None
+        assert _same_bits(At, apply_sketch(
+            apply_debias(draw(plan, M, seed), spec), A))
 
 
 def _count_calls(monkeypatch, fn) -> list:
