@@ -22,9 +22,9 @@ from .biaslab import (BiasEstimate, BiasSweepRow, bias_sweep, estimate_bias,
 from .data import (DataSource, SyntheticKind, SyntheticSpec,
                    counterexample_matrix, load_data)
 from .optim import (GdMethod, GlmProblem, NewtonExactMethod, ProblemKind,
-                    RunTrace, SgdMethod, SparseProjMethod, SsnConfig,
+                    ReferencePoint, RunTrace, SgdMethod, SparseProjMethod,
                     SsnMethod, StepRule, objective_eval, objective_value,
-                    reference_solution, run_solver, ssn_step,
-                    analytic_step_size)
+                    reference_point, reference_solution, run_solver,
+                    ssn_step, analytic_step_size)
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -24,9 +25,8 @@ from .data import (DataSource, SyntheticKind, SyntheticSpec, load_data)
 from .debias import DebiasMode
 from .errors import (ConfigError, ParseError, RandskewError)
 from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
-                    SgdMethod, SparseProjMethod, SsnConfig, SsnMethod,
-                    StepRule, reference_point, reference_solution,
-                    run_solver)
+                    SgdMethod, SparseProjMethod, SsnMethod, StepRule,
+                    reference_point, reference_solution, run_solver)
 from .sampling import (PlanKind, approximation_factors, build_plan,
                        exact_leverage_scores)
 
@@ -148,7 +148,7 @@ def _data_source(cfg: Config, seed: int) -> DataSource:
 
 
 def _plan_options(cfg: Config) -> dict:
-    """The plan keys ``build_plan`` and ``SsnConfig`` share; an ``m1`` or
+    """The plan keys ``build_plan`` and ``SsnMethod`` share; an ``m1`` or
     ``m2`` of 0 means unset."""
     return {"mix": cfg.get("mix", 0.5, float),
             "m1": cfg.get("m1", 0, int) or None,
@@ -224,7 +224,7 @@ def _build_method(cfg: Config):
         return name, SparseProjMethod(m=cfg.get("m", parse=int),
                                       nnz_per_row=cfg.get("nnz", 4, int))
     if name == "ssn":
-        return name, SsnMethod(config=SsnConfig(
+        return name, SsnMethod(
             plan_kind=cfg.get("plan", PlanKind.EXACT_LEVERAGE, PlanKind),
             debias=cfg.get("debias", DebiasMode.SCALAR,
                            _DEBIAS_NAMES.__getitem__),
@@ -232,7 +232,7 @@ def _build_method(cfg: Config):
             m=cfg.get("m", parse=int),
             fixed_step=cfg.get("fixed_step", 1.0, float),
             **_plan_options(cfg),
-        ))
+        )
     raise ConfigError(f"unknown method '{name}'")
 
 
@@ -248,10 +248,10 @@ def cmd_solve(cfg: Config, seed: int, standardize: bool):
     iters = cfg.get("iters", 10, int)
     zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
 
-    reference = None
-    ref_grad = None
+    reference = ref_grad = None
     if cfg.get("reference", True, _bool):
-        reference, ref_grad = reference_solution(p)
+        beta_star, ref_grad = reference_solution(p)
+        reference = reference_point(p, beta_star)
 
     trace = run_solver(p, method, np.zeros(p.dim), iters,
                        reference=reference, seed=seed)
@@ -261,7 +261,7 @@ def cmd_solve(cfg: Config, seed: int, standardize: bool):
     return header, rows, {
         "seeds": {"run": seed},
         "beta_star": (None if reference is None
-                      else [float(v) for v in reference]),
+                      else [float(v) for v in reference.beta]),
         "reference_grad_norm": ref_grad,
         "beta_final": [float(v) for v in trace.beta],
     }
@@ -305,14 +305,17 @@ def cmd_sweep(cfg: Config, seed: int, standardize: bool):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_outputs(out: Path, fmt: str, header, rows, sidecar: dict) -> None:
     """The table as CSV or JSON, and the sidecar next to it."""
     if fmt == "json":
-        _write_json(out, [dict(zip(header, row)) for row in rows])
+        # JSON has no NaN or infinity: such cells are null
+        _write_json(out, [{k: None if isinstance(v, float)
+                           and not math.isfinite(v) else v
+                           for k, v in zip(header, row)} for row in rows])
     else:
         out.write_text("".join(",".join(_fmt(v) for v in row) + "\n"
                                for row in [header, *rows]), encoding="utf-8")
@@ -387,11 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(os, "sched_getaffinity"):
             parallel.workers = len(os.sched_getaffinity(0))
     try:
-        try:
-            values = parse_config_file(args.config)
-        except OSError as exc:
-            print(f"IOError: {exc}", file=sys.stderr)
-            return EXIT_IO
+        values = parse_config_file(args.config)
         for override in args.overrides:
             if "=" not in override:
                 raise ConfigError(f"override '{override}' is not key=value")

@@ -89,34 +89,31 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
 
 
 def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of the matrices of a stack of symmetric matrices that
-    :func:`cholesky` accepts.
+    """Inverses of the matrices of a stack of symmetric matrices whose
+    Cholesky factors pass :func:`cholesky`'s pivot rule.
 
-    Returns ``(Q, ok)``: ``ok[t]`` says whether ``cholesky`` accepts
-    ``M[t]``, and ``Q`` stacks ``Y^T Y`` (symmetrized) for those, in
-    order, where ``Y = L^-1`` comes from LAPACK's triangular inverse
-    ``trtri``.  One stacked Cholesky covers the stack, and ``cholesky``'s
-    pivot rule is applied to each factor.  If the stacked factorization
-    fails anywhere, ``cholesky`` judges each matrix on its own and the
-    accepted ones are factored again as one stack, so every factor comes
-    from the same routine wherever the stack is cut; ``trtri`` inverts
-    each factor on its own.  A nonzero ``trtri`` status raises
-    :class:`NotPositiveDefinite`.
+    Returns ``(Q, ok)``: ``ok[t]`` says whether numpy's Cholesky factor of
+    ``M[t]`` passes :func:`cholesky`'s pivot rule, and ``Q`` stacks
+    ``Y^T Y`` (symmetrized) for those, in order, where ``Y = L^-1`` comes
+    from LAPACK's triangular inverse ``trtri``.  One stacked Cholesky
+    covers the stack; if it fails anywhere, each matrix is factored on its
+    own by the same routine, which gives the same factor bitwise, so no
+    verdict or inverse depends on the rest of the stack.  A matrix whose
+    factorization fails is rejected.  ``trtri`` inverts each factor on its
+    own; a nonzero ``trtri`` status raises :class:`NotPositiveDefinite`.
     """
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        ok = np.ones(M.shape[0], dtype=bool)
+        L = np.full_like(M, np.nan)
         for t, Mt in enumerate(M):
             try:
-                cholesky(Mt)
-            except NotPositiveDefinite:
-                ok[t] = False
-        L = np.linalg.cholesky(M[ok])
-    else:
-        pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
-        ok = np.all(pivots > _pivot_threshold(M)[:, None], axis=1)
-        L = L[ok]
+                L[t] = np.linalg.cholesky(Mt)
+            except np.linalg.LinAlgError:
+                pass
+    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
+    ok = np.all(pivots > _pivot_threshold(M)[:, None], axis=1)
+    L = L[ok]
     Y = np.empty_like(L)
     for t, Lt in enumerate(L):
         Y[t], info = lapack.dtrtri(Lt, lower=1)

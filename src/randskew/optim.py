@@ -145,6 +145,11 @@ class ReferencePoint:
     beta: np.ndarray
     hessian: np.ndarray
 
+    def sq_error(self, beta: np.ndarray) -> float:
+        """(beta - beta*)^T H (beta - beta*): squared error in the H-norm."""
+        delta = beta - self.beta
+        return float(delta @ self.hessian @ delta)
+
 
 def reference_point(p: GlmProblem, beta: np.ndarray) -> ReferencePoint:
     """The reference at ``beta``; build it once to share it across runs."""
@@ -153,84 +158,44 @@ def reference_point(p: GlmProblem, beta: np.ndarray) -> ReferencePoint:
     return ReferencePoint(beta, gram(hs) + p.lam * np.eye(p.dim))
 
 
-class _ErrorMeter:
-    """Relative squared error in the Hessian norm at the reference point."""
-
-    def __init__(self, p: GlmProblem,
-                 reference: np.ndarray | ReferencePoint | None,
-                 beta0: np.ndarray):
-        self.reference = None
-        if reference is not None:
-            if not isinstance(reference, ReferencePoint):
-                reference = reference_point(p, reference)
-            self.reference = reference.beta
-            self.H = reference.hessian
-            delta0 = beta0 - self.reference
-            self.base = float(delta0 @ self.H @ delta0)
-
-    def __call__(self, beta: np.ndarray) -> float:
-        if self.reference is None:
-            return float("nan")
-        delta = beta - self.reference
-        err = float(delta @ self.H @ delta)
-        return err / self.base if self.base > 0 else 0.0
-
-
 class StepRule(enum.Enum):
     ANALYTIC = "analytic"
     ARMIJO = "armijo"
     FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class SsnConfig:
-    plan_kind: PlanKind
-    m: int
-    debias: DebiasMode = DebiasMode.SCALAR
-    step_rule: StepRule = StepRule.ANALYTIC
-    fixed_step: float = 1.0
-    mix: float = 0.5                # shrinkage plans
-    m1: int | None = None           # approximate-leverage sketch width
-    m2: int | None = None
-
-
-def _ssn_sketch(p: GlmProblem, hs: np.ndarray, config: SsnConfig,
-                seed: int):
-    """Debiased sketch of the Hessian factor ``hs``, its d_eff, and the
-    rho_max only the analytic step rule reads (else None).  Exact scores
-    are computed only if the plan keeps none and they are read: by
-    fine_exact debias, or for the exact d_eff of an approximate plan."""
-    C = p.lam * np.eye(p.dim)
-    plan = build_plan(config.plan_kind, hs, C, mix=config.mix, m1=config.m1,
-                      m2=config.m2, seed=rsrng.split(seed, 1))
-    exact = plan.exact
-    if exact is None and (plan.scores is not None or config.debias
-                          is DebiasMode.FINE_GRAINED_EXACT):
-        exact = exact_leverage_scores(hs, C)
-    d_eff = plan.d_eff if exact is None else float(exact.sum())
-    spec = make_debias_spec(config.debias, plan, config.m, d_eff, exact)
-    At, rotated = plan.sketch(hs, config.m, spec, rsrng.split(seed, 2))
-    return At, d_eff, (plan.rho_max(hs, C, exact, rotated)
-                       if config.step_rule is StepRule.ANALYTIC else None)
-
-
 def analytic_step_size(m: int, d_eff: float, rho_max: float) -> float:
     return 1.0 - rho_max / (m / d_eff + rho_max)
 
 
-def ssn_step(p: GlmProblem, beta, obj: Objective, config: SsnConfig,
+def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
              seed: int) -> tuple[np.ndarray, dict]:
     """One sketched Newton step with a fresh sketch of the current Hessian.
 
     ``obj`` is ``objective_eval(p, beta)``.  Returns the next iterate and
     the diagnostics ``step_size``, ``d_eff`` and ``rho_max``; ``rho_max``
     is None unless the step rule is analytic, the one rule that reads it.
+    Exact scores are computed only if the plan keeps none and they are
+    read: by fine_exact debias, or for the exact d_eff of an approximate
+    plan.
     """
-    At, d_eff, rho_max = _ssn_sketch(p, obj.hessian_sqrt, config, seed)
-    mu = (analytic_step_size(config.m, d_eff, rho_max)
-          if config.step_rule is StepRule.ANALYTIC else config.fixed_step)
+    hs = obj.hessian_sqrt
+    C = p.lam * np.eye(p.dim)
+    plan = build_plan(method.plan_kind, hs, C, mix=method.mix, m1=method.m1,
+                      m2=method.m2, seed=rsrng.split(seed, 1))
+    exact = plan.exact
+    if exact is None and (plan.scores is not None or method.debias
+                          is DebiasMode.FINE_GRAINED_EXACT):
+        exact = exact_leverage_scores(hs, C)
+    d_eff = plan.d_eff if exact is None else float(exact.sum())
+    spec = make_debias_spec(method.debias, plan, method.m, d_eff, exact)
+    At, rotated = plan.sketch(hs, method.m, spec, rsrng.split(seed, 2))
+    rho_max, mu = None, method.fixed_step
+    if method.step_rule is StepRule.ANALYTIC:
+        rho_max = plan.rho_max(hs, C, exact, rotated)
+        mu = analytic_step_size(method.m, d_eff, rho_max)
     beta_next, mu = _newton_update(p, beta, obj, At,
-                                   config.step_rule is StepRule.ARMIJO, mu)
+                                   method.step_rule is StepRule.ARMIJO, mu)
     return beta_next, {"step_size": mu, "d_eff": d_eff, "rho_max": rho_max}
 
 
@@ -292,10 +257,17 @@ class NewtonExactMethod:
 
 @dataclass(frozen=True)
 class SsnMethod:
-    config: SsnConfig
+    plan_kind: PlanKind
+    m: int
+    debias: DebiasMode = DebiasMode.SCALAR
+    step_rule: StepRule = StepRule.ANALYTIC
+    fixed_step: float = 1.0
+    mix: float = 0.5                # shrinkage plans
+    m1: int | None = None           # approximate-leverage sketch width
+    m2: int | None = None
 
     def update(self, p, beta, obj, seed, t):
-        beta_next, diagnostics = ssn_step(p, beta, obj, self.config,
+        beta_next, diagnostics = ssn_step(p, beta, obj, self,
                                           rsrng.split(seed, 4, t))
         return beta_next, diagnostics["step_size"]
 
@@ -313,10 +285,13 @@ class SparseProjMethod:
 
 
 def run_solver(p: GlmProblem, method, beta0, iters: int,
-               reference: np.ndarray | ReferencePoint | None = None,
+               reference: ReferencePoint | None = None,
                seed: int = 0, grad_tol: float = 0.0) -> RunTrace:
     """Iterate ``method.update``, recording per-iteration error, gradient
     and time; stops early once the gradient norm falls below grad_tol.
+
+    The recorded error is ``reference.sq_error`` relative to its value at
+    ``beta0``: 0.0 when that base is 0, NaN without a reference.
 
     With grad_tol set, a step that leaves beta bitwise unchanged also ends
     the run after its record: for a method whose update depends on beta
@@ -328,7 +303,13 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
     if iters < 0:
         raise ValueError(f"iters must be at least 0, got {iters}")
     beta = np.asarray(beta0, dtype=np.float64).copy()
-    meter = _ErrorMeter(p, reference, beta)
+    base = None if reference is None else reference.sq_error(beta)
+
+    def rel_error(beta):
+        if base is None:
+            return float("nan")
+        return reference.sq_error(beta) / base if base > 0 else 0.0
+
     trace = RunTrace()
     for t in range(iters + 1):
         t_start = time.perf_counter_ns()
@@ -340,11 +321,11 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
                 f"gradient norm {grad_norm}", iterations=t)
         if t == iters or grad_norm < grad_tol:
             trace.records.append(IterationRecord(
-                t, meter(beta), grad_norm, 0.0, 0))
+                t, rel_error(beta), grad_norm, 0.0, 0))
             break
         beta_next, step = method.update(p, beta, obj, seed, t)
         trace.records.append(IterationRecord(
-            t, meter(beta), grad_norm, step,
+            t, rel_error(beta), grad_norm, step,
             time.perf_counter_ns() - t_start))
         if grad_tol > 0 and beta_next.tobytes() == beta.tobytes():
             break

@@ -19,8 +19,9 @@ from randskew.debias import (DebiasMode, DebiasSpec, fine_grained_weights,
 from randskew.hadamard import fwht_inplace
 from randskew.linalg import (gram, inv_sqrt, psd_relative_error,
                              spd_inverse)
-from randskew.optim import (GlmProblem, ProblemKind, SsnConfig, SsnMethod,
-                            objective_eval, reference_solution, run_solver)
+from randskew.optim import (GlmProblem, ProblemKind, SsnMethod,
+                            objective_eval, reference_point,
+                            reference_solution, run_solver)
 from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
                                approximation_factors, build_plan, draw,
                                draw_many, exact_leverage_scores)
@@ -242,19 +243,19 @@ def test_criterion_09_ssn_rate():
     A = gen.standard_normal((n, d))
     y = A @ gen.standard_normal(d) + 0.1 * gen.standard_normal(n)
     p = GlmProblem(A, y, lam, ProblemKind.LEAST_SQUARES)
-    ref, _ = reference_solution(p)
+    ref = reference_point(p, reference_solution(p)[0])
     C = lam * np.eye(d)
     d_eff = float(exact_leverage_scores(
-        objective_eval(p, ref).hessian_sqrt, C).sum())
+        objective_eval(p, ref.beta).hessian_sqrt, C).sum())
     m = int(np.ceil(32 * d_eff))
     iters = 5
 
     def contraction(debias):
-        cfg = SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
-                        debias=debias)
+        method = SsnMethod(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
+                           debias=debias)
         rates = []
         for s in range(20):
-            trace = run_solver(p, SsnMethod(cfg), np.zeros(d), iters,
+            trace = run_solver(p, method, np.zeros(d), iters,
                                reference=ref, seed=s)
             final = trace.records[-1].rel_error_H
             rates.append(final ** (1.0 / iters))

@@ -218,9 +218,10 @@ def test_non_integer_seed_variable_is_config_error(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-def test_missing_config_file_is_io_error(tmp_path):
+def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert run_cli(["lev", "--config", str(tmp_path / "nope.cfg"),
                     "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("FileNotFoundError: ")
 
 
 def test_json_format_output(tmp_path):
@@ -230,6 +231,28 @@ def test_json_format_output(tmp_path):
                     str(out), "--format", "json"]) == 0
     rows = json.loads(out.read_text())
     assert rows[0]["score_exact"] == pytest.approx(0.25, abs=1e-12)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_format_writes_missing_error_as_null(tmp_path):
+    # without a reference the error column is NaN: null in JSON, nan in CSV
+    cfg = write_cfg(tmp_path, "solve.cfg", SOLVE_CFG)
+    out = tmp_path / "solve.json"
+    assert run_cli(["solve", "--config", cfg, "--seed", "3", "--out",
+                    str(out), "--format", "json", "reference=false"]) == 0
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    sidecar = json.loads(out.with_suffix(".json.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert [row["rel_error_H"] for row in rows] == [None] * 6
+    assert all(np.isfinite(row["grad_norm"]) for row in rows)
+    assert sidecar["beta_star"] is None
+    csv_out = tmp_path / "solve.csv"
+    assert run_cli(["solve", "--config", cfg, "--seed", "3", "--out",
+                    str(csv_out), "reference=false"]) == 0
+    assert csv_out.read_text().splitlines()[1].split(",")[1] == "nan"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from randskew import linalg
 from randskew.errors import NotPositiveDefinite
@@ -107,16 +108,30 @@ class TestAcceptedInverses:
                       random_spd(3, rng)])
         assert list(self._check(M)) == [True, False, False, False, True]
 
+    @staticmethod
+    def _at_pivot_threshold():
+        # A^T A with its last squared pivot moved to the threshold, halfway
+        # between numpy's and scipy's Cholesky pivots, which often differ
+        # in the last bits: the two routines judge it differently
+        A = np.random.default_rng(1).standard_normal((40, 32))
+        M = A.T @ A
+        p_np = np.linalg.cholesky(M)[-1, -1] ** 2
+        p_sp = lapack.dpotrf(M, lower=1, clean=1)[0][-1, -1] ** 2
+        M[-1, -1] += linalg._pivot_threshold(M) - (p_np + p_sp) / 2
+        return M
+
     def test_inverses_do_not_depend_on_the_rest_of_the_stack(self):
-        # numpy's and scipy's Cholesky factors of a 32 x 32 matrix often
-        # differ in the last bits; a stack with a singular member must not
-        # take its factors from the fallback's routine
+        # a stack with a singular member must not take its factors or its
+        # verdicts from another routine than a stack without one
         rng = np.random.default_rng(7)
-        M = np.stack([random_spd(32, rng) for _ in range(12)])
+        M = np.stack([random_spd(32, rng) for _ in range(12)]
+                     + [self._at_pivot_threshold()])
         M[5] = np.diag(np.r_[np.ones(31), 0.0])
         Q, ok = accepted_inverses(M)
         assert not ok[5]
         np.testing.assert_array_equal(Q, accepted_inverses(M[ok])[0])
+        np.testing.assert_array_equal(
+            ok, [accepted_inverses(Mt[None])[1][0] for Mt in M])
         for t, Qt in zip(np.flatnonzero(ok), Q):
             alone, _ = accepted_inverses(M[t:t + 1])
             np.testing.assert_array_equal(Qt, alone[0])

@@ -13,7 +13,7 @@ from randskew.errors import LabelDomainError, NoConvergence
 from randskew.linalg import gram
 from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
                             ProblemKind, SgdMethod, SparseProjMethod,
-                            SsnConfig, SsnMethod, StepRule, objective_eval,
+                            SsnMethod, StepRule, objective_eval,
                             objective_value,
                             reference_point, reference_solution, run_solver,
                             sparse_rademacher_sketch, ssn_step,
@@ -144,7 +144,8 @@ class TestNewtonExact:
         p = make_least_squares()
         ref, _ = reference_solution(p)
         trace = run_solver(p, NewtonExactMethod(line_search=False),
-                           np.zeros(p.dim), 1, reference=ref)
+                           np.zeros(p.dim), 1,
+                           reference=reference_point(p, ref))
         assert trace.records[-1].rel_error_H < 1e-20
 
     def test_separable_two_points(self):
@@ -170,7 +171,8 @@ class TestNewtonExact:
     def test_stationary_start_takes_zero_step(self):
         p = make_logistic()
         ref, _ = reference_solution(p)
-        trace = run_solver(p, NewtonExactMethod(), ref, 3, reference=ref)
+        trace = run_solver(p, NewtonExactMethod(), ref, 3,
+                           reference=reference_point(p, ref))
         assert np.linalg.norm(trace.beta - ref) < 1e-10
 
     def test_objective_decreases_with_line_search(self):
@@ -181,11 +183,11 @@ class TestNewtonExact:
         values.append(objective_eval(p, trace.beta).value)
         assert values[1] < values[0]
 
-    def test_error_meter_starts_at_one(self):
+    def test_relative_error_starts_at_one(self):
         p = make_logistic()
         ref, _ = reference_solution(p)
         trace = run_solver(p, NewtonExactMethod(), np.zeros(p.dim), 2,
-                           reference=ref)
+                           reference=reference_point(p, ref))
         assert trace.records[0].rel_error_H == pytest.approx(1.0)
 
 
@@ -214,13 +216,13 @@ class TestSsnStep:
         beta_t = ref + 0.5 * rng.standard_normal(p.dim)
         obj_t = objective_eval(p, beta_t)
         base = (beta_t - ref) @ H @ (beta_t - ref)
-        cfg = SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
-                        debias=DebiasMode.SCALAR,
-                        step_rule=StepRule.ANALYTIC)
+        method = SsnMethod(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
+                           debias=DebiasMode.SCALAR,
+                           step_rule=StepRule.ANALYTIC)
         T = 2000
         errs = np.empty(T)
         for t in range(T):
-            nxt, _ = ssn_step(p, beta_t, obj_t, cfg, rsrng.split(5, t))
+            nxt, _ = ssn_step(p, beta_t, obj_t, method, rsrng.split(5, t))
             errs[t] = (nxt - ref) @ H @ (nxt - ref)
         assert errs.mean() / base <= 1.3 * d_eff / m
 
@@ -238,11 +240,11 @@ class TestSsnStep:
         obj_t = objective_eval(p, beta_t)
         results = {}
         for mode in (DebiasMode.SCALAR, DebiasMode.NONE):
-            cfg = SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
-                            debias=mode, step_rule=StepRule.ANALYTIC)
+            method = SsnMethod(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
+                               debias=mode, step_rule=StepRule.ANALYTIC)
             errs = np.empty(600)
             for t in range(600):
-                nxt, _ = ssn_step(p, beta_t, obj_t, cfg,
+                nxt, _ = ssn_step(p, beta_t, obj_t, method,
                                   rsrng.split(6, t))
                 errs[t] = (nxt - ref) @ H @ (nxt - ref)
             results[mode] = errs.mean()
@@ -263,13 +265,13 @@ class TestSsnStep:
         m = int(np.ceil(64 * d_eff))
         mu = analytic_step_size(m, d_eff, 1.0)
         target = beta_t - mu * np.linalg.solve(H, obj.gradient)
-        cfg = SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
-                        debias=DebiasMode.SCALAR,
-                        step_rule=StepRule.ANALYTIC)
+        method = SsnMethod(plan_kind=PlanKind.EXACT_LEVERAGE, m=m,
+                           debias=DebiasMode.SCALAR,
+                           step_rule=StepRule.ANALYTIC)
         T = 2000
         steps = np.empty((T, p.dim))
         for t in range(T):
-            steps[t], _ = ssn_step(p, beta_t, obj, cfg, rsrng.split(7, t))
+            steps[t], _ = ssn_step(p, beta_t, obj, method, rsrng.split(7, t))
         mean_step = steps.mean(axis=0)
         dev = mean_step - target
         hnorm = np.sqrt(dev @ H @ dev)
@@ -277,6 +279,19 @@ class TestSsnStep:
         stderr = np.sqrt(
             np.trace(np.cov(steps.T) @ H) / T)
         assert hnorm < 3.0 * stderr
+
+
+@pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
+def test_ssn_update_is_the_step_at_its_iteration_seed(rule):
+    p = make_logistic(n=128, seed=14)
+    beta = 0.1 * np.ones(p.dim)
+    obj = objective_eval(p, beta)
+    method = SsnMethod(plan_kind=PlanKind.SHRINKAGE, m=48, step_rule=rule,
+                       fixed_step=0.8)
+    got, step = method.update(p, beta, obj, 9, 3)
+    want, diagnostics = ssn_step(p, beta, obj, method, rsrng.split(9, 4, 3))
+    assert got.tobytes() == want.tobytes()
+    assert step == diagnostics["step_size"]
 
 
 def test_analytic_step_size_formula():
@@ -325,32 +340,22 @@ class TestRunSolver:
         p = make_least_squares()
         ref, _ = reference_solution(p)
         trace = run_solver(p, NewtonExactMethod(line_search=False),
-                           np.zeros(p.dim), 2, reference=ref)
+                           np.zeros(p.dim), 2,
+                           reference=reference_point(p, ref))
         assert trace.records[1].rel_error_H < 1e-20
-
-    def test_shared_reference_point_matches_array_reference(self):
-        p = make_logistic()
-        ref, _ = reference_solution(p)
-        method = SsnMethod(SsnConfig(plan_kind=PlanKind.EXACT_LEVERAGE, m=40))
-        by_array = run_solver(p, method, np.zeros(p.dim), 3, reference=ref,
-                              seed=4)
-        shared = run_solver(p, method, np.zeros(p.dim), 3,
-                            reference=reference_point(p, ref), seed=4)
-        assert ([r.rel_error_H for r in shared.records]
-                == [r.rel_error_H for r in by_array.records])
 
     def test_ssn_desk_scale_convergence(self):
         spec = SyntheticSpec(SyntheticKind.GAUSSIAN_IID, 2048, 64, seed=21)
         A = synthetic_matrix(spec)
         y = synthetic_labels(A, 21)
         p = GlmProblem(A, y, 1e-2, ProblemKind.LOGISTIC)
-        ref, _ = reference_solution(p)
+        ref = reference_point(p, reference_solution(p)[0])
         finals = []
         for s in range(10):
-            cfg = SsnConfig(plan_kind=PlanKind.APPROX_LEVERAGE, m=300,
-                            debias=DebiasMode.SCALAR,
-                            step_rule=StepRule.ARMIJO)
-            trace = run_solver(p, SsnMethod(cfg), np.zeros(p.dim), 10,
+            method = SsnMethod(plan_kind=PlanKind.APPROX_LEVERAGE, m=300,
+                               debias=DebiasMode.SCALAR,
+                               step_rule=StepRule.ARMIJO)
+            trace = run_solver(p, method, np.zeros(p.dim), 10,
                                reference=ref, seed=s)
             errs = [r.rel_error_H for r in trace.records]
             assert all(b <= a * 1.05 for a, b in zip(errs, errs[1:]))
@@ -369,7 +374,8 @@ class TestRunSolver:
         p = make_least_squares(n=256, d=8, seed=23)
         ref, _ = reference_solution(p)
         trace = run_solver(p, SparseProjMethod(m=64, nnz_per_row=4),
-                           np.zeros(p.dim), 8, reference=ref, seed=2)
+                           np.zeros(p.dim), 8,
+                           reference=reference_point(p, ref), seed=2)
         assert trace.records[-1].rel_error_H < 0.05
 
     def test_non_finite_iterate_raises(self):
@@ -383,9 +389,9 @@ class TestRunSolver:
 
     def test_srht_ssn_runs(self):
         p = make_least_squares(n=256, d=8, seed=24)
-        ref, _ = reference_solution(p)
-        cfg = SsnConfig(plan_kind=PlanKind.SRHT, m=128,
-                        debias=DebiasMode.SCALAR, step_rule=StepRule.ARMIJO)
-        trace = run_solver(p, SsnMethod(cfg), np.zeros(p.dim), 5,
+        ref = reference_point(p, reference_solution(p)[0])
+        method = SsnMethod(plan_kind=PlanKind.SRHT, m=128,
+                           debias=DebiasMode.SCALAR, step_rule=StepRule.ARMIJO)
+        trace = run_solver(p, method, np.zeros(p.dim), 5,
                            reference=ref, seed=3)
         assert trace.records[-1].rel_error_H < 0.1

@@ -16,7 +16,7 @@ from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPositiveDefinite
 from randskew.hadamard import fwht_inplace
 from randskew.linalg import gram, inv_sqrt
-from randskew.optim import (GlmProblem, ProblemKind, SsnConfig, StepRule,
+from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
 from randskew.sampling import (PlanKind, apply_sketch, approximation_factors,
                                build_plan, draw, exact_leverage_scores)
@@ -31,8 +31,8 @@ KINDS = pytest.mark.parametrize("kind", list(PlanKind), ids=lambda k: k.value)
 
 def _one_ssn_step(kind, rule=StepRule.ANALYTIC):
     beta = np.zeros(D)
-    config = SsnConfig(plan_kind=kind, m=M, step_rule=rule)
-    return ssn_step(P, beta, objective_eval(P, beta), config, seed=5)
+    method = SsnMethod(plan_kind=kind, m=M, step_rule=rule)
+    return ssn_step(P, beta, objective_eval(P, beta), method, seed=5)
 
 
 @KINDS
