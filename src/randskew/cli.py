@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parallel, rng as rsrng
+from . import _lapack, parallel, rng as rsrng
 from .biaslab import bias_sweep
 from .data import (DataSource, SyntheticKind, SyntheticSpec, load_data)
 from .debias import DebiasMode
@@ -51,8 +51,6 @@ _REQUIRED = object()
 # variables through which a user sets the BLAS thread count
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS")
-# package bundling an OpenBLAS, and its symbols' suffix (numpy's is ILP64)
-_OPENBLAS = (("numpy", "64_"), ("scipy", ""))
 
 
 def _bool(raw: str) -> bool:
@@ -323,31 +321,28 @@ def _write_outputs(out: Path, fmt: str, header, rows, sidecar: dict) -> None:
 
 
 def _openblas_pools() -> list[tuple]:
-    """``(package, library file name, get_num_threads, set_num_threads)``
-    of each OpenBLAS that numpy and scipy bundle.
+    """``(package, get_num_threads, set_num_threads)`` of the OpenBLAS
+    bundled with each loaded package: numpy's, and scipy's once something
+    has imported scipy (``_lapack``'s fallback does).
 
     A package without a bundled OpenBLAS (built against a system BLAS or
     MKL), or a library without these symbols, contributes nothing.
     """
     import ctypes
-    import importlib.util
 
     pools = []
-    for package, suffix in _OPENBLAS:
-        spec = importlib.util.find_spec(package)
-        if spec is None or spec.origin is None:
+    for package, suffix in _lapack.SUFFIX.items():
+        lib = _lapack.openblas(package) if package in sys.modules else None
+        if lib is None:
             continue
-        libdir = Path(spec.origin).parent.parent / f"{package}.libs"
-        for lib in sorted(libdir.glob("*openblas*")):
-            try:
-                cdll = ctypes.CDLL(str(lib))
-                get = getattr(cdll, f"scipy_openblas_get_num_threads{suffix}")
-                set_ = getattr(cdll, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            pools.append((package, lib.name, get, set_))
+        try:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        pools.append((package, get, set_))
     return pools
 
 
@@ -374,11 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; returns its exit code.
 
     This is the process entry point.  Unless the user sets a BLAS thread
-    count (any of ``_THREAD_VARS`` nonempty), it sets numpy's and scipy's
-    OpenBLAS pools to one thread for the rest of the process and does not
-    restore them: the commands make many small dense calls, for which
-    waking a second BLAS thread costs more than it saves, and outputs do
-    not depend on the thread count.  It then lets
+    count (any of ``_THREAD_VARS`` nonempty), it sets the loaded OpenBLAS
+    pools (:func:`_openblas_pools`) to one thread for the rest of the
+    process and does not restore them: the commands make many small dense
+    calls, for which waking a second BLAS thread costs more than it saves,
+    and outputs do not depend on the thread count.  It then lets
     :func:`~randskew.parallel.pmap` fork one worker per CPU the process
     may run on, so ``bias`` cells and ``sweep`` runs use the cores; outputs
     do not depend on the worker count either.

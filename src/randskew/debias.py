@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import (NoConvergence, NotPositiveDefinite, SketchTooSmall,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import cholesky
+from .linalg import inverse_quadratic_forms
 from .sampling import (SamplingPlan, SketchDraw, PlanKind,
                        approximation_factors, exact_leverage_scores)
-from scipy.linalg import solve_triangular
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
 
@@ -158,13 +157,12 @@ def solve_fixed_point_d(A: np.ndarray, C: np.ndarray, plan: SamplingPlan,
     for it in range(1, max_iters + 1):
         scaled = A * np.sqrt(diag)[:, None]
         try:
-            L = cholesky(scaled.T @ scaled + C)
+            # a_i^T (A^T D A + C)^{-1} a_i
+            quad = inverse_quadratic_forms(A, scaled.T @ scaled + C)
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 "A^T D A + C lost positive definiteness during the "
                 "fixed-point iteration") from exc
-        X = solve_triangular(L, A.T, lower=True)
-        quad = np.einsum("ij,ij->j", X, X)  # a_i^T (A^T D A + C)^{-1} a_i
         new = np.empty(n)
         active = ~zero_rows
         new[active] = (m * probs[active]

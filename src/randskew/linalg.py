@@ -7,8 +7,8 @@ are pure functions; nothing here holds state.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import _lapack as lapack
 from .errors import NotPositiveDefinite
 
 # Numerical PSD tolerances.  Chosen so that ridge-regularized Hessians
@@ -113,16 +113,35 @@ def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 pass
     pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
     ok = np.all(pivots > _pivot_threshold(M)[:, None], axis=1)
-    L = L[ok]
-    Y = np.empty_like(L)
-    for t, Lt in enumerate(L):
-        Y[t], info = lapack.dtrtri(Lt, lower=1)
-        if info:
-            raise NotPositiveDefinite(
-                f"trtri failed on accepted factor {t} (info={info})",
-                pivot_index=info - 1 if info > 0 else None)
-    Q = Y.transpose(0, 2, 1) @ Y
+    Z = np.ascontiguousarray(L[ok].transpose(0, 2, 1))
+    _invert_upper(Z, "accepted factor")
+    Q = Z @ Z.transpose(0, 2, 1)
     return (Q + Q.transpose(0, 2, 1)) / 2.0, ok
+
+
+def _invert_upper(Z: np.ndarray, what: str) -> None:
+    """Overwrite each upper triangular Z[t] = L^T with Y^T for Y = L^-1, by
+    LAPACK ``trtri``; a nonzero status raises :class:`NotPositiveDefinite`."""
+    status = lapack.dtrtri_stack(Z)
+    if status.any():
+        t = int(np.flatnonzero(status)[0])
+        info = int(status[t])
+        raise NotPositiveDefinite(
+            f"trtri failed on {what} {t} (info={info})",
+            pivot_index=info - 1 if info > 0 else None)
+
+
+def inverse_quadratic_forms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """a_i^T M^-1 a_i for every row a_i of A, M symmetric positive definite.
+
+    They are the squared row norms of A L^-T for M = L L^T, with L^-1 from
+    LAPACK ``trtri`` and A L^-T one matrix product.  Raises as
+    :func:`cholesky` does.
+    """
+    Z = np.ascontiguousarray(cholesky(M).T)
+    _invert_upper(Z[None], "factor")
+    B = np.asarray(A, dtype=np.float64) @ Z
+    return np.einsum("ij,ij->i", B, B)
 
 
 def spectral_norm(M: np.ndarray) -> float:

@@ -10,6 +10,7 @@ draws.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 _MASK64 = (1 << 64) - 1
 
@@ -29,9 +30,9 @@ def split(seed: int, *path: int) -> int:
     return key
 
 
-def generator(seed: int, *path: int) -> np.random.Generator:
+def generator(seed: int, *path: int) -> Generator:
     """A Philox generator keyed by ``split(seed, *path)``."""
-    return np.random.Generator(np.random.Philox(key=split(seed, *path)))
+    return Generator(Philox(key=split(seed, *path)))
 
 
 def uniform_rows(seeds, m: int) -> np.ndarray:
@@ -44,8 +45,8 @@ def uniform_rows(seeds, m: int) -> np.ndarray:
     """
     seeds = list(seeds)
     out = np.empty((len(seeds), m))
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
+    bits = Philox(key=0)
+    gen = Generator(bits)
     key = np.zeros(2, dtype=np.uint64)
     # counter zero and an empty buffer (position 4 of 4), as Philox(key=k)
     state = {"bit_generator": "Philox",

@@ -27,8 +27,7 @@ import numpy as np
 from . import rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import cholesky, gram, solve_spd
-from scipy.linalg import solve_triangular
+from .linalg import gram, inverse_quadratic_forms, solve_spd
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 
@@ -121,9 +120,7 @@ class SketchDraw:
 def exact_leverage_scores(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """l_i = a_i^T (A^T A + C)^{-1} a_i for every row a_i of A."""
     A = np.asarray(A, dtype=np.float64)
-    L = cholesky(gram(A) + C)
-    X = solve_triangular(L, A.T, lower=True)
-    return np.einsum("ij,ij->j", X, X)
+    return inverse_quadratic_forms(A, gram(A) + C)
 
 
 def effective_dimension(scores: np.ndarray) -> float:
@@ -139,7 +136,13 @@ def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator) -> np.ndarray:
     Each of the n columns of S carries ``SJLT_NNZ_PER_COLUMN`` entries of
     +-1/sqrt(s) at uniformly random rows.
     """
-    # scipy.sparse is imported here so that loading the CLI does not pay for it
+    # scipy.sparse is imported here so that loading the CLI does not pay for
+    # it.  It stays because no numpy-only product came close.  At n = 16384,
+    # d = 64, m = 512 on a 2-core Xeon, one BLAS thread, the CSR product
+    # took 2.0-2.8 ms; np.add.at 94-208 ms, one bincount per column
+    # 51-54 ms and a padded (m, K, d).sum(1) 57-66 ms.  A stable argsort
+    # with np.add.reduceat (68-70 ms) sums pairwise, so it is not bitwise
+    # and fails test_sjlt_apply_matches_scatter_bitwise.
     from scipy.sparse import csr_array
 
     n = A.shape[0]

@@ -1,5 +1,7 @@
-"""The CLI's BLAS thread policy: ``cli.main`` runs numpy's and scipy's
-OpenBLAS pools single-threaded unless the user sets a thread count.
+"""The CLI's BLAS thread policy: ``cli.main`` runs each loaded OpenBLAS
+pool single-threaded unless the user sets a thread count.  numpy's pool is
+always loaded; scipy's only once something imports scipy, which the CLI
+does not.
 
 The policy is process-wide, so each check that lets it act runs ``main``
 in a fresh interpreter.
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import randskew
-from randskew import cli
+from randskew import _lapack, cli
 
 _SRC = str(Path(randskew.__file__).resolve().parents[1])
 
@@ -25,6 +27,8 @@ pools = cli._openblas_pools()
 before = [get() for *_, get, _ in pools]
 rc = cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "before": before,
+                  "packages": [package for package, *_ in pools],
+                  "scipy_imported": "scipy" in sys.modules,
                   "after": [get() for *_, get, _ in pools]}))
 """
 
@@ -43,13 +47,15 @@ def _probe(tmp_path, **thread_env):
     result = json.loads(proc.stdout)
     assert result["rc"] == 0
     if not result["before"]:
-        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        pytest.skip("numpy bundles no OpenBLAS here")
     return result
 
 
-def test_main_sets_both_pools_to_one_thread(tmp_path):
+def test_main_sets_loaded_pools_to_one_thread(tmp_path):
     result = _probe(tmp_path)
     assert result["after"] == [1] * len(result["before"])
+    # scipy's pool is not opened unless scipy is loaded
+    assert "scipy" not in result["packages"] or result["scipy_imported"]
 
 
 @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
@@ -59,11 +65,12 @@ def test_thread_variable_leaves_pools_alone(tmp_path, var):
 
 
 def test_missing_library_or_symbol_is_a_silent_no_op(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_OPENBLAS", (("no_such_package", ""),
-                                           ("numpy", "_no_such_suffix")))
+    monkeypatch.setattr(_lapack, "SUFFIX", {"numpy": "_no_such_suffix"})
+    assert cli._openblas_pools() == []
+    monkeypatch.setattr(_lapack, "openblas", lambda package: None)
+    assert cli._openblas_pools() == []
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    assert cli._openblas_pools() == []
     cfg = tmp_path / "lev.cfg"
     cfg.write_text(LEV_CFG)
     assert cli.main(["lev", "--config", str(cfg), "--seed", "1",

@@ -114,6 +114,19 @@ class TestApplyDebias:
         assert np.array_equal(scalar.weights, fine.weights)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_raises_instead_of_scoring(bad):
+    # a NaN or infinite entry must not come back as NaN leverage scores or
+    # a NaN diagonal D
+    A = np.array(A_CE)
+    plan = build_plan(PlanKind.UNIFORM, A, 0.1 * np.eye(D))
+    A[3, 1] = bad
+    with pytest.raises((RandskewError, ValueError)):
+        exact_leverage_scores(A, 0.1 * np.eye(D))
+    with pytest.raises((RandskewError, ValueError)):
+        solve_fixed_point_d(A, 0.1 * np.eye(D), plan, 4 * D)
+
+
 class TestFixedPointD:
     def test_identity_closed_form(self):
         d, m = 5, 12

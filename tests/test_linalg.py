@@ -164,8 +164,8 @@ class TestAcceptedInverses:
             assert rel <= 8.0 * np.linalg.cond(Mt) * np.finfo(float).eps
 
     def test_failed_triangular_inverse_raises(self, monkeypatch):
-        monkeypatch.setattr(linalg.lapack, "dtrtri",
-                            lambda c, lower: (c, 2))
+        monkeypatch.setattr(linalg.lapack, "dtrtri_stack",
+                            lambda Z: np.full(len(Z), 2))
         with pytest.raises(NotPositiveDefinite) as err:
             accepted_inverses(np.eye(3)[None])
         assert err.value.pivot_index == 1
