@@ -75,3 +75,36 @@ def test_missing_library_or_symbol_is_a_silent_no_op(tmp_path, monkeypatch):
     cfg.write_text(LEV_CFG)
     assert cli.main(["lev", "--config", str(cfg), "--seed", "1",
                      "--out", str(tmp_path / "lev.csv")]) == 0
+
+
+SRHT_CONFIGS = {
+    "solve": ("data = synthetic\nsynthetic = coherent\nn = 4096\nd = 16\n"
+              "heavy_rows = 16\nlambda = 1e-3\nproblem = logistic\n"
+              "method = ssn\nplan = srht\ndebias = scalar\nstep = analytic\n"
+              "m = 256\niters = 4\ntiming = zero\n"),
+    "bias": ("data = synthetic\nsynthetic = coherent\nn = 2048\nd = 16\n"
+             "heavy_rows = 16\nlambda = 0\nplans = srht\n"
+             "debias = none,scalar\nm_grid = 64,128\ntrials = 64\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SRHT_CONFIGS))
+def test_srht_outputs_do_not_depend_on_the_blas_thread_count(tmp_path,
+                                                              command):
+    # the SRHT rotation is a chain of GEMMs that OpenBLAS may split
+    # between threads; each thread count runs in its own interpreter
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(SRHT_CONFIGS[command])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{command}-{threads}.csv"
+        env = {k: v for k, v in os.environ.items()
+               if k not in cli._THREAD_VARS}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=_SRC)
+        subprocess.run(
+            [sys.executable, "-m", "randskew.cli", command, "--config",
+             str(cfg), "--seed", "3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        written.append((out.read_bytes(),
+                        Path(f"{out}.json").read_bytes()))
+    assert written[0] == written[1]

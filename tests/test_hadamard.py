@@ -3,28 +3,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from oracles import dense_hadamard
 
 from randskew import hadamard
 from randskew import rng as rsrng
 from randskew.data import counterexample_matrix
 from randskew.debias import DebiasSpec, apply_debias
 from randskew.errors import NotPowerOfTwo
-from randskew.hadamard import (SrhtDraw, fwht_inplace, next_power_of_two,
+from randskew.hadamard import (SrhtDraw, _rotate, _staged_hadamard,
+                               fwht_inplace, next_power_of_two,
                                rotated_leverage_scores, srht_apply, srht_draw)
 from randskew.linalg import gram, inv_sqrt
-from randskew.sampling import (PlanKind, SketchDraw, build_plan,
-                               exact_leverage_scores)
+from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
+                               build_plan, draw, exact_leverage_scores)
 
 # frozen from a one-off 50-draw calibration at n=2^10, d=2^4
 # (worst observed constant 3.21)
 CONCENTRATION_CONSTANT = 4.0
-
-
-def dense_hadamard(n):
-    H = np.array([[1.0]])
-    while H.shape[0] < n:
-        H = np.block([[H, H], [H, -H]])
-    return H
 
 
 def fwht_per_level_copy(v):
@@ -122,6 +117,59 @@ class TestFwht:
             assert_matches_per_level_copy(2 ** k, cols)
 
 
+# row counts for the staged rotation: every n up to 17, and powers of two
+# with their neighbours up to 2^12
+ROTATION_ROWS = list(range(1, 18)) + [31, 32, 33, 255, 257, 1000, 1023,
+                                       1025, 2047, 2048, 2049, 4095, 4096]
+# |staged - dense oracle| <= ROTATION_ERROR_CONSTANT * max(log2 N, 1) * eps
+#   * max|A| * sqrt(N), sqrt(N) * max|A| bounding the output; chosen before
+#   measuring (worst measured constant 0.29, at N = 2)
+ROTATION_ERROR_CONSTANT = 2.0
+
+
+def _signed_input(n, cols):
+    rng = np.random.default_rng([n, cols])
+    signs = rng.integers(0, 2, size=next_power_of_two(n)) * 2.0 - 1.0
+    return signs, rng.standard_normal((n, cols))
+
+
+class TestStagedRotation:
+    @pytest.mark.parametrize("n", ROTATION_ROWS)
+    def test_matches_dense_oracle(self, n):
+        N = next_power_of_two(n)
+        H = dense_hadamard(N)
+        for cols in (1, 3, 64):
+            signs, A = _signed_input(n, cols)
+            padded = np.zeros((N, cols))
+            padded[:n] = A
+            want = H @ (signs[:, None] * padded) / np.sqrt(N)
+            bound = (ROTATION_ERROR_CONSTANT * max(np.log2(N), 1.0)
+                     * np.finfo(float).eps * np.abs(A).max() * np.sqrt(N))
+            assert np.abs(_rotate(signs, A) - want).max() <= bound
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_unnormalized_self_inverse_up_to_n(self, k):
+        N = 2 ** k
+        M = np.eye(N)
+        assert _staged_hadamard(_staged_hadamard(M)) is M
+        assert np.array_equal(M, N * np.eye(N))
+
+    @pytest.mark.parametrize("block_floats", [1, 2 ** 40],
+                             ids=["one_float", "past_n"])
+    def test_scratch_size_does_not_change_the_rotation(
+            self, block_floats, monkeypatch):
+        cases = [(n, cols) for n in (1, 2, 3, 100, 2048, 4095)
+                 for cols in (1, 3, 64)]
+        want = [_rotate(*_signed_input(n, cols)) for n, cols in cases]
+        monkeypatch.setattr(hadamard, "FWHT_BLOCK_FLOATS", block_floats)
+        for (n, cols), w in zip(cases, want):
+            assert_array_equal(_rotate(*_signed_input(n, cols)), w)
+
+    def test_signs_of_non_power_of_two_length_rejected(self):
+        with pytest.raises(NotPowerOfTwo):
+            _rotate(np.ones(6), np.ones((5, 2)))
+
+
 def test_next_power_of_two():
     assert [next_power_of_two(k) for k in (1, 2, 3, 5, 8, 9)] == \
         [1, 2, 4, 8, 8, 16]
@@ -170,6 +218,27 @@ class TestSrhtApply:
         b = srht_draw(16, 8, seed=4)
         assert np.array_equal(a.signs, b.signs)
         assert np.array_equal(a.sample.indices, b.sample.indices)
+
+
+class TestSrhtDraw:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100, 1023, 1024, 4097,
+                                   32767, 32768])
+    @pytest.mark.parametrize("m", [1, 7, 512])
+    def test_rows_are_the_uniform_plans_draw_bitwise(self, n, m):
+        for seed in (0, 3, 11):
+            sd = srht_draw(n, m, seed)
+            N = sd.n_padded
+            plan = SamplingPlan(PlanKind.UNIFORM, np.full(N, 1.0 / N),
+                                d_eff=float(N))
+            want = draw(plan, m, rsrng.split(seed, 1))
+            assert_array_equal(sd.sample.indices, want.indices)
+            assert_array_equal(sd.sample.weights, want.weights)
+            assert sd.sample.indices.dtype == want.indices.dtype
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_empty_sketch_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            srht_draw(8, m, seed=0)
 
 
 class TestRotatedLeverageScores:

@@ -14,7 +14,7 @@ from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPositiveDefinite
-from randskew.hadamard import fwht_inplace
+from randskew.hadamard import _rotate
 from randskew.linalg import gram, inv_sqrt
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
@@ -97,7 +97,7 @@ def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
 
 def test_srht_ssn_step_rotates_once(monkeypatch):
     # the sketch and rho_max share one Hadamard rotation of the factor
-    calls = _count_calls(monkeypatch, fwht_inplace)
+    calls = _count_calls(monkeypatch, _rotate)
     _one_ssn_step(PlanKind.SRHT)
     assert len(calls) == 1
 
@@ -105,7 +105,7 @@ def test_srht_ssn_step_rotates_once(monkeypatch):
 @pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
 def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     exact = _count_calls(monkeypatch, exact_leverage_scores)
-    rotations = _count_calls(monkeypatch, fwht_inplace)
+    rotations = _count_calls(monkeypatch, _rotate)
     roots = _count_calls(monkeypatch, inv_sqrt)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
     assert (len(exact), len(rotations)) == (0, 1)
