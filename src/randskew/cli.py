@@ -158,10 +158,17 @@ def _make_plan(kind: PlanKind, A, C, cfg: Config, seed: int):
                       seed=rsrng.split(seed, 101))
 
 
+def _ridge(cfg: Config, d: int) -> np.ndarray:
+    """C = lambda I of ``lev`` and ``bias``."""
+    lam = cfg.get("lambda", 0.0, float)
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    return lam * np.eye(d)
+
+
 def cmd_lev(cfg: Config, seed: int, standardize: bool):
     A, _ = load_data(_data_source(cfg, seed), standardize)
-    lam = cfg.get("lambda", 0.0, float)
-    C = lam * np.eye(A.shape[1])
+    C = _ridge(cfg, A.shape[1])
     exact = exact_leverage_scores(A, C)
 
     header, columns = ["index", "score_exact"], [exact]
@@ -184,8 +191,7 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
 
 def cmd_bias(cfg: Config, seed: int, standardize: bool):
     A, _ = load_data(_data_source(cfg, seed), standardize)
-    lam = cfg.get("lambda", 0.0, float)
-    C = lam * np.eye(A.shape[1])
+    C = _ridge(cfg, A.shape[1])
 
     kinds = cfg.get("plans", [PlanKind.EXACT_LEVERAGE], _list_of(PlanKind))
     plan_specs = [(kind.value, _make_plan(kind, A, C, cfg, seed))

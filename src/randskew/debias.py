@@ -5,6 +5,10 @@ fine-grained weights sqrt(m / (m - l_i / pi_i)) (with exact or approximate
 leverage scores); and the self-consistent diagonal D that characterizes
 what the uncorrected sketched inverse actually estimates.  The bias lab
 and the sketched Newton solver share :func:`make_debias_spec`.
+
+This module alone turns a mode into sketch weights; a plan supplies only
+its data (``probs``, ``scores``, ``exact``).  A plan whose ``probs`` is None
+(the Hadamard plan) takes the scalar factor only.
 """
 
 from __future__ import annotations
@@ -45,6 +49,16 @@ class DebiasSpec:
     def scalar(m: int, d_eff: float) -> "DebiasSpec":
         return DebiasSpec(DebiasMode.SCALAR, factor=scalar_factor(m, d_eff))
 
+    def reweight(self, indices: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+        """Sketch weights of rows ``indices`` re-weighted by this spec;
+        arrays of any shape."""
+        if self.mode is DebiasMode.NONE:
+            return weights
+        if self.mode is DebiasMode.SCALAR:
+            return weights * math.sqrt(self.factor)
+        return weights * self.row_weights[indices]
+
 
 def scalar_factor(m: int, d_eff: float) -> float:
     """m / (m - d_eff); requires m > d_eff."""
@@ -54,14 +68,23 @@ def scalar_factor(m: int, d_eff: float) -> float:
     return m / (m - d_eff)
 
 
-def fine_grained_weights(plan: SamplingPlan, scores: np.ndarray,
+def fine_grained_weights(plan, scores: np.ndarray | None,
                          m: int) -> np.ndarray:
     """Per-row multipliers sqrt(m / (m - l_i / pi_i)) on the sketch weights.
 
     For an exact-leverage plan l_i / pi_i is identically d_eff, so every
     multiplier equals the scalar-mode sqrt(m / (m - d_eff)) bitwise.
-    Rows with zero score need no correction and get multiplier 1.
+    Rows with zero score need no correction and get multiplier 1.  A plan
+    without ``probs`` refuses with ValueError, as do None ``scores``, which
+    stand for the approximate scores of a plan that keeps none.
     """
+    if plan.probs is None:
+        raise ValueError(f"the {plan.kind.value} plan samples no rows of A, "
+                         f"so it only supports scalar debiasing")
+    if scores is None:
+        raise ValueError(f"fine_grained_approx debiasing needs "
+                         f"approximate leverage scores, and a "
+                         f"{plan.kind.value} plan has none")
     scores = np.asarray(scores, dtype=np.float64)
     ratios = np.zeros(plan.n)
     positive = scores > 0
@@ -83,24 +106,12 @@ def fine_grained_weights(plan: SamplingPlan, scores: np.ndarray,
     return np.sqrt(m / (m - ratios))
 
 
-def debiased_weights(spec: DebiasSpec, indices: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
-    """Sketch weights of rows ``indices`` re-weighted by the debias spec;
-    arrays of any shape."""
-    if spec.mode is DebiasMode.NONE:
-        return weights
-    if spec.mode is DebiasMode.SCALAR:
-        return weights * math.sqrt(spec.factor)
-    return weights * spec.row_weights[indices]
-
-
 def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
     """Re-weight a realized sketch according to the debias spec."""
     if spec.mode is DebiasMode.NONE:
         return sketch
     return SketchDraw(m=sketch.m, indices=sketch.indices,
-                      weights=debiased_weights(spec, sketch.indices,
-                                               sketch.weights))
+                      weights=spec.reweight(sketch.indices, sketch.weights))
 
 
 def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,
@@ -109,7 +120,7 @@ def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,
 
     Scalar mode uses the caller's ``d_eff``; fine-grained exact mode uses
     ``exact_scores``; fine-grained approximate mode uses the plan's own
-    scores.  The plan's ``row_weights`` turns scores into multipliers, or
+    scores.  :func:`fine_grained_weights` turns scores into multipliers, or
     refuses when the plan supports scalar debiasing only.
     """
     if mode is DebiasMode.NONE:
@@ -118,7 +129,7 @@ def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,
         return DebiasSpec.scalar(m, d_eff)
     scores = (exact_scores if mode is DebiasMode.FINE_GRAINED_EXACT
               else plan.scores)
-    return DebiasSpec(mode, row_weights=plan.row_weights(scores, m))
+    return DebiasSpec(mode, row_weights=fine_grained_weights(plan, scores, m))
 
 
 @dataclass(frozen=True)

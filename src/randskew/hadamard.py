@@ -10,6 +10,7 @@ Sylvester matrices H_k with k <= 2^STAGE_BITS, so it is a few small dense
 GEMMs, which run at compute speed where a butterfly level is bound by
 memory.  :func:`fwht_inplace` is the butterfly transform, bitwise equal to
 the plain level-by-level loop; it is public but off the SRHT path.
+``FWHT_BLOCK_FLOATS`` sizes only the staged rotation's scratch.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ from .linalg import gram, inv_sqrt
 from .sampling import SketchDraw, PlanKind, apply_sketch
 
 SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
-# floats in one row block of the FWHT's low levels (512 KiB): the block
-# stays in cache while its levels run.  The staged rotation's scratch has
-# the same size.
+# floats in the staged rotation's scratch (512 KiB), which stays in cache
 FWHT_BLOCK_FLOATS = 2 ** 16
 # each stage of the staged rotation multiplies by H_k, k <= 2^STAGE_BITS.
 # A stage costs 2k flops per entry and one pass over the array; at
@@ -54,33 +53,14 @@ def next_power_of_two(n: int) -> int:
     return p
 
 
-def _butterflies(flat: np.ndarray, h: int, h_end: int,
-                 tmp: np.ndarray) -> None:
-    """Butterfly levels h, 2h, ... below ``h_end`` of the n-by-d ``flat``,
-    in place; ``tmp`` holds at least n*d/2 floats."""
-    n, d = flat.shape
-    while h < h_end:
-        y = flat.reshape(n // (2 * h), 2, h, d)
-        top, bot = y[:, 0], y[:, 1]
-        t = tmp[:top.size].reshape(top.shape)
-        np.add(top, bot, out=t)
-        np.subtract(top, bot, out=bot)
-        top[...] = t
-        h *= 2
-
-
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along axis 0.
 
     Accepts a writable C-contiguous float64 vector or matrix (transform
     applied to each column) and returns it; any other input raises
     ValueError rather than being transformed in a copy.  Self-inverse up
-    to a factor of n.
-
-    The levels whose butterflies stay within ``FWHT_BLOCK_FLOATS``-float
-    row blocks run block by block, the rest over the whole array.  Every
-    entry takes the same adds in the same order either way, so the result
-    does not depend on the block size.
+    to a factor of n.  Each level runs over the whole array through one
+    n/2-row scratch.
     """
     if not (isinstance(v, np.ndarray) and v.dtype == np.float64
             and v.flags.c_contiguous and v.flags.writeable):
@@ -91,12 +71,16 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
         raise NotPowerOfTwo(f"length {n} is not a power of two")
     flat = v.reshape(n, -1)
     d = flat.shape[1]
-    rows = max(2, FWHT_BLOCK_FLOATS // max(d, 1))
-    block = min(n, 1 << (rows.bit_length() - 1))
-    tmp = np.empty(n // 2 * d)
-    for start in range(0, n, block):
-        _butterflies(flat[start:start + block], 1, block, tmp)
-    _butterflies(flat, block, n, tmp)
+    tmp = np.empty((n // 2, d))
+    h = 1
+    while h < n:
+        y = flat.reshape(n // (2 * h), 2, h, d)
+        top, bot = y[:, 0], y[:, 1]
+        t = tmp.reshape(top.shape)
+        np.add(top, bot, out=t)
+        np.subtract(top, bot, out=bot)
+        top[...] = t
+        h *= 2
     return v
 
 
@@ -226,10 +210,11 @@ class SrhtPlan:
 
     The rotation is orthogonal, so ``d_eff`` is the exact effective
     dimension of A.  Only scalar debiasing applies: row weights of A do not
-    carry over to the rows of the rotated matrix.
+    carry over to the rows of the rotated matrix, so ``probs`` is None.
     """
     d_eff: float
     kind: ClassVar[PlanKind] = PlanKind.SRHT
+    probs: ClassVar[None] = None
     scores: ClassVar[None] = None
     exact: ClassVar[None] = None
 
@@ -257,5 +242,3 @@ class SrhtPlan:
         rot = _scores_of_rotation(rotated, A, C)
         return float(rot.max() * rotated.shape[0] / self.d_eff)
 
-    def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:
-        raise ValueError(SRHT_SCALAR_ONLY)

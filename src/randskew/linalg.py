@@ -43,6 +43,8 @@ def gram(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.shape[0] < 1:
         raise ValueError("gram requires at least one row")
+    if A.shape[1] < 1:
+        raise ValueError("gram requires at least one column")
     G = A.T @ A
     return (G + G.T) / 2.0
 

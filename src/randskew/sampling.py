@@ -6,11 +6,13 @@ realized with-replacement sketch, stored as row indices plus per-slot
 scales so that the m-by-n sampling matrix is never materialized.
 
 Every plan :func:`build_plan` returns, the Hadamard plan included, answers
-one protocol: ``kind``, ``d_eff``, ``scores`` (sampling scores or None),
-``exact`` (exact leverage scores when the plan computed them, else None;
-always None for the Hadamard plan, which takes d_eff from the d x d Gram),
-``sketch(A, m, spec, seed)``, its batched form ``sketch_many(A, m, spec,
-seeds)``, ``rho_max(A, C, exact, rotated)`` and ``row_weights(scores, m)``.
+one protocol: ``kind``, ``d_eff``, ``probs`` (sampling probabilities, or
+None for the Hadamard plan, which samples rows of a rotation of A),
+``scores`` (sampling scores or None), ``exact`` (exact leverage scores when
+the plan computed them, else None; always None for the Hadamard plan, which
+takes d_eff from the d x d Gram), ``sketch(A, m, spec, seed)``, its batched
+form ``sketch_many(A, m, spec, seeds)`` and ``rho_max(A, C, exact,
+rotated)``.  :mod:`randskew.debias` turns these data into debias weights.
 ``sketch`` returns the m x d sketched matrix and what ``rho_max`` reads of
 it as ``rotated``: None for a sampling plan, whose rho_max depends on the
 plan alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
@@ -27,7 +29,7 @@ import numpy as np
 from . import rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import gram, inverse_quadratic_forms, solve_spd
+from .linalg import gram, inv_sqrt, inverse_quadratic_forms, solve_spd
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 
@@ -76,23 +78,12 @@ class SamplingPlan:
     def sketch_many(self, A: np.ndarray, m: int, spec, seeds) -> np.ndarray:
         """The T x m x d stack of sketches, one per seed; each is
         ``apply_sketch(apply_debias(draw(self, m, s), spec), A)`` bitwise."""
-        from .debias import debiased_weights  # debias imports this module
         indices, weights = draw_many(self, m, seeds)
-        return _gather(A, indices, debiased_weights(spec, indices, weights))
+        return _gather(A, indices, spec.reweight(indices, weights))
 
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
                 rotated: None) -> float:
         return approximation_factors(self, exact).rho_max
-
-    def row_weights(self, scores: np.ndarray | None, m: int) -> np.ndarray:
-        """Fine-grained debias multipliers for ``scores``; None stands for
-        the approximate scores of a plan that keeps none."""
-        if scores is None:
-            raise ValueError(f"fine_grained_approx debiasing needs "
-                             f"approximate leverage scores, and a "
-                             f"{self.kind.value} plan has none")
-        from .debias import fine_grained_weights
-        return fine_grained_weights(self, scores, m)
 
 
 @dataclass(frozen=True)
@@ -171,14 +162,13 @@ def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
     when ``m2`` is given the inverse-sqrt factor is post-multiplied by a
     second sketch of width m2 before row norms are taken.
     """
-    from .linalg import inv_sqrt
-
     A = np.asarray(A, dtype=np.float64)
     d = A.shape[1]
     if m1 < d:
         raise ValueError(f"sketch width m1={m1} below cols(A)={d}")
-    if m2 is not None and not m2 < m1:
-        raise ValueError("double-sketch width m2 must satisfy m2 < m1")
+    if m2 is not None and not 1 <= m2 < m1:
+        raise ValueError(f"double-sketch width m2={m2} must satisfy "
+                         f"1 <= m2 < m1={m1}")
     SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
     try:
         R = inv_sqrt(gram(SA) + C)

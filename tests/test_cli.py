@@ -447,3 +447,30 @@ def test_negative_iters_is_numerical_error_and_writes_nothing(
     assert err.startswith("ValueError: iters must be at least 0")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
+@pytest.mark.parametrize("command", ["lev", "bias"])
+def test_negative_lambda_is_numerical_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "c.cfg",
+                    BIAS_CFG if command == "bias" else LEV_CFG)
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), "lambda=-5"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "ValueError: lambda must be nonnegative")
+
+
+@pytest.mark.parametrize("command", ["lev", "bias", "solve"])
+@pytest.mark.parametrize("source", ["d=0", "labels_only"])
+def test_data_without_columns_is_numerical_error(tmp_path, capsys, command,
+                                                 source):
+    overrides = ["synthetic=gaussian", "d=0"]
+    if source == "labels_only":
+        path = tmp_path / "labels.svm"
+        path.write_text("1\n-1\n1\n")
+        overrides = ["data=libsvm", f"path={path}"]
+    cfg = write_cfg(tmp_path, "c.cfg", {"bias": BIAS_CFG, "lev": LEV_CFG}.get(
+        command, SOLVE_CFG))
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), *overrides]) == 3
+    assert capsys.readouterr().err.startswith(
+        "ValueError: gram requires at least one column")

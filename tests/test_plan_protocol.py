@@ -27,6 +27,19 @@ A = synthetic_matrix(SyntheticSpec(SyntheticKind.COHERENT, N, D,
 C = 1e-2 * np.eye(D)
 P = GlmProblem(A, synthetic_labels(A, 3), 1e-2, ProblemKind.LOGISTIC)
 KINDS = pytest.mark.parametrize("kind", list(PlanKind), ids=lambda k: k.value)
+EXACT = exact_leverage_scores(A, C)
+FINE = [DebiasMode.FINE_GRAINED_EXACT, DebiasMode.FINE_GRAINED_APPROX]
+# fine-grained weights need m above every l_i / pi_i, which reaches 59 for
+# the uniform plan on A
+M_FINE = 2 * N
+# the (kind, mode) pairs that make_debias_spec refuses at any m, and what
+# it says
+REFUSED = {
+    **{(PlanKind.SRHT, mode): "only supports scalar" for mode in FINE},
+    **{(kind, DebiasMode.FINE_GRAINED_APPROX):
+       "needs approximate leverage scores"
+       for kind in (PlanKind.UNIFORM, PlanKind.ROW_NORM)},
+}
 
 
 def _one_ssn_step(kind, rule=StepRule.ANALYTIC):
@@ -53,21 +66,36 @@ def _same_bits(a, b) -> bool:
         and a.tobytes() == b.tobytes()
 
 
-@KINDS
-@pytest.mark.parametrize("mode", [DebiasMode.NONE, DebiasMode.SCALAR],
-                         ids=lambda m: m.value)
-def test_sketch_is_the_one_seed_sketch_many(kind, mode):
+@pytest.mark.parametrize("mode, kind", [
+    (mode, kind) for mode in DebiasMode for kind in PlanKind
+    if (kind, mode) not in REFUSED], ids=lambda x: x.value)
+def test_sketch_is_the_one_seed_sketch_many(mode, kind):
     plan = build_plan(kind, A, C)
-    spec = make_debias_spec(mode, plan, M, plan.d_eff, plan.exact)
+    m = M_FINE if mode in FINE else M
+    spec = make_debias_spec(mode, plan, m, plan.d_eff, EXACT)
     for seed in (0, 7, rsrng.split(3, 1)):
-        At, rotated = plan.sketch(A, M, spec, seed)
-        assert _same_bits(At, plan.sketch_many(A, M, spec, [seed])[0])
+        At, rotated = plan.sketch(A, m, spec, seed)
+        assert _same_bits(At, plan.sketch_many(A, m, spec, [seed])[0])
         if kind is PlanKind.SRHT:
             continue
         # the per-draw chain stays an independent reference
         assert rotated is None
         assert _same_bits(At, apply_sketch(
-            apply_debias(draw(plan, M, seed), spec), A))
+            apply_debias(draw(plan, m, seed), spec), A))
+
+
+@KINDS
+@pytest.mark.parametrize("mode", FINE, ids=lambda m: m.value)
+def test_which_plans_refuse_fine_grained_debias(kind, mode):
+    plan = build_plan(kind, A, C)
+    if (kind, mode) not in REFUSED:
+        spec = make_debias_spec(mode, plan, M_FINE, plan.d_eff, EXACT)
+        assert spec.row_weights.shape == (N,)
+        assert np.all(spec.row_weights >= 1.0)
+        return
+    with pytest.raises(ValueError, match=REFUSED[kind, mode]) as refused:
+        make_debias_spec(mode, plan, M_FINE, plan.d_eff, EXACT)
+    assert type(refused.value) is ValueError
 
 
 def _count_calls(monkeypatch, fn) -> list:

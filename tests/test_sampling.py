@@ -93,8 +93,9 @@ class TestSjltApproxLeverage:
         assert np.all(scores >= 0)
 
     def test_double_sketch_width_order_enforced(self):
-        with pytest.raises(ValueError):
-            sjlt_approx_leverage(A_CE, C0, m1=8, m2=8)
+        for m2 in (8, 0, -1):
+            with pytest.raises(ValueError, match=f"m2={m2}"):
+                sjlt_approx_leverage(A_CE, C0, m1=8, m2=m2)
 
 
 def _sjlt_scatter_reference(A, m, gen):
