@@ -7,18 +7,21 @@ Where numpy bundles no OpenBLAS, or it lacks one of the routines (a numpy
 built against a system BLAS), the routines come from
 ``scipy.linalg.lapack`` instead.
 
-``dpotrf(a, lower, clean)`` and ``dpotrs(c, b, lower)`` have
-``scipy.linalg.lapack``'s call shapes: each works on a Fortran-ordered
-float64 copy of ``a`` or ``b`` and returns it with LAPACK's ``info``.
-``dtrtri_stack(Z)`` inverts each upper triangular matrix of a C-contiguous
-float64 stack ``Z`` in place, one ``dtrtri`` call each, and returns their
-``info`` values.
+``dpotrs(c, b, lower)`` has ``scipy.linalg.lapack``'s call shape: it
+solves on a Fortran-ordered float64 copy of ``b`` and returns it with
+LAPACK's ``info``.  ``dpotrf_stack(Z)`` and ``dtrtri_stack(Z)`` overwrite
+each matrix of a writable C-contiguous float64 stack ``Z`` by one
+``potrf('L')`` or ``trtri('L')`` call on its Fortran view ``Z[t].T``,
+and return their ``info`` values; in ``Z[t]`` itself, both write the
+upper triangle.  :func:`openblas_pools` finds the thread pools of the
+OpenBLAS bundled with numpy and with scipy.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib.util
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -45,6 +48,30 @@ def openblas(package: str) -> ctypes.CDLL | None:
     return None
 
 
+def openblas_pools() -> list[tuple]:
+    """``(package, get_num_threads, set_num_threads)`` of the OpenBLAS
+    bundled with each loaded package: numpy's, and scipy's once something
+    has imported scipy (the ``scipy.linalg.lapack`` route does).
+
+    A package without a bundled OpenBLAS (built against a system BLAS or
+    MKL), or a library without these symbols, contributes nothing.
+    """
+    pools = []
+    for package, suffix in SUFFIX.items():
+        lib = openblas(package) if package in sys.modules else None
+        if lib is None:
+            continue
+        try:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        pools.append((package, get, set_))
+    return pools
+
+
 def _symbol(name: str):
     """``name`` in numpy's bundled OpenBLAS; AttributeError if it has none."""
     lib = openblas("numpy")
@@ -53,28 +80,22 @@ def _symbol(name: str):
     return getattr(lib, name + SUFFIX["numpy"])
 
 
-def _fortran(a, copy: bool) -> np.ndarray:
-    """``a`` as a square Fortran-ordered float64 matrix, copied if ``copy``
-    or if it is not one already."""
-    c = np.array(a, dtype=np.float64, order="F", copy=copy or None)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {c.shape}")
-    return c
-
-
-def _stack(Z: np.ndarray) -> np.ndarray:
-    """Zeroed statuses for ``Z``, once it is checked to be a stack that a
-    loop over raw addresses may write."""
-    if not (isinstance(Z, np.ndarray) and Z.dtype == np.float64
-            and Z.flags.c_contiguous and Z.ndim == 3
-            and Z.shape[1] == Z.shape[2]):
-        raise ValueError("expected a C-contiguous float64 stack of square "
-                         "matrices")
-    return np.zeros(len(Z), dtype=np.int64)
+def _stacked(infos):
+    """The stack routine that runs ``infos(Z)``, an iterator over LAPACK's
+    ``info`` for each matrix of ``Z`` in turn, once ``Z`` is checked to be
+    a stack that a loop over raw addresses may write."""
+    def routine(Z: np.ndarray) -> np.ndarray:
+        if not (isinstance(Z, np.ndarray) and Z.dtype == np.float64
+                and Z.flags.c_contiguous and Z.flags.writeable
+                and Z.ndim == 3 and Z.shape[1] == Z.shape[2]):
+            raise ValueError("expected a writable C-contiguous float64 "
+                             "stack of square matrices")
+        return np.fromiter(infos(Z), dtype=np.int64, count=len(Z))
+    return routine
 
 
 def _routines():
-    """``(dpotrf, dpotrs, dtrtri_stack)`` on numpy's OpenBLAS, or on
+    """``(dpotrf_stack, dpotrs, dtrtri_stack)`` on numpy's OpenBLAS, or on
     ``scipy.linalg.lapack`` when numpy's lacks one of them."""
     try:
         potrf, potrs, trtri = (_symbol(f"scipy_d{name}_")
@@ -82,14 +103,13 @@ def _routines():
     except AttributeError:
         from scipy.linalg import lapack
 
-        def dtrtri_stack(Z):
-            status = _stack(Z)
-            for t, Zt in enumerate(Z):
-                # Zt.T is Fortran-ordered, so overwrite_c inverts in place
-                status[t] = lapack.dtrtri(Zt.T, lower=1, overwrite_c=1)[1]
-            return status
+        def each(fn, **overwrite):
+            # Zt.T is Fortran-ordered, so ``overwrite`` works in place
+            return _stacked(lambda Z: (fn(Zt.T, lower=1, **overwrite)[1]
+                                       for Zt in Z))
 
-        return lapack.dpotrf, lapack.dpotrs, dtrtri_stack
+        return (each(lapack.dpotrf, clean=0, overwrite_a=1), lapack.dpotrs,
+                each(lapack.dtrtri, overwrite_c=1))
 
     # Fortran calling convention: every argument by reference, then one
     # hidden length per character argument
@@ -102,40 +122,33 @@ def _routines():
         fn.restype = None
     byref = ctypes.byref
 
-    def dpotrf(a, lower=0, clean=1):
-        c = _fortran(a, copy=True)
-        n, info = c.shape[0], _INT()
-        potrf(_UPLO[lower], byref(_INT(n)), c.ctypes.data,
-              byref(_INT(max(n, 1))), byref(info), 1)
-        if clean:
-            c[np.triu_indices(n, 1) if lower else np.tril_indices(n, -1)] = 0.0
-        return c, info.value
+    def each(fn, *flags):
+        """``fn(*flags, n, a, lda, info, ...)`` over a stack's matrices."""
+        lengths = (1,) * len(flags)
+
+        def infos(Z):
+            info = _INT()
+            n, lda = byref(_INT(Z.shape[1])), byref(_INT(max(Z.shape[1], 1)))
+            base, step, info_ref = Z.ctypes.data, Z.strides[0], byref(info)
+            for t in range(len(Z)):
+                fn(*flags, n, base + t * step, lda, info_ref, *lengths)
+                yield info.value
+        return _stacked(infos)
 
     def dpotrs(c, b, lower=0):
-        c = _fortran(c, copy=False)
+        c = np.asarray(c, dtype=np.float64, order="F")
         x = np.array(b, dtype=np.float64, order="F")
-        n = c.shape[0]
-        if x.ndim not in (1, 2) or x.shape[0] != n:
+        if x.ndim not in (1, 2) or c.shape != (len(x), len(x)):
             raise ValueError(f"right-hand side of shape {x.shape} does not "
-                             f"fit a {n}x{n} factor")
+                             f"fit a factor of shape {c.shape}")
+        n = len(x)
         lda, info = _INT(max(n, 1)), _INT()
         potrs(_UPLO[lower], byref(_INT(n)),
               byref(_INT(x.shape[1] if x.ndim == 2 else 1)), c.ctypes.data,
               byref(lda), x.ctypes.data, byref(lda), byref(info), 1)
         return x, info.value
 
-    def dtrtri_stack(Z):
-        status = _stack(Z)
-        # Z[t] read in Fortran order is the lower triangular Z[t]^T
-        info = _INT()
-        n, lda = byref(_INT(Z.shape[1])), byref(_INT(max(Z.shape[1], 1)))
-        base, step, info_ref = Z.ctypes.data, Z.strides[0], byref(info)
-        for t in range(len(Z)):
-            trtri(b"L", b"N", n, base + t * step, lda, info_ref, 1, 1)
-            status[t] = info.value
-        return status
-
-    return dpotrf, dpotrs, dtrtri_stack
+    return each(potrf, b"L"), dpotrs, each(trtri, b"L", b"N")
 
 
-dpotrf, dpotrs, dtrtri_stack = _routines()
+dpotrf_stack, dpotrs, dtrtri_stack = _routines()

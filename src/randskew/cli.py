@@ -326,32 +326,6 @@ def _write_outputs(out: Path, fmt: str, header, rows, sidecar: dict) -> None:
     _write_json(out.with_suffix(out.suffix + ".json"), sidecar)
 
 
-def _openblas_pools() -> list[tuple]:
-    """``(package, get_num_threads, set_num_threads)`` of the OpenBLAS
-    bundled with each loaded package: numpy's, and scipy's once something
-    has imported scipy (``_lapack``'s fallback does).
-
-    A package without a bundled OpenBLAS (built against a system BLAS or
-    MKL), or a library without these symbols, contributes nothing.
-    """
-    import ctypes
-
-    pools = []
-    for package, suffix in _lapack.SUFFIX.items():
-        lib = _lapack.openblas(package) if package in sys.modules else None
-        if lib is None:
-            continue
-        try:
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        pools.append((package, get, set_))
-    return pools
-
-
 _COMMANDS = {"lev": cmd_lev, "bias": cmd_bias, "solve": cmd_solve,
              "sweep": cmd_sweep}
 
@@ -376,17 +350,17 @@ def main(argv: list[str] | None = None) -> int:
 
     This is the process entry point.  Unless the user sets a BLAS thread
     count (any of ``_THREAD_VARS`` nonempty), it sets the loaded OpenBLAS
-    pools (:func:`_openblas_pools`) to one thread for the rest of the
-    process and does not restore them: the commands make many small dense
-    calls, for which waking a second BLAS thread costs more than it saves,
-    and outputs do not depend on the thread count.  It then lets
-    :func:`~randskew.parallel.pmap` fork one worker per CPU the process
-    may run on, so ``bias`` cells and ``sweep`` runs use the cores; outputs
-    do not depend on the worker count either.
+    pools (:func:`~randskew._lapack.openblas_pools`) to one thread for the
+    rest of the process and does not restore them: the commands make many
+    small dense calls, for which waking a second BLAS thread costs more
+    than it saves, and outputs do not depend on the thread count.  It
+    then lets :func:`~randskew.parallel.pmap` fork one worker per CPU the
+    process may run on, so ``bias`` cells and ``sweep`` runs use the
+    cores; outputs do not depend on the worker count either.
     """
     args = build_parser().parse_intermixed_args(argv)
     if not any(os.environ.get(var) for var in _THREAD_VARS):
-        for *_, set_threads in _openblas_pools():
+        for *_, set_threads in _lapack.openblas_pools():
             set_threads(1)
         if hasattr(os, "sched_getaffinity"):
             parallel.workers = len(os.sched_getaffinity(0))

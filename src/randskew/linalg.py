@@ -55,6 +55,21 @@ def _pivot_threshold(M: np.ndarray):
     return PIVOT_RTOL * np.trace(M, axis1=-2, axis2=-1) / M.shape[-1]
 
 
+def _factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Z, j)`` for a stack of symmetric matrices M: ``Z[t]`` is the
+    upper triangular ``L^T`` for ``M[t] = L L^T`` by LAPACK ``potrf`` on
+    ``M[t]``'s lower triangle, and ``j[t]`` is the index of its first pivot
+    that :func:`cholesky`'s rule rejects, or -1."""
+    Z = np.array(np.swapaxes(M, -1, -2), dtype=np.float64, order="C")
+    info = lapack.dpotrf_stack(Z)
+    np.copyto(Z, 0.0, where=np.tri(Z.shape[-1], k=-1, dtype=bool))
+    low = ~(np.diagonal(Z, axis1=1, axis2=2) ** 2
+            > _pivot_threshold(M)[:, None])
+    # potrf stops (info > 0) at a nonpositive pivot and leaves the rest
+    low[np.arange(len(Z)), info - 1] |= info > 0
+    return Z, np.where(low.any(axis=1), low.argmax(axis=1), -1)
+
+
 def cholesky(M: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = M, by LAPACK ``potrf``.
 
@@ -63,18 +78,12 @@ def cholesky(M: np.ndarray) -> np.ndarray:
     when ``potrf`` stops at a nonpositive pivot.
     """
     M = check_symmetric(M)
-    dim = M.shape[0]
-    threshold = _pivot_threshold(M)
-    L, info = lapack.dpotrf(M, lower=1, clean=1)
-    # potrf stops (info > 0) at a nonpositive pivot; test the prefix it made
-    pivots = np.diag(L)[:info - 1 if info else dim] ** 2
-    low = np.flatnonzero(~(pivots > threshold))
-    if low.size or info:
-        j = int(low[0]) if low.size else info - 1
+    Z, (j,) = _factor(M[None])
+    if j >= 0:
         raise NotPositiveDefinite(
             f"pivot at index {j} is nonpositive or below threshold "
-            f"{threshold:.3e}", pivot_index=j)
-    return L
+            f"{_pivot_threshold(M):.3e}", pivot_index=int(j))
+    return Z[0].T
 
 
 def solve_spd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -91,31 +100,20 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
 
 
 def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of the matrices of a stack of symmetric matrices whose
-    Cholesky factors pass :func:`cholesky`'s pivot rule.
+    """Inverses of the matrices of a stack of symmetric matrices that
+    :func:`cholesky` accepts.
 
-    Returns ``(Q, ok)``: ``ok[t]`` says whether numpy's Cholesky factor of
-    ``M[t]`` passes :func:`cholesky`'s pivot rule, and ``Q`` stacks
-    ``Y^T Y`` (symmetrized) for those, in order, where ``Y = L^-1`` comes
-    from LAPACK's triangular inverse ``trtri``.  One stacked Cholesky
-    covers the stack; if it fails anywhere, each matrix is factored on its
-    own by the same routine, which gives the same factor bitwise, so no
-    verdict or inverse depends on the rest of the stack.  A matrix whose
-    factorization fails is rejected.  ``trtri`` inverts each factor on its
-    own; a nonzero ``trtri`` status raises :class:`NotPositiveDefinite`.
+    Returns ``(Q, ok)``: ``ok[t]`` says whether ``M[t]``'s Cholesky factor
+    passes :func:`cholesky`'s pivot rule, and ``Q`` stacks ``Y^T Y``
+    (symmetrized) for those, in order, where ``Y = L^-1`` comes from
+    LAPACK's triangular inverse ``trtri``.  ``potrf`` and ``trtri`` work on
+    each matrix on its own, so no verdict or inverse depends on the rest
+    of the stack; a nonzero ``trtri`` status raises
+    :class:`NotPositiveDefinite`.
     """
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        L = np.full_like(M, np.nan)
-        for t, Mt in enumerate(M):
-            try:
-                L[t] = np.linalg.cholesky(Mt)
-            except np.linalg.LinAlgError:
-                pass
-    pivots = np.diagonal(L, axis1=1, axis2=2) ** 2
-    ok = np.all(pivots > _pivot_threshold(M)[:, None], axis=1)
-    Z = np.ascontiguousarray(L[ok].transpose(0, 2, 1))
+    Z, low = _factor(M)
+    ok = low < 0
+    Z = Z[ok]
     _invert_upper(Z, "accepted factor")
     Q = Z @ Z.transpose(0, 2, 1)
     return (Q + Q.transpose(0, 2, 1)) / 2.0, ok
@@ -140,7 +138,7 @@ def inverse_quadratic_forms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     LAPACK ``trtri`` and A L^-T one matrix product.  Raises as
     :func:`cholesky` does.
     """
-    Z = np.ascontiguousarray(cholesky(M).T)
+    Z = cholesky(M).T
     _invert_upper(Z[None], "factor")
     B = np.asarray(A, dtype=np.float64) @ Z
     return np.einsum("ij,ij->i", B, B)

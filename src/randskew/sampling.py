@@ -54,13 +54,16 @@ class SamplingPlan:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        # written so that NaN fails: a NaN entry makes both tests false
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-12):
+            raise ValueError("probabilities must be finite, nonnegative and "
+                             "sum to 1")
         object.__setattr__(self, "probs", p)
         if self.scores is not None:
             s = np.asarray(self.scores, dtype=np.float64)
-            if abs(s.sum() - self.d_eff) > 1e-10 * max(abs(self.d_eff), 1.0):
-                raise ValueError("d_eff inconsistent with stored scores")
+            if not abs(s.sum() - self.d_eff) <= 1e-10 * max(abs(self.d_eff),
+                                                            1.0):
+                raise ValueError("scores must be finite and sum to d_eff")
             object.__setattr__(self, "scores", s)
 
     @property

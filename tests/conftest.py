@@ -1,7 +1,6 @@
 import pytest
 
-from randskew import parallel
-from randskew.cli import _openblas_pools
+from randskew import _lapack, parallel
 
 
 @pytest.fixture(autouse=True)
@@ -9,7 +8,7 @@ def _restore_cli_policy():
     """Undo the thread and worker policy of an in-process ``cli.main``
     call, so the BLAS thread count and ``parallel.workers`` a test sees do
     not depend on the tests before it."""
-    pools = _openblas_pools()
+    pools = _lapack.openblas_pools()
     before = [get() for *_, get, _ in pools]
     workers = parallel.workers
     yield

@@ -22,8 +22,8 @@ _SRC = str(Path(randskew.__file__).resolve().parents[1])
 
 _PROBE = """
 import json, sys
-from randskew import cli
-pools = cli._openblas_pools()
+from randskew import _lapack, cli
+pools = _lapack.openblas_pools()
 before = [get() for *_, get, _ in pools]
 rc = cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "before": before,
@@ -66,9 +66,9 @@ def test_thread_variable_leaves_pools_alone(tmp_path, var):
 
 def test_missing_library_or_symbol_is_a_silent_no_op(tmp_path, monkeypatch):
     monkeypatch.setattr(_lapack, "SUFFIX", {"numpy": "_no_such_suffix"})
-    assert cli._openblas_pools() == []
+    assert _lapack.openblas_pools() == []
     monkeypatch.setattr(_lapack, "openblas", lambda package: None)
-    assert cli._openblas_pools() == []
+    assert _lapack.openblas_pools() == []
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     cfg = tmp_path / "lev.cfg"

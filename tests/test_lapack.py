@@ -22,7 +22,7 @@ from randskew.errors import NotPositiveDefinite
 from randskew.sampling import exact_leverage_scores
 
 _SRC = str(Path(randskew.__file__).resolve().parents[1])
-_ROUTINES = ("dpotrf", "dpotrs", "dtrtri_stack")
+_ROUTINES = ("dpotrf_stack", "dpotrs", "dtrtri_stack")
 # norm-wise relative distance allowed between the routes' results: the two
 # OpenBLAS builds round differently, and these inputs have cond <= 1e3 and
 # d <= 32, so cond * d * eps is about 7e-12
@@ -130,9 +130,53 @@ class TestErrorContract:
         assert list(status) == [0, 0, 5]
         np.testing.assert_allclose(Z[:2], want, rtol=1e-10, atol=1e-12)
 
+    def test_potrf_stack_factors_in_place(self, route):
+        rng = np.random.default_rng(6)
+        M = np.stack([_spd(6, rng) for _ in range(3)])
+        M[2, 3, 3] = -1.0
+        Z = np.ascontiguousarray(M.transpose(0, 2, 1))
+        status = _lapack.dpotrf_stack(Z)
+        assert list(status) == [0, 0, 4]
+        want = np.linalg.cholesky(M[:2]).transpose(0, 2, 1)
+        np.testing.assert_allclose(np.triu(Z[:2]), want, rtol=1e-10,
+                                   atol=1e-12)
+
     def test_trtri_stack_refuses_a_stack_not_in_c_order(self, route):
         with pytest.raises(ValueError):
             _lapack.dtrtri_stack(np.ones((2, 3, 3)).transpose(0, 2, 1))
+
+    def test_potrf_stack_refuses_a_stack_not_in_c_order(self, route):
+        with pytest.raises(ValueError):
+            _lapack.dpotrf_stack(np.ones((2, 3, 3)).transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("name", ["dpotrf_stack", "dtrtri_stack"])
+    def test_stack_routines_refuse_a_read_only_stack(self, route, name):
+        Z = np.array([[[2.0, 1.0], [0.0, 4.0]]])
+        Z.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            getattr(_lapack, name)(Z)
+        assert np.array_equal(Z, [[[2.0, 1.0], [0.0, 4.0]]])
+
+
+def _accepts(M):
+    try:
+        linalg.cholesky(M)
+    except NotPositiveDefinite:
+        return False
+    return True
+
+
+def test_stacked_verdicts_are_cholesky_verdicts_at_the_pivot_threshold(route):
+    """A^T A with its last squared pivot moved halfway between numpy's and
+    scipy's, which often differ in the last bits: a stack of one is
+    accepted exactly when :func:`linalg.cholesky` accepts the matrix."""
+    for seed in range(1, 41):
+        A = np.random.default_rng(seed).standard_normal((40, 32))
+        M = A.T @ A
+        p_np = np.linalg.cholesky(M)[-1, -1] ** 2
+        p_sp = scipy.linalg.lapack.dpotrf(M, lower=1)[0][-1, -1] ** 2
+        M[-1, -1] += linalg._pivot_threshold(M) - (p_np + p_sp) / 2
+        assert linalg.accepted_inverses(M[None])[1][0] == _accepts(M), seed
 
 
 _PROBE = """

@@ -156,6 +156,16 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             SamplingPlan(PlanKind.UNIFORM, np.array([0.7, 0.7]), d_eff=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_plan_refuses_non_finite_probabilities_and_scores(self, bad):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            SamplingPlan(PlanKind.UNIFORM, np.array([bad, bad]), d_eff=1.0)
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            SamplingPlan(PlanKind.UNIFORM, np.array([bad, 0.5]), d_eff=1.0)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            SamplingPlan(PlanKind.EXACT_LEVERAGE, np.array([0.5, 0.5]),
+                         d_eff=1.0, scores=np.array([bad, 1.0]))
+
 
 class TestApproximationFactors:
     def test_exact_leverage_plan_is_tight(self):
