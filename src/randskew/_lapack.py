@@ -112,26 +112,25 @@ def _routines():
                 each(lapack.dtrtri, overwrite_c=1))
 
     # Fortran calling convention: every argument by reference, then one
-    # hidden length per character argument
-    ref, ptr, size = ctypes.POINTER(_INT), ctypes.c_void_p, ctypes.c_size_t
-    potrf.argtypes = [ctypes.c_char_p, ref, ptr, ref, ref, size]
-    potrs.argtypes = [ctypes.c_char_p, ref, ref, ptr, ref, ptr, ref, ref, size]
-    trtri.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ref, ptr, ref, ref,
-                      size, size]
+    # hidden length per character argument.  The routines have no
+    # ``argtypes``: every argument is a ctypes object built once per call
+    # of a stack routine, which spares a conversion per LAPACK call.
     for fn in (potrf, potrs, trtri):
         fn.restype = None
-    byref = ctypes.byref
+    byref, ptr, one = ctypes.byref, ctypes.c_void_p, ctypes.c_size_t(1)
 
     def each(fn, *flags):
         """``fn(*flags, n, a, lda, info, ...)`` over a stack's matrices."""
-        lengths = (1,) * len(flags)
+        chars = [ctypes.c_char_p(f) for f in flags]
 
         def infos(Z):
-            info = _INT()
-            n, lda = byref(_INT(Z.shape[1])), byref(_INT(max(Z.shape[1], 1)))
-            base, step, info_ref = Z.ctypes.data, Z.strides[0], byref(info)
+            n, lda, info = _INT(Z.shape[1]), _INT(max(Z.shape[1], 1)), _INT()
+            a, base, step = ptr(), Z.ctypes.data, Z.strides[0]
+            args = (*chars, byref(n), a, byref(lda), byref(info),
+                    *(one,) * len(chars))
             for t in range(len(Z)):
-                fn(*flags, n, base + t * step, lda, info_ref, *lengths)
+                a.value = base + t * step
+                fn(*args)
                 yield info.value
         return _stacked(infos)
 
@@ -143,9 +142,10 @@ def _routines():
                              f"fit a factor of shape {c.shape}")
         n = len(x)
         lda, info = _INT(max(n, 1)), _INT()
-        potrs(_UPLO[lower], byref(_INT(n)),
-              byref(_INT(x.shape[1] if x.ndim == 2 else 1)), c.ctypes.data,
-              byref(lda), x.ctypes.data, byref(lda), byref(info), 1)
+        potrs(ctypes.c_char_p(_UPLO[lower]), byref(_INT(n)),
+              byref(_INT(x.shape[1] if x.ndim == 2 else 1)),
+              ptr(c.ctypes.data), byref(lda), ptr(x.ctypes.data), byref(lda),
+              byref(info), one)
         return x, info.value
 
     return each(potrf, b"L"), dpotrs, each(trtri, b"L", b"N")

@@ -5,12 +5,12 @@ then uniform with-replacement row sampling.  Inputs whose row count is not
 a power of two are zero-padded; zero rows carry zero leverage and never
 perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.
 
-The SRHT rotation runs in stages: H_n is the Kronecker product of
+Every transform here runs in stages: H_n is the Kronecker product of
 Sylvester matrices H_k with k <= 2^STAGE_BITS, so it is a few small dense
 GEMMs, which run at compute speed where a butterfly level is bound by
-memory.  :func:`fwht_inplace` is the butterfly transform, bitwise equal to
-the plain level-by-level loop; it is public but off the SRHT path.
-``FWHT_BLOCK_FLOATS`` sizes only the staged rotation's scratch.
+memory.  :func:`fwht_inplace` is that transform, unscaled, on the caller's
+array; it agrees with the plain level-by-level butterfly loop up to
+rounding.  ``FWHT_BLOCK_FLOATS`` sizes the scratch of every transform.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasSpec, apply_debias
 from .errors import NotPowerOfTwo
-from .linalg import gram, inv_sqrt
+from .linalg import gram, inverse_quadratic_forms
 from .sampling import SketchDraw, PlanKind, apply_sketch
 
 SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
-# floats in the staged rotation's scratch (512 KiB), which stays in cache
+# floats in a transform's scratch (512 KiB), which stays in cache
 FWHT_BLOCK_FLOATS = 2 ** 16
 # each stage of the staged rotation multiplies by H_k, k <= 2^STAGE_BITS.
 # A stage costs 2k flops per entry and one pass over the array; at
@@ -59,28 +59,17 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
     Accepts a writable C-contiguous float64 vector or matrix (transform
     applied to each column) and returns it; any other input raises
     ValueError rather than being transformed in a copy.  Self-inverse up
-    to a factor of n.  Each level runs over the whole array through one
-    n/2-row scratch.
+    to a factor of n.  Runs the staged transform, so no n-row temporary
+    is made.
     """
     if not (isinstance(v, np.ndarray) and v.dtype == np.float64
-            and v.flags.c_contiguous and v.flags.writeable):
+            and v.ndim >= 1 and v.flags.c_contiguous and v.flags.writeable):
         raise ValueError("fwht_inplace needs a writable C-contiguous "
                          "float64 array")
     n = v.shape[0]
     if not _is_power_of_two(n):
         raise NotPowerOfTwo(f"length {n} is not a power of two")
-    flat = v.reshape(n, -1)
-    d = flat.shape[1]
-    tmp = np.empty((n // 2, d))
-    h = 1
-    while h < n:
-        y = flat.reshape(n // (2 * h), 2, h, d)
-        top, bot = y[:, 0], y[:, 1]
-        t = tmp.reshape(top.shape)
-        np.add(top, bot, out=t)
-        np.subtract(top, bot, out=bot)
-        top[...] = t
-        h *= 2
+    _staged_hadamard(v.reshape(n, -1))
     return v
 
 
@@ -183,14 +172,6 @@ def srht_apply(sketch: SrhtDraw, A: np.ndarray) -> np.ndarray:
     return apply_sketch(sketch.sample, _rotate(sketch.signs, A))
 
 
-def _scores_of_rotation(rotated: np.ndarray, A: np.ndarray,
-                        C: np.ndarray) -> np.ndarray:
-    """Leverage scores given C of ``rotated`` = H D A / sqrt(n): the squared
-    row norms of rotated (A^T A + C)^(-1/2)."""
-    BR = rotated @ inv_sqrt(gram(A) + C)
-    return np.einsum("ij,ij->i", BR, BR)
-
-
 def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
                             signs: np.ndarray) -> np.ndarray:
     """Leverage scores of H D A / sqrt(n) given C.
@@ -199,8 +180,8 @@ def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
     dimension of A itself.
     """
     A = np.asarray(A, dtype=np.float64)
-    return _scores_of_rotation(
-        _rotate(np.asarray(signs, dtype=np.float64), A), A, C)
+    rotated = _rotate(np.asarray(signs, dtype=np.float64), A)
+    return inverse_quadratic_forms(rotated, gram(A) + C)
 
 
 @dataclass(frozen=True)
@@ -238,7 +219,7 @@ class SrhtPlan:
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact,
                 rotated: np.ndarray) -> float:
         """rho_max of uniform sampling from ``rotated``, the rotation of A
-        that ``sketch`` returned; ``exact`` is unread."""
-        rot = _scores_of_rotation(rotated, A, C)
-        return float(rot.max() * rotated.shape[0] / self.d_eff)
+        that ``sketch`` returned, by its exact scores; ``exact`` is unread."""
+        scores = inverse_quadratic_forms(rotated, gram(A) + C)
+        return float(scores.max() * rotated.shape[0] / self.d_eff)
 

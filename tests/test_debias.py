@@ -7,10 +7,11 @@ from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, apply_debias,
                              fine_grained_weights, make_debias_spec,
                              scalar_factor, solve_fixed_point_d)
-from randskew.errors import RandskewError, SketchTooSmall
+from randskew.errors import (RandskewError, SketchTooSmall,
+                             ZeroProbabilityWithPositiveScore)
 from randskew.linalg import gram, psd_relative_error, spd_inverse
-from randskew.sampling import (PlanKind, apply_sketch, build_plan, draw,
-                               exact_leverage_scores)
+from randskew.sampling import (PlanKind, SamplingPlan, apply_sketch,
+                               build_plan, draw, exact_leverage_scores)
 
 D = 4
 A_CE = counterexample_matrix(D)
@@ -57,6 +58,12 @@ class TestFineGrainedWeights:
         scores = exact_leverage_scores(A_CE, C0)
         with pytest.raises(SketchTooSmall) as err:
             fine_grained_weights(plan, scores, D)  # m below l_1/pi_1
+        assert err.value.index == 1
+
+    def test_positive_score_at_zero_probability_names_its_row(self):
+        plan = SamplingPlan(PlanKind.ROW_NORM, [0.5, 0.0, 0.5], 1.0)
+        with pytest.raises(ZeroProbabilityWithPositiveScore) as err:
+            fine_grained_weights(plan, np.array([0.4, 0.2, 0.4]), 10)
         assert err.value.index == 1
 
 

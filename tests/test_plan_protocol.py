@@ -137,10 +137,9 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     roots = _count_calls(monkeypatch, inv_sqrt)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
     assert (len(exact), len(rotations)) == (0, 1)
-    # rho_max's (A^T A + C)^(-1/2) is the step's one inverse square root
-    analytic = rule is StepRule.ANALYTIC
-    assert len(roots) == int(analytic)
-    assert (diagnostics["rho_max"] is not None) == analytic
+    # rho_max takes the rotation's scores by Cholesky, with no eigen root
+    assert roots == []
+    assert (diagnostics["rho_max"] is not None) == (rule is StepRule.ANALYTIC)
 
 
 @KINDS
