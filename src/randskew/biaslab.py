@@ -125,8 +125,8 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
     ``plan_specs`` is a list of (name, plan) pairs; seeds are
     stream-split per cell so cells are independent of each other.  Scalar
     debiasing uses the plan's d_eff.  Cells run through
-    :func:`~randskew.parallel.pmap`, so the rows do not depend on its
-    worker count.
+    :func:`~randskew.parallel.pmap`, largest m first, so the rows depend
+    on neither its worker count nor its dispatch order.
     """
     m_grid = list(m_grid)
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
@@ -145,4 +145,4 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
                             rsrng.split(seed, pi, di, mi))
         return BiasSweepRow(scheme=name, debias=mode, estimate=est)
 
-    return pmap(run_cell, cells)
+    return pmap(run_cell, cells, cost=lambda cell: cell[-1])

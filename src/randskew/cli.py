@@ -406,6 +406,10 @@ def main(argv: list[str] | None = None) -> int:
     except (RandskewError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # numpy's message names the shape it could not allocate
+        print(f"MemoryError: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

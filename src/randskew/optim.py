@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
-from .errors import NoConvergence
+from .errors import NoConvergence, SketchTooSmall
 from .linalg import gram, solve_spd
 from .sampling import PlanKind, build_plan, exact_leverage_scores
 from .data import require_binary_labels
@@ -206,6 +206,8 @@ def sparse_rademacher_sketch(A: np.ndarray, m: int, nnz_per_row: int,
     Each sketch row combines ``nnz_per_row`` distinct uniformly chosen rows
     of A with independent signs, scaled by sqrt(n / (m * nnz)).
     """
+    if m < 1:
+        raise SketchTooSmall(f"sketch size m={m} must be at least 1")
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     if not 1 <= nnz_per_row <= n:

@@ -15,15 +15,17 @@ def _run(index: int):
     return fn(items[index])
 
 
-def pmap(fn, items) -> list:
+def pmap(fn, items, cost=None) -> list:
     """``[fn(x) for x in items]``, on up to :data:`workers` processes.
 
     Workers are forked, so ``fn`` and the items may be closures and arrays
-    that do not pickle: only item indices and results travel.  Results
-    come back in item order, and the exception raised is the one from the
-    earliest failing item, as in the serial loop.  The pool is shut down
-    before this returns or raises.  Without a ``fork`` start method the
-    items run in-process.
+    that do not pickle: only item indices and results travel.  With a
+    ``cost`` function, the pool is handed items in descending
+    ``cost(item)`` (ties in item order), so the longest items do not start
+    last.  Results come back in item order, and the exception raised is
+    the one from the earliest failing item, as in the serial loop.  The
+    pool is shut down before this returns or raises.  Without a ``fork``
+    start method the items run in-process.
     """
     global _task
     items = list(items)
@@ -32,11 +34,17 @@ def pmap(fn, items) -> list:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
-            _task = (fn, items)
+            order = range(len(items))
+            if cost is not None:
+                order = sorted(order, key=lambda i: cost(items[i]),
+                               reverse=True)
+            pool = ProcessPoolExecutor(
+                count, mp_context=multiprocessing.get_context("fork"))
+            _task = (fn, items)   # workers fork at the first submit
             try:
-                with ProcessPoolExecutor(count, mp_context=multiprocessing
-                                         .get_context("fork")) as pool:
-                    return list(pool.map(_run, range(len(items))))
+                futures = {i: pool.submit(_run, i) for i in order}
+                return [futures[i].result() for i in range(len(items))]
             finally:
+                pool.shutdown(cancel_futures=True)
                 _task = None
     return [fn(x) for x in items]

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
 from .linalg import gram, inv_sqrt, inverse_quadratic_forms, solve_spd
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
+GUIDE_PASSES = 8  # guide-table steps before searchsorted finishes a draw
 
 
 class PlanKind(enum.Enum):
@@ -80,13 +82,63 @@ class SamplingPlan:
 
     def sketch_many(self, A: np.ndarray, m: int, spec, seeds) -> np.ndarray:
         """The T x m x d stack of sketches, one per seed; each is
-        ``apply_sketch(apply_debias(draw(self, m, s), spec), A)`` bitwise."""
-        indices, weights = draw_many(self, m, seeds)
-        return _gather(A, indices, spec.reweight(indices, weights))
+        ``apply_sketch(apply_debias(draw(self, m, s), spec), A)`` bitwise.
+
+        The debiased weight of every support row is computed once, by the
+        same element operations a draw makes, and the draws index it.
+        """
+        if m < 1:
+            raise ValueError("sketch size m must be >= 1")
+        support = self._guide[0]
+        pos = self._positions(rsrng.uniform_rows(seeds, m))
+        table = spec.reweight(support,
+                              1.0 / np.sqrt(m * self.probs[support]))
+        return _gather(A, support[pos], table[pos])
 
     def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
                 rotated: None) -> float:
         return approximation_factors(self, exact).rho_max
+
+    @cached_property
+    def _guide(self):
+        """The support, its cdf and a guide table for indexed search
+        (Chen & Asau 1974), built once per plan.
+
+        With K = len(cdf) buckets, x lies in bucket int(x * K).  guide[k]
+        counts the cdf entries in buckets below k.  Bucketing is monotone,
+        so each of those entries is below every u in bucket k, and guide[k]
+        never exceeds ``searchsorted(cdf, u, side="right")``.
+        """
+        # over the support only: u near 1 must not land on a trailing zero row
+        support = np.flatnonzero(self.probs)
+        cdf = np.cumsum(self.probs[support])
+        cdf[-1] = 1.0
+        K = len(cdf)
+        counts = np.bincount((cdf * K).astype(np.intp), minlength=K + 1)
+        return support, cdf, np.concatenate(([0], np.cumsum(counts[:K])))
+
+    def _positions(self, u: np.ndarray) -> np.ndarray:
+        """Support positions of the draws the uniforms ``u`` make:
+        ``searchsorted(cdf, u, side="right")``, bitwise.
+
+        Each draw starts at its bucket's guide entry and steps up while
+        ``cdf[pos] <= u``, the same predicate.  Draws still stepping after
+        ``GUIDE_PASSES`` steps, in a bucket crowded with tiny
+        probabilities, are finished by ``searchsorted``.
+        """
+        _, cdf, guide = self._guide
+        flat = u.ravel()
+        pos = guide[(flat * len(cdf)).astype(np.intp)]
+        pos += cdf[pos] <= flat   # most draws step at most once
+        live = np.flatnonzero(cdf[pos] <= flat)
+        for _ in range(GUIDE_PASSES - 1):
+            if not live.size:
+                break
+            pos[live] += 1
+            live = live[cdf[pos[live]] <= flat[live]]
+        if live.size:
+            pos[live] = np.searchsorted(cdf, flat[live], side="right")
+        return pos.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -270,11 +322,7 @@ def approximation_factors(plan: SamplingPlan,
 
 def _sample(plan: SamplingPlan, m: int, u: np.ndarray):
     """Row indices and weights of the draws that the uniforms ``u`` make."""
-    # over the support only: u near 1 must not land on a trailing zero row
-    support = np.flatnonzero(plan.probs)
-    cdf = np.cumsum(plan.probs[support])
-    cdf[-1] = 1.0
-    indices = support[np.searchsorted(cdf, u, side="right")]
+    indices = plan._guide[0][plan._positions(u)]
     return indices, 1.0 / np.sqrt(m * plan.probs[indices])
 
 

@@ -474,3 +474,28 @@ def test_data_without_columns_is_numerical_error(tmp_path, capsys, command,
                     str(tmp_path / "x.csv"), *overrides]) == 3
     assert capsys.readouterr().err.startswith(
         "ValueError: gram requires at least one column")
+
+
+def test_sparse_proj_empty_sketch_is_numerical_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
+                    str(out), "method=sparse_proj", "m=0"]) == 3
+    assert capsys.readouterr().err == (
+        "SketchTooSmall: sketch size m=0 must be at least 1\n")
+    assert not out.exists()
+
+
+def test_impossible_size_is_numerical_error(tmp_path, capsys):
+    # numpy refuses this allocation at once (hundreds of TiB); nothing is
+    # allocated
+    cfg = write_cfg(tmp_path, "c.cfg", LEV_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli(["lev", "--config", cfg, "--seed", "1", "--out",
+                    str(out), "synthetic=gaussian",
+                    "n=10000000000000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("MemoryError: ")
+    assert "(10000000000000, 4)" in err
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -90,6 +90,42 @@ def test_pmap_raises_the_earliest_failing_item(workers, first):
     assert multiprocessing.active_children() == []
 
 
+def _timed(x):
+    """The item and the monotonic time its call started."""
+    start = time.monotonic()
+    time.sleep(0.05)
+    return x, start
+
+
+def test_pmap_dispatches_by_cost_and_returns_in_item_order(monkeypatch):
+    monkeypatch.setattr(parallel, "workers", 2)
+    results = parallel.pmap(_timed, range(6), cost=lambda x: x)
+    assert [x for x, _ in results] == list(range(6))
+    starts = [start for _, start in results]
+    # item 5 goes to the pool first, item 0 only after two rounds of sleeps
+    assert starts[5] < starts[0]
+    assert multiprocessing.active_children() == []
+
+
+def _fail_by_cost(x):
+    """Item 1 (low cost) raises late in time; item 4 (high cost, handed
+    out second) raises at once."""
+    if x == 1:
+        time.sleep(0.3)
+        raise SketchTooSmall("item 1", index=1)
+    if x == 4:
+        raise NotPositiveDefinite("item 4", pivot_index=4)
+    return x
+
+
+def test_cost_order_keeps_the_serial_error(workers):
+    with pytest.raises((NotPositiveDefinite, SketchTooSmall)) as info:
+        parallel.pmap(_fail_by_cost, range(6), cost=lambda x: x)
+    assert type(info.value) is SketchTooSmall
+    assert (str(info.value), info.value.index) == ("item 1", 1)
+    assert multiprocessing.active_children() == []
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # scipy.linalg already imports the concurrent.futures package (through
     # numpy.testing); its process pool and multiprocessing must wait for

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from randskew import rng as rsrng
@@ -292,6 +293,57 @@ class TestDrawMany:
     def test_rejects_empty_sketch(self):
         with pytest.raises(ValueError):
             sampling.draw_many(self.PLAN, 0, [0])
+
+def _searchsorted_rows(probs, u):
+    """The rows a plan over ``probs`` draws for ``u`` by a binary search
+    of the support's cdf."""
+    support = np.flatnonzero(probs)
+    cdf = np.cumsum(probs[support])
+    cdf[-1] = 1.0
+    return support[np.searchsorted(cdf, u, side="right")]
+
+
+def _edge_uniforms(probs):
+    """Uniforms where an off-by-one draw would show: every cdf value and
+    its two neighbours, every bucket edge k/K and its two neighbours, and
+    the largest double below 1."""
+    cdf = np.cumsum(probs[probs > 0])
+    edges = np.arange(len(cdf) + 1) / len(cdf)
+    u = np.concatenate([cdf, edges, [1.0 - 2.0 ** -53]])
+    u = np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestGuideTable:
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.one_of(st.just(0.0),
+                                      st.floats(1e-12, 1.0),
+                                      st.integers(1, 4).map(float)),
+                            min_size=1, max_size=40),
+           trailing_zeros=st.integers(0, 3))
+    def test_equals_searchsorted(self, weights, trailing_zeros):
+        w = np.array(weights + [0.0] * trailing_zeros)
+        if not w.any():
+            w[0] = 1.0
+        probs = w / w.sum()
+        plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
+        u = _edge_uniforms(probs)
+        indices, _ = sampling._sample(plan, 1, u)
+        np.testing.assert_array_equal(indices, _searchsorted_rows(probs, u))
+
+    def test_crowded_bucket_is_finished_by_searchsorted(self):
+        # 64 tiny rows share the first of 65 buckets with a heavy last row,
+        # so a draw between them takes more steps than the passes allow
+        probs = np.array([1e-6] * 64 + [1.0 - 64e-6])
+        plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
+        u = _edge_uniforms(probs)
+        _, cdf, guide = plan._guide
+        steps = (np.searchsorted(cdf, u, side="right")
+                 - guide[(u * len(cdf)).astype(np.intp)])
+        assert steps.max() > sampling.GUIDE_PASSES
+        indices, _ = sampling._sample(plan, 1, u)
+        np.testing.assert_array_equal(indices, _searchsorted_rows(probs, u))
+
 
 class TestApplySketch:
     def test_identity_draw(self):
