@@ -6,8 +6,8 @@ from .errors import (AllTrialsSingular, AllZeroRows, ConfigError,
                      NotPositiveDefinite, NotPowerOfTwo, ParseError,
                      RandskewError, SketchTooSmall,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import (cholesky, gram, inv_sqrt, psd_relative_error,
-                     solve_spd, spd_inverse, spectral_norm, sqrt_psd)
+from .linalg import (cholesky, gram, inv_sqrt, solve_spd, spectral_norm,
+                     sqrt_psd, whiten)
 from .sampling import (ApproxFactors, PlanKind, SamplingPlan, SketchDraw,
                        apply_sketch, approximation_factors, build_plan,
                        draw, effective_dimension, exact_leverage_scores,

@@ -7,6 +7,10 @@ For a sketching scheme producing A-tilde, the bias of interest is
 measured in spectral norm and estimated by averaging over independent
 trials.  Trials whose sketched Gram is numerically singular are discarded
 and counted; this operationalizes the conditioning event of the theory.
+
+With H = L L^T (Cholesky) and Q the mean kept inverse, the bias is
+max |lambda - 1| over the eigenvalues lambda of L^T Q L, and ``eps_def5``
+is max(lambda_max - 1, 1/lambda_min - 1, 0): one ``eigvalsh`` gives both.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasMode, DebiasSpec, make_debias_spec
 from .errors import AllTrialsSingular
-from .linalg import (accepted_inverses, gram, psd_relative_error,
-                     spd_inverse, spectral_norm, sqrt_psd)
+from .linalg import accepted_inverses, cholesky, gram
 from .parallel import pmap
 from .sampling import exact_leverage_scores
 
@@ -57,9 +60,7 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
         raise ValueError("need m >= 1 and trials >= 2")
     A = np.asarray(A, dtype=np.float64)
     d = A.shape[1]
-    H = gram(A) + C
-    H_inv = spd_inverse(H)
-    H_half = sqrt_psd(H)
+    L = cholesky(gram(A) + C)
 
     group_sums: list[np.ndarray] = []
     group_kept: list[int] = []
@@ -86,19 +87,19 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
         raise AllTrialsSingular(
             f"all {trials} trials produced singular sketched Grams")
     grand = sum(group_sums)
-    mean = grand / kept
 
-    def weighted_bias(S, k):
-        M = H_half @ (S / k - H_inv) @ H_half
-        return spectral_norm((M + M.T) / 2.0)
+    def whitened_eigenvalues(S, k):
+        """Eigenvalues of L^T (S / k) L, ascending."""
+        W = L.T @ S @ L
+        return np.linalg.eigvalsh((W + W.T) / 2.0 / k)
 
-    bias = weighted_bias(grand, kept)
+    lam = whitened_eigenvalues(grand, kept)
+    bias = np.abs(lam - 1.0).max()
+    eps = (float("inf") if lam[0] <= 0
+           else max(lam[-1] - 1.0, 1.0 / lam[0] - 1.0, 0.0))
 
-    thetas = []
-    for bs, bk in zip(group_sums, group_kept):
-        rest = kept - bk
-        if rest > 0:
-            thetas.append(weighted_bias(grand - bs, rest))
+    thetas = [np.abs(whitened_eigenvalues(grand - bs, kept - bk) - 1.0).max()
+              for bs, bk in zip(group_sums, group_kept) if bk < kept]
     stderr = 0.0
     nb = len(thetas)
     if nb > 1:
@@ -108,7 +109,7 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     return BiasEstimate(m=m, trials=trials, discarded=discarded,
                         bias=float(bias), stderr_proxy=stderr,
                         debias_mode=debias.mode,
-                        eps_two_sided=psd_relative_error(mean, H_inv))
+                        eps_two_sided=float(eps))
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,6 @@ def solve_spd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def spd_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
-    Minv = solve_spd(M, np.eye(M.shape[0]))
-    return (Minv + Minv.T) / 2.0
-
-
 def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of the matrices of a stack of symmetric matrices that
     :func:`cholesky` accepts.
@@ -131,17 +125,26 @@ def _invert_upper(Z: np.ndarray, what: str) -> None:
             pivot_index=info - 1 if info > 0 else None)
 
 
-def inverse_quadratic_forms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """a_i^T M^-1 a_i for every row a_i of A, M symmetric positive definite.
+def whiten(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """A L^-T for M = L L^T symmetric positive definite, so that
+    (A L^-T)(A L^-T)^T = A M^-1 A^T.
 
-    They are the squared row norms of A L^-T for M = L L^T, with L^-1 from
-    LAPACK ``trtri`` and A L^-T one matrix product.  Raises as
-    :func:`cholesky` does.
+    L^-1 comes from LAPACK ``trtri`` and A L^-T is one matrix product.
+    Raises as :func:`cholesky` does.
     """
     Z = cholesky(M).T
     _invert_upper(Z[None], "factor")
-    B = np.asarray(A, dtype=np.float64) @ Z
+    return np.asarray(A, dtype=np.float64) @ Z
+
+
+def inverse_quadratic_forms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """a_i^T M^-1 a_i for every row a_i of A, M symmetric positive definite:
+    the squared row norms of :func:`whiten`'s A L^-T."""
+    B = whiten(A, M)
     return np.einsum("ij,ij->i", B, B)
+
+
+# No package code calls these eigen routines; perfbench's TRACED names them.
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -176,18 +179,3 @@ def sqrt_psd(M: np.ndarray) -> np.ndarray:
     evals = np.clip(evals, 0.0, None)
     R = (evecs * np.sqrt(evals)) @ evecs.T
     return (R + R.T) / 2.0
-
-
-def psd_relative_error(X_hat: np.ndarray, X: np.ndarray) -> float:
-    """Smallest eps with (1+eps)^{-1} X <= X_hat <= (1+eps) X in PSD order.
-
-    Returns +inf when X_hat has a nonpositive generalized eigenvalue
-    against X.  X must be positive definite.
-    """
-    R = inv_sqrt(X)
-    W = R @ check_symmetric(X_hat, "X_hat") @ R
-    evals = np.linalg.eigvalsh((W + W.T) / 2.0)
-    lam_min, lam_max = evals[0], evals[-1]
-    if lam_min <= 0:
-        return float("inf")
-    return float(max(lam_max - 1.0, 1.0 / lam_min - 1.0, 0.0))

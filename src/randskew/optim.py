@@ -43,10 +43,13 @@ class GlmProblem:
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
+        A = np.asarray(self.A, dtype=np.float64)
+        if A.shape[0] < 1:
+            raise ValueError("A must have at least one row")
         y = np.asarray(self.y, dtype=np.float64)
         if self.kind is ProblemKind.LOGISTIC:
             y = require_binary_labels(y)
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=np.float64))
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 
     @property

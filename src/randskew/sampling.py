@@ -30,7 +30,7 @@ import numpy as np
 from . import rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import gram, inv_sqrt, inverse_quadratic_forms, solve_spd
+from .linalg import gram, inverse_quadratic_forms, solve_spd, whiten
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 GUIDE_PASSES = 8  # guide-table steps before searchsorted finishes a draw
@@ -213,9 +213,10 @@ def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
                          m2: int | None = None, seed: int = 0) -> np.ndarray:
     """Approximate leverage scores via a sparse JL sketch of the Gram.
 
-    Single-sketch mode returns ``||e_i^T A (A^T S1^T S1 A + C)^{-1/2}||^2``;
-    when ``m2`` is given the inverse-sqrt factor is post-multiplied by a
-    second sketch of width m2 before row norms are taken.
+    Single-sketch mode returns ``a_i^T (A^T S1^T S1 A + C)^-1 a_i``, the
+    squared row norms of :func:`~randskew.linalg.whiten`'s A L^-T; when
+    ``m2`` is given, A L^-T is multiplied by a second sketch of width m2
+    before row norms are taken.
     """
     A = np.asarray(A, dtype=np.float64)
     d = A.shape[1]
@@ -226,11 +227,10 @@ def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
                          f"1 <= m2 < m1={m1}")
     SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
     try:
-        R = inv_sqrt(gram(SA) + C)
+        B = whiten(A, gram(SA) + C)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             "sketched Gram plus C is singular; increase m1", ) from exc
-    B = A @ R
     if m2 is not None:
         S2T = _sjlt_apply(np.eye(d), m2, rsrng.generator(seed, 1)).T
         B = B @ S2T

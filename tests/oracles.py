@@ -3,6 +3,7 @@
 import numpy as np
 
 from randskew import rng as rsrng
+from randskew.linalg import check_symmetric, inv_sqrt, solve_spd
 
 
 def gaussian_sketch(A: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -29,3 +30,24 @@ def dense_hadamard(n: int) -> np.ndarray:
         H[h:2 * h, h:2 * h] = -H[:h, :h]
         h *= 2
     return H
+
+
+def spd_inverse(M: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix via Cholesky."""
+    Minv = solve_spd(M, np.eye(M.shape[0]))
+    return (Minv + Minv.T) / 2.0
+
+
+def psd_relative_error(X_hat: np.ndarray, X: np.ndarray) -> float:
+    """Smallest eps with (1+eps)^{-1} X <= X_hat <= (1+eps) X in PSD order.
+
+    Returns +inf when X_hat has a nonpositive generalized eigenvalue
+    against X.  X must be positive definite.
+    """
+    R = inv_sqrt(X)
+    W = R @ check_symmetric(X_hat, "X_hat") @ R
+    evals = np.linalg.eigvalsh((W + W.T) / 2.0)
+    lam_min, lam_max = evals[0], evals[-1]
+    if lam_min <= 0:
+        return float("inf")
+    return float(max(lam_max - 1.0, 1.0 / lam_min - 1.0, 0.0))

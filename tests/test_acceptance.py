@@ -17,8 +17,7 @@ from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, fine_grained_weights,
                              make_debias_spec, solve_fixed_point_d)
 from randskew.hadamard import fwht_inplace
-from randskew.linalg import (gram, inv_sqrt, psd_relative_error,
-                             spd_inverse)
+from randskew.linalg import gram, inv_sqrt
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod,
                             objective_eval, reference_point,
                             reference_solution, run_solver)
@@ -26,7 +25,7 @@ from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
                                approximation_factors, build_plan, draw,
                                draw_many, exact_leverage_scores)
 
-from oracles import gaussian_sketch
+from oracles import gaussian_sketch, psd_relative_error, spd_inverse
 
 D = 4
 A_CE = counterexample_matrix(D)

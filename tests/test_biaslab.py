@@ -12,11 +12,10 @@ from randskew.data import counterexample_matrix
 from randskew.debias import DebiasMode, DebiasSpec
 from randskew.errors import (AllTrialsSingular, NotPositiveDefinite,
                              SketchTooSmall)
-from randskew.linalg import (cholesky, gram, psd_relative_error, spd_inverse,
-                             spectral_norm, sqrt_psd)
+from randskew.linalg import cholesky, gram, spectral_norm, sqrt_psd
 from randskew.sampling import PlanKind, SamplingPlan, build_plan
 
-from oracles import gaussian_sketch
+from oracles import gaussian_sketch, psd_relative_error, spd_inverse
 
 D = 4
 A_CE = counterexample_matrix(D)

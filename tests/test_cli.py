@@ -449,6 +449,20 @@ def test_negative_iters_is_numerical_error_and_writes_nothing(
     assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_data_without_rows_is_refused_before_any_iterate(tmp_path, capsys,
+                                                         command):
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(out), "synthetic=coherent", "n=0", "heavy_rows=0",
+                    "m_grid=32"]) == 3
+    assert capsys.readouterr().err == (
+        "ValueError: A must have at least one row\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
 @pytest.mark.parametrize("command", ["lev", "bias"])
 def test_negative_lambda_is_numerical_error(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, "c.cfg",

@@ -9,9 +9,11 @@ from randskew.debias import (DebiasMode, DebiasSpec, apply_debias,
                              scalar_factor, solve_fixed_point_d)
 from randskew.errors import (RandskewError, SketchTooSmall,
                              ZeroProbabilityWithPositiveScore)
-from randskew.linalg import gram, psd_relative_error, spd_inverse
+from randskew.linalg import gram
 from randskew.sampling import (PlanKind, SamplingPlan, apply_sketch,
                                build_plan, draw, exact_leverage_scores)
+
+from oracles import psd_relative_error, spd_inverse
 
 D = 4
 A_CE = counterexample_matrix(D)

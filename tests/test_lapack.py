@@ -21,6 +21,8 @@ from randskew import _lapack, linalg
 from randskew.errors import NotPositiveDefinite
 from randskew.sampling import exact_leverage_scores
 
+from oracles import spd_inverse
+
 _SRC = str(Path(randskew.__file__).resolve().parents[1])
 _ROUTINES = ("dpotrf_stack", "dpotrs", "dtrtri_stack")
 # norm-wise relative distance allowed between the routes' results: the two
@@ -83,7 +85,8 @@ def _results():
     return {"cholesky": linalg.cholesky(M),
             "solve_spd": linalg.solve_spd(M, B),
             "solve_spd_vector": linalg.solve_spd(M, B[:, 0]),
-            "spd_inverse": linalg.spd_inverse(M),
+            "spd_inverse": spd_inverse(M),
+            "whiten": linalg.whiten(A, M),
             "accepted_inverses": Q,
             "exact_leverage_scores": exact_leverage_scores(A, 0.1 * np.eye(32))}
 

@@ -7,8 +7,10 @@ from scipy.linalg import lapack
 from randskew import linalg
 from randskew.errors import NotPositiveDefinite
 from randskew.linalg import (accepted_inverses, cholesky, gram, inv_sqrt,
-                             psd_relative_error, solve_spd, spd_inverse,
-                             spectral_norm, sqrt_psd)
+                             inverse_quadratic_forms, solve_spd,
+                             spectral_norm, sqrt_psd, whiten)
+
+from oracles import psd_relative_error, spd_inverse
 
 
 def random_spd(d, rng, cond=1e3):
@@ -73,6 +75,35 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite) as err:
             cholesky(np.diag([1.0, 1e-16, 1.0]))
         assert err.value.pivot_index == 1
+
+
+class TestWhiten:
+    def test_whitens_the_identity(self):
+        # W = L^-T for M = L L^T, so W^T M W = I
+        rng = np.random.default_rng(11)
+        for d in (1, 5, 16):
+            M = random_spd(d, rng)
+            W = whiten(np.eye(d), M)
+            assert np.abs(W.T @ M @ W - np.eye(d)).max() < 1e-10
+
+    def test_row_norms_are_the_inverse_quadratic_forms_bitwise(self):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((40, 6))
+        M = random_spd(6, rng)
+        B = whiten(A, M)
+        np.testing.assert_array_equal(np.einsum("ij,ij->i", B, B),
+                                      inverse_quadratic_forms(A, M))
+
+    @pytest.mark.parametrize("M", [np.array([[1.0, 1.0], [1.0, 1.0]]),
+                                   np.diag([1.0, 2.0, -1.0, 1.0]),
+                                   np.diag([1.0, 1e-16, 1.0])],
+                             ids=["rank-one", "negative", "tiny"])
+    def test_singular_matrix_raises_with_the_cholesky_pivot(self, M):
+        with pytest.raises(NotPositiveDefinite) as want:
+            cholesky(M)
+        with pytest.raises(NotPositiveDefinite) as err:
+            whiten(np.ones((3, len(M))), M)
+        assert err.value.pivot_index == want.value.pivot_index is not None
 
 
 class TestAcceptedInverses:

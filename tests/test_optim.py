@@ -138,6 +138,11 @@ class TestObjectiveEval:
             GlmProblem(np.eye(2), np.array([0.0, 1.0]), 0.1,
                        ProblemKind.LOGISTIC)
 
+    @pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+    def test_data_without_rows_rejected(self, kind):
+        with pytest.raises(ValueError, match="at least one row"):
+            GlmProblem(np.zeros((0, 3)), np.zeros(0), 0.1, kind)
+
 
 class TestNewtonExact:
     def test_quadratic_converges_in_one_step(self):

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randskew import rng as rsrng
-from randskew.biaslab import estimate_bias, make_debias_spec
+from randskew.biaslab import JACKKNIFE_BATCH, estimate_bias, make_debias_spec
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPositiveDefinite
 from randskew.hadamard import _rotate
-from randskew.linalg import gram, inv_sqrt
+from randskew.linalg import gram, whiten
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
 from randskew.sampling import (PlanKind, apply_sketch, approximation_factors,
@@ -134,11 +134,12 @@ def test_srht_ssn_step_rotates_once(monkeypatch):
 def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     exact = _count_calls(monkeypatch, exact_leverage_scores)
     rotations = _count_calls(monkeypatch, _rotate)
-    roots = _count_calls(monkeypatch, inv_sqrt)
+    whitenings = _count_calls(monkeypatch, whiten)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
     assert (len(exact), len(rotations)) == (0, 1)
-    # rho_max takes the rotation's scores by Cholesky, with no eigen root
-    assert roots == []
+    # the plan whitens nothing; rho_max whitens the rotation once for its
+    # scores
+    assert len(whitenings) == (rule is StepRule.ANALYTIC)
     assert (diagnostics["rho_max"] is not None) == (rule is StepRule.ANALYTIC)
 
 
@@ -148,16 +149,52 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
 def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
     hs = objective_eval(P, np.zeros(D)).hessian_sqrt
     d_eff = exact_leverage_scores(hs, P.lam * np.eye(D)).sum()
-    roots = _count_calls(monkeypatch, inv_sqrt)
+    whitenings = _count_calls(monkeypatch, whiten)
     build_plan(kind, hs, P.lam * np.eye(D))
-    by_plan = len(roots)  # the SJLT plans whiten their own sketch
+    # the SJLT plans whiten A by their sketched Gram's factor, the others
+    # by H's for exact scores, and the Hadamard plan whitens nothing
+    by_plan = len(whitenings)
+    assert by_plan == (kind is not PlanKind.SRHT)
     factors = _count_calls(monkeypatch, approximation_factors)
     _, diagnostics = _one_ssn_step(kind, rule)
-    assert len(roots) == 2 * by_plan
+    # the step builds the plan again, and whitens once more only for the
+    # exact scores of an approximate plan's d_eff
+    approximate = kind in (PlanKind.APPROX_LEVERAGE,
+                           PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE)
+    assert len(whitenings) == 2 * by_plan + approximate
     assert factors == []
     assert diagnostics["rho_max"] is None
     # exact for every plan, the approximate-leverage ones included
     assert diagnostics["d_eff"] == pytest.approx(d_eff, rel=1e-12, abs=0)
+
+
+def _count_numpy_calls(monkeypatch, name) -> list:
+    """Count calls to ``numpy.linalg.<name>``; returns the list that grows
+    by one per call."""
+    calls, fn = [], getattr(np.linalg, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@KINDS
+def test_no_plan_step_or_bias_estimate_takes_an_eigendecomposition(
+        kind, monkeypatch):
+    eigh = _count_numpy_calls(monkeypatch, "eigh")
+    eigvalsh = _count_numpy_calls(monkeypatch, "eigvalsh")
+    plan = build_plan(kind, A, C)
+    _one_ssn_step(kind)
+    assert (len(eigh), len(eigvalsh)) == (0, 0)
+    # three jackknife groups, so three leave-one-group-out thetas
+    est = estimate_bias(A, C, plan, DebiasSpec.scalar(M, plan.d_eff), M,
+                        trials=2 * JACKKNIFE_BATCH + 1, seed=2)
+    assert est.discarded < JACKKNIFE_BATCH
+    # one eigvalsh of the whitened grand mean gives bias and eps_def5
+    assert (len(eigh), len(eigvalsh)) == (0, 1 + 3)
 
 
 def test_srht_plan_d_eff_is_the_closed_form_effective_dimension():

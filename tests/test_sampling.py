@@ -7,12 +7,15 @@ from randskew import rng as rsrng
 from randskew import sampling
 from randskew.data import counterexample_matrix
 from randskew.errors import (AllZeroRows, IndexOutOfRange,
+                             NotPositiveDefinite,
                              ZeroProbabilityWithPositiveScore)
-from randskew.linalg import gram, inv_sqrt, psd_relative_error
+from randskew.linalg import gram, inv_sqrt, inverse_quadratic_forms
 from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
                                apply_sketch, approximation_factors,
                                build_plan, draw, effective_dimension,
                                exact_leverage_scores, sjlt_approx_leverage)
+
+from oracles import psd_relative_error
 
 D = 4
 A_CE = counterexample_matrix(D)
@@ -69,6 +72,23 @@ class TestSjltApproxLeverage:
         exact = exact_leverage_scores(A_CE, C0)
         approx = sjlt_approx_leverage(A_CE, C0, m1=n)
         assert np.abs(approx - exact).max() < 1e-12
+
+    def test_single_sketch_scores_are_the_sketched_quadratic_forms(self):
+        # A is whitened by the Cholesky factor of the sketched Gram plus C,
+        # bitwise the route the exact scores take
+        C = 1e-3 * np.eye(D)
+        for m1, seed in ((D, 0), (4 * D, 9), (8 * D, 23)):
+            SA = sampling._sjlt_apply(A_CE, m1, rsrng.generator(seed, 0))
+            want = inverse_quadratic_forms(A_CE, gram(SA) + C)
+            got = sjlt_approx_leverage(A_CE, C, m1=m1, seed=seed)
+            np.testing.assert_array_equal(got, want)
+
+    def test_singular_sketched_gram_asks_for_a_wider_sketch(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(sampling, "_sjlt_apply",
+                            lambda A, m, gen: np.zeros((m, A.shape[1])))
+        with pytest.raises(NotPositiveDefinite, match="increase m1"):
+            sjlt_approx_leverage(A_CE, C0, m1=2 * D)
 
     def test_monte_carlo_mean_near_exact(self):
         # The raw mean overshoots by a near-uniform factor (the sketched
