@@ -1,11 +1,12 @@
-"""LAPACK's Cholesky routines from the OpenBLAS that numpy bundles.
+"""LAPACK's Cholesky routines and BLAS ``trmm`` from the OpenBLAS that
+numpy bundles.
 
 numpy's wheel ships a full OpenBLAS, LAPACK included, whose symbols take
 64-bit integers and end in ``64_`` (``scipy_dpotrf_64_``).  Calling it
 through :mod:`ctypes` spares a program the import of ``scipy.linalg``.
 Where numpy bundles no OpenBLAS, or it lacks one of the routines (a numpy
 built against a system BLAS), the routines come from
-``scipy.linalg.lapack`` instead.
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` instead.
 
 ``dpotrs(c, b, lower)`` has ``scipy.linalg.lapack``'s call shape: it
 solves on a Fortran-ordered float64 copy of ``b`` and returns it with
@@ -13,7 +14,10 @@ LAPACK's ``info``.  ``dpotrf_stack(Z)`` and ``dtrtri_stack(Z)`` overwrite
 each matrix of a writable C-contiguous float64 stack ``Z`` by one
 ``potrf('L')`` or ``trtri('L')`` call on its Fortran view ``Z[t].T``,
 and return their ``info`` values; in ``Z[t]`` itself, both write the
-upper triangle.  :func:`openblas_pools` finds the thread pools of the
+upper triangle.  ``dtrmm(X, Z)`` overwrites a writable C-contiguous
+float64 r x d matrix ``X`` by ``X @ Z`` for a C-contiguous upper triangular
+d x d ``Z``, by one ``trmm('L', 'L', 'N', 'N')`` call on their Fortran
+views ``Z.T @ X.T``.  :func:`openblas_pools` finds the thread pools of the
 OpenBLAS bundled with numpy and with scipy.
 """
 
@@ -94,14 +98,31 @@ def _stacked(infos):
     return routine
 
 
+def _multiplied(trmm):
+    """The ``dtrmm(X, Z)`` that runs ``trmm(X, Z)`` once ``X`` and ``Z`` are
+    checked to be matrices that a call on raw addresses may use."""
+    def dtrmm(X: np.ndarray, Z: np.ndarray) -> None:
+        if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                    and a.flags.c_contiguous for a in (X, Z))
+                and X.flags.writeable and X.ndim == 2
+                and Z.shape == (X.shape[1],) * 2):
+            raise ValueError("expected a writable C-contiguous float64 "
+                             "matrix and a C-contiguous factor fitting its "
+                             "rows")
+        trmm(X, Z)
+    return dtrmm
+
+
 def _routines():
-    """``(dpotrf_stack, dpotrs, dtrtri_stack)`` on numpy's OpenBLAS, or on
-    ``scipy.linalg.lapack`` when numpy's lacks one of them."""
+    """``(dpotrf_stack, dpotrs, dtrtri_stack, dtrmm)`` on numpy's OpenBLAS,
+    or on ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` when numpy's
+    lacks one of them."""
     try:
-        potrf, potrs, trtri = (_symbol(f"scipy_d{name}_")
-                               for name in ("potrf", "potrs", "trtri"))
+        potrf, potrs, trtri, trmm = (
+            _symbol(f"scipy_d{name}_")
+            for name in ("potrf", "potrs", "trtri", "trmm"))
     except AttributeError:
-        from scipy.linalg import lapack
+        from scipy.linalg import blas, lapack
 
         def each(fn, **overwrite):
             # Zt.T is Fortran-ordered, so ``overwrite`` works in place
@@ -109,13 +130,15 @@ def _routines():
                                        for Zt in Z))
 
         return (each(lapack.dpotrf, clean=0, overwrite_a=1), lapack.dpotrs,
-                each(lapack.dtrtri, overwrite_c=1))
+                each(lapack.dtrtri, overwrite_c=1),
+                _multiplied(lambda X, Z: blas.dtrmm(1.0, Z.T, X.T, side=0,
+                                                    lower=1, overwrite_b=1)))
 
     # Fortran calling convention: every argument by reference, then one
     # hidden length per character argument.  The routines have no
     # ``argtypes``: every argument is a ctypes object built once per call
     # of a stack routine, which spares a conversion per LAPACK call.
-    for fn in (potrf, potrs, trtri):
+    for fn in (potrf, potrs, trtri, trmm):
         fn.restype = None
     byref, ptr, one = ctypes.byref, ctypes.c_void_p, ctypes.c_size_t(1)
 
@@ -148,7 +171,16 @@ def _routines():
               byref(info), one)
         return x, info.value
 
-    return each(potrf, b"L"), dpotrs, each(trtri, b"L", b"N")
+    flags = [ctypes.c_char_p(f) for f in (b"L", b"L", b"N", b"N")]
+    alpha = byref(ctypes.c_double(1.0))
+
+    def multiply(X, Z):
+        ld = byref(_INT(max(X.shape[1], 1)))
+        trmm(*flags, ld, byref(_INT(len(X))), alpha, ptr(Z.ctypes.data), ld,
+             ptr(X.ctypes.data), ld, *(one,) * len(flags))
+
+    return (each(potrf, b"L"), dpotrs, each(trtri, b"L", b"N"),
+            _multiplied(multiply))
 
 
-dpotrf_stack, dpotrs, dtrtri_stack = _routines()
+dpotrf_stack, dpotrs, dtrtri_stack, dtrmm = _routines()

@@ -303,7 +303,8 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
     alone, every later step would repeat it.
 
     Raises :class:`NoConvergence` when the objective or its gradient
-    stops being finite, and ``ValueError`` when ``iters`` is negative.
+    stops being finite (so numpy's overflow warnings are silenced), and
+    ``ValueError`` when ``iters`` is negative.
     """
     if iters < 0:
         raise ValueError(f"iters must be at least 0, got {iters}")
@@ -316,25 +317,26 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
         return reference.sq_error(beta) / base if base > 0 else 0.0
 
     trace = RunTrace()
-    for t in range(iters + 1):
-        t_start = time.perf_counter_ns()
-        obj = objective_eval(p, beta)
-        grad_norm = float(np.linalg.norm(obj.gradient))
-        if not (math.isfinite(obj.value) and math.isfinite(grad_norm)):
-            raise NoConvergence(
-                f"iterate {t} is not finite: objective {obj.value}, "
-                f"gradient norm {grad_norm}", iterations=t)
-        if t == iters or grad_norm < grad_tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(iters + 1):
+            t_start = time.perf_counter_ns()
+            obj = objective_eval(p, beta)
+            grad_norm = float(np.linalg.norm(obj.gradient))
+            if not (math.isfinite(obj.value) and math.isfinite(grad_norm)):
+                raise NoConvergence(
+                    f"iterate {t} is not finite: objective {obj.value}, "
+                    f"gradient norm {grad_norm}", iterations=t)
+            if t == iters or grad_norm < grad_tol:
+                trace.records.append(IterationRecord(
+                    t, rel_error(beta), grad_norm, 0.0, 0))
+                break
+            beta_next, step = method.update(p, beta, obj, seed, t)
             trace.records.append(IterationRecord(
-                t, rel_error(beta), grad_norm, 0.0, 0))
-            break
-        beta_next, step = method.update(p, beta, obj, seed, t)
-        trace.records.append(IterationRecord(
-            t, rel_error(beta), grad_norm, step,
-            time.perf_counter_ns() - t_start))
-        if grad_tol > 0 and beta_next.tobytes() == beta.tobytes():
-            break
-        beta = beta_next
+                t, rel_error(beta), grad_norm, step,
+                time.perf_counter_ns() - t_start))
+            if grad_tol > 0 and beta_next.tobytes() == beta.tobytes():
+                break
+            beta = beta_next
     trace.beta = beta
     return trace
 

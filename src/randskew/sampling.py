@@ -84,13 +84,18 @@ class SamplingPlan:
         """The T x m x d stack of sketches, one per seed; each is
         ``apply_sketch(apply_debias(draw(self, m, s), spec), A)`` bitwise.
 
-        The debiased weight of every support row is computed once, by the
-        same element operations a draw makes, and the draws index it.
+        Debiased weights come from the same element operations a draw
+        makes: once per support row when the draws are as many, and else
+        (one SSN step's single sketch) for the drawn rows only.
         """
         if m < 1:
             raise ValueError("sketch size m must be >= 1")
-        support = self._guide[0]
+        support = self._cdf[0]
         pos = self._positions(rsrng.uniform_rows(seeds, m))
+        if pos.size < len(support):
+            rows = support[pos]
+            return _gather(A, rows, spec.reweight(
+                rows, 1.0 / np.sqrt(m * self.probs[rows])))
         table = spec.reweight(support,
                               1.0 / np.sqrt(m * self.probs[support]))
         return _gather(A, support[pos], table[pos])
@@ -100,33 +105,44 @@ class SamplingPlan:
         return approximation_factors(self, exact).rho_max
 
     @cached_property
+    def _cdf(self):
+        """The support and its cdf, built once per plan."""
+        # over the support only: u near 1 must not land on a trailing zero row
+        support = np.flatnonzero(self.probs)
+        cdf = np.cumsum(self.probs[support])
+        cdf[-1] = 1.0
+        return support, cdf
+
+    @cached_property
     def _guide(self):
-        """The support, its cdf and a guide table for indexed search
-        (Chen & Asau 1974), built once per plan.
+        """A guide table for indexed search in the cdf (Chen & Asau 1974),
+        built once per plan.
 
         With K = len(cdf) buckets, x lies in bucket int(x * K).  guide[k]
         counts the cdf entries in buckets below k.  Bucketing is monotone,
         so each of those entries is below every u in bucket k, and guide[k]
         never exceeds ``searchsorted(cdf, u, side="right")``.
         """
-        # over the support only: u near 1 must not land on a trailing zero row
-        support = np.flatnonzero(self.probs)
-        cdf = np.cumsum(self.probs[support])
-        cdf[-1] = 1.0
+        cdf = self._cdf[1]
         K = len(cdf)
         counts = np.bincount((cdf * K).astype(np.intp), minlength=K + 1)
-        return support, cdf, np.concatenate(([0], np.cumsum(counts[:K])))
+        return np.concatenate(([0], np.cumsum(counts[:K])))
 
     def _positions(self, u: np.ndarray) -> np.ndarray:
         """Support positions of the draws the uniforms ``u`` make:
         ``searchsorted(cdf, u, side="right")``, bitwise.
 
-        Each draw starts at its bucket's guide entry and steps up while
-        ``cdf[pos] <= u``, the same predicate.  Draws still stepping after
-        ``GUIDE_PASSES`` steps, in a bucket crowded with tiny
-        probabilities, are finished by ``searchsorted``.
+        Fewer draws than support rows take ``searchsorted`` alone, which
+        costs less than building the guide.  Otherwise each draw starts at
+        its bucket's guide entry and steps up while ``cdf[pos] <= u``, the
+        same predicate.  Draws still stepping after ``GUIDE_PASSES`` steps,
+        in a bucket crowded with tiny probabilities, are finished by
+        ``searchsorted``.
         """
-        _, cdf, guide = self._guide
+        cdf = self._cdf[1]
+        if u.size < len(cdf):
+            return np.searchsorted(cdf, u, side="right")
+        guide = self._guide
         flat = u.ravel()
         pos = guide[(flat * len(cdf)).astype(np.intp)]
         pos += cdf[pos] <= flat   # most draws step at most once
@@ -213,10 +229,10 @@ def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
                          m2: int | None = None, seed: int = 0) -> np.ndarray:
     """Approximate leverage scores via a sparse JL sketch of the Gram.
 
-    Single-sketch mode returns ``a_i^T (A^T S1^T S1 A + C)^-1 a_i``, the
-    squared row norms of :func:`~randskew.linalg.whiten`'s A L^-T; when
-    ``m2`` is given, A L^-T is multiplied by a second sketch of width m2
-    before row norms are taken.
+    Single-sketch mode returns ``a_i^T (A^T S1^T S1 A + C)^-1 a_i`` by
+    :func:`~randskew.linalg.inverse_quadratic_forms`; when ``m2`` is given,
+    :func:`~randskew.linalg.whiten`'s A L^-T is multiplied by a second
+    sketch of width m2 before row norms are taken.
     """
     A = np.asarray(A, dtype=np.float64)
     d = A.shape[1]
@@ -227,13 +243,14 @@ def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
                          f"1 <= m2 < m1={m1}")
     SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
     try:
+        if m2 is None:
+            return inverse_quadratic_forms(A, gram(SA) + C)
         B = whiten(A, gram(SA) + C)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
-            "sketched Gram plus C is singular; increase m1", ) from exc
-    if m2 is not None:
-        S2T = _sjlt_apply(np.eye(d), m2, rsrng.generator(seed, 1)).T
-        B = B @ S2T
+            "sketched Gram plus C is singular; increase m1",
+            pivot_index=exc.pivot_index) from exc
+    B = B @ _sjlt_apply(np.eye(d), m2, rsrng.generator(seed, 1)).T
     return np.einsum("ij,ij->i", B, B)
 
 
@@ -322,7 +339,7 @@ def approximation_factors(plan: SamplingPlan,
 
 def _sample(plan: SamplingPlan, m: int, u: np.ndarray):
     """Row indices and weights of the draws that the uniforms ``u`` make."""
-    indices = plan._guide[0][plan._positions(u)]
+    indices = plan._cdf[0][plan._positions(u)]
     return indices, 1.0 / np.sqrt(m * plan.probs[indices])
 
 

@@ -1,7 +1,8 @@
 """The LAPACK binding's two routes, and what importing the CLI loads.
 
-``randskew._lapack`` takes ``potrf``, ``potrs`` and ``trtri`` from numpy's
-bundled OpenBLAS, and from ``scipy.linalg.lapack`` when that lookup fails.
+``randskew._lapack`` takes ``potrf``, ``potrs``, ``trtri`` and ``trmm`` from
+numpy's bundled OpenBLAS, and from ``scipy.linalg.lapack`` and
+``scipy.linalg.blas`` when that lookup fails.
 The ``route`` fixture runs a test on each route; the scipy route is made
 by failing the symbol lookup and binding the routines again.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 import scipy.linalg.lapack
 
 import randskew
@@ -24,7 +26,7 @@ from randskew.sampling import exact_leverage_scores
 from oracles import spd_inverse
 
 _SRC = str(Path(randskew.__file__).resolve().parents[1])
-_ROUTINES = ("dpotrf_stack", "dpotrs", "dtrtri_stack")
+_ROUTINES = ("dpotrf_stack", "dpotrs", "dtrtri_stack", "dtrmm")
 # norm-wise relative distance allowed between the routes' results: the two
 # OpenBLAS builds round differently, and these inputs have cond <= 1e3 and
 # d <= 32, so cond * d * eps is about 7e-12
@@ -41,14 +43,15 @@ def _native_route() -> bool:
 
 def _use_scipy_route(monkeypatch) -> dict:
     """Fail the symbol lookup and rebind the routines; returns a count of
-    the calls each ``scipy.linalg.lapack`` routine then receives."""
-    calls = dict.fromkeys(("dpotrf", "dpotrs", "dtrtri"), 0)
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(scipy.linalg.lapack, name),
-                    **kwargs):
+    the calls each ``scipy.linalg`` routine then receives."""
+    modules = {"dpotrf": scipy.linalg.lapack, "dpotrs": scipy.linalg.lapack,
+               "dtrtri": scipy.linalg.lapack, "dtrmm": scipy.linalg.blas}
+    calls = dict.fromkeys(modules, 0)
+    for name, module in modules.items():
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def missing(name):
         raise AttributeError(name)
@@ -87,6 +90,7 @@ def _results():
             "solve_spd_vector": linalg.solve_spd(M, B[:, 0]),
             "spd_inverse": spd_inverse(M),
             "whiten": linalg.whiten(A, M),
+            "inverse_quadratic_forms": linalg.inverse_quadratic_forms(A, M),
             "accepted_inverses": Q,
             "exact_leverage_scores": exact_leverage_scores(A, 0.1 * np.eye(32))}
 
@@ -151,6 +155,36 @@ class TestErrorContract:
     def test_potrf_stack_refuses_a_stack_not_in_c_order(self, route):
         with pytest.raises(ValueError):
             _lapack.dpotrf_stack(np.ones((2, 3, 3)).transpose(0, 2, 1))
+
+    def test_trmm_multiplies_rows_by_the_upper_factor_in_place(self, route):
+        rng = np.random.default_rng(7)
+        Z = np.triu(rng.standard_normal((5, 5)))
+        X = rng.standard_normal((9, 5))
+        want = X @ Z
+        _lapack.dtrmm(X, Z)
+        np.testing.assert_allclose(X, want, rtol=1e-12, atol=1e-12)
+        empty = np.empty((0, 5))
+        _lapack.dtrmm(empty, Z)
+
+    @pytest.mark.parametrize("X, Z", [
+        (np.ones((4, 3)).T, np.eye(4)),
+        (np.ones((3, 4)), np.eye(4).T[:, ::-1]),
+        (np.ones((3, 4), dtype=np.float32), np.eye(4)),
+        (np.ones((3, 4)), np.eye(3)),
+        (np.ones(4), np.eye(4)),
+    ], ids=["rows-not-c-order", "factor-not-c-order", "float32",
+            "shape-mismatch", "vector"])
+    def test_trmm_refuses_what_it_cannot_multiply(self, route, X, Z):
+        before = X.copy()
+        with pytest.raises(ValueError):
+            _lapack.dtrmm(X, Z)
+        assert np.array_equal(X, before)
+
+    def test_trmm_refuses_read_only_rows(self, route):
+        X = np.ones((3, 4))
+        X.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            _lapack.dtrmm(X, np.eye(4))
 
     @pytest.mark.parametrize("name", ["dpotrf_stack", "dtrtri_stack"])
     def test_stack_routines_refuse_a_read_only_stack(self, route, name):

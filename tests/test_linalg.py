@@ -94,6 +94,30 @@ class TestWhiten:
         np.testing.assert_array_equal(np.einsum("ij,ij->i", B, B),
                                       inverse_quadratic_forms(A, M))
 
+    @pytest.mark.parametrize("d", [1, 7, 32, 64, 65, 130])
+    @pytest.mark.parametrize("rows", [
+        lambda block: 1, lambda block: block - 1, lambda block: block,
+        lambda block: block + 1, lambda block: 3 * block + 7],
+        ids=["1", "block-1", "block", "block+1", "3block+7"])
+    def test_blocked_quadratic_forms_are_whitened_row_norms(self, d, rows):
+        block = linalg.WHITEN_BLOCK_FLOATS // d
+        n = rows(block)
+        rng = np.random.default_rng([d, n])
+        A = rng.standard_normal((n, d))
+        M = random_spd(d, rng)
+        B = whiten(A, M)
+        want = np.einsum("ij,ij->i", B, B)
+        got = inverse_quadratic_forms(A, M)
+        assert got.shape == (n,)
+        # both sides compute b_i = a_i L^-T, maybe with different trmm
+        # summation orders: |db_i| <= 2 d eps |a_i| sqrt(d) ||L^-T||, so q_i
+        # moves by at most 2 |b_i| |db_i| <= 4 d^1.5 eps |a_i|^2 ||M^-1||,
+        # doubled for the norms' own rounding
+        bound = (8 * d ** 1.5 * np.finfo(float).eps
+                 * np.einsum("ij,ij->i", A, A)
+                 * np.linalg.eigvalsh(M)[0] ** -1)
+        assert np.all(np.abs(got - want) <= bound)
+
     @pytest.mark.parametrize("M", [np.array([[1.0, 1.0], [1.0, 1.0]]),
                                    np.diag([1.0, 2.0, -1.0, 1.0]),
                                    np.diag([1.0, 1e-16, 1.0])],

@@ -15,7 +15,7 @@ from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPositiveDefinite
 from randskew.hadamard import _rotate
-from randskew.linalg import gram, whiten
+from randskew.linalg import _inverse_factor, gram
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
 from randskew.sampling import (PlanKind, apply_sketch, approximation_factors,
@@ -70,18 +70,24 @@ def _same_bits(a, b) -> bool:
     (mode, kind) for mode in DebiasMode for kind in PlanKind
     if (kind, mode) not in REFUSED], ids=lambda x: x.value)
 def test_sketch_is_the_one_seed_sketch_many(mode, kind):
+    # N - 1 and N put one seed's m draws on either side of the N support
+    # rows: fewer draws weigh only the rows they drew, the stack of three
+    # seeds weighs every support row once, and all match bitwise
     plan = build_plan(kind, A, C)
-    m = M_FINE if mode in FINE else M
-    spec = make_debias_spec(mode, plan, m, plan.d_eff, EXACT)
-    for seed in (0, 7, rsrng.split(3, 1)):
-        At, rotated = plan.sketch(A, m, spec, seed)
-        assert _same_bits(At, plan.sketch_many(A, m, spec, [seed])[0])
-        if kind is PlanKind.SRHT:
-            continue
-        # the per-draw chain stays an independent reference
-        assert rotated is None
-        assert _same_bits(At, apply_sketch(
-            apply_debias(draw(plan, m, seed), spec), A))
+    seeds = (0, 7, rsrng.split(3, 1))
+    for m in (M_FINE if mode in FINE else M, N - 1, N):
+        spec = make_debias_spec(mode, plan, m, plan.d_eff, EXACT)
+        stack = plan.sketch_many(A, m, spec, seeds)
+        for seed, St in zip(seeds, stack):
+            At, rotated = plan.sketch(A, m, spec, seed)
+            assert _same_bits(At, plan.sketch_many(A, m, spec, [seed])[0])
+            assert _same_bits(At, St)
+            if kind is PlanKind.SRHT:
+                continue
+            # the per-draw chain stays an independent reference
+            assert rotated is None
+            assert _same_bits(At, apply_sketch(
+                apply_debias(draw(plan, m, seed), spec), A))
 
 
 @KINDS
@@ -134,7 +140,8 @@ def test_srht_ssn_step_rotates_once(monkeypatch):
 def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     exact = _count_calls(monkeypatch, exact_leverage_scores)
     rotations = _count_calls(monkeypatch, _rotate)
-    whitenings = _count_calls(monkeypatch, whiten)
+    # whiten and inverse_quadratic_forms each take one inverse factor
+    whitenings = _count_calls(monkeypatch, _inverse_factor)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
     assert (len(exact), len(rotations)) == (0, 1)
     # the plan whitens nothing; rho_max whitens the rotation once for its
@@ -149,7 +156,7 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
 def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
     hs = objective_eval(P, np.zeros(D)).hessian_sqrt
     d_eff = exact_leverage_scores(hs, P.lam * np.eye(D)).sum()
-    whitenings = _count_calls(monkeypatch, whiten)
+    whitenings = _count_calls(monkeypatch, _inverse_factor)
     build_plan(kind, hs, P.lam * np.eye(D))
     # the SJLT plans whiten A by their sketched Gram's factor, the others
     # by H's for exact scores, and the Hadamard plan whitens nothing

@@ -90,6 +90,15 @@ class TestSjltApproxLeverage:
         with pytest.raises(NotPositiveDefinite, match="increase m1"):
             sjlt_approx_leverage(A_CE, C0, m1=2 * D)
 
+    @pytest.mark.parametrize("m2", [None, 3], ids=["single", "double"])
+    def test_singular_sketched_gram_keeps_the_cholesky_pivot(self,
+                                                             monkeypatch, m2):
+        monkeypatch.setattr(sampling, "_sjlt_apply",
+                            lambda A, m, gen: np.zeros((m, A.shape[1])))
+        with pytest.raises(NotPositiveDefinite) as err:
+            sjlt_approx_leverage(A_CE, C0, m1=2 * D, m2=m2)
+        assert err.value.pivot_index == err.value.__cause__.pivot_index == 0
+
     def test_monte_carlo_mean_near_exact(self):
         # The raw mean overshoots by a near-uniform factor (the sketched
         # Gram's inverse is biased upward, the very effect this package
@@ -357,9 +366,9 @@ class TestGuideTable:
         probs = np.array([1e-6] * 64 + [1.0 - 64e-6])
         plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
         u = _edge_uniforms(probs)
-        _, cdf, guide = plan._guide
+        cdf = plan._cdf[1]
         steps = (np.searchsorted(cdf, u, side="right")
-                 - guide[(u * len(cdf)).astype(np.intp)])
+                 - plan._guide[(u * len(cdf)).astype(np.intp)])
         assert steps.max() > sampling.GUIDE_PASSES
         indices, _ = sampling._sample(plan, 1, u)
         np.testing.assert_array_equal(indices, _searchsorted_rows(probs, u))
