@@ -74,8 +74,7 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
             trials_here = range(lo, min(lo + step, stop))
             At = plan.sketch_many(A, m, debias,
                                   [rsrng.split(seed, t) for t in trials_here])
-            G = At.transpose(0, 2, 1) @ At
-            Qs, ok = accepted_inverses((G + G.transpose(0, 2, 1)) / 2.0 + C)
+            Qs, ok = accepted_inverses(gram(At) + C)
             discarded += int(np.count_nonzero(~ok))
             kept_Qs.append(Qs)
         Qs = np.concatenate(kept_Qs)

@@ -26,7 +26,8 @@ from .debias import DebiasMode
 from .errors import (ConfigError, ParseError, RandskewError)
 from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
                     SgdMethod, SparseProjMethod, SsnMethod, StepRule,
-                    reference_point, reference_solution, run_solver)
+                    check_lambda, reference_point, reference_solution,
+                    run_solver)
 from .sampling import (PlanKind, approximation_factors, build_plan,
                        exact_leverage_scores)
 
@@ -160,10 +161,7 @@ def _make_plan(kind: PlanKind, A, C, cfg: Config, seed: int):
 
 def _ridge(cfg: Config, d: int) -> np.ndarray:
     """C = lambda I of ``lev`` and ``bias``."""
-    lam = cfg.get("lambda", 0.0, float)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    return lam * np.eye(d)
+    return check_lambda(cfg.get("lambda", 0.0, float)) * np.eye(d)
 
 
 def cmd_lev(cfg: Config, seed: int, standardize: bool):
@@ -226,7 +224,7 @@ def _build_method(cfg: Config):
             line_search=cfg.get("line_search", True, _bool))
     if name == "sparse_proj":
         return name, SparseProjMethod(m=cfg.get("m", parse=int),
-                                      nnz_per_row=cfg.get("nnz", 4, int))
+                                      nnz=cfg.get("nnz", 4, int))
     if name == "ssn":
         return name, SsnMethod(
             plan_kind=cfg.get("plan", PlanKind.EXACT_LEVERAGE, PlanKind),

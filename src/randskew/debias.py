@@ -23,7 +23,8 @@ from .errors import (NoConvergence, NotPositiveDefinite, SketchTooSmall,
                      ZeroProbabilityWithPositiveScore)
 from .linalg import inverse_quadratic_forms
 from .sampling import (SamplingPlan, SketchDraw, PlanKind,
-                       approximation_factors, exact_leverage_scores)
+                       approximation_factors, check_support,
+                       exact_leverage_scores)
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
 
@@ -87,11 +88,8 @@ def fine_grained_weights(plan, scores: np.ndarray | None,
                          f"{plan.kind.value} plan has none")
     scores = np.asarray(scores, dtype=np.float64)
     ratios = np.zeros(plan.n)
+    check_support(plan.probs, scores)
     positive = scores > 0
-    if np.any(positive & (plan.probs == 0)):
-        i = int(np.argmax(positive & (plan.probs == 0)))
-        raise ZeroProbabilityWithPositiveScore(
-            f"row {i} has positive score but zero probability", index=i)
     if plan.kind is PlanKind.EXACT_LEVERAGE and plan.scores is not None \
             and scores.shape == plan.scores.shape \
             and np.array_equal(scores, plan.scores):

@@ -44,14 +44,15 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def gram(A: np.ndarray) -> np.ndarray:
-    """A^T A, symmetrized against floating-point accumulation skew."""
+    """A^T A, symmetrized against floating-point accumulation skew; of a
+    stack of matrices, the stack of their Grams."""
     A = np.asarray(A, dtype=np.float64)
-    if A.shape[0] < 1:
+    if A.shape[-2] < 1:
         raise ValueError("gram requires at least one row")
-    if A.shape[1] < 1:
+    if A.shape[-1] < 1:
         raise ValueError("gram requires at least one column")
-    G = A.T @ A
-    return (G + G.T) / 2.0
+    G = np.swapaxes(A, -1, -2) @ A
+    return (G + np.swapaxes(G, -1, -2)) / 2.0
 
 
 def _pivot_threshold(M: np.ndarray):
@@ -103,19 +104,17 @@ def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`cholesky` accepts.
 
     Returns ``(Q, ok)``: ``ok[t]`` says whether ``M[t]``'s Cholesky factor
-    passes :func:`cholesky`'s pivot rule, and ``Q`` stacks ``Y^T Y``
-    (symmetrized) for those, in order, where ``Y = L^-1`` comes from
-    LAPACK's triangular inverse ``trtri``.  ``potrf`` and ``trtri`` work on
-    each matrix on its own, so no verdict or inverse depends on the rest
-    of the stack; a nonzero ``trtri`` status raises
-    :class:`NotPositiveDefinite`.
+    passes :func:`cholesky`'s pivot rule, and ``Q`` stacks ``gram(Y)`` for
+    those, in order, where ``Y = L^-1`` comes from LAPACK's triangular
+    inverse ``trtri``.  ``potrf`` and ``trtri`` work on each matrix on its
+    own, so no verdict or inverse depends on the rest of the stack; a
+    nonzero ``trtri`` status raises :class:`NotPositiveDefinite`.
     """
     Z, low = _factor(M)
     ok = low < 0
     Z = Z[ok]
     _invert_upper(Z, "accepted factor")
-    Q = Z @ Z.transpose(0, 2, 1)
-    return (Q + Q.transpose(0, 2, 1)) / 2.0, ok
+    return gram(np.swapaxes(Z, -1, -2)), ok
 
 
 def _invert_upper(Z: np.ndarray, what: str) -> None:

@@ -1,5 +1,5 @@
 """Objectives and solvers: exact Newton, sketched Newton with bias
-correction, first-order baselines, and a sparse random-projection baseline.
+correction, first-order baselines, and a sparse (SJLT) projection baseline.
 
 The regularized objectives expose their Hessian through a square-root
 factor A(beta) with hessian = A(beta)^T A(beta) + lambda I, which is what
@@ -19,13 +19,21 @@ from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence, SketchTooSmall
 from .linalg import gram, solve_spd
-from .sampling import PlanKind, build_plan, exact_leverage_scores
+from .sampling import (PlanKind, _sjlt_apply, build_plan,
+                       exact_leverage_scores)
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
 ARMIJO_RATIO = 0.5
 ARMIJO_MAX_HALVINGS = 40
 REFERENCE_GRAD_TOL = 1e-12
+
+
+def check_lambda(lam: float) -> float:
+    """``lam`` if it is a finite ridge weight >= 0; else ValueError."""
+    if not 0.0 <= lam < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"lambda must be nonnegative and finite, got {lam}")
+    return lam
 
 
 class ProblemKind(enum.Enum):
@@ -41,8 +49,7 @@ class GlmProblem:
     kind: ProblemKind
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        check_lambda(self.lam)
         A = np.asarray(self.A, dtype=np.float64)
         if A.shape[0] < 1:
             raise ValueError("A must have at least one row")
@@ -202,27 +209,6 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     return beta_next, {"step_size": mu, "d_eff": d_eff, "rho_max": rho_max}
 
 
-def sparse_rademacher_sketch(A: np.ndarray, m: int, nnz_per_row: int,
-                             seed: int) -> np.ndarray:
-    """m-row sparse sign sketch; E[sketch^T sketch] = A^T A.
-
-    Each sketch row combines ``nnz_per_row`` distinct uniformly chosen rows
-    of A with independent signs, scaled by sqrt(n / (m * nnz)).
-    """
-    if m < 1:
-        raise SketchTooSmall(f"sketch size m={m} must be at least 1")
-    A = np.asarray(A, dtype=np.float64)
-    n = A.shape[0]
-    if not 1 <= nnz_per_row <= n:
-        raise ValueError("nnz_per_row must lie in [1, rows(A)]")
-    gen = rsrng.generator(seed)
-    cols = np.argsort(gen.random((m, n)), axis=1)[:, :nnz_per_row]
-    signs = gen.integers(0, 2, size=(m, nnz_per_row)) * 2.0 - 1.0
-    scale = np.sqrt(n / (m * nnz_per_row))
-    out = np.einsum("mk,mkd->md", signs, A[cols]) * scale
-    return out
-
-
 # Each method's update(p, beta, obj, seed, t) returns the next iterate and
 # the step size, given obj = objective_eval(p, beta) and iteration t.
 
@@ -279,13 +265,18 @@ class SsnMethod:
 
 @dataclass(frozen=True)
 class SparseProjMethod:
+    """Armijo Newton steps on an m-row SJLT sketch of the Hessian factor,
+    whose columns carry ``nnz`` nonzeros each."""
     m: int
-    nnz_per_row: int = 4
+    nnz: int = 4
 
     def update(self, p, beta, obj, seed, t):
-        At = sparse_rademacher_sketch(obj.hessian_sqrt, self.m,
-                                      self.nnz_per_row,
-                                      rsrng.split(seed, 5, t))
+        if self.m < 1:
+            raise SketchTooSmall(f"sketch size m={self.m} must be at least 1")
+        if self.nnz < 1:  # the SJLT would divide by sqrt(0)
+            raise ValueError(f"nnz must be at least 1, got {self.nnz}")
+        At = _sjlt_apply(obj.hessian_sqrt, self.m,
+                         rsrng.generator(seed, 5, t), self.nnz)
         return _newton_update(p, beta, obj, At, True, 1.0)
 
 

@@ -192,11 +192,12 @@ def effective_dimension(scores: np.ndarray) -> float:
     return float(scores.sum())
 
 
-def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator) -> np.ndarray:
-    """S A for a sparse JL matrix S of shape (m, n).
+def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator,
+                s: int = SJLT_NNZ_PER_COLUMN) -> np.ndarray:
+    """S A for a sparse JL matrix S of shape (m, n), so E[S^T S] = I.
 
-    Each of the n columns of S carries ``SJLT_NNZ_PER_COLUMN`` entries of
-    +-1/sqrt(s) at uniformly random rows.
+    Each of the n columns of S carries ``s`` entries of +-1/sqrt(s) at
+    uniformly random rows, drawn independently, so two may share a row.
     """
     # scipy.sparse is imported here so that loading the CLI does not pay for
     # it.  It stays because no numpy-only product came close.  At n = 16384,
@@ -208,13 +209,12 @@ def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator) -> np.ndarray:
     from scipy.sparse import csr_array
 
     n = A.shape[0]
-    s = SJLT_NNZ_PER_COLUMN
     rows = gen.integers(0, m, size=(n, s))
     signs = gen.integers(0, 2, size=(n, s)) * 2.0 - 1.0
     scale = 1.0 / math.sqrt(s)
     # S^T is built from the raw (rows, signs) arrays, not through COO or
     # sum_duplicates, so colliding entries stay separate: the CSC product
-    # S_T.T @ A then adds the exact terms +-A[j]/2 into each output row in
+    # S_T.T @ A then adds the terms +-A[j]/sqrt(s) into each output row in
     # (j, s) order, bitwise as a scatter-add over rows.ravel() does.
     S_T = csr_array(((signs * scale).ravel(), rows.ravel(),
                      np.arange(0, n * s + 1, s)), shape=(n, m))
@@ -310,6 +310,16 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
     raise ValueError(f"unknown plan kind {kind!r}")
 
 
+def check_support(probs: np.ndarray, scores: np.ndarray) -> None:
+    """Raise :class:`ZeroProbabilityWithPositiveScore` at the first row
+    with a positive score and zero probability."""
+    bad = (probs == 0) & (scores > 0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ZeroProbabilityWithPositiveScore(
+            f"row {i} has positive score but zero probability", index=i)
+
+
 def approximation_factors(plan: SamplingPlan,
                           exact_scores: np.ndarray) -> ApproxFactors:
     """(rho_min, rho_max) = extremes of l_i / (pi_i * d_eff).
@@ -322,12 +332,7 @@ def approximation_factors(plan: SamplingPlan,
     d_eff = effective_dimension(scores)
     if d_eff <= 0:
         raise ValueError("d_eff must be positive")
-    bad = (probs == 0) & (scores > 0)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ZeroProbabilityWithPositiveScore(
-            f"row {i} has positive leverage score but zero probability",
-            index=i)
+    check_support(probs, scores)
     active = probs > 0
     ratios = scores[active] / (probs[active] * d_eff)
     idx_active = np.nonzero(active)[0]

@@ -478,6 +478,19 @@ def test_negative_lambda_is_numerical_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["lev", "bias", "solve"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_lambda_is_numerical_error(tmp_path, capsys, command,
+                                              lam):
+    cfg = write_cfg(tmp_path, "c.cfg", {"bias": BIAS_CFG, "lev": LEV_CFG}.get(
+        command, SOLVE_CFG))
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), f"lambda={lam}"]) == 3
+    assert capsys.readouterr().err == (
+        f"ValueError: lambda must be nonnegative and finite, got {lam}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
+@pytest.mark.parametrize("command", ["lev", "bias", "solve"])
 @pytest.mark.parametrize("source", ["d=0", "labels_only"])
 def test_data_without_columns_is_numerical_error(tmp_path, capsys, command,
                                                  source):
@@ -501,6 +514,16 @@ def test_sparse_proj_empty_sketch_is_numerical_error(tmp_path, capsys):
                     str(out), "method=sparse_proj", "m=0"]) == 3
     assert capsys.readouterr().err == (
         "SketchTooSmall: sketch size m=0 must be at least 1\n")
+    assert not out.exists()
+
+
+def test_sparse_proj_nnz_below_one_is_numerical_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
+                    str(out), "method=sparse_proj", "nnz=0"]) == 3
+    assert capsys.readouterr().err == (
+        "ValueError: nnz must be at least 1, got 0\n")
     assert not out.exists()
 
 

@@ -42,6 +42,13 @@ class TestGram:
         G = gram(rng.standard_normal((20, 6)))
         assert np.array_equal(G, G.T)
 
+    def test_stack_is_the_per_matrix_grams_bitwise(self):
+        A = np.random.default_rng(2).standard_normal((5, 40, 6))
+        got = gram(A)
+        assert got.shape == (5, 6, 6)
+        for t in range(5):
+            assert np.array_equal(got[t], gram(A[t]))
+
 
 class TestCholesky:
     def test_scaled_identity(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,9 +17,8 @@ from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
                             SsnMethod, StepRule, objective_eval,
                             objective_value,
                             reference_point, reference_solution, run_solver,
-                            sparse_rademacher_sketch, ssn_step,
-                            analytic_step_size)
-from randskew.sampling import PlanKind
+                            ssn_step, analytic_step_size)
+from randskew.sampling import PlanKind, _sjlt_apply
 
 
 def make_logistic(n=64, d=6, lam=0.1, seed=0):
@@ -305,13 +305,16 @@ def test_analytic_step_size_formula():
 
 
 class TestSparseRademacherSketch:
+    """The SJLT, whose columns carry s random signs, that ``sparse_proj``
+    sketches with: E[(SA)^T SA] = A^T A."""
+
     def test_dense_limit_unbiasedness(self):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((8, 3))
         T = 4000
         acc = np.zeros((3, 3))
         for t in range(T):
-            S = sparse_rademacher_sketch(A, 16, 8, rsrng.split(8, t))
+            S = _sjlt_apply(A, 16, rsrng.generator(rsrng.split(8, t)), 8)
             acc += gram(S)
         dev = np.abs(acc / T - gram(A)).max()
         assert dev < 0.15
@@ -322,16 +325,44 @@ class TestSparseRademacherSketch:
         T = 10_000
         acc = np.zeros((3, 3))
         for t in range(T):
-            acc += gram(sparse_rademacher_sketch(A, 64, 4,
-                                                 rsrng.split(9, t)))
+            acc += gram(_sjlt_apply(A, 64, rsrng.generator(rsrng.split(9, t)),
+                                    4))
         G = gram(A)
         assert np.abs(acc / T - G).max() < 0.05 * np.abs(G).max()
 
     def test_determinism(self):
         A = np.eye(5)
-        a = sparse_rademacher_sketch(A, 4, 2, seed=3)
-        b = sparse_rademacher_sketch(A, 4, 2, seed=3)
+        a = _sjlt_apply(A, 4, rsrng.generator(3), 2)
+        b = _sjlt_apply(A, 4, rsrng.generator(3), 2)
         assert np.array_equal(a, b)
+
+
+class TestSparseProjMethod:
+    def test_nnz_above_rows_runs(self):
+        # nnz counts nonzeros per column of S, so it may exceed n or m
+        p = make_least_squares(n=16, d=4)
+        obj = objective_eval(p, np.zeros(p.dim))
+        beta, _ = SparseProjMethod(m=8, nnz=32).update(p, np.zeros(p.dim),
+                                                       obj, 0, 0)
+        assert np.all(np.isfinite(beta))
+
+    def test_update_makes_no_m_by_n_temporary(self):
+        # the SJLT draws n nnz rows and signs and makes an m x d product
+        # (a peak near 1.8 n d 8 bytes); one m x n random matrix alone
+        # would take 32 n d 8 bytes here
+        n, d, m = 4096, 8, 256
+        p = make_least_squares(n=n, d=d)
+        beta = np.zeros(p.dim)
+        obj = objective_eval(p, beta)
+        method = SparseProjMethod(m=m)
+        method.update(p, beta, obj, 0, 0)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            method.update(p, beta, obj, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * d * 8
 
 
 class TestRunSolver:
@@ -378,7 +409,7 @@ class TestRunSolver:
     def test_sparse_proj_solver_progresses(self):
         p = make_least_squares(n=256, d=8, seed=23)
         ref, _ = reference_solution(p)
-        trace = run_solver(p, SparseProjMethod(m=64, nnz_per_row=4),
+        trace = run_solver(p, SparseProjMethod(m=64, nnz=4),
                            np.zeros(p.dim), 8,
                            reference=reference_point(p, ref), seed=2)
         assert trace.records[-1].rel_error_H < 0.05
