@@ -26,8 +26,8 @@ from .debias import DebiasMode
 from .errors import (ConfigError, ParseError, RandskewError)
 from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
                     SgdMethod, SparseProjMethod, SsnMethod, StepRule,
-                    check_lambda, reference_point, reference_solution,
-                    run_solver)
+                    check_iters, check_lambda, reference_point,
+                    reference_solution, run_solver)
 from .sampling import (PlanKind, approximation_factors, build_plan,
                        exact_leverage_scores)
 
@@ -247,16 +247,24 @@ def _problem(cfg: Config, seed: int, standardize: bool) -> GlmProblem:
 def cmd_solve(cfg: Config, seed: int, standardize: bool):
     p = _problem(cfg, seed, standardize)
     _, method = _build_method(cfg)
-    iters = cfg.get("iters", 10, int)
+    iters = check_iters(cfg.get("iters", 10, int))
     zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
+
+    def solve():
+        return run_solver(p, method, np.zeros(p.dim), iters, seed=seed)
+
+    def solve_reference():
+        beta_star, grad_norm = reference_solution(p)
+        return reference_point(p, beta_star), grad_norm
 
     reference = ref_grad = None
     if cfg.get("reference", True, _bool):
-        beta_star, ref_grad = reference_solution(p)
-        reference = reference_point(p, beta_star)
-
-    trace = run_solver(p, method, np.zeros(p.dim), iters,
-                       reference=reference, seed=seed)
+        # the reference is read only to score the finished trace
+        (reference, ref_grad), trace = parallel.overlap(solve_reference,
+                                                        solve)
+        trace = trace.scored(reference)
+    else:
+        trace = solve()
     header = ["t", "rel_error_H", "grad_norm", "step_size", "wall_ns"]
     rows = [[rec.t, rec.rel_error_H, rec.grad_norm, rec.step_size,
              0 if zero_timing else rec.wall_ns] for rec in trace.records]
@@ -272,7 +280,7 @@ def cmd_solve(cfg: Config, seed: int, standardize: bool):
 def cmd_sweep(cfg: Config, seed: int, standardize: bool):
     p = _problem(cfg, seed, standardize)
     m_grid = cfg.get("m_grid", parse=_m_grid)
-    iters = cfg.get("iters", 5, int)
+    iters = check_iters(cfg.get("iters", 5, int))
     replicates = cfg.get("replicates", 5, int)
     if replicates < 1:
         raise ConfigError(f"sweep replicates must be at least 1, "
@@ -352,9 +360,10 @@ def main(argv: list[str] | None = None) -> int:
     rest of the process and does not restore them: the commands make many
     small dense calls, for which waking a second BLAS thread costs more
     than it saves, and outputs do not depend on the thread count.  It
-    then lets :func:`~randskew.parallel.pmap` fork one worker per CPU the
+    then lets :mod:`~randskew.parallel` fork one worker per CPU the
     process may run on, so ``bias`` cells and ``sweep`` runs use the
-    cores; outputs do not depend on the worker count either.
+    cores, and ``solve`` computes its reference on one worker while its
+    solver runs here; outputs do not depend on the worker count either.
     """
     args = build_parser().parse_intermixed_args(argv)
     if not any(os.environ.get(var) for var in _THREAD_VARS):

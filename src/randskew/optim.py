@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,12 +143,6 @@ class IterationRecord:
     wall_ns: int
 
 
-@dataclass
-class RunTrace:
-    records: list[IterationRecord] = field(default_factory=list)
-    beta: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class ReferencePoint:
     """A reference iterate and the Hessian that errors are measured in."""
@@ -159,6 +153,29 @@ class ReferencePoint:
         """(beta - beta*)^T H (beta - beta*): squared error in the H-norm."""
         delta = beta - self.beta
         return float(delta @ self.hessian @ delta)
+
+
+@dataclass
+class RunTrace:
+    records: list[IterationRecord] = field(default_factory=list)
+    iterates: list[np.ndarray] = field(default_factory=list)  # per record
+
+    @property
+    def beta(self) -> np.ndarray:
+        """The last iterate."""
+        return self.iterates[-1]
+
+    def scored(self, reference: ReferencePoint) -> RunTrace:
+        """This trace with each ``rel_error_H`` set to
+        ``reference.sq_error`` of its iterate relative to the first
+        iterate's: 0.0 when that base is 0.  Overflow stays silent, as
+        in :func:`run_solver`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = [reference.sq_error(beta) for beta in self.iterates]
+        base = errors[0]
+        return RunTrace([replace(
+            rec, rel_error_H=err / base if base > 0 else 0.0)
+            for rec, err in zip(self.records, errors)], self.iterates)
 
 
 def reference_point(p: GlmProblem, beta: np.ndarray) -> ReferencePoint:
@@ -280,14 +297,23 @@ class SparseProjMethod:
         return _newton_update(p, beta, obj, At, True, 1.0)
 
 
+def check_iters(iters: int) -> int:
+    """``iters`` if it is at least 0; else ValueError."""
+    if iters < 0:
+        raise ValueError(f"iters must be at least 0, got {iters}")
+    return iters
+
+
 def run_solver(p: GlmProblem, method, beta0, iters: int,
                reference: ReferencePoint | None = None,
                seed: int = 0, grad_tol: float = 0.0) -> RunTrace:
-    """Iterate ``method.update``, recording per-iteration error, gradient
-    and time; stops early once the gradient norm falls below grad_tol.
+    """Iterate ``method.update``, recording per-iteration iterate,
+    gradient and time; stops early once the gradient norm falls below
+    grad_tol.
 
-    The recorded error is ``reference.sq_error`` relative to its value at
-    ``beta0``: 0.0 when that base is 0, NaN without a reference.
+    Errors are scored after the run: with a reference, the trace returned
+    is :meth:`RunTrace.scored` by it; without one, ``rel_error_H`` is NaN
+    until the caller scores the trace.
 
     With grad_tol set, a step that leaves beta bitwise unchanged also ends
     the run after its record: for a method whose update depends on beta
@@ -295,18 +321,10 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
 
     Raises :class:`NoConvergence` when the objective or its gradient
     stops being finite (so numpy's overflow warnings are silenced), and
-    ``ValueError`` when ``iters`` is negative.
+    ``ValueError`` when ``iters`` is negative (:func:`check_iters`).
     """
-    if iters < 0:
-        raise ValueError(f"iters must be at least 0, got {iters}")
+    check_iters(iters)
     beta = np.asarray(beta0, dtype=np.float64).copy()
-    base = None if reference is None else reference.sq_error(beta)
-
-    def rel_error(beta):
-        if base is None:
-            return float("nan")
-        return reference.sq_error(beta) / base if base > 0 else 0.0
-
     trace = RunTrace()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(iters + 1):
@@ -317,19 +335,19 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
                 raise NoConvergence(
                     f"iterate {t} is not finite: objective {obj.value}, "
                     f"gradient norm {grad_norm}", iterations=t)
+            trace.iterates.append(beta)
             if t == iters or grad_norm < grad_tol:
                 trace.records.append(IterationRecord(
-                    t, rel_error(beta), grad_norm, 0.0, 0))
+                    t, math.nan, grad_norm, 0.0, 0))
                 break
             beta_next, step = method.update(p, beta, obj, seed, t)
             trace.records.append(IterationRecord(
-                t, rel_error(beta), grad_norm, step,
+                t, math.nan, grad_norm, step,
                 time.perf_counter_ns() - t_start))
             if grad_tol > 0 and beta_next.tobytes() == beta.tobytes():
                 break
             beta = beta_next
-    trace.beta = beta
-    return trace
+    return trace if reference is None else trace.scored(reference)
 
 
 def reference_solution(p: GlmProblem) -> tuple[np.ndarray, float]:

@@ -442,7 +442,9 @@ def test_sweep_without_method_labels_rows_newton(tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_negative_iters_is_numerical_error_and_writes_nothing(
-        tmp_path, capsys, command):
+        tmp_path, capsys, monkeypatch, command):
+    from randskew import cli
+    monkeypatch.setattr(cli, "reference_solution", None)  # never reached
     cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
     out = tmp_path / "x.csv"
     assert run_cli([command, "--config", cfg, "--seed", "1", "--out",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -422,6 +423,39 @@ class TestRunSolver:
         with pytest.raises(NoConvergence) as info:
             run_solver(p, GdMethod(lr=1e3), np.zeros(p.dim), 300)
         assert 0 < info.value.iterations < 300
+
+    @pytest.mark.parametrize("method", [
+        NewtonExactMethod(),
+        SsnMethod(plan_kind=PlanKind.UNIFORM, m=48, debias=DebiasMode.SCALAR,
+                  step_rule=StepRule.ARMIJO),
+        GdMethod(lr=0.5)], ids=["newton", "ssn", "gd"])
+    def test_trace_scored_afterwards_is_the_inline_scored_trace(self,
+                                                                method):
+        p = make_logistic(seed=26)
+        ref = reference_point(p, reference_solution(p)[0])
+        inline = run_solver(p, method, np.zeros(p.dim), 4, reference=ref,
+                            seed=5)
+        bare = run_solver(p, method, np.zeros(p.dim), 4, seed=5)
+        assert all(math.isnan(r.rel_error_H) for r in bare.records)
+        later = bare.scored(ref)
+        # wall_ns differs between runs; every other field is bitwise
+        def fields(trace):
+            return [(r.t, r.rel_error_H.hex(), r.grad_norm.hex(),
+                     r.step_size.hex()) for r in trace.records]
+        assert fields(later) == fields(inline)
+        assert later.beta.tobytes() == inline.beta.tobytes()
+        # each error is the ratio of H-norm errors of the t-step iterate
+        base = ref.sq_error(np.zeros(p.dim))
+        for rec in inline.records:
+            beta_t = run_solver(p, method, np.zeros(p.dim), rec.t,
+                                seed=5).beta
+            assert rec.rel_error_H == ref.sq_error(beta_t) / base
+
+    def test_scored_at_the_reference_start_reads_zero(self):
+        p = make_logistic()
+        ref = reference_point(p, reference_solution(p)[0])
+        trace = run_solver(p, NewtonExactMethod(), ref.beta, 2).scored(ref)
+        assert [r.rel_error_H for r in trace.records] == [0.0] * 3
 
     def test_srht_ssn_runs(self):
         p = make_least_squares(n=256, d=8, seed=24)

@@ -1,6 +1,7 @@
-"""``parallel.pmap`` and the CLI's worker policy: ``cli.main`` lets
-``bias`` and ``sweep`` fork one worker per CPU unless the user sets a BLAS
-thread count, and outputs and errors do not depend on the worker count.
+"""``parallel.pmap``, ``parallel.overlap`` and the CLI's worker policy:
+``cli.main`` lets ``bias`` and ``sweep`` fork one worker per CPU, and
+``solve`` one worker for its reference, unless the user sets a BLAS thread
+count; outputs and errors do not depend on the worker count.
 
 Checks that let the policy act run ``main`` in a fresh interpreter.
 """
@@ -145,7 +146,8 @@ import json, multiprocessing, sys
 from randskew import cli, parallel
 rc = cli.main(sys.argv[1:])
 print(json.dumps({"rc": rc, "workers": parallel.workers,
-                  "children": len(multiprocessing.active_children())}))
+                  "children": len(multiprocessing.active_children()),
+                  "pool": "concurrent.futures.process" in sys.modules}))
 """
 
 COUNTEREXAMPLE = "data = synthetic\nsynthetic = counterexample\n"
@@ -160,12 +162,25 @@ BAD_BIAS_CFG = (COUNTEREXAMPLE + "plans = exact_leverage\ndebias = scalar\n"
 BAD_SWEEP_CFG = (COUNTEREXAMPLE + "problem = least_squares\nmethod = ssn\n"
                  "plan = exact_leverage\ndebias = scalar\nm_grid = 2,3,64\n"
                  "replicates = 2\niters = 2\ntiming = zero\n")
+SOLVE_CFG = ("data = synthetic\nsynthetic = coherent\nn = 512\nd = 8\n"
+             "method = ssn\nplan = exact_leverage\ndebias = scalar\n"
+             "m = 64\niters = 4\ntiming = zero\n")
+BAD_SOLVE_CFG = (COUNTEREXAMPLE + "problem = least_squares\nmethod = ssn\n"
+                 "plan = exact_leverage\ndebias = scalar\nm = 2\n"
+                 "iters = 2\ntiming = zero\n")
+# exact Newton on a zero column with lambda = 0 finds no Cholesky factor,
+# and the solver's own m = 0 refusal comes first in time
+SINGULAR_CSV = "".join(f"{i % 7 + 0.5},0,{1 if i % 3 else -1}\n"
+                       for i in range(40))
+BAD_REFERENCE_CFG = ("data = csv\nlambda = 0\nmethod = sparse_proj\n"
+                     "m = 0\niters = 2\ntiming = zero\npath = ")
 
 
-def _main(tmp_path, command, cfg_text, pooled):
+def _main(tmp_path, command, cfg_text, pooled, forks=None):
     """``cli.main`` in a fresh interpreter under the default thread policy
     (pooled) or with a BLAS thread count set (serial): the probe's report,
-    stderr and the output and sidecar bytes."""
+    stderr and the output and sidecar bytes.  ``forks``, where given, says
+    whether the run loaded the process pool."""
     run_dir = tmp_path / ("pooled" if pooled else "serial")
     run_dir.mkdir()
     (run_dir / "run.cfg").write_text(cfg_text)
@@ -181,26 +196,100 @@ def _main(tmp_path, command, cfg_text, pooled):
     report = json.loads(proc.stdout)
     assert report["children"] == 0
     assert (report["workers"] > 1) == pooled
+    assert forks is None or report["pool"] == forks
     files = [p.read_bytes() for p in (out, Path(f"{out}.json"))
              if p.exists()]
     return report["rc"], proc.stderr, files
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("command", ["bias", "sweep"])
+@pytest.mark.parametrize("command", ["bias", "sweep", "solve"])
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, command):
-    cfg_text = {"bias": BIAS_CFG, "sweep": SWEEP_CFG}[command]
-    pooled = _main(tmp_path, command, cfg_text, pooled=True)
+    cfg_text = {"bias": BIAS_CFG, "sweep": SWEEP_CFG,
+                "solve": SOLVE_CFG}[command]
+    pooled = _main(tmp_path, command, cfg_text, pooled=True, forks=True)
     assert pooled[0] == 0 and len(pooled[2]) == 2
-    assert pooled == _main(tmp_path, command, cfg_text, pooled=False)
+    assert pooled == _main(tmp_path, command, cfg_text, pooled=False,
+                           forks=False)
 
 
 @needs_two_cpus
-@pytest.mark.parametrize("command", ["bias", "sweep"])
+@pytest.mark.parametrize("command", ["bias", "sweep", "solve"])
 def test_workers_report_the_serial_error(tmp_path, command):
-    cfg_text = {"bias": BAD_BIAS_CFG, "sweep": BAD_SWEEP_CFG}[command]
-    rc, stderr, files = _main(tmp_path, command, cfg_text, pooled=True)
+    cfg_text = {"bias": BAD_BIAS_CFG, "sweep": BAD_SWEEP_CFG,
+                "solve": BAD_SOLVE_CFG}[command]
+    rc, stderr, files = _main(tmp_path, command, cfg_text, pooled=True,
+                              forks=True)
     assert (rc, files) == (cli.EXIT_NUMERICAL, [])
     assert stderr.startswith("SketchTooSmall: sketch size m=2 must exceed")
     assert (rc, stderr, files) == _main(tmp_path, command, cfg_text,
                                         pooled=False)
+
+
+@needs_two_cpus
+def test_solve_reports_the_reference_error_first(tmp_path):
+    data = tmp_path / "singular.csv"
+    data.write_text(SINGULAR_CSV)
+    cfg_text = BAD_REFERENCE_CFG + f"{data}\n"
+    rc, stderr, files = _main(tmp_path, "solve", cfg_text, pooled=True,
+                              forks=True)
+    assert (rc, files) == (cli.EXIT_NUMERICAL, [])
+    assert stderr.startswith("NotPositiveDefinite: ")
+    assert (rc, stderr, files) == _main(tmp_path, "solve", cfg_text,
+                                        pooled=False)
+    # without the reference, the solver's own error is the one reported
+    (tmp_path / "bare").mkdir()
+    rc, stderr, _ = _main(tmp_path / "bare", "solve", cfg_text
+                          + "reference = false\n", pooled=True, forks=False)
+    assert (rc, stderr) == (cli.EXIT_NUMERICAL, "SketchTooSmall: sketch "
+                            "size m=0 must be at least 1\n")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("cfg_text,rc", [
+    (SOLVE_CFG + "reference = false\n", cli.EXIT_OK),
+    (SOLVE_CFG + "method = nonesuch\n", cli.EXIT_CONFIG)],
+    ids=["no-reference", "config-error"])
+def test_solve_forks_only_for_its_reference(tmp_path, cfg_text, rc):
+    assert _main(tmp_path, "solve", cfg_text, pooled=True,
+                 forks=False)[0] == rc
+
+
+def test_overlap_runs_both_in_process_when_serial(workers):
+    pids = parallel.overlap(os.getpid, os.getpid)
+    assert pids[1] == os.getpid()
+    assert (pids[0] == os.getpid()) == (workers == 1)
+    assert multiprocessing.active_children() == []
+
+
+def _late_failure():
+    time.sleep(0.3)
+    raise NotPositiveDefinite("first", pivot_index=2)
+
+
+def _early_failure():
+    raise SketchTooSmall("second", index=4)
+
+
+@pytest.mark.parametrize("first,second,raised", [
+    (_late_failure, _early_failure, NotPositiveDefinite),
+    (_late_failure, lambda: 7, NotPositiveDefinite),
+    (lambda: 7, _early_failure, SketchTooSmall)])
+def test_overlap_raises_the_serial_error(workers, first, second, raised):
+    with pytest.raises((NotPositiveDefinite, SketchTooSmall)) as info:
+        parallel.overlap(first, second)
+    assert type(info.value) is raised
+    if raised is NotPositiveDefinite:
+        assert info.value.pivot_index == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_no_pool_forks_inside_another(monkeypatch):
+    monkeypatch.setattr(parallel, "workers", 2)
+    inner = parallel.overlap(lambda: parallel.pmap(lambda _: os.getpid(),
+                                                   range(3)),
+                             lambda: parallel.pmap(lambda _: os.getpid(),
+                                                   range(3)))
+    # the worker and the caller each run their map in-process
+    assert len(set(inner[0])) == 1 and inner[1] == [os.getpid()] * 3
+    assert multiprocessing.active_children() == []
