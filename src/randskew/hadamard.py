@@ -3,7 +3,8 @@
 The sketch is S H D A / sqrt(n): random column signs, Hadamard rotation,
 then uniform with-replacement row sampling.  Inputs whose row count is not
 a power of two are zero-padded; zero rows carry zero leverage and never
-perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.
+perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.  Each
+sketch writes D A into one padded buffer and rotates that buffer in place.
 
 Every transform here runs in stages: H_n is the Kronecker product of
 Sylvester matrices H_k with k <= 2^STAGE_BITS, so it is a few small dense
@@ -25,7 +26,7 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasSpec, apply_debias
 from .errors import NotPowerOfTwo
-from .linalg import gram, inverse_quadratic_forms
+from .linalg import gram, inverse_quadratic_forms, solve_spd
 from .sampling import SketchDraw, PlanKind, apply_sketch
 
 SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
@@ -131,36 +132,68 @@ class SrhtDraw:
     n_padded: int
 
 
-def srht_draw(n: int, m: int, seed: int) -> SrhtDraw:
-    """Random signs plus a uniform row sample for an n-row input.
+def _srht_signs(n: int, seed: int) -> np.ndarray:
+    """Random +-1 signs for the ``next_power_of_two(n)`` padded rows of an
+    n-row input, from ``generator(seed, 0)``."""
+    size = next_power_of_two(n)
+    return rsrng.generator(seed, 0).integers(0, 2, size=size) * 2.0 - 1.0
 
-    The rows are those ``sampling.draw`` takes at seed ``split(seed, 1)``
-    from a uniform plan over the padded rows, bitwise: the plan's cdf
-    steps k / n_padded are exact for a power-of-two n_padded, so its
-    search lands on floor(u * n_padded).
+
+def _srht_rows(n_padded: int, m: int, seed: int) -> SketchDraw:
+    """m uniform rows of the n_padded padded rows, from ``split(seed, 1)``.
+
+    They are the rows ``sampling.draw`` takes at that seed from a uniform
+    plan over the padded rows, bitwise: the plan's cdf steps k / n_padded
+    are exact for a power-of-two n_padded, so its search lands on
+    floor(u * n_padded).
     """
     if m < 1:
         raise ValueError("sketch size m must be >= 1")
-    n_padded = next_power_of_two(n)
-    signs = rsrng.generator(seed, 0).integers(0, 2, size=n_padded) * 2.0 - 1.0
     u = rsrng.generator(rsrng.split(seed, 1)).random(m)
-    sample = SketchDraw(m=m, indices=(u * n_padded).astype(np.intp),
-                        weights=np.full(m, 1.0 / math.sqrt(m / n_padded)))
-    return SrhtDraw(signs=signs, sample=sample, n_original=n,
-                    n_padded=n_padded)
+    return SketchDraw(m=m, indices=(u * n_padded).astype(np.intp),
+                      weights=np.full(m, 1.0 / math.sqrt(m / n_padded)))
+
+
+def srht_draw(n: int, m: int, seed: int) -> SrhtDraw:
+    """Random signs plus a uniform row sample for an n-row input: what
+    every SRHT sketch at ``seed`` draws."""
+    signs = _srht_signs(n, seed)
+    return SrhtDraw(signs=signs, sample=_srht_rows(signs.shape[0], m, seed),
+                    n_original=n, n_padded=signs.shape[0])
+
+
+def _signed_rows(write, shape: tuple[int, int], signs: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The len(signs) x d buffer of D X with zero padding rows, where
+    ``write(signs[:n, None], rows)`` writes the signed n x d input X into
+    the n ``rows``.  Fills ``out`` when given, else a new array."""
+    n, d = shape
+    rows = np.empty((signs.shape[0], d)) if out is None else out
+    write(signs[:n, None], rows[:n])
+    rows[n:] = 0.0
+    return rows
+
+
+def _rotated_sample(rows: np.ndarray, m: int, spec: DebiasSpec,
+                    seed: int) -> np.ndarray:
+    """Rotate the signed buffer ``rows`` in place to H D X / sqrt(n_padded)
+    and return the m rows drawn at ``seed``, debiased by ``spec``."""
+    if spec.row_weights is not None:
+        raise ValueError(SRHT_SCALAR_ONLY)
+    n_padded = rows.shape[0]
+    _staged_hadamard(rows, 1.0 / math.sqrt(n_padded))
+    return apply_sketch(apply_debias(_srht_rows(n_padded, m, seed), spec),
+                        rows)
 
 
 def _rotate(signs: np.ndarray, A: np.ndarray) -> np.ndarray:
     """H D A_padded / sqrt(n_padded), padded to the length of ``signs``,
-    by the staged transform."""
-    n, d = A.shape
+    in a new array."""
     n_padded = signs.shape[0]
     if not _is_power_of_two(n_padded):
         raise NotPowerOfTwo(f"length {n_padded} is not a power of two")
-    padded = np.empty((n_padded, d))
-    np.multiply(A, signs[:n, None], out=padded[:n])
-    padded[n:] = 0.0
-    return _staged_hadamard(padded, 1.0 / math.sqrt(n_padded))
+    rows = _signed_rows(functools.partial(np.multiply, A), A.shape, signs)
+    return _staged_hadamard(rows, 1.0 / math.sqrt(n_padded))
 
 
 def srht_apply(sketch: SrhtDraw, A: np.ndarray) -> np.ndarray:
@@ -189,37 +222,67 @@ class SrhtPlan:
     """The Hadamard sketch as a plan: uniform row sampling of the rotated
     matrix H D A / sqrt(n), with fresh signs for every sketch.
 
-    The rotation is orthogonal, so ``d_eff`` is the exact effective
-    dimension of A.  Only scalar debiasing applies: row weights of A do not
-    carry over to the rows of the rotated matrix, so ``probs`` is None.
+    The plan keeps the Gram G = A^T A, from which ``d_eff`` =
+    trace((G + C)^-1 G) is the exact effective dimension of A (the
+    rotation is orthogonal) and ``rho_max`` whitens the rotation.  Only
+    scalar debiasing applies: row weights of A do not carry over to the
+    rows of the rotated matrix, so ``probs`` is None.
+
+    Every sketch writes D A into one n_padded x d buffer, rotates that
+    buffer in place and keeps the m sampled rows; ``sketch_many`` reuses
+    one buffer for all its trials.
     """
+    G: np.ndarray
     d_eff: float
     kind: ClassVar[PlanKind] = PlanKind.SRHT
     probs: ClassVar[None] = None
     scores: ClassVar[None] = None
     exact: ClassVar[None] = None
 
+    @classmethod
+    def of_gram(cls, G: np.ndarray, C: np.ndarray) -> SrhtPlan:
+        return cls(G, float(np.trace(solve_spd(G + C, G))))
+
     def sketch(self, A: np.ndarray, m: int, spec: DebiasSpec, seed: int):
         """Draw signs and m rows, debias them by ``spec`` and apply them
         to A; returns the m x d sketched matrix and the rotation
         H D A / sqrt(n) it sampled, for ``rho_max``."""
-        if spec.row_weights is not None:
-            raise ValueError(SRHT_SCALAR_ONLY)
-        sd = srht_draw(A.shape[0], m, seed)
-        rotated = _rotate(sd.signs, A)
-        return apply_sketch(apply_debias(sd.sample, spec), rotated), rotated
+        rows = _signed_rows(functools.partial(np.multiply, A), A.shape,
+                            _srht_signs(A.shape[0], seed))
+        return _rotated_sample(rows, m, spec, seed), rows
 
     def sketch_many(self, A: np.ndarray, m: int, spec: DebiasSpec,
                     seeds) -> np.ndarray:
         """The T x m x d stack of ``sketch(A, m, spec, s)[0]`` over the T
-        ``seeds``: trial by trial, as each trial's signs come from its own
-        ``Generator.integers`` stream."""
-        return np.stack([self.sketch(A, m, spec, s)[0] for s in seeds])
+        ``seeds``, bitwise: trial by trial, as each trial's signs come from
+        its own ``Generator.integers`` stream, through one padded buffer."""
+        write, rows, stack = functools.partial(np.multiply, A), None, []
+        for seed in seeds:
+            rows = _signed_rows(write, A.shape, _srht_signs(A.shape[0], seed),
+                                rows)
+            stack.append(_rotated_sample(rows, m, spec, seed))
+        return np.stack(stack)
 
-    def rho_max(self, A: np.ndarray, C: np.ndarray, exact,
-                rotated: np.ndarray) -> float:
-        """rho_max of uniform sampling from ``rotated``, the rotation of A
-        that ``sketch`` returned, by its exact scores; ``exact`` is unread."""
-        scores = inverse_quadratic_forms(rotated, gram(A) + C)
+    def rho_max(self, C: np.ndarray, exact, rotated: np.ndarray) -> float:
+        """rho_max of uniform sampling from ``rotated``, the rotation that
+        ``sketch`` returned, by its exact scores; ``exact`` is unread."""
+        scores = inverse_quadratic_forms(rotated, self.G + C)
         return float(scores.max() * rotated.shape[0] / self.d_eff)
 
+
+def srht_factor_sketch(write, shape: tuple[int, int], C: np.ndarray,
+                       seed: int):
+    """The SRHT plan of an n x d factor X that is never formed, and
+    ``sketch(m, spec)``, which returns ``SrhtPlan.sketch(X, m, spec,
+    seed)`` by rotating the plan's one buffer in place: call it once.
+
+    ``write(signs, out)`` writes X times the (n, 1) column ``signs`` into
+    ``out``.  A sign flip is exact, so the Gram of the signed buffer is
+    ``gram(X)`` and both results are bitwise those of the formed X.
+    """
+    n = shape[0]
+    rows = _signed_rows(write, shape, _srht_signs(n, seed))
+    plan = SrhtPlan.of_gram(gram(rows[:n]), C)
+    # the rows are drawn in sketch(), after the caller's debias spec, so
+    # that m < 1 meets the spec's refusal first
+    return plan, lambda m, spec: (_rotated_sample(rows, m, spec, seed), rows)

@@ -9,6 +9,7 @@ the row-sampling machinery consumes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -18,6 +19,7 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence, SketchTooSmall
+from .hadamard import srht_factor_sketch
 from .linalg import gram, solve_spd
 from .sampling import (PlanKind, _sjlt_apply, build_plan,
                        exact_leverage_scores)
@@ -66,9 +68,31 @@ class GlmProblem:
 
 @dataclass(frozen=True)
 class Objective:
+    """Value, gradient and the Hessian's square-root factor at one point.
+
+    The factor is ``row_op(A, row_scale)``: A times the column
+    sqrt(w / n) for logistic loss, A over sqrt(n) for least squares.
+    ``hessian_sqrt`` forms it as an n x d array on first read and keeps
+    it, so a step that reads no factor (GD, SGD, a run's last record)
+    forms none.  :meth:`signed_factor` writes a sign-flipped copy into a
+    caller's buffer without forming it.
+    """
     value: float
     gradient: np.ndarray
-    hessian_sqrt: np.ndarray  # n x d factor of the data term of the Hessian
+    A: np.ndarray
+    row_op: np.ufunc                 # np.multiply or np.divide
+    row_scale: np.ndarray | float    # an (n, 1) column or a scalar
+
+    @functools.cached_property
+    def hessian_sqrt(self) -> np.ndarray:
+        """The n x d factor of the data term of the Hessian."""
+        return self.row_op(self.A, self.row_scale)
+
+    def signed_factor(self, signs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``signs * hessian_sqrt`` for an (n, 1) column of +-1, written
+        into ``out``.  Bitwise equal without forming the factor, since a
+        sign flip is exact in a product or a quotient."""
+        return self.row_op(self.A, self.row_scale * signs, out=out)
 
 
 def _value(p: GlmProblem, beta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -91,7 +115,8 @@ def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
 
     The loss is the mean over samples plus (lambda/2) ||beta||^2, so the
     Hessian is gram(hessian_sqrt) + lambda I.  Overflow-safe at extreme
-    margins.
+    margins.  Makes no n x d array: the :class:`Objective` forms its factor
+    when it is first read.
     """
     A, y, lam = p.A, p.y, p.lam
     n = A.shape[0]
@@ -103,10 +128,10 @@ def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
         sig_neg[tail] = np.exp(-r[tail])
         gradient = -(A.T @ (y * sig_neg)) / n + lam * beta
         w = sig_neg * (1.0 - sig_neg)
-        hessian_sqrt = A * np.sqrt(w / n)[:, None]
-        return Objective(value, gradient, hessian_sqrt)
+        return Objective(value, gradient, A, np.multiply,
+                         np.sqrt(w / n)[:, None])
     gradient = (A.T @ r) / n + lam * beta
-    return Objective(value, gradient, A / np.sqrt(n))
+    return Objective(value, gradient, A, np.divide, np.sqrt(n))
 
 
 def _armijo(p: GlmProblem, beta, value, gradient, direction) -> float:
@@ -204,22 +229,32 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     is None unless the step rule is analytic, the one rule that reads it.
     Exact scores are computed only if the plan keeps none and they are
     read: by fine_exact debias, or for the exact d_eff of an approximate
-    plan.
+    plan.  The SRHT step forms no factor: it writes the signed factor
+    into its one rotation buffer, takes the plan's Gram from that buffer
+    and rotates it in place
+    (:func:`~randskew.hadamard.srht_factor_sketch`).
     """
-    hs = obj.hessian_sqrt
     C = p.lam * np.eye(p.dim)
-    plan = build_plan(method.plan_kind, hs, C, mix=method.mix, m1=method.m1,
-                      m2=method.m2, seed=rsrng.split(seed, 1))
+    sketch_seed = rsrng.split(seed, 2)
+    if method.plan_kind is PlanKind.SRHT:
+        plan, sketch = srht_factor_sketch(obj.signed_factor, obj.A.shape, C,
+                                          sketch_seed)
+    else:
+        hs = obj.hessian_sqrt
+        plan = build_plan(method.plan_kind, hs, C, mix=method.mix,
+                          m1=method.m1, m2=method.m2,
+                          seed=rsrng.split(seed, 1))
+        sketch = functools.partial(plan.sketch, hs, seed=sketch_seed)
     exact = plan.exact
     if exact is None and (plan.scores is not None or method.debias
                           is DebiasMode.FINE_GRAINED_EXACT):
-        exact = exact_leverage_scores(hs, C)
+        exact = exact_leverage_scores(obj.hessian_sqrt, C)
     d_eff = plan.d_eff if exact is None else float(exact.sum())
     spec = make_debias_spec(method.debias, plan, method.m, d_eff, exact)
-    At, rotated = plan.sketch(hs, method.m, spec, rsrng.split(seed, 2))
+    At, rotated = sketch(method.m, spec)
     rho_max, mu = None, method.fixed_step
     if method.step_rule is StepRule.ANALYTIC:
-        rho_max = plan.rho_max(hs, C, exact, rotated)
+        rho_max = plan.rho_max(C, exact, rotated)
         mu = analytic_step_size(method.m, d_eff, rho_max)
     beta_next, mu = _newton_update(p, beta, obj, At,
                                    method.step_rule is StepRule.ARMIJO, mu)

@@ -11,7 +11,7 @@ None for the Hadamard plan, which samples rows of a rotation of A),
 ``scores`` (sampling scores or None), ``exact`` (exact leverage scores when
 the plan computed them, else None; always None for the Hadamard plan, which
 takes d_eff from the d x d Gram), ``sketch(A, m, spec, seed)``, its batched
-form ``sketch_many(A, m, spec, seeds)`` and ``rho_max(A, C, exact,
+form ``sketch_many(A, m, spec, seeds)`` and ``rho_max(C, exact,
 rotated)``.  :mod:`randskew.debias` turns these data into debias weights.
 ``sketch`` returns the m x d sketched matrix and what ``rho_max`` reads of
 it as ``rotated``: None for a sampling plan, whose rho_max depends on the
@@ -30,7 +30,7 @@ import numpy as np
 from . import rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import gram, inverse_quadratic_forms, solve_spd, whiten
+from .linalg import gram, inverse_quadratic_forms, whiten
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 GUIDE_PASSES = 8  # guide-table steps before searchsorted finishes a draw
@@ -100,7 +100,7 @@ class SamplingPlan:
                               1.0 / np.sqrt(m * self.probs[support]))
         return _gather(A, support[pos], table[pos])
 
-    def rho_max(self, A: np.ndarray, C: np.ndarray, exact: np.ndarray,
+    def rho_max(self, C: np.ndarray, exact: np.ndarray,
                 rotated: None) -> float:
         return approximation_factors(self, exact).rho_max
 
@@ -285,8 +285,7 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
         return SamplingPlan(kind, scores / total, float(total), scores=scores)
     if kind is PlanKind.SRHT:
         from .hadamard import SrhtPlan  # hadamard imports this module
-        G = gram(A)
-        return SrhtPlan(float(np.trace(solve_spd(G + C, G))))
+        return SrhtPlan.of_gram(gram(A), C)
     if kind is PlanKind.ROW_NORM:
         sq = np.einsum("ij,ij->i", A, A)
         total = sq.sum()

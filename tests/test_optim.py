@@ -12,6 +12,7 @@ from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode
 from randskew.errors import LabelDomainError, NoConvergence
+from randskew.hadamard import next_power_of_two
 from randskew.linalg import gram
 from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
                             ProblemKind, SgdMethod, SparseProjMethod,
@@ -37,7 +38,39 @@ def make_least_squares(n=256, d=8, lam=1e-2, seed=1):
     return GlmProblem(A, y, lam, ProblemKind.LEAST_SQUARES)
 
 
+def _peak_of(f):
+    """``f()`` and the ``tracemalloc`` peak of that call, after a first
+    call that warms imports and caches."""
+    f()
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestObjectiveEval:
+    @pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+    def test_factor_is_formed_on_first_read(self, kind):
+        # objective_eval makes n-vectors only (0.32 n d 8 bytes here, 1.39
+        # when it formed the factor); the first read of the factor forms
+        # it with the bits of the eager formula, and later reads return it
+        n, d = 4096, 16
+        make = (make_logistic if kind is ProblemKind.LOGISTIC
+                else make_least_squares)
+        p = make(n=n, d=d)
+        beta = np.full(d, 0.05)
+        obj, peak = _peak_of(lambda: objective_eval(p, beta))
+        assert peak < n * d * 8
+        if kind is ProblemKind.LOGISTIC:
+            sig_neg = 1.0 / (1.0 + np.exp(p.y * (p.A @ beta)))
+            want = p.A * np.sqrt(sig_neg * (1.0 - sig_neg) / n)[:, None]
+        else:
+            want = p.A / np.sqrt(n)
+        hs = obj.hessian_sqrt
+        assert hs.shape == want.shape and hs.tobytes() == want.tobytes()
+        assert obj.hessian_sqrt is hs
+
     def test_logistic_at_zero(self):
         p = make_logistic()
         obj = objective_eval(p, np.zeros(p.dim))
@@ -286,6 +319,22 @@ class TestSsnStep:
             np.trace(np.cov(steps.T) @ H) / T)
         assert hnorm < 3.0 * stderr
 
+    @pytest.mark.parametrize("n", [4096, 3000])
+    def test_srht_update_holds_one_padded_buffer(self, n):
+        # the signed factor is written straight into the rotation's
+        # buffer, so the peak is that buffer, the transform's fixed 512 KiB
+        # scratch and small arrays: 1.30 buffers here.  Forming the factor
+        # and then a padded copy of it peaked at 2.29 (n = 4096) and 2.02
+        # (n = 3000) buffers.  At d = 16 the scratch alone is a buffer.
+        d = 64
+        p = make_logistic(n=n, d=d)
+        beta = np.full(d, 0.01)
+        method = SsnMethod(plan_kind=PlanKind.SRHT, m=256,
+                           step_rule=StepRule.ARMIJO)
+        _, peak = _peak_of(lambda: method.update(
+            p, beta, objective_eval(p, beta), 0, 0))
+        assert peak < 1.5 * next_power_of_two(n) * d * 8
+
 
 @pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
 def test_ssn_update_is_the_step_at_its_iteration_seed(rule):
@@ -367,6 +416,16 @@ class TestSparseProjMethod:
 
 
 class TestRunSolver:
+    def test_gd_run_forms_no_factor(self):
+        # GD steps and the last record read gradients only: the peak is
+        # n-vectors (0.39 n d 8 bytes here, 2.39 when every evaluation
+        # formed the factor)
+        n, d = 4096, 16
+        p = make_logistic(n=n, d=d)
+        _, peak = _peak_of(lambda: run_solver(p, GdMethod(lr=0.1),
+                                              np.zeros(d), 3))
+        assert peak < n * d * 8
+
     def test_gd_zero_lr_is_constant(self):
         p = make_logistic()
         trace = run_solver(p, GdMethod(lr=0.0), np.zeros(p.dim), 4)

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randskew import optim
 from randskew import rng as rsrng
 from randskew.biaslab import JACKKNIFE_BATCH, estimate_bias, make_debias_spec
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPositiveDefinite
-from randskew.hadamard import _rotate
-from randskew.linalg import _inverse_factor, gram
+from randskew.hadamard import (_signed_rows, _staged_hadamard,
+                               next_power_of_two, srht_draw)
+from randskew.linalg import _inverse_factor, gram, inverse_quadratic_forms
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
 from randskew.sampling import (PlanKind, apply_sketch, approximation_factors,
@@ -130,8 +132,9 @@ def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
 
 
 def test_srht_ssn_step_rotates_once(monkeypatch):
-    # the sketch and rho_max share one Hadamard rotation of the factor
-    calls = _count_calls(monkeypatch, _rotate)
+    # the sketch and rho_max share one Hadamard rotation of the factor,
+    # made in place in the buffer that the signed factor was written to
+    calls = _count_calls(monkeypatch, _staged_hadamard)
     _one_ssn_step(PlanKind.SRHT)
     assert len(calls) == 1
 
@@ -139,7 +142,7 @@ def test_srht_ssn_step_rotates_once(monkeypatch):
 @pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
 def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     exact = _count_calls(monkeypatch, exact_leverage_scores)
-    rotations = _count_calls(monkeypatch, _rotate)
+    rotations = _count_calls(monkeypatch, _staged_hadamard)
     # whiten and inverse_quadratic_forms each take one inverse factor
     whitenings = _count_calls(monkeypatch, _inverse_factor)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
@@ -148,6 +151,68 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     # scores
     assert len(whitenings) == (rule is StepRule.ANALYTIC)
     assert (diagnostics["rho_max"] is not None) == (rule is StepRule.ANALYTIC)
+
+
+def _objective(kind, n):
+    """A problem of ``kind`` with n rows and D columns (n = 100 pads to
+    128), a start beta and the objective there."""
+    A_ = synthetic_matrix(SyntheticSpec(SyntheticKind.COHERENT, n, D,
+                                        heavy_row_count=4, seed=n))
+    y = (synthetic_labels(A_, n) if kind is ProblemKind.LOGISTIC
+         else A_ @ np.arange(1.0, D + 1))
+    P_ = GlmProblem(A_, y, 1e-2, kind)
+    beta = np.full(D, 0.1)
+    return P_, beta, objective_eval(P_, beta)
+
+
+OBJECTIVES = pytest.mark.parametrize(
+    "kind, n", [(kind, n) for kind in ProblemKind for n in (64, 100)],
+    ids=lambda x: getattr(x, "value", x))
+
+
+@OBJECTIVES
+def test_signed_buffer_holds_the_signed_factor_bitwise(kind, n):
+    # a sign flip is exact in a product or a quotient, and it cancels in
+    # every product of the Gram
+    _, _, obj = _objective(kind, n)
+    signs = srht_draw(n, M, 9).signs
+    rows = _signed_rows(obj.signed_factor, (n, D), signs)
+    hs = obj.hessian_sqrt
+    assert rows.shape == (next_power_of_two(n), D)
+    assert _same_bits(rows[:n], signs[:n, None] * hs)
+    assert np.all(rows[n:] == 0.0)
+    assert _same_bits(gram(rows[:n]), gram(hs))
+
+
+@OBJECTIVES
+@pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
+def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
+                                                          monkeypatch):
+    P_, beta, obj = _objective(kind, n)
+    sketches = []
+
+    def newton_update(p, beta, obj, At, armijo, mu):
+        sketches.append(At)
+        return newton_update.real(p, beta, obj, At, armijo, mu)
+
+    newton_update.real = optim._newton_update
+    monkeypatch.setattr(optim, "_newton_update", newton_update)
+    method = SsnMethod(plan_kind=PlanKind.SRHT, m=M, step_rule=rule)
+    _, diagnostics = ssn_step(P_, beta, obj, method, seed=5)
+    # the step wrote the signed factor into its rotation buffer; nothing
+    # formed the factor itself
+    assert "hessian_sqrt" not in vars(obj)
+    hs, C_ = obj.hessian_sqrt, P_.lam * np.eye(D)
+    plan = build_plan(PlanKind.SRHT, hs, C_)
+    spec = make_debias_spec(method.debias, plan, M, plan.d_eff, None)
+    At, rotated = plan.sketch(hs, M, spec, rsrng.split(5, 2))
+    assert len(sketches) == 1 and _same_bits(sketches[0], At)
+    assert diagnostics["d_eff"] == plan.d_eff
+    # rho_max by the rotation's scores given gram(hs) + C, formed afresh
+    scores = inverse_quadratic_forms(rotated, gram(hs) + C_)
+    assert diagnostics["rho_max"] == (
+        float(scores.max() * rotated.shape[0] / plan.d_eff)
+        if rule is StepRule.ANALYTIC else None)
 
 
 @KINDS
