@@ -21,9 +21,12 @@ plan alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -192,6 +195,46 @@ def effective_dimension(scores: np.ndarray) -> float:
     return float(scores.sum())
 
 
+def _sparsetools_path() -> Path | None:
+    """scipy's compiled ``sparse/_sparsetools`` extension, found without
+    importing scipy, or None."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    folder = Path(spec.submodule_search_locations[0]) / "sparse"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_sparsetools{suffix}"
+        if path.is_file():
+            return path
+    return None
+
+
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, loaded once.
+
+    The extension needs only numpy, so it is loaded from its file under a
+    private name: importing ``scipy.sparse`` would load some 75 scipy
+    modules and ``numpy.f2py`` into every process that sketches, forked
+    sweep workers included.  scipy's own module name stays free for a
+    later ``import scipy.sparse``.  Where the file cannot be found or
+    loaded, the same kernels come through that import.
+    """
+    path = _sparsetools_path()
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(
+            "randskew._sparsetools", str(path))
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(loader.name, loader))
+            loader.exec_module(module)
+            return module
+        except (ImportError, OSError):
+            pass
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
 def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator,
                 s: int = SJLT_NNZ_PER_COLUMN) -> np.ndarray:
     """S A for a sparse JL matrix S of shape (m, n), so E[S^T S] = I.
@@ -199,26 +242,30 @@ def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator,
     Each of the n columns of S carries ``s`` entries of +-1/sqrt(s) at
     uniformly random rows, drawn independently, so two may share a row.
     """
-    # scipy.sparse is imported here so that loading the CLI does not pay for
-    # it.  It stays because no numpy-only product came close.  At n = 16384,
-    # d = 64, m = 512 on a 2-core Xeon, one BLAS thread, the CSR product
-    # took 2.0-2.8 ms; np.add.at 94-208 ms, one bincount per column
-    # 51-54 ms and a padded (m, K, d).sum(1) 57-66 ms.  A stable argsort
-    # with np.add.reduceat (68-70 ms) sums pairwise, so it is not bitwise
-    # and fails test_sjlt_apply_matches_scatter_bitwise.
-    from scipy.sparse import csr_array
-
     n = A.shape[0]
     rows = gen.integers(0, m, size=(n, s))
     signs = gen.integers(0, 2, size=(n, s)) * 2.0 - 1.0
     scale = 1.0 / math.sqrt(s)
-    # S^T is built from the raw (rows, signs) arrays, not through COO or
-    # sum_duplicates, so colliding entries stay separate: the CSC product
-    # S_T.T @ A then adds the terms +-A[j]/sqrt(s) into each output row in
-    # (j, s) order, bitwise as a scatter-add over rows.ravel() does.
-    S_T = csr_array(((signs * scale).ravel(), rows.ravel(),
-                     np.arange(0, n * s + 1, s)), shape=(n, m))
-    return S_T.T @ A
+    # S is the CSC matrix whose column j holds rows[j] and signs[j] * scale,
+    # unmerged, so colliding entries stay separate: scipy's csc_matvecs
+    # adds the terms +-A[j]/sqrt(s) into each output row in (j, s) order,
+    # bitwise as a scatter-add over rows.ravel() does, and as scipy's
+    # ``csr_array(...).T @ A``, which makes the same call.  The kernel
+    # checks no bounds or layout: A is C-contiguous float64, the indices
+    # int64, and out.ravel() a view that it fills.
+    # No numpy-only product came close.  At n = 16384, d = 64, m = 512 on
+    # a 2-core Xeon, one BLAS thread, the kernel took 2.0-2.8 ms;
+    # np.add.at 94-208 ms, one bincount per column 51-54 ms, a padded
+    # (m, K, d).sum(1) 57-66 ms, and a bitwise scatter in "waves" (the
+    # k-th term of every output row at once) 22 ms.  A stable argsort
+    # with np.add.reduceat (68-70 ms) sums pairwise, so it is not bitwise
+    # and fails test_sjlt_apply_matches_scatter_bitwise.
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    out = np.zeros((m, A.shape[1]))
+    _sparsetools().csc_matvecs(m, n, A.shape[1], np.arange(0, n * s + 1, s),
+                               rows.ravel(), (signs * scale).ravel(),
+                               A.ravel(), out.ravel())
+    return out
 
 
 def default_double_sketch_width(n: int) -> int:

@@ -221,7 +221,8 @@ import json, sys
 import randskew.cli as cli
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m.startswith("numpy.f2py"))
 
 seen = {"import": [0, scipy_modules()]}
 for name, argv in json.loads(sys.argv[1]):
@@ -233,23 +234,27 @@ _DATA = "data = synthetic\nsynthetic = coherent\nn = 128\nd = 8\n"
 _BIAS = _DATA + ("lambda = 0\nplans = exact_leverage,shrinkage\n"
                  "debias = none,scalar,fine_exact\nm_grid = 32,64\n"
                  "trials = 16\n")
+_LEV = _DATA + "lambda = 0.01\nplans = uniform\n"
 _SOLVE = _DATA + ("lambda = 0.01\nproblem = logistic\nmethod = ssn\n"
                   "step = armijo\nm = 64\niters = 3\n")
 
 
 def test_cli_runs_without_scipy_linalg(tmp_path):
-    """Importing the CLI, a ``bias`` run and an SRHT ``solve`` load no scipy
-    module; an ``approx_leverage`` solve loads ``scipy.sparse`` only."""
+    """Importing the CLI, a ``bias`` run, an SRHT ``solve`` and the three
+    SJLT runs (an ``approx_leverage`` solve, a ``sparse_proj`` solve and
+    ``lev approx=sjlt``) load no scipy module and no ``numpy.f2py``."""
     if not _native_route():
         pytest.skip("numpy bundles no OpenBLAS with these LAPACK routines")
     runs = []
-    for name, text, overrides in [
-            ("bias", _BIAS, []),
-            ("srht", _SOLVE, ["plan=srht", "debias=scalar"]),
-            ("sjlt", _SOLVE, ["plan=approx_leverage", "debias=fine_approx"])]:
+    for name, command, text, overrides in [
+            ("bias", "bias", _BIAS, []),
+            ("srht", "solve", _SOLVE, ["plan=srht", "debias=scalar"]),
+            ("sjlt", "solve", _SOLVE,
+             ["plan=approx_leverage", "debias=fine_approx"]),
+            ("sparse_proj", "solve", _SOLVE, ["method=sparse_proj"]),
+            ("lev_sjlt", "lev", _LEV, ["approx=sjlt", "m1=64"])]:
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
-        command = "bias" if name == "bias" else "solve"
         runs.append((name, [command, "--config", str(cfg), "--seed", "1",
                             "--out", str(tmp_path / f"{name}.csv"),
                             *overrides]))
@@ -261,8 +266,6 @@ def test_cli_runs_without_scipy_linalg(tmp_path):
                           timeout=120, check=True)
     seen = json.loads(proc.stdout)
     assert all(rc == 0 for rc, _ in seen.values()), proc.stderr
-    for name in ("import", "bias", "srht"):
-        assert seen[name][1] == [], name
-    loaded = seen["sjlt"][1]
-    assert "scipy.sparse" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.linalg")], loaded
+    assert len(seen) == 1 + len(runs)
+    for name, (_, loaded) in seen.items():
+        assert loaded == [], name

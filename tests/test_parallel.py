@@ -255,6 +255,49 @@ def test_solve_forks_only_for_its_reference(tmp_path, cfg_text, rc):
                  forks=False)[0] == rc
 
 
+_SJLT_PROBE = """
+import json, os, sys
+from randskew import cli, sampling
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m.startswith("numpy.f2py"))
+
+sjlt = sampling.sjlt_approx_leverage
+
+def probed(*args, **kwargs):
+    scores = sjlt(*args, **kwargs)
+    with open(sys.argv[1], "a") as log:
+        log.write(json.dumps([os.getpid(), loaded()]) + "\\n")
+    return scores
+
+sampling.sjlt_approx_leverage = probed
+print(json.dumps([os.getpid(), cli.main(sys.argv[2:]), loaded()]))
+"""
+
+
+@needs_two_cpus
+def test_sweep_workers_sketch_without_scipy(tmp_path):
+    """Every SJLT plan that a pooled ``approx_leverage`` sweep builds on
+    its forked workers finds no scipy module and no ``numpy.f2py``
+    loaded, and neither does the parent."""
+    (tmp_path / "run.cfg").write_text(
+        SWEEP_CFG.replace("exact_leverage", "approx_leverage"))
+    log = tmp_path / "sjlt.log"
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    env["PYTHONPATH"] = _SRC
+    proc = subprocess.run(
+        [sys.executable, "-c", _SJLT_PROBE, str(log), "sweep", "--config",
+         str(tmp_path / "run.cfg"), "--seed", "3", "--out",
+         str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    parent, rc, loaded = json.loads(proc.stdout)
+    assert (rc, loaded) == (cli.EXIT_OK, [])
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in records} - {parent}, "no worker sketched"
+    assert [mods for _, mods in records if mods] == []
+
+
 def test_overlap_runs_both_in_process_when_serial(workers):
     pids = parallel.overlap(os.getpid, os.getpid)
     assert pids[1] == os.getpid()

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,10 +134,9 @@ class TestSjltApproxLeverage:
                 sjlt_approx_leverage(A_CE, C0, m1=8, m2=m2)
 
 
-def _sjlt_scatter_reference(A, m, gen):
+def _sjlt_scatter_reference(A, m, gen, s=sampling.SJLT_NNZ_PER_COLUMN):
     """S A by scatter-adding each signed, scaled row of A into its rows."""
     n = A.shape[0]
-    s = sampling.SJLT_NNZ_PER_COLUMN
     rows = gen.integers(0, m, size=(n, s))
     signs = gen.integers(0, 2, size=(n, s)) * 2.0 - 1.0
     out = np.zeros((m, A.shape[1]))
@@ -155,6 +160,103 @@ def test_sjlt_apply_matches_scatter_bitwise(A, m):
     want = _sjlt_scatter_reference(A, m, rsrng.generator(11, 0))
     assert isinstance(got, np.ndarray)
     np.testing.assert_array_equal(got, want)
+
+
+def _signed_zeros():
+    """_SJLT_A's first 60 rows with whole rows of +0.0 and -0.0, and -0.0
+    in every other column of a third of the rows."""
+    A = _SJLT_A[:60].copy()
+    A[::3] = 0.0
+    A[1::3, ::2] = -0.0
+    return A
+
+
+@pytest.mark.parametrize("A, m, s", [
+    (np.asfortranarray(_SJLT_A), 37, 4),
+    (_SJLT_A[:, ::-1], 37, 4),           # negative column stride
+    (_SJLT_A[::3], 37, 4),               # row stride of three rows
+    (_SJLT_A, 37, 1),
+    (_SJLT_A, 37, 3),
+    (_SJLT_A, 37, 8),
+    (_SJLT_A, 1, 4),                     # every term adds into one row
+    (_signed_zeros(), 5, 3),
+], ids=["fortran", "reversed_columns", "row_strided", "s1", "s3", "s8",
+        "m1", "signed_zeros"])
+def test_sjlt_apply_is_the_scatter_bitwise_on_any_layout(A, m, s):
+    """The compiled product reads A through a C-contiguous copy where
+    needed and writes a fresh C-contiguous (m, d) array: bitwise the
+    scatter-add, signed zeros included."""
+    got = sampling._sjlt_apply(A, m, rsrng.generator(11, 0), s)
+    want = _sjlt_scatter_reference(A, m, rsrng.generator(11, 0), s)
+    assert got.shape == (m, A.shape[1])
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert not np.shares_memory(got, A)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def fresh_kernel():
+    """Drops the loaded sparse kernel before and after the test, so that
+    the test loads it anew and later tests do not see its loader."""
+    sampling._sparsetools.cache_clear()
+    yield
+    sampling._sparsetools.cache_clear()
+
+
+@pytest.mark.parametrize("found", ["nothing", "not_an_extension"])
+def test_sjlt_kernel_falls_back_to_scipy_sparse(fresh_kernel, monkeypatch,
+                                                tmp_path, found):
+    """Where the extension file is missing or does not load, the kernel
+    comes from ``scipy.sparse`` and gives the same bits."""
+    want = sampling._sjlt_apply(_SJLT_A, 37, rsrng.generator(11, 0))
+    path = None
+    if found == "not_an_extension":
+        path = tmp_path / "_sparsetools.so"
+        path.write_bytes(b"not a shared object")
+    sampling._sparsetools.cache_clear()
+    monkeypatch.setattr(sampling, "_sparsetools_path", lambda: path)
+    assert sampling._sparsetools().__name__ == "scipy.sparse._sparsetools"
+    got = sampling._sjlt_apply(_SJLT_A, 37, rsrng.generator(11, 0))
+    assert got.tobytes() == want.tobytes()
+
+
+_KERNEL_THEN_SCIPY = """
+import json, math, sys
+import numpy as np
+from randskew import rng as rsrng, sampling
+
+A = (np.random.default_rng(5).standard_normal((300, 6))
+     * np.exp(3.0 * np.random.default_rng(6).standard_normal((300, 1))))
+got = sampling._sjlt_apply(A, 37, rsrng.generator(11, 0))
+report = {"kernel": sampling._sparsetools().__name__,
+          "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}
+
+import scipy.sparse
+from scipy.sparse import csr_array
+
+gen = rsrng.generator(11, 0)
+rows = gen.integers(0, 37, size=(300, 4))
+signs = gen.integers(0, 2, size=(300, 4)) * 2.0 - 1.0
+S_T = csr_array(((signs * (1.0 / math.sqrt(4))).ravel(), rows.ravel(),
+                 np.arange(0, 300 * 4 + 1, 4)), shape=(300, 37))
+report["scipy_kernel"] = scipy.sparse._sparsetools.__name__
+report["same_bits"] = (S_T.T @ A).tobytes() == got.tobytes()
+print(json.dumps(report))
+"""
+
+
+def test_scipy_sparse_imports_after_the_private_kernel():
+    """Loading the kernel under its private name leaves scipy's own
+    module to ``import scipy.sparse``, whose CSR product then gives the
+    same bits."""
+    src = str(Path(sampling.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_THEN_SCIPY],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert json.loads(proc.stdout) == {
+        "kernel": "randskew._sparsetools", "scipy": [],
+        "scipy_kernel": "scipy.sparse._sparsetools", "same_bits": True}
 
 
 class TestBuildPlan:
