@@ -92,15 +92,7 @@ def _stage_bits(n: int) -> list[int]:
     return [levels // r + (i < levels % r) for i in range(r)]
 
 
-def _stage_scratch(shape: tuple[int, int]) -> np.ndarray:
-    """Scratch for :func:`_staged_hadamard` of an n x d array: at most
-    ``max(FWHT_BLOCK_FLOATS, STAGE_TILE_FLOATS)`` floats."""
-    n, d = shape
-    return np.empty(min(n * d, max(FWHT_BLOCK_FLOATS, STAGE_TILE_FLOATS)))
-
-
-def _staged_hadamard(flat: np.ndarray, scale: float = 1.0,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
+def _staged_hadamard(flat: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """``scale`` times the Walsh-Hadamard transform along axis 0 of the
     C-contiguous n x d ``flat``, n a power of two, in place; returns it.
 
@@ -109,13 +101,10 @@ def _staged_hadamard(flat: np.ndarray, scale: float = 1.0,
     H_{k_i}.  The products run as GEMM tiles of at most
     ``STAGE_TILE_FLOATS`` floats, as many at once as fit in a scratch of
     ``FWHT_BLOCK_FLOATS`` floats, and are copied back, so no n x d
-    temporary is made.  The last stage scales as it copies back.  A
-    caller that transforms many arrays of one shape passes one
-    ``_stage_scratch(flat.shape)`` for all of them.
+    temporary is made.  The last stage scales as it copies back.
     """
     n, d = flat.shape
-    if scratch is None:
-        scratch = _stage_scratch(flat.shape)
+    scratch = np.empty(min(n * d, max(FWHT_BLOCK_FLOATS, STAGE_TILE_FLOATS)))
     lead = 1
     for bits in _stage_bits(n):
         k = 1 << bits
@@ -186,15 +175,13 @@ def _signed_rows(write, shape: tuple[int, int], signs: np.ndarray,
 
 
 def _rotated_sample(rows: np.ndarray, m: int, spec: DebiasSpec,
-                    seed: int, scratch: np.ndarray | None = None
-                    ) -> np.ndarray:
+                    seed: int) -> np.ndarray:
     """Rotate the signed buffer ``rows`` in place to H D X / sqrt(n_padded)
-    (with the transform's ``scratch``, where given) and return the m rows
-    drawn at ``seed``, debiased by ``spec``."""
+    and return the m rows drawn at ``seed``, debiased by ``spec``."""
     if spec.row_weights is not None:
         raise ValueError(SRHT_SCALAR_ONLY)
     n_padded = rows.shape[0]
-    _staged_hadamard(rows, 1.0 / math.sqrt(n_padded), scratch)
+    _staged_hadamard(rows, 1.0 / math.sqrt(n_padded))
     return apply_sketch(apply_debias(_srht_rows(n_padded, m, seed), spec),
                         rows)
 
@@ -243,7 +230,7 @@ class SrhtPlan:
 
     Every sketch writes D A into one n_padded x d buffer, rotates that
     buffer in place and keeps the m sampled rows; ``sketch_many`` reuses
-    one buffer and one transform scratch for all its trials.
+    one buffer for all its trials.
     """
     G: np.ndarray
     d_eff: float
@@ -268,14 +255,12 @@ class SrhtPlan:
                     seeds) -> np.ndarray:
         """The T x m x d stack of ``sketch(A, m, spec, s)[0]`` over the T
         ``seeds``, bitwise: trial by trial, as each trial's signs come from
-        its own ``Generator.integers`` stream, through one padded buffer
-        and one transform scratch."""
-        write, stack = functools.partial(np.multiply, A), []
-        rows = np.empty((next_power_of_two(A.shape[0]), A.shape[1]))
-        scratch = _stage_scratch(rows.shape)
+        its own ``Generator.integers`` stream, through one padded buffer."""
+        write, rows, stack = functools.partial(np.multiply, A), None, []
         for seed in seeds:
-            _signed_rows(write, A.shape, _srht_signs(A.shape[0], seed), rows)
-            stack.append(_rotated_sample(rows, m, spec, seed, scratch))
+            rows = _signed_rows(write, A.shape, _srht_signs(A.shape[0], seed),
+                                rows)
+            stack.append(_rotated_sample(rows, m, spec, seed))
         return np.stack(stack)
 
     def rho_max(self, C: np.ndarray, exact, rotated: np.ndarray) -> float:

@@ -219,6 +219,14 @@ def _sparsetools():
     sweep workers included.  scipy's own module name stays free for a
     later ``import scipy.sparse``.  Where the file cannot be found or
     loaded, the same kernels come through that import.
+
+    ``_sjlt_apply`` calls ``csc_matvecs(n_row, n_col, n_vecs, Ap, Ai, Ax,
+    Xx, Yx)`` by position.  That signature is a private scipy ABI (as of
+    scipy 1.17), pinned only by the bitwise SJLT tests in
+    ``tests/test_sampling.py``; the kernel checks no bounds, so a
+    reordered or retyped signature could read or write outside its
+    arrays without raising.  Run those tests again after any scipy
+    upgrade.
     """
     path = _sparsetools_path()
     if path is not None:

@@ -339,26 +339,6 @@ class TestSrhtPlan:
         assert_allclose(At, rotated[sd.sample.indices] * weights[:, None],
                         rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("shape", [(10, 4), (3000, 40)],
-                             ids=["one_tile", "scratch_below_buffer"])
-    def test_sketch_many_allocates_one_transform_scratch(self, shape,
-                                                         monkeypatch):
-        """Every trial of ``sketch_many`` rotates with the same scratch:
-        one allocation per call, not one per trial, and each trial is
-        still ``sketch`` at its seed, bitwise."""
-        A = np.random.default_rng(5).standard_normal(shape)
-        plan = build_plan(PlanKind.SRHT, A, 1e-2 * np.eye(shape[1]))
-        m = 64
-        spec = DebiasSpec.scalar(m, plan.d_eff)
-        want = [plan.sketch(A, m, spec, seed)[0] for seed in range(5)]
-        shapes, allocate = [], hadamard._stage_scratch
-        monkeypatch.setattr(hadamard, "_stage_scratch",
-                            lambda shape: shapes.append(shape)
-                            or allocate(shape))
-        stack = plan.sketch_many(A, m, spec, range(5))
-        assert shapes == [(next_power_of_two(shape[0]), shape[1])]
-        assert stack.tobytes() == np.stack(want).tobytes()
-
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_rho_max_matches_rotating_the_whitened_factor(self, seed):
         plan, _, (_, rotated) = self._sketch(seed)
