@@ -104,6 +104,8 @@ def fine_grained_weights(plan, scores: np.ndarray | None,
     return np.sqrt(m / (m - ratios))
 
 
+# No run path calls apply_debias: tests use it as the oracle of
+# DebiasSpec.reweight in every sketch, and perfbench's TRACED names it.
 def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
     """Re-weight a realized sketch according to the debias spec."""
     if spec.mode is DebiasMode.NONE:

@@ -24,10 +24,10 @@ from typing import ClassVar
 import numpy as np
 
 from . import rng as rsrng
-from .debias import DebiasSpec, apply_debias
+from .debias import DebiasSpec
 from .errors import NotPowerOfTwo
 from .linalg import gram, inverse_quadratic_forms, solve_spd
-from .sampling import SketchDraw, PlanKind, apply_sketch
+from .sampling import SketchDraw, PlanKind, _gather, apply_sketch
 
 SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
 # floats in a transform's scratch (512 KiB), which stays in cache
@@ -124,14 +124,6 @@ def _staged_hadamard(flat: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return flat
 
 
-@dataclass(frozen=True)
-class SrhtDraw:
-    signs: np.ndarray      # +-1, length n_padded
-    sample: SketchDraw     # uniform draw over the padded rows
-    n_original: int
-    n_padded: int
-
-
 def _srht_signs(n: int, seed: int) -> np.ndarray:
     """Random +-1 signs for the ``next_power_of_two(n)`` padded rows of an
     n-row input, from ``generator(seed, 0)``."""
@@ -139,27 +131,21 @@ def _srht_signs(n: int, seed: int) -> np.ndarray:
     return rsrng.generator(seed, 0).integers(0, 2, size=size) * 2.0 - 1.0
 
 
-def _srht_rows(n_padded: int, m: int, seed: int) -> SketchDraw:
-    """m uniform rows of the n_padded padded rows, from ``split(seed, 1)``.
+def _srht_rows(n_padded: int, m: int,
+               seed: int) -> tuple[np.ndarray, np.float64]:
+    """m uniform rows of the n_padded padded rows, from ``split(seed, 1)``,
+    and the weight 1 / sqrt(m / n_padded) that each of them carries.
 
-    They are the rows ``sampling.draw`` takes at that seed from a uniform
-    plan over the padded rows, bitwise: the plan's cdf steps k / n_padded
-    are exact for a power-of-two n_padded, so its search lands on
-    floor(u * n_padded).
+    They are the rows and weights ``sampling.draw`` takes at that seed
+    from a uniform plan over the padded rows, bitwise: the plan's cdf
+    steps k / n_padded are exact for a power-of-two n_padded, so its
+    search lands on floor(u * n_padded).
     """
     if m < 1:
         raise ValueError("sketch size m must be >= 1")
     u = rsrng.generator(rsrng.split(seed, 1)).random(m)
-    return SketchDraw(m=m, indices=(u * n_padded).astype(np.intp),
-                      weights=np.full(m, 1.0 / math.sqrt(m / n_padded)))
-
-
-def srht_draw(n: int, m: int, seed: int) -> SrhtDraw:
-    """Random signs plus a uniform row sample for an n-row input: what
-    every SRHT sketch at ``seed`` draws."""
-    signs = _srht_signs(n, seed)
-    return SrhtDraw(signs=signs, sample=_srht_rows(signs.shape[0], m, seed),
-                    n_original=n, n_padded=signs.shape[0])
+    return (u * n_padded).astype(np.intp), np.float64(
+        1.0 / math.sqrt(m / n_padded))
 
 
 def _signed_rows(write, shape: tuple[int, int], signs: np.ndarray,
@@ -182,8 +168,34 @@ def _rotated_sample(rows: np.ndarray, m: int, spec: DebiasSpec,
         raise ValueError(SRHT_SCALAR_ONLY)
     n_padded = rows.shape[0]
     _staged_hadamard(rows, 1.0 / math.sqrt(n_padded))
-    return apply_sketch(apply_debias(_srht_rows(n_padded, m, seed), spec),
-                        rows)
+    indices, weight = _srht_rows(n_padded, m, seed)
+    return _gather(rows, indices, spec.reweight(indices, weight))
+
+
+# No run path calls SrhtDraw, srht_draw, _rotate, srht_apply or
+# rotated_leverage_scores: tests use them as the oracle of the SRHT
+# sketch, and perfbench's TRACED names srht_draw, srht_apply and
+# rotated_leverage_scores.
+
+
+@dataclass(frozen=True)
+class SrhtDraw:
+    signs: np.ndarray      # +-1, length n_padded
+    sample: SketchDraw     # uniform draw over the padded rows
+    n_original: int
+    n_padded: int
+
+
+def srht_draw(n: int, m: int, seed: int) -> SrhtDraw:
+    """Random signs plus a uniform row sample for an n-row input: what
+    every SRHT sketch at ``seed`` draws."""
+    signs = _srht_signs(n, seed)
+    n_padded = signs.shape[0]
+    indices, weight = _srht_rows(n_padded, m, seed)
+    return SrhtDraw(signs=signs,
+                    sample=SketchDraw(m=m, indices=indices,
+                                      weights=np.full(m, weight)),
+                    n_original=n, n_padded=n_padded)
 
 
 def _rotate(signs: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -230,7 +242,8 @@ class SrhtPlan:
 
     Every sketch writes D A into one n_padded x d buffer, rotates that
     buffer in place and keeps the m sampled rows; ``sketch_many`` reuses
-    one buffer for all its trials.
+    one buffer for all its trials, and :func:`srht_factor_sketch` returns
+    the rotated buffer for ``rho_max``.
     """
     G: np.ndarray
     d_eff: float
@@ -243,19 +256,13 @@ class SrhtPlan:
     def of_gram(cls, G: np.ndarray, C: np.ndarray) -> SrhtPlan:
         return cls(G, float(np.trace(solve_spd(G + C, G))))
 
-    def sketch(self, A: np.ndarray, m: int, spec: DebiasSpec, seed: int):
-        """Draw signs and m rows, debias them by ``spec`` and apply them
-        to A; returns the m x d sketched matrix and the rotation
-        H D A / sqrt(n) it sampled, for ``rho_max``."""
-        rows = _signed_rows(functools.partial(np.multiply, A), A.shape,
-                            _srht_signs(A.shape[0], seed))
-        return _rotated_sample(rows, m, spec, seed), rows
-
     def sketch_many(self, A: np.ndarray, m: int, spec: DebiasSpec,
                     seeds) -> np.ndarray:
-        """The T x m x d stack of ``sketch(A, m, spec, s)[0]`` over the T
-        ``seeds``, bitwise: trial by trial, as each trial's signs come from
-        its own ``Generator.integers`` stream, through one padded buffer."""
+        """The T x m x d stack of sketches, one per seed: each draws
+        signs and m rows at its seed, debiases them by ``spec`` and
+        applies them to A.  Trial by trial, as each trial's signs come
+        from its own ``Generator.integers`` stream, through one padded
+        buffer."""
         write, rows, stack = functools.partial(np.multiply, A), None, []
         for seed in seeds:
             rows = _signed_rows(write, A.shape, _srht_signs(A.shape[0], seed),
@@ -265,7 +272,8 @@ class SrhtPlan:
 
     def rho_max(self, C: np.ndarray, exact, rotated: np.ndarray) -> float:
         """rho_max of uniform sampling from ``rotated``, the rotation that
-        ``sketch`` returned, by its exact scores; ``exact`` is unread."""
+        the sketch of :func:`srht_factor_sketch` returned, by its exact
+        scores; ``exact`` is unread."""
         scores = inverse_quadratic_forms(rotated, self.G + C)
         return float(scores.max() * rotated.shape[0] / self.d_eff)
 
@@ -273,8 +281,9 @@ class SrhtPlan:
 def srht_factor_sketch(write, shape: tuple[int, int], C: np.ndarray,
                        seed: int):
     """The SRHT plan of an n x d factor X that is never formed, and
-    ``sketch(m, spec)``, which returns ``SrhtPlan.sketch(X, m, spec,
-    seed)`` by rotating the plan's one buffer in place: call it once.
+    ``sketch(m, spec)``, which returns ``plan.sketch_many(X, m, spec,
+    [seed])[0]`` and the rotation H D X / sqrt(n) it sampled, by rotating
+    the plan's one buffer in place: call it once.
 
     ``write(signs, out)`` writes X times the (n, 1) column ``signs`` into
     ``out``.  A sign flip is exact, so the Gram of the signed buffer is

@@ -244,7 +244,9 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
         plan = build_plan(method.plan_kind, hs, C, mix=method.mix,
                           m1=method.m1, m2=method.m2,
                           seed=rsrng.split(seed, 1))
-        sketch = functools.partial(plan.sketch, hs, seed=sketch_seed)
+
+        def sketch(m, spec):
+            return plan.sketch_many(hs, m, spec, [sketch_seed])[0], None
     exact = plan.exact
     if exact is None and (plan.scores is not None or method.debias
                           is DebiasMode.FINE_GRAINED_EXACT):

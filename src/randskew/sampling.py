@@ -1,21 +1,21 @@
 """Importance-sampling plans, row sketches, and approximation factors.
 
 A :class:`SamplingPlan` holds the sampling probabilities (and the leverage
-scores they were built from, when applicable); a :class:`SketchDraw` is one
-realized with-replacement sketch, stored as row indices plus per-slot
-scales so that the m-by-n sampling matrix is never materialized.
+scores they were built from, when applicable).  Every sketch is realized by
+one gather: the drawn row indices, their weights re-weighted by a
+:class:`~randskew.debias.DebiasSpec`, and A's rows taken and scaled in one
+step, so that the m-by-n sampling matrix is never materialized.
 
 Every plan :func:`build_plan` returns, the Hadamard plan included, answers
 one protocol: ``kind``, ``d_eff``, ``probs`` (sampling probabilities, or
 None for the Hadamard plan, which samples rows of a rotation of A),
 ``scores`` (sampling scores or None), ``exact`` (exact leverage scores when
 the plan computed them, else None; always None for the Hadamard plan, which
-takes d_eff from the d x d Gram), ``sketch(A, m, spec, seed)``, its batched
-form ``sketch_many(A, m, spec, seeds)`` and ``rho_max(C, exact,
-rotated)``.  :mod:`randskew.debias` turns these data into debias weights.
-``sketch`` returns the m x d sketched matrix and what ``rho_max`` reads of
-it as ``rotated``: None for a sampling plan, whose rho_max depends on the
-plan alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
+takes d_eff from the d x d Gram), ``sketch_many(A, m, spec, seeds)`` (a
+T x m x d stack, one sketch per seed) and ``rho_max(C, exact, rotated)``,
+where ``rotated`` is None for a sampling plan, whose rho_max depends on
+the plan alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
+:mod:`randskew.debias` turns a plan's data into debias weights.
 """
 
 from __future__ import annotations
@@ -75,17 +75,9 @@ class SamplingPlan:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    def sketch(self, A: np.ndarray, m: int, spec, seed: int):
-        """Draw m rows, debias them by ``spec`` and apply them to A.
-
-        Returns the m x d sketched matrix and None: ``rho_max`` reads
-        nothing of the draw.
-        """
-        return self.sketch_many(A, m, spec, [seed])[0], None
-
     def sketch_many(self, A: np.ndarray, m: int, spec, seeds) -> np.ndarray:
-        """The T x m x d stack of sketches, one per seed; each is
-        ``apply_sketch(apply_debias(draw(self, m, s), spec), A)`` bitwise.
+        """The T x m x d stack of sketches, one per seed; each is bitwise
+        ``draw`` -> ``apply_debias`` -> ``apply_sketch`` at its seed.
 
         Debiased weights come from the same element operations a draw
         makes: once per support row when the draws are as many, and else
@@ -165,21 +157,6 @@ class ApproxFactors:
     rho_min: float
     rho_max: float
     argmax_index: int
-
-
-@dataclass(frozen=True)
-class SketchDraw:
-    m: int
-    indices: np.ndarray   # int array length m, values in [0, n)
-    weights: np.ndarray   # positive row scales, length m
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (self.m,) or not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be m finite positive scalars")
-        object.__setattr__(self, "indices",
-                           np.asarray(self.indices, dtype=np.intp))
-        object.__setattr__(self, "weights", w)
 
 
 def exact_leverage_scores(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -396,29 +373,6 @@ def approximation_factors(plan: SamplingPlan,
                          argmax_index=int(idx_active[k]))
 
 
-def _sample(plan: SamplingPlan, m: int, u: np.ndarray):
-    """Row indices and weights of the draws that the uniforms ``u`` make."""
-    indices = plan._cdf[0][plan._positions(u)]
-    return indices, 1.0 / np.sqrt(m * plan.probs[indices])
-
-
-def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
-    """One with-replacement sketch of size m, deterministic given seed."""
-    if m < 1:
-        raise ValueError("sketch size m must be >= 1")
-    indices, weights = _sample(plan, m, rsrng.generator(seed).random(m))
-    return SketchDraw(m=m, indices=indices, weights=weights)
-
-
-def draw_many(plan: SamplingPlan, m: int,
-              seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and weights (T x m each) of ``draw(plan, m, s)`` for each of
-    the T ``seeds``, bitwise."""
-    if m < 1:
-        raise ValueError("sketch size m must be >= 1")
-    return _sample(plan, m, rsrng.uniform_rows(seeds, m))
-
-
 def _gather(A: np.ndarray, indices: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
     """Row s of the result is weights[s] * A[indices[s]], for index arrays
@@ -431,6 +385,35 @@ def _gather(A: np.ndarray, indices: np.ndarray,
     out = A.take(indices, axis=0)
     out *= weights[..., None]
     return out
+
+
+# No run path calls SketchDraw, draw or apply_sketch: tests check
+# sketch_many against them, and perfbench's TRACED names draw and
+# apply_sketch.
+
+
+@dataclass(frozen=True)
+class SketchDraw:
+    m: int
+    indices: np.ndarray   # int array length m, values in [0, n)
+    weights: np.ndarray   # positive row scales, length m
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (self.m,) or not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise ValueError("weights must be m finite positive scalars")
+        object.__setattr__(self, "indices",
+                           np.asarray(self.indices, dtype=np.intp))
+        object.__setattr__(self, "weights", w)
+
+
+def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
+    """One with-replacement sketch of size m, deterministic given seed."""
+    if m < 1:
+        raise ValueError("sketch size m must be >= 1")
+    indices = plan._cdf[0][plan._positions(rsrng.generator(seed).random(m))]
+    return SketchDraw(m=m, indices=indices,
+                      weights=1.0 / np.sqrt(m * plan.probs[indices]))
 
 
 def apply_sketch(sketch: SketchDraw, A: np.ndarray) -> np.ndarray:

@@ -18,6 +18,13 @@ def gaussian_sketch(A: np.ndarray, m: int, seed: int) -> np.ndarray:
     return S @ A
 
 
+def sampled_rows(plan, m: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and weights (T x m each) of ``draw(plan, m, s)`` for
+    each of the T ``seeds``, from the plan's sampler at once."""
+    indices = plan._cdf[0][plan._positions(rsrng.uniform_rows(seeds, m))]
+    return indices, 1.0 / np.sqrt(m * plan.probs[indices])
+
+
 def dense_hadamard(n: int) -> np.ndarray:
     """The n x n Sylvester-Hadamard matrix, n a power of two, built by
     doubling: H_2h = [[H_h, H_h], [H_h, -H_h]]."""

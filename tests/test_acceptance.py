@@ -23,9 +23,10 @@ from randskew.optim import (GlmProblem, ProblemKind, SsnMethod,
                             reference_solution, run_solver)
 from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
                                approximation_factors, build_plan, draw,
-                               draw_many, exact_leverage_scores)
+                               exact_leverage_scores)
 
-from oracles import gaussian_sketch, psd_relative_error, spd_inverse
+from oracles import (gaussian_sketch, psd_relative_error, sampled_rows,
+                     spd_inverse)
 
 D = 4
 A_CE = counterexample_matrix(D)
@@ -54,13 +55,13 @@ def ce_coordinate_counts(plan, m, trials, seed):
     diag(d*b_j/m).  That identity is re-verified against the full
     apply_sketch pipeline on the first 200 trials before being used.
     Trial t draws ``draw(plan, m, split(seed, t))``, taken in blocks by
-    ``draw_many``, which is bitwise the same.
+    ``sampled_rows``, which is bitwise the same.
     """
     d = plan.probs.shape[0] // 2
     counts = np.empty((trials, d), dtype=np.int64)
     for lo in range(0, trials, CE_BLOCK):
         hi = min(lo + CE_BLOCK, trials)
-        indices, weights = draw_many(
+        indices, weights = sampled_rows(
             plan, m, [rsrng.split(seed, t) for t in range(lo, hi)])
         coords = np.where(indices < 2, 0, indices // 2)
         # one bincount for the block: trial k's coordinates shifted by k*d

@@ -119,7 +119,7 @@ def _per_trial_estimate(A, C, plan, spec, m, trials, seed):
     d = A.shape[1]
     Qs = []
     for t in range(trials):
-        At, _ = plan.sketch(A, m, spec, rsrng.split(seed, t))
+        At = plan.sketch_many(A, m, spec, [rsrng.split(seed, t)])[0]
         try:
             L = cholesky(gram(At) + C)
         except NotPositiveDefinite:

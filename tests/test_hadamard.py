@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from randskew.debias import DebiasSpec, apply_debias
 from randskew.errors import NotPowerOfTwo
 from randskew.hadamard import (SrhtDraw, _rotate, _staged_hadamard,
                                fwht_inplace, next_power_of_two,
-                               rotated_leverage_scores, srht_apply, srht_draw)
+                               rotated_leverage_scores, srht_apply, srht_draw,
+                               srht_factor_sketch)
 from randskew.linalg import gram, inv_sqrt
 from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
                                build_plan, draw, exact_leverage_scores)
@@ -314,9 +316,11 @@ class TestSrhtPlan:
     M = 12
 
     def _sketch(self, seed):
-        plan = build_plan(PlanKind.SRHT, self.A, self.C)
+        plan, sketch = srht_factor_sketch(
+            functools.partial(np.multiply, self.A), self.A.shape, self.C,
+            seed)
         spec = DebiasSpec.scalar(self.M, plan.d_eff)
-        return plan, spec, plan.sketch(self.A, self.M, spec, seed)
+        return plan, spec, sketch(self.M, spec)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_sketch_equals_srht_apply_of_the_debiased_draw(self, seed):

@@ -1,6 +1,7 @@
 """Every plan kind, the Hadamard one included, answers one protocol that
 the bias lab and the sketched Newton solver use without knowing the kind."""
 
+import functools
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randskew import optim
+from randskew import hadamard, optim
 from randskew import rng as rsrng
 from randskew.biaslab import JACKKNIFE_BATCH, estimate_bias, make_debias_spec
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
@@ -16,12 +17,14 @@ from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPositiveDefinite
 from randskew.hadamard import (_signed_rows, _staged_hadamard,
-                               next_power_of_two, srht_draw)
+                               next_power_of_two, srht_draw,
+                               srht_factor_sketch)
 from randskew.linalg import _inverse_factor, gram, inverse_quadratic_forms
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
-from randskew.sampling import (PlanKind, apply_sketch, approximation_factors,
-                               build_plan, draw, exact_leverage_scores)
+from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
+                               approximation_factors, build_plan, draw,
+                               exact_leverage_scores)
 
 N, D, M = 64, 4, 32
 A = synthetic_matrix(SyntheticSpec(SyntheticKind.COHERENT, N, D,
@@ -81,15 +84,17 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
         spec = make_debias_spec(mode, plan, m, plan.d_eff, EXACT)
         stack = plan.sketch_many(A, m, spec, seeds)
         for seed, St in zip(seeds, stack):
-            At, rotated = plan.sketch(A, m, spec, seed)
-            assert _same_bits(At, plan.sketch_many(A, m, spec, [seed])[0])
+            At = plan.sketch_many(A, m, spec, [seed])[0]
             assert _same_bits(At, St)
-            if kind is PlanKind.SRHT:
-                continue
             # the per-draw chain stays an independent reference
-            assert rotated is None
-            assert _same_bits(At, apply_sketch(
-                apply_debias(draw(plan, m, seed), spec), A))
+            if kind is PlanKind.SRHT:
+                sd = srht_draw(N, m, seed)
+                want = apply_sketch(apply_debias(sd.sample, spec),
+                                    hadamard._rotate(sd.signs, A))
+            else:
+                want = apply_sketch(apply_debias(draw(plan, m, seed), spec),
+                                    A)
+            assert _same_bits(At, want)
 
 
 @KINDS
@@ -121,6 +126,20 @@ def _count_calls(monkeypatch, fn) -> list:
                 module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, counting)
     return calls
+
+
+def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
+    # every plan turns drawn rows into a sketch by one gather of
+    # spec-reweighted rows; the per-draw chain is only the tests' oracle
+    calls = [_count_calls(monkeypatch, fn)
+             for fn in (draw, apply_sketch, apply_debias, SketchDraw)]
+    for kind in PlanKind:
+        plan = build_plan(kind, A, C)
+        for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
+            estimate_bias(A, C, plan, spec, M, trials=8, seed=2)
+        for rule in StepRule:
+            _one_ssn_step(kind, rule)
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
 
 
 @KINDS
@@ -205,7 +224,9 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     hs, C_ = obj.hessian_sqrt, P_.lam * np.eye(D)
     plan = build_plan(PlanKind.SRHT, hs, C_)
     spec = make_debias_spec(method.debias, plan, M, plan.d_eff, None)
-    At, rotated = plan.sketch(hs, M, spec, rsrng.split(5, 2))
+    _, sketch = srht_factor_sketch(functools.partial(np.multiply, hs),
+                                   hs.shape, C_, rsrng.split(5, 2))
+    At, rotated = sketch(M, spec)
     assert len(sketches) == 1 and _same_bits(sketches[0], At)
     assert diagnostics["d_eff"] == plan.d_eff
     # rho_max by the rotation's scores given gram(hs) + C, formed afresh

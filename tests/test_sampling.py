@@ -12,6 +12,7 @@ from scipy import stats
 from randskew import rng as rsrng
 from randskew import sampling
 from randskew.data import counterexample_matrix
+from randskew.debias import DebiasSpec
 from randskew.errors import (AllZeroRows, IndexOutOfRange,
                              NotPositiveDefinite,
                              ZeroProbabilityWithPositiveScore)
@@ -21,7 +22,7 @@ from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
                                build_plan, draw, effective_dimension,
                                exact_leverage_scores, sjlt_approx_leverage)
 
-from oracles import psd_relative_error
+from oracles import psd_relative_error, sampled_rows
 
 D = 4
 A_CE = counterexample_matrix(D)
@@ -404,7 +405,7 @@ class TestDrawMany:
         PLAN, build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)],
         ids=["zero_rows", "exact_leverage"])
     def test_equals_stacked_draws(self, plan, m):
-        indices, weights = sampling.draw_many(plan, m, self.SEEDS)
+        indices, weights = sampled_rows(plan, m, self.SEEDS)
         draws = [draw(plan, m, s) for s in self.SEEDS]
         np.testing.assert_array_equal(indices,
                                       np.stack([d.indices for d in draws]))
@@ -417,13 +418,14 @@ class TestDrawMany:
                                                      1.0 - 2.0 ** -53))
         plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]),
                             d_eff=1.0)
-        indices, _ = sampling.draw_many(plan, 4, [0, 1, 2])
+        indices, _ = sampled_rows(plan, 4, [0, 1, 2])
         assert indices.shape == (3, 4)
         assert np.all(indices == 9)
 
     def test_rejects_empty_sketch(self):
         with pytest.raises(ValueError):
-            sampling.draw_many(self.PLAN, 0, [0])
+            self.PLAN.sketch_many(np.ones((self.PLAN.n, 1)), 0,
+                                  DebiasSpec.none(), [0])
 
 def _searchsorted_rows(probs, u):
     """The rows a plan over ``probs`` draws for ``u`` by a binary search
@@ -459,7 +461,7 @@ class TestGuideTable:
         probs = w / w.sum()
         plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
         u = _edge_uniforms(probs)
-        indices, _ = sampling._sample(plan, 1, u)
+        indices = plan._cdf[0][plan._positions(u)]
         np.testing.assert_array_equal(indices, _searchsorted_rows(probs, u))
 
     def test_crowded_bucket_is_finished_by_searchsorted(self):
@@ -472,7 +474,7 @@ class TestGuideTable:
         steps = (np.searchsorted(cdf, u, side="right")
                  - plan._guide[(u * len(cdf)).astype(np.intp)])
         assert steps.max() > sampling.GUIDE_PASSES
-        indices, _ = sampling._sample(plan, 1, u)
+        indices = plan._cdf[0][plan._positions(u)]
         np.testing.assert_array_equal(indices, _searchsorted_rows(probs, u))
 
 
