@@ -24,7 +24,6 @@ from .debias import DebiasMode, DebiasSpec, make_debias_spec
 from .errors import AllTrialsSingular
 from .linalg import accepted_inverses, cholesky, gram
 from .parallel import pmap
-from .sampling import exact_leverage_scores
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
 # floats in one sub-block's m x d sketches: 2 MiB, one core's L2 on the
@@ -41,7 +40,6 @@ class BiasEstimate:
     discarded: int
     bias: float
     stderr_proxy: float
-    debias_mode: DebiasMode
     eps_two_sided: float  # smallest two-sided PSD sandwich factor minus one
 
 
@@ -107,7 +105,6 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
 
     return BiasEstimate(m=m, trials=trials, discarded=discarded,
                         bias=float(bias), stderr_proxy=stderr,
-                        debias_mode=debias.mode,
                         eps_two_sided=float(eps))
 
 
@@ -131,7 +128,6 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
     m_grid = list(m_grid)
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be nonempty and ascending")
-    exact = exact_leverage_scores(A, C)
 
     cells = [(pi, di, mi, name, plan, mode, m)
              for pi, (name, plan) in enumerate(plan_specs)
@@ -140,7 +136,7 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
 
     def run_cell(cell) -> BiasSweepRow:
         pi, di, mi, name, plan, mode, m = cell
-        spec = make_debias_spec(mode, plan, m, plan.d_eff, exact)
+        spec = make_debias_spec(mode, plan, m, plan.d_eff)
         est = estimate_bias(A, C, plan, spec, m, trials,
                             rsrng.split(seed, pi, di, mi))
         return BiasSweepRow(scheme=name, debias=mode, estimate=est)

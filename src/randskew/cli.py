@@ -28,8 +28,7 @@ from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
                     SgdMethod, SparseProjMethod, SsnMethod, StepRule,
                     check_iters, check_lambda, reference_point,
                     reference_solution, run_solver)
-from .sampling import (PlanKind, approximation_factors, build_plan,
-                       exact_leverage_scores)
+from .sampling import PlanKind, approximation_factors, build_plan
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -167,10 +166,15 @@ def _ridge(cfg: Config, d: int) -> np.ndarray:
 def cmd_lev(cfg: Config, seed: int, standardize: bool):
     A, _ = load_data(_data_source(cfg, seed), standardize)
     C = _ridge(cfg, A.shape[1])
-    exact = exact_leverage_scores(A, C)
+    approx_kind = cfg.get("approx", None, _APPROX_NAMES.__getitem__)
+    kinds = cfg.get("plans", [PlanKind.UNIFORM], _list_of(PlanKind))
+    if PlanKind.SRHT in kinds:
+        raise ConfigError("srht has no sampling plan summary")
+    plans = [_make_plan(kind, A, C, cfg, seed) for kind in kinds]
+    # every sampling plan keeps the same exact scores
+    exact = plans[0].exact
 
     header, columns = ["index", "score_exact"], [exact]
-    approx_kind = cfg.get("approx", None, _APPROX_NAMES.__getitem__)
     if approx_kind is not None:
         header.append("score_approx")
         columns.append(_make_plan(approx_kind, A, C, cfg, seed).scores)
@@ -178,11 +182,9 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
             for i in range(len(exact))]
 
     summary = []
-    for kind in cfg.get("plans", [PlanKind.UNIFORM], _list_of(PlanKind)):
-        if kind is PlanKind.SRHT:
-            raise ConfigError(f"{kind.value} has no sampling plan summary")
-        fac = approximation_factors(_make_plan(kind, A, C, cfg, seed), exact)
-        summary.append({"plan": kind.value, "d_eff": float(exact.sum()),
+    for plan in plans:
+        fac = approximation_factors(plan, exact)
+        summary.append({"plan": plan.kind.value, "d_eff": float(exact.sum()),
                         "rho_min": fac.rho_min, "rho_max": fac.rho_max})
     return header, rows, {"d_eff": float(exact.sum()), "plans": summary}
 

@@ -114,20 +114,20 @@ def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
                       weights=spec.reweight(sketch.indices, sketch.weights))
 
 
-def make_debias_spec(mode: DebiasMode, plan, m: int, d_eff: float,
-                     exact_scores: np.ndarray) -> DebiasSpec:
+def make_debias_spec(mode: DebiasMode, plan, m: int,
+                     d_eff: float) -> DebiasSpec:
     """Build the debias spec a (plan, m) cell needs.
 
-    Scalar mode uses the caller's ``d_eff``; fine-grained exact mode uses
-    ``exact_scores``; fine-grained approximate mode uses the plan's own
-    scores.  :func:`fine_grained_weights` turns scores into multipliers, or
-    refuses when the plan supports scalar debiasing only.
+    Scalar mode uses the caller's ``d_eff``; fine-grained modes use the
+    plan's own exact or approximate scores.  :func:`fine_grained_weights`
+    turns scores into multipliers, or refuses when the plan supports
+    scalar debiasing only.
     """
     if mode is DebiasMode.NONE:
         return DebiasSpec.none()
     if mode is DebiasMode.SCALAR:
         return DebiasSpec.scalar(m, d_eff)
-    scores = (exact_scores if mode is DebiasMode.FINE_GRAINED_EXACT
+    scores = (plan.exact if mode is DebiasMode.FINE_GRAINED_EXACT
               else plan.scores)
     return DebiasSpec(mode, row_weights=fine_grained_weights(plan, scores, m))
 

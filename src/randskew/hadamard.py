@@ -234,9 +234,9 @@ class SrhtPlan:
     """The Hadamard sketch as a plan: uniform row sampling of the rotated
     matrix H D A / sqrt(n), with fresh signs for every sketch.
 
-    The plan keeps the Gram G = A^T A, from which ``d_eff`` =
-    trace((G + C)^-1 G) is the exact effective dimension of A (the
-    rotation is orthogonal) and ``rho_max`` whitens the rotation.  Only
+    The plan keeps H = G + C for the Gram G = A^T A: ``d_eff`` =
+    trace(H^-1 G) is the exact effective dimension of A (the rotation is
+    orthogonal), and ``rho_max`` whitens the rotation by H.  Only
     scalar debiasing applies: row weights of A do not carry over to the
     rows of the rotated matrix, so ``probs`` is None.
 
@@ -245,7 +245,7 @@ class SrhtPlan:
     one buffer for all its trials, and :func:`srht_factor_sketch` returns
     the rotated buffer for ``rho_max``.
     """
-    G: np.ndarray
+    H: np.ndarray
     d_eff: float
     kind: ClassVar[PlanKind] = PlanKind.SRHT
     probs: ClassVar[None] = None
@@ -254,7 +254,8 @@ class SrhtPlan:
 
     @classmethod
     def of_gram(cls, G: np.ndarray, C: np.ndarray) -> SrhtPlan:
-        return cls(G, float(np.trace(solve_spd(G + C, G))))
+        H = G + C
+        return cls(H, float(np.trace(solve_spd(H, G))))
 
     def sketch_many(self, A: np.ndarray, m: int, spec: DebiasSpec,
                     seeds) -> np.ndarray:
@@ -270,11 +271,11 @@ class SrhtPlan:
             stack.append(_rotated_sample(rows, m, spec, seed))
         return np.stack(stack)
 
-    def rho_max(self, C: np.ndarray, exact, rotated: np.ndarray) -> float:
+    def rho_max(self, rotated: np.ndarray) -> float:
         """rho_max of uniform sampling from ``rotated``, the rotation that
         the sketch of :func:`srht_factor_sketch` returned, by its exact
-        scores; ``exact`` is unread."""
-        scores = inverse_quadratic_forms(rotated, self.G + C)
+        scores."""
+        scores = inverse_quadratic_forms(rotated, self.H)
         return float(scores.max() * rotated.shape[0] / self.d_eff)
 
 

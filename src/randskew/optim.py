@@ -21,8 +21,7 @@ from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence, SketchTooSmall
 from .hadamard import srht_factor_sketch
 from .linalg import gram, solve_spd
-from .sampling import (PlanKind, _sjlt_apply, build_plan,
-                       exact_leverage_scores)
+from .sampling import PlanKind, _sjlt_apply, build_plan
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
@@ -227,11 +226,10 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     ``obj`` is ``objective_eval(p, beta)``.  Returns the next iterate and
     the diagnostics ``step_size``, ``d_eff`` and ``rho_max``; ``rho_max``
     is None unless the step rule is analytic, the one rule that reads it.
-    Exact scores are computed only if the plan keeps none and they are
-    read: by fine_exact debias, or for the exact d_eff of an approximate
-    plan.  The SRHT step forms no factor: it writes the signed factor
-    into its one rotation buffer, takes the plan's Gram from that buffer
-    and rotates it in place
+    ``d_eff`` is the sum of the exact scores every sampling plan keeps,
+    approximate ones included, or the SRHT plan's own.  The SRHT step forms
+    no factor: it writes the signed factor into its one rotation buffer,
+    takes the plan's Gram from that buffer and rotates it in place
     (:func:`~randskew.hadamard.srht_factor_sketch`).
     """
     C = p.lam * np.eye(p.dim)
@@ -247,16 +245,12 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
 
         def sketch(m, spec):
             return plan.sketch_many(hs, m, spec, [sketch_seed])[0], None
-    exact = plan.exact
-    if exact is None and (plan.scores is not None or method.debias
-                          is DebiasMode.FINE_GRAINED_EXACT):
-        exact = exact_leverage_scores(obj.hessian_sqrt, C)
-    d_eff = plan.d_eff if exact is None else float(exact.sum())
-    spec = make_debias_spec(method.debias, plan, method.m, d_eff, exact)
+    d_eff = plan.d_eff if plan.exact is None else float(plan.exact.sum())
+    spec = make_debias_spec(method.debias, plan, method.m, d_eff)
     At, rotated = sketch(method.m, spec)
     rho_max, mu = None, method.fixed_step
     if method.step_rule is StepRule.ANALYTIC:
-        rho_max = plan.rho_max(C, exact, rotated)
+        rho_max = plan.rho_max(rotated)
         mu = analytic_step_size(method.m, d_eff, rho_max)
     beta_next, mu = _newton_update(p, beta, obj, At,
                                    method.step_rule is StepRule.ARMIJO, mu)

@@ -9,13 +9,15 @@ step, so that the m-by-n sampling matrix is never materialized.
 Every plan :func:`build_plan` returns, the Hadamard plan included, answers
 one protocol: ``kind``, ``d_eff``, ``probs`` (sampling probabilities, or
 None for the Hadamard plan, which samples rows of a rotation of A),
-``scores`` (sampling scores or None), ``exact`` (exact leverage scores when
-the plan computed them, else None; always None for the Hadamard plan, which
+``scores`` (sampling scores or None), ``exact`` (exact leverage scores,
+which every sampling plan keeps; always None for the Hadamard plan, which
 takes d_eff from the d x d Gram), ``sketch_many(A, m, spec, seeds)`` (a
-T x m x d stack, one sketch per seed) and ``rho_max(C, exact, rotated)``,
-where ``rotated`` is None for a sampling plan, whose rho_max depends on
-the plan alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
-:mod:`randskew.debias` turns a plan's data into debias weights.
+T x m x d stack, one sketch per seed) and ``rho_max(rotated)``, where
+``rotated`` is None for a sampling plan, whose rho_max depends on the plan
+alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
+:func:`build_plan` is the one run-path caller of
+:func:`exact_leverage_scores`; :mod:`randskew.debias` turns a plan's data
+into debias weights.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class SamplingPlan:
     probs: np.ndarray           # length n, nonnegative, sums to 1
     d_eff: float                # effective dimension of A given C
     scores: np.ndarray | None = None   # leverage scores used, if any
-    exact: np.ndarray | None = None    # exact leverage scores, if computed
+    exact: np.ndarray | None = None    # exact leverage scores, build_plan sets
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -95,9 +97,8 @@ class SamplingPlan:
                               1.0 / np.sqrt(m * self.probs[support]))
         return _gather(A, support[pos], table[pos])
 
-    def rho_max(self, C: np.ndarray, exact: np.ndarray,
-                rotated: None) -> float:
-        return approximation_factors(self, exact).rho_max
+    def rho_max(self, rotated: None) -> float:
+        return approximation_factors(self, self.exact).rho_max
 
     @cached_property
     def _cdf(self):
@@ -291,10 +292,11 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
                m2: int | None = None, seed: int = 0) -> SamplingPlan:
     """Construct a sampling plan of the requested kind for (A, C).
 
-    ``d_eff`` is always the exact effective dimension of A given C except
-    for the approximate-leverage kinds, where it is the sum of the
-    approximate scores actually used for sampling.  ``PlanKind.SRHT``
-    returns a :class:`~randskew.hadamard.SrhtPlan`, whose ``d_eff`` is
+    Every sampling plan keeps the exact leverage scores as ``exact``.
+    ``d_eff`` is their sum except for the approximate-leverage kinds,
+    where it is the sum of the approximate scores actually used for
+    sampling.  ``PlanKind.SRHT`` returns a
+    :class:`~randskew.hadamard.SrhtPlan`, whose ``d_eff`` is
     trace((G + C)^-1 G) from the d x d Gram G, with no n-row scores.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -314,7 +316,8 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
         total = scores.sum()
         if total <= 0:
             raise AllZeroRows("approximate leverage scores are all zero")
-        return SamplingPlan(kind, scores / total, float(total), scores=scores)
+        return SamplingPlan(kind, scores / total, float(total), scores=scores,
+                            exact=exact_leverage_scores(A, C))
     if kind is PlanKind.SRHT:
         from .hadamard import SrhtPlan  # hadamard imports this module
         return SrhtPlan.of_gram(gram(A), C)

@@ -205,7 +205,7 @@ def test_criterion_07_scalar_fine_grained_coincidence():
     from randskew.debias import apply_debias
     a = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
     fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m,
-                                 plan.d_eff, plan.scores)
+                                 plan.d_eff)
     b = apply_debias(sk, fine_spec)
     assert np.array_equal(a.weights, b.weights)
     report("criterion 7", "weights bitwise identical")

@@ -106,7 +106,7 @@ def test_srht_rejects_fine_grained_spec(n):
     C = 1e-2 * np.eye(3)
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
     spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, 32,
-                            plan.d_eff, plan.scores)
+                            plan.d_eff)
     with pytest.raises(ValueError, match="only supports scalar"):
         estimate_bias(A, C, build_plan(PlanKind.SRHT, A, C), spec, m=32,
                       trials=4, seed=0)
@@ -198,11 +198,10 @@ def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
 
 def test_make_debias_spec_scalar_uses_plan_d_eff():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-    spec = make_debias_spec(DebiasMode.SCALAR, plan, 16, plan.d_eff,
-                            plan.scores)
+    spec = make_debias_spec(DebiasMode.SCALAR, plan, 16, plan.d_eff)
     assert spec.factor == pytest.approx(16 / (16 - plan.d_eff))
     with pytest.raises(SketchTooSmall):
-        make_debias_spec(DebiasMode.SCALAR, plan, 4, plan.d_eff, plan.scores)
+        make_debias_spec(DebiasMode.SCALAR, plan, 4, plan.d_eff)
 
 
 class TestBiasSweep:

@@ -49,6 +49,20 @@ def test_coherent_generator_heavy_rows():
     assert set(np.argsort(norms)[-10:]) == set(range(10))
 
 
+@pytest.mark.parametrize("decay", [0.0, 0.5, 1.7])
+def test_spiked_is_the_gaussian_draw_with_decaying_columns(decay):
+    # the CLI's ``synthetic = spiked`` draws the Gaussian matrix of the
+    # same seed and scales column j by exp(-decay * j)
+    from randskew.cli import Config, _data_source
+    cfg = Config({"synthetic": "spiked", "n": "40", "d": "6",
+                  "decay": repr(decay)})
+    A, _ = load_data(_data_source(cfg, 9))
+    G = synthetic_matrix(SyntheticSpec(SyntheticKind.GAUSSIAN_IID, 40, 6,
+                                       seed=9))
+    want = G * np.exp(-decay * np.arange(6))
+    assert A.shape == want.shape and A.tobytes() == want.tobytes()
+
+
 def test_standardize_flag(tmp_path):
     spec = SyntheticSpec(SyntheticKind.GAUSSIAN_IID, n=500, d=3, seed=1)
     src = DataSource(format="synthetic", synthetic=spec)

@@ -75,7 +75,7 @@ class TestApproxFineGrainedWeights:
         scores = exact_leverage_scores(A_CE, C0)
         m = 8 * D
         spec = make_debias_spec(DebiasMode.FINE_GRAINED_APPROX, plan, m,
-                                plan.d_eff, scores)
+                                plan.d_eff)
         assert np.array_equal(spec.row_weights,
                               fine_grained_weights(plan, scores, m))
 
@@ -118,7 +118,7 @@ class TestApplyDebias:
         sk = draw(plan, m, seed=13)
         scalar = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
         fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m,
-                                     plan.d_eff, plan.scores)
+                                     plan.d_eff)
         fine = apply_debias(sk, fine_spec)
         assert np.array_equal(scalar.weights, fine.weights)
 

@@ -348,7 +348,7 @@ class TestSrhtPlan:
         plan, _, (_, rotated) = self._sketch(seed)
         signs = srht_draw(self.A.shape[0], self.M, seed).signs
         ref = rotated_scores_of_whitened_factor(self.A, self.C, signs)
-        rho = plan.rho_max(self.C, None, rotated)
+        rho = plan.rho_max(rotated)
         d_eff = exact_leverage_scores(self.A, self.C).sum()
         assert rho == pytest.approx(
             ref.max() * signs.shape[0] / d_eff, rel=1e-12, abs=0)

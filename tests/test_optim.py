@@ -349,6 +349,26 @@ def test_ssn_update_is_the_step_at_its_iteration_seed(rule):
     assert step == diagnostics["step_size"]
 
 
+def test_armijo_returns_its_last_step_when_no_step_decreases(monkeypatch):
+    # along an ascent direction the search halves ARMIJO_MAX_HALVINGS times
+    # and returns the last step size, with no sign that it gave up
+    from randskew import optim
+    p = make_logistic()
+    beta = np.zeros(p.dim)
+    obj = objective_eval(p, beta)
+    evaluations = []
+
+    def counting(*args):
+        evaluations.append(1)
+        return objective_value(*args)
+
+    monkeypatch.setattr(optim, "objective_value", counting)
+    mu = optim._armijo(p, beta, obj.value, obj.gradient, -obj.gradient)
+    assert (optim.ARMIJO_MAX_HALVINGS, optim.ARMIJO_RATIO) == (40, 0.5)
+    assert mu == 0.5 ** 40
+    assert len(evaluations) == 40
+
+
 def test_analytic_step_size_formula():
     assert analytic_step_size(32, 4.0, 1.0) == pytest.approx(1 - 1 / 9)
     assert 0 < analytic_step_size(64, 4.0, 1.5) < 1

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randskew import hadamard, optim
+from randskew import cli, hadamard, optim, sampling
 from randskew import rng as rsrng
-from randskew.biaslab import JACKKNIFE_BATCH, estimate_bias, make_debias_spec
+from randskew.biaslab import (JACKKNIFE_BATCH, bias_sweep, estimate_bias,
+                              make_debias_spec)
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
-from randskew.errors import NotPositiveDefinite
+from randskew.errors import ConfigError, NotPositiveDefinite
 from randskew.hadamard import (_signed_rows, _staged_hadamard,
                                next_power_of_two, srht_draw,
                                srht_factor_sketch)
@@ -81,7 +82,7 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
     plan = build_plan(kind, A, C)
     seeds = (0, 7, rsrng.split(3, 1))
     for m in (M_FINE if mode in FINE else M, N - 1, N):
-        spec = make_debias_spec(mode, plan, m, plan.d_eff, EXACT)
+        spec = make_debias_spec(mode, plan, m, plan.d_eff)
         stack = plan.sketch_many(A, m, spec, seeds)
         for seed, St in zip(seeds, stack):
             At = plan.sketch_many(A, m, spec, [seed])[0]
@@ -102,18 +103,26 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
 def test_which_plans_refuse_fine_grained_debias(kind, mode):
     plan = build_plan(kind, A, C)
     if (kind, mode) not in REFUSED:
-        spec = make_debias_spec(mode, plan, M_FINE, plan.d_eff, EXACT)
+        spec = make_debias_spec(mode, plan, M_FINE, plan.d_eff)
         assert spec.row_weights.shape == (N,)
         assert np.all(spec.row_weights >= 1.0)
         return
     with pytest.raises(ValueError, match=REFUSED[kind, mode]) as refused:
-        make_debias_spec(mode, plan, M_FINE, plan.d_eff, EXACT)
+        make_debias_spec(mode, plan, M_FINE, plan.d_eff)
     assert type(refused.value) is ValueError
 
 
+def _replace(monkeypatch, fn, wrapper) -> None:
+    """Replace ``fn`` by ``wrapper`` in every module holding a reference to
+    it, as ``from .x import f`` copies the reference."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("randskew") and getattr(
+                module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, wrapper)
+
+
 def _count_calls(monkeypatch, fn) -> list:
-    """Replace ``fn`` in every module holding a reference to it, as
-    ``from .x import f`` copies the reference; returns the list that
+    """Count the calls of ``fn`` from every module; returns the list that
     grows by one per call."""
     calls = []
 
@@ -121,11 +130,29 @@ def _count_calls(monkeypatch, fn) -> list:
         calls.append(1)
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("randskew") and getattr(
-                module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, counting)
+    _replace(monkeypatch, fn, counting)
     return calls
+
+
+def _exact_passes(monkeypatch) -> list:
+    """Record every ``exact_leverage_scores`` call from every module: True
+    for a call made inside ``build_plan``."""
+    passes, building = [], []
+
+    def exact(*args, **kwargs):
+        passes.append(bool(building))
+        return exact_leverage_scores(*args, **kwargs)
+
+    def build(*args, **kwargs):
+        building.append(1)
+        try:
+            return build_plan(*args, **kwargs)
+        finally:
+            building.pop()
+
+    _replace(monkeypatch, exact_leverage_scores, exact)
+    _replace(monkeypatch, build_plan, build)
+    return passes
 
 
 def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
@@ -142,12 +169,78 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
     assert [len(c) for c in calls] == [0, 0, 0, 0]
 
 
+# exact_leverage_scores runs once per sampling plan built, inside
+# build_plan, and nowhere else: every reader takes the plan's ``exact``
+
 @KINDS
 def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
-    # the Hadamard plan takes d_eff from the d x d Gram and needs no scores
+    # once per step, in the step's build_plan, whatever the step rule; the
+    # Hadamard plan takes d_eff from the d x d Gram and needs no scores
+    passes = _exact_passes(monkeypatch)
+    for rule in StepRule:
+        _one_ssn_step(kind, rule)
+    assert passes == [True] * (0 if kind is PlanKind.SRHT else len(StepRule))
+
+
+@KINDS
+def test_bias_sweep_computes_no_exact_scores(kind, monkeypatch):
+    passes = _exact_passes(monkeypatch)
+    plan = sampling.build_plan(kind, A, C)
+    for mode in DebiasMode:
+        def sweep():
+            return bias_sweep(A, C, [(kind.value, plan)], [mode], [M_FINE],
+                              trials=2, seed=1)
+        if (kind, mode) in REFUSED:
+            with pytest.raises(ValueError, match=REFUSED[kind, mode]):
+                sweep()
+        else:
+            assert len(sweep()) == 1
+    assert passes == [True] * (kind is not PlanKind.SRHT)
+
+
+@pytest.mark.parametrize("overrides, plans", [
+    ({}, 1),
+    ({"approx": "sjlt"}, 2),
+    ({"plans": "uniform,approx_leverage,shrinkage"}, 3),
+    ({"approx": "double", "plans": "double_sketch_approx_leverage,row_norm"},
+     3),
+], ids=["default", "approx", "plans", "approx-plans"])
+def test_lev_takes_exact_scores_from_its_first_plan(overrides, plans,
+                                                    monkeypatch):
+    passes = _exact_passes(monkeypatch)
+    cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
+                      "heavy_rows": "4", "lambda": "0.01", **overrides})
+    _, rows, sidecar = cli.cmd_lev(cfg, 3, False)
+    assert passes == [True] * plans
+    assert [row[1] for row in rows] == list(EXACT)
+    assert sidecar["d_eff"] == float(EXACT.sum())
+
+
+def test_lev_refuses_srht_before_building_a_plan(monkeypatch):
+    passes = _count_calls(monkeypatch, exact_leverage_scores)
+    plans = _count_calls(monkeypatch, build_plan)
+    cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
+                      "plans": "uniform,srht"})
+    with pytest.raises(ConfigError, match="srht has no sampling plan"):
+        cli.cmd_lev(cfg, 3, False)
+    assert (passes, plans) == ([], [])
+
+
+def test_srht_step_refuses_fine_exact_before_any_n_row_work(monkeypatch):
+    # the refusal reads the plan, which has no probabilities: no exact
+    # scores and no formed Hessian factor come first
     calls = _count_calls(monkeypatch, exact_leverage_scores)
-    _one_ssn_step(kind)
-    assert len(calls) == (0 if kind is PlanKind.SRHT else 1)
+    beta = np.zeros(D)
+    obj = objective_eval(P, beta)
+    method = SsnMethod(plan_kind=PlanKind.SRHT, m=M,
+                       debias=DebiasMode.FINE_GRAINED_EXACT)
+    with pytest.raises(ValueError) as refused:
+        ssn_step(P, beta, obj, method, seed=5)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == ("the srht plan samples no rows of A, so "
+                                  "it only supports scalar debiasing")
+    assert "hessian_sqrt" not in vars(obj)
+    assert calls == []
 
 
 def test_srht_ssn_step_rotates_once(monkeypatch):
@@ -223,7 +316,7 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     assert "hessian_sqrt" not in vars(obj)
     hs, C_ = obj.hessian_sqrt, P_.lam * np.eye(D)
     plan = build_plan(PlanKind.SRHT, hs, C_)
-    spec = make_debias_spec(method.debias, plan, M, plan.d_eff, None)
+    spec = make_debias_spec(method.debias, plan, M, plan.d_eff)
     _, sketch = srht_factor_sketch(functools.partial(np.multiply, hs),
                                    hs.shape, C_, rsrng.split(5, 2))
     At, rotated = sketch(M, spec)
@@ -244,17 +337,18 @@ def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
     d_eff = exact_leverage_scores(hs, P.lam * np.eye(D)).sum()
     whitenings = _count_calls(monkeypatch, _inverse_factor)
     build_plan(kind, hs, P.lam * np.eye(D))
-    # the SJLT plans whiten A by their sketched Gram's factor, the others
-    # by H's for exact scores, and the Hadamard plan whitens nothing
-    by_plan = len(whitenings)
-    assert by_plan == (kind is not PlanKind.SRHT)
-    factors = _count_calls(monkeypatch, approximation_factors)
-    _, diagnostics = _one_ssn_step(kind, rule)
-    # the step builds the plan again, and whitens once more only for the
-    # exact scores of an approximate plan's d_eff
+    # every sampling plan whitens A by H's factor for its exact scores, and
+    # the SJLT plans first by their sketched Gram's; the Hadamard plan
+    # whitens nothing
     approximate = kind in (PlanKind.APPROX_LEVERAGE,
                            PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE)
-    assert len(whitenings) == 2 * by_plan + approximate
+    by_plan = len(whitenings)
+    assert by_plan == (0 if kind is PlanKind.SRHT else 1 + approximate)
+    factors = _count_calls(monkeypatch, approximation_factors)
+    _, diagnostics = _one_ssn_step(kind, rule)
+    # the step builds the plan again and whitens nothing more: twice for
+    # an approximate plan, as when the step took its exact scores itself
+    assert len(whitenings) == 2 * by_plan
     assert factors == []
     assert diagnostics["rho_max"] is None
     # exact for every plan, the approximate-leverage ones included
@@ -331,4 +425,4 @@ def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():
 def test_srht_plan_refuses_fine_grained_debias(mode):
     plan = build_plan(PlanKind.SRHT, A, C)
     with pytest.raises(ValueError, match="only supports scalar"):
-        make_debias_spec(mode, plan, M, plan.d_eff, plan.exact)
+        make_debias_spec(mode, plan, M, plan.d_eff)
