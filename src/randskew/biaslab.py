@@ -52,7 +52,8 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     index.  Trials are sketched and inverted in stacks of at most
     ``SUBBLOCK_FLOATS`` sketched entries, cut inside the jackknife groups;
     each group's kept inverses are summed once, in trial order, so where
-    a group's sub-blocks are cut does not change the result.
+    a group's sub-blocks are cut does not change the result.  The cell
+    draws through one ``plan.sketcher`` into buffers it allocates once.
     """
     if m < 1 or trials < 2:
         raise ValueError("need m >= 1 and trials >= 2")
@@ -64,15 +65,24 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     group_kept: list[int] = []
     discarded = 0
     step = max(1, SUBBLOCK_FLOATS // (m * d))
+    sketch = plan.sketcher(A, m, debias)
+    # the cell's buffers: sketches, their products and gram(At) + C
+    size = min(step, JACKKNIFE_BATCH, trials)
+    stack, (prods, grams) = np.empty((size, m, d)), np.empty((2, size, d, d))
 
     for start in range(0, trials, JACKKNIFE_BATCH):
         stop = min(start + JACKKNIFE_BATCH, trials)
         kept_Qs = []
         for lo in range(start, stop, step):
-            trials_here = range(lo, min(lo + step, stop))
-            At = plan.sketch_many(A, m, debias,
-                                  [rsrng.split(seed, t) for t in trials_here])
-            Qs, ok = accepted_inverses(gram(At) + C)
+            k = min(lo + step, stop) - lo
+            At = sketch([rsrng.split(seed, t) for t in range(lo, lo + k)],
+                        out=stack[:k])
+            # gram(At) + C by the same operations, in the cell's buffers
+            G = np.matmul(np.swapaxes(At, 1, 2), At, out=prods[:k])
+            M = np.add(G, np.swapaxes(G, 1, 2), out=grams[:k])
+            M /= 2.0
+            M += C
+            Qs, ok = accepted_inverses(M)
             discarded += int(np.count_nonzero(~ok))
             kept_Qs.append(Qs)
         Qs = np.concatenate(kept_Qs)

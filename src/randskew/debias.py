@@ -76,16 +76,15 @@ def fine_grained_weights(plan, scores: np.ndarray | None,
     For an exact-leverage plan l_i / pi_i is identically d_eff, so every
     multiplier equals the scalar-mode sqrt(m / (m - d_eff)) bitwise.
     Rows with zero score need no correction and get multiplier 1.  A plan
-    without ``probs`` refuses with ValueError, as do None ``scores``, which
-    stand for the approximate scores of a plan that keeps none.
+    without ``probs`` refuses with ValueError, as do None ``scores``.
     """
     if plan.probs is None:
         raise ValueError(f"the {plan.kind.value} plan samples no rows of A, "
                          f"so it only supports scalar debiasing")
     if scores is None:
-        raise ValueError(f"fine_grained_approx debiasing needs "
-                         f"approximate leverage scores, and a "
-                         f"{plan.kind.value} plan has none")
+        raise ValueError(f"fine-grained debiasing needs leverage scores, "
+                         f"and none were given for the {plan.kind.value} "
+                         f"plan")
     scores = np.asarray(scores, dtype=np.float64)
     ratios = np.zeros(plan.n)
     check_support(plan.probs, scores)
@@ -119,16 +118,21 @@ def make_debias_spec(mode: DebiasMode, plan, m: int,
     """Build the debias spec a (plan, m) cell needs.
 
     Scalar mode uses the caller's ``d_eff``; fine-grained modes use the
-    plan's own exact or approximate scores.  :func:`fine_grained_weights`
-    turns scores into multipliers, or refuses when the plan supports
-    scalar debiasing only.
+    plan's own exact or approximate scores, and a sampling plan that keeps
+    none of the kind the mode names is refused by that mode's name.
+    :func:`fine_grained_weights` turns scores into multipliers, or refuses
+    when the plan supports scalar debiasing only.
     """
     if mode is DebiasMode.NONE:
         return DebiasSpec.none()
     if mode is DebiasMode.SCALAR:
         return DebiasSpec.scalar(m, d_eff)
-    scores = (plan.exact if mode is DebiasMode.FINE_GRAINED_EXACT
-              else plan.scores)
+    exact = mode is DebiasMode.FINE_GRAINED_EXACT
+    scores = plan.exact if exact else plan.scores
+    if scores is None and plan.probs is not None:
+        raise ValueError(f"{mode.value} debiasing needs "
+                         f"{'exact' if exact else 'approximate'} leverage "
+                         f"scores, and a {plan.kind.value} plan has none")
     return DebiasSpec(mode, row_weights=fine_grained_weights(plan, scores, m))
 
 

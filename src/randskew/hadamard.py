@@ -160,16 +160,17 @@ def _signed_rows(write, shape: tuple[int, int], signs: np.ndarray,
     return rows
 
 
-def _rotated_sample(rows: np.ndarray, m: int, spec: DebiasSpec,
-                    seed: int) -> np.ndarray:
+def _rotated_sample(rows: np.ndarray, m: int, spec: DebiasSpec, seed: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Rotate the signed buffer ``rows`` in place to H D X / sqrt(n_padded)
-    and return the m rows drawn at ``seed``, debiased by ``spec``."""
+    and return the m rows drawn at ``seed``, debiased by ``spec``, written
+    into ``out`` when it is given."""
     if spec.row_weights is not None:
         raise ValueError(SRHT_SCALAR_ONLY)
     n_padded = rows.shape[0]
     _staged_hadamard(rows, 1.0 / math.sqrt(n_padded))
     indices, weight = _srht_rows(n_padded, m, seed)
-    return _gather(rows, indices, spec.reweight(indices, weight))
+    return _gather(rows, indices, spec.reweight(indices, weight), out)
 
 
 # No run path calls SrhtDraw, srht_draw, _rotate, srht_apply or
@@ -241,9 +242,9 @@ class SrhtPlan:
     rows of the rotated matrix, so ``probs`` is None.
 
     Every sketch writes D A into one n_padded x d buffer, rotates that
-    buffer in place and keeps the m sampled rows; ``sketch_many`` reuses
-    one buffer for all its trials, and :func:`srht_factor_sketch` returns
-    the rotated buffer for ``rho_max``.
+    buffer in place and keeps the m sampled rows; a ``sketcher`` reuses
+    one buffer for all its cell's trials, and :func:`srht_factor_sketch`
+    returns the rotated buffer for ``rho_max``.
     """
     H: np.ndarray
     d_eff: float
@@ -257,19 +258,27 @@ class SrhtPlan:
         H = G + C
         return cls(H, float(np.trace(solve_spd(H, G))))
 
-    def sketch_many(self, A: np.ndarray, m: int, spec: DebiasSpec,
-                    seeds) -> np.ndarray:
-        """The T x m x d stack of sketches, one per seed: each draws
-        signs and m rows at its seed, debiases them by ``spec`` and
-        applies them to A.  Trial by trial, as each trial's signs come
-        from its own ``Generator.integers`` stream, through one padded
-        buffer."""
-        write, rows, stack = functools.partial(np.multiply, A), None, []
-        for seed in seeds:
-            rows = _signed_rows(write, A.shape, _srht_signs(A.shape[0], seed),
-                                rows)
-            stack.append(_rotated_sample(rows, m, spec, seed))
-        return np.stack(stack)
+    def sketcher(self, A: np.ndarray, m: int, spec: DebiasSpec):
+        """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
+        stack of sketches, one per seed, written into ``out`` when it is
+        given.  Each draws signs and m rows at its seed, debiases them by
+        ``spec`` and applies them to A; trial by trial, as each trial's
+        signs come from its own ``Generator.integers`` stream, through one
+        padded buffer that the cell keeps across calls."""
+        A = np.asarray(A, dtype=np.float64)
+        write, rows = functools.partial(np.multiply, A), None
+
+        def draw(seeds, out=None):
+            nonlocal rows
+            seeds = list(seeds)
+            if out is None:
+                out = np.empty((len(seeds), m, A.shape[1]))
+            for seed, At in zip(seeds, out):
+                rows = _signed_rows(write, A.shape,
+                                    _srht_signs(A.shape[0], seed), rows)
+                _rotated_sample(rows, m, spec, seed, At)
+            return out
+        return draw
 
     def rho_max(self, rotated: np.ndarray) -> float:
         """rho_max of uniform sampling from ``rotated``, the rotation that
@@ -282,7 +291,7 @@ class SrhtPlan:
 def srht_factor_sketch(write, shape: tuple[int, int], C: np.ndarray,
                        seed: int):
     """The SRHT plan of an n x d factor X that is never formed, and
-    ``sketch(m, spec)``, which returns ``plan.sketch_many(X, m, spec,
+    ``sketch(m, spec)``, which returns ``plan.sketcher(X, m, spec)(
     [seed])[0]`` and the rotation H D X / sqrt(n) it sampled, by rotating
     the plan's one buffer in place: call it once.
 

@@ -244,7 +244,7 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
                           seed=rsrng.split(seed, 1))
 
         def sketch(m, spec):
-            return plan.sketch_many(hs, m, spec, [sketch_seed])[0], None
+            return plan.sketcher(hs, m, spec)([sketch_seed])[0], None
     d_eff = plan.d_eff if plan.exact is None else float(plan.exact.sum())
     spec = make_debias_spec(method.debias, plan, method.m, d_eff)
     At, rotated = sketch(method.m, spec)

@@ -4,15 +4,19 @@ A :class:`SamplingPlan` holds the sampling probabilities (and the leverage
 scores they were built from, when applicable).  Every sketch is realized by
 one gather: the drawn row indices, their weights re-weighted by a
 :class:`~randskew.debias.DebiasSpec`, and A's rows taken and scaled in one
-step, so that the m-by-n sampling matrix is never materialized.
+step, so that the m-by-n sampling matrix is never materialized.  A cell
+with many draws scales its support rows once and takes the drawn rows
+from that table.
 
 Every plan :func:`build_plan` returns, the Hadamard plan included, answers
 one protocol: ``kind``, ``d_eff``, ``probs`` (sampling probabilities, or
 None for the Hadamard plan, which samples rows of a rotation of A),
 ``scores`` (sampling scores or None), ``exact`` (exact leverage scores,
 which every sampling plan keeps; always None for the Hadamard plan, which
-takes d_eff from the d x d Gram), ``sketch_many(A, m, spec, seeds)`` (a
-T x m x d stack, one sketch per seed) and ``rho_max(rotated)``, where
+takes d_eff from the d x d Gram), ``sketcher(A, m, spec)`` and
+``rho_max(rotated)``.  ``sketcher`` returns ``draw(seeds, out=None)``,
+which gives a T x m x d stack, one sketch per seed, for the cell (A, m,
+spec); a cell keeps its debias weights, and its buffers, across calls.
 ``rotated`` is None for a sampling plan, whose rho_max depends on the plan
 alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
 :func:`build_plan` is the one run-path caller of
@@ -77,25 +81,38 @@ class SamplingPlan:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    def sketch_many(self, A: np.ndarray, m: int, spec, seeds) -> np.ndarray:
-        """The T x m x d stack of sketches, one per seed; each is bitwise
-        ``draw`` -> ``apply_debias`` -> ``apply_sketch`` at its seed.
+    def sketcher(self, A: np.ndarray, m: int, spec):
+        """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
+        stack of sketches, one per seed, each bitwise ``draw`` ->
+        ``apply_debias`` -> ``apply_sketch`` at its seed, written into
+        ``out`` when it is given.
 
-        Debiased weights come from the same element operations a draw
-        makes: once per support row when the draws are as many, and else
-        (one SSN step's single sketch) for the drawn rows only.
+        The first call with at least as many draws as support rows builds
+        the debiased row table ``A[support] * w[:, None]``, w the support's
+        reweighted weights, and every later call takes its rows from it:
+        the same products a gather of rows and weights makes.  Fewer draws
+        before that (one SSN step's single sketch) weigh only the rows they
+        drew.
         """
         if m < 1:
             raise ValueError("sketch size m must be >= 1")
+        A = np.asarray(A, dtype=np.float64)
         support = self._cdf[0]
-        pos = self._positions(rsrng.uniform_rows(seeds, m))
-        if pos.size < len(support):
-            rows = support[pos]
-            return _gather(A, rows, spec.reweight(
-                rows, 1.0 / np.sqrt(m * self.probs[rows])))
-        table = spec.reweight(support,
-                              1.0 / np.sqrt(m * self.probs[support]))
-        return _gather(A, support[pos], table[pos])
+        table = None
+
+        def draw(seeds, out=None):
+            nonlocal table
+            pos = self._positions(rsrng.uniform_rows(seeds, m))
+            if table is None:
+                if pos.size < len(support):
+                    rows = support[pos]
+                    return _gather(A, rows, spec.reweight(
+                        rows, 1.0 / np.sqrt(m * self.probs[rows])), out)
+                table = _gather(A, support, spec.reweight(
+                    support, 1.0 / np.sqrt(m * self.probs[support])))
+            # positions lie in [0, len(support)), so clipping moves none
+            return table.take(pos, axis=0, out=out, mode="clip")
+        return draw
 
     def rho_max(self, rotated: None) -> float:
         return approximation_factors(self, self.exact).rho_max
@@ -161,9 +178,20 @@ class ApproxFactors:
 
 
 def exact_leverage_scores(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """l_i = a_i^T (A^T A + C)^{-1} a_i for every row a_i of A."""
+    """l_i = a_i^T (A^T A + C)^{-1} a_i for every row a_i of A.
+
+    A NaN or infinite entry of A reaches the diagonal of A^T A, so the
+    d x d matrix alone is checked: a non-finite one raises
+    :class:`NotPositiveDefinite` without a numpy warning.
+    """
     A = np.asarray(A, dtype=np.float64)
-    return inverse_quadratic_forms(A, gram(A) + C)
+    with np.errstate(invalid="ignore", over="ignore"):
+        H = gram(A) + C
+    if not np.all(np.isfinite(H)):
+        raise NotPositiveDefinite("A^T A + C has NaN or infinite entries: "
+                                  "A or C is not finite, or A^T A "
+                                  "overflows")
+    return inverse_quadratic_forms(A, H)
 
 
 def effective_dimension(scores: np.ndarray) -> float:
@@ -376,22 +404,24 @@ def approximation_factors(plan: SamplingPlan,
                          argmax_index=int(idx_active[k]))
 
 
-def _gather(A: np.ndarray, indices: np.ndarray,
-            weights: np.ndarray) -> np.ndarray:
+def _gather(A: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Row s of the result is weights[s] * A[indices[s]], for index arrays
-    of any shape.  The result is a new array."""
+    of any shape; written into ``out`` when it is given, else a new
+    array."""
     A = np.asarray(A, dtype=np.float64)
     if indices.size and (indices.min() < 0 or indices.max() >= A.shape[0]):
         raise IndexOutOfRange(
             f"sketch indices span [{indices.min()}, {indices.max()}], "
             f"outside [0, rows(A)={A.shape[0]})")
-    out = A.take(indices, axis=0)
+    # every index is in range, so clipping moves none
+    out = A.take(indices, axis=0, out=out, mode="clip")
     out *= weights[..., None]
     return out
 
 
-# No run path calls SketchDraw, draw or apply_sketch: tests check
-# sketch_many against them, and perfbench's TRACED names draw and
+# No run path calls SketchDraw, draw or apply_sketch: tests check every
+# plan's sketcher against them, and perfbench's TRACED names draw and
 # apply_sketch.
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from randskew.data import counterexample_matrix
 from randskew.debias import (DebiasMode, DebiasSpec, apply_debias,
                              fine_grained_weights, make_debias_spec,
                              scalar_factor, solve_fixed_point_d)
-from randskew.errors import (RandskewError, SketchTooSmall,
-                             ZeroProbabilityWithPositiveScore)
+from randskew.errors import (NotPositiveDefinite, RandskewError,
+                             SketchTooSmall, ZeroProbabilityWithPositiveScore)
 from randskew.linalg import gram
 from randskew.sampling import (PlanKind, SamplingPlan, apply_sketch,
                                build_plan, draw, exact_leverage_scores)
@@ -92,6 +94,20 @@ class TestApproxFineGrainedWeights:
             fine_grained_weights(plan, 100.0 * plan.scores, 8 * D)
 
 
+@pytest.mark.parametrize("mode, kind", [
+    (DebiasMode.FINE_GRAINED_EXACT, "exact"),
+    (DebiasMode.FINE_GRAINED_APPROX, "approximate")],
+    ids=lambda x: getattr(x, "value", x))
+def test_missing_scores_refusal_names_the_mode_asked_for(mode, kind):
+    # a hand-built plan keeps neither exact nor approximate scores
+    plan = SamplingPlan(PlanKind.UNIFORM, [0.5, 0.5], 1.0)
+    with pytest.raises(ValueError) as refused:
+        make_debias_spec(mode, plan, 10, 1.0)
+    assert str(refused.value) == (f"{mode.value} debiasing needs {kind} "
+                                  f"leverage scores, and a uniform plan "
+                                  f"has none")
+
+
 class TestApplyDebias:
     def test_scalar(self):
         plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
@@ -134,6 +150,18 @@ def test_non_finite_entry_raises_instead_of_scoring(bad):
         exact_leverage_scores(A, 0.1 * np.eye(D))
     with pytest.raises((RandskewError, ValueError)):
         solve_fixed_point_d(A, 0.1 * np.eye(D), plan, 4 * D)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_is_named_without_a_numpy_warning(bad):
+    A = np.array(A_CE)
+    A[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite,
+                           match="A\\^T A \\+ C has NaN or infinite "
+                                 "entries"):
+            exact_leverage_scores(A, 0.1 * np.eye(D))
 
 
 class TestFixedPointD:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randskew import cli, hadamard, optim, sampling
+from randskew import biaslab, cli, hadamard, optim, sampling
 from randskew import rng as rsrng
 from randskew.biaslab import (JACKKNIFE_BATCH, bias_sweep, estimate_bias,
                               make_debias_spec)
@@ -78,15 +78,22 @@ def _same_bits(a, b) -> bool:
 def test_sketch_is_the_one_seed_sketch_many(mode, kind):
     # N - 1 and N put one seed's m draws on either side of the N support
     # rows: fewer draws weigh only the rows they drew, the stack of three
-    # seeds weighs every support row once, and all match bitwise
+    # seeds weighs every support row once, and all match bitwise, whether
+    # or not the sketcher writes into a given buffer
     plan = build_plan(kind, A, C)
     seeds = (0, 7, rsrng.split(3, 1))
     for m in (M_FINE if mode in FINE else M, N - 1, N):
         spec = make_debias_spec(mode, plan, m, plan.d_eff)
-        stack = plan.sketch_many(A, m, spec, seeds)
+        stack = plan.sketcher(A, m, spec)(seeds)
+        buf = np.full_like(stack, np.nan)
+        assert plan.sketcher(A, m, spec)(seeds, out=buf) is buf
+        assert _same_bits(buf, stack)
         for seed, St in zip(seeds, stack):
-            At = plan.sketch_many(A, m, spec, [seed])[0]
+            At = plan.sketcher(A, m, spec)([seed])[0]
             assert _same_bits(At, St)
+            one = buf[:1]
+            assert plan.sketcher(A, m, spec)([seed], out=one) is one
+            assert _same_bits(one[0], St)
             # the per-draw chain stays an independent reference
             if kind is PlanKind.SRHT:
                 sd = srht_draw(N, m, seed)
@@ -96,6 +103,55 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
                 want = apply_sketch(apply_debias(draw(plan, m, seed), spec),
                                     A)
             assert _same_bits(At, want)
+
+
+@KINDS
+def test_consecutive_sketcher_calls_match_fresh_sketchers(kind):
+    # a cell's row table (or SRHT buffer) outlives its calls, and calls
+    # on either side of the support size share it
+    plan = build_plan(kind, A, C)
+    spec = DebiasSpec.scalar(M, plan.d_eff)
+    sketch = plan.sketcher(A, M, spec)
+    out = np.empty((3, M, D))
+    for seeds in ([5], [1, 2, 3], [5], [4, 6], [1, 2, 3]):
+        want = plan.sketcher(A, M, spec)(seeds)
+        assert _same_bits(sketch(seeds), want)
+        assert _same_bits(sketch(seeds, out=out[:len(seeds)]), want)
+
+
+@pytest.mark.parametrize("mode, kind", [
+    (mode, kind) for mode in (DebiasMode.SCALAR, *FINE) for kind in PlanKind
+    if (kind, mode) not in REFUSED], ids=lambda x: x.value)
+def test_a_bias_cell_builds_its_debias_weights_once(mode, kind, monkeypatch):
+    plan = build_plan(kind, A, C)
+    m = M_FINE if mode in FINE else M
+    spec = make_debias_spec(mode, plan, m, plan.d_eff)
+    calls = []
+
+    def reweight(self, indices, weights):
+        calls.append(1)
+        return reweight.real(self, indices, weights)
+
+    def sketcher(self, *args):
+        draw = sketcher.real(self, *args)
+
+        def counted(seeds, out=None):
+            sub_blocks.append(len(seeds))
+            return draw(seeds, out)
+        return counted
+
+    reweight.real, sketcher.real = DebiasSpec.reweight, type(plan).sketcher
+    sub_blocks = []
+    monkeypatch.setattr(DebiasSpec, "reweight", reweight)
+    monkeypatch.setattr(type(plan), "sketcher", sketcher)
+    # two trials per sub-block, and a last one of one trial, which at
+    # m = M draws fewer than N rows and still takes the cell's row table
+    monkeypatch.setattr(biaslab, "SUBBLOCK_FLOATS", 2 * m * D)
+    estimate_bias(A, C, plan, spec, m, trials=5, seed=2)
+    assert sub_blocks == [2, 2, 1]
+    # a sampling plan weighs its support rows once per cell; the SRHT
+    # weight is one scalar, re-weighted with each trial's rows
+    assert len(calls) == (5 if kind is PlanKind.SRHT else 1)
 
 
 @KINDS

@@ -424,8 +424,8 @@ class TestDrawMany:
 
     def test_rejects_empty_sketch(self):
         with pytest.raises(ValueError):
-            self.PLAN.sketch_many(np.ones((self.PLAN.n, 1)), 0,
-                                  DebiasSpec.none(), [0])
+            self.PLAN.sketcher(np.ones((self.PLAN.n, 1)), 0,
+                               DebiasSpec.none())([0])
 
 def _searchsorted_rows(probs, u):
     """The rows a plan over ``probs`` draws for ``u`` by a binary search
