@@ -66,9 +66,9 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
     discarded = 0
     step = max(1, SUBBLOCK_FLOATS // (m * d))
     sketch = plan.sketcher(A, m, debias)
-    # the cell's buffers: sketches, their products and gram(At) + C
+    # the cell's buffers: sketches and gram(At) + C
     size = min(step, JACKKNIFE_BATCH, trials)
-    stack, (prods, grams) = np.empty((size, m, d)), np.empty((2, size, d, d))
+    stack, grams = np.empty((size, m, d)), np.empty((size, d, d))
 
     for start in range(0, trials, JACKKNIFE_BATCH):
         stop = min(start + JACKKNIFE_BATCH, trials)
@@ -77,11 +77,12 @@ def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
             k = min(lo + step, stop) - lo
             At = sketch([rsrng.split(seed, t) for t in range(lo, lo + k)],
                         out=stack[:k])
-            # gram(At) + C by the same operations, in the cell's buffers
-            G = np.matmul(np.swapaxes(At, 1, 2), At, out=prods[:k])
-            M = np.add(G, np.swapaxes(G, 1, 2), out=grams[:k])
-            M /= 2.0
-            M += C
+            # gram(At) + C, bitwise, in the cell's buffer: numpy's stacked
+            # swapaxes(At) @ At is exactly symmetric (it takes syrk and
+            # copies one triangle), so gram's symmetrization is a no-op
+            # here (pinned by test_stacked_sketch_grams_are_exactly_symmetric)
+            G = np.matmul(np.swapaxes(At, 1, 2), At, out=grams[:k])
+            M = np.add(G, C, out=G)
             Qs, ok = accepted_inverses(M)
             discarded += int(np.count_nonzero(~ok))
             kept_Qs.append(Qs)

@@ -288,11 +288,11 @@ def cmd_sweep(cfg: Config, seed: int, standardize: bool):
         raise ConfigError(f"sweep replicates must be at least 1, "
                           f"got {replicates}")
     zero_timing = cfg.get("timing", False, _TIMING_NAMES.__getitem__)
-
-    reference = reference_point(p, reference_solution(p)[0])
-
+    # built first, so that a bad method key is refused before the reference
     methods = [_build_method(Config({**cfg.values, "m": str(m)}))
                for m in m_grid]
+
+    reference = reference_point(p, reference_solution(p)[0])
 
     def run(job):
         method, run_seed = job

@@ -26,7 +26,8 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasSpec
 from .errors import NotPowerOfTwo
-from .linalg import gram, inverse_quadratic_forms, solve_spd
+from .linalg import (RowScaled, as_rows, gram, inverse_quadratic_forms,
+                     solve_spd)
 from .sampling import SketchDraw, PlanKind, _gather, apply_sketch
 
 SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
@@ -148,14 +149,14 @@ def _srht_rows(n_padded: int, m: int,
         1.0 / math.sqrt(m / n_padded))
 
 
-def _signed_rows(write, shape: tuple[int, int], signs: np.ndarray,
+def _signed_rows(X: RowScaled, signs: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """The len(signs) x d buffer of D X with zero padding rows, where
-    ``write(signs[:n, None], rows)`` writes the signed n x d input X into
-    the n ``rows``.  Fills ``out`` when given, else a new array."""
-    n, d = shape
+    """The len(signs) x d buffer of D X with zero padding rows, for the
+    n x d matrix X, which :meth:`~randskew.linalg.RowScaled.signed` writes
+    without forming it.  Fills ``out`` when given, else a new array."""
+    n, d = X.shape
     rows = np.empty((signs.shape[0], d)) if out is None else out
-    write(signs[:n, None], rows[:n])
+    X.signed(signs[:n, None], rows[:n])
     rows[n:] = 0.0
     return rows
 
@@ -205,7 +206,7 @@ def _rotate(signs: np.ndarray, A: np.ndarray) -> np.ndarray:
     n_padded = signs.shape[0]
     if not _is_power_of_two(n_padded):
         raise NotPowerOfTwo(f"length {n_padded} is not a power of two")
-    rows = _signed_rows(functools.partial(np.multiply, A), A.shape, signs)
+    rows = _signed_rows(as_rows(A), signs)
     return _staged_hadamard(rows, 1.0 / math.sqrt(n_padded))
 
 
@@ -265,17 +266,15 @@ class SrhtPlan:
         ``spec`` and applies them to A; trial by trial, as each trial's
         signs come from its own ``Generator.integers`` stream, through one
         padded buffer that the cell keeps across calls."""
-        A = np.asarray(A, dtype=np.float64)
-        write, rows = functools.partial(np.multiply, A), None
+        X, rows = as_rows(A), None
 
         def draw(seeds, out=None):
             nonlocal rows
             seeds = list(seeds)
             if out is None:
-                out = np.empty((len(seeds), m, A.shape[1]))
+                out = np.empty((len(seeds), m, X.shape[1]))
             for seed, At in zip(seeds, out):
-                rows = _signed_rows(write, A.shape,
-                                    _srht_signs(A.shape[0], seed), rows)
+                rows = _signed_rows(X, _srht_signs(X.shape[0], seed), rows)
                 _rotated_sample(rows, m, spec, seed, At)
             return out
         return draw
@@ -288,19 +287,18 @@ class SrhtPlan:
         return float(scores.max() * rotated.shape[0] / self.d_eff)
 
 
-def srht_factor_sketch(write, shape: tuple[int, int], C: np.ndarray,
-                       seed: int):
-    """The SRHT plan of an n x d factor X that is never formed, and
+def srht_factor_sketch(X: RowScaled, C: np.ndarray, seed: int):
+    """The SRHT plan of the n x d factor X, which is never formed, and
     ``sketch(m, spec)``, which returns ``plan.sketcher(X, m, spec)(
     [seed])[0]`` and the rotation H D X / sqrt(n) it sampled, by rotating
     the plan's one buffer in place: call it once.
 
-    ``write(signs, out)`` writes X times the (n, 1) column ``signs`` into
-    ``out``.  A sign flip is exact, so the Gram of the signed buffer is
-    ``gram(X)`` and both results are bitwise those of the formed X.
+    The signed rows of X are written straight into that buffer.  A sign
+    flip is exact, so the Gram of the signed buffer is ``gram(X)`` and
+    both results are bitwise those of the formed X.
     """
-    n = shape[0]
-    rows = _signed_rows(write, shape, _srht_signs(n, seed))
+    n = X.shape[0]
+    rows = _signed_rows(X, _srht_signs(n, seed))
     plan = SrhtPlan.of_gram(gram(rows[:n]), C)
     # the rows are drawn in sketch(), after the caller's debias spec, so
     # that m < 1 meets the spec's refusal first

@@ -1,10 +1,14 @@
 """Dense symmetric linear algebra primitives.
 
-All matrices are plain ``numpy.ndarray`` in row-major order.  Operations
-are pure functions; nothing here holds state.
+All matrices are plain ``numpy.ndarray`` in row-major order, except that
+the n-row readers (:func:`gram`, :func:`inverse_quadratic_forms`) also take
+a :class:`RowScaled` matrix, which they read in row blocks without forming
+it.  Operations are pure functions; nothing here holds state.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +24,84 @@ PIVOT_RTOL = 1e-14
 # pages stay resident, so a larger block raises peak memory (512 KiB blocks
 # added 0.5 MiB to a 2048 x 32 bias run) without running faster.
 WHITEN_BLOCK_FLOATS = 1 << 15
+# rows of each block whose Grams gram() sums, in order; it fixes the bits of
+# every Gram of more rows.  Rows rather than floats: a 2048 x 32 bias-lab
+# input stays one block, so its Gram is one syrk as before, while a
+# 4096 x 16 Hessian factor takes two.  At n = 32768, d = 64 (2-core Xeon,
+# medians) one syrk took 5.5 ms (4.7 on two BLAS threads), 2048-row blocks
+# 5.7 (5.1) and 512-row blocks 6.2 (7.6); read from a row-scaled view in
+# 2048-row blocks the Gram took 7.7 ms against 8.8 for forming the factor
+# and one syrk.
+GRAM_BLOCK_ROWS = 2048
+
+
+@dataclass(frozen=True)
+class RowScaled:
+    """The n x d matrix ``op(A, scale)``, read in row blocks and never
+    formed: ``op`` is ``np.multiply`` or ``np.divide`` and ``scale`` an
+    (n, 1) column or a scalar; with ``op`` None the matrix is A itself.
+
+    Each entry is the one product or quotient a_ij op s_i, so every row
+    that :meth:`rows`, :meth:`take` or :meth:`signed` writes is bitwise
+    that row of the formed matrix.
+    """
+    A: np.ndarray
+    op: np.ufunc | None = None
+    scale: np.ndarray | float = 1.0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.A.shape
+
+    def _scale(self, index):
+        return self.scale[index] if np.ndim(self.scale) else self.scale
+
+    def rows(self, lo: int, hi: int, out: np.ndarray | None = None):
+        """Rows lo:hi, written into ``out[:hi - lo]`` when ``out`` is
+        given; else a view of A for an unscaled matrix, or a new array."""
+        block = self.A[lo:hi]
+        if out is not None:
+            out = out[:hi - lo]
+        if self.op is None:
+            if out is None:
+                return block
+            np.copyto(out, block)
+            return out
+        return self.op(block, self._scale(slice(lo, hi)), out=out)
+
+    def blocks(self, step: int):
+        """``(lo, rows lo:lo + step)`` for consecutive blocks of ``step``
+        rows.  A scaled matrix writes every block into one buffer, so each
+        block is valid until the next is read."""
+        n, d = self.shape
+        buf = None if self.op is None else np.empty((min(step, n), d))
+        for lo in range(0, n, step):
+            yield lo, self.rows(lo, min(lo + step, n), buf)
+
+    def take(self, indices: np.ndarray, out: np.ndarray | None = None):
+        """Rows ``indices`` (an index array of any shape, every index in
+        range), written into ``out`` when it is given."""
+        # every index is in range, so clipping moves none
+        out = self.A.take(indices, axis=0, out=out, mode="clip")
+        if self.op is not None:
+            self.op(out, self._scale(indices), out=out)
+        return out
+
+    def signed(self, signs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The matrix times the (n, 1) column ``signs`` of +-1, written
+        into ``out``: bitwise, since a sign flip is exact in a product or
+        a quotient."""
+        if self.op is None:
+            return np.multiply(self.A, signs, out=out)
+        return self.op(self.A, self.scale * signs, out=out)
+
+
+def as_rows(A: np.ndarray | RowScaled) -> RowScaled:
+    """``A`` if it is a :class:`RowScaled`, else the unscaled float64
+    matrix A."""
+    if isinstance(A, RowScaled):
+        return A
+    return RowScaled(np.asarray(A, dtype=np.float64))
 
 
 def as_dense(a, name: str = "matrix") -> np.ndarray:
@@ -43,15 +125,28 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return M
 
 
-def gram(A: np.ndarray) -> np.ndarray:
+def gram(A: np.ndarray | RowScaled) -> np.ndarray:
     """A^T A, symmetrized against floating-point accumulation skew; of a
-    stack of matrices, the stack of their Grams."""
-    A = np.asarray(A, dtype=np.float64)
+    stack of matrices, the stack of their Grams.
+
+    A matrix (an array or a :class:`RowScaled`) is read in blocks of
+    ``GRAM_BLOCK_ROWS`` rows, whose Grams are summed in row order, so no
+    n x d temporary is made and the block size alone fixes the bits.  A
+    one-block matrix takes one product, ``A^T A``.
+    """
+    if not isinstance(A, RowScaled):
+        A = np.asarray(A, dtype=np.float64)
     if A.shape[-2] < 1:
         raise ValueError("gram requires at least one row")
     if A.shape[-1] < 1:
         raise ValueError("gram requires at least one column")
-    G = np.swapaxes(A, -1, -2) @ A
+    if isinstance(A, np.ndarray) and A.ndim > 2:
+        G = np.swapaxes(A, -1, -2) @ A
+    else:
+        products = (B.T @ B for _, B in as_rows(A).blocks(GRAM_BLOCK_ROWS))
+        G = next(products)
+        for P in products:
+            G += P
     return (G + np.swapaxes(G, -1, -2)) / 2.0
 
 
@@ -137,37 +232,38 @@ def _inverse_factor(M: np.ndarray) -> np.ndarray:
     return Z
 
 
-def whiten(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """A L^-T for M = L L^T symmetric positive definite, so that
-    (A L^-T)(A L^-T)^T = A M^-1 A^T.
+def inverse_quadratic_forms(A: np.ndarray | RowScaled, M: np.ndarray,
+                            sketch: np.ndarray | None = None) -> np.ndarray:
+    """a_i^T M^-1 a_i for every row a_i of A (an array or a
+    :class:`RowScaled`), M symmetric positive definite: the squared row
+    norms of A L^-T for M = L L^T.
 
-    L^-1 comes from LAPACK ``trtri``, and BLAS ``trmm`` multiplies a copy
-    of A by the triangular L^-T in place.  Raises as :func:`cholesky` does.
+    With ``sketch``, a k x d matrix S, the squared row norms of
+    A (L^-T S^T) instead, which estimate those forms: the d x k product is
+    formed first, so each row costs O(dk).
+
+    L^-1 comes from LAPACK ``trtri``.  Rows are read in blocks of
+    ``WHITEN_BLOCK_FLOATS`` entries of the wider of A and its product and
+    multiplied there (by BLAS ``trmm`` in place in one scratch block, or by
+    the d x k product), so no n x d temporary is made; the block size
+    fixes the bits of the result.
+    Raises as :func:`cholesky` does.
     """
     Z = _inverse_factor(M)
-    B = np.array(A, dtype=np.float64, order="C")
-    lapack.dtrmm(B, Z)
-    return B
-
-
-def inverse_quadratic_forms(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """a_i^T M^-1 a_i for every row a_i of A, M symmetric positive definite:
-    the squared row norms of :func:`whiten`'s A L^-T.
-
-    Rows are whitened ``WHITEN_BLOCK_FLOATS`` entries at a time in one
-    scratch block, so no n x d temporary is made; the block size fixes the
-    bits of the result.
-    """
-    Z = _inverse_factor(M)
-    A = np.asarray(A, dtype=np.float64)
-    n, d = A.shape
-    step = max(1, WHITEN_BLOCK_FLOATS // d)
+    X = as_rows(A)
+    n, d = X.shape
+    right, width = None, d
+    if sketch is not None:
+        right, width = Z @ sketch.T, max(d, len(sketch))
+    step = max(1, WHITEN_BLOCK_FLOATS // width)
     block = np.empty((min(step, n), d))
     out = np.empty(n)
     for start in range(0, n, step):
-        B = block[:min(step, n - start)]
-        np.copyto(B, A[start:start + step])
-        lapack.dtrmm(B, Z)
+        B = X.rows(start, min(start + step, n), block)
+        if right is None:
+            lapack.dtrmm(B, Z)
+        else:
+            B = B @ right
         np.einsum("ij,ij->i", B, B, out=out[start:start + step])
     return out
 

@@ -3,13 +3,14 @@ correction, first-order baselines, and a sparse (SJLT) projection baseline.
 
 The regularized objectives expose their Hessian through a square-root
 factor A(beta) with hessian = A(beta)^T A(beta) + lambda I, which is what
-the row-sampling machinery consumes.
+the row-sampling machinery consumes.  The factor is a row-scaled view of
+the data (:class:`~randskew.linalg.RowScaled`): every reader takes it in
+row blocks or gathered rows, so no step forms an n x d array.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence, SketchTooSmall
 from .hadamard import srht_factor_sketch
-from .linalg import gram, solve_spd
+from .linalg import RowScaled, gram, solve_spd
 from .sampling import PlanKind, _sjlt_apply, build_plan
 from .data import require_binary_labels
 
@@ -71,10 +72,8 @@ class Objective:
 
     The factor is ``row_op(A, row_scale)``: A times the column
     sqrt(w / n) for logistic loss, A over sqrt(n) for least squares.
-    ``hessian_sqrt`` forms it as an n x d array on first read and keeps
-    it, so a step that reads no factor (GD, SGD, a run's last record)
-    forms none.  :meth:`signed_factor` writes a sign-flipped copy into a
-    caller's buffer without forming it.
+    :attr:`factor` is that matrix as a
+    :class:`~randskew.linalg.RowScaled` view, which is never formed.
     """
     value: float
     gradient: np.ndarray
@@ -82,16 +81,10 @@ class Objective:
     row_op: np.ufunc                 # np.multiply or np.divide
     row_scale: np.ndarray | float    # an (n, 1) column or a scalar
 
-    @functools.cached_property
-    def hessian_sqrt(self) -> np.ndarray:
+    @property
+    def factor(self) -> RowScaled:
         """The n x d factor of the data term of the Hessian."""
-        return self.row_op(self.A, self.row_scale)
-
-    def signed_factor(self, signs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``signs * hessian_sqrt`` for an (n, 1) column of +-1, written
-        into ``out``.  Bitwise equal without forming the factor, since a
-        sign flip is exact in a product or a quotient."""
-        return self.row_op(self.A, self.row_scale * signs, out=out)
+        return RowScaled(self.A, self.row_op, self.row_scale)
 
 
 def _value(p: GlmProblem, beta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -113,9 +106,9 @@ def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
     """Value, gradient, and Hessian square-root factor at beta.
 
     The loss is the mean over samples plus (lambda/2) ||beta||^2, so the
-    Hessian is gram(hessian_sqrt) + lambda I.  Overflow-safe at extreme
-    margins.  Makes no n x d array: the :class:`Objective` forms its factor
-    when it is first read.
+    Hessian is gram(factor) + lambda I.  Overflow-safe at extreme
+    margins.  Makes no n x d array: the :class:`Objective`'s factor is a
+    view of the data.
     """
     A, y, lam = p.A, p.y, p.lam
     n = A.shape[0]
@@ -145,12 +138,14 @@ def _armijo(p: GlmProblem, beta, value, gradient, direction) -> float:
     return mu
 
 
-def _newton_update(p: GlmProblem, beta, obj: Objective, At: np.ndarray,
+def _newton_update(p: GlmProblem, beta, obj: Objective,
+                   At: np.ndarray | RowScaled,
                    armijo: bool, mu: float) -> tuple[np.ndarray, float]:
     """Step along -(gram(At) + lambda I)^{-1} g, by Armijo or by ``mu``.
 
-    Exact Newton is At = obj.hessian_sqrt; the sketched methods pass a
-    sketch of it.  Returns the next iterate and the step size taken.
+    Exact Newton is At = obj.factor, whose Gram is read in row blocks; the
+    sketched methods pass a sketch of it.  Returns the next iterate and
+    the step size taken.
     """
     direction = solve_spd(gram(At) + p.lam * np.eye(p.dim), obj.gradient)
     if armijo:
@@ -205,8 +200,8 @@ class RunTrace:
 def reference_point(p: GlmProblem, beta: np.ndarray) -> ReferencePoint:
     """The reference at ``beta``; build it once to share it across runs."""
     beta = np.asarray(beta, dtype=np.float64)
-    hs = objective_eval(p, beta).hessian_sqrt
-    return ReferencePoint(beta, gram(hs) + p.lam * np.eye(p.dim))
+    factor = objective_eval(p, beta).factor
+    return ReferencePoint(beta, gram(factor) + p.lam * np.eye(p.dim))
 
 
 class StepRule(enum.Enum):
@@ -227,24 +222,24 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     the diagnostics ``step_size``, ``d_eff`` and ``rho_max``; ``rho_max``
     is None unless the step rule is analytic, the one rule that reads it.
     ``d_eff`` is the sum of the exact scores every sampling plan keeps,
-    approximate ones included, or the SRHT plan's own.  The SRHT step forms
-    no factor: it writes the signed factor into its one rotation buffer,
-    takes the plan's Gram from that buffer and rotates it in place
-    (:func:`~randskew.hadamard.srht_factor_sketch`).
+    approximate ones included, or the SRHT plan's own.  No step forms the
+    factor: a sampling plan reads it in row blocks and gathers its m rows
+    from the data, and the SRHT step writes the signed factor into its one
+    rotation buffer, takes the plan's Gram from that buffer and rotates it
+    in place (:func:`~randskew.hadamard.srht_factor_sketch`).
     """
     C = p.lam * np.eye(p.dim)
     sketch_seed = rsrng.split(seed, 2)
+    factor = obj.factor
     if method.plan_kind is PlanKind.SRHT:
-        plan, sketch = srht_factor_sketch(obj.signed_factor, obj.A.shape, C,
-                                          sketch_seed)
+        plan, sketch = srht_factor_sketch(factor, C, sketch_seed)
     else:
-        hs = obj.hessian_sqrt
-        plan = build_plan(method.plan_kind, hs, C, mix=method.mix,
+        plan = build_plan(method.plan_kind, factor, C, mix=method.mix,
                           m1=method.m1, m2=method.m2,
                           seed=rsrng.split(seed, 1))
 
         def sketch(m, spec):
-            return plan.sketcher(hs, m, spec)([sketch_seed])[0], None
+            return plan.sketcher(factor, m, spec)([sketch_seed])[0], None
     d_eff = plan.d_eff if plan.exact is None else float(plan.exact.sum())
     spec = make_debias_spec(method.debias, plan, method.m, d_eff)
     At, rotated = sketch(method.m, spec)
@@ -290,8 +285,8 @@ class NewtonExactMethod:
     line_search: bool = True
 
     def update(self, p, beta, obj, seed, t):
-        return _newton_update(p, beta, obj, obj.hessian_sqrt,
-                              self.line_search, 1.0)
+        return _newton_update(p, beta, obj, obj.factor, self.line_search,
+                              1.0)
 
 
 @dataclass(frozen=True)
@@ -323,8 +318,8 @@ class SparseProjMethod:
             raise SketchTooSmall(f"sketch size m={self.m} must be at least 1")
         if self.nnz < 1:  # the SJLT would divide by sqrt(0)
             raise ValueError(f"nnz must be at least 1, got {self.nnz}")
-        At = _sjlt_apply(obj.hessian_sqrt, self.m,
-                         rsrng.generator(seed, 5, t), self.nnz)
+        At = _sjlt_apply(obj.factor, self.m, rsrng.generator(seed, 5, t),
+                         self.nnz)
         return _newton_update(p, beta, obj, At, True, 1.0)
 
 

@@ -39,7 +39,8 @@ import numpy as np
 from . import rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import gram, inverse_quadratic_forms, whiten
+from .linalg import (WHITEN_BLOCK_FLOATS, RowScaled, as_rows, gram,
+                     inverse_quadratic_forms)
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 GUIDE_PASSES = 8  # guide-table steps before searchsorted finishes a draw
@@ -96,7 +97,7 @@ class SamplingPlan:
         """
         if m < 1:
             raise ValueError("sketch size m must be >= 1")
-        A = np.asarray(A, dtype=np.float64)
+        A = as_rows(A)
         support = self._cdf[0]
         table = None
 
@@ -177,14 +178,16 @@ class ApproxFactors:
     argmax_index: int
 
 
-def exact_leverage_scores(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+def exact_leverage_scores(A: np.ndarray | RowScaled,
+                          C: np.ndarray) -> np.ndarray:
     """l_i = a_i^T (A^T A + C)^{-1} a_i for every row a_i of A.
 
-    A NaN or infinite entry of A reaches the diagonal of A^T A, so the
-    d x d matrix alone is checked: a non-finite one raises
-    :class:`NotPositiveDefinite` without a numpy warning.
+    A is an array or a :class:`~randskew.linalg.RowScaled`.  A NaN or
+    infinite entry of A reaches the diagonal of A^T A, so the d x d matrix
+    alone is checked: a non-finite one raises :class:`NotPositiveDefinite`
+    without a numpy warning.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = as_rows(A)
     with np.errstate(invalid="ignore", over="ignore"):
         H = gram(A) + C
     if not np.all(np.isfinite(H)):
@@ -249,16 +252,21 @@ def _sparsetools():
     return _sparsetools
 
 
-def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator,
+def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
                 s: int = SJLT_NNZ_PER_COLUMN) -> np.ndarray:
-    """S A for a sparse JL matrix S of shape (m, n), so E[S^T S] = I.
+    """S A for a sparse JL matrix S of shape (m, n), so E[S^T S] = I, and
+    A an array or a :class:`~randskew.linalg.RowScaled`.
 
     Each of the n columns of S carries ``s`` entries of +-1/sqrt(s) at
-    uniformly random rows, drawn independently, so two may share a row.
+    uniformly random rows, drawn independently, so two may share a row:
+    all n x s rows first, then the signs.  A is read in row blocks, and
+    each block's signs are drawn with it: numpy draws each bounded integer
+    from the stream on its own, so the block draws continue one draw of
+    all the signs bitwise.
     """
-    n = A.shape[0]
+    X = as_rows(A)
+    n, d = X.shape
     rows = gen.integers(0, m, size=(n, s))
-    signs = gen.integers(0, 2, size=(n, s)) * 2.0 - 1.0
     scale = 1.0 / math.sqrt(s)
     # S is the CSC matrix whose column j holds rows[j] and signs[j] * scale,
     # unmerged, so colliding entries stay separate: scipy's csc_matvecs
@@ -274,11 +282,22 @@ def _sjlt_apply(A: np.ndarray, m: int, gen: np.random.Generator,
     # k-th term of every output row at once) 22 ms.  A stable argsort
     # with np.add.reduceat (68-70 ms) sums pairwise, so it is not bitwise
     # and fails test_sjlt_apply_matches_scatter_bitwise.
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    out = np.zeros((m, A.shape[1]))
-    _sparsetools().csc_matvecs(m, n, A.shape[1], np.arange(0, n * s + 1, s),
-                               rows.ravel(), (signs * scale).ravel(),
-                               A.ravel(), out.ravel())
+    # One call per row block of A, on the block's columns of S, adds the
+    # same terms into ``out`` in the same order as one call on all of A.
+    out = np.zeros((m, d))
+    matvecs = _sparsetools().csc_matvecs
+    # a block row holds d entries of A and its s signs, drawn as integers
+    # and then scaled: WHITEN_BLOCK_FLOATS in all
+    step = max(1, WHITEN_BLOCK_FLOATS // (d + 2 * s))
+    starts = np.arange(0, min(step, n) * s + 1, s)
+    values = np.empty((min(step, n), s))
+    for lo, B in X.blocks(step):
+        k = len(B)
+        v = np.multiply(gen.integers(0, 2, size=(k, s)), 2.0, out=values[:k])
+        v -= 1.0
+        v *= scale
+        matvecs(m, k, d, starts[:k + 1], rows[lo:lo + k].ravel(), v.ravel(),
+                np.ascontiguousarray(B).ravel(), out.ravel())
     return out
 
 
@@ -286,16 +305,17 @@ def default_double_sketch_width(n: int) -> int:
     return int(math.ceil(8.0 * math.log(max(n, 2))))
 
 
-def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
+def sjlt_approx_leverage(A: np.ndarray | RowScaled, C: np.ndarray, m1: int,
                          m2: int | None = None, seed: int = 0) -> np.ndarray:
     """Approximate leverage scores via a sparse JL sketch of the Gram.
 
     Single-sketch mode returns ``a_i^T (A^T S1^T S1 A + C)^-1 a_i`` by
     :func:`~randskew.linalg.inverse_quadratic_forms`; when ``m2`` is given,
-    :func:`~randskew.linalg.whiten`'s A L^-T is multiplied by a second
-    sketch of width m2 before row norms are taken.
+    the squared row norms of A L^-T S2^T for a second sketch S2 of width
+    m2, L L^T the sketched Gram plus C, with L^-T S2^T (d x m2) formed
+    first.  A is an array or a :class:`~randskew.linalg.RowScaled`.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = as_rows(A)
     d = A.shape[1]
     if m1 < d:
         raise ValueError(f"sketch width m1={m1} below cols(A)={d}")
@@ -303,31 +323,31 @@ def sjlt_approx_leverage(A: np.ndarray, C: np.ndarray, m1: int,
         raise ValueError(f"double-sketch width m2={m2} must satisfy "
                          f"1 <= m2 < m1={m1}")
     SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
+    S2 = (None if m2 is None
+          else _sjlt_apply(np.eye(d), m2, rsrng.generator(seed, 1)))
     try:
-        if m2 is None:
-            return inverse_quadratic_forms(A, gram(SA) + C)
-        B = whiten(A, gram(SA) + C)
+        return inverse_quadratic_forms(A, gram(SA) + C, S2)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             "sketched Gram plus C is singular; increase m1",
             pivot_index=exc.pivot_index) from exc
-    B = B @ _sjlt_apply(np.eye(d), m2, rsrng.generator(seed, 1)).T
-    return np.einsum("ij,ij->i", B, B)
 
 
-def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
+def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
                mix: float = 0.5, m1: int | None = None,
                m2: int | None = None, seed: int = 0) -> SamplingPlan:
     """Construct a sampling plan of the requested kind for (A, C).
 
-    Every sampling plan keeps the exact leverage scores as ``exact``.
+    A is an array or a :class:`~randskew.linalg.RowScaled`, which every
+    reader takes in row blocks.  Every sampling plan keeps the exact
+    leverage scores as ``exact``.
     ``d_eff`` is their sum except for the approximate-leverage kinds,
     where it is the sum of the approximate scores actually used for
     sampling.  ``PlanKind.SRHT`` returns a
     :class:`~randskew.hadamard.SrhtPlan`, whose ``d_eff`` is
     trace((G + C)^-1 G) from the d x d Gram G, with no n-row scores.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = as_rows(A)
     n, d = A.shape
     if n < 1:
         raise ValueError("A must have at least one row")
@@ -350,7 +370,7 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
         from .hadamard import SrhtPlan  # hadamard imports this module
         return SrhtPlan.of_gram(gram(A), C)
     if kind is PlanKind.ROW_NORM:
-        sq = np.einsum("ij,ij->i", A, A)
+        sq = _squared_row_norms(A)
         total = sq.sum()
         if total == 0.0:
             raise AllZeroRows("row-norm sampling on an all-zero matrix")
@@ -370,6 +390,15 @@ def build_plan(kind: PlanKind, A: np.ndarray, C: np.ndarray, *,
         probs = mix / n + (1.0 - mix) * exact / exact.sum()
         return SamplingPlan(kind, probs, d_eff, scores=exact, exact=exact)
     raise ValueError(f"unknown plan kind {kind!r}")
+
+
+def _squared_row_norms(X: RowScaled) -> np.ndarray:
+    """The squared norm of every row of X, read in row blocks."""
+    n, d = X.shape
+    sq = np.empty(n)
+    for lo, B in X.blocks(max(1, WHITEN_BLOCK_FLOATS // d)):
+        np.einsum("ij,ij->i", B, B, out=sq[lo:lo + len(B)])
+    return sq
 
 
 def check_support(probs: np.ndarray, scores: np.ndarray) -> None:
@@ -404,18 +433,20 @@ def approximation_factors(plan: SamplingPlan,
                          argmax_index=int(idx_active[k]))
 
 
-def _gather(A: np.ndarray, indices: np.ndarray, weights: np.ndarray,
+def _gather(A: np.ndarray | RowScaled, indices: np.ndarray,
+            weights: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
     """Row s of the result is weights[s] * A[indices[s]], for index arrays
     of any shape; written into ``out`` when it is given, else a new
-    array."""
-    A = np.asarray(A, dtype=np.float64)
+    array.  For a :class:`~randskew.linalg.RowScaled` A the rows of its
+    data are taken, scaled and weighted in place: the products that
+    weighting the formed matrix's rows makes."""
+    A = as_rows(A)
     if indices.size and (indices.min() < 0 or indices.max() >= A.shape[0]):
         raise IndexOutOfRange(
             f"sketch indices span [{indices.min()}, {indices.max()}], "
             f"outside [0, rows(A)={A.shape[0]})")
-    # every index is in range, so clipping moves none
-    out = A.take(indices, axis=0, out=out, mode="clip")
+    out = A.take(indices, out)
     out *= weights[..., None]
     return out
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 
+from randskew import _lapack as lapack
 from randskew import rng as rsrng
-from randskew.linalg import check_symmetric, inv_sqrt, solve_spd
+from randskew.linalg import (_inverse_factor, check_symmetric, inv_sqrt,
+                             solve_spd)
 
 
 def gaussian_sketch(A: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -58,3 +60,20 @@ def psd_relative_error(X_hat: np.ndarray, X: np.ndarray) -> float:
     if lam_min <= 0:
         return float("inf")
     return float(max(lam_max - 1.0, 1.0 / lam_min - 1.0, 0.0))
+
+
+def hessian_sqrt(obj) -> np.ndarray:
+    """The formed n x d Hessian factor of an ``Objective``: the matrix its
+    ``factor`` view reads without forming."""
+    return obj.row_op(obj.A, obj.row_scale)
+
+
+def whiten(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """A L^-T for M = L L^T symmetric positive definite, so that
+    (A L^-T)(A L^-T)^T = A M^-1 A^T: one ``trmm`` on a copy of all of A,
+    the unblocked reference of ``linalg.inverse_quadratic_forms``.
+    Raises as ``linalg.cholesky`` does."""
+    Z = _inverse_factor(M)
+    B = np.array(A, dtype=np.float64, order="C")
+    lapack.dtrmm(B, Z)
+    return B

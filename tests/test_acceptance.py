@@ -25,8 +25,8 @@ from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
                                approximation_factors, build_plan, draw,
                                exact_leverage_scores)
 
-from oracles import (gaussian_sketch, psd_relative_error, sampled_rows,
-                     spd_inverse)
+from oracles import (gaussian_sketch, hessian_sqrt, psd_relative_error,
+                     sampled_rows, spd_inverse)
 
 D = 4
 A_CE = counterexample_matrix(D)
@@ -246,7 +246,7 @@ def test_criterion_09_ssn_rate():
     ref = reference_point(p, reference_solution(p)[0])
     C = lam * np.eye(d)
     d_eff = float(exact_leverage_scores(
-        objective_eval(p, ref.beta).hessian_sqrt, C).sum())
+        hessian_sqrt(objective_eval(p, ref.beta)), C).sum())
     m = int(np.ceil(32 * d_eff))
     iters = 5
 

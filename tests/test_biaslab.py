@@ -181,6 +181,18 @@ def test_stacked_trials_match_the_per_trial_oracle(kind, lam, m):
         assert getattr(est, key) == pytest.approx(want[key], rel=1e-10), key
 
 
+@pytest.mark.parametrize("T, m", [(64, 128), (32, 256), (16, 512)])
+def test_stacked_sketch_grams_are_exactly_symmetric(T, m):
+    # estimate_bias skips gram's symmetrization of its stacked sketch
+    # Grams, a bitwise no-op while numpy's stacked product is exactly
+    # symmetric at the bias lab's sub-block shapes (d = 32)
+    S = np.random.default_rng(T).standard_normal((T, m, 32))
+    for G in (np.swapaxes(S, 1, 2) @ S,
+              np.matmul(np.swapaxes(S, 1, 2), S, out=np.empty((T, 32, 32)))):
+        np.testing.assert_array_equal(G, np.swapaxes(G, 1, 2))
+        np.testing.assert_array_equal(gram(S), G)
+
+
 @pytest.mark.parametrize("m", [8, 16])
 def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)

@@ -455,6 +455,21 @@ def test_negative_iters_is_numerical_error_and_writes_nothing(
     assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
 
+@pytest.mark.parametrize("key", ["plan=nope", "step=sideways"])
+def test_sweep_refuses_a_bad_method_key_before_its_reference(
+        tmp_path, capsys, monkeypatch, key):
+    from randskew import cli
+    monkeypatch.setattr(cli, "reference_solution", None)  # never reached
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep", "--config", cfg, "--seed", "1", "--out",
+                    str(out), key, "m_grid=32"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and key.split("=")[0] in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_data_without_rows_is_refused_before_any_iterate(tmp_path, capsys,

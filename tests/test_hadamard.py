@@ -1,4 +1,3 @@
-import functools
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from randskew.hadamard import (SrhtDraw, _rotate, _staged_hadamard,
                                fwht_inplace, next_power_of_two,
                                rotated_leverage_scores, srht_apply, srht_draw,
                                srht_factor_sketch)
-from randskew.linalg import gram, inv_sqrt
+from randskew.linalg import RowScaled, gram, inv_sqrt
 from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
                                build_plan, draw, exact_leverage_scores)
 
@@ -316,9 +315,7 @@ class TestSrhtPlan:
     M = 12
 
     def _sketch(self, seed):
-        plan, sketch = srht_factor_sketch(
-            functools.partial(np.multiply, self.A), self.A.shape, self.C,
-            seed)
+        plan, sketch = srht_factor_sketch(RowScaled(self.A), self.C, seed)
         spec = DebiasSpec.scalar(self.M, plan.d_eff)
         return plan, spec, sketch(self.M, spec)
 

@@ -89,7 +89,6 @@ def _results():
             "solve_spd": linalg.solve_spd(M, B),
             "solve_spd_vector": linalg.solve_spd(M, B[:, 0]),
             "spd_inverse": spd_inverse(M),
-            "whiten": linalg.whiten(A, M),
             "inverse_quadratic_forms": linalg.inverse_quadratic_forms(A, M),
             "accepted_inverses": Q,
             "exact_leverage_scores": exact_leverage_scores(A, 0.1 * np.eye(32))}

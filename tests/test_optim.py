@@ -22,6 +22,8 @@ from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
                             ssn_step, analytic_step_size)
 from randskew.sampling import PlanKind, _sjlt_apply
 
+from oracles import hessian_sqrt
+
 
 def make_logistic(n=64, d=6, lam=0.1, seed=0):
     spec = SyntheticSpec(SyntheticKind.GAUSSIAN_IID, n, d, seed=seed)
@@ -51,10 +53,10 @@ def _peak_of(f):
 
 class TestObjectiveEval:
     @pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
-    def test_factor_is_formed_on_first_read(self, kind):
-        # objective_eval makes n-vectors only (0.32 n d 8 bytes here, 1.39
-        # when it formed the factor); the first read of the factor forms
-        # it with the bits of the eager formula, and later reads return it
+    def test_factor_view_is_the_eager_formula_bitwise(self, kind):
+        # objective_eval makes n-vectors only (0.32 n d 8 bytes here); its
+        # factor is a view whose rows, read in blocks, have the bits of
+        # the eager formula
         n, d = 4096, 16
         make = (make_logistic if kind is ProblemKind.LOGISTIC
                 else make_least_squares)
@@ -67,9 +69,11 @@ class TestObjectiveEval:
             want = p.A * np.sqrt(sig_neg * (1.0 - sig_neg) / n)[:, None]
         else:
             want = p.A / np.sqrt(n)
-        hs = obj.hessian_sqrt
-        assert hs.shape == want.shape and hs.tobytes() == want.tobytes()
-        assert obj.hessian_sqrt is hs
+        factor = obj.factor
+        assert factor.shape == want.shape
+        got = np.concatenate([b.copy() for _, b in factor.blocks(1000)])
+        assert got.tobytes() == want.tobytes()
+        assert hessian_sqrt(obj).tobytes() == want.tobytes()
 
     def test_logistic_at_zero(self):
         p = make_logistic()
@@ -86,7 +90,7 @@ class TestObjectiveEval:
         r = p.A @ beta - p.y
         assert obj.value == pytest.approx(
             0.5 * r @ r / n + 0.5 * p.lam * beta @ beta)
-        assert np.allclose(gram(obj.hessian_sqrt), gram(p.A) / n)
+        assert np.allclose(gram(hessian_sqrt(obj)), gram(p.A) / n)
 
     def test_extreme_margins_stay_finite(self):
         A = np.array([[50.0], [-50.0]])
@@ -95,7 +99,7 @@ class TestObjectiveEval:
         obj = objective_eval(p, np.array([1.0]))
         assert np.isfinite(obj.value)
         assert np.all(np.isfinite(obj.gradient))
-        assert np.all(np.isfinite(obj.hessian_sqrt))
+        assert np.all(np.isfinite(hessian_sqrt(obj)))
 
     def test_margins_below_minus_709_raise_no_overflow_warning(self):
         p = GlmProblem(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), 0.1,
@@ -105,7 +109,7 @@ class TestObjectiveEval:
             obj = objective_eval(p, np.array([800.0]))  # margins 800, -1600
         assert np.isfinite(obj.value)
         assert np.all(np.isfinite(obj.gradient))
-        assert np.all(np.isfinite(obj.hessian_sqrt))
+        assert np.all(np.isfinite(hessian_sqrt(obj)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(list(ProblemKind)), st.integers(1, 6),
@@ -157,7 +161,7 @@ class TestObjectiveEval:
         p = make_logistic(seed=4)
         beta = 0.3 * rng.standard_normal(p.dim)
         obj = objective_eval(p, beta)
-        H = gram(obj.hessian_sqrt) + p.lam * np.eye(p.dim)
+        H = gram(hessian_sqrt(obj)) + p.lam * np.eye(p.dim)
         h = 1e-6
         fd = np.empty((p.dim, p.dim))
         for j in range(p.dim):
@@ -238,7 +242,7 @@ class TestSsnStep:
         nxt = run_solver(p, NewtonExactMethod(line_search=False), beta,
                          1).beta
         obj = objective_eval(p, beta)
-        H = gram(obj.hessian_sqrt) + p.lam * np.eye(p.dim)
+        H = gram(hessian_sqrt(obj)) + p.lam * np.eye(p.dim)
         want = beta - np.linalg.solve(H, obj.gradient)
         assert np.abs(nxt - want).max() < 1e-10
 
@@ -248,9 +252,9 @@ class TestSsnStep:
         obj = objective_eval(p, ref)
         from randskew.sampling import build_plan, exact_leverage_scores
         C = p.lam * np.eye(p.dim)
-        d_eff = float(exact_leverage_scores(obj.hessian_sqrt, C).sum())
+        d_eff = float(exact_leverage_scores(hessian_sqrt(obj), C).sum())
         m = int(np.ceil(16 * d_eff))
-        H = gram(obj.hessian_sqrt) + C
+        H = gram(hessian_sqrt(obj)) + C
         rng = np.random.default_rng(9)
         beta_t = ref + 0.5 * rng.standard_normal(p.dim)
         obj_t = objective_eval(p, beta_t)
@@ -271,9 +275,9 @@ class TestSsnStep:
         obj = objective_eval(p, ref)
         from randskew.sampling import exact_leverage_scores
         C = p.lam * np.eye(p.dim)
-        d_eff = float(exact_leverage_scores(obj.hessian_sqrt, C).sum())
+        d_eff = float(exact_leverage_scores(hessian_sqrt(obj), C).sum())
         m = int(np.ceil(16 * d_eff))
-        H = gram(obj.hessian_sqrt) + C
+        H = gram(hessian_sqrt(obj)) + C
         rng = np.random.default_rng(10)
         beta_t = ref + 0.5 * rng.standard_normal(p.dim)
         obj_t = objective_eval(p, beta_t)
@@ -296,9 +300,9 @@ class TestSsnStep:
         beta_t = ref + 0.5 * rng.standard_normal(p.dim)
         obj = objective_eval(p, beta_t)
         C = p.lam * np.eye(p.dim)
-        H = gram(obj.hessian_sqrt) + C
+        H = gram(hessian_sqrt(obj)) + C
         from randskew.sampling import exact_leverage_scores
-        d_eff = float(exact_leverage_scores(obj.hessian_sqrt, C).sum())
+        d_eff = float(exact_leverage_scores(hessian_sqrt(obj), C).sum())
         # large m keeps the second-order residual bias well under the
         # Monte-Carlo noise so the 3-sigma check is meaningful
         m = int(np.ceil(64 * d_eff))

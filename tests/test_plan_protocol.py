@@ -1,7 +1,6 @@
 """Every plan kind, the Hadamard one included, answers one protocol that
 the bias lab and the sketched Newton solver use without knowing the kind."""
 
-import functools
 import sys
 
 import numpy as np
@@ -20,12 +19,15 @@ from randskew.errors import ConfigError, NotPositiveDefinite
 from randskew.hadamard import (_signed_rows, _staged_hadamard,
                                next_power_of_two, srht_draw,
                                srht_factor_sketch)
-from randskew.linalg import _inverse_factor, gram, inverse_quadratic_forms
+from randskew.linalg import (RowScaled, _inverse_factor, gram,
+                             inverse_quadratic_forms)
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
 from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
                                approximation_factors, build_plan, draw,
                                exact_leverage_scores)
+
+from oracles import hessian_sqrt
 
 N, D, M = 64, 4, 32
 A = synthetic_matrix(SyntheticSpec(SyntheticKind.COHERENT, N, D,
@@ -284,7 +286,7 @@ def test_lev_refuses_srht_before_building_a_plan(monkeypatch):
 
 def test_srht_step_refuses_fine_exact_before_any_n_row_work(monkeypatch):
     # the refusal reads the plan, which has no probabilities: no exact
-    # scores and no formed Hessian factor come first
+    # scores come first
     calls = _count_calls(monkeypatch, exact_leverage_scores)
     beta = np.zeros(D)
     obj = objective_eval(P, beta)
@@ -295,7 +297,6 @@ def test_srht_step_refuses_fine_exact_before_any_n_row_work(monkeypatch):
     assert type(refused.value) is ValueError
     assert str(refused.value) == ("the srht plan samples no rows of A, so "
                                   "it only supports scalar debiasing")
-    assert "hessian_sqrt" not in vars(obj)
     assert calls == []
 
 
@@ -311,7 +312,7 @@ def test_srht_ssn_step_rotates_once(monkeypatch):
 def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     exact = _count_calls(monkeypatch, exact_leverage_scores)
     rotations = _count_calls(monkeypatch, _staged_hadamard)
-    # whiten and inverse_quadratic_forms each take one inverse factor
+    # inverse_quadratic_forms takes one inverse factor per call
     whitenings = _count_calls(monkeypatch, _inverse_factor)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
     assert (len(exact), len(rotations)) == (0, 1)
@@ -344,8 +345,8 @@ def test_signed_buffer_holds_the_signed_factor_bitwise(kind, n):
     # every product of the Gram
     _, _, obj = _objective(kind, n)
     signs = srht_draw(n, M, 9).signs
-    rows = _signed_rows(obj.signed_factor, (n, D), signs)
-    hs = obj.hessian_sqrt
+    rows = _signed_rows(obj.factor, signs)
+    hs = hessian_sqrt(obj)
     assert rows.shape == (next_power_of_two(n), D)
     assert _same_bits(rows[:n], signs[:n, None] * hs)
     assert np.all(rows[n:] == 0.0)
@@ -367,14 +368,12 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     monkeypatch.setattr(optim, "_newton_update", newton_update)
     method = SsnMethod(plan_kind=PlanKind.SRHT, m=M, step_rule=rule)
     _, diagnostics = ssn_step(P_, beta, obj, method, seed=5)
-    # the step wrote the signed factor into its rotation buffer; nothing
-    # formed the factor itself
-    assert "hessian_sqrt" not in vars(obj)
-    hs, C_ = obj.hessian_sqrt, P_.lam * np.eye(D)
+    # the step wrote the signed factor into its rotation buffer: the
+    # sketch of the formed factor, bitwise
+    hs, C_ = hessian_sqrt(obj), P_.lam * np.eye(D)
     plan = build_plan(PlanKind.SRHT, hs, C_)
     spec = make_debias_spec(method.debias, plan, M, plan.d_eff)
-    _, sketch = srht_factor_sketch(functools.partial(np.multiply, hs),
-                                   hs.shape, C_, rsrng.split(5, 2))
+    _, sketch = srht_factor_sketch(RowScaled(hs), C_, rsrng.split(5, 2))
     At, rotated = sketch(M, spec)
     assert len(sketches) == 1 and _same_bits(sketches[0], At)
     assert diagnostics["d_eff"] == plan.d_eff
@@ -389,7 +388,7 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
 @pytest.mark.parametrize("rule", [StepRule.ARMIJO, StepRule.FIXED],
                          ids=lambda r: r.value)
 def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
-    hs = objective_eval(P, np.zeros(D)).hessian_sqrt
+    hs = hessian_sqrt(objective_eval(P, np.zeros(D)))
     d_eff = exact_leverage_scores(hs, P.lam * np.eye(D)).sum()
     whitenings = _count_calls(monkeypatch, _inverse_factor)
     build_plan(kind, hs, P.lam * np.eye(D))

@@ -155,7 +155,9 @@ _SJLT_A = (np.random.default_rng(5).standard_normal((300, 6))
     (_SJLT_A, 37),
     (np.asfortranarray(_SJLT_A), 37),
     (np.eye(9), 5),                      # the double-sketch (m2) path
-], ids=["collisions", "m37", "fortran", "identity"])
+    # rows and signs drawn block by block continue one stream
+    (np.random.default_rng(7).standard_normal((5000, 6)), 37),
+], ids=["collisions", "m37", "fortran", "identity", "three_blocks"])
 def test_sjlt_apply_matches_scatter_bitwise(A, m):
     got = sampling._sjlt_apply(A, m, rsrng.generator(11, 0))
     want = _sjlt_scatter_reference(A, m, rsrng.generator(11, 0))
