@@ -3,8 +3,10 @@
 The sketch is S H D A / sqrt(n): random column signs, Hadamard rotation,
 then uniform with-replacement row sampling.  Inputs whose row count is not
 a power of two are zero-padded; zero rows carry zero leverage and never
-perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.  Each
-sketch writes D A into one padded buffer and rotates that buffer in place.
+perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.  A bias-lab
+sketch writes D A into one padded buffer and rotates that buffer in place;
+a Newton step that reads only its m rows rotates one residue class of the
+rows at a time (:func:`srht_factor_sketch`), with the same bits.
 
 Every transform here runs in stages: H_n is the Kronecker product of
 Sylvester matrices H_k with k <= 2^STAGE_BITS, so it is a few small dense
@@ -93,7 +95,13 @@ def _stage_bits(n: int) -> list[int]:
     return [levels // r + (i < levels % r) for i in range(r)]
 
 
-def _staged_hadamard(flat: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def _scratch(size: int) -> np.ndarray:
+    """A scratch for the staged transform of an array of ``size`` floats."""
+    return np.empty(min(size, max(FWHT_BLOCK_FLOATS, STAGE_TILE_FLOATS)))
+
+
+def _staged_hadamard(flat: np.ndarray, scale: float = 1.0,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
     """``scale`` times the Walsh-Hadamard transform along axis 0 of the
     C-contiguous n x d ``flat``, n a power of two, in place; returns it.
 
@@ -103,9 +111,11 @@ def _staged_hadamard(flat: np.ndarray, scale: float = 1.0) -> np.ndarray:
     ``STAGE_TILE_FLOATS`` floats, as many at once as fit in a scratch of
     ``FWHT_BLOCK_FLOATS`` floats, and are copied back, so no n x d
     temporary is made.  The last stage scales as it copies back.
+    ``scratch``, when given, is ``_scratch(n * d)`` or larger.
     """
     n, d = flat.shape
-    scratch = np.empty(min(n * d, max(FWHT_BLOCK_FLOATS, STAGE_TILE_FLOATS)))
+    if scratch is None:
+        scratch = _scratch(n * d)
     lead = 1
     for bits in _stage_bits(n):
         k = 1 << bits
@@ -161,17 +171,67 @@ def _signed_rows(X: RowScaled, signs: np.ndarray,
     return rows
 
 
+def _debiased_rows(n_padded: int, m: int, spec: DebiasSpec,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m rows of the rotation drawn at ``seed`` and their weights,
+    debiased by ``spec``, which must be scalar."""
+    if spec.row_weights is not None:
+        raise ValueError(SRHT_SCALAR_ONLY)
+    indices, weight = _srht_rows(n_padded, m, seed)
+    return indices, spec.reweight(indices, weight)
+
+
 def _rotated_sample(rows: np.ndarray, m: int, spec: DebiasSpec, seed: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Rotate the signed buffer ``rows`` in place to H D X / sqrt(n_padded)
     and return the m rows drawn at ``seed``, debiased by ``spec``, written
     into ``out`` when it is given."""
-    if spec.row_weights is not None:
-        raise ValueError(SRHT_SCALAR_ONLY)
     n_padded = rows.shape[0]
     _staged_hadamard(rows, 1.0 / math.sqrt(n_padded))
-    indices, weight = _srht_rows(n_padded, m, seed)
-    return _gather(rows, indices, spec.reweight(indices, weight), out)
+    return _gather(rows, *_debiased_rows(n_padded, m, spec, seed), out)
+
+
+def _streamed_sample(X: RowScaled, signs: np.ndarray, m: int,
+                     spec: DebiasSpec, seed: int) -> np.ndarray:
+    """``_rotated_sample(_signed_rows(X, signs), m, spec, seed)``, bitwise,
+    without the n_padded x d rotation.
+
+    The last stage of the rotation mixes each run of k consecutive rows,
+    k = 2^(its width); every earlier stage acts inside one residue class
+    of the rows modulo k, with the stage widths of the class's own
+    n_padded / k rows.  So each class in turn is signed into one
+    (n_padded / k) x d buffer and rotated there, unscaled, and each drawn
+    row q k + j adds row q of the buffer times the last stage's entry
+    (j, c) for class c, in class order, as that stage's GEMM sums each
+    entry.  The sum is then scaled as the last stage scales, and weighted.
+
+    A one-column rotation, an n_padded-vector, is rotated whole: numpy
+    multiplies by a one-column tile as a matrix-vector product, whose sums
+    BLAS orders otherwise.
+    """
+    n, d = X.shape
+    if d == 1:
+        return _rotated_sample(_signed_rows(X, signs), m, spec, seed)
+    n_padded = signs.shape[0]
+    indices, weights = _debiased_rows(n_padded, m, spec, seed)
+    k = 1 << _stage_bits(n_padded)[-1]
+    quotients, residues = np.divmod(indices, k)
+    last = _sylvester(k)
+    block = np.empty((n_padded // k, d))
+    scratch = _scratch(block.size)
+    sample, part = np.zeros((m, d)), np.empty((m, d))
+    for c in range(k):
+        real = len(range(c, n, k))
+        X.signed(signs[c:n:k, None], block[:real], slice(c, n, k))
+        block[real:] = 0.0
+        _staged_hadamard(block, 1.0, scratch)
+        # every quotient is below n_padded / k, so clipping moves none
+        block.take(quotients, axis=0, out=part, mode="clip")
+        part *= last[residues, c][:, None]
+        sample += part
+    sample *= 1.0 / math.sqrt(n_padded)
+    sample *= weights[..., None]
+    return sample
 
 
 # No run path calls SrhtDraw, srht_draw, _rotate, srht_apply or
@@ -242,10 +302,10 @@ class SrhtPlan:
     scalar debiasing applies: row weights of A do not carry over to the
     rows of the rotated matrix, so ``probs`` is None.
 
-    Every sketch writes D A into one n_padded x d buffer, rotates that
-    buffer in place and keeps the m sampled rows; a ``sketcher`` reuses
-    one buffer for all its cell's trials, and :func:`srht_factor_sketch`
-    returns the rotated buffer for ``rho_max``.
+    A ``sketcher`` writes D A into one n_padded x d buffer, which it
+    reuses for all its cell's trials, rotates that buffer in place and
+    keeps the m sampled rows.  :func:`srht_factor_sketch` returns the
+    rotated buffer for ``rho_max``, or streams the sketch without it.
     """
     H: np.ndarray
     d_eff: float
@@ -287,19 +347,32 @@ class SrhtPlan:
         return float(scores.max() * rotated.shape[0] / self.d_eff)
 
 
-def srht_factor_sketch(X: RowScaled, C: np.ndarray, seed: int):
+def srht_factor_sketch(X: RowScaled, C: np.ndarray, seed: int,
+                       rotation: bool):
     """The SRHT plan of the n x d factor X, which is never formed, and
     ``sketch(m, spec)``, which returns ``plan.sketcher(X, m, spec)(
-    [seed])[0]`` and the rotation H D X / sqrt(n) it sampled, by rotating
-    the plan's one buffer in place: call it once.
+    [seed])[0]`` and, with ``rotation``, the rotation H D X / sqrt(n) it
+    sampled, else None.  Both results are bitwise those of the formed X,
+    and ``sketch`` may be called any number of times.
 
-    The signed rows of X are written straight into that buffer.  A sign
-    flip is exact, so the Gram of the signed buffer is ``gram(X)`` and
-    both results are bitwise those of the formed X.
+    With ``rotation`` the signed rows of X are written into one
+    n_padded x d buffer, whose Gram (a sign flip is exact, so it is
+    ``gram(X)``) the plan takes, and which is then rotated in place once.
+    Without it the plan takes ``gram(X)`` and each sketch rotates one
+    residue class of the rows at a time (:func:`_streamed_sample`), so
+    the step holds an (n_padded / k) x d block, k <= 2^STAGE_BITS, and no
+    rotation.
     """
     n = X.shape[0]
-    rows = _signed_rows(X, _srht_signs(n, seed))
-    plan = SrhtPlan.of_gram(gram(rows[:n]), C)
     # the rows are drawn in sketch(), after the caller's debias spec, so
     # that m < 1 meets the spec's refusal first
-    return plan, lambda m, spec: (_rotated_sample(rows, m, spec, seed), rows)
+    if not rotation:
+        signs = _srht_signs(n, seed)
+        return SrhtPlan.of_gram(gram(X), C), lambda m, spec: (
+            _streamed_sample(X, signs, m, spec, seed), None)
+    rows = _signed_rows(X, _srht_signs(n, seed))
+    plan = SrhtPlan.of_gram(gram(rows[:n]), C)
+    rotated = _staged_hadamard(rows, 1.0 / math.sqrt(rows.shape[0]))
+    return plan, lambda m, spec: (
+        _gather(rotated, *_debiased_rows(rows.shape[0], m, spec, seed)),
+        rotated)

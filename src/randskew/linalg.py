@@ -87,13 +87,15 @@ class RowScaled:
             self.op(out, self._scale(indices), out=out)
         return out
 
-    def signed(self, signs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The matrix times the (n, 1) column ``signs`` of +-1, written
-        into ``out``: bitwise, since a sign flip is exact in a product or
-        a quotient."""
+    def signed(self, signs: np.ndarray, out: np.ndarray,
+               rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the matrix (all of them by default, or a
+        strided slice such as one residue class) times the column
+        ``signs`` of +-1, written into ``out``: bitwise, since a sign flip
+        is exact in a product or a quotient."""
         if self.op is None:
-            return np.multiply(self.A, signs, out=out)
-        return self.op(self.A, self.scale * signs, out=out)
+            return np.multiply(self.A[rows], signs, out=out)
+        return self.op(self.A[rows], self._scale(rows) * signs, out=out)
 
 
 def as_rows(A: np.ndarray | RowScaled) -> RowScaled:

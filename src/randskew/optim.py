@@ -224,15 +224,19 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     ``d_eff`` is the sum of the exact scores every sampling plan keeps,
     approximate ones included, or the SRHT plan's own.  No step forms the
     factor: a sampling plan reads it in row blocks and gathers its m rows
-    from the data, and the SRHT step writes the signed factor into its one
-    rotation buffer, takes the plan's Gram from that buffer and rotates it
-    in place (:func:`~randskew.hadamard.srht_factor_sketch`).
+    from the data.  The SRHT step under the analytic rule, whose
+    ``rho_max`` scores every rotated row, writes the signed factor into
+    one rotation buffer and rotates it in place; under the other rules it
+    rotates one residue class of the rows at a time and holds no rotation
+    (:func:`~randskew.hadamard.srht_factor_sketch`).
     """
     C = p.lam * np.eye(p.dim)
     sketch_seed = rsrng.split(seed, 2)
     factor = obj.factor
     if method.plan_kind is PlanKind.SRHT:
-        plan, sketch = srht_factor_sketch(factor, C, sketch_seed)
+        plan, sketch = srht_factor_sketch(
+            factor, C, sketch_seed,
+            rotation=method.step_rule is StepRule.ANALYTIC)
     else:
         plan = build_plan(method.plan_kind, factor, C, mix=method.mix,
                           m1=method.m1, m2=method.m2,

@@ -8,13 +8,16 @@ from oracles import dense_hadamard
 from randskew import hadamard
 from randskew import rng as rsrng
 from randskew.data import counterexample_matrix
-from randskew.debias import DebiasSpec, apply_debias
+from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import NotPowerOfTwo
-from randskew.hadamard import (SrhtDraw, _rotate, _staged_hadamard,
+from randskew.hadamard import (SrhtDraw, _rotate, _rotated_sample,
+                               _signed_rows, _srht_signs, _stage_bits,
+                               _staged_hadamard, _streamed_sample,
                                fwht_inplace, next_power_of_two,
                                rotated_leverage_scores, srht_apply, srht_draw,
                                srht_factor_sketch)
 from randskew.linalg import RowScaled, gram, inv_sqrt
+from randskew.optim import GlmProblem, ProblemKind, objective_eval
 from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
                                build_plan, draw, exact_leverage_scores)
 
@@ -189,6 +192,73 @@ class TestStagedRotation:
             _rotate(np.ones(6), np.ones((5, 2)))
 
 
+def test_earlier_stages_are_the_stages_of_one_residue_class():
+    # the rotation of the n / k rows of one residue class modulo k, k the
+    # last stage's width, runs exactly the stages before the last
+    for n in (2 ** p for p in range(41)):
+        bits = _stage_bits(n)
+        assert (bits[:-1] or [0]) == _stage_bits(n >> bits[-1])
+
+
+def _row_scaled(kind, n, cols):
+    """The Hessian factor of a ``kind`` problem on random n x cols data:
+    the data times a column for logistic loss, over a scalar for least
+    squares."""
+    A = np.random.default_rng([n, cols, 1]).standard_normal((n, cols))
+    y = (np.where(A[:, 0] > 0, 1.0, -1.0) if kind is ProblemKind.LOGISTIC
+         else A[:, 0])
+    return objective_eval(GlmProblem(A, y, 1e-3, kind),
+                          np.full(cols, 0.1)).factor
+
+
+class TestStreamedSample:
+    @pytest.mark.parametrize("block_floats", [None, 1, 2 ** 40],
+                             ids=["default", "one_float", "past_n"])
+    @pytest.mark.parametrize("kind", list(ProblemKind), ids=lambda k: k.value)
+    def test_is_the_sample_of_the_whole_rotation_bitwise(
+            self, kind, block_floats, monkeypatch):
+        cases = []
+        for n in (1, 2, 3, 100, 2048, 4095, 5000):
+            N = next_power_of_two(n)
+            for cols in (1, 3, 64):
+                X = _row_scaled(kind, n, cols)
+                signs = _srht_signs(n, n + cols)
+                # fewer draws than padded rows, and more
+                for m in (max(1, N // 3), N + 5):
+                    spec = DebiasSpec.scalar(m, 0.5)
+                    want = _rotated_sample(_signed_rows(X, signs), m, spec,
+                                           seed=cols)
+                    cases.append((X, signs, m, spec, cols, want))
+        if block_floats is not None:
+            monkeypatch.setattr(hadamard, "FWHT_BLOCK_FLOATS", block_floats)
+        for X, signs, m, spec, seed, want in cases:
+            got = _streamed_sample(X, signs, m, spec, seed)
+            assert got.tobytes() == want.tobytes()
+            assert got.shape == want.shape
+
+    @pytest.mark.parametrize("n", [1, 3, 100])
+    def test_zero_rows_are_the_sample_of_the_whole_rotation(self, n):
+        # signed zeros: the last stage's GEMM and the zeroed sum both
+        # start from +0.0
+        X = RowScaled(np.zeros((n, 2)))
+        signs = _srht_signs(n, 3)
+        spec = DebiasSpec.none()
+        got = _streamed_sample(X, signs, 9, spec, 4)
+        want = _rotated_sample(_signed_rows(X, signs), 9, spec, 4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_refuses_row_weights_before_any_rotation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hadamard, "_staged_hadamard",
+                            lambda *a: calls.append(a))
+        spec = DebiasSpec(DebiasMode.FINE_GRAINED_EXACT,
+                          row_weights=np.ones(10))
+        X = RowScaled(np.ones((10, 2)))
+        with pytest.raises(ValueError, match="only supports scalar"):
+            _streamed_sample(X, _srht_signs(10, 0), 4, spec, 0)
+        assert calls == []
+
+
 def test_next_power_of_two():
     assert [next_power_of_two(k) for k in (1, 2, 3, 5, 8, 9)] == \
         [1, 2, 4, 8, 8, 16]
@@ -314,17 +384,44 @@ class TestSrhtPlan:
     C = 1e-2 * np.eye(4)
     M = 12
 
-    def _sketch(self, seed):
-        plan, sketch = srht_factor_sketch(RowScaled(self.A), self.C, seed)
+    def _sketch(self, seed, rotation=True):
+        plan, sketch = srht_factor_sketch(RowScaled(self.A), self.C, seed,
+                                          rotation)
         spec = DebiasSpec.scalar(self.M, plan.d_eff)
         return plan, spec, sketch(self.M, spec)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_sketch_equals_srht_apply_of_the_debiased_draw(self, seed):
-        _, spec, (At, _) = self._sketch(seed)
+    def _srht_apply(self, seed, spec):
         sd = srht_draw(self.A.shape[0], self.M, seed)
         sd = replace(sd, sample=apply_debias(sd.sample, spec))
-        assert_array_equal(At, srht_apply(sd, self.A))
+        return srht_apply(sd, self.A)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sketch_equals_srht_apply_of_the_debiased_draw(self, seed):
+        want = build_plan(PlanKind.SRHT, self.A, self.C)
+        for rotation in (True, False):
+            plan, spec, (At, rotated) = self._sketch(seed, rotation)
+            assert_array_equal(At, self._srht_apply(seed, spec))
+            assert (rotated is None) is not rotation
+            # both routes take the Gram of the data, bitwise
+            assert plan.H.tobytes() == want.H.tobytes()
+            assert plan.d_eff == want.d_eff
+
+    @pytest.mark.parametrize("rotation", [True, False],
+                             ids=["rotation", "streamed"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sketch_may_be_called_twice(self, seed, rotation):
+        # a second call must not rotate the rotation again
+        plan, sketch = srht_factor_sketch(RowScaled(self.A), self.C, seed,
+                                          rotation)
+        spec = DebiasSpec.scalar(self.M, plan.d_eff)
+        (first, rotated), (second, again) = sketch(self.M, spec), sketch(
+            self.M, spec)
+        assert_array_equal(first, self._srht_apply(seed, spec))
+        assert first.tobytes() == second.tobytes()
+        if rotation:
+            assert again is rotated
+            assert_array_equal(rotated, _rotate(
+                srht_draw(self.A.shape[0], self.M, seed).signs, self.A))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_sketch_returns_the_rotation_it_sampled(self, seed):

@@ -325,16 +325,18 @@ class TestSsnStep:
 
     @pytest.mark.parametrize("n", [4096, 3000])
     def test_srht_update_holds_one_padded_buffer(self, n):
-        # the signed factor is written straight into the rotation's
-        # buffer, so the peak is that buffer, the transform's fixed 512 KiB
-        # scratch and small arrays: 1.30 buffers here.  Forming the factor
-        # and then a padded copy of it peaked at 2.29 (n = 4096) and 2.02
-        # (n = 3000) buffers.  At d = 16 the scratch alone is a buffer.
+        # the analytic step, whose rho_max reads the whole rotation, writes
+        # the signed factor straight into the rotation's buffer, so the
+        # peak is that buffer, the transform's fixed 512 KiB scratch and
+        # small arrays: 1.30 buffers here.  Forming the factor and then a
+        # padded copy of it peaked at 2.29 (n = 4096) and 2.02 (n = 3000)
+        # buffers.  At d = 16 the scratch alone is a buffer.  (The other
+        # rules hold no rotation: 0.60 buffers.)
         d = 64
         p = make_logistic(n=n, d=d)
         beta = np.full(d, 0.01)
         method = SsnMethod(plan_kind=PlanKind.SRHT, m=256,
-                           step_rule=StepRule.ARMIJO)
+                           step_rule=StepRule.ANALYTIC)
         _, peak = _peak_of(lambda: method.update(
             p, beta, objective_eval(p, beta), 0, 0))
         assert peak < 1.5 * next_power_of_two(n) * d * 8

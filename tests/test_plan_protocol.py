@@ -16,7 +16,7 @@ from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import ConfigError, NotPositiveDefinite
-from randskew.hadamard import (_signed_rows, _staged_hadamard,
+from randskew.hadamard import (_signed_rows, _stage_bits, _staged_hadamard,
                                next_power_of_two, srht_draw,
                                srht_factor_sketch)
 from randskew.linalg import (RowScaled, _inverse_factor, gram,
@@ -300,22 +300,52 @@ def test_srht_step_refuses_fine_exact_before_any_n_row_work(monkeypatch):
     assert calls == []
 
 
+def _rotated_rows(monkeypatch) -> list:
+    """Record the row count of every ``_staged_hadamard`` call from every
+    module."""
+    rows = []
+
+    def recording(flat, *args, **kwargs):
+        rows.append(flat.shape[0])
+        return _staged_hadamard(flat, *args, **kwargs)
+
+    _replace(monkeypatch, _staged_hadamard, recording)
+    return rows
+
+
+def _srht_step_rotations(rule) -> list:
+    """The row counts of the rotations one SRHT step under ``rule`` makes
+    on the N-row factor: the whole padded buffer once under the analytic
+    rule, whose rho_max scores every rotated row; else each residue class
+    of the rows modulo k, the last stage's width, once."""
+    n_padded = next_power_of_two(N)
+    if rule is StepRule.ANALYTIC:
+        return [n_padded]
+    k = 1 << _stage_bits(n_padded)[-1]
+    return [n_padded // k] * k
+
+
 def test_srht_ssn_step_rotates_once(monkeypatch):
-    # the sketch and rho_max share one Hadamard rotation of the factor,
-    # made in place in the buffer that the signed factor was written to
-    calls = _count_calls(monkeypatch, _staged_hadamard)
-    _one_ssn_step(PlanKind.SRHT)
-    assert len(calls) == 1
+    # the analytic sketch and rho_max share one Hadamard rotation of the
+    # factor, made in place in the buffer that the signed factor was
+    # written to; the other rules rotate each residue class once
+    rows = _rotated_rows(monkeypatch)
+    for rule in StepRule:
+        rows.clear()
+        _one_ssn_step(PlanKind.SRHT, rule)
+        assert rows == _srht_step_rotations(rule)
+    assert len(_srht_step_rotations(StepRule.ARMIJO)) == 8
 
 
 @pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
 def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     exact = _count_calls(monkeypatch, exact_leverage_scores)
-    rotations = _count_calls(monkeypatch, _staged_hadamard)
+    rotations = _rotated_rows(monkeypatch)
     # inverse_quadratic_forms takes one inverse factor per call
     whitenings = _count_calls(monkeypatch, _inverse_factor)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
-    assert (len(exact), len(rotations)) == (0, 1)
+    assert len(exact) == 0
+    assert rotations == _srht_step_rotations(rule)
     # the plan whitens nothing; rho_max whitens the rotation once for its
     # scores
     assert len(whitenings) == (rule is StepRule.ANALYTIC)
@@ -373,7 +403,9 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     hs, C_ = hessian_sqrt(obj), P_.lam * np.eye(D)
     plan = build_plan(PlanKind.SRHT, hs, C_)
     spec = make_debias_spec(method.debias, plan, M, plan.d_eff)
-    _, sketch = srht_factor_sketch(RowScaled(hs), C_, rsrng.split(5, 2))
+    # every rule's sketch is that of the whole rotation, bitwise
+    _, sketch = srht_factor_sketch(RowScaled(hs), C_, rsrng.split(5, 2),
+                                   rotation=True)
     At, rotated = sketch(M, spec)
     assert len(sketches) == 1 and _same_bits(sketches[0], At)
     assert diagnostics["d_eff"] == plan.d_eff

@@ -194,6 +194,10 @@ def _methods():
     for kind in SAMPLING:
         yield f"ssn-{kind.value}", SsnMethod(plan_kind=kind, m=64,
                                              step_rule=StepRule.ANALYTIC)
+    # the SRHT step streams its sketch under every rule but the analytic
+    for rule in (StepRule.ARMIJO, StepRule.FIXED):
+        yield f"ssn-srht-{rule.value}", SsnMethod(plan_kind=PlanKind.SRHT,
+                                                  m=64, step_rule=rule)
 
 
 METHODS = dict(_methods())
@@ -217,8 +221,8 @@ def _update_peak(p, method, beta):
 def test_no_step_forms_an_n_by_d_array(kind, name):
     # a formed factor alone takes n d 8 bytes: steps that formed it
     # peaked at 1.13-1.88 of that (6.24 for the double sketch, whose
-    # whitened copy was n x d too); reading it in blocks peaks at
-    # 0.51-0.90
+    # whitened copy was n x d too; 2.01 for the SRHT step, which rotated
+    # its padded buffer); reading it in blocks peaks at 0.51-0.90
     n, d = 4096, 16
     p = _problem(kind, n, d)
     peak = _update_peak(p, METHODS[name], np.full(d, 0.05))
