@@ -8,10 +8,10 @@ from .errors import (AllTrialsSingular, AllZeroRows, ConfigError,
                      ZeroProbabilityWithPositiveScore)
 from .linalg import (RowScaled, cholesky, gram, inv_sqrt, solve_spd,
                      spectral_norm, sqrt_psd)
-from .sampling import (ApproxFactors, PlanKind, SamplingPlan, SketchDraw,
-                       apply_sketch, approximation_factors, build_plan,
-                       draw, effective_dimension, exact_leverage_scores,
-                       sjlt_approx_leverage)
+from .sampling import (ApproxFactors, PlanKind, SamplingPlan, SjltPlan,
+                       SketchDraw, apply_sketch, approximation_factors,
+                       build_plan, draw, effective_dimension,
+                       exact_leverage_scores, sjlt_approx_leverage)
 from .hadamard import (SrhtDraw, SrhtPlan, fwht_inplace, next_power_of_two,
                        rotated_leverage_scores, srht_apply, srht_draw)
 from .debias import (DebiasMode, DebiasSpec, FixedPointD, apply_debias,
@@ -22,8 +22,8 @@ from .biaslab import (BiasEstimate, BiasSweepRow, bias_sweep, estimate_bias,
 from .data import (DataSource, SyntheticKind, SyntheticSpec,
                    counterexample_matrix, load_data)
 from .optim import (GdMethod, GlmProblem, NewtonExactMethod, ProblemKind,
-                    ReferencePoint, RunTrace, SgdMethod, SparseProjMethod,
-                    SsnMethod, StepRule, objective_eval, objective_value,
+                    ReferencePoint, RunTrace, SgdMethod, SsnMethod,
+                    StepRule, objective_eval, objective_value,
                     reference_point, reference_solution, run_solver,
                     ssn_step, analytic_step_size)
 

@@ -25,9 +25,9 @@ from .data import (DataSource, SyntheticKind, SyntheticSpec, load_data)
 from .debias import DebiasMode
 from .errors import (ConfigError, ParseError, RandskewError)
 from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
-                    SgdMethod, SparseProjMethod, SsnMethod, StepRule,
-                    check_iters, check_lambda, reference_point,
-                    reference_solution, run_solver)
+                    SgdMethod, SsnMethod, StepRule, check_iters,
+                    check_lambda, reference_point, reference_solution,
+                    run_solver)
 from .sampling import PlanKind, approximation_factors, build_plan
 
 EXIT_OK = 0
@@ -168,8 +168,9 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
     C = _ridge(cfg, A.shape[1])
     approx_kind = cfg.get("approx", None, _APPROX_NAMES.__getitem__)
     kinds = cfg.get("plans", [PlanKind.UNIFORM], _list_of(PlanKind))
-    if PlanKind.SRHT in kinds:
-        raise ConfigError("srht has no sampling plan summary")
+    for kind in kinds:
+        if not kind.has_probs:
+            raise ConfigError(f"{kind.value} has no sampling plan summary")
     plans = [_make_plan(kind, A, C, cfg, seed) for kind in kinds]
     # every sampling plan keeps the same exact scores
     exact = plans[0].exact
@@ -224,9 +225,6 @@ def _build_method(cfg: Config):
     if name == "newton":
         return name, NewtonExactMethod(
             line_search=cfg.get("line_search", True, _bool))
-    if name == "sparse_proj":
-        return name, SparseProjMethod(m=cfg.get("m", parse=int),
-                                      nnz=cfg.get("nnz", 4, int))
     if name == "ssn":
         return name, SsnMethod(
             plan_kind=cfg.get("plan", PlanKind.EXACT_LEVERAGE, PlanKind),

@@ -8,7 +8,7 @@ and the sketched Newton solver share :func:`make_debias_spec`.
 
 This module alone turns a mode into sketch weights; a plan supplies only
 its data (``probs``, ``scores``, ``exact``).  A plan whose ``probs`` is None
-(the Hadamard plan) takes the scalar factor only.
+(the Hadamard and SJLT plans) takes the scalar factor only.
 """
 
 from __future__ import annotations
@@ -114,12 +114,13 @@ def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
 
 
 def make_debias_spec(mode: DebiasMode, plan, m: int,
-                     d_eff: float) -> DebiasSpec:
+                     d_eff: float | None) -> DebiasSpec:
     """Build the debias spec a (plan, m) cell needs.
 
-    Scalar mode uses the caller's ``d_eff``; fine-grained modes use the
-    plan's own exact or approximate scores, and a sampling plan that keeps
-    none of the kind the mode names is refused by that mode's name.
+    Scalar mode uses the caller's ``d_eff``, which no other mode reads;
+    fine-grained modes use the plan's own exact or approximate scores, and
+    a sampling plan that keeps none of the kind the mode names is refused
+    by that mode's name.
     :func:`fine_grained_weights` turns scores into multipliers, or refuses
     when the plan supports scalar debiasing only.
     """

@@ -28,9 +28,8 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasSpec
 from .errors import NotPowerOfTwo
-from .linalg import (RowScaled, as_rows, gram, inverse_quadratic_forms,
-                     solve_spd)
-from .sampling import SketchDraw, PlanKind, _gather, apply_sketch
+from .linalg import RowScaled, as_rows, gram, inverse_quadratic_forms
+from .sampling import SketchDraw, PlanKind, _gather, apply_sketch, gram_d_eff
 
 SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
 # floats in a transform's scratch (512 KiB), which stays in cache
@@ -317,7 +316,7 @@ class SrhtPlan:
     @classmethod
     def of_gram(cls, G: np.ndarray, C: np.ndarray) -> SrhtPlan:
         H = G + C
-        return cls(H, float(np.trace(solve_spd(H, G))))
+        return cls(H, gram_d_eff(H, G))
 
     def sketcher(self, A: np.ndarray, m: int, spec: DebiasSpec):
         """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d

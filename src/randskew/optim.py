@@ -1,5 +1,7 @@
 """Objectives and solvers: exact Newton, sketched Newton with bias
-correction, first-order baselines, and a sparse (SJLT) projection baseline.
+correction, and first-order baselines.  The sketched Newton step takes
+every plan kind: the sampling plans, the SRHT and the sparse (SJLT)
+projection.
 
 The regularized objectives expose their Hessian through a square-root
 factor A(beta) with hessian = A(beta)^T A(beta) + lambda I, which is what
@@ -19,10 +21,10 @@ import numpy as np
 
 from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
-from .errors import NoConvergence, SketchTooSmall
+from .errors import NoConvergence
 from .hadamard import srht_factor_sketch
 from .linalg import RowScaled, gram, solve_spd
-from .sampling import PlanKind, _sjlt_apply, build_plan
+from .sampling import PlanKind, build_plan
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
@@ -219,24 +221,28 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     """One sketched Newton step with a fresh sketch of the current Hessian.
 
     ``obj`` is ``objective_eval(p, beta)``.  Returns the next iterate and
-    the diagnostics ``step_size``, ``d_eff`` and ``rho_max``; ``rho_max``
-    is None unless the step rule is analytic, the one rule that reads it.
-    ``d_eff`` is the sum of the exact scores every sampling plan keeps,
-    approximate ones included, or the SRHT plan's own.  No step forms the
-    factor: a sampling plan reads it in row blocks and gathers its m rows
-    from the data.  The SRHT step under the analytic rule, whose
-    ``rho_max`` scores every rotated row, writes the signed factor into
-    one rotation buffer and rotates it in place; under the other rules it
-    rotates one residue class of the rows at a time and holds no rotation
-    (:func:`~randskew.hadamard.srht_factor_sketch`).
+    the diagnostics ``step_size``, ``d_eff`` and ``rho_max``.  ``rho_max``
+    is None unless the step rule is analytic, the one rule that reads it,
+    and ``d_eff`` is None unless the step rule is analytic or the debias
+    mode scalar, the two readers of it.  ``d_eff`` is the sum of the exact
+    scores every sampling plan keeps, approximate ones included, or the
+    SRHT or SJLT plan's own, which the SJLT plan computes only then.  No
+    step forms the factor: a sampling plan reads it in row blocks and
+    gathers its m rows from the data, and the SJLT reads it in row blocks.
+    The SRHT step under the analytic rule, whose ``rho_max`` scores every
+    rotated row, writes the signed factor into one rotation buffer and
+    rotates it in place; under the other rules it rotates one residue
+    class of the rows at a time and holds no rotation
+    (:func:`~randskew.hadamard.srht_factor_sketch`).  The SJLT plan has no
+    ``rho_max``, so its analytic step refuses with ValueError.
     """
     C = p.lam * np.eye(p.dim)
     sketch_seed = rsrng.split(seed, 2)
     factor = obj.factor
+    analytic = method.step_rule is StepRule.ANALYTIC
     if method.plan_kind is PlanKind.SRHT:
-        plan, sketch = srht_factor_sketch(
-            factor, C, sketch_seed,
-            rotation=method.step_rule is StepRule.ANALYTIC)
+        plan, sketch = srht_factor_sketch(factor, C, sketch_seed,
+                                          rotation=analytic)
     else:
         plan = build_plan(method.plan_kind, factor, C, mix=method.mix,
                           m1=method.m1, m2=method.m2,
@@ -244,11 +250,13 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
 
         def sketch(m, spec):
             return plan.sketcher(factor, m, spec)([sketch_seed])[0], None
-    d_eff = plan.d_eff if plan.exact is None else float(plan.exact.sum())
+    d_eff = None
+    if analytic or method.debias is DebiasMode.SCALAR:
+        d_eff = plan.d_eff if plan.exact is None else float(plan.exact.sum())
     spec = make_debias_spec(method.debias, plan, method.m, d_eff)
     At, rotated = sketch(method.m, spec)
     rho_max, mu = None, method.fixed_step
-    if method.step_rule is StepRule.ANALYTIC:
+    if analytic:
         rho_max = plan.rho_max(rotated)
         mu = analytic_step_size(method.m, d_eff, rho_max)
     beta_next, mu = _newton_update(p, beta, obj, At,
@@ -308,23 +316,6 @@ class SsnMethod:
         beta_next, diagnostics = ssn_step(p, beta, obj, self,
                                           rsrng.split(seed, 4, t))
         return beta_next, diagnostics["step_size"]
-
-
-@dataclass(frozen=True)
-class SparseProjMethod:
-    """Armijo Newton steps on an m-row SJLT sketch of the Hessian factor,
-    whose columns carry ``nnz`` nonzeros each."""
-    m: int
-    nnz: int = 4
-
-    def update(self, p, beta, obj, seed, t):
-        if self.m < 1:
-            raise SketchTooSmall(f"sketch size m={self.m} must be at least 1")
-        if self.nnz < 1:  # the SJLT would divide by sqrt(0)
-            raise ValueError(f"nnz must be at least 1, got {self.nnz}")
-        At = _sjlt_apply(obj.factor, self.m, rsrng.generator(seed, 5, t),
-                         self.nnz)
-        return _newton_update(p, beta, obj, At, True, 1.0)
 
 
 def check_iters(iters: int) -> int:

@@ -8,17 +8,19 @@ step, so that the m-by-n sampling matrix is never materialized.  A cell
 with many draws scales its support rows once and takes the drawn rows
 from that table.
 
-Every plan :func:`build_plan` returns, the Hadamard plan included, answers
-one protocol: ``kind``, ``d_eff``, ``probs`` (sampling probabilities, or
-None for the Hadamard plan, which samples rows of a rotation of A),
-``scores`` (sampling scores or None), ``exact`` (exact leverage scores,
-which every sampling plan keeps; always None for the Hadamard plan, which
-takes d_eff from the d x d Gram), ``sketcher(A, m, spec)`` and
-``rho_max(rotated)``.  ``sketcher`` returns ``draw(seeds, out=None)``,
-which gives a T x m x d stack, one sketch per seed, for the cell (A, m,
-spec); a cell keeps its debias weights, and its buffers, across calls.
-``rotated`` is None for a sampling plan, whose rho_max depends on the plan
-alone, and the rotation H D A / sqrt(n) for the Hadamard plan.
+Every plan :func:`build_plan` returns answers one protocol: ``kind``,
+``d_eff``, ``probs`` (sampling probabilities), ``scores`` (sampling scores
+or None), ``exact`` (exact leverage scores, which every sampling plan
+keeps), ``sketcher(A, m, spec)`` and ``rho_max(rotated)``.  Two plans
+sample no rows of A (``PlanKind.has_probs`` is False): the Hadamard plan
+samples rows of a rotation of A, and the SJLT plan (:class:`SjltPlan`)
+sums signed rows of A into each sketch row.  Their ``probs``, ``scores``
+and ``exact`` are None, and both take d_eff from the d x d Gram.
+``sketcher`` returns ``draw(seeds, out=None)``, which gives a T x m x d
+stack, one sketch per seed, for the cell (A, m, spec); a cell keeps its
+debias weights, and its buffers, across calls.  ``rotated`` is None for a
+sampling plan, whose rho_max depends on the plan alone, and the rotation
+H D A / sqrt(n) for the Hadamard plan; the SJLT plan has no rho_max.
 :func:`build_plan` is the one run-path caller of
 :func:`exact_leverage_scores`; :mod:`randskew.debias` turns a plan's data
 into debias weights.
@@ -33,14 +35,15 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
-                     ZeroProbabilityWithPositiveScore)
+                     SketchTooSmall, ZeroProbabilityWithPositiveScore)
 from .linalg import (WHITEN_BLOCK_FLOATS, RowScaled, as_rows, gram,
-                     inverse_quadratic_forms)
+                     inverse_quadratic_forms, solve_spd)
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 GUIDE_PASSES = 8  # guide-table steps before searchsorted finishes a draw
@@ -54,6 +57,19 @@ class PlanKind(enum.Enum):
     DOUBLE_SKETCH_APPROX_LEVERAGE = "double_sketch_approx_leverage"
     SHRINKAGE = "shrinkage"
     SRHT = "srht"
+    SJLT = "sjlt"
+
+    @property
+    def has_probs(self) -> bool:
+        """Whether the kind's plans sample rows of A by probabilities; the
+        SRHT and SJLT plans do not."""
+        return self not in (PlanKind.SRHT, PlanKind.SJLT)
+
+
+def gram_d_eff(H: np.ndarray, G: np.ndarray) -> float:
+    """trace(H^-1 G) for H = G + C: the effective dimension of a matrix
+    with Gram G, from the d x d matrices alone."""
+    return float(np.trace(solve_spd(H, G)))
 
 
 @dataclass(frozen=True)
@@ -253,9 +269,11 @@ def _sparsetools():
 
 
 def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
-                s: int = SJLT_NNZ_PER_COLUMN) -> np.ndarray:
+                s: int = SJLT_NNZ_PER_COLUMN,
+                out: np.ndarray | None = None) -> np.ndarray:
     """S A for a sparse JL matrix S of shape (m, n), so E[S^T S] = I, and
-    A an array or a :class:`~randskew.linalg.RowScaled`.
+    A an array or a :class:`~randskew.linalg.RowScaled`; written into
+    ``out``, a C-contiguous m x d array, when it is given.
 
     Each of the n columns of S carries ``s`` entries of +-1/sqrt(s) at
     uniformly random rows, drawn independently, so two may share a row:
@@ -284,7 +302,8 @@ def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
     # and fails test_sjlt_apply_matches_scatter_bitwise.
     # One call per row block of A, on the block's columns of S, adds the
     # same terms into ``out`` in the same order as one call on all of A.
-    out = np.zeros((m, d))
+    out = np.empty((m, d)) if out is None else out
+    out.fill(0.0)
     matvecs = _sparsetools().csc_matvecs
     # a block row holds d entries of A and its s signs, drawn as integers
     # and then scaled: WHITEN_BLOCK_FLOATS in all
@@ -299,6 +318,58 @@ def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
         matvecs(m, k, d, starts[:k + 1], rows[lo:lo + k].ravel(), v.ravel(),
                 np.ascontiguousarray(B).ravel(), out.ravel())
     return out
+
+
+@dataclass(frozen=True)
+class SjltPlan:
+    """The SJLT sketch S A (:func:`_sjlt_apply`, ``SJLT_NNZ_PER_COLUMN``
+    nonzeros per column of S) as a plan, with a fresh S for every sketch.
+
+    Like the Hadamard plan it samples no rows of A, so only scalar
+    debiasing applies.  ``d_eff`` is trace((G + C)^-1 G) for the Gram G
+    of A, computed on first read: a step that reads no d_eff makes no
+    pass over A for it.  The paper gives the SJLT no approximation
+    factor, so ``rho_max`` refuses.
+    """
+    A: RowScaled
+    C: np.ndarray
+    kind: ClassVar[PlanKind] = PlanKind.SJLT
+    probs: ClassVar[None] = None
+    scores: ClassVar[None] = None
+    exact: ClassVar[None] = None
+
+    @cached_property
+    def d_eff(self) -> float:
+        G = gram(self.A)
+        return gram_d_eff(G + self.C, G)
+
+    def sketcher(self, A: np.ndarray | RowScaled, m: int, spec):
+        """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
+        stack whose sketch t is ``_sjlt_apply(A, m, generator(seeds[t]))``
+        times the spec's scalar weight, written into ``out`` when it is
+        given."""
+        if m < 1:
+            raise SketchTooSmall(f"sketch size m={m} must be at least 1")
+        if spec.row_weights is not None:
+            raise ValueError(f"the {self.kind.value} plan samples no rows of "
+                             f"A, so it only supports scalar debiasing")
+        X = as_rows(A)
+        weight = spec.reweight(None, 1.0)
+
+        def draw(seeds, out=None):
+            seeds = list(seeds)
+            if out is None:
+                out = np.empty((len(seeds), m, X.shape[1]))
+            for seed, At in zip(seeds, out):
+                _sjlt_apply(X, m, rsrng.generator(seed), out=At)
+                At *= weight
+            return out
+        return draw
+
+    def rho_max(self, rotated: None) -> float:
+        raise ValueError(f"the {self.kind.value} plan has no rho_max: the "
+                         f"paper gives no approximation factor for the "
+                         f"SJLT, so the analytic step rule does not apply")
 
 
 def default_double_sketch_width(n: int) -> int:
@@ -345,7 +416,9 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
     where it is the sum of the approximate scores actually used for
     sampling.  ``PlanKind.SRHT`` returns a
     :class:`~randskew.hadamard.SrhtPlan`, whose ``d_eff`` is
-    trace((G + C)^-1 G) from the d x d Gram G, with no n-row scores.
+    trace((G + C)^-1 G) from the d x d Gram G, with no n-row scores, and
+    ``PlanKind.SJLT`` an :class:`SjltPlan`, which takes its d_eff the same
+    way on first read.
     """
     A = as_rows(A)
     n, d = A.shape
@@ -369,6 +442,8 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
     if kind is PlanKind.SRHT:
         from .hadamard import SrhtPlan  # hadamard imports this module
         return SrhtPlan.of_gram(gram(A), C)
+    if kind is PlanKind.SJLT:
+        return SjltPlan(A, C)
     if kind is PlanKind.ROW_NORM:
         sq = _squared_row_norms(A)
         total = sq.sum()

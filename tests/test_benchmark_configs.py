@@ -71,3 +71,27 @@ def test_smoke_output_does_not_depend_on_blas_threads(tmp_path, workload):
         digests.append(_workloads.digests(out))
     assert set(digests[0]) == {"output", "sidecar"}
     assert digests[0] == digests[1]
+
+
+# the SJLT bias table's trials and seed, fixed: a failure here is a
+# finding, not a reason to re-seed or to take more trials
+SJLT_BIAS_TRIALS, SJLT_BIAS_SEED = 400, 7
+
+
+def test_sjlt_bias_table_passes_the_bias_lab_check(tmp_path):
+    # the SJLT plan reaches bias_sweep through the plan protocol alone, in
+    # one table with a sampling and the Hadamard plan, and every row must
+    # pass the bias-lab workload's rules: scalar debias below none at
+    # every m, and the uncorrected bias falling as m grows
+    cfg = {"data": "synthetic", "synthetic": "coherent", "n": "512",
+           "d": "16", "heavy_rows": "16", "lambda": "0",
+           "plans": "exact_leverage,srht,sjlt", "debias": "none,scalar",
+           "m_grid": "64,128,256", "trials": str(SJLT_BIAS_TRIALS)}
+    path = tmp_path / "config.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    out = tmp_path / "out.csv"
+    assert main(["bias", "--config", str(path), "--seed",
+                 str(SJLT_BIAS_SEED), "--out", str(out)]) == 0
+    problems, totals = _workloads.check_bias(out, cfg)
+    assert problems == []
+    assert totals["trials"] == 3 * 2 * 3 * SJLT_BIAS_TRIALS

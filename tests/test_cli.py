@@ -301,7 +301,10 @@ def test_non_integer_key_is_config_error(tmp_path, command, overrides):
     ("solve", ["plan=srht", "debias=fine_exact"], "only supports scalar"),
     ("solve", ["plan=uniform", "debias=fine_approx"],
      "needs approximate leverage scores"),
-], ids=["bias-srht-fine", "solve-srht-fine", "solve-uniform-fine-approx"])
+    ("bias", ["plans=sjlt", "debias=fine_approx"], "only supports scalar"),
+    ("solve", ["plan=sjlt", "debias=fine_exact"], "only supports scalar"),
+], ids=["bias-srht-fine", "solve-srht-fine", "solve-uniform-fine-approx",
+        "bias-sjlt-fine", "solve-sjlt-fine"])
 def test_unsupported_debias_is_numerical_error(tmp_path, capsys, command,
                                                overrides, message):
     cfg = write_cfg(tmp_path, "c.cfg",
@@ -371,10 +374,11 @@ def test_diverging_solver_is_numerical_error(tmp_path, capsys):
     ("solve", ["timing=x"]),
     ("sweep", ["timing=x", "m_grid=64"]),
     ("lev", ["plans=srht"]),
+    ("lev", ["plans=sjlt"]),
 ], ids=["bias-m_grid-int", "bias-m_grid-order", "bias-m_grid-empty",
         "bias-plans-empty", "sweep-m_grid-int", "sweep-m_grid-order",
         "sweep-m_grid-empty", "solve-timing", "sweep-timing",
-        "lev-plans-srht"])
+        "lev-plans-srht", "lev-plans-sjlt"])
 def test_bad_value_is_config_error_and_writes_nothing(tmp_path, command,
                                                       overrides):
     cfg = write_cfg(tmp_path, "c.cfg",
@@ -524,24 +528,35 @@ def test_data_without_columns_is_numerical_error(tmp_path, capsys, command,
         "ValueError: gram requires at least one column")
 
 
-def test_sparse_proj_empty_sketch_is_numerical_error(tmp_path, capsys):
+def test_sjlt_empty_sketch_is_numerical_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
     out = tmp_path / "x.csv"
     assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
-                    str(out), "method=sparse_proj", "m=0"]) == 3
+                    str(out), "plan=sjlt", "debias=none", "m=0"]) == 3
     assert capsys.readouterr().err == (
         "SketchTooSmall: sketch size m=0 must be at least 1\n")
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
 
-def test_sparse_proj_nnz_below_one_is_numerical_error(tmp_path, capsys):
+def test_sjlt_analytic_step_is_numerical_error(tmp_path, capsys):
+    # the paper gives the SJLT no approximation factor rho_max
     cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
-    out = tmp_path / "x.csv"
     assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
-                    str(out), "method=sparse_proj", "nnz=0"]) == 3
+                    str(tmp_path / "x.csv"), "plan=sjlt",
+                    "step=analytic"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "ValueError: the sjlt plan has no rho_max")
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
+def test_sparse_proj_method_is_config_error(tmp_path, capsys):
+    # the sparse projection is the ssn method with plan = sjlt
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), "method=sparse_proj"]) == 4
     assert capsys.readouterr().err == (
-        "ValueError: nnz must be at least 1, got 0\n")
-    assert not out.exists()
+        "ConfigError: unknown method 'sparse_proj'\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
 
 def test_impossible_size_is_numerical_error(tmp_path, capsys):

@@ -240,7 +240,7 @@ _SOLVE = _DATA + ("lambda = 0.01\nproblem = logistic\nmethod = ssn\n"
 
 def test_cli_runs_without_scipy_linalg(tmp_path):
     """Importing the CLI, a ``bias`` run, an SRHT ``solve`` and the three
-    SJLT runs (an ``approx_leverage`` solve, a ``sparse_proj`` solve and
+    SJLT runs (an ``approx_leverage`` solve, an ``sjlt`` solve and
     ``lev approx=sjlt``) load no scipy module and no ``numpy.f2py``."""
     if not _native_route():
         pytest.skip("numpy bundles no OpenBLAS with these LAPACK routines")
@@ -248,9 +248,9 @@ def test_cli_runs_without_scipy_linalg(tmp_path):
     for name, command, text, overrides in [
             ("bias", "bias", _BIAS, []),
             ("srht", "solve", _SOLVE, ["plan=srht", "debias=scalar"]),
-            ("sjlt", "solve", _SOLVE,
+            ("approx", "solve", _SOLVE,
              ["plan=approx_leverage", "debias=fine_approx"]),
-            ("sparse_proj", "solve", _SOLVE, ["method=sparse_proj"]),
+            ("sjlt", "solve", _SOLVE, ["plan=sjlt", "debias=none"]),
             ("lev_sjlt", "lev", _LEV, ["approx=sjlt", "m1=64"])]:
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)

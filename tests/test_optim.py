@@ -15,9 +15,8 @@ from randskew.errors import LabelDomainError, NoConvergence
 from randskew.hadamard import next_power_of_two
 from randskew.linalg import gram
 from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
-                            ProblemKind, SgdMethod, SparseProjMethod,
-                            SsnMethod, StepRule, objective_eval,
-                            objective_value,
+                            ProblemKind, SgdMethod, SsnMethod, StepRule,
+                            objective_eval, objective_value,
                             reference_point, reference_solution, run_solver,
                             ssn_step, analytic_step_size)
 from randskew.sampling import PlanKind, _sjlt_apply
@@ -381,7 +380,7 @@ def test_analytic_step_size_formula():
 
 
 class TestSparseRademacherSketch:
-    """The SJLT, whose columns carry s random signs, that ``sparse_proj``
+    """The SJLT, whose columns carry s random signs, that the ``sjlt`` plan
     sketches with: E[(SA)^T SA] = A^T A."""
 
     def test_dense_limit_unbiasedness(self):
@@ -413,15 +412,20 @@ class TestSparseRademacherSketch:
         assert np.array_equal(a, b)
 
 
-class TestSparseProjMethod:
     def test_nnz_above_rows_runs(self):
-        # nnz counts nonzeros per column of S, so it may exceed n or m
-        p = make_least_squares(n=16, d=4)
-        obj = objective_eval(p, np.zeros(p.dim))
-        beta, _ = SparseProjMethod(m=8, nnz=32).update(p, np.zeros(p.dim),
-                                                       obj, 0, 0)
-        assert np.all(np.isfinite(beta))
+        # s counts nonzeros per column of S, so it may exceed n or m
+        A = make_least_squares(n=16, d=4).A
+        S = _sjlt_apply(A, 8, rsrng.generator(0), 32)
+        assert S.shape == (8, 4) and np.all(np.isfinite(S))
 
+
+def sjlt_method(m):
+    """The SSN setting of the SJLT sketch: Armijo steps, no debias."""
+    return SsnMethod(plan_kind=PlanKind.SJLT, m=m, debias=DebiasMode.NONE,
+                     step_rule=StepRule.ARMIJO)
+
+
+class TestSjltSsnStep:
     def test_update_makes_no_m_by_n_temporary(self):
         # the SJLT draws n nnz rows and signs and makes an m x d product
         # (a peak near 1.8 n d 8 bytes); one m x n random matrix alone
@@ -430,7 +434,7 @@ class TestSparseProjMethod:
         p = make_least_squares(n=n, d=d)
         beta = np.zeros(p.dim)
         obj = objective_eval(p, beta)
-        method = SparseProjMethod(m=m)
+        method = sjlt_method(m)
         method.update(p, beta, obj, 0, 0)  # warm imports and caches
         tracemalloc.start()
         try:
@@ -492,10 +496,10 @@ class TestRunSolver:
                            60, seed=1)
         assert trace.records[-1].grad_norm < trace.records[0].grad_norm
 
-    def test_sparse_proj_solver_progresses(self):
+    def test_sjlt_solver_progresses(self):
         p = make_least_squares(n=256, d=8, seed=23)
         ref, _ = reference_solution(p)
-        trace = run_solver(p, SparseProjMethod(m=64, nnz=4),
+        trace = run_solver(p, sjlt_method(64),
                            np.zeros(p.dim), 8,
                            reference=reference_point(p, ref), seed=2)
         assert trace.records[-1].rel_error_H < 0.05

@@ -172,8 +172,9 @@ BAD_SOLVE_CFG = (COUNTEREXAMPLE + "problem = least_squares\nmethod = ssn\n"
 # and the solver's own m = 0 refusal comes first in time
 SINGULAR_CSV = "".join(f"{i % 7 + 0.5},0,{1 if i % 3 else -1}\n"
                        for i in range(40))
-BAD_REFERENCE_CFG = ("data = csv\nlambda = 0\nmethod = sparse_proj\n"
-                     "m = 0\niters = 2\ntiming = zero\npath = ")
+BAD_REFERENCE_CFG = ("data = csv\nlambda = 0\nmethod = ssn\nplan = sjlt\n"
+                     "debias = none\nm = 0\niters = 2\ntiming = zero\n"
+                     "path = ")
 
 
 def _main(tmp_path, command, cfg_text, pooled, forks=None):

@@ -1,6 +1,8 @@
-"""Every plan kind, the Hadamard one included, answers one protocol that
-the bias lab and the sketched Newton solver use without knowing the kind."""
+"""Every plan kind, the Hadamard and SJLT ones included, answers one
+protocol that the bias lab and the sketched Newton solver use without
+knowing the kind."""
 
+import math
 import sys
 
 import numpy as np
@@ -15,7 +17,8 @@ from randskew.biaslab import (JACKKNIFE_BATCH, bias_sweep, estimate_bias,
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
-from randskew.errors import ConfigError, NotPositiveDefinite
+from randskew.errors import (ConfigError, NotPositiveDefinite,
+                             SketchTooSmall)
 from randskew.hadamard import (_signed_rows, _stage_bits, _staged_hadamard,
                                next_power_of_two, srht_draw,
                                srht_factor_sketch)
@@ -23,9 +26,9 @@ from randskew.linalg import (RowScaled, _inverse_factor, gram,
                              inverse_quadratic_forms)
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
-from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
-                               approximation_factors, build_plan, draw,
-                               exact_leverage_scores)
+from randskew.sampling import (PlanKind, SketchDraw, _sjlt_apply,
+                               apply_sketch, approximation_factors,
+                               build_plan, draw, exact_leverage_scores)
 
 from oracles import hessian_sqrt
 
@@ -43,14 +46,25 @@ M_FINE = 2 * N
 # the (kind, mode) pairs that make_debias_spec refuses at any m, and what
 # it says
 REFUSED = {
-    **{(PlanKind.SRHT, mode): "only supports scalar" for mode in FINE},
+    **{(kind, mode): "only supports scalar" for mode in FINE
+       for kind in (PlanKind.SRHT, PlanKind.SJLT)},
     **{(kind, DebiasMode.FINE_GRAINED_APPROX):
        "needs approximate leverage scores"
        for kind in (PlanKind.UNIFORM, PlanKind.ROW_NORM)},
 }
 
 
-def _one_ssn_step(kind, rule=StepRule.ANALYTIC):
+def _rules(kind) -> list:
+    """The step rules a kind's step takes: the SJLT plan has no rho_max,
+    so it takes no analytic step."""
+    return [rule for rule in StepRule
+            if not (kind is PlanKind.SJLT and rule is StepRule.ANALYTIC)]
+
+
+def _one_ssn_step(kind, rule=None):
+    """One step of ``kind`` under ``rule``, by default the first rule the
+    kind takes."""
+    rule = rule or _rules(kind)[0]
     beta = np.zeros(D)
     method = SsnMethod(plan_kind=kind, m=M, step_rule=rule)
     return ssn_step(P, beta, objective_eval(P, beta), method, seed=5)
@@ -101,6 +115,10 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
                 sd = srht_draw(N, m, seed)
                 want = apply_sketch(apply_debias(sd.sample, spec),
                                     hadamard._rotate(sd.signs, A))
+            elif kind is PlanKind.SJLT:
+                want = _sjlt_apply(A, m, rsrng.generator(seed))
+                if mode is DebiasMode.SCALAR:
+                    want = want * math.sqrt(spec.factor)
             else:
                 want = apply_sketch(apply_debias(draw(plan, m, seed), spec),
                                     A)
@@ -151,8 +169,9 @@ def test_a_bias_cell_builds_its_debias_weights_once(mode, kind, monkeypatch):
     monkeypatch.setattr(biaslab, "SUBBLOCK_FLOATS", 2 * m * D)
     estimate_bias(A, C, plan, spec, m, trials=5, seed=2)
     assert sub_blocks == [2, 2, 1]
-    # a sampling plan weighs its support rows once per cell; the SRHT
-    # weight is one scalar, re-weighted with each trial's rows
+    # a sampling plan weighs its support rows once per cell, and the SJLT
+    # plan its one scalar weight; the SRHT weight is one scalar,
+    # re-weighted with each trial's rows
     assert len(calls) == (5 if kind is PlanKind.SRHT else 1)
 
 
@@ -222,7 +241,7 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
         plan = build_plan(kind, A, C)
         for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
             estimate_bias(A, C, plan, spec, M, trials=8, seed=2)
-        for rule in StepRule:
+        for rule in _rules(kind):
             _one_ssn_step(kind, rule)
     assert [len(c) for c in calls] == [0, 0, 0, 0]
 
@@ -233,11 +252,12 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
 @KINDS
 def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
     # once per step, in the step's build_plan, whatever the step rule; the
-    # Hadamard plan takes d_eff from the d x d Gram and needs no scores
+    # Hadamard and SJLT plans take d_eff from the d x d Gram and need no
+    # scores
     passes = _exact_passes(monkeypatch)
-    for rule in StepRule:
+    for rule in _rules(kind):
         _one_ssn_step(kind, rule)
-    assert passes == [True] * (0 if kind is PlanKind.SRHT else len(StepRule))
+    assert passes == [True] * (len(StepRule) if kind.has_probs else 0)
 
 
 @KINDS
@@ -253,7 +273,7 @@ def test_bias_sweep_computes_no_exact_scores(kind, monkeypatch):
                 sweep()
         else:
             assert len(sweep()) == 1
-    assert passes == [True] * (kind is not PlanKind.SRHT)
+    assert passes == [True] * kind.has_probs
 
 
 @pytest.mark.parametrize("overrides, plans", [
@@ -274,13 +294,17 @@ def test_lev_takes_exact_scores_from_its_first_plan(overrides, plans,
     assert sidecar["d_eff"] == float(EXACT.sum())
 
 
-def test_lev_refuses_srht_before_building_a_plan(monkeypatch):
+@pytest.mark.parametrize("kind", [k for k in PlanKind if not k.has_probs],
+                         ids=lambda k: k.value)
+def test_lev_refuses_a_plan_without_probabilities_before_building_one(
+        kind, monkeypatch):
     passes = _count_calls(monkeypatch, exact_leverage_scores)
     plans = _count_calls(monkeypatch, build_plan)
     cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
-                      "plans": "uniform,srht"})
-    with pytest.raises(ConfigError, match="srht has no sampling plan"):
+                      "plans": f"uniform,{kind.value}"})
+    with pytest.raises(ConfigError) as refused:
         cli.cmd_lev(cfg, 3, False)
+    assert str(refused.value) == f"{kind.value} has no sampling plan summary"
     assert (passes, plans) == ([], [])
 
 
@@ -425,12 +449,12 @@ def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
     whitenings = _count_calls(monkeypatch, _inverse_factor)
     build_plan(kind, hs, P.lam * np.eye(D))
     # every sampling plan whitens A by H's factor for its exact scores, and
-    # the SJLT plans first by their sketched Gram's; the Hadamard plan
-    # whitens nothing
+    # the approximate-leverage plans first by their sketched Gram's; the
+    # Hadamard and SJLT plans whiten nothing
     approximate = kind in (PlanKind.APPROX_LEVERAGE,
                            PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE)
     by_plan = len(whitenings)
-    assert by_plan == (0 if kind is PlanKind.SRHT else 1 + approximate)
+    assert by_plan == (1 + approximate if kind.has_probs else 0)
     factors = _count_calls(monkeypatch, approximation_factors)
     _, diagnostics = _one_ssn_step(kind, rule)
     # the step builds the plan again and whitens nothing more: twice for
@@ -513,3 +537,70 @@ def test_srht_plan_refuses_fine_grained_debias(mode):
     plan = build_plan(PlanKind.SRHT, A, C)
     with pytest.raises(ValueError, match="only supports scalar"):
         make_debias_spec(mode, plan, M, plan.d_eff)
+
+
+def test_sjlt_step_refuses_the_analytic_rule_by_the_plans_name():
+    with pytest.raises(ValueError) as refused:
+        _one_ssn_step(PlanKind.SJLT, StepRule.ANALYTIC)
+    assert type(refused.value) is ValueError
+    assert str(refused.value).startswith("the sjlt plan has no rho_max")
+
+
+def test_sjlt_plan_takes_d_eff_from_the_gram_on_first_read(monkeypatch):
+    grams = _count_calls(monkeypatch, gram)
+    plan = build_plan(PlanKind.SJLT, A, C)
+    assert grams == []
+    assert plan.d_eff == build_plan(PlanKind.SRHT, A, C).d_eff
+    # one Gram for each plan, and none for the SJLT plan's second read
+    plan.d_eff
+    assert len(grams) == 2
+
+
+def test_sjlt_sketcher_refuses_an_empty_sketch_and_row_weights():
+    plan = build_plan(PlanKind.SJLT, A, C)
+    with pytest.raises(SketchTooSmall, match="m=0 must be at least 1"):
+        plan.sketcher(A, 0, DebiasSpec.none())
+    # a spec built for a sampling plan must not reach the SJLT sketch,
+    # whose rows mix every row of A
+    exact = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+    spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, exact, M_FINE,
+                            exact.d_eff)
+    with pytest.raises(ValueError, match="only supports scalar"):
+        plan.sketcher(A, M_FINE, spec)
+
+
+@pytest.mark.parametrize("kind", [PlanKind.SJLT, PlanKind.UNIFORM],
+                         ids=lambda k: k.value)
+def test_sjlt_step_without_debias_takes_no_gram_of_n_rows(kind, monkeypatch):
+    # the step that replaced the sparse projection method: its plan's
+    # d_eff is read by scalar debias and the analytic rule alone, so the
+    # one Gram it takes is the sketch's; a sampling plan's exact scores
+    # take the n-row Gram
+    rows = []
+
+    def recording(X):
+        rows.append(X.shape[0])
+        return gram(X)
+
+    _replace(monkeypatch, gram, recording)
+    beta = np.zeros(D)
+    method = SsnMethod(plan_kind=kind, m=M, debias=DebiasMode.NONE,
+                       step_rule=StepRule.ARMIJO)
+    _, diagnostics = ssn_step(P, beta, objective_eval(P, beta), method,
+                              seed=5)
+    assert rows == ([M] if kind is PlanKind.SJLT else [N, M])
+    assert diagnostics["d_eff"] is None
+
+
+@pytest.mark.parametrize("rule", [StepRule.ARMIJO, StepRule.FIXED],
+                         ids=lambda r: r.value)
+@pytest.mark.parametrize("mode, kind", [
+    (mode, kind) for mode in (DebiasMode.NONE, *FINE) for kind in PlanKind
+    if (kind, mode) not in REFUSED], ids=lambda x: x.value)
+def test_only_scalar_debias_and_the_analytic_step_read_d_eff(mode, kind,
+                                                             rule):
+    beta = np.zeros(D)
+    method = SsnMethod(plan_kind=kind, m=M_FINE, debias=mode, step_rule=rule)
+    _, diagnostics = ssn_step(P, beta, objective_eval(P, beta), method,
+                              seed=5)
+    assert diagnostics["d_eff"] is None

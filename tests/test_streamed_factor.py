@@ -16,8 +16,8 @@ from randskew.hadamard import (FWHT_BLOCK_FLOATS, STAGE_TILE_FLOATS,
 from randskew.linalg import (GRAM_BLOCK_ROWS, WHITEN_BLOCK_FLOATS, RowScaled,
                              gram, inverse_quadratic_forms)
 from randskew.optim import (GlmProblem, NewtonExactMethod, ProblemKind,
-                            SparseProjMethod, SsnMethod, StepRule,
-                            objective_eval, reference_point)
+                            SsnMethod, StepRule, objective_eval,
+                            reference_point)
 from randskew.sampling import (PlanKind, _sjlt_apply, build_plan,
                                exact_leverage_scores, sjlt_approx_leverage)
 
@@ -25,7 +25,7 @@ from oracles import hessian_sqrt
 
 # more rows than one block of every reader at D columns
 N, D = 5000, 16
-SAMPLING = [kind for kind in PlanKind if kind is not PlanKind.SRHT]
+SAMPLING = [kind for kind in PlanKind if kind.has_probs]
 
 
 def _same_bits(a, b) -> bool:
@@ -190,7 +190,9 @@ def test_reference_point_is_the_gram_of_the_formed_factor(kind):
 
 def _methods():
     yield "newton", NewtonExactMethod()
-    yield "sparse_proj", SparseProjMethod(m=64)
+    yield "ssn-sjlt-none-armijo", SsnMethod(
+        plan_kind=PlanKind.SJLT, m=64, debias=DebiasMode.NONE,
+        step_rule=StepRule.ARMIJO)
     for kind in SAMPLING:
         yield f"ssn-{kind.value}", SsnMethod(plan_kind=kind, m=64,
                                              step_rule=StepRule.ANALYTIC)
