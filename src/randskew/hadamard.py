@@ -3,10 +3,11 @@
 The sketch is S H D A / sqrt(n): random column signs, Hadamard rotation,
 then uniform with-replacement row sampling.  Inputs whose row count is not
 a power of two are zero-padded; zero rows carry zero leverage and never
-perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.  A bias-lab
-sketch writes D A into one padded buffer and rotates that buffer in place;
-a Newton step that reads only its m rows rotates one residue class of the
-rows at a time (:func:`srht_factor_sketch`), with the same bits.
+perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.  A sketch
+of several seeds writes D A into one padded buffer and rotates that buffer
+in place; a one-seed sketch, which reads only its m rows, rotates one
+residue class of the rows at a time (:func:`_streamed_sample`), with the
+same bits.
 
 Every transform here runs in stages: H_n is the Kronecker product of
 Sylvester matrices H_k with k <= 2^STAGE_BITS, so it is a few small dense
@@ -191,9 +192,10 @@ def _rotated_sample(rows: np.ndarray, m: int, spec: DebiasSpec, seed: int,
 
 
 def _streamed_sample(X: RowScaled, signs: np.ndarray, m: int,
-                     spec: DebiasSpec, seed: int) -> np.ndarray:
-    """``_rotated_sample(_signed_rows(X, signs), m, spec, seed)``, bitwise,
-    without the n_padded x d rotation.
+                     spec: DebiasSpec, seed: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``_rotated_sample(_signed_rows(X, signs), m, spec, seed, out)``,
+    bitwise, without the n_padded x d rotation.
 
     The last stage of the rotation mixes each run of k consecutive rows,
     k = 2^(its width); every earlier stage acts inside one residue class
@@ -210,7 +212,7 @@ def _streamed_sample(X: RowScaled, signs: np.ndarray, m: int,
     """
     n, d = X.shape
     if d == 1:
-        return _rotated_sample(_signed_rows(X, signs), m, spec, seed)
+        return _rotated_sample(_signed_rows(X, signs), m, spec, seed, out)
     n_padded = signs.shape[0]
     indices, weights = _debiased_rows(n_padded, m, spec, seed)
     k = 1 << _stage_bits(n_padded)[-1]
@@ -218,7 +220,9 @@ def _streamed_sample(X: RowScaled, signs: np.ndarray, m: int,
     last = _sylvester(k)
     block = np.empty((n_padded // k, d))
     scratch = _scratch(block.size)
-    sample, part = np.zeros((m, d)), np.empty((m, d))
+    sample = np.empty((m, d)) if out is None else out
+    sample.fill(0.0)
+    part = np.empty((m, d))
     for c in range(k):
         real = len(range(c, n, k))
         X.signed(signs[c:n:k, None], block[:real], slice(c, n, k))
@@ -297,14 +301,9 @@ class SrhtPlan:
 
     The plan keeps H = G + C for the Gram G = A^T A: ``d_eff`` =
     trace(H^-1 G) is the exact effective dimension of A (the rotation is
-    orthogonal), and ``rho_max`` whitens the rotation by H.  Only
-    scalar debiasing applies: row weights of A do not carry over to the
-    rows of the rotated matrix, so ``probs`` is None.
-
-    A ``sketcher`` writes D A into one n_padded x d buffer, which it
-    reuses for all its cell's trials, rotates that buffer in place and
-    keeps the m sampled rows.  :func:`srht_factor_sketch` returns the
-    rotated buffer for ``rho_max``, or streams the sketch without it.
+    orthogonal), and :meth:`analytic_sketch` whitens the rotation by H.
+    Only scalar debiasing applies: row weights of A do not carry over to
+    the rows of the rotated matrix, so ``probs`` is None.
     """
     H: np.ndarray
     d_eff: float
@@ -318,13 +317,15 @@ class SrhtPlan:
         H = G + C
         return cls(H, gram_d_eff(H, G))
 
-    def sketcher(self, A: np.ndarray, m: int, spec: DebiasSpec):
+    def sketcher(self, A: np.ndarray | RowScaled, m: int, spec: DebiasSpec):
         """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
         stack of sketches, one per seed, written into ``out`` when it is
         given.  Each draws signs and m rows at its seed, debiases them by
-        ``spec`` and applies them to A; trial by trial, as each trial's
-        signs come from its own ``Generator.integers`` stream, through one
-        padded buffer that the cell keeps across calls."""
+        ``spec`` and applies them to A, trial by trial, as each trial's
+        signs come from its own ``Generator.integers`` stream.  One seed
+        streams its sketch (:func:`_streamed_sample`) and holds no
+        rotation; several rotate, one after another, in one padded buffer
+        that the cell keeps across calls.  Both give the same bits."""
         X, rows = as_rows(A), None
 
         def draw(seeds, out=None):
@@ -332,46 +333,25 @@ class SrhtPlan:
             seeds = list(seeds)
             if out is None:
                 out = np.empty((len(seeds), m, X.shape[1]))
+            if len(seeds) == 1:
+                _streamed_sample(X, _srht_signs(X.shape[0], seeds[0]), m,
+                                 spec, seeds[0], out[0])
+                return out
             for seed, At in zip(seeds, out):
                 rows = _signed_rows(X, _srht_signs(X.shape[0], seed), rows)
                 _rotated_sample(rows, m, spec, seed, At)
             return out
         return draw
 
-    def rho_max(self, rotated: np.ndarray) -> float:
-        """rho_max of uniform sampling from ``rotated``, the rotation that
-        the sketch of :func:`srht_factor_sketch` returned, by its exact
-        scores."""
-        scores = inverse_quadratic_forms(rotated, self.H)
-        return float(scores.max() * rotated.shape[0] / self.d_eff)
-
-
-def srht_factor_sketch(X: RowScaled, C: np.ndarray, seed: int,
-                       rotation: bool):
-    """The SRHT plan of the n x d factor X, which is never formed, and
-    ``sketch(m, spec)``, which returns ``plan.sketcher(X, m, spec)(
-    [seed])[0]`` and, with ``rotation``, the rotation H D X / sqrt(n) it
-    sampled, else None.  Both results are bitwise those of the formed X,
-    and ``sketch`` may be called any number of times.
-
-    With ``rotation`` the signed rows of X are written into one
-    n_padded x d buffer, whose Gram (a sign flip is exact, so it is
-    ``gram(X)``) the plan takes, and which is then rotated in place once.
-    Without it the plan takes ``gram(X)`` and each sketch rotates one
-    residue class of the rows at a time (:func:`_streamed_sample`), so
-    the step holds an (n_padded / k) x d block, k <= 2^STAGE_BITS, and no
-    rotation.
-    """
-    n = X.shape[0]
-    # the rows are drawn in sketch(), after the caller's debias spec, so
-    # that m < 1 meets the spec's refusal first
-    if not rotation:
-        signs = _srht_signs(n, seed)
-        return SrhtPlan.of_gram(gram(X), C), lambda m, spec: (
-            _streamed_sample(X, signs, m, spec, seed), None)
-    rows = _signed_rows(X, _srht_signs(n, seed))
-    plan = SrhtPlan.of_gram(gram(rows[:n]), C)
-    rotated = _staged_hadamard(rows, 1.0 / math.sqrt(rows.shape[0]))
-    return plan, lambda m, spec: (
-        _gather(rotated, *_debiased_rows(rows.shape[0], m, spec, seed)),
-        rotated)
+    def analytic_sketch(self, A: np.ndarray | RowScaled, m: int,
+                        spec: DebiasSpec, seed: int) -> tuple[np.ndarray,
+                                                              float]:
+        """``sketcher(A, m, spec)([seed])[0]``, bitwise, and the rho_max of
+        uniform sampling from the rotation it sampled, by the rotation's
+        exact scores given H.  D A is signed into one padded buffer, which
+        is rotated in place once and read by both."""
+        X = as_rows(A)
+        rows = _signed_rows(X, _srht_signs(X.shape[0], seed))
+        At = _rotated_sample(rows, m, spec, seed)
+        scores = inverse_quadratic_forms(rows, self.H)
+        return At, float(scores.max() * rows.shape[0] / self.d_eff)

@@ -1,7 +1,7 @@
 """Objectives and solvers: exact Newton, sketched Newton with bias
 correction, and first-order baselines.  The sketched Newton step takes
-every plan kind: the sampling plans, the SRHT and the sparse (SJLT)
-projection.
+every plan kind, the sampling plans, the SRHT and the sparse (SJLT)
+projection, through the plan protocol of :mod:`randskew.sampling` alone.
 
 The regularized objectives expose their Hessian through a square-root
 factor A(beta) with hessian = A(beta)^T A(beta) + lambda I, which is what
@@ -22,7 +22,6 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence
-from .hadamard import srht_factor_sketch
 from .linalg import RowScaled, gram, solve_spd
 from .sampling import PlanKind, build_plan
 from .data import require_binary_labels
@@ -226,39 +225,34 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     and ``d_eff`` is None unless the step rule is analytic or the debias
     mode scalar, the two readers of it.  ``d_eff`` is the sum of the exact
     scores every sampling plan keeps, approximate ones included, or the
-    SRHT or SJLT plan's own, which the SJLT plan computes only then.  No
-    step forms the factor: a sampling plan reads it in row blocks and
-    gathers its m rows from the data, and the SJLT reads it in row blocks.
-    The SRHT step under the analytic rule, whose ``rho_max`` scores every
-    rotated row, writes the signed factor into one rotation buffer and
-    rotates it in place; under the other rules it rotates one residue
-    class of the rows at a time and holds no rotation
-    (:func:`~randskew.hadamard.srht_factor_sketch`).  The SJLT plan has no
-    ``rho_max``, so its analytic step refuses with ValueError.
+    SRHT or SJLT plan's own, which the SJLT plan computes only then.
+
+    Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
+    on the factor, then the plan's one-seed ``sketcher`` draw, or under
+    the analytic rule its ``analytic_sketch``, which also gives rho_max.
+    No step forms the factor: a sampling plan reads it in row blocks and
+    gathers its m rows from the data, the SJLT reads it in row blocks, and
+    the SRHT signs it into a padded buffer that the analytic sketch
+    rotates once and scores, while a one-seed draw rotates one residue
+    class of the rows at a time and holds no rotation.
     """
     C = p.lam * np.eye(p.dim)
     sketch_seed = rsrng.split(seed, 2)
     factor = obj.factor
     analytic = method.step_rule is StepRule.ANALYTIC
-    if method.plan_kind is PlanKind.SRHT:
-        plan, sketch = srht_factor_sketch(factor, C, sketch_seed,
-                                          rotation=analytic)
-    else:
-        plan = build_plan(method.plan_kind, factor, C, mix=method.mix,
-                          m1=method.m1, m2=method.m2,
-                          seed=rsrng.split(seed, 1))
-
-        def sketch(m, spec):
-            return plan.sketcher(factor, m, spec)([sketch_seed])[0], None
+    plan = build_plan(method.plan_kind, factor, C, mix=method.mix,
+                      m1=method.m1, m2=method.m2, seed=rsrng.split(seed, 1))
     d_eff = None
     if analytic or method.debias is DebiasMode.SCALAR:
         d_eff = plan.d_eff if plan.exact is None else float(plan.exact.sum())
     spec = make_debias_spec(method.debias, plan, method.m, d_eff)
-    At, rotated = sketch(method.m, spec)
     rho_max, mu = None, method.fixed_step
     if analytic:
-        rho_max = plan.rho_max(rotated)
+        At, rho_max = plan.analytic_sketch(factor, method.m, spec,
+                                           sketch_seed)
         mu = analytic_step_size(method.m, d_eff, rho_max)
+    else:
+        At = plan.sketcher(factor, method.m, spec)([sketch_seed])[0]
     beta_next, mu = _newton_update(p, beta, obj, At,
                                    method.step_rule is StepRule.ARMIJO, mu)
     return beta_next, {"step_size": mu, "d_eff": d_eff, "rho_max": rho_max}
@@ -311,6 +305,14 @@ class SsnMethod:
     mix: float = 0.5                # shrinkage plans
     m1: int | None = None           # approximate-leverage sketch width
     m2: int | None = None
+
+    def __post_init__(self):
+        # refused here, before any n-row work or a forked reference solve
+        if (self.plan_kind is PlanKind.SJLT
+                and self.step_rule is StepRule.ANALYTIC):
+            raise ValueError("the sjlt plan has no rho_max: the paper gives "
+                             "no approximation factor for the SJLT, so the "
+                             "analytic step rule does not apply")
 
     def update(self, p, beta, obj, seed, t):
         beta_next, diagnostics = ssn_step(p, beta, obj, self,

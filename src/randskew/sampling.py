@@ -11,16 +11,18 @@ from that table.
 Every plan :func:`build_plan` returns answers one protocol: ``kind``,
 ``d_eff``, ``probs`` (sampling probabilities), ``scores`` (sampling scores
 or None), ``exact`` (exact leverage scores, which every sampling plan
-keeps), ``sketcher(A, m, spec)`` and ``rho_max(rotated)``.  Two plans
-sample no rows of A (``PlanKind.has_probs`` is False): the Hadamard plan
-samples rows of a rotation of A, and the SJLT plan (:class:`SjltPlan`)
-sums signed rows of A into each sketch row.  Their ``probs``, ``scores``
-and ``exact`` are None, and both take d_eff from the d x d Gram.
-``sketcher`` returns ``draw(seeds, out=None)``, which gives a T x m x d
-stack, one sketch per seed, for the cell (A, m, spec); a cell keeps its
-debias weights, and its buffers, across calls.  ``rotated`` is None for a
-sampling plan, whose rho_max depends on the plan alone, and the rotation
-H D A / sqrt(n) for the Hadamard plan; the SJLT plan has no rho_max.
+keeps), ``sketcher(A, m, spec)`` and ``analytic_sketch(A, m, spec,
+seed)``.  Two plans sample no rows of A (``PlanKind.has_probs`` is
+False): the Hadamard plan samples rows of a rotation of A, and the SJLT
+plan (:class:`SjltPlan`) sums signed rows of A into each sketch row.
+Their ``probs``, ``scores`` and ``exact`` are None, and both take d_eff
+from the d x d Gram.  ``sketcher`` returns ``draw(seeds, out=None)``,
+which gives a T x m x d stack, one sketch per seed, for the cell
+(A, m, spec); a cell keeps its debias weights, and its buffers, across
+calls.  ``analytic_sketch`` returns the one-seed sketch, bitwise, and the
+rho_max that the analytic step rule reads: a sampling plan's depends on
+the plan alone, the Hadamard plan's on the rotation it sampled.  The SJLT
+plan has no rho_max, so it has no ``analytic_sketch``.
 :func:`build_plan` is the one run-path caller of
 :func:`exact_leverage_scores`; :mod:`randskew.debias` turns a plan's data
 into debias weights.
@@ -131,8 +133,12 @@ class SamplingPlan:
             return table.take(pos, axis=0, out=out, mode="clip")
         return draw
 
-    def rho_max(self, rotated: None) -> float:
-        return approximation_factors(self, self.exact).rho_max
+    def analytic_sketch(self, A: np.ndarray | RowScaled, m: int, spec,
+                        seed: int) -> tuple[np.ndarray, float]:
+        """``sketcher(A, m, spec)([seed])[0]`` and the plan's rho_max by
+        its exact scores."""
+        return (self.sketcher(A, m, spec)([seed])[0],
+                approximation_factors(self, self.exact).rho_max)
 
     @cached_property
     def _cdf(self):
@@ -329,7 +335,7 @@ class SjltPlan:
     debiasing applies.  ``d_eff`` is trace((G + C)^-1 G) for the Gram G
     of A, computed on first read: a step that reads no d_eff makes no
     pass over A for it.  The paper gives the SJLT no approximation
-    factor, so ``rho_max`` refuses.
+    factor, so the plan has no ``analytic_sketch``.
     """
     A: RowScaled
     C: np.ndarray
@@ -365,11 +371,6 @@ class SjltPlan:
                 At *= weight
             return out
         return draw
-
-    def rho_max(self, rotated: None) -> float:
-        raise ValueError(f"the {self.kind.value} plan has no rho_max: the "
-                         f"paper gives no approximation factor for the "
-                         f"SJLT, so the analytic step rule does not apply")
 
 
 def default_double_sketch_width(n: int) -> int:

@@ -549,6 +549,22 @@ def test_sjlt_analytic_step_is_numerical_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_sjlt_analytic_step_is_refused_before_the_reference(
+        tmp_path, capsys, monkeypatch, command):
+    # the refusal depends on the config alone, so it comes before the
+    # reference solve, on a forked worker or not
+    from randskew import cli
+    monkeypatch.setattr(cli, "reference_solution", None)  # never reached
+    cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), "plan=sjlt", "step=analytic",
+                    "m_grid=32"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "ValueError: the sjlt plan has no rho_max")
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+
+
 def test_sparse_proj_method_is_config_error(tmp_path, capsys):
     # the sparse projection is the ssn method with plan = sjlt
     cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)

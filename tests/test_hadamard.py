@@ -14,8 +14,7 @@ from randskew.hadamard import (SrhtDraw, _rotate, _rotated_sample,
                                _signed_rows, _srht_signs, _stage_bits,
                                _staged_hadamard, _streamed_sample,
                                fwht_inplace, next_power_of_two,
-                               rotated_leverage_scores, srht_apply, srht_draw,
-                               srht_factor_sketch)
+                               rotated_leverage_scores, srht_apply, srht_draw)
 from randskew.linalg import RowScaled, gram, inv_sqrt
 from randskew.optim import GlmProblem, ProblemKind, objective_eval
 from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
@@ -384,11 +383,18 @@ class TestSrhtPlan:
     C = 1e-2 * np.eye(4)
     M = 12
 
-    def _sketch(self, seed, rotation=True):
-        plan, sketch = srht_factor_sketch(RowScaled(self.A), self.C, seed,
-                                          rotation)
-        spec = DebiasSpec.scalar(self.M, plan.d_eff)
-        return plan, spec, sketch(self.M, spec)
+    def _plan(self):
+        plan = build_plan(PlanKind.SRHT, RowScaled(self.A), self.C)
+        return plan, DebiasSpec.scalar(self.M, plan.d_eff)
+
+    def _sketch(self, seed, rotation):
+        """The one-seed sketch of the view of A: the analytic sketch, which
+        rotates the whole padded buffer, or the streamed sketcher draw."""
+        plan, spec = self._plan()
+        view = RowScaled(self.A)
+        if rotation:
+            return plan.analytic_sketch(view, self.M, spec, seed)[0]
+        return plan.sketcher(view, self.M, spec)([seed])[0]
 
     def _srht_apply(self, seed, spec):
         sd = srht_draw(self.A.shape[0], self.M, seed)
@@ -398,51 +404,55 @@ class TestSrhtPlan:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_sketch_equals_srht_apply_of_the_debiased_draw(self, seed):
         want = build_plan(PlanKind.SRHT, self.A, self.C)
+        plan, spec = self._plan()
+        # the view's plan takes the Gram of the formed data, bitwise
+        assert plan.H.tobytes() == want.H.tobytes()
+        assert plan.d_eff == want.d_eff
         for rotation in (True, False):
-            plan, spec, (At, rotated) = self._sketch(seed, rotation)
-            assert_array_equal(At, self._srht_apply(seed, spec))
-            assert (rotated is None) is not rotation
-            # both routes take the Gram of the data, bitwise
-            assert plan.H.tobytes() == want.H.tobytes()
-            assert plan.d_eff == want.d_eff
+            assert_array_equal(self._sketch(seed, rotation),
+                               self._srht_apply(seed, spec))
 
     @pytest.mark.parametrize("rotation", [True, False],
                              ids=["rotation", "streamed"])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_sketch_may_be_called_twice(self, seed, rotation):
-        # a second call must not rotate the rotation again
-        plan, sketch = srht_factor_sketch(RowScaled(self.A), self.C, seed,
-                                          rotation)
-        spec = DebiasSpec.scalar(self.M, plan.d_eff)
-        (first, rotated), (second, again) = sketch(self.M, spec), sketch(
-            self.M, spec)
+        # a second call on the same plan or sketcher must not rotate a
+        # rotation again
+        plan, spec = self._plan()
+        view = RowScaled(self.A)
+        if rotation:
+            (first, rho), (second, again) = (
+                plan.analytic_sketch(view, self.M, spec, seed)
+                for _ in range(2))
+            assert rho == again
+        else:
+            draw = plan.sketcher(view, self.M, spec)
+            first, second = draw([seed])[0], draw([seed])[0]
         assert_array_equal(first, self._srht_apply(seed, spec))
         assert first.tobytes() == second.tobytes()
-        if rotation:
-            assert again is rotated
-            assert_array_equal(rotated, _rotate(
-                srht_draw(self.A.shape[0], self.M, seed).signs, self.A))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_sketch_returns_the_rotation_it_sampled(self, seed):
-        _, spec, (At, rotated) = self._sketch(seed)
+    def test_analytic_sketch_samples_the_dense_hadamard_rotation(self, seed):
+        _, spec = self._plan()
+        At = self._sketch(seed, rotation=True)
         sd = srht_draw(self.A.shape[0], self.M, seed)
         padded = np.zeros((sd.n_padded, self.A.shape[1]))
         padded[:self.A.shape[0]] = self.A
         want = (dense_hadamard(sd.n_padded) @ (sd.signs[:, None] * padded)
                 / np.sqrt(sd.n_padded))
-        assert_allclose(rotated, want, rtol=1e-12, atol=1e-14)
+        assert_allclose(_rotate(sd.signs, self.A), want, rtol=1e-12,
+                        atol=1e-14)
         # the sketch's rows are debiased rows of that rotation
         weights = sd.sample.weights * np.sqrt(spec.factor)
-        assert_allclose(At, rotated[sd.sample.indices] * weights[:, None],
+        assert_allclose(At, want[sd.sample.indices] * weights[:, None],
                         rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_rho_max_matches_rotating_the_whitened_factor(self, seed):
-        plan, _, (_, rotated) = self._sketch(seed)
+        plan, spec = self._plan()
+        _, rho = plan.analytic_sketch(RowScaled(self.A), self.M, spec, seed)
         signs = srht_draw(self.A.shape[0], self.M, seed).signs
         ref = rotated_scores_of_whitened_factor(self.A, self.C, signs)
-        rho = plan.rho_max(rotated)
         d_eff = exact_leverage_scores(self.A, self.C).sum()
         assert rho == pytest.approx(
             ref.max() * signs.shape[0] / d_eff, rel=1e-12, abs=0)

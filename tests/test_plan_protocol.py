@@ -4,6 +4,7 @@ knowing the kind."""
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
 from randskew.errors import (ConfigError, NotPositiveDefinite,
                              SketchTooSmall)
-from randskew.hadamard import (_signed_rows, _stage_bits, _staged_hadamard,
-                               next_power_of_two, srht_draw,
-                               srht_factor_sketch)
+from randskew.hadamard import (_rotate, _signed_rows, _stage_bits,
+                               _staged_hadamard, next_power_of_two,
+                               srht_apply, srht_draw)
 from randskew.linalg import (RowScaled, _inverse_factor, gram,
                              inverse_quadratic_forms)
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
@@ -376,6 +377,48 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
     assert (diagnostics["rho_max"] is not None) == (rule is StepRule.ANALYTIC)
 
 
+@pytest.mark.parametrize("kind", [k for k in PlanKind
+                                  if StepRule.ANALYTIC in _rules(k)],
+                         ids=lambda k: k.value)
+def test_analytic_sketch_is_the_one_seed_sketcher_draw(kind):
+    plan = build_plan(kind, A, C)
+    spec = DebiasSpec.scalar(M, plan.d_eff)
+    for X in (A, RowScaled(A)):
+        for seed in (0, 7):
+            At, rho_max = plan.analytic_sketch(X, M, spec, seed)
+            assert _same_bits(At, plan.sketcher(X, M, spec)([seed])[0])
+            if kind.has_probs:
+                assert rho_max == approximation_factors(plan, EXACT).rho_max
+
+
+def _srht_oracle(m, spec, seed):
+    """The per-draw SRHT sketch of A at ``seed``, debiased by ``spec``."""
+    sd = srht_draw(N, m, seed)
+    return srht_apply(replace(sd, sample=apply_debias(sd.sample, spec)), A)
+
+
+def test_srht_sketcher_streams_one_seed_and_rotates_several(monkeypatch):
+    # one seed rotates each residue class of the rows once and holds no
+    # rotation; two seeds rotate the whole padded buffer once each, as the
+    # analytic sketch does for its one seed
+    plan = build_plan(PlanKind.SRHT, A, C)
+    spec = DebiasSpec.scalar(M, plan.d_eff)
+    rows = _rotated_rows(monkeypatch)
+    n_padded = next_power_of_two(N)
+    k = 1 << _stage_bits(n_padded)[-1]
+    one = plan.sketcher(A, M, spec)([5])
+    assert rows == [n_padded // k] * k and k > 1
+    rows.clear()
+    two = plan.sketcher(A, M, spec)([5, 6])
+    assert rows == [n_padded] * 2
+    rows.clear()
+    At, _ = plan.analytic_sketch(A, M, spec, 5)
+    assert rows == [n_padded]
+    for got in (one[0], two[0], At):
+        assert _same_bits(got, _srht_oracle(M, spec, 5))
+    assert _same_bits(two[1], _srht_oracle(M, spec, 6))
+
+
 def _objective(kind, n):
     """A problem of ``kind`` with n rows and D columns (n = 100 pads to
     128), a start beta and the objective there."""
@@ -427,10 +470,11 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     hs, C_ = hessian_sqrt(obj), P_.lam * np.eye(D)
     plan = build_plan(PlanKind.SRHT, hs, C_)
     spec = make_debias_spec(method.debias, plan, M, plan.d_eff)
-    # every rule's sketch is that of the whole rotation, bitwise
-    _, sketch = srht_factor_sketch(RowScaled(hs), C_, rsrng.split(5, 2),
-                                   rotation=True)
-    At, rotated = sketch(M, spec)
+    # every rule's sketch is the per-draw sketch of the whole rotation,
+    # bitwise
+    sd = srht_draw(n, M, rsrng.split(5, 2))
+    At = srht_apply(replace(sd, sample=apply_debias(sd.sample, spec)), hs)
+    rotated = _rotate(sd.signs, hs)
     assert len(sketches) == 1 and _same_bits(sketches[0], At)
     assert diagnostics["d_eff"] == plan.d_eff
     # rho_max by the rotation's scores given gram(hs) + C, formed afresh
@@ -544,6 +588,18 @@ def test_sjlt_step_refuses_the_analytic_rule_by_the_plans_name():
         _one_ssn_step(PlanKind.SJLT, StepRule.ANALYTIC)
     assert type(refused.value) is ValueError
     assert str(refused.value).startswith("the sjlt plan has no rho_max")
+
+
+def test_sjlt_analytic_method_is_refused_when_built(monkeypatch):
+    # the refusal depends on the method alone: no Gram and no SJLT pass
+    # over the factor come before it
+    grams = _count_calls(monkeypatch, gram)
+    passes = _count_calls(monkeypatch, _sjlt_apply)
+    with pytest.raises(ValueError, match="^the sjlt plan has no rho_max"):
+        SsnMethod(plan_kind=PlanKind.SJLT, m=M, step_rule=StepRule.ANALYTIC)
+    with pytest.raises(ValueError, match="^the sjlt plan has no rho_max"):
+        _one_ssn_step(PlanKind.SJLT, StepRule.ANALYTIC)
+    assert (grams, passes) == ([], [])
 
 
 def test_sjlt_plan_takes_d_eff_from_the_gram_on_first_read(monkeypatch):
