@@ -8,10 +8,11 @@ from .errors import (AllTrialsSingular, AllZeroRows, ConfigError,
                      ZeroProbabilityWithPositiveScore)
 from .linalg import (RowScaled, cholesky, gram, inv_sqrt, solve_spd,
                      spectral_norm, sqrt_psd)
-from .sampling import (ApproxFactors, PlanKind, SamplingPlan, SjltPlan,
-                       SketchDraw, apply_sketch, approximation_factors,
-                       build_plan, draw, effective_dimension,
-                       exact_leverage_scores, sjlt_approx_leverage)
+from .sampling import (ApproxFactors, PlanKind, ProjectionPlan, SamplingPlan,
+                       SjltPlan, SketchDraw, apply_sketch,
+                       approximation_factors, build_plan, draw,
+                       effective_dimension, exact_leverage_scores,
+                       sjlt_approx_leverage)
 from .hadamard import (SrhtDraw, SrhtPlan, fwht_inplace, next_power_of_two,
                        rotated_leverage_scores, srht_apply, srht_draw)
 from .debias import (DebiasMode, DebiasSpec, FixedPointD, apply_debias,

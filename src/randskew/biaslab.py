@@ -132,7 +132,7 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
 
     ``plan_specs`` is a list of (name, plan) pairs; seeds are
     stream-split per cell so cells are independent of each other.  Scalar
-    debiasing uses the plan's d_eff.  Cells run through
+    debiasing reads the plan's own d_eff.  Cells run through
     :func:`~randskew.parallel.pmap`, largest m first, so the rows depend
     on neither its worker count nor its dispatch order.
     """
@@ -147,7 +147,7 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
 
     def run_cell(cell) -> BiasSweepRow:
         pi, di, mi, name, plan, mode, m = cell
-        spec = make_debias_spec(mode, plan, m, plan.d_eff)
+        spec = make_debias_spec(mode, plan, m)
         est = estimate_bias(A, C, plan, spec, m, trials,
                             rsrng.split(seed, pi, di, mi))
         return BiasSweepRow(scheme=name, debias=mode, estimate=est)

@@ -185,9 +185,9 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
     summary = []
     for plan in plans:
         fac = approximation_factors(plan, exact)
-        summary.append({"plan": plan.kind.value, "d_eff": float(exact.sum()),
+        summary.append({"plan": plan.kind.value, "d_eff": plan.d_eff,
                         "rho_min": fac.rho_min, "rho_max": fac.rho_max})
-    return header, rows, {"d_eff": float(exact.sum()), "plans": summary}
+    return header, rows, {"d_eff": plans[0].d_eff, "plans": summary}
 
 
 def cmd_bias(cfg: Config, seed: int, standardize: bool):

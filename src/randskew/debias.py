@@ -7,8 +7,9 @@ what the uncorrected sketched inverse actually estimates.  The bias lab
 and the sketched Newton solver share :func:`make_debias_spec`.
 
 This module alone turns a mode into sketch weights; a plan supplies only
-its data (``probs``, ``scores``, ``exact``).  A plan whose ``probs`` is None
-(the Hadamard and SJLT plans) takes the scalar factor only.
+its data (``d_eff``, the exact effective dimension, ``probs``, ``scores``,
+``exact``).  A plan whose ``probs`` is None (the Hadamard and SJLT plans)
+takes the scalar factor only.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (NoConvergence, NotPositiveDefinite, SketchTooSmall,
 from .linalg import inverse_quadratic_forms
 from .sampling import (SamplingPlan, SketchDraw, PlanKind,
                        approximation_factors, check_support,
-                       exact_leverage_scores)
+                       effective_dimension, exact_leverage_scores)
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
 
@@ -79,8 +80,7 @@ def fine_grained_weights(plan, scores: np.ndarray | None,
     without ``probs`` refuses with ValueError, as do None ``scores``.
     """
     if plan.probs is None:
-        raise ValueError(f"the {plan.kind.value} plan samples no rows of A, "
-                         f"so it only supports scalar debiasing")
+        raise plan.scalar_only()
     if scores is None:
         raise ValueError(f"fine-grained debiasing needs leverage scores, "
                          f"and none were given for the {plan.kind.value} "
@@ -113,21 +113,20 @@ def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
                       weights=spec.reweight(sketch.indices, sketch.weights))
 
 
-def make_debias_spec(mode: DebiasMode, plan, m: int,
-                     d_eff: float | None) -> DebiasSpec:
+def make_debias_spec(mode: DebiasMode, plan, m: int) -> DebiasSpec:
     """Build the debias spec a (plan, m) cell needs.
 
-    Scalar mode uses the caller's ``d_eff``, which no other mode reads;
-    fine-grained modes use the plan's own exact or approximate scores, and
-    a sampling plan that keeps none of the kind the mode names is refused
-    by that mode's name.
+    Scalar mode reads the plan's ``d_eff``, the exact effective dimension,
+    which no other mode reads; fine-grained modes use the plan's own exact
+    or approximate scores, and a sampling plan that keeps none of the kind
+    the mode names is refused by that mode's name.
     :func:`fine_grained_weights` turns scores into multipliers, or refuses
     when the plan supports scalar debiasing only.
     """
     if mode is DebiasMode.NONE:
         return DebiasSpec.none()
     if mode is DebiasMode.SCALAR:
-        return DebiasSpec.scalar(m, d_eff)
+        return DebiasSpec.scalar(m, plan.d_eff)
     exact = mode is DebiasMode.FINE_GRAINED_EXACT
     scores = plan.exact if exact else plan.scores
     if scores is None and plan.probs is not None:
@@ -158,7 +157,7 @@ def solve_fixed_point_d(A: np.ndarray, C: np.ndarray, plan: SamplingPlan,
     n = A.shape[0]
     probs = plan.probs
     exact = exact_leverage_scores(A, C)
-    d_eff = float(exact.sum())
+    d_eff = effective_dimension(exact)
     factors = approximation_factors(plan, exact)
 
     zero_rows = ~np.any(A != 0.0, axis=1)

@@ -3,11 +3,11 @@
 The sketch is S H D A / sqrt(n): random column signs, Hadamard rotation,
 then uniform with-replacement row sampling.  Inputs whose row count is not
 a power of two are zero-padded; zero rows carry zero leverage and never
-perturb A^T A.  :class:`SrhtPlan` is the ``PlanKind.SRHT`` plan.  A sketch
-of several seeds writes D A into one padded buffer and rotates that buffer
-in place; a one-seed sketch, which reads only its m rows, rotates one
-residue class of the rows at a time (:func:`_streamed_sample`), with the
-same bits.
+perturb A^T A.  :class:`SrhtPlan`, a :class:`~randskew.sampling.ProjectionPlan`
+like the SJLT plan, is the ``PlanKind.SRHT`` plan.  A sketch of several
+seeds writes D A into one padded buffer and rotates that buffer in place;
+a one-seed sketch, which reads only its m rows, rotates one residue class
+of the rows at a time (:func:`_streamed_sample`), with the same bits.
 
 Every transform here runs in stages: H_n is the Kronecker product of
 Sylvester matrices H_k with k <= 2^STAGE_BITS, so it is a few small dense
@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from . import rng as rsrng
 from .debias import DebiasSpec
 from .errors import NotPowerOfTwo
 from .linalg import RowScaled, as_rows, gram, inverse_quadratic_forms
-from .sampling import SketchDraw, PlanKind, _gather, apply_sketch, gram_d_eff
+from .sampling import (PlanKind, ProjectionPlan, SketchDraw, _gather,
+                       apply_sketch)
 
-SRHT_SCALAR_ONLY = "the Hadamard sketch only supports scalar debiasing"
 # floats in a transform's scratch (512 KiB), which stays in cache
 FWHT_BLOCK_FLOATS = 2 ** 16
 # each stage of the staged rotation multiplies by H_k, k <= 2^STAGE_BITS.
@@ -174,9 +173,9 @@ def _signed_rows(X: RowScaled, signs: np.ndarray,
 def _debiased_rows(n_padded: int, m: int, spec: DebiasSpec,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The m rows of the rotation drawn at ``seed`` and their weights,
-    debiased by ``spec``, which must be scalar."""
+    debiased by ``spec``, which must not weigh rows."""
     if spec.row_weights is not None:
-        raise ValueError(SRHT_SCALAR_ONLY)
+        raise SrhtPlan.scalar_only()
     indices, weight = _srht_rows(n_padded, m, seed)
     return indices, spec.reweight(indices, weight)
 
@@ -294,28 +293,16 @@ def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
     return inverse_quadratic_forms(rotated, gram(A) + C)
 
 
-@dataclass(frozen=True)
-class SrhtPlan:
+class SrhtPlan(ProjectionPlan):
     """The Hadamard sketch as a plan: uniform row sampling of the rotated
     matrix H D A / sqrt(n), with fresh signs for every sketch.
 
-    The plan keeps H = G + C for the Gram G = A^T A: ``d_eff`` =
-    trace(H^-1 G) is the exact effective dimension of A (the rotation is
-    orthogonal), and :meth:`analytic_sketch` whitens the rotation by H.
-    Only scalar debiasing applies: row weights of A do not carry over to
-    the rows of the rotated matrix, so ``probs`` is None.
+    Its ``d_eff`` is the exact effective dimension of A (the rotation is
+    orthogonal), and :meth:`analytic_sketch` whitens the rotation by
+    H = A^T A + C.  Row weights of A do not carry over to the rows of the
+    rotated matrix, so only scalar debiasing applies.
     """
-    H: np.ndarray
-    d_eff: float
-    kind: ClassVar[PlanKind] = PlanKind.SRHT
-    probs: ClassVar[None] = None
-    scores: ClassVar[None] = None
-    exact: ClassVar[None] = None
-
-    @classmethod
-    def of_gram(cls, G: np.ndarray, C: np.ndarray) -> SrhtPlan:
-        H = G + C
-        return cls(H, gram_d_eff(H, G))
+    kind = PlanKind.SRHT
 
     def sketcher(self, A: np.ndarray | RowScaled, m: int, spec: DebiasSpec):
         """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d

@@ -223,9 +223,8 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     the diagnostics ``step_size``, ``d_eff`` and ``rho_max``.  ``rho_max``
     is None unless the step rule is analytic, the one rule that reads it,
     and ``d_eff`` is None unless the step rule is analytic or the debias
-    mode scalar, the two readers of it.  ``d_eff`` is the sum of the exact
-    scores every sampling plan keeps, approximate ones included, or the
-    SRHT or SJLT plan's own, which the SJLT plan computes only then.
+    mode scalar, the two readers of it: the plan's own, which the SJLT
+    plan computes only then.
 
     Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
     on the factor, then the plan's one-seed ``sketcher`` draw, or under
@@ -242,10 +241,9 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     analytic = method.step_rule is StepRule.ANALYTIC
     plan = build_plan(method.plan_kind, factor, C, mix=method.mix,
                       m1=method.m1, m2=method.m2, seed=rsrng.split(seed, 1))
-    d_eff = None
-    if analytic or method.debias is DebiasMode.SCALAR:
-        d_eff = plan.d_eff if plan.exact is None else float(plan.exact.sum())
-    spec = make_debias_spec(method.debias, plan, method.m, d_eff)
+    d_eff = (plan.d_eff if analytic or method.debias is DebiasMode.SCALAR
+             else None)
+    spec = make_debias_spec(method.debias, plan, method.m)
     rho_max, mu = None, method.fixed_step
     if analytic:
         At, rho_max = plan.analytic_sketch(factor, method.m, spec,

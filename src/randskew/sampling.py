@@ -12,20 +12,21 @@ Every plan :func:`build_plan` returns answers one protocol: ``kind``,
 ``d_eff``, ``probs`` (sampling probabilities), ``scores`` (sampling scores
 or None), ``exact`` (exact leverage scores, which every sampling plan
 keeps), ``sketcher(A, m, spec)`` and ``analytic_sketch(A, m, spec,
-seed)``.  Two plans sample no rows of A (``PlanKind.has_probs`` is
-False): the Hadamard plan samples rows of a rotation of A, and the SJLT
-plan (:class:`SjltPlan`) sums signed rows of A into each sketch row.
-Their ``probs``, ``scores`` and ``exact`` are None, and both take d_eff
-from the d x d Gram.  ``sketcher`` returns ``draw(seeds, out=None)``,
-which gives a T x m x d stack, one sketch per seed, for the cell
-(A, m, spec); a cell keeps its debias weights, and its buffers, across
-calls.  ``analytic_sketch`` returns the one-seed sketch, bitwise, and the
-rho_max that the analytic step rule reads: a sampling plan's depends on
-the plan alone, the Hadamard plan's on the rotation it sampled.  The SJLT
-plan has no rho_max, so it has no ``analytic_sketch``.
-:func:`build_plan` is the one run-path caller of
-:func:`exact_leverage_scores`; :mod:`randskew.debias` turns a plan's data
-into debias weights.
+seed)``.  ``d_eff`` is the exact effective dimension of A given C, and
+every plan derives it: a sampling plan sums ``exact``, and a
+:class:`ProjectionPlan`, which samples no rows of A (``PlanKind.has_probs``
+is False), takes it from the d x d Gram.  Those are the Hadamard plan,
+which samples rows of a rotation of A, and the SJLT plan
+(:class:`SjltPlan`), which sums signed rows of A into each sketch row.
+``sketcher`` returns ``draw(seeds, out=None)``, which gives a T x m x d
+stack, one sketch per seed, for the cell (A, m, spec); a cell keeps its
+debias weights, and its buffers, across calls.  ``analytic_sketch``
+returns the one-seed sketch, bitwise, and the rho_max that the analytic
+step rule reads: a sampling plan's depends on the plan alone, the
+Hadamard plan's on the rotation it sampled.  The SJLT plan has no
+rho_max, so it has no ``analytic_sketch``.  :func:`build_plan` is the one
+run-path caller of :func:`exact_leverage_scores`; :mod:`randskew.debias`
+turns a plan's data into debias weights.
 """
 
 from __future__ import annotations
@@ -68,17 +69,10 @@ class PlanKind(enum.Enum):
         return self not in (PlanKind.SRHT, PlanKind.SJLT)
 
 
-def gram_d_eff(H: np.ndarray, G: np.ndarray) -> float:
-    """trace(H^-1 G) for H = G + C: the effective dimension of a matrix
-    with Gram G, from the d x d matrices alone."""
-    return float(np.trace(solve_spd(H, G)))
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     kind: PlanKind
     probs: np.ndarray           # length n, nonnegative, sums to 1
-    d_eff: float                # effective dimension of A given C
     scores: np.ndarray | None = None   # leverage scores used, if any
     exact: np.ndarray | None = None    # exact leverage scores, build_plan sets
 
@@ -91,14 +85,20 @@ class SamplingPlan:
         object.__setattr__(self, "probs", p)
         if self.scores is not None:
             s = np.asarray(self.scores, dtype=np.float64)
-            if not abs(s.sum() - self.d_eff) <= 1e-10 * max(abs(self.d_eff),
-                                                            1.0):
-                raise ValueError("scores must be finite and sum to d_eff")
+            if not np.all(np.isfinite(s)):
+                raise ValueError("scores must be finite")
             object.__setattr__(self, "scores", s)
 
     @property
     def n(self) -> int:
         return self.probs.shape[0]
+
+    @cached_property
+    def d_eff(self) -> float:
+        """The sum of the exact scores, whatever the plan samples by."""
+        if self.exact is None:
+            raise ValueError(f"the {self.kind.value} plan has no exact scores")
+        return effective_dimension(self.exact)
 
     def sketcher(self, A: np.ndarray, m: int, spec):
         """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
@@ -327,27 +327,42 @@ def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class SjltPlan:
-    """The SJLT sketch S A (:func:`_sjlt_apply`, ``SJLT_NNZ_PER_COLUMN``
-    nonzeros per column of S) as a plan, with a fresh S for every sketch.
-
-    Like the Hadamard plan it samples no rows of A, so only scalar
-    debiasing applies.  ``d_eff`` is trace((G + C)^-1 G) for the Gram G
-    of A, computed on first read: a step that reads no d_eff makes no
-    pass over A for it.  The paper gives the SJLT no approximation
-    factor, so the plan has no ``analytic_sketch``.
-    """
-    A: RowScaled
+class ProjectionPlan:
+    """The base of the two plans that sample no rows of A: each sketch row
+    mixes rows of A, so only scalar debiasing applies.  On first read the
+    plan takes G = A^T A, H = G + C and ``d_eff`` = trace(H^-1 G); a step
+    that reads none of them makes no pass over A."""
+    A: np.ndarray | RowScaled
     C: np.ndarray
-    kind: ClassVar[PlanKind] = PlanKind.SJLT
+    kind: ClassVar[PlanKind]
     probs: ClassVar[None] = None
     scores: ClassVar[None] = None
     exact: ClassVar[None] = None
 
     @cached_property
+    def G(self) -> np.ndarray:
+        return gram(self.A)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return self.G + self.C
+
+    @cached_property
     def d_eff(self) -> float:
-        G = gram(self.A)
-        return gram_d_eff(G + self.C, G)
+        return float(np.trace(solve_spd(self.H, self.G)))
+
+    @classmethod
+    def scalar_only(cls) -> ValueError:
+        return ValueError(f"the {cls.kind.value} plan samples no rows of A, "
+                          f"so it only supports scalar debiasing")
+
+
+class SjltPlan(ProjectionPlan):
+    """The SJLT sketch S A (:func:`_sjlt_apply`, ``SJLT_NNZ_PER_COLUMN``
+    nonzeros per column of S) as a plan, with a fresh S for every sketch.
+    The paper gives the SJLT no approximation factor, so the plan has no
+    ``analytic_sketch``."""
+    kind = PlanKind.SJLT
 
     def sketcher(self, A: np.ndarray | RowScaled, m: int, spec):
         """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
@@ -357,8 +372,7 @@ class SjltPlan:
         if m < 1:
             raise SketchTooSmall(f"sketch size m={m} must be at least 1")
         if spec.row_weights is not None:
-            raise ValueError(f"the {self.kind.value} plan samples no rows of "
-                             f"A, so it only supports scalar debiasing")
+            raise self.scalar_only()
         X = as_rows(A)
         weight = spec.reweight(None, 1.0)
 
@@ -407,25 +421,30 @@ def sjlt_approx_leverage(A: np.ndarray | RowScaled, C: np.ndarray, m1: int,
 
 def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
                mix: float = 0.5, m1: int | None = None,
-               m2: int | None = None, seed: int = 0) -> SamplingPlan:
+               m2: int | None = None, seed: int = 0):
     """Construct a sampling plan of the requested kind for (A, C).
 
     A is an array or a :class:`~randskew.linalg.RowScaled`, which every
     reader takes in row blocks.  Every sampling plan keeps the exact
-    leverage scores as ``exact``.
-    ``d_eff`` is their sum except for the approximate-leverage kinds,
-    where it is the sum of the approximate scores actually used for
-    sampling.  ``PlanKind.SRHT`` returns a
-    :class:`~randskew.hadamard.SrhtPlan`, whose ``d_eff`` is
-    trace((G + C)^-1 G) from the d x d Gram G, with no n-row scores, and
-    ``PlanKind.SJLT`` an :class:`SjltPlan`, which takes its d_eff the same
-    way on first read.
+    leverage scores as ``exact``, computed here after any approximate
+    scores, and its ``d_eff`` is their sum.  ``PlanKind.SRHT`` returns a
+    :class:`~randskew.hadamard.SrhtPlan`, whose d_eff is taken here, so
+    that a singular A^T A + C is refused at build time as the exact
+    scores refuse it, and ``PlanKind.SJLT`` an :class:`SjltPlan`.
     """
     A = as_rows(A)
     n, d = A.shape
     if n < 1:
         raise ValueError("A must have at least one row")
+    if kind is PlanKind.SRHT:
+        from .hadamard import SrhtPlan  # hadamard imports this module
+        plan = SrhtPlan(A, C)
+        plan.d_eff  # refuses a singular A^T A + C now
+        return plan
+    if kind is PlanKind.SJLT:
+        return SjltPlan(A, C)
 
+    scores = probs = None
     if kind in (PlanKind.APPROX_LEVERAGE,
                 PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE):
         if m1 is None:
@@ -438,34 +457,26 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
         total = scores.sum()
         if total <= 0:
             raise AllZeroRows("approximate leverage scores are all zero")
-        return SamplingPlan(kind, scores / total, float(total), scores=scores,
-                            exact=exact_leverage_scores(A, C))
-    if kind is PlanKind.SRHT:
-        from .hadamard import SrhtPlan  # hadamard imports this module
-        return SrhtPlan.of_gram(gram(A), C)
-    if kind is PlanKind.SJLT:
-        return SjltPlan(A, C)
-    if kind is PlanKind.ROW_NORM:
+        probs = scores / total
+    elif kind is PlanKind.ROW_NORM:
         sq = _squared_row_norms(A)
         total = sq.sum()
         if total == 0.0:
             raise AllZeroRows("row-norm sampling on an all-zero matrix")
-    if kind is PlanKind.SHRINKAGE and not 0.0 <= mix <= 1.0:
+        probs = sq / total
+    elif kind is PlanKind.UNIFORM:
+        probs = np.full(n, 1.0 / n)
+    elif kind is PlanKind.SHRINKAGE and not 0.0 <= mix <= 1.0:
         raise ValueError("shrinkage mix must lie in [0, 1]")
 
     exact = exact_leverage_scores(A, C)
-    d_eff = effective_dimension(exact)
-    if kind is PlanKind.UNIFORM:
-        return SamplingPlan(kind, np.full(n, 1.0 / n), d_eff, exact=exact)
-    if kind is PlanKind.ROW_NORM:
-        return SamplingPlan(kind, sq / total, d_eff, exact=exact)
     if kind is PlanKind.EXACT_LEVERAGE:
-        return SamplingPlan(kind, exact / exact.sum(), d_eff, scores=exact,
-                            exact=exact)
-    if kind is PlanKind.SHRINKAGE:
-        probs = mix / n + (1.0 - mix) * exact / exact.sum()
-        return SamplingPlan(kind, probs, d_eff, scores=exact, exact=exact)
-    raise ValueError(f"unknown plan kind {kind!r}")
+        scores, probs = exact, exact / exact.sum()
+    elif kind is PlanKind.SHRINKAGE:
+        scores, probs = exact, mix / n + (1.0 - mix) * exact / exact.sum()
+    elif probs is None:
+        raise ValueError(f"unknown plan kind {kind!r}")
+    return SamplingPlan(kind, probs, scores=scores, exact=exact)
 
 
 def _squared_row_norms(X: RowScaled) -> np.ndarray:

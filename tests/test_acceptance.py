@@ -204,8 +204,7 @@ def test_criterion_07_scalar_fine_grained_coincidence():
     sk = draw(plan, m, seed=77)
     from randskew.debias import apply_debias
     a = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
-    fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m,
-                                 plan.d_eff)
+    fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m)
     b = apply_debias(sk, fine_spec)
     assert np.array_equal(a.weights, b.weights)
     report("criterion 7", "weights bitwise identical")

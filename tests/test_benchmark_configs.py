@@ -73,9 +73,9 @@ def test_smoke_output_does_not_depend_on_blas_threads(tmp_path, workload):
     assert digests[0] == digests[1]
 
 
-# the SJLT bias table's trials and seed, fixed: a failure here is a
-# finding, not a reason to re-seed or to take more trials
-SJLT_BIAS_TRIALS, SJLT_BIAS_SEED = 400, 7
+# the bias tables' trials and seed, fixed: a failure here is a finding,
+# not a reason to re-seed or to take more trials
+BIAS_TABLE_TRIALS, BIAS_TABLE_SEED = 400, 7
 
 
 def test_sjlt_bias_table_passes_the_bias_lab_check(tmp_path):
@@ -86,12 +86,31 @@ def test_sjlt_bias_table_passes_the_bias_lab_check(tmp_path):
     cfg = {"data": "synthetic", "synthetic": "coherent", "n": "512",
            "d": "16", "heavy_rows": "16", "lambda": "0",
            "plans": "exact_leverage,srht,sjlt", "debias": "none,scalar",
-           "m_grid": "64,128,256", "trials": str(SJLT_BIAS_TRIALS)}
+           "m_grid": "64,128,256", "trials": str(BIAS_TABLE_TRIALS)}
     path = tmp_path / "config.txt"
     path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
     out = tmp_path / "out.csv"
     assert main(["bias", "--config", str(path), "--seed",
-                 str(SJLT_BIAS_SEED), "--out", str(out)]) == 0
+                 str(BIAS_TABLE_SEED), "--out", str(out)]) == 0
     problems, totals = _workloads.check_bias(out, cfg)
     assert problems == []
-    assert totals["trials"] == 3 * 2 * 3 * SJLT_BIAS_TRIALS
+    assert totals["trials"] == 3 * 2 * 3 * BIAS_TABLE_TRIALS
+
+
+def test_approximate_leverage_bias_table_passes_the_bias_lab_check(tmp_path):
+    # the SJLT table's data, m grid, trials and seed: the approximate
+    # kinds' scalar rows read the exact d_eff, not the sum of the scores
+    # they sample by, and every row must pass the bias-lab workload's rules
+    cfg = {"data": "synthetic", "synthetic": "coherent", "n": "512",
+           "d": "16", "heavy_rows": "16", "lambda": "0",
+           "plans": "approx_leverage,double_sketch_approx_leverage",
+           "debias": "none,scalar", "m_grid": "64,128,256",
+           "trials": str(BIAS_TABLE_TRIALS)}
+    path = tmp_path / "config.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    out = tmp_path / "out.csv"
+    assert main(["bias", "--config", str(path), "--seed",
+                 str(BIAS_TABLE_SEED), "--out", str(out)]) == 0
+    problems, totals = _workloads.check_bias(out, cfg)
+    assert problems == []
+    assert totals["trials"] == 2 * 2 * 3 * BIAS_TABLE_TRIALS

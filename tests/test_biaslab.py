@@ -25,7 +25,7 @@ C0 = np.zeros((D, D))
 def test_degenerate_single_row_has_zero_bias():
     A = np.array([[1.0]])
     C = np.array([[1.0]])
-    plan = SamplingPlan(PlanKind.UNIFORM, np.array([1.0]), d_eff=0.5)
+    plan = SamplingPlan(PlanKind.UNIFORM, np.array([1.0]))
     est = estimate_bias(A, C, plan, DebiasSpec.none(), m=1, trials=4, seed=0)
     assert est.bias == pytest.approx(0.0, abs=1e-14)
     assert est.discarded == 0
@@ -107,8 +107,7 @@ def test_srht_rejects_fine_grained_spec(n):
     A = np.random.default_rng(n).standard_normal((n, 3))
     C = 1e-2 * np.eye(3)
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
-    spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, 32,
-                            plan.d_eff)
+    spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, 32)
     with pytest.raises(ValueError, match="only supports scalar"):
         estimate_bias(A, C, build_plan(PlanKind.SRHT, A, C), spec, m=32,
                       trials=4, seed=0)
@@ -212,10 +211,10 @@ def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
 
 def test_make_debias_spec_scalar_uses_plan_d_eff():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-    spec = make_debias_spec(DebiasMode.SCALAR, plan, 16, plan.d_eff)
+    spec = make_debias_spec(DebiasMode.SCALAR, plan, 16)
     assert spec.factor == pytest.approx(16 / (16 - plan.d_eff))
     with pytest.raises(SketchTooSmall):
-        make_debias_spec(DebiasMode.SCALAR, plan, 4, plan.d_eff)
+        make_debias_spec(DebiasMode.SCALAR, plan, 4)
 
 
 class TestBiasSweep:

@@ -65,7 +65,7 @@ class TestFineGrainedWeights:
         assert err.value.index == 1
 
     def test_positive_score_at_zero_probability_names_its_row(self):
-        plan = SamplingPlan(PlanKind.ROW_NORM, [0.5, 0.0, 0.5], 1.0)
+        plan = SamplingPlan(PlanKind.ROW_NORM, [0.5, 0.0, 0.5])
         with pytest.raises(ZeroProbabilityWithPositiveScore) as err:
             fine_grained_weights(plan, np.array([0.4, 0.2, 0.4]), 10)
         assert err.value.index == 1
@@ -76,8 +76,7 @@ class TestApproxFineGrainedWeights:
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
         scores = exact_leverage_scores(A_CE, C0)
         m = 8 * D
-        spec = make_debias_spec(DebiasMode.FINE_GRAINED_APPROX, plan, m,
-                                plan.d_eff)
+        spec = make_debias_spec(DebiasMode.FINE_GRAINED_APPROX, plan, m)
         assert np.array_equal(spec.row_weights,
                               fine_grained_weights(plan, scores, m))
 
@@ -100,9 +99,9 @@ class TestApproxFineGrainedWeights:
     ids=lambda x: getattr(x, "value", x))
 def test_missing_scores_refusal_names_the_mode_asked_for(mode, kind):
     # a hand-built plan keeps neither exact nor approximate scores
-    plan = SamplingPlan(PlanKind.UNIFORM, [0.5, 0.5], 1.0)
+    plan = SamplingPlan(PlanKind.UNIFORM, [0.5, 0.5])
     with pytest.raises(ValueError) as refused:
-        make_debias_spec(mode, plan, 10, 1.0)
+        make_debias_spec(mode, plan, 10)
     assert str(refused.value) == (f"{mode.value} debiasing needs {kind} "
                                   f"leverage scores, and a uniform plan "
                                   f"has none")
@@ -133,8 +132,7 @@ class TestApplyDebias:
         m = 8 * D
         sk = draw(plan, m, seed=13)
         scalar = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
-        fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m,
-                                     plan.d_eff)
+        fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m)
         fine = apply_debias(sk, fine_spec)
         assert np.array_equal(scalar.weights, fine.weights)
 

@@ -316,8 +316,7 @@ class TestSrhtDraw:
         for seed in (0, 3, 11):
             sd = srht_draw(n, m, seed)
             N = sd.n_padded
-            plan = SamplingPlan(PlanKind.UNIFORM, np.full(N, 1.0 / N),
-                                d_eff=float(N))
+            plan = SamplingPlan(PlanKind.UNIFORM, np.full(N, 1.0 / N))
             want = draw(plan, m, rsrng.split(seed, 1))
             assert_array_equal(sd.sample.indices, want.indices)
             assert_array_equal(sd.sample.weights, want.weights)

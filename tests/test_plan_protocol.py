@@ -100,7 +100,7 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
     plan = build_plan(kind, A, C)
     seeds = (0, 7, rsrng.split(3, 1))
     for m in (M_FINE if mode in FINE else M, N - 1, N):
-        spec = make_debias_spec(mode, plan, m, plan.d_eff)
+        spec = make_debias_spec(mode, plan, m)
         stack = plan.sketcher(A, m, spec)(seeds)
         buf = np.full_like(stack, np.nan)
         assert plan.sketcher(A, m, spec)(seeds, out=buf) is buf
@@ -146,7 +146,7 @@ def test_consecutive_sketcher_calls_match_fresh_sketchers(kind):
 def test_a_bias_cell_builds_its_debias_weights_once(mode, kind, monkeypatch):
     plan = build_plan(kind, A, C)
     m = M_FINE if mode in FINE else M
-    spec = make_debias_spec(mode, plan, m, plan.d_eff)
+    spec = make_debias_spec(mode, plan, m)
     calls = []
 
     def reweight(self, indices, weights):
@@ -181,12 +181,12 @@ def test_a_bias_cell_builds_its_debias_weights_once(mode, kind, monkeypatch):
 def test_which_plans_refuse_fine_grained_debias(kind, mode):
     plan = build_plan(kind, A, C)
     if (kind, mode) not in REFUSED:
-        spec = make_debias_spec(mode, plan, M_FINE, plan.d_eff)
+        spec = make_debias_spec(mode, plan, M_FINE)
         assert spec.row_weights.shape == (N,)
         assert np.all(spec.row_weights >= 1.0)
         return
     with pytest.raises(ValueError, match=REFUSED[kind, mode]) as refused:
-        make_debias_spec(mode, plan, M_FINE, plan.d_eff)
+        make_debias_spec(mode, plan, M_FINE)
     assert type(refused.value) is ValueError
 
 
@@ -293,6 +293,34 @@ def test_lev_takes_exact_scores_from_its_first_plan(overrides, plans,
     assert passes == [True] * plans
     assert [row[1] for row in rows] == list(EXACT)
     assert sidecar["d_eff"] == float(EXACT.sum())
+
+
+@pytest.mark.parametrize("kind", [k for k in PlanKind if k.has_probs],
+                         ids=lambda k: k.value)
+def test_a_sampling_plans_d_eff_is_the_sum_of_its_exact_scores(kind):
+    # one rule for every kind: the approximate kinds sample by their
+    # approximate scores, whose sum only estimates d_eff
+    plan = build_plan(kind, A, C, seed=2)
+    assert plan.d_eff == float(plan.exact.sum())
+
+
+def test_an_approximate_plans_scalar_bias_cell_reads_the_exact_d_eff():
+    # the bias table's scalar factor is the one solve, sweep and lev read
+    seed, m_grid, trials = 3, [16, 32], 8
+    cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
+                      "heavy_rows": "4", "lambda": "0.01",
+                      "plans": "approx_leverage", "debias": "scalar",
+                      "m_grid": ",".join(map(str, m_grid)),
+                      "trials": str(trials)})
+    _, rows, _ = cli.cmd_bias(cfg, seed, False)
+    plan = build_plan(PlanKind.APPROX_LEVERAGE, A, C,
+                      seed=rsrng.split(seed, 101))
+    for mi, (m, row) in enumerate(zip(m_grid, rows)):
+        est = estimate_bias(A, C, plan,
+                            DebiasSpec.scalar(m, float(plan.exact.sum())), m,
+                            trials, rsrng.split(seed, 0, 0, mi))
+        assert row == ["approx_leverage", "scalar", m, trials, est.discarded,
+                       est.bias, est.stderr_proxy, est.eps_two_sided]
 
 
 @pytest.mark.parametrize("kind", [k for k in PlanKind if not k.has_probs],
@@ -469,7 +497,7 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     # sketch of the formed factor, bitwise
     hs, C_ = hessian_sqrt(obj), P_.lam * np.eye(D)
     plan = build_plan(PlanKind.SRHT, hs, C_)
-    spec = make_debias_spec(method.debias, plan, M, plan.d_eff)
+    spec = make_debias_spec(method.debias, plan, M)
     # every rule's sketch is the per-draw sketch of the whole rotation,
     # bitwise
     sd = srht_draw(n, M, rsrng.split(5, 2))
@@ -580,7 +608,7 @@ def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():
 def test_srht_plan_refuses_fine_grained_debias(mode):
     plan = build_plan(PlanKind.SRHT, A, C)
     with pytest.raises(ValueError, match="only supports scalar"):
-        make_debias_spec(mode, plan, M, plan.d_eff)
+        make_debias_spec(mode, plan, M)
 
 
 def test_sjlt_step_refuses_the_analytic_rule_by_the_plans_name():
@@ -619,8 +647,7 @@ def test_sjlt_sketcher_refuses_an_empty_sketch_and_row_weights():
     # a spec built for a sampling plan must not reach the SJLT sketch,
     # whose rows mix every row of A
     exact = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
-    spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, exact, M_FINE,
-                            exact.d_eff)
+    spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, exact, M_FINE)
     with pytest.raises(ValueError, match="only supports scalar"):
         plan.sketcher(A, M_FINE, spec)
 

@@ -289,17 +289,26 @@ class TestBuildPlan:
 
     def test_plan_validates_probabilities(self):
         with pytest.raises(ValueError):
-            SamplingPlan(PlanKind.UNIFORM, np.array([0.7, 0.7]), d_eff=1.0)
+            SamplingPlan(PlanKind.UNIFORM, np.array([0.7, 0.7]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_plan_refuses_non_finite_probabilities_and_scores(self, bad):
         with pytest.raises(ValueError, match="probabilities must be finite"):
-            SamplingPlan(PlanKind.UNIFORM, np.array([bad, bad]), d_eff=1.0)
+            SamplingPlan(PlanKind.UNIFORM, np.array([bad, bad]))
         with pytest.raises(ValueError, match="probabilities must be finite"):
-            SamplingPlan(PlanKind.UNIFORM, np.array([bad, 0.5]), d_eff=1.0)
+            SamplingPlan(PlanKind.UNIFORM, np.array([bad, 0.5]))
         with pytest.raises(ValueError, match="scores must be finite"):
             SamplingPlan(PlanKind.EXACT_LEVERAGE, np.array([0.5, 0.5]),
-                         d_eff=1.0, scores=np.array([bad, 1.0]))
+                         scores=np.array([bad, 1.0]))
+
+    def test_plan_without_exact_scores_refuses_to_give_d_eff(self):
+        # d_eff is the sum of the exact scores for every sampling plan, so
+        # a hand-built plan without them has none rather than a guess
+        plan = SamplingPlan(PlanKind.EXACT_LEVERAGE, np.array([0.5, 0.5]),
+                            scores=np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="^the exact_leverage plan has "
+                                             "no exact scores$"):
+            plan.d_eff
 
 
 class TestApproximationFactors:
@@ -337,7 +346,7 @@ class TestApproximationFactors:
 
     def test_zero_probability_with_positive_score(self):
         probs = np.array([1.0, 0.0])
-        plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
+        plan = SamplingPlan(PlanKind.UNIFORM, probs)
         with pytest.raises(ZeroProbabilityWithPositiveScore):
             approximation_factors(plan, np.array([0.5, 0.5]))
 
@@ -345,15 +354,14 @@ class TestApproximationFactors:
 class TestDraw:
     def test_degenerate_distribution(self):
         plan = SamplingPlan(PlanKind.UNIFORM,
-                            np.array([1.0, 0.0, 0.0]), d_eff=1.0)
+                            np.array([1.0, 0.0, 0.0]))
         sk = draw(plan, 9, seed=0)
         assert np.all(sk.indices == 0)
         assert np.allclose(sk.weights, 1.0 / 3.0)
 
     def test_empirical_frequencies_chi_square(self):
         n, m = 8, 100_000
-        plan = SamplingPlan(PlanKind.UNIFORM, np.full(n, 1.0 / n),
-                            d_eff=1.0)
+        plan = SamplingPlan(PlanKind.UNIFORM, np.full(n, 1.0 / n))
         sk = draw(plan, m, seed=12)
         counts = np.bincount(sk.indices, minlength=n)
         chi2 = ((counts - m / n) ** 2 / (m / n)).sum()
@@ -375,7 +383,7 @@ class TestDraw:
 
     def test_zero_probability_rows_never_drawn(self):
         probs = np.array([0.0, 0.5, 0.5, 0.0])
-        plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
+        plan = SamplingPlan(PlanKind.UNIFORM, probs)
         sk = draw(plan, 10_000, seed=3)
         assert np.all(np.isin(sk.indices, [1, 2]))
 
@@ -387,8 +395,7 @@ class TestDraw:
 
         monkeypatch.setattr(rsrng, "generator",
                             lambda *path: TopOfUnitInterval())
-        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]),
-                            d_eff=1.0)
+        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]))
         sk = draw(plan, 4, seed=0)
         assert np.all(sk.indices == 9)
 
@@ -397,8 +404,7 @@ class TestDraw:
 class TestDrawMany:
     # interior and trailing zero-probability rows
     PLAN = SamplingPlan(PlanKind.UNIFORM,
-                        np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.4, 0.0]),
-                        d_eff=1.0)
+                        np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.4, 0.0]))
     SEEDS = [0, 1, 2 ** 64 - 1, 2 ** 64 - 2, 2 ** 64 - 5, 2 ** 63,
              *(rsrng.split(11, t) for t in range(40))]
 
@@ -418,8 +424,7 @@ class TestDrawMany:
         monkeypatch.setattr(rsrng, "uniform_rows",
                             lambda seeds, m: np.full((len(list(seeds)), m),
                                                      1.0 - 2.0 ** -53))
-        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]),
-                            d_eff=1.0)
+        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]))
         indices, _ = sampled_rows(plan, 4, [0, 1, 2])
         assert indices.shape == (3, 4)
         assert np.all(indices == 9)
@@ -461,7 +466,7 @@ class TestGuideTable:
         if not w.any():
             w[0] = 1.0
         probs = w / w.sum()
-        plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
+        plan = SamplingPlan(PlanKind.UNIFORM, probs)
         u = _edge_uniforms(probs)
         indices = plan._cdf[0][plan._positions(u)]
         np.testing.assert_array_equal(indices, _searchsorted_rows(probs, u))
@@ -470,7 +475,7 @@ class TestGuideTable:
         # 64 tiny rows share the first of 65 buckets with a heavy last row,
         # so a draw between them takes more steps than the passes allow
         probs = np.array([1e-6] * 64 + [1.0 - 64e-6])
-        plan = SamplingPlan(PlanKind.UNIFORM, probs, d_eff=1.0)
+        plan = SamplingPlan(PlanKind.UNIFORM, probs)
         u = _edge_uniforms(probs)
         cdf = plan._cdf[1]
         steps = (np.searchsorted(cdf, u, side="right")
