@@ -201,17 +201,19 @@ def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`cholesky` accepts.
 
     Returns ``(Q, ok)``: ``ok[t]`` says whether ``M[t]``'s Cholesky factor
-    passes :func:`cholesky`'s pivot rule, and ``Q`` stacks ``gram(Y)`` for
+    passes :func:`cholesky`'s pivot rule, and ``Q`` stacks ``Y^T Y`` for
     those, in order, where ``Y = L^-1`` comes from LAPACK's triangular
     inverse ``trtri``.  ``potrf`` and ``trtri`` work on each matrix on its
     own, so no verdict or inverse depends on the rest of the stack; a
-    nonzero ``trtri`` status raises :class:`NotPositiveDefinite`.
+    nonzero ``trtri`` status raises :class:`NotPositiveDefinite`.  numpy
+    takes the product of ``Y^T = Z`` with its own transpose by ``syrk``
+    and mirrors one triangle, so it is exactly symmetric as it stands.
     """
     Z, low = _factor(M)
     ok = low < 0
     Z = Z[ok]
     _invert_upper(Z, "accepted factor")
-    return gram(np.swapaxes(Z, -1, -2)), ok
+    return np.matmul(Z, np.swapaxes(Z, -1, -2)), ok
 
 
 def _invert_upper(Z: np.ndarray, what: str) -> None:

@@ -12,7 +12,8 @@ from randskew.data import counterexample_matrix
 from randskew.debias import DebiasMode, DebiasSpec
 from randskew.errors import (AllTrialsSingular, NotPositiveDefinite,
                              SketchTooSmall)
-from randskew.linalg import cholesky, gram, spectral_norm, sqrt_psd
+from randskew.linalg import (accepted_inverses, cholesky, gram, spectral_norm,
+                             sqrt_psd)
 from randskew.sampling import PlanKind, SamplingPlan, build_plan
 
 from oracles import gaussian_sketch, psd_relative_error, spd_inverse
@@ -190,6 +191,19 @@ def test_stacked_sketch_grams_are_exactly_symmetric(T, m):
               np.matmul(np.swapaxes(S, 1, 2), S, out=np.empty((T, 32, 32)))):
         np.testing.assert_array_equal(G, np.swapaxes(G, 1, 2))
         np.testing.assert_array_equal(gram(S), G)
+
+
+@pytest.mark.parametrize("T, m", [(64, 128), (32, 256), (16, 512)])
+def test_stacked_inverse_products_are_exactly_symmetric(T, m):
+    # accepted_inverses takes each trial's Y^T Y without gram's
+    # symmetrization, a bitwise no-op while numpy's product of a stack with
+    # its own transpose is exactly symmetric at the bias lab's sub-block
+    # shapes (d = 32)
+    S = np.random.default_rng(T).standard_normal((T, m, 32))
+    Q, ok = accepted_inverses(np.swapaxes(S, 1, 2) @ S)
+    assert ok.all()
+    np.testing.assert_array_equal(Q, np.swapaxes(Q, 1, 2))
+    np.testing.assert_array_equal((Q + np.swapaxes(Q, 1, 2)) / 2.0, Q)
 
 
 @pytest.mark.parametrize("m", [8, 16])

@@ -7,8 +7,8 @@ Checks that let the policy act run ``main`` in a fresh interpreter.
 """
 
 import json
-import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -34,6 +34,12 @@ needs_two_cpus = pytest.mark.skipif(
     _cpus() < 2, reason="the process may run on only one CPU")
 
 
+def _assert_no_children():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(params=[1, 2], ids=["serial", "pooled"])
 def workers(request, monkeypatch):
     monkeypatch.setattr(parallel, "workers", request.param)
@@ -51,7 +57,7 @@ def test_pmap_equals_the_list_comprehension(count, items):
         return (x, float(x * weights.sum()) / 7.0, [x] * (x % 3))
 
     assert parallel.pmap(fn, items) == [fn(x) for x in items]
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 @needs_two_cpus
@@ -63,9 +69,70 @@ def test_pmap_runs_items_on_forked_workers(monkeypatch):
 
 def test_pmap_runs_in_process_without_fork(monkeypatch):
     monkeypatch.setattr(parallel, "workers", 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert parallel.pmap(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
+def _dies_on_two(x):
+    if x == 2:
+        os._exit(3)   # no record, no exception: the worker is gone
+    return x
+
+
+def test_a_dead_worker_names_its_unreported_item(monkeypatch):
+    monkeypatch.setattr(parallel, "workers", 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"reporting item 2$"):
+        parallel.pmap(_dies_on_two, range(5))
+    assert time.monotonic() - start < 30
+    _assert_no_children()
+
+
+def test_results_larger_than_a_pipe_buffer_come_back(monkeypatch):
+    monkeypatch.setattr(parallel, "workers", 2)
+    sizes = [2**17 + x for x in range(4)]   # over 1 MiB of float64 each
+    results = parallel.pmap(lambda n: np.full(n, float(n)), sizes)
+    for n, result in zip(sizes, results):
+        np.testing.assert_array_equal(result, np.full(n, float(n)))
+    _assert_no_children()
+
+
+def test_more_items_than_the_dispatch_pipe_holds(monkeypatch):
+    # 4-byte index records: a 64 KiB pipe holds 16384 of them
+    monkeypatch.setattr(parallel, "workers", 2)
+    items = range(20000)
+    assert parallel.pmap(lambda x: -x, items, cost=lambda x: x % 7) \
+        == [-x for x in items]
+    _assert_no_children()
+
+
+def _unpicklable_first(x):
+    if x == 1:
+        return lambda: x
+    if x == 3:
+        raise SketchTooSmall("item 3", index=3)
+    return x
+
+
+def test_an_unpicklable_result_is_its_items_error(monkeypatch):
+    monkeypatch.setattr(parallel, "workers", 2)
+    with pytest.raises((pickle.PicklingError, AttributeError),
+                       match="pickle"):
+        parallel.pmap(_unpicklable_first, range(5))
+    _assert_no_children()
+
+
+def test_text_printed_before_pmap_appears_once():
+    code = ("from randskew import parallel\nparallel.workers = 2\n"
+            "print('before', flush=False)\n"
+            "print(parallel.pmap(abs, range(-3, 3)))\n")
+    # block-buffered stdout, so that "before" is still buffered at the fork
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**env, "PYTHONPATH": _SRC},
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout == "before\n[3, 2, 1, 0, 1, 2]\n"
 
 
 def _fail(x):
@@ -88,7 +155,17 @@ def test_pmap_raises_the_earliest_failing_item(workers, first):
         assert type(exc) is NotPositiveDefinite and exc.pivot_index == 3
     else:
         assert type(exc) is SketchTooSmall and exc.index == 11
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
+
+
+def test_a_workers_exception_carries_its_traceback(monkeypatch):
+    monkeypatch.setattr(parallel, "workers", 2)
+    with pytest.raises(SketchTooSmall) as info:
+        parallel.pmap(_fail, range(1, 4))
+    cause = info.value.__cause__
+    assert type(cause) is parallel.WorkerTraceback
+    assert "in _fail" in str(cause) and "SketchTooSmall: item 1" in str(cause)
+    _assert_no_children()
 
 
 def _timed(x):
@@ -105,7 +182,7 @@ def test_pmap_dispatches_by_cost_and_returns_in_item_order(monkeypatch):
     starts = [start for _, start in results]
     # item 5 goes to the pool first, item 0 only after two rounds of sleeps
     assert starts[5] < starts[0]
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 def _fail_by_cost(x):
@@ -124,30 +201,51 @@ def test_cost_order_keeps_the_serial_error(workers):
         parallel.pmap(_fail_by_cost, range(6), cost=lambda x: x)
     assert type(info.value) is SketchTooSmall
     assert (str(info.value), info.value.index) == ("item 1", 1)
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
-def test_importing_the_cli_loads_no_process_pool():
+_POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
     # scipy.linalg already imports the concurrent.futures package (through
-    # numpy.testing); its process pool and multiprocessing must wait for
-    # pmap.
+    # numpy.testing); neither its process pool nor multiprocessing may load
     code = ("import sys, randskew.cli; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules))")
+            f"{_POOL_MODULES!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": _SRC},
                           capture_output=True, text=True, timeout=60,
                           check=True)
     assert proc.stdout.strip() == "[]"
+    # nor in a run that forks: _main checks every probe's loaded modules
+    if _cpus() > 1:
+        for command, cfg_text in (("bias", BIAS_CFG), ("sweep", SWEEP_CFG),
+                                  ("solve", SOLVE_CFG)):
+            (tmp_path / command).mkdir()
+            assert _main(tmp_path / command, command, cfg_text, pooled=True,
+                         forks=True)[0] == cli.EXIT_OK
 
 
-_PROBE = """
-import json, multiprocessing, sys
+_PROBE = f"""
+import json, os, sys
 from randskew import cli, parallel
+forks, fork = [], os.fork
+
+def counted_fork():
+    forks.append(os.getpid())
+    return fork()
+
+os.fork = counted_fork
 rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "workers": parallel.workers,
-                  "children": len(multiprocessing.active_children()),
-                  "pool": "concurrent.futures.process" in sys.modules}))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = 1
+except ChildProcessError:
+    children = 0
+print(json.dumps({{"rc": rc, "workers": parallel.workers,
+                  "children": children, "pool": bool(forks),
+                  "modules": [m for m in {_POOL_MODULES!r}
+                              if m in sys.modules]}}))
 """
 
 COUNTEREXAMPLE = "data = synthetic\nsynthetic = counterexample\n"
@@ -181,7 +279,7 @@ def _main(tmp_path, command, cfg_text, pooled, forks=None):
     """``cli.main`` in a fresh interpreter under the default thread policy
     (pooled) or with a BLAS thread count set (serial): the probe's report,
     stderr and the output and sidecar bytes.  ``forks``, where given, says
-    whether the run loaded the process pool."""
+    whether the run called ``os.fork``."""
     run_dir = tmp_path / ("pooled" if pooled else "serial")
     run_dir.mkdir()
     (run_dir / "run.cfg").write_text(cfg_text)
@@ -195,7 +293,7 @@ def _main(tmp_path, command, cfg_text, pooled, forks=None):
          str(run_dir / "run.cfg"), "--seed", "3", "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(proc.stdout)
-    assert report["children"] == 0
+    assert report["children"] == 0 and report["modules"] == []
     assert (report["workers"] > 1) == pooled
     assert forks is None or report["pool"] == forks
     files = [p.read_bytes() for p in (out, Path(f"{out}.json"))
@@ -303,7 +401,7 @@ def test_overlap_runs_both_in_process_when_serial(workers):
     pids = parallel.overlap(os.getpid, os.getpid)
     assert pids[1] == os.getpid()
     assert (pids[0] == os.getpid()) == (workers == 1)
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 def _late_failure():
@@ -325,7 +423,7 @@ def test_overlap_raises_the_serial_error(workers, first, second, raised):
     assert type(info.value) is raised
     if raised is NotPositiveDefinite:
         assert info.value.pivot_index == 2
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
 
 
 def test_no_pool_forks_inside_another(monkeypatch):
@@ -336,4 +434,4 @@ def test_no_pool_forks_inside_another(monkeypatch):
                                                    range(3)))
     # the worker and the caller each run their map in-process
     assert len(set(inner[0])) == 1 and inner[1] == [os.getpid()] * 3
-    assert multiprocessing.active_children() == []
+    _assert_no_children()
