@@ -5,8 +5,9 @@ For a sketching scheme producing A-tilde, the bias of interest is
     || H^{1/2} ( E[(A~^T A~ + C)^{-1}] - H^{-1} ) H^{1/2} ||,  H = A^T A + C,
 
 measured in spectral norm and estimated by averaging over independent
-trials.  Trials whose sketched Gram is numerically singular are discarded
-and counted; this operationalizes the conditioning event of the theory.
+trials, with A and C the plan's own.  Trials whose sketched Gram is
+numerically singular are discarded and counted; this operationalizes the
+conditioning event of the theory.
 
 With H = L L^T (Cholesky) and Q the mean kept inverse, the bias is
 max |lambda - 1| over the eigenvalues lambda of L^T Q L, and ``eps_def5``
@@ -43,29 +44,28 @@ class BiasEstimate:
     eps_two_sided: float  # smallest two-sided PSD sandwich factor minus one
 
 
-def estimate_bias(A: np.ndarray, C: np.ndarray, plan, debias: DebiasSpec,
-                  m: int, trials: int, seed: int) -> BiasEstimate:
+def estimate_bias(plan, debias: DebiasSpec, m: int, trials: int,
+                  seed: int) -> BiasEstimate:
     """Monte-Carlo inversion-bias estimate for one configuration.
 
-    ``plan`` is any plan :func:`~randskew.sampling.build_plan` returns.
-    Deterministic given ``seed``; per-trial streams are split by trial
-    index.  Trials are sketched and inverted in stacks of at most
-    ``SUBBLOCK_FLOATS`` sketched entries, cut inside the jackknife groups;
-    each group's kept inverses are summed once, in trial order, so where
-    a group's sub-blocks are cut does not change the result.  The cell
+    ``plan`` is any plan :func:`~randskew.sampling.build_plan` returns; its
+    own A and C give H.  Deterministic given ``seed``; per-trial streams are
+    split by trial index.  Trials are sketched and inverted in stacks of at
+    most ``SUBBLOCK_FLOATS`` sketched entries, cut inside the jackknife
+    groups; each group's kept inverses are summed once, in trial order, so
+    where a group's sub-blocks are cut does not change the result.  The cell
     draws through one ``plan.sketcher`` into buffers it allocates once.
     """
     if m < 1 or trials < 2:
         raise ValueError("need m >= 1 and trials >= 2")
-    A = np.asarray(A, dtype=np.float64)
-    d = A.shape[1]
-    L = cholesky(gram(A) + C)
+    sketch = plan.sketcher(m, debias)  # refuses a plan without (A, C)
+    C, d = plan.C, plan.A.shape[1]
+    L = cholesky(gram(plan.A) + C)
 
     group_sums: list[np.ndarray] = []
     group_kept: list[int] = []
     discarded = 0
     step = max(1, SUBBLOCK_FLOATS // (m * d))
-    sketch = plan.sketcher(A, m, debias)
     # the cell's buffers: sketches and gram(At) + C
     size = min(step, JACKKNIFE_BATCH, trials)
     stack, grams = np.empty((size, m, d)), np.empty((size, d, d))
@@ -126,11 +126,11 @@ class BiasSweepRow:
     estimate: BiasEstimate
 
 
-def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
-               m_grid, trials: int, seed: int) -> list[BiasSweepRow]:
-    """Cross product of (scheme, debias mode, m) cells, deterministic order.
+def bias_sweep(plans, debias_modes, m_grid, trials: int,
+               seed: int) -> list[BiasSweepRow]:
+    """Cross product of (plan, debias mode, m) cells, deterministic order.
 
-    ``plan_specs`` is a list of (name, plan) pairs; seeds are
+    Each row's ``scheme`` is its plan's ``kind.value``; seeds are
     stream-split per cell so cells are independent of each other.  Scalar
     debiasing reads the plan's own d_eff.  Cells run through
     :func:`~randskew.parallel.pmap`, largest m first, so the rows depend
@@ -140,16 +140,16 @@ def bias_sweep(A: np.ndarray, C: np.ndarray, plan_specs, debias_modes,
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be nonempty and ascending")
 
-    cells = [(pi, di, mi, name, plan, mode, m)
-             for pi, (name, plan) in enumerate(plan_specs)
+    cells = [(pi, di, mi, plan, mode, m)
+             for pi, plan in enumerate(plans)
              for di, mode in enumerate(debias_modes)
              for mi, m in enumerate(m_grid)]
 
     def run_cell(cell) -> BiasSweepRow:
-        pi, di, mi, name, plan, mode, m = cell
+        pi, di, mi, plan, mode, m = cell
         spec = make_debias_spec(mode, plan, m)
-        est = estimate_bias(A, C, plan, spec, m, trials,
+        est = estimate_bias(plan, spec, m, trials,
                             rsrng.split(seed, pi, di, mi))
-        return BiasSweepRow(scheme=name, debias=mode, estimate=est)
+        return BiasSweepRow(plan.kind.value, mode, est)
 
     return pmap(run_cell, cells, cost=lambda cell: cell[-1])

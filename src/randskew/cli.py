@@ -195,11 +195,10 @@ def cmd_bias(cfg: Config, seed: int, standardize: bool):
     C = _ridge(cfg, A.shape[1])
 
     kinds = cfg.get("plans", [PlanKind.EXACT_LEVERAGE], _list_of(PlanKind))
-    plan_specs = [(kind.value, _make_plan(kind, A, C, cfg, seed))
-                  for kind in kinds]
+    plans = [_make_plan(kind, A, C, cfg, seed) for kind in kinds]
     debias_modes = cfg.get("debias", [DebiasMode.NONE, DebiasMode.SCALAR],
                            _list_of(_DEBIAS_NAMES.__getitem__))
-    results = bias_sweep(A, C, plan_specs, debias_modes,
+    results = bias_sweep(plans, debias_modes,
                          cfg.get("m_grid", parse=_m_grid),
                          cfg.get("trials", 500, int), seed)
     header = ["scheme", "debias", "m", "trials", "discarded", "bias",

@@ -8,8 +8,8 @@ and the sketched Newton solver share :func:`make_debias_spec`.
 
 This module alone turns a mode into sketch weights; a plan supplies only
 its data (``d_eff``, the exact effective dimension, ``probs``, ``scores``,
-``exact``).  A plan whose ``probs`` is None (the Hadamard and SJLT plans)
-takes the scalar factor only.
+``exact``, and ``A`` and ``C``).  A plan whose ``probs`` is None (the
+Hadamard and SJLT plans) takes the scalar factor only.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .errors import (NoConvergence, NotPositiveDefinite, SketchTooSmall,
                      ZeroProbabilityWithPositiveScore)
 from .linalg import inverse_quadratic_forms
 from .sampling import (SamplingPlan, SketchDraw, PlanKind,
-                       approximation_factors, check_support,
-                       effective_dimension, exact_leverage_scores)
+                       approximation_factors, check_support)
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
 
@@ -74,8 +73,9 @@ def fine_grained_weights(plan, scores: np.ndarray | None,
                          m: int) -> np.ndarray:
     """Per-row multipliers sqrt(m / (m - l_i / pi_i)) on the sketch weights.
 
-    For an exact-leverage plan l_i / pi_i is identically d_eff, so every
-    multiplier equals the scalar-mode sqrt(m / (m - d_eff)) bitwise.
+    For an exact-leverage plan's own ``scores`` (also its ``exact``)
+    l_i / pi_i is identically d_eff, so every multiplier equals the
+    scalar-mode sqrt(m / (m - d_eff)) bitwise.
     Rows with zero score need no correction and get multiplier 1.  A plan
     without ``probs`` refuses with ValueError, as do None ``scores``.
     """
@@ -89,9 +89,7 @@ def fine_grained_weights(plan, scores: np.ndarray | None,
     ratios = np.zeros(plan.n)
     check_support(plan.probs, scores)
     positive = scores > 0
-    if plan.kind is PlanKind.EXACT_LEVERAGE and plan.scores is not None \
-            and scores.shape == plan.scores.shape \
-            and np.array_equal(scores, plan.scores):
+    if plan.kind is PlanKind.EXACT_LEVERAGE and scores is plan.scores:
         ratios[positive] = plan.d_eff  # l_i / pi_i == d_eff analytically
     else:
         ratios[positive] = scores[positive] / plan.probs[positive]
@@ -143,32 +141,30 @@ class FixedPointD:
     residual: float
 
 
-def solve_fixed_point_d(A: np.ndarray, C: np.ndarray, plan: SamplingPlan,
-                        m: int, tol: float = 1e-10,
+def solve_fixed_point_d(plan: SamplingPlan, m: int, tol: float = 1e-10,
                         max_iters: int = 500) -> FixedPointD:
-    """Solve D_ii = m pi_i / (m pi_i + a_i^T (A^T D A + C)^{-1} a_i).
+    """Solve D_ii = m pi_i / (m pi_i + a_i^T (A^T D A + C)^{-1} a_i) on
+    the plan's own A, C and pi.
 
     Plain fixed-point iteration from the midpoint initialization
     D = m/(m + d_eff).  The result is checked against the proven range
     [m/(m + 2 rho_max d_eff), m/(m + rho_min d_eff)]; a fixed point
     outside it raises :class:`NoConvergence`, as does running out of sweeps.
     """
-    A = np.asarray(A, dtype=np.float64)
-    n = A.shape[0]
-    probs = plan.probs
-    exact = exact_leverage_scores(A, C)
-    d_eff = effective_dimension(exact)
-    factors = approximation_factors(plan, exact)
+    A, C = plan.matrix.rows(0, plan.n), plan.C  # a view if unscaled
+    if not np.all(np.isfinite(A)):  # only writes made after build_plan
+        raise NotPositiveDefinite("A has NaN or infinite entries")
+    probs, d_eff = plan.probs, plan.d_eff
+    factors = approximation_factors(plan, plan.exact)
 
-    zero_rows = ~np.any(A != 0.0, axis=1)
-    if np.any((probs == 0) & ~zero_rows):
-        i = int(np.argmax((probs == 0) & ~zero_rows))
+    active = np.any(A != 0.0, axis=1)
+    if np.any((probs == 0) & active):
+        i = int(np.argmax((probs == 0) & active))
         raise ZeroProbabilityWithPositiveScore(
             f"nonzero row {i} has zero probability", index=i)
 
-    diag = np.full(n, m / (m + d_eff))
-    diag[zero_rows] = 1.0
-    residuals = []
+    diag = np.where(active, m / (m + d_eff), 1.0)
+    residual = math.inf
     for it in range(1, max_iters + 1):
         scaled = A * np.sqrt(diag)[:, None]
         try:
@@ -178,13 +174,10 @@ def solve_fixed_point_d(A: np.ndarray, C: np.ndarray, plan: SamplingPlan,
             raise NotPositiveDefinite(
                 "A^T D A + C lost positive definiteness during the "
                 "fixed-point iteration") from exc
-        new = np.empty(n)
-        active = ~zero_rows
+        new = np.ones(plan.n)
         new[active] = (m * probs[active]
                        / (m * probs[active] + quad[active]))
-        new[zero_rows] = 1.0
         residual = float(np.abs(new - diag).max())
-        residuals.append(residual)
         diag = new
         if residual < tol:
             # the lower bound is proven only for m > 2 rho_max d_eff
@@ -201,5 +194,5 @@ def solve_fixed_point_d(A: np.ndarray, C: np.ndarray, plan: SamplingPlan,
             return FixedPointD(diag=diag, iterations=it, residual=residual)
     raise NoConvergence(
         f"fixed-point iteration did not reach tol={tol} in {max_iters} "
-        f"sweeps (last residual {residuals[-1]:.3e})",
-        iterations=max_iters, residual=residuals[-1])
+        f"sweeps (last residual {residual:.3e})",
+        iterations=max_iters, residual=residual)

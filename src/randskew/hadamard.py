@@ -4,10 +4,12 @@ The sketch is S H D A / sqrt(n): random column signs, Hadamard rotation,
 then uniform with-replacement row sampling.  Inputs whose row count is not
 a power of two are zero-padded; zero rows carry zero leverage and never
 perturb A^T A.  :class:`SrhtPlan`, a :class:`~randskew.sampling.ProjectionPlan`
-like the SJLT plan, is the ``PlanKind.SRHT`` plan.  A sketch of several
-seeds writes D A into one padded buffer and rotates that buffer in place;
-a one-seed sketch, which reads only its m rows, rotates one residue class
-of the rows at a time (:func:`_streamed_sample`), with the same bits.
+like the SJLT plan, is the ``PlanKind.SRHT`` plan; it takes its Gram on
+first read, so a step that reads no ``d_eff`` makes no pass over A for it.
+A sketch of several seeds writes D A into one padded buffer and rotates
+that buffer in place; a one-seed sketch, which reads only its m rows,
+rotates one residue class of the rows at a time (:func:`_streamed_sample`),
+with the same bits.
 
 Every transform here runs in stages: H_n is the Kronecker product of
 Sylvester matrices H_k with k <= 2^STAGE_BITS, so it is a few small dense
@@ -304,8 +306,8 @@ class SrhtPlan(ProjectionPlan):
     """
     kind = PlanKind.SRHT
 
-    def sketcher(self, A: np.ndarray | RowScaled, m: int, spec: DebiasSpec):
-        """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
+    def sketcher(self, m: int, spec: DebiasSpec):
+        """``draw(seeds, out=None)`` for the cell (m, spec): the T x m x d
         stack of sketches, one per seed, written into ``out`` when it is
         given.  Each draws signs and m rows at its seed, debiases them by
         ``spec`` and applies them to A, trial by trial, as each trial's
@@ -313,7 +315,7 @@ class SrhtPlan(ProjectionPlan):
         streams its sketch (:func:`_streamed_sample`) and holds no
         rotation; several rotate, one after another, in one padded buffer
         that the cell keeps across calls.  Both give the same bits."""
-        X, rows = as_rows(A), None
+        X, rows = as_rows(self.A), None
 
         def draw(seeds, out=None):
             nonlocal rows
@@ -330,14 +332,13 @@ class SrhtPlan(ProjectionPlan):
             return out
         return draw
 
-    def analytic_sketch(self, A: np.ndarray | RowScaled, m: int,
-                        spec: DebiasSpec, seed: int) -> tuple[np.ndarray,
-                                                              float]:
-        """``sketcher(A, m, spec)([seed])[0]``, bitwise, and the rho_max of
+    def analytic_sketch(self, m: int, spec: DebiasSpec,
+                        seed: int) -> tuple[np.ndarray, float]:
+        """``sketcher(m, spec)([seed])[0]``, bitwise, and the rho_max of
         uniform sampling from the rotation it sampled, by the rotation's
         exact scores given H.  D A is signed into one padded buffer, which
         is rotated in place once and read by both."""
-        X = as_rows(A)
+        X = as_rows(self.A)
         rows = _signed_rows(X, _srht_signs(X.shape[0], seed))
         At = _rotated_sample(rows, m, spec, seed)
         scores = inverse_quadratic_forms(rows, self.H)

@@ -223,8 +223,8 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     the diagnostics ``step_size``, ``d_eff`` and ``rho_max``.  ``rho_max``
     is None unless the step rule is analytic, the one rule that reads it,
     and ``d_eff`` is None unless the step rule is analytic or the debias
-    mode scalar, the two readers of it: the plan's own, which the SJLT
-    plan computes only then.
+    mode scalar, the two readers of it: the plan's own, which the SRHT
+    and SJLT plans compute only then.
 
     Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
     on the factor, then the plan's one-seed ``sketcher`` draw, or under
@@ -237,20 +237,18 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     """
     C = p.lam * np.eye(p.dim)
     sketch_seed = rsrng.split(seed, 2)
-    factor = obj.factor
     analytic = method.step_rule is StepRule.ANALYTIC
-    plan = build_plan(method.plan_kind, factor, C, mix=method.mix,
+    plan = build_plan(method.plan_kind, obj.factor, C, mix=method.mix,
                       m1=method.m1, m2=method.m2, seed=rsrng.split(seed, 1))
     d_eff = (plan.d_eff if analytic or method.debias is DebiasMode.SCALAR
              else None)
     spec = make_debias_spec(method.debias, plan, method.m)
     rho_max, mu = None, method.fixed_step
     if analytic:
-        At, rho_max = plan.analytic_sketch(factor, method.m, spec,
-                                           sketch_seed)
+        At, rho_max = plan.analytic_sketch(method.m, spec, sketch_seed)
         mu = analytic_step_size(method.m, d_eff, rho_max)
     else:
-        At = plan.sketcher(factor, method.m, spec)([sketch_seed])[0]
+        At = plan.sketcher(method.m, spec)([sketch_seed])[0]
     beta_next, mu = _newton_update(p, beta, obj, At,
                                    method.step_rule is StepRule.ARMIJO, mu)
     return beta_next, {"step_size": mu, "d_eff": d_eff, "rho_max": rho_max}

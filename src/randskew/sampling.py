@@ -8,25 +8,26 @@ step, so that the m-by-n sampling matrix is never materialized.  A cell
 with many draws scales its support rows once and takes the drawn rows
 from that table.
 
-Every plan :func:`build_plan` returns answers one protocol: ``kind``,
-``d_eff``, ``probs`` (sampling probabilities), ``scores`` (sampling scores
-or None), ``exact`` (exact leverage scores, which every sampling plan
-keeps), ``sketcher(A, m, spec)`` and ``analytic_sketch(A, m, spec,
-seed)``.  ``d_eff`` is the exact effective dimension of A given C, and
-every plan derives it: a sampling plan sums ``exact``, and a
-:class:`ProjectionPlan`, which samples no rows of A (``PlanKind.has_probs``
-is False), takes it from the d x d Gram.  Those are the Hadamard plan,
-which samples rows of a rotation of A, and the SJLT plan
-(:class:`SjltPlan`), which sums signed rows of A into each sketch row.
-``sketcher`` returns ``draw(seeds, out=None)``, which gives a T x m x d
-stack, one sketch per seed, for the cell (A, m, spec); a cell keeps its
-debias weights, and its buffers, across calls.  ``analytic_sketch``
-returns the one-seed sketch, bitwise, and the rho_max that the analytic
-step rule reads: a sampling plan's depends on the plan alone, the
-Hadamard plan's on the rotation it sampled.  The SJLT plan has no
-rho_max, so it has no ``analytic_sketch``.  :func:`build_plan` is the one
-run-path caller of :func:`exact_leverage_scores`; :mod:`randskew.debias`
-turns a plan's data into debias weights.
+Every plan :func:`build_plan` returns answers one protocol: ``kind``, ``A``
+and ``C`` (the matrix it was built from, which every consumer reads from the
+plan alone: a reference, so the caller must not write it later), ``d_eff``,
+``probs`` (sampling probabilities), ``scores`` (sampling scores or None),
+``exact`` (exact leverage scores, which every sampling plan keeps),
+``sketcher(m, spec)`` and ``analytic_sketch(m, spec, seed)``.  ``d_eff`` is
+the exact effective dimension of A given C, and every plan derives it: a
+sampling plan sums ``exact``, and a :class:`ProjectionPlan`, which samples
+no rows of A (``PlanKind.has_probs`` is False), takes it from the d x d
+Gram on first read.  Those are the Hadamard plan, which samples rows of a
+rotation of A, and the SJLT plan (:class:`SjltPlan`), which sums signed
+rows of A into each sketch row.  ``sketcher`` returns ``draw(seeds,
+out=None)``, which gives a T x m x d stack, one sketch per seed, for the
+cell (m, spec); a cell keeps its debias weights, and its buffers, across
+calls.  ``analytic_sketch`` returns the one-seed sketch, bitwise, and the
+rho_max that the analytic step rule reads: a sampling plan's depends on the
+plan alone, the Hadamard plan's on the rotation it sampled.  The SJLT plan
+has no rho_max, so it has no ``analytic_sketch``.  :func:`build_plan` is
+the one run-path caller of :func:`exact_leverage_scores`;
+:mod:`randskew.debias` turns a plan's data into debias weights.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class SamplingPlan:
     probs: np.ndarray           # length n, nonnegative, sums to 1
     scores: np.ndarray | None = None   # leverage scores used, if any
     exact: np.ndarray | None = None    # exact leverage scores, build_plan sets
+    A: np.ndarray | RowScaled | None = None   # the (A, C) build_plan read
+    C: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -100,8 +103,15 @@ class SamplingPlan:
             raise ValueError(f"the {self.kind.value} plan has no exact scores")
         return effective_dimension(self.exact)
 
-    def sketcher(self, A: np.ndarray, m: int, spec):
-        """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
+    @property
+    def matrix(self) -> RowScaled:
+        """A in row blocks; a plan built without A and C refuses."""
+        if self.A is None or self.C is None:
+            raise ValueError(f"the {self.kind.value} plan has no matrix")
+        return as_rows(self.A)
+
+    def sketcher(self, m: int, spec):
+        """``draw(seeds, out=None)`` for the cell (m, spec): the T x m x d
         stack of sketches, one per seed, each bitwise ``draw`` ->
         ``apply_debias`` -> ``apply_sketch`` at its seed, written into
         ``out`` when it is given.
@@ -115,7 +125,7 @@ class SamplingPlan:
         """
         if m < 1:
             raise ValueError("sketch size m must be >= 1")
-        A = as_rows(A)
+        A = self.matrix
         support = self._cdf[0]
         table = None
 
@@ -133,11 +143,10 @@ class SamplingPlan:
             return table.take(pos, axis=0, out=out, mode="clip")
         return draw
 
-    def analytic_sketch(self, A: np.ndarray | RowScaled, m: int, spec,
+    def analytic_sketch(self, m: int, spec,
                         seed: int) -> tuple[np.ndarray, float]:
-        """``sketcher(A, m, spec)([seed])[0]`` and the plan's rho_max by
-        its exact scores."""
-        return (self.sketcher(A, m, spec)([seed])[0],
+        """``sketcher(m, spec)([seed])[0]`` and rho_max by exact scores."""
+        return (self.sketcher(m, spec)([seed])[0],
                 approximation_factors(self, self.exact).rho_max)
 
     @cached_property
@@ -364,8 +373,8 @@ class SjltPlan(ProjectionPlan):
     ``analytic_sketch``."""
     kind = PlanKind.SJLT
 
-    def sketcher(self, A: np.ndarray | RowScaled, m: int, spec):
-        """``draw(seeds, out=None)`` for the cell (A, m, spec): the T x m x d
+    def sketcher(self, m: int, spec):
+        """``draw(seeds, out=None)`` for the cell (m, spec): the T x m x d
         stack whose sketch t is ``_sjlt_apply(A, m, generator(seeds[t]))``
         times the spec's scalar weight, written into ``out`` when it is
         given."""
@@ -373,7 +382,7 @@ class SjltPlan(ProjectionPlan):
             raise SketchTooSmall(f"sketch size m={m} must be at least 1")
         if spec.row_weights is not None:
             raise self.scalar_only()
-        X = as_rows(A)
+        X = as_rows(self.A)
         weight = spec.reweight(None, 1.0)
 
         def draw(seeds, out=None):
@@ -425,12 +434,12 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
     """Construct a sampling plan of the requested kind for (A, C).
 
     A is an array or a :class:`~randskew.linalg.RowScaled`, which every
-    reader takes in row blocks.  Every sampling plan keeps the exact
-    leverage scores as ``exact``, computed here after any approximate
-    scores, and its ``d_eff`` is their sum.  ``PlanKind.SRHT`` returns a
-    :class:`~randskew.hadamard.SrhtPlan`, whose d_eff is taken here, so
-    that a singular A^T A + C is refused at build time as the exact
-    scores refuse it, and ``PlanKind.SJLT`` an :class:`SjltPlan`.
+    reader takes in row blocks; every plan keeps it, as that view, and C.
+    Every sampling plan keeps the exact leverage scores as ``exact``,
+    computed here after any approximate scores, and its ``d_eff`` is their
+    sum.  ``PlanKind.SRHT`` returns a :class:`~randskew.hadamard.SrhtPlan`
+    and ``PlanKind.SJLT`` an :class:`SjltPlan`, each of which takes its
+    Gram, and refuses a singular A^T A + C, on first read of ``d_eff``.
     """
     A = as_rows(A)
     n, d = A.shape
@@ -438,9 +447,7 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
         raise ValueError("A must have at least one row")
     if kind is PlanKind.SRHT:
         from .hadamard import SrhtPlan  # hadamard imports this module
-        plan = SrhtPlan(A, C)
-        plan.d_eff  # refuses a singular A^T A + C now
-        return plan
+        return SrhtPlan(A, C)
     if kind is PlanKind.SJLT:
         return SjltPlan(A, C)
 
@@ -476,7 +483,7 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
         scores, probs = exact, mix / n + (1.0 - mix) * exact / exact.sum()
     elif probs is None:
         raise ValueError(f"unknown plan kind {kind!r}")
-    return SamplingPlan(kind, probs, scores=scores, exact=exact)
+    return SamplingPlan(kind, probs, scores=scores, exact=exact, A=A, C=C)
 
 
 def _squared_row_norms(X: RowScaled) -> np.ndarray:

@@ -140,15 +140,14 @@ def test_criterion_05_fixed_point_characterization():
     # (a) closed form on the identity with a uniform plan
     d_id, m_id = 6, 15
     plan_id = build_plan(PlanKind.UNIFORM, np.eye(d_id), np.zeros((d_id, d_id)))
-    fp_id = solve_fixed_point_d(np.eye(d_id), np.zeros((d_id, d_id)),
-                                plan_id, m_id)
+    fp_id = solve_fixed_point_d(plan_id, m_id)
     closed = np.abs(fp_id.diag - (m_id - d_id) / m_id).max()
     assert closed < 1e-10
 
     # (b) Monte-Carlo mean inverse vs (A^T D A)^{-1} at m = 20d
     m, trials = 20 * D, 500_000
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-    fp = solve_fixed_point_d(A_CE, C0, plan, m)
+    fp = solve_fixed_point_d(plan, m)
     counts = ce_coordinate_counts(plan, m, trials, seed=303)
     alive = np.all(counts > 0, axis=1)
     kept = counts[alive]
@@ -166,7 +165,7 @@ def test_criterion_05_fixed_point_characterization():
         p = build_plan(kind, A_CE, C0, mix=0.5)
         fac = approximation_factors(p, exact_leverage_scores(A_CE, C0))
         for mm in (16 * D, 32 * D):
-            sol = solve_fixed_point_d(A_CE, C0, p, mm)
+            sol = solve_fixed_point_d(p, mm)
             lo = mm / (mm + 2 * fac.rho_max * D)
             hi = mm / (mm + fac.rho_min * D)
             assert np.all(sol.diag >= lo - 1e-9)
@@ -182,8 +181,7 @@ def test_criterion_06_debias_efficacy_sweep():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
     d_eff = plan.d_eff
     m_grid = [int(np.ceil(k * d_eff)) for k in (4, 8, 16, 32)]
-    rows = bias_sweep(A, C, [("lev", plan)],
-                      [DebiasMode.NONE, DebiasMode.SCALAR], m_grid,
+    rows = bias_sweep([plan], [DebiasMode.NONE, DebiasMode.SCALAR], m_grid,
                       trials=500, seed=404)
     none = [r.estimate.bias for r in rows if r.debias is DebiasMode.NONE]
     scal = [r.estimate.bias for r in rows if r.debias is DebiasMode.SCALAR]
@@ -293,9 +291,9 @@ def test_criterion_10_fwht_and_srht_debias():
     d_eff = float(exact_leverage_scores(Ac, C).sum())
     m = int(np.ceil(16 * d_eff))
     scheme = build_plan(PlanKind.SRHT, Ac, C)
-    none = estimate_bias(Ac, C, scheme, DebiasSpec.none(), m, 500, seed=21)
-    scal = estimate_bias(Ac, C, scheme, DebiasSpec.scalar(m, d_eff), m,
-                         500, seed=21)
+    none = estimate_bias(scheme, DebiasSpec.none(), m, 500, seed=21)
+    scal = estimate_bias(scheme, DebiasSpec.scalar(m, d_eff), m, 500,
+                         seed=21)
     assert scal.bias < none.bias
     report("criterion 10", f"gram dev {gram_dev:.2e}; srht bias "
            f"{scal.bias:.4f} (scalar) < {none.bias:.4f} (none)")

@@ -26,8 +26,8 @@ C0 = np.zeros((D, D))
 def test_degenerate_single_row_has_zero_bias():
     A = np.array([[1.0]])
     C = np.array([[1.0]])
-    plan = SamplingPlan(PlanKind.UNIFORM, np.array([1.0]))
-    est = estimate_bias(A, C, plan, DebiasSpec.none(), m=1, trials=4, seed=0)
+    plan = SamplingPlan(PlanKind.UNIFORM, np.array([1.0]), A=A, C=C)
+    est = estimate_bias(plan, DebiasSpec.none(), m=1, trials=4, seed=0)
     assert est.bias == pytest.approx(0.0, abs=1e-14)
     assert est.discarded == 0
 
@@ -35,9 +35,9 @@ def test_degenerate_single_row_has_zero_bias():
 def test_scalar_debias_beats_none_on_skewed_matrix():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
     m = 8 * D
-    none = estimate_bias(A_CE, C0, plan, DebiasSpec.none(), m, 500, seed=5)
-    scal = estimate_bias(A_CE, C0, plan, DebiasSpec.scalar(m, plan.d_eff),
-                         m, 500, seed=5)
+    none = estimate_bias(plan, DebiasSpec.none(), m, 500, seed=5)
+    scal = estimate_bias(plan, DebiasSpec.scalar(m, plan.d_eff), m, 500,
+                         seed=5)
     assert scal.bias < none.bias
 
 
@@ -64,8 +64,7 @@ def test_rank_deficient_gaussian_sketch_discards_trials():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
     # m below d: every sketched Gram is singular
     with pytest.raises(AllTrialsSingular):
-        estimate_bias(A_CE, C0, plan, DebiasSpec.none(), m=2, trials=10,
-                      seed=1)
+        estimate_bias(plan, DebiasSpec.none(), m=2, trials=10, seed=1)
 
 
 def test_estimator_consistency_at_large_m():
@@ -74,28 +73,28 @@ def test_estimator_consistency_at_large_m():
         C = 1e-2 * np.eye(d)
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
         m = int(np.ceil(256 * plan.d_eff))
-        est = estimate_bias(A, C, plan, DebiasSpec.none(), m, 200, seed=9)
+        est = estimate_bias(plan, DebiasSpec.none(), m, 200, seed=9)
         assert est.bias < 0.1
 
 
 def test_jackknife_stderr_halves_when_trials_quadruple():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
     m = 8 * D
-    small = estimate_bias(A_CE, C0, plan, DebiasSpec.none(), m, 512, seed=2)
-    big = estimate_bias(A_CE, C0, plan, DebiasSpec.none(), m, 2048, seed=2)
+    small = estimate_bias(plan, DebiasSpec.none(), m, 512, seed=2)
+    big = estimate_bias(plan, DebiasSpec.none(), m, 2048, seed=2)
     ratio = big.stderr_proxy / small.stderr_proxy
     assert 0.5 * 0.7 < ratio < 0.5 * 1.3
 
 
 def test_bitwise_reproducibility():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-    a = estimate_bias(A_CE, C0, plan, DebiasSpec.none(), 8 * D, 100, seed=7)
-    b = estimate_bias(A_CE, C0, plan, DebiasSpec.none(), 8 * D, 100, seed=7)
+    a = estimate_bias(plan, DebiasSpec.none(), 8 * D, 100, seed=7)
+    b = estimate_bias(plan, DebiasSpec.none(), 8 * D, 100, seed=7)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 def test_srht_scheme_runs_and_reports():
-    est = estimate_bias(A_CE, C0, build_plan(PlanKind.SRHT, A_CE, C0),
+    est = estimate_bias(build_plan(PlanKind.SRHT, A_CE, C0),
                         DebiasSpec.none(), m=16, trials=50, seed=4)
     assert est.bias >= 0
     assert est.trials == 50
@@ -110,7 +109,7 @@ def test_srht_rejects_fine_grained_spec(n):
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
     spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, 32)
     with pytest.raises(ValueError, match="only supports scalar"):
-        estimate_bias(A, C, build_plan(PlanKind.SRHT, A, C), spec, m=32,
+        estimate_bias(build_plan(PlanKind.SRHT, A, C), spec, m=32,
                       trials=4, seed=0)
 
 
@@ -121,7 +120,7 @@ def _per_trial_estimate(A, C, plan, spec, m, trials, seed):
     d = A.shape[1]
     Qs = []
     for t in range(trials):
-        At = plan.sketcher(A, m, spec)([rsrng.split(seed, t)])[0]
+        At = plan.sketcher(m, spec)([rsrng.split(seed, t)])[0]
         try:
             L = cholesky(gram(At) + C)
         except NotPositiveDefinite:
@@ -165,7 +164,7 @@ def test_stacked_trials_match_the_per_trial_oracle(kind, lam, m):
     C = lam * np.eye(D)
     plan = build_plan(kind, A_CE, C)
     trials = 3 * JACKKNIFE_BATCH + 5
-    est = estimate_bias(A_CE, C, plan, DebiasSpec.none(), m, trials, seed=8)
+    est = estimate_bias(plan, DebiasSpec.none(), m, trials, seed=8)
     want = _per_trial_estimate(A_CE, C, plan, DebiasSpec.none(), m, trials,
                                seed=8)
     if lam == 0.0 and kind is PlanKind.EXACT_LEVERAGE:
@@ -215,8 +214,7 @@ def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
     for floats in (JACKKNIFE_BATCH * m * D, 3 * m * D, 2 * m * D, 1):
         monkeypatch.setattr(biaslab, "SUBBLOCK_FLOATS", floats)
         runs.append(dataclasses.asdict(
-            estimate_bias(A_CE, C0, plan, spec, m, 2 * JACKKNIFE_BATCH + 7,
-                          seed=3)))
+            estimate_bias(plan, spec, m, 2 * JACKKNIFE_BATCH + 7, seed=3)))
     assert runs[0]["discarded"] > 0
     for run in runs[1:]:
         for key, value in runs[0].items():
@@ -234,21 +232,21 @@ def test_make_debias_spec_scalar_uses_plan_d_eff():
 class TestBiasSweep:
     def test_single_cell_matches_direct_call(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-        rows = bias_sweep(A_CE, C0, [("lev", plan)], [DebiasMode.NONE],
-                          [8 * D], trials=64, seed=11)
-        direct = estimate_bias(A_CE, C0, plan, DebiasSpec.none(), 8 * D,
-                               64, rsrng.split(11, 0, 0, 0))
+        rows = bias_sweep([plan], [DebiasMode.NONE], [8 * D], trials=64,
+                          seed=11)
+        direct = estimate_bias(plan, DebiasSpec.none(), 8 * D, 64,
+                               rsrng.split(11, 0, 0, 0))
         assert rows[0].estimate == direct
 
     def test_grid_must_ascend(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
         with pytest.raises(ValueError):
-            bias_sweep(A_CE, C0, [("lev", plan)], [DebiasMode.NONE],
-                       [32, 16], trials=4, seed=0)
+            bias_sweep([plan], [DebiasMode.NONE], [32, 16], trials=4,
+                       seed=0)
 
     def test_scalar_debiased_bias_decreases_in_m(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-        rows = bias_sweep(A_CE, C0, [("lev", plan)], [DebiasMode.SCALAR],
+        rows = bias_sweep([plan], [DebiasMode.SCALAR],
                           [4 * D, 8 * D, 16 * D, 32 * D], trials=500,
                           seed=13)
         biases = [r.estimate.bias for r in rows]

@@ -109,7 +109,7 @@ trials = 64
     C = np.zeros((4, 4))
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C,
                       seed=rsrng.split(7, 101))
-    direct = estimate_bias(A, C, plan, DebiasSpec.none(), 32, 64,
+    direct = estimate_bias(plan, DebiasSpec.none(), 32, 64,
                            rsrng.split(7, 0, 0, 0))
     assert float(line[5]) == direct.bias  # repr round-trips exactly
 

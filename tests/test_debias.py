@@ -147,7 +147,7 @@ def test_non_finite_entry_raises_instead_of_scoring(bad):
     with pytest.raises((RandskewError, ValueError)):
         exact_leverage_scores(A, 0.1 * np.eye(D))
     with pytest.raises((RandskewError, ValueError)):
-        solve_fixed_point_d(A, 0.1 * np.eye(D), plan, 4 * D)
+        solve_fixed_point_d(plan, 4 * D)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -167,20 +167,20 @@ class TestFixedPointD:
         d, m = 5, 12
         A = np.eye(d)
         plan = build_plan(PlanKind.UNIFORM, A, np.zeros((d, d)))
-        fp = solve_fixed_point_d(A, np.zeros((d, d)), plan, m)
+        fp = solve_fixed_point_d(plan, m)
         assert np.abs(fp.diag - (m - d) / m).max() < 1e-10
 
     def test_huge_ridge_drives_d_to_one(self):
         d = 4
         A = np.eye(d)
         plan = build_plan(PlanKind.UNIFORM, A, 1e9 * np.eye(d))
-        fp = solve_fixed_point_d(A, 1e9 * np.eye(d), plan, m=8)
+        fp = solve_fixed_point_d(plan, m=8)
         assert np.abs(fp.diag - 1.0).max() < 1e-8
 
     def test_range_bound_on_skewed_matrix(self):
         plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
         m = 16 * D  # above 2 * rho_max * d_eff = 12
-        fp = solve_fixed_point_d(A_CE, C0, plan, m)
+        fp = solve_fixed_point_d(plan, m)
         lo = m / (m + 2 * 1.5 * D)
         hi = m / (m + 0.5 * D)
         assert np.all(fp.diag >= lo - 1e-9)
@@ -189,7 +189,7 @@ class TestFixedPointD:
     def test_satisfies_own_equation(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
         m = 10 * D
-        fp = solve_fixed_point_d(A_CE, C0, plan, m, tol=1e-12)
+        fp = solve_fixed_point_d(plan, m, tol=1e-12)
         Hd = A_CE.T @ (fp.diag[:, None] * A_CE) + C0
         quad = np.einsum("ij,jk,ik->i", A_CE, spd_inverse(Hd), A_CE)
         want = m * plan.probs / (m * plan.probs + quad)
@@ -199,14 +199,14 @@ class TestFixedPointD:
         # the residual should fall below tol quickly; indirectly checks
         # that plain iteration contracts on this family of matrices
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-        fp = solve_fixed_point_d(A_CE, C0, plan, m=20 * D)
+        fp = solve_fixed_point_d(plan, m=20 * D)
         assert fp.iterations < 100
         assert fp.residual < 1e-10
 
     def test_zero_rows_get_unit_entries(self):
         A = np.vstack([A_CE, np.zeros((1, D))])
         plan = build_plan(PlanKind.UNIFORM, A, C0)
-        fp = solve_fixed_point_d(A, C0, plan, m=16 * D)
+        fp = solve_fixed_point_d(plan, m=16 * D)
         assert fp.diag[-1] == 1.0
 
     def test_leaving_proven_range_is_a_package_error(self, monkeypatch):
@@ -214,7 +214,7 @@ class TestFixedPointD:
         monkeypatch.setattr(debias, "RANGE_SLACK", -1.0)
         plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
         with pytest.raises(RandskewError) as info:
-            solve_fixed_point_d(A_CE, C0, plan, m=16 * D)
+            solve_fixed_point_d(plan, m=16 * D)
         assert info.value.iterations >= 1
         assert info.value.residual < 1e-10
 
@@ -224,7 +224,7 @@ def test_fixed_point_matches_monte_carlo_mean_inverse():
     # (A~^T A~ + C)^{-1} approaches (A^T D A + C)^{-1}
     plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
     m = 20 * D
-    fp = solve_fixed_point_d(A_CE, C0, plan, m)
+    fp = solve_fixed_point_d(plan, m)
     predicted = spd_inverse(A_CE.T @ (fp.diag[:, None] * A_CE))
     T = 20_000
     acc = np.zeros((D, D))

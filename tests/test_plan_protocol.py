@@ -76,7 +76,7 @@ def test_every_plan_kind_runs_the_bias_lab_and_an_ssn_step(kind):
     plan = build_plan(kind, A, C)
     assert plan.kind is kind
     for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
-        est = estimate_bias(A, C, plan, spec, M, trials=8, seed=2)
+        est = estimate_bias(plan, spec, M, trials=8, seed=2)
         assert est.trials == 8
         assert np.isfinite(est.bias)
     beta, diagnostics = _one_ssn_step(kind)
@@ -101,15 +101,15 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
     seeds = (0, 7, rsrng.split(3, 1))
     for m in (M_FINE if mode in FINE else M, N - 1, N):
         spec = make_debias_spec(mode, plan, m)
-        stack = plan.sketcher(A, m, spec)(seeds)
+        stack = plan.sketcher(m, spec)(seeds)
         buf = np.full_like(stack, np.nan)
-        assert plan.sketcher(A, m, spec)(seeds, out=buf) is buf
+        assert plan.sketcher(m, spec)(seeds, out=buf) is buf
         assert _same_bits(buf, stack)
         for seed, St in zip(seeds, stack):
-            At = plan.sketcher(A, m, spec)([seed])[0]
+            At = plan.sketcher(m, spec)([seed])[0]
             assert _same_bits(At, St)
             one = buf[:1]
-            assert plan.sketcher(A, m, spec)([seed], out=one) is one
+            assert plan.sketcher(m, spec)([seed], out=one) is one
             assert _same_bits(one[0], St)
             # the per-draw chain stays an independent reference
             if kind is PlanKind.SRHT:
@@ -132,10 +132,10 @@ def test_consecutive_sketcher_calls_match_fresh_sketchers(kind):
     # on either side of the support size share it
     plan = build_plan(kind, A, C)
     spec = DebiasSpec.scalar(M, plan.d_eff)
-    sketch = plan.sketcher(A, M, spec)
+    sketch = plan.sketcher(M, spec)
     out = np.empty((3, M, D))
     for seeds in ([5], [1, 2, 3], [5], [4, 6], [1, 2, 3]):
-        want = plan.sketcher(A, M, spec)(seeds)
+        want = plan.sketcher(M, spec)(seeds)
         assert _same_bits(sketch(seeds), want)
         assert _same_bits(sketch(seeds, out=out[:len(seeds)]), want)
 
@@ -168,7 +168,7 @@ def test_a_bias_cell_builds_its_debias_weights_once(mode, kind, monkeypatch):
     # two trials per sub-block, and a last one of one trial, which at
     # m = M draws fewer than N rows and still takes the cell's row table
     monkeypatch.setattr(biaslab, "SUBBLOCK_FLOATS", 2 * m * D)
-    estimate_bias(A, C, plan, spec, m, trials=5, seed=2)
+    estimate_bias(plan, spec, m, trials=5, seed=2)
     assert sub_blocks == [2, 2, 1]
     # a sampling plan weighs its support rows once per cell, and the SJLT
     # plan its one scalar weight; the SRHT weight is one scalar,
@@ -241,7 +241,7 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
     for kind in PlanKind:
         plan = build_plan(kind, A, C)
         for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
-            estimate_bias(A, C, plan, spec, M, trials=8, seed=2)
+            estimate_bias(plan, spec, M, trials=8, seed=2)
         for rule in _rules(kind):
             _one_ssn_step(kind, rule)
     assert [len(c) for c in calls] == [0, 0, 0, 0]
@@ -267,8 +267,7 @@ def test_bias_sweep_computes_no_exact_scores(kind, monkeypatch):
     plan = sampling.build_plan(kind, A, C)
     for mode in DebiasMode:
         def sweep():
-            return bias_sweep(A, C, [(kind.value, plan)], [mode], [M_FINE],
-                              trials=2, seed=1)
+            return bias_sweep([plan], [mode], [M_FINE], trials=2, seed=1)
         if (kind, mode) in REFUSED:
             with pytest.raises(ValueError, match=REFUSED[kind, mode]):
                 sweep()
@@ -316,9 +315,9 @@ def test_an_approximate_plans_scalar_bias_cell_reads_the_exact_d_eff():
     plan = build_plan(PlanKind.APPROX_LEVERAGE, A, C,
                       seed=rsrng.split(seed, 101))
     for mi, (m, row) in enumerate(zip(m_grid, rows)):
-        est = estimate_bias(A, C, plan,
-                            DebiasSpec.scalar(m, float(plan.exact.sum())), m,
-                            trials, rsrng.split(seed, 0, 0, mi))
+        spec = DebiasSpec.scalar(m, float(plan.exact.sum()))
+        est = estimate_bias(plan, spec, m, trials,
+                            rsrng.split(seed, 0, 0, mi))
         assert row == ["approx_leverage", "scalar", m, trials, est.discarded,
                        est.bias, est.stderr_proxy, est.eps_two_sided]
 
@@ -409,12 +408,12 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
                                   if StepRule.ANALYTIC in _rules(k)],
                          ids=lambda k: k.value)
 def test_analytic_sketch_is_the_one_seed_sketcher_draw(kind):
-    plan = build_plan(kind, A, C)
-    spec = DebiasSpec.scalar(M, plan.d_eff)
     for X in (A, RowScaled(A)):
+        plan = build_plan(kind, X, C)
+        spec = DebiasSpec.scalar(M, plan.d_eff)
         for seed in (0, 7):
-            At, rho_max = plan.analytic_sketch(X, M, spec, seed)
-            assert _same_bits(At, plan.sketcher(X, M, spec)([seed])[0])
+            At, rho_max = plan.analytic_sketch(M, spec, seed)
+            assert _same_bits(At, plan.sketcher(M, spec)([seed])[0])
             if kind.has_probs:
                 assert rho_max == approximation_factors(plan, EXACT).rho_max
 
@@ -434,13 +433,13 @@ def test_srht_sketcher_streams_one_seed_and_rotates_several(monkeypatch):
     rows = _rotated_rows(monkeypatch)
     n_padded = next_power_of_two(N)
     k = 1 << _stage_bits(n_padded)[-1]
-    one = plan.sketcher(A, M, spec)([5])
+    one = plan.sketcher(M, spec)([5])
     assert rows == [n_padded // k] * k and k > 1
     rows.clear()
-    two = plan.sketcher(A, M, spec)([5, 6])
+    two = plan.sketcher(M, spec)([5, 6])
     assert rows == [n_padded] * 2
     rows.clear()
-    At, _ = plan.analytic_sketch(A, M, spec, 5)
+    At, _ = plan.analytic_sketch(M, spec, 5)
     assert rows == [n_padded]
     for got in (one[0], two[0], At):
         assert _same_bits(got, _srht_oracle(M, spec, 5))
@@ -560,7 +559,7 @@ def test_no_plan_step_or_bias_estimate_takes_an_eigendecomposition(
     _one_ssn_step(kind)
     assert (len(eigh), len(eigvalsh)) == (0, 0)
     # three jackknife groups, so three leave-one-group-out thetas
-    est = estimate_bias(A, C, plan, DebiasSpec.scalar(M, plan.d_eff), M,
+    est = estimate_bias(plan, DebiasSpec.scalar(M, plan.d_eff), M,
                         trials=2 * JACKKNIFE_BATCH + 1, seed=2)
     assert est.discarded < JACKKNIFE_BATCH
     # one eigvalsh of the whitened grand mean gives bias and eps_def5
@@ -597,8 +596,10 @@ def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():
     C_ = np.zeros((D, D))
     with pytest.raises(NotPositiveDefinite) as from_scores:
         exact_leverage_scores(A_, C_)
+    # the plan takes its Gram, and refuses, on the first read of d_eff
+    plan = build_plan(PlanKind.SRHT, A_, C_)
     with pytest.raises(NotPositiveDefinite) as from_plan:
-        build_plan(PlanKind.SRHT, A_, C_)
+        plan.d_eff
     assert from_plan.value.pivot_index == from_scores.value.pivot_index
     assert from_plan.value.pivot_index is not None
 
@@ -643,22 +644,22 @@ def test_sjlt_plan_takes_d_eff_from_the_gram_on_first_read(monkeypatch):
 def test_sjlt_sketcher_refuses_an_empty_sketch_and_row_weights():
     plan = build_plan(PlanKind.SJLT, A, C)
     with pytest.raises(SketchTooSmall, match="m=0 must be at least 1"):
-        plan.sketcher(A, 0, DebiasSpec.none())
+        plan.sketcher(0, DebiasSpec.none())
     # a spec built for a sampling plan must not reach the SJLT sketch,
     # whose rows mix every row of A
     exact = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
     spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, exact, M_FINE)
     with pytest.raises(ValueError, match="only supports scalar"):
-        plan.sketcher(A, M_FINE, spec)
+        plan.sketcher(M_FINE, spec)
 
 
-@pytest.mark.parametrize("kind", [PlanKind.SJLT, PlanKind.UNIFORM],
-                         ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", [PlanKind.SJLT, PlanKind.SRHT,
+                                  PlanKind.UNIFORM], ids=lambda k: k.value)
 def test_sjlt_step_without_debias_takes_no_gram_of_n_rows(kind, monkeypatch):
-    # the step that replaced the sparse projection method: its plan's
-    # d_eff is read by scalar debias and the analytic rule alone, so the
-    # one Gram it takes is the sketch's; a sampling plan's exact scores
-    # take the n-row Gram
+    # the step that replaced the sparse projection method, and the SRHT
+    # step: their plan's d_eff is read by scalar debias and the analytic
+    # rule alone, so the one Gram they take is the sketch's; a sampling
+    # plan's exact scores take the n-row Gram
     rows = []
 
     def recording(X):
@@ -671,7 +672,7 @@ def test_sjlt_step_without_debias_takes_no_gram_of_n_rows(kind, monkeypatch):
                        step_rule=StepRule.ARMIJO)
     _, diagnostics = ssn_step(P, beta, objective_eval(P, beta), method,
                               seed=5)
-    assert rows == ([M] if kind is PlanKind.SJLT else [N, M])
+    assert rows == ([N, M] if kind.has_probs else [M])
     assert diagnostics["d_eff"] is None
 
 

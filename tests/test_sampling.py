@@ -12,7 +12,8 @@ from scipy import stats
 from randskew import rng as rsrng
 from randskew import sampling
 from randskew.data import counterexample_matrix
-from randskew.debias import DebiasSpec
+from randskew.biaslab import estimate_bias
+from randskew.debias import DebiasSpec, solve_fixed_point_d
 from randskew.errors import (AllZeroRows, IndexOutOfRange,
                              NotPositiveDefinite,
                              ZeroProbabilityWithPositiveScore)
@@ -310,6 +311,26 @@ class TestBuildPlan:
                                              "no exact scores$"):
             plan.d_eff
 
+    def test_every_built_plan_keeps_its_matrix(self):
+        for kind in PlanKind:
+            plan = build_plan(kind, A_CE, C0)
+            assert plan.A.A is A_CE and plan.C is C0
+
+    def test_plan_without_its_matrix_refuses_to_sketch(self):
+        # a hand-built plan has no (A, C) to sketch, to measure bias
+        # against or to solve the fixed point on
+        plan = SamplingPlan(PlanKind.ROW_NORM, np.array([0.5, 0.5]),
+                            exact=np.array([0.5, 0.5]))
+        refusal = "^the row_norm plan has no matrix"
+        with pytest.raises(ValueError, match=refusal):
+            plan.sketcher(4, DebiasSpec.none())
+        with pytest.raises(ValueError, match=refusal):
+            plan.analytic_sketch(4, DebiasSpec.none(), 0)
+        with pytest.raises(ValueError, match=refusal):
+            estimate_bias(plan, DebiasSpec.none(), 4, 2, 0)
+        with pytest.raises(ValueError, match=refusal):
+            solve_fixed_point_d(plan, 4)
+
 
 class TestApproximationFactors:
     def test_exact_leverage_plan_is_tight(self):
@@ -430,9 +451,11 @@ class TestDrawMany:
         assert np.all(indices == 9)
 
     def test_rejects_empty_sketch(self):
-        with pytest.raises(ValueError):
-            self.PLAN.sketcher(np.ones((self.PLAN.n, 1)), 0,
-                               DebiasSpec.none())([0])
+        # the plan has its matrix, so only the size check can refuse
+        plan = SamplingPlan(PlanKind.UNIFORM, self.PLAN.probs,
+                            A=np.ones((self.PLAN.n, 1)), C=np.eye(1))
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            plan.sketcher(0, DebiasSpec.none())([0])
 
 def _searchsorted_rows(probs, u):
     """The rows a plan over ``probs`` draws for ``u`` by a binary search
