@@ -23,7 +23,7 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasMode, DebiasSpec, make_debias_spec
 from .errors import AllTrialsSingular
-from .linalg import accepted_inverses, cholesky, gram
+from .linalg import accepted_inverses
 from .parallel import pmap
 
 JACKKNIFE_BATCH = 64  # fixed for reproducibility
@@ -49,7 +49,7 @@ def estimate_bias(plan, debias: DebiasSpec, m: int, trials: int,
     """Monte-Carlo inversion-bias estimate for one configuration.
 
     ``plan`` is any plan :func:`~randskew.sampling.build_plan` returns; its
-    own A and C give H.  Deterministic given ``seed``; per-trial streams are
+    L whitens the bias.  Deterministic given ``seed``; per-trial streams are
     split by trial index.  Trials are sketched and inverted in stacks of at
     most ``SUBBLOCK_FLOATS`` sketched entries, cut inside the jackknife
     groups; each group's kept inverses are summed once, in trial order, so
@@ -59,8 +59,7 @@ def estimate_bias(plan, debias: DebiasSpec, m: int, trials: int,
     if m < 1 or trials < 2:
         raise ValueError("need m >= 1 and trials >= 2")
     sketch = plan.sketcher(m, debias)  # refuses a plan without (A, C)
-    C, d = plan.C, plan.A.shape[1]
-    L = cholesky(gram(plan.A) + C)
+    C, d, L = plan.C, plan.A.shape[1], plan.L
 
     group_sums: list[np.ndarray] = []
     group_kept: list[int] = []

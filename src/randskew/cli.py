@@ -172,7 +172,7 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
         if not kind.has_probs:
             raise ConfigError(f"{kind.value} has no sampling plan summary")
     plans = [_make_plan(kind, A, C, cfg, seed) for kind in kinds]
-    # every sampling plan keeps the same exact scores
+    # every sampling plan has the same exact scores
     exact = plans[0].exact
 
     header, columns = ["index", "score_exact"], [exact]
@@ -184,7 +184,7 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
 
     summary = []
     for plan in plans:
-        fac = approximation_factors(plan, exact)
+        fac = approximation_factors(plan)
         summary.append({"plan": plan.kind.value, "d_eff": plan.d_eff,
                         "rho_min": fac.rho_min, "rho_max": fac.rho_max})
     return header, rows, {"d_eff": plans[0].d_eff, "plans": summary}

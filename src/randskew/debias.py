@@ -82,9 +82,9 @@ def fine_grained_weights(plan, scores: np.ndarray | None,
     if plan.probs is None:
         raise plan.scalar_only()
     if scores is None:
-        raise ValueError(f"fine-grained debiasing needs leverage scores, "
-                         f"and none were given for the {plan.kind.value} "
-                         f"plan")
+        raise ValueError(f"fine_grained_approx debiasing needs approximate "
+                         f"leverage scores, and a {plan.kind.value} plan "
+                         f"has none")
     scores = np.asarray(scores, dtype=np.float64)
     ratios = np.zeros(plan.n)
     check_support(plan.probs, scores)
@@ -115,11 +115,9 @@ def make_debias_spec(mode: DebiasMode, plan, m: int) -> DebiasSpec:
     """Build the debias spec a (plan, m) cell needs.
 
     Scalar mode reads the plan's ``d_eff``, the exact effective dimension,
-    which no other mode reads; fine-grained modes use the plan's own exact
-    or approximate scores, and a sampling plan that keeps none of the kind
-    the mode names is refused by that mode's name.
-    :func:`fine_grained_weights` turns scores into multipliers, or refuses
-    when the plan supports scalar debiasing only.
+    which no other mode reads; :func:`fine_grained_weights` turns the
+    plan's own exact or approximate scores into multipliers, or refuses
+    when it has none or supports scalar debiasing only.
     """
     if mode is DebiasMode.NONE:
         return DebiasSpec.none()
@@ -127,10 +125,6 @@ def make_debias_spec(mode: DebiasMode, plan, m: int) -> DebiasSpec:
         return DebiasSpec.scalar(m, plan.d_eff)
     exact = mode is DebiasMode.FINE_GRAINED_EXACT
     scores = plan.exact if exact else plan.scores
-    if scores is None and plan.probs is not None:
-        raise ValueError(f"{mode.value} debiasing needs "
-                         f"{'exact' if exact else 'approximate'} leverage "
-                         f"scores, and a {plan.kind.value} plan has none")
     return DebiasSpec(mode, row_weights=fine_grained_weights(plan, scores, m))
 
 
@@ -155,7 +149,7 @@ def solve_fixed_point_d(plan: SamplingPlan, m: int, tol: float = 1e-10,
     if not np.all(np.isfinite(A)):  # only writes made after build_plan
         raise NotPositiveDefinite("A has NaN or infinite entries")
     probs, d_eff = plan.probs, plan.d_eff
-    factors = approximation_factors(plan, plan.exact)
+    factors = approximation_factors(plan)
 
     active = np.any(A != 0.0, axis=1)
     if np.any((probs == 0) & active):

@@ -30,7 +30,7 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasSpec
 from .errors import NotPowerOfTwo
-from .linalg import RowScaled, as_rows, gram, inverse_quadratic_forms
+from .linalg import RowScaled, as_rows, whitened_norms
 from .sampling import (PlanKind, ProjectionPlan, SketchDraw, _gather,
                        apply_sketch)
 
@@ -292,7 +292,7 @@ def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
     """
     A = np.asarray(A, dtype=np.float64)
     rotated = _rotate(np.asarray(signs, dtype=np.float64), A)
-    return inverse_quadratic_forms(rotated, gram(A) + C)
+    return whitened_norms(rotated, SrhtPlan(A, C).L)
 
 
 class SrhtPlan(ProjectionPlan):
@@ -300,9 +300,9 @@ class SrhtPlan(ProjectionPlan):
     matrix H D A / sqrt(n), with fresh signs for every sketch.
 
     Its ``d_eff`` is the exact effective dimension of A (the rotation is
-    orthogonal), and :meth:`analytic_sketch` whitens the rotation by
-    H = A^T A + C.  Row weights of A do not carry over to the rows of the
-    rotated matrix, so only scalar debiasing applies.
+    orthogonal), and :meth:`analytic_sketch` whitens the rotation by the
+    plan's factor L of H = A^T A + C.  Row weights of A do not carry over
+    to the rows of the rotated matrix, so only scalar debiasing applies.
     """
     kind = PlanKind.SRHT
 
@@ -315,7 +315,7 @@ class SrhtPlan(ProjectionPlan):
         streams its sketch (:func:`_streamed_sample`) and holds no
         rotation; several rotate, one after another, in one padded buffer
         that the cell keeps across calls.  Both give the same bits."""
-        X, rows = as_rows(self.A), None
+        X, rows = self.matrix, None
 
         def draw(seeds, out=None):
             nonlocal rows
@@ -338,8 +338,8 @@ class SrhtPlan(ProjectionPlan):
         uniform sampling from the rotation it sampled, by the rotation's
         exact scores given H.  D A is signed into one padded buffer, which
         is rotated in place once and read by both."""
-        X = as_rows(self.A)
+        X = self.matrix
         rows = _signed_rows(X, _srht_signs(X.shape[0], seed))
         At = _rotated_sample(rows, m, spec, seed)
-        scores = inverse_quadratic_forms(rows, self.H)
+        scores = whitened_norms(rows, self.L)
         return At, float(scores.max() * rows.shape[0] / self.d_eff)

@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra primitives.
 
 All matrices are plain ``numpy.ndarray`` in row-major order, except that
-the n-row readers (:func:`gram`, :func:`inverse_quadratic_forms`) also take
-a :class:`RowScaled` matrix, which they read in row blocks without forming
+the n-row readers (:func:`gram`, :func:`whitened_norms`) also take a
+:class:`RowScaled` matrix, which they read in row blocks without forming
 it.  Operations are pure functions; nothing here holds state.
 """
 
@@ -19,8 +19,8 @@ from .errors import NotPositiveDefinite
 # with lambda >= 1e-6 always pass.
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-14
-# float64 entries of the row block that inverse_quadratic_forms whitens at
-# a time: 256 KiB.  trmm packs the block into OpenBLAS's buffer, whose
+# float64 entries of the row block that whitened_norms whitens at a
+# time: 256 KiB.  trmm packs the block into OpenBLAS's buffer, whose
 # pages stay resident, so a larger block raises peak memory (512 KiB blocks
 # added 0.5 MiB to a 2048 x 32 bias run) without running faster.
 WHITEN_BLOCK_FLOATS = 1 << 15
@@ -228,32 +228,27 @@ def _invert_upper(Z: np.ndarray, what: str) -> None:
             pivot_index=info - 1 if info > 0 else None)
 
 
-def _inverse_factor(M: np.ndarray) -> np.ndarray:
-    """The C-ordered upper triangular L^-T for M = L L^T, by ``trtri``;
-    raises as :func:`cholesky` does."""
-    Z = cholesky(M).T
-    _invert_upper(Z[None], "factor")
-    return Z
-
-
 def inverse_quadratic_forms(A: np.ndarray | RowScaled, M: np.ndarray,
                             sketch: np.ndarray | None = None) -> np.ndarray:
-    """a_i^T M^-1 a_i for every row a_i of A (an array or a
-    :class:`RowScaled`), M symmetric positive definite: the squared row
-    norms of A L^-T for M = L L^T.
+    """a_i^T M^-1 a_i for every row a_i of A, by M's :func:`cholesky`."""
+    return whitened_norms(A, cholesky(M), sketch)
 
-    With ``sketch``, a k x d matrix S, the squared row norms of
-    A (L^-T S^T) instead, which estimate those forms: the d x k product is
-    formed first, so each row costs O(dk).
 
-    L^-1 comes from LAPACK ``trtri``.  Rows are read in blocks of
+def whitened_norms(A: np.ndarray | RowScaled, L: np.ndarray,
+                   sketch: np.ndarray | None = None) -> np.ndarray:
+    """The squared row norms of A L^-T, A an array or a :class:`RowScaled`
+    and L lower triangular: a_i^T M^-1 a_i for every row a_i and M = L L^T.
+    With ``sketch``, a k x d matrix S, those of A (L^-T S^T), which
+    estimate the forms at O(dk) a row, the d x k product formed first.
+
+    L^-T comes from LAPACK ``trtri``.  Rows are read in blocks of
     ``WHITEN_BLOCK_FLOATS`` entries of the wider of A and its product and
     multiplied there (by BLAS ``trmm`` in place in one scratch block, or by
     the d x k product), so no n x d temporary is made; the block size
     fixes the bits of the result.
-    Raises as :func:`cholesky` does.
     """
-    Z = _inverse_factor(M)
+    Z = np.array(L.T, order="C")   # L^T, inverted in place to L^-T
+    _invert_upper(Z[None], "factor")
     X = as_rows(A)
     n, d = X.shape
     right, width = None, d

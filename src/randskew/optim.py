@@ -240,9 +240,9 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     analytic = method.step_rule is StepRule.ANALYTIC
     plan = build_plan(method.plan_kind, obj.factor, C, mix=method.mix,
                       m1=method.m1, m2=method.m2, seed=rsrng.split(seed, 1))
+    spec = make_debias_spec(method.debias, plan, method.m)  # before d_eff
     d_eff = (plan.d_eff if analytic or method.debias is DebiasMode.SCALAR
              else None)
-    spec = make_debias_spec(method.debias, plan, method.m)
     rho_max, mu = None, method.fixed_step
     if analytic:
         At, rho_max = plan.analytic_sketch(method.m, spec, sketch_seed)

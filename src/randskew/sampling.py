@@ -10,24 +10,23 @@ from that table.
 
 Every plan :func:`build_plan` returns answers one protocol: ``kind``, ``A``
 and ``C`` (the matrix it was built from, which every consumer reads from the
-plan alone: a reference, so the caller must not write it later), ``d_eff``,
-``probs`` (sampling probabilities), ``scores`` (sampling scores or None),
-``exact`` (exact leverage scores, which every sampling plan keeps),
-``sketcher(m, spec)`` and ``analytic_sketch(m, spec, seed)``.  ``d_eff`` is
-the exact effective dimension of A given C, and every plan derives it: a
-sampling plan sums ``exact``, and a :class:`ProjectionPlan`, which samples
-no rows of A (``PlanKind.has_probs`` is False), takes it from the d x d
-Gram on first read.  Those are the Hadamard plan, which samples rows of a
-rotation of A, and the SJLT plan (:class:`SjltPlan`), which sums signed
-rows of A into each sketch row.  ``sketcher`` returns ``draw(seeds,
-out=None)``, which gives a T x m x d stack, one sketch per seed, for the
-cell (m, spec); a cell keeps its debias weights, and its buffers, across
-calls.  ``analytic_sketch`` returns the one-seed sketch, bitwise, and the
-rho_max that the analytic step rule reads: a sampling plan's depends on the
-plan alone, the Hadamard plan's on the rotation it sampled.  The SJLT plan
-has no rho_max, so it has no ``analytic_sketch``.  :func:`build_plan` is
-the one run-path caller of :func:`exact_leverage_scores`;
-:mod:`randskew.debias` turns a plan's data into debias weights.
+plan alone: a reference, so the caller must not write it later), ``G``,
+``H`` and ``L`` (:class:`PlanHessian`), ``d_eff``, ``probs``, ``scores``
+(sampling scores or None), ``exact`` (exact leverage scores, whitened by L
+on first read), ``sketcher(m, spec)`` and ``analytic_sketch(m, spec,
+seed)``.  ``d_eff``, the exact effective dimension of A given C, is the sum
+of ``exact``, or trace(H^-1 G) for a :class:`ProjectionPlan`, which samples
+no rows of A (``PlanKind.has_probs`` is False) and has no ``exact``: the
+Hadamard plan, which samples rows of a rotation of A, and the SJLT plan
+(:class:`SjltPlan`), which sums signed rows of A into each sketch row.
+``sketcher`` returns ``draw(seeds, out=None)``, which gives a T x m x d
+stack, one sketch per seed, for the cell (m, spec); a cell keeps its
+debias weights, and its buffers, across calls.  ``analytic_sketch``
+returns the one-seed sketch, bitwise, and the rho_max that the analytic
+step rule reads: a sampling plan's depends on the plan alone, the
+Hadamard plan's on the rotation it sampled.  The SJLT plan has no
+rho_max, so it has no ``analytic_sketch``.  :mod:`randskew.debias` turns
+a plan's data into debias weights.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import rng as rsrng
+from . import _lapack as lapack, rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      SketchTooSmall, ZeroProbabilityWithPositiveScore)
-from .linalg import (WHITEN_BLOCK_FLOATS, RowScaled, as_rows, gram,
-                     inverse_quadratic_forms, solve_spd)
+from .linalg import (WHITEN_BLOCK_FLOATS, RowScaled, as_rows, cholesky, gram,
+                     inverse_quadratic_forms, whitened_norms)
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 GUIDE_PASSES = 8  # guide-table steps before searchsorted finishes a draw
@@ -70,12 +69,47 @@ class PlanKind(enum.Enum):
         return self not in (PlanKind.SRHT, PlanKind.SJLT)
 
 
+def _finite_gram(M):
+    """M, a Gram of A plus C or trace(A^T A), if it is finite."""
+    if not np.all(np.isfinite(M)):
+        raise NotPositiveDefinite("A^T A + C has NaN or infinite entries: "
+                                  "A or C is not finite, or A^T A "
+                                  "overflows")
+    return M
+
+
+class PlanHessian:
+    """The base of every plan: G = A^T A, H = G + C and H's Cholesky factor
+    L of the plan's (A, C), each formed once, on first read, for every
+    reader of H; a non-finite H is refused without a numpy warning."""
+
+    @property
+    def matrix(self) -> RowScaled:
+        """A in row blocks; a plan built without A and C refuses."""
+        if self.A is None or self.C is None:
+            raise ValueError(f"the {self.kind.value} plan has no matrix")
+        return as_rows(self.A)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):  # H refuses
+            return gram(self.matrix)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _finite_gram(self.G + self.C)
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        return cholesky(self.H)
+
+
 @dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(PlanHessian):
     kind: PlanKind
     probs: np.ndarray           # length n, nonnegative, sums to 1
     scores: np.ndarray | None = None   # leverage scores used, if any
-    exact: np.ndarray | None = None    # exact leverage scores, build_plan sets
     A: np.ndarray | RowScaled | None = None   # the (A, C) build_plan read
     C: np.ndarray | None = None
 
@@ -97,18 +131,14 @@ class SamplingPlan:
         return self.probs.shape[0]
 
     @cached_property
+    def exact(self) -> np.ndarray:
+        """The exact leverage scores of A given C, whitened by L."""
+        return whitened_norms(self.matrix, self.L)
+
+    @cached_property
     def d_eff(self) -> float:
         """The sum of the exact scores, whatever the plan samples by."""
-        if self.exact is None:
-            raise ValueError(f"the {self.kind.value} plan has no exact scores")
         return effective_dimension(self.exact)
-
-    @property
-    def matrix(self) -> RowScaled:
-        """A in row blocks; a plan built without A and C refuses."""
-        if self.A is None or self.C is None:
-            raise ValueError(f"the {self.kind.value} plan has no matrix")
-        return as_rows(self.A)
 
     def sketcher(self, m: int, spec):
         """``draw(seeds, out=None)`` for the cell (m, spec): the T x m x d
@@ -147,7 +177,7 @@ class SamplingPlan:
                         seed: int) -> tuple[np.ndarray, float]:
         """``sketcher(m, spec)([seed])[0]`` and rho_max by exact scores."""
         return (self.sketcher(m, spec)([seed])[0],
-                approximation_factors(self, self.exact).rho_max)
+                approximation_factors(self).rho_max)
 
     @cached_property
     def _cdf(self):
@@ -211,21 +241,9 @@ class ApproxFactors:
 
 def exact_leverage_scores(A: np.ndarray | RowScaled,
                           C: np.ndarray) -> np.ndarray:
-    """l_i = a_i^T (A^T A + C)^{-1} a_i for every row a_i of A.
-
-    A is an array or a :class:`~randskew.linalg.RowScaled`.  A NaN or
-    infinite entry of A reaches the diagonal of A^T A, so the d x d matrix
-    alone is checked: a non-finite one raises :class:`NotPositiveDefinite`
-    without a numpy warning.
-    """
-    A = as_rows(A)
-    with np.errstate(invalid="ignore", over="ignore"):
-        H = gram(A) + C
-    if not np.all(np.isfinite(H)):
-        raise NotPositiveDefinite("A^T A + C has NaN or infinite entries: "
-                                  "A or C is not finite, or A^T A "
-                                  "overflows")
-    return inverse_quadratic_forms(A, H)
+    """l_i = a_i^T (A^T A + C)^{-1} a_i for every row a_i of A (an array or
+    a :class:`~randskew.linalg.RowScaled`): a plan's ``exact``."""
+    return build_plan(PlanKind.UNIFORM, A, C).exact
 
 
 def effective_dimension(scores: np.ndarray) -> float:
@@ -336,11 +354,11 @@ def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class ProjectionPlan:
+class ProjectionPlan(PlanHessian):
     """The base of the two plans that sample no rows of A: each sketch row
-    mixes rows of A, so only scalar debiasing applies.  On first read the
-    plan takes G = A^T A, H = G + C and ``d_eff`` = trace(H^-1 G); a step
-    that reads none of them makes no pass over A."""
+    mixes rows of A, so only scalar debiasing applies, and the plan keeps
+    no per-row scores.  Its ``d_eff`` is trace(H^-1 G), solved by L on
+    first read; a step that reads no ``d_eff`` makes no pass over A."""
     A: np.ndarray | RowScaled
     C: np.ndarray
     kind: ClassVar[PlanKind]
@@ -349,16 +367,8 @@ class ProjectionPlan:
     exact: ClassVar[None] = None
 
     @cached_property
-    def G(self) -> np.ndarray:
-        return gram(self.A)
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        return self.G + self.C
-
-    @cached_property
     def d_eff(self) -> float:
-        return float(np.trace(solve_spd(self.H, self.G)))
+        return float(np.trace(lapack.dpotrs(self.L, self.G, lower=1)[0]))
 
     @classmethod
     def scalar_only(cls) -> ValueError:
@@ -382,7 +392,7 @@ class SjltPlan(ProjectionPlan):
             raise SketchTooSmall(f"sketch size m={m} must be at least 1")
         if spec.row_weights is not None:
             raise self.scalar_only()
-        X = as_rows(self.A)
+        X = self.matrix
         weight = spec.reweight(None, 1.0)
 
         def draw(seeds, out=None):
@@ -420,8 +430,10 @@ def sjlt_approx_leverage(A: np.ndarray | RowScaled, C: np.ndarray, m1: int,
     SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
     S2 = (None if m2 is None
           else _sjlt_apply(np.eye(d), m2, rsrng.generator(seed, 1)))
+    with np.errstate(invalid="ignore", over="ignore"):  # refused as H is
+        M = _finite_gram(gram(SA) + C)
     try:
-        return inverse_quadratic_forms(A, gram(SA) + C, S2)
+        return inverse_quadratic_forms(A, M, S2)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             "sketched Gram plus C is singular; increase m1",
@@ -435,11 +447,10 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
 
     A is an array or a :class:`~randskew.linalg.RowScaled`, which every
     reader takes in row blocks; every plan keeps it, as that view, and C.
-    Every sampling plan keeps the exact leverage scores as ``exact``,
-    computed here after any approximate scores, and its ``d_eff`` is their
-    sum.  ``PlanKind.SRHT`` returns a :class:`~randskew.hadamard.SrhtPlan`
-    and ``PlanKind.SJLT`` an :class:`SjltPlan`, each of which takes its
-    Gram, and refuses a singular A^T A + C, on first read of ``d_eff``.
+    Only the exact-leverage and shrinkage kinds read ``exact`` here, for
+    their probabilities.  ``PlanKind.SRHT`` returns a
+    :class:`~randskew.hadamard.SrhtPlan` and ``PlanKind.SJLT`` an
+    :class:`SjltPlan`.
     """
     A = as_rows(A)
     n, d = A.shape
@@ -452,6 +463,7 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
         return SjltPlan(A, C)
 
     scores = probs = None
+    cached = {}
     if kind in (PlanKind.APPROX_LEVERAGE,
                 PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE):
         if m1 is None:
@@ -467,7 +479,7 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
         probs = scores / total
     elif kind is PlanKind.ROW_NORM:
         sq = _squared_row_norms(A)
-        total = sq.sum()
+        total = _finite_gram(sq.sum())   # the trace of A^T A
         if total == 0.0:
             raise AllZeroRows("row-norm sampling on an all-zero matrix")
         probs = sq / total
@@ -475,15 +487,18 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
         probs = np.full(n, 1.0 / n)
     elif kind is PlanKind.SHRINKAGE and not 0.0 <= mix <= 1.0:
         raise ValueError("shrinkage mix must lie in [0, 1]")
-
-    exact = exact_leverage_scores(A, C)
-    if kind is PlanKind.EXACT_LEVERAGE:
-        scores, probs = exact, exact / exact.sum()
-    elif kind is PlanKind.SHRINKAGE:
-        scores, probs = exact, mix / n + (1.0 - mix) * exact / exact.sum()
-    elif probs is None:
+    elif kind in (PlanKind.EXACT_LEVERAGE, PlanKind.SHRINKAGE):
+        # the plan keeps a uniform plan's exact scores, G, H and L
+        uniform = build_plan(PlanKind.UNIFORM, A, C)
+        scores = uniform.exact
+        probs = (scores / scores.sum() if kind is PlanKind.EXACT_LEVERAGE
+                 else mix / n + (1.0 - mix) * scores / scores.sum())
+        cached = {k: vars(uniform)[k] for k in ("G", "H", "L", "exact")}
+    else:
         raise ValueError(f"unknown plan kind {kind!r}")
-    return SamplingPlan(kind, probs, scores=scores, exact=exact, A=A, C=C)
+    plan = SamplingPlan(kind, probs, scores=scores, A=A, C=C)
+    vars(plan).update(cached)   # where a cached_property keeps its value
+    return plan
 
 
 def _squared_row_norms(X: RowScaled) -> np.ndarray:
@@ -505,26 +520,23 @@ def check_support(probs: np.ndarray, scores: np.ndarray) -> None:
             f"row {i} has positive score but zero probability", index=i)
 
 
-def approximation_factors(plan: SamplingPlan,
-                          exact_scores: np.ndarray) -> ApproxFactors:
-    """(rho_min, rho_max) = extremes of l_i / (pi_i * d_eff).
+def approximation_factors(plan: SamplingPlan) -> ApproxFactors:
+    """(rho_min, rho_max) = extremes of l_i / (pi_i * d_eff), by the plan's
+    own exact scores l and ``d_eff``.
 
     Rows with zero score and zero probability are excluded; a zero
     probability paired with a positive score is an error.
     """
-    scores = np.asarray(exact_scores, dtype=np.float64)
-    probs = plan.probs
-    d_eff = effective_dimension(scores)
+    scores, probs, d_eff = plan.exact, plan.probs, plan.d_eff
     if d_eff <= 0:
         raise ValueError("d_eff must be positive")
     check_support(probs, scores)
     active = probs > 0
     ratios = scores[active] / (probs[active] * d_eff)
-    idx_active = np.nonzero(active)[0]
     k = int(np.argmax(ratios))
     return ApproxFactors(rho_min=float(ratios.min()),
                          rho_max=float(ratios[k]),
-                         argmax_index=int(idx_active[k]))
+                         argmax_index=int(np.flatnonzero(active)[k]))
 
 
 def _gather(A: np.ndarray | RowScaled, indices: np.ndarray,

@@ -4,8 +4,7 @@ import numpy as np
 
 from randskew import _lapack as lapack
 from randskew import rng as rsrng
-from randskew.linalg import (_inverse_factor, check_symmetric, inv_sqrt,
-                             solve_spd)
+from randskew.linalg import check_symmetric, cholesky, inv_sqrt, solve_spd
 
 
 def gaussian_sketch(A: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -73,7 +72,8 @@ def whiten(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     (A L^-T)(A L^-T)^T = A M^-1 A^T: one ``trmm`` on a copy of all of A,
     the unblocked reference of ``linalg.inverse_quadratic_forms``.
     Raises as ``linalg.cholesky`` does."""
-    Z = _inverse_factor(M)
+    Z = np.array(cholesky(M).T, order="C")   # L^-T by trtri, in place
+    assert not lapack.dtrtri_stack(Z[None]).any()
     B = np.array(A, dtype=np.float64, order="C")
     lapack.dtrmm(B, Z)
     return B

@@ -93,8 +93,7 @@ def test_criterion_01_counterexample_leverage_scores(tmp_path):
 
 def test_criterion_02_uniform_approximation_factors():
     plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
-    lev = exact_leverage_scores(A_CE, C0)
-    fac = approximation_factors(plan, lev)
+    fac = approximation_factors(plan)
     assert abs(fac.rho_min - 0.5) < 1e-12
     assert abs(fac.rho_max - 1.5) < 1e-12
     report("criterion 2", f"(rho_min, rho_max) = ({fac.rho_min}, {fac.rho_max})")
@@ -163,7 +162,7 @@ def test_criterion_05_fixed_point_characterization():
     for kind in (PlanKind.UNIFORM, PlanKind.EXACT_LEVERAGE,
                  PlanKind.SHRINKAGE):
         p = build_plan(kind, A_CE, C0, mix=0.5)
-        fac = approximation_factors(p, exact_leverage_scores(A_CE, C0))
+        fac = approximation_factors(p)
         for mm in (16 * D, 32 * D):
             sol = solve_fixed_point_d(p, mm)
             lo = mm / (mm + 2 * fac.rho_max * D)

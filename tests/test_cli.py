@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from randskew.cli import main, parse_config_file
+from randskew.errors import NotPositiveDefinite
+from randskew.linalg import cholesky, gram
+from randskew.optim import GlmProblem, ProblemKind, objective_eval
+from randskew.sampling import PlanKind
 
 
 def run_cli(args):
@@ -588,3 +592,52 @@ def test_impossible_size_is_numerical_error(tmp_path, capsys):
     assert "(10000000000000, 4)" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def _csv_data(tmp_path, A):
+    """A CSV of the features A and alternating +-1 labels, and its config."""
+    y = np.where(np.arange(len(A)) % 2, 1.0, -1.0)
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.c_[A, y], delimiter=",")
+    return write_cfg(tmp_path, "c.cfg", f"data = csv\npath = {path}\n"), y
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [k.value for k in PlanKind])
+def test_overflowing_gram_is_refused_alike_by_every_plan_kind(tmp_path,
+                                                              capsys, kind):
+    # one finite entry of 1e200 makes A^T A overflow: every plan kind
+    # refuses its H (or the Gram that estimates it) with one line and no
+    # numpy warning
+    A = np.random.default_rng(0).standard_normal((64, 4))
+    A[3, 1] = 1e200
+    cfg, _ = _csv_data(tmp_path, A)
+    assert run_cli(["bias", "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), "debias=scalar", "m_grid=16",
+                    f"plans={kind}"]) == 3
+    assert capsys.readouterr().err == (
+        "NotPositiveDefinite: A^T A + C has NaN or infinite entries: A or C "
+        "is not finite, or A^T A overflows\n")
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("lev", []),
+    ("bias", ["plans=uniform,srht", "m_grid=16,32", "trials=20"]),
+    ("solve", ["method=ssn", "plan=uniform", "debias=none", "m=16"]),
+], ids=["lev", "bias", "solve"])
+def test_singular_gram_is_refused_at_its_cholesky(tmp_path, capsys, command,
+                                                  overrides):
+    # lambda = 0 and a repeated column: H = A^T A is singular.  lev and
+    # bias refuse at the plans' factor of H; solve at its reference's
+    # factor of the Hessian at beta = 0, which fails first in serial order
+    A = np.random.default_rng(5).standard_normal((64, 4))
+    A[:, 3] = A[:, 0]
+    cfg, y = _csv_data(tmp_path, A)
+    if command == "solve":
+        p = GlmProblem(A, y, 0.0, ProblemKind.LOGISTIC)
+        A = objective_eval(p, np.zeros(4)).factor
+    with pytest.raises(NotPositiveDefinite) as refused:
+        cholesky(gram(A) + np.zeros((4, 4)))
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(tmp_path / "x.csv"), "lambda=0", *overrides]) == 3
+    assert capsys.readouterr().err == f"NotPositiveDefinite: {refused.value}\n"

@@ -98,13 +98,15 @@ class TestApproxFineGrainedWeights:
     (DebiasMode.FINE_GRAINED_APPROX, "approximate")],
     ids=lambda x: getattr(x, "value", x))
 def test_missing_scores_refusal_names_the_mode_asked_for(mode, kind):
-    # a hand-built plan keeps neither exact nor approximate scores
+    # a hand-built uniform plan keeps no approximate scores, and without
+    # the (A, C) that its exact scores are whitened from it has none
     plan = SamplingPlan(PlanKind.UNIFORM, [0.5, 0.5])
     with pytest.raises(ValueError) as refused:
         make_debias_spec(mode, plan, 10)
-    assert str(refused.value) == (f"{mode.value} debiasing needs {kind} "
-                                  f"leverage scores, and a uniform plan "
-                                  f"has none")
+    assert str(refused.value) == (
+        "the uniform plan has no matrix" if kind == "exact" else
+        f"{mode.value} debiasing needs {kind} leverage scores, and a "
+        f"uniform plan has none")
 
 
 class TestApplyDebias:

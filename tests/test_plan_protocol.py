@@ -23,13 +23,14 @@ from randskew.errors import (ConfigError, NotPositiveDefinite,
 from randskew.hadamard import (_rotate, _signed_rows, _stage_bits,
                                _staged_hadamard, next_power_of_two,
                                srht_apply, srht_draw)
-from randskew.linalg import (RowScaled, _inverse_factor, gram,
-                             inverse_quadratic_forms)
+from randskew.linalg import (RowScaled, cholesky, gram,
+                             inverse_quadratic_forms, whitened_norms)
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
-from randskew.sampling import (PlanKind, SketchDraw, _sjlt_apply,
-                               apply_sketch, approximation_factors,
-                               build_plan, draw, exact_leverage_scores)
+from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
+                               _sjlt_apply, apply_sketch,
+                               approximation_factors, build_plan, draw,
+                               exact_leverage_scores)
 
 from oracles import hessian_sqrt
 
@@ -46,6 +47,8 @@ FINE = [DebiasMode.FINE_GRAINED_EXACT, DebiasMode.FINE_GRAINED_APPROX]
 M_FINE = 2 * N
 # the (kind, mode) pairs that make_debias_spec refuses at any m, and what
 # it says
+# the kinds whose build_plan reads the exact scores, for its probabilities
+BY_EXACT = (PlanKind.EXACT_LEVERAGE, PlanKind.SHRINKAGE)
 REFUSED = {
     **{(kind, mode): "only supports scalar" for mode in FINE
        for kind in (PlanKind.SRHT, PlanKind.SJLT)},
@@ -212,14 +215,28 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def _exact_passes(monkeypatch) -> list:
-    """Record every ``exact_leverage_scores`` call from every module: True
-    for a call made inside ``build_plan``."""
-    passes, building = [], []
+def _count_exact(monkeypatch) -> list:
+    """Count the exact-score passes: the first reads of a sampling plan's
+    ``exact``, each of which whitens A; returns the list that grows by one
+    per pass."""
+    calls, whiten = [], SamplingPlan.exact.func
 
-    def exact(*args, **kwargs):
+    def exact(plan):
+        calls.append(1)
+        return whiten(plan)
+
+    monkeypatch.setattr(SamplingPlan.exact, "func", exact)
+    return calls
+
+
+def _exact_passes(monkeypatch) -> list:
+    """Record every exact-score pass, as :func:`_count_exact` counts them:
+    True for a pass made inside ``build_plan``."""
+    passes, building, whiten = [], [], SamplingPlan.exact.func
+
+    def exact(plan):
         passes.append(bool(building))
-        return exact_leverage_scores(*args, **kwargs)
+        return whiten(plan)
 
     def build(*args, **kwargs):
         building.append(1)
@@ -228,7 +245,7 @@ def _exact_passes(monkeypatch) -> list:
         finally:
             building.pop()
 
-    _replace(monkeypatch, exact_leverage_scores, exact)
+    monkeypatch.setattr(SamplingPlan.exact, "func", exact)
     _replace(monkeypatch, build_plan, build)
     return passes
 
@@ -247,18 +264,20 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
     assert [len(c) for c in calls] == [0, 0, 0, 0]
 
 
-# exact_leverage_scores runs once per sampling plan built, inside
-# build_plan, and nowhere else: every reader takes the plan's ``exact``
+# a sampling plan computes its exact scores at most once, on first read:
+# inside build_plan for the kinds that sample by them, else in the first
+# reader, and every reader takes the plan's ``exact``
 
 @KINDS
 def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
-    # once per step, in the step's build_plan, whatever the step rule; the
-    # Hadamard and SJLT plans take d_eff from the d x d Gram and need no
-    # scores
+    # once per step whatever the step rule, as every step here reads d_eff
+    # for its scalar debias; the Hadamard and SJLT plans take d_eff from
+    # the d x d Gram and need no scores
     passes = _exact_passes(monkeypatch)
     for rule in _rules(kind):
         _one_ssn_step(kind, rule)
-    assert passes == [True] * (len(StepRule) if kind.has_probs else 0)
+    assert passes == [kind in BY_EXACT] * (len(StepRule) if kind.has_probs
+                                           else 0)
 
 
 @KINDS
@@ -273,23 +292,53 @@ def test_bias_sweep_computes_no_exact_scores(kind, monkeypatch):
                 sweep()
         else:
             assert len(sweep()) == 1
-    assert passes == [True] * kind.has_probs
+    # the first scalar cell reads d_eff, which computes them if build_plan
+    # did not, and every later reader takes them from the plan
+    assert passes == [kind in BY_EXACT] * kind.has_probs
 
 
-@pytest.mark.parametrize("overrides, plans", [
-    ({}, 1),
-    ({"approx": "sjlt"}, 2),
-    ({"plans": "uniform,approx_leverage,shrinkage"}, 3),
+def test_bias_sweep_forms_each_plans_h_once(monkeypatch):
+    # every cell whitens its bias by the plan's factor L of H, and the
+    # scalar cells read d_eff from it: one n-row Gram and one Cholesky of
+    # H per plan, at build or at the first cell, for all its cells
+    H = gram(A) + C
+    rows, factored = [], []
+
+    def recording_gram(X):
+        rows.append(X.shape[0])
+        return gram(X)
+
+    def recording_cholesky(M):
+        factored.append(np.array_equal(M, H))
+        return cholesky(M)
+
+    _replace(monkeypatch, gram, recording_gram)
+    _replace(monkeypatch, cholesky, recording_cholesky)
+    plans = [build_plan(kind, A, C) for kind in PlanKind]
+    assert rows.count(N) == len(BY_EXACT)
+    bias_sweep(plans, [DebiasMode.NONE, DebiasMode.SCALAR], [M, 2 * M],
+               trials=2, seed=1)
+    assert rows.count(N) == len(plans)
+    assert factored.count(True) == len(plans)
+
+
+@pytest.mark.parametrize("overrides, wanted", [
+    ({}, [False]),
+    ({"approx": "sjlt"}, [False]),
+    ({"plans": "uniform,approx_leverage,shrinkage"}, [True, False, False]),
     ({"approx": "double", "plans": "double_sketch_approx_leverage,row_norm"},
-     3),
+     [False, False]),
 ], ids=["default", "approx", "plans", "approx-plans"])
-def test_lev_takes_exact_scores_from_its_first_plan(overrides, plans,
+def test_lev_takes_exact_scores_from_its_first_plan(overrides, wanted,
                                                     monkeypatch):
+    # each summarized plan whitens A once for its own rho, the shrinkage
+    # plan inside build_plan; the plan that gives only the approximate
+    # column computes no exact scores
     passes = _exact_passes(monkeypatch)
     cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
                       "heavy_rows": "4", "lambda": "0.01", **overrides})
     _, rows, sidecar = cli.cmd_lev(cfg, 3, False)
-    assert passes == [True] * plans
+    assert passes == wanted
     assert [row[1] for row in rows] == list(EXACT)
     assert sidecar["d_eff"] == float(EXACT.sum())
 
@@ -326,7 +375,7 @@ def test_an_approximate_plans_scalar_bias_cell_reads_the_exact_d_eff():
                          ids=lambda k: k.value)
 def test_lev_refuses_a_plan_without_probabilities_before_building_one(
         kind, monkeypatch):
-    passes = _count_calls(monkeypatch, exact_leverage_scores)
+    passes = _count_exact(monkeypatch)
     plans = _count_calls(monkeypatch, build_plan)
     cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
                       "plans": f"uniform,{kind.value}"})
@@ -337,9 +386,10 @@ def test_lev_refuses_a_plan_without_probabilities_before_building_one(
 
 
 def test_srht_step_refuses_fine_exact_before_any_n_row_work(monkeypatch):
-    # the refusal reads the plan, which has no probabilities: no exact
-    # scores come first
-    calls = _count_calls(monkeypatch, exact_leverage_scores)
+    # the refusal reads the plan, which has no probabilities: no Gram of
+    # A for the analytic rule's d_eff, and no exact scores, come first
+    calls = _count_exact(monkeypatch)
+    grams = _count_calls(monkeypatch, gram)
     beta = np.zeros(D)
     obj = objective_eval(P, beta)
     method = SsnMethod(plan_kind=PlanKind.SRHT, m=M,
@@ -349,7 +399,7 @@ def test_srht_step_refuses_fine_exact_before_any_n_row_work(monkeypatch):
     assert type(refused.value) is ValueError
     assert str(refused.value) == ("the srht plan samples no rows of A, so "
                                   "it only supports scalar debiasing")
-    assert calls == []
+    assert (calls, grams) == ([], [])
 
 
 def _rotated_rows(monkeypatch) -> list:
@@ -391,10 +441,10 @@ def test_srht_ssn_step_rotates_once(monkeypatch):
 
 @pytest.mark.parametrize("rule", list(StepRule), ids=lambda r: r.value)
 def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
-    exact = _count_calls(monkeypatch, exact_leverage_scores)
+    exact = _count_exact(monkeypatch)
     rotations = _rotated_rows(monkeypatch)
-    # inverse_quadratic_forms takes one inverse factor per call
-    whitenings = _count_calls(monkeypatch, _inverse_factor)
+    # every whitening of rows is one whitened_norms call
+    whitenings = _count_calls(monkeypatch, whitened_norms)
     _, diagnostics = _one_ssn_step(PlanKind.SRHT, rule)
     assert len(exact) == 0
     assert rotations == _srht_step_rotations(rule)
@@ -415,7 +465,7 @@ def test_analytic_sketch_is_the_one_seed_sketcher_draw(kind):
             At, rho_max = plan.analytic_sketch(M, spec, seed)
             assert _same_bits(At, plan.sketcher(M, spec)([seed])[0])
             if kind.has_probs:
-                assert rho_max == approximation_factors(plan, EXACT).rho_max
+                assert rho_max == approximation_factors(plan).rho_max
 
 
 def _srht_oracle(m, spec, seed):
@@ -517,20 +567,20 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
 def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
     hs = hessian_sqrt(objective_eval(P, np.zeros(D)))
     d_eff = exact_leverage_scores(hs, P.lam * np.eye(D)).sum()
-    whitenings = _count_calls(monkeypatch, _inverse_factor)
+    whitenings = _count_calls(monkeypatch, whitened_norms)
     build_plan(kind, hs, P.lam * np.eye(D))
-    # every sampling plan whitens A by H's factor for its exact scores, and
-    # the approximate-leverage plans first by their sketched Gram's; the
-    # Hadamard and SJLT plans whiten nothing
+    # build_plan whitens A by H's factor only for the kinds that sample by
+    # the exact scores, and the approximate-leverage plans by their
+    # sketched Gram's; the Hadamard and SJLT plans whiten nothing
     approximate = kind in (PlanKind.APPROX_LEVERAGE,
                            PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE)
     by_plan = len(whitenings)
-    assert by_plan == (1 + approximate if kind.has_probs else 0)
+    assert by_plan == (kind in BY_EXACT) + approximate
     factors = _count_calls(monkeypatch, approximation_factors)
     _, diagnostics = _one_ssn_step(kind, rule)
-    # the step builds the plan again and whitens nothing more: twice for
-    # an approximate plan, as when the step took its exact scores itself
-    assert len(whitenings) == 2 * by_plan
+    # the step builds the plan again, and its scalar debias reads d_eff:
+    # every sampling plan whitens A by H's factor once for that
+    assert len(whitenings) - by_plan == kind.has_probs + approximate
     assert factors == []
     assert diagnostics["rho_max"] is None
     # exact for every plan, the approximate-leverage ones included
@@ -654,12 +704,13 @@ def test_sjlt_sketcher_refuses_an_empty_sketch_and_row_weights():
 
 
 @pytest.mark.parametrize("kind", [PlanKind.SJLT, PlanKind.SRHT,
-                                  PlanKind.UNIFORM], ids=lambda k: k.value)
+                                  PlanKind.UNIFORM, PlanKind.ROW_NORM],
+                         ids=lambda k: k.value)
 def test_sjlt_step_without_debias_takes_no_gram_of_n_rows(kind, monkeypatch):
-    # the step that replaced the sparse projection method, and the SRHT
-    # step: their plan's d_eff is read by scalar debias and the analytic
-    # rule alone, so the one Gram they take is the sketch's; a sampling
-    # plan's exact scores take the n-row Gram
+    # the step that replaced the sparse projection method, the SRHT step,
+    # and the uniform and row-norm steps: their plan's d_eff and exact
+    # scores are read by scalar debias and the analytic rule alone, so the
+    # one Gram they take is the sketch's
     rows = []
 
     def recording(X):
@@ -672,7 +723,7 @@ def test_sjlt_step_without_debias_takes_no_gram_of_n_rows(kind, monkeypatch):
                        step_rule=StepRule.ARMIJO)
     _, diagnostics = ssn_step(P, beta, objective_eval(P, beta), method,
                               seed=5)
-    assert rows == ([N, M] if kind.has_probs else [M])
+    assert rows == [M]
     assert diagnostics["d_eff"] is None
 
 

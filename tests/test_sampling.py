@@ -303,12 +303,13 @@ class TestBuildPlan:
                          scores=np.array([bad, 1.0]))
 
     def test_plan_without_exact_scores_refuses_to_give_d_eff(self):
-        # d_eff is the sum of the exact scores for every sampling plan, so
-        # a hand-built plan without them has none rather than a guess
+        # d_eff is the sum of the exact scores for every sampling plan,
+        # which it whitens from its (A, C), so a hand-built plan without
+        # them has none rather than a guess
         plan = SamplingPlan(PlanKind.EXACT_LEVERAGE, np.array([0.5, 0.5]),
                             scores=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="^the exact_leverage plan has "
-                                             "no exact scores$"):
+                                             "no matrix$"):
             plan.d_eff
 
     def test_every_built_plan_keeps_its_matrix(self):
@@ -319,8 +320,7 @@ class TestBuildPlan:
     def test_plan_without_its_matrix_refuses_to_sketch(self):
         # a hand-built plan has no (A, C) to sketch, to measure bias
         # against or to solve the fixed point on
-        plan = SamplingPlan(PlanKind.ROW_NORM, np.array([0.5, 0.5]),
-                            exact=np.array([0.5, 0.5]))
+        plan = SamplingPlan(PlanKind.ROW_NORM, np.array([0.5, 0.5]))
         refusal = "^the row_norm plan has no matrix"
         with pytest.raises(ValueError, match=refusal):
             plan.sketcher(4, DebiasSpec.none())
@@ -335,14 +335,13 @@ class TestBuildPlan:
 class TestApproximationFactors:
     def test_exact_leverage_plan_is_tight(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
-        fac = approximation_factors(plan, plan.scores)
+        fac = approximation_factors(plan)
         assert fac.rho_min == pytest.approx(1.0, abs=1e-12)
         assert fac.rho_max == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_plan_on_skewed_matrix(self):
         plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
-        lev = exact_leverage_scores(A_CE, C0)
-        fac = approximation_factors(plan, lev)
+        fac = approximation_factors(plan)
         assert fac.rho_min == pytest.approx(0.5, abs=1e-12)
         assert fac.rho_max == pytest.approx(1.5, abs=1e-12)
         assert fac.argmax_index == 1
@@ -351,25 +350,25 @@ class TestApproximationFactors:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((12, 3))
         A /= np.linalg.norm(A, axis=1, keepdims=True)
-        lev = exact_leverage_scores(A, np.zeros((3, 3)))
         f_u = approximation_factors(
-            build_plan(PlanKind.UNIFORM, A, np.zeros((3, 3))), lev)
+            build_plan(PlanKind.UNIFORM, A, np.zeros((3, 3))))
         f_r = approximation_factors(
-            build_plan(PlanKind.ROW_NORM, A, np.zeros((3, 3))), lev)
+            build_plan(PlanKind.ROW_NORM, A, np.zeros((3, 3))))
         assert f_u.rho_min == pytest.approx(f_r.rho_min)
         assert f_u.rho_max == pytest.approx(f_r.rho_max)
 
     def test_ordering_invariant(self):
         plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
-        lev = exact_leverage_scores(A_CE, C0)
-        fac = approximation_factors(plan, lev)
+        fac = approximation_factors(plan)
         assert fac.rho_min <= 1.0 <= fac.rho_max
 
     def test_zero_probability_with_positive_score(self):
+        # the exact scores of (I, I) are 0.5 on both rows
         probs = np.array([1.0, 0.0])
-        plan = SamplingPlan(PlanKind.UNIFORM, probs)
+        plan = SamplingPlan(PlanKind.UNIFORM, probs, A=np.eye(2),
+                            C=np.eye(2))
         with pytest.raises(ZeroProbabilityWithPositiveScore):
-            approximation_factors(plan, np.array([0.5, 0.5]))
+            approximation_factors(plan)
 
 
 class TestDraw:
