@@ -8,8 +8,8 @@ from .errors import (AllTrialsSingular, AllZeroRows, ConfigError,
                      ZeroProbabilityWithPositiveScore)
 from .linalg import (RowScaled, cholesky, gram, inv_sqrt, solve_spd,
                      spectral_norm, sqrt_psd)
-from .sampling import (ApproxFactors, PlanKind, ProjectionPlan, SamplingPlan,
-                       SjltPlan, SketchDraw, apply_sketch,
+from .sampling import (ApproxFactors, PlanHessian, PlanKind, ProjectionPlan,
+                       SamplingPlan, SjltPlan, SketchDraw, apply_sketch,
                        approximation_factors, build_plan, draw,
                        effective_dimension, exact_leverage_scores,
                        sjlt_approx_leverage)

@@ -48,18 +48,18 @@ def estimate_bias(plan, debias: DebiasSpec, m: int, trials: int,
                   seed: int) -> BiasEstimate:
     """Monte-Carlo inversion-bias estimate for one configuration.
 
-    ``plan`` is any plan :func:`~randskew.sampling.build_plan` returns; its
-    L whitens the bias.  Deterministic given ``seed``; per-trial streams are
-    split by trial index.  Trials are sketched and inverted in stacks of at
-    most ``SUBBLOCK_FLOATS`` sketched entries, cut inside the jackknife
-    groups; each group's kept inverses are summed once, in trial order, so
-    where a group's sub-blocks are cut does not change the result.  The cell
-    draws through one ``plan.sketcher`` into buffers it allocates once.
+    ``plan`` is any built plan; its hessian's L whitens the bias.
+    Deterministic given ``seed``; per-trial streams are split by trial
+    index.  Trials are sketched and inverted in stacks of at most
+    ``SUBBLOCK_FLOATS`` sketched entries, cut inside the jackknife groups;
+    each group's kept inverses are summed once, in trial order, so where a
+    group's sub-blocks are cut does not change the result.  The cell draws
+    through one ``plan.sketcher`` into buffers it allocates once.
     """
-    if m < 1 or trials < 2:
-        raise ValueError("need m >= 1 and trials >= 2")
-    sketch = plan.sketcher(m, debias)  # refuses a plan without (A, C)
-    C, d, L = plan.C, plan.A.shape[1], plan.L
+    if trials < 2:
+        raise ValueError("need trials >= 2")
+    sketch = plan.sketcher(m, debias)  # refuses m < 1 or no (A, C)
+    C, d, L = plan.hessian.C, plan.hessian.A.shape[1], plan.hessian.L
 
     group_sums: list[np.ndarray] = []
     group_kept: list[int] = []

@@ -28,7 +28,8 @@ from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
                     SgdMethod, SsnMethod, StepRule, check_iters,
                     check_lambda, reference_point, reference_solution,
                     run_solver)
-from .sampling import PlanKind, approximation_factors, build_plan
+from .sampling import (PlanHessian, PlanKind, approximation_factors,
+                       build_plan)
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -153,8 +154,8 @@ def _plan_options(cfg: Config) -> dict:
             "m2": cfg.get("m2", 0, int) or None}
 
 
-def _make_plan(kind: PlanKind, A, C, cfg: Config, seed: int):
-    return build_plan(kind, A, C, **_plan_options(cfg),
+def _make_plan(kind: PlanKind, hessian: PlanHessian, cfg: Config, seed: int):
+    return build_plan(kind, hessian, **_plan_options(cfg),
                       seed=rsrng.split(seed, 101))
 
 
@@ -171,14 +172,14 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
     for kind in kinds:
         if not kind.has_probs:
             raise ConfigError(f"{kind.value} has no sampling plan summary")
-    plans = [_make_plan(kind, A, C, cfg, seed) for kind in kinds]
-    # every sampling plan has the same exact scores
-    exact = plans[0].exact
+    hessian = PlanHessian(A, C)   # one Gram and factor for every plan
+    plans = [_make_plan(kind, hessian, cfg, seed) for kind in kinds]
+    exact = hessian.exact
 
     header, columns = ["index", "score_exact"], [exact]
     if approx_kind is not None:
         header.append("score_approx")
-        columns.append(_make_plan(approx_kind, A, C, cfg, seed).scores)
+        columns.append(_make_plan(approx_kind, hessian, cfg, seed).scores)
     rows = [[i, *(float(col[i]) for col in columns)]
             for i in range(len(exact))]
 
@@ -195,7 +196,8 @@ def cmd_bias(cfg: Config, seed: int, standardize: bool):
     C = _ridge(cfg, A.shape[1])
 
     kinds = cfg.get("plans", [PlanKind.EXACT_LEVERAGE], _list_of(PlanKind))
-    plans = [_make_plan(kind, A, C, cfg, seed) for kind in kinds]
+    hessian = PlanHessian(A, C)   # one Gram and factor for every plan
+    plans = [_make_plan(kind, hessian, cfg, seed) for kind in kinds]
     debias_modes = cfg.get("debias", [DebiasMode.NONE, DebiasMode.SCALAR],
                            _list_of(_DEBIAS_NAMES.__getitem__))
     results = bias_sweep(plans, debias_modes,
@@ -294,7 +296,7 @@ def cmd_sweep(cfg: Config, seed: int, standardize: bool):
     def run(job):
         method, run_seed = job
         return run_solver(p, method, np.zeros(p.dim), iters,
-                          reference=reference, seed=run_seed)
+                          seed=run_seed).scored(reference)
 
     traces = parallel.pmap(run, [(method, rsrng.split(seed, m, r))
                                  for m, (_, method) in zip(m_grid, methods)

@@ -8,8 +8,8 @@ and the sketched Newton solver share :func:`make_debias_spec`.
 
 This module alone turns a mode into sketch weights; a plan supplies only
 its data (``d_eff``, the exact effective dimension, ``probs``, ``scores``,
-``exact``, and ``A`` and ``C``).  A plan whose ``probs`` is None (the
-Hadamard and SJLT plans) takes the scalar factor only.
+``exact``, and its hessian's A and C).  A plan whose ``probs`` is None
+(the Hadamard and SJLT plans) takes the scalar factor only.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def solve_fixed_point_d(plan: SamplingPlan, m: int, tol: float = 1e-10,
     [m/(m + 2 rho_max d_eff), m/(m + rho_min d_eff)]; a fixed point
     outside it raises :class:`NoConvergence`, as does running out of sweeps.
     """
-    A, C = plan.matrix.rows(0, plan.n), plan.C  # a view if unscaled
+    A, C = plan.require_hessian().A.rows(0, plan.n), plan.hessian.C
     if not np.all(np.isfinite(A)):  # only writes made after build_plan
         raise NotPositiveDefinite("A has NaN or infinite entries")
     probs, d_eff = plan.probs, plan.d_eff

@@ -31,8 +31,8 @@ from . import rng as rsrng
 from .debias import DebiasSpec
 from .errors import NotPowerOfTwo
 from .linalg import RowScaled, as_rows, whitened_norms
-from .sampling import (PlanKind, ProjectionPlan, SketchDraw, _gather,
-                       apply_sketch)
+from .sampling import (PlanHessian, PlanKind, ProjectionPlan, SketchDraw,
+                       _gather, apply_sketch, check_sketch_size)
 
 # floats in a transform's scratch (512 KiB), which stays in cache
 FWHT_BLOCK_FLOATS = 2 ** 16
@@ -153,8 +153,7 @@ def _srht_rows(n_padded: int, m: int,
     steps k / n_padded are exact for a power-of-two n_padded, so its
     search lands on floor(u * n_padded).
     """
-    if m < 1:
-        raise ValueError("sketch size m must be >= 1")
+    check_sketch_size(m)
     u = rsrng.generator(rsrng.split(seed, 1)).random(m)
     return (u * n_padded).astype(np.intp), np.float64(
         1.0 / math.sqrt(m / n_padded))
@@ -290,9 +289,8 @@ def rotated_leverage_scores(A: np.ndarray, C: np.ndarray,
     The rotation is orthogonal, so the scores sum to the effective
     dimension of A itself.
     """
-    A = np.asarray(A, dtype=np.float64)
     rotated = _rotate(np.asarray(signs, dtype=np.float64), A)
-    return whitened_norms(rotated, SrhtPlan(A, C).L)
+    return whitened_norms(rotated, PlanHessian(A, C).L)
 
 
 class SrhtPlan(ProjectionPlan):
@@ -301,7 +299,7 @@ class SrhtPlan(ProjectionPlan):
 
     Its ``d_eff`` is the exact effective dimension of A (the rotation is
     orthogonal), and :meth:`analytic_sketch` whitens the rotation by the
-    plan's factor L of H = A^T A + C.  Row weights of A do not carry over
+    hessian's factor L of H = A^T A + C.  Row weights of A do not carry over
     to the rows of the rotated matrix, so only scalar debiasing applies.
     """
     kind = PlanKind.SRHT
@@ -315,7 +313,8 @@ class SrhtPlan(ProjectionPlan):
         streams its sketch (:func:`_streamed_sample`) and holds no
         rotation; several rotate, one after another, in one padded buffer
         that the cell keeps across calls.  Both give the same bits."""
-        X, rows = self.matrix, None
+        check_sketch_size(m)
+        X, rows = self.hessian.A, None
 
         def draw(seeds, out=None):
             nonlocal rows
@@ -338,8 +337,8 @@ class SrhtPlan(ProjectionPlan):
         uniform sampling from the rotation it sampled, by the rotation's
         exact scores given H.  D A is signed into one padded buffer, which
         is rotated in place once and read by both."""
-        X = self.matrix
+        X = self.hessian.A
         rows = _signed_rows(X, _srht_signs(X.shape[0], seed))
         At = _rotated_sample(rows, m, spec, seed)
-        scores = whitened_norms(rows, self.L)
+        scores = whitened_norms(rows, self.hessian.L)
         return At, float(scores.max() * rows.shape[0] / self.d_eff)

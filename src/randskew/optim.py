@@ -23,7 +23,7 @@ from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence
 from .linalg import RowScaled, gram, solve_spd
-from .sampling import PlanKind, build_plan
+from .sampling import PlanHessian, PlanKind, build_plan
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
@@ -227,18 +227,19 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     and SJLT plans compute only then.
 
     Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
-    on the factor, then the plan's one-seed ``sketcher`` draw, or under
-    the analytic rule its ``analytic_sketch``, which also gives rho_max.
+    on the step's one PlanHessian of the factor, then the plan's one-seed
+    ``sketcher`` draw, or under the analytic rule its ``analytic_sketch``,
+    which also gives rho_max.
     No step forms the factor: a sampling plan reads it in row blocks and
     gathers its m rows from the data, the SJLT reads it in row blocks, and
     the SRHT signs it into a padded buffer that the analytic sketch
     rotates once and scores, while a one-seed draw rotates one residue
     class of the rows at a time and holds no rotation.
     """
-    C = p.lam * np.eye(p.dim)
     sketch_seed = rsrng.split(seed, 2)
     analytic = method.step_rule is StepRule.ANALYTIC
-    plan = build_plan(method.plan_kind, obj.factor, C, mix=method.mix,
+    hessian = PlanHessian(obj.factor, p.lam * np.eye(p.dim))
+    plan = build_plan(method.plan_kind, hessian, mix=method.mix,
                       m1=method.m1, m2=method.m2, seed=rsrng.split(seed, 1))
     spec = make_debias_spec(method.debias, plan, method.m)  # before d_eff
     d_eff = (plan.d_eff if analytic or method.debias is DebiasMode.SCALAR
@@ -323,16 +324,14 @@ def check_iters(iters: int) -> int:
     return iters
 
 
-def run_solver(p: GlmProblem, method, beta0, iters: int,
-               reference: ReferencePoint | None = None,
-               seed: int = 0, grad_tol: float = 0.0) -> RunTrace:
+def run_solver(p: GlmProblem, method, beta0, iters: int, seed: int = 0,
+               grad_tol: float = 0.0) -> RunTrace:
     """Iterate ``method.update``, recording per-iteration iterate,
     gradient and time; stops early once the gradient norm falls below
     grad_tol.
 
-    Errors are scored after the run: with a reference, the trace returned
-    is :meth:`RunTrace.scored` by it; without one, ``rel_error_H`` is NaN
-    until the caller scores the trace.
+    ``rel_error_H`` is NaN until the caller scores the trace by a
+    reference (:meth:`RunTrace.scored`).
 
     With grad_tol set, a step that leaves beta bitwise unchanged also ends
     the run after its record: for a method whose update depends on beta
@@ -366,7 +365,7 @@ def run_solver(p: GlmProblem, method, beta0, iters: int,
             if grad_tol > 0 and beta_next.tobytes() == beta.tobytes():
                 break
             beta = beta_next
-    return trace if reference is None else trace.scored(reference)
+    return trace
 
 
 def reference_solution(p: GlmProblem) -> tuple[np.ndarray, float]:

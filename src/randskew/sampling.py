@@ -8,19 +8,19 @@ step, so that the m-by-n sampling matrix is never materialized.  A cell
 with many draws scales its support rows once and takes the drawn rows
 from that table.
 
-Every plan :func:`build_plan` returns answers one protocol: ``kind``, ``A``
-and ``C`` (the matrix it was built from, which every consumer reads from the
-plan alone: a reference, so the caller must not write it later), ``G``,
-``H`` and ``L`` (:class:`PlanHessian`), ``d_eff``, ``probs``, ``scores``
-(sampling scores or None), ``exact`` (exact leverage scores, whitened by L
-on first read), ``sketcher(m, spec)`` and ``analytic_sketch(m, spec,
-seed)``.  ``d_eff``, the exact effective dimension of A given C, is the sum
-of ``exact``, or trace(H^-1 G) for a :class:`ProjectionPlan`, which samples
-no rows of A (``PlanKind.has_probs`` is False) and has no ``exact``: the
-Hadamard plan, which samples rows of a rotation of A, and the SJLT plan
-(:class:`SjltPlan`), which sums signed rows of A into each sketch row.
-``sketcher`` returns ``draw(seeds, out=None)``, which gives a T x m x d
-stack, one sketch per seed, for the cell (m, spec); a cell keeps its
+A :class:`PlanHessian` holds one (A, C) and forms G = A^T A, H = G + C,
+its Cholesky factor L and the exact leverage scores once each, on first
+read; :func:`build_plan` gives every plan it builds from it that one value
+by reference, ``plan.hessian``.  Every plan answers one protocol: ``kind``,
+``hessian``, ``d_eff``, ``probs``, ``scores`` (sampling scores or None),
+``exact`` (the hessian's), ``sketcher(m, spec)`` and ``analytic_sketch(m,
+spec, seed)``.  ``d_eff``, the exact effective dimension of A given C, is
+the sum of ``exact``, or trace(H^-1 G) for a :class:`ProjectionPlan`,
+which samples no rows of A and has no ``exact``: the Hadamard plan, which
+samples rows of a rotation of A, and the SJLT plan (:class:`SjltPlan`),
+which sums signed rows of A into each sketch row.  ``sketcher`` refuses
+m < 1 when called and returns ``draw(seeds, out=None)``, the T x m x d
+stack, one sketch per seed, of the cell (m, spec); a cell keeps its
 debias weights, and its buffers, across calls.  ``analytic_sketch``
 returns the one-seed sketch, bitwise, and the rho_max that the analytic
 step rule reads: a sampling plan's depends on the plan alone, the
@@ -78,22 +78,26 @@ def _finite_gram(M):
     return M
 
 
+@dataclass(frozen=True, eq=False)
 class PlanHessian:
-    """The base of every plan: G = A^T A, H = G + C and H's Cholesky factor
-    L of the plan's (A, C), each formed once, on first read, for every
-    reader of H; a non-finite H is refused without a numpy warning."""
+    """One (A, C), A as a :class:`~randskew.linalg.RowScaled` read in row
+    blocks, and what every plan built from it reads: G = A^T A, H = G + C,
+    its Cholesky factor L and the exact leverage scores, each formed once,
+    on first read.  A and C are references, which the caller must not
+    write later.  A with no rows is refused, and a non-finite H without a
+    numpy warning."""
+    A: RowScaled
+    C: np.ndarray
 
-    @property
-    def matrix(self) -> RowScaled:
-        """A in row blocks; a plan built without A and C refuses."""
-        if self.A is None or self.C is None:
-            raise ValueError(f"the {self.kind.value} plan has no matrix")
-        return as_rows(self.A)
+    def __post_init__(self):
+        object.__setattr__(self, "A", as_rows(self.A))
+        if self.A.shape[0] < 1:
+            raise ValueError("A must have at least one row")
 
     @cached_property
     def G(self) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):  # H refuses
-            return gram(self.matrix)
+            return gram(self.A)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -104,14 +108,18 @@ class PlanHessian:
     def L(self) -> np.ndarray:
         return cholesky(self.H)
 
+    @cached_property
+    def exact(self) -> np.ndarray:
+        """l_i = a_i^T H^-1 a_i for every row a_i of A."""
+        return whitened_norms(self.A, self.L)
+
 
 @dataclass(frozen=True)
-class SamplingPlan(PlanHessian):
+class SamplingPlan:
     kind: PlanKind
     probs: np.ndarray           # length n, nonnegative, sums to 1
     scores: np.ndarray | None = None   # leverage scores used, if any
-    A: np.ndarray | RowScaled | None = None   # the (A, C) build_plan read
-    C: np.ndarray | None = None
+    hessian: PlanHessian | None = None   # the (A, C) build_plan read
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -126,14 +134,18 @@ class SamplingPlan(PlanHessian):
                 raise ValueError("scores must be finite")
             object.__setattr__(self, "scores", s)
 
+    def require_hessian(self) -> PlanHessian:
+        if self.hessian is None:
+            raise ValueError(f"the {self.kind.value} plan has no matrix")
+        return self.hessian
+
     @property
     def n(self) -> int:
         return self.probs.shape[0]
 
-    @cached_property
+    @property
     def exact(self) -> np.ndarray:
-        """The exact leverage scores of A given C, whitened by L."""
-        return whitened_norms(self.matrix, self.L)
+        return self.require_hessian().exact
 
     @cached_property
     def d_eff(self) -> float:
@@ -146,16 +158,14 @@ class SamplingPlan(PlanHessian):
         ``apply_debias`` -> ``apply_sketch`` at its seed, written into
         ``out`` when it is given.
 
-        The first call with at least as many draws as support rows builds
-        the debiased row table ``A[support] * w[:, None]``, w the support's
-        reweighted weights, and every later call takes its rows from it:
-        the same products a gather of rows and weights makes.  Fewer draws
-        before that (one SSN step's single sketch) weigh only the rows they
-        drew.
+        The first call with at least as many draws as support rows builds the
+        debiased row table ``A[support] * w[:, None]``, w the support's
+        reweighted weights, and every later call takes its rows from it: the
+        same products a gather of rows and weights makes.  Fewer draws before
+        that (one SSN step's single sketch) weigh only the rows they drew.
         """
-        if m < 1:
-            raise ValueError("sketch size m must be >= 1")
-        A = self.matrix
+        check_sketch_size(m)
+        A = self.require_hessian().A
         support = self._cdf[0]
         table = None
 
@@ -242,8 +252,14 @@ class ApproxFactors:
 def exact_leverage_scores(A: np.ndarray | RowScaled,
                           C: np.ndarray) -> np.ndarray:
     """l_i = a_i^T (A^T A + C)^{-1} a_i for every row a_i of A (an array or
-    a :class:`~randskew.linalg.RowScaled`): a plan's ``exact``."""
-    return build_plan(PlanKind.UNIFORM, A, C).exact
+    a :class:`~randskew.linalg.RowScaled`): ``PlanHessian(A, C).exact``."""
+    return PlanHessian(A, C).exact
+
+
+def check_sketch_size(m: int) -> None:
+    """Refuse a sketch of fewer than one row: every plan's sketcher."""
+    if m < 1:
+        raise SketchTooSmall(f"sketch size m={m} must be at least 1")
 
 
 def effective_dimension(scores: np.ndarray) -> float:
@@ -354,13 +370,12 @@ def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class ProjectionPlan(PlanHessian):
+class ProjectionPlan:
     """The base of the two plans that sample no rows of A: each sketch row
     mixes rows of A, so only scalar debiasing applies, and the plan keeps
     no per-row scores.  Its ``d_eff`` is trace(H^-1 G), solved by L on
     first read; a step that reads no ``d_eff`` makes no pass over A."""
-    A: np.ndarray | RowScaled
-    C: np.ndarray
+    hessian: PlanHessian
     kind: ClassVar[PlanKind]
     probs: ClassVar[None] = None
     scores: ClassVar[None] = None
@@ -368,7 +383,8 @@ class ProjectionPlan(PlanHessian):
 
     @cached_property
     def d_eff(self) -> float:
-        return float(np.trace(lapack.dpotrs(self.L, self.G, lower=1)[0]))
+        h = self.hessian
+        return float(np.trace(lapack.dpotrs(h.L, h.G, lower=1)[0]))
 
     @classmethod
     def scalar_only(cls) -> ValueError:
@@ -388,11 +404,10 @@ class SjltPlan(ProjectionPlan):
         stack whose sketch t is ``_sjlt_apply(A, m, generator(seeds[t]))``
         times the spec's scalar weight, written into ``out`` when it is
         given."""
-        if m < 1:
-            raise SketchTooSmall(f"sketch size m={m} must be at least 1")
+        check_sketch_size(m)
         if spec.row_weights is not None:
             raise self.scalar_only()
-        X = self.matrix
+        X = self.hessian.A
         weight = spec.reweight(None, 1.0)
 
         def draw(seeds, out=None):
@@ -440,30 +455,21 @@ def sjlt_approx_leverage(A: np.ndarray | RowScaled, C: np.ndarray, m1: int,
             pivot_index=exc.pivot_index) from exc
 
 
-def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
-               mix: float = 0.5, m1: int | None = None,
-               m2: int | None = None, seed: int = 0):
-    """Construct a sampling plan of the requested kind for (A, C).
-
-    A is an array or a :class:`~randskew.linalg.RowScaled`, which every
-    reader takes in row blocks; every plan keeps it, as that view, and C.
-    Only the exact-leverage and shrinkage kinds read ``exact`` here, for
-    their probabilities.  ``PlanKind.SRHT`` returns a
-    :class:`~randskew.hadamard.SrhtPlan` and ``PlanKind.SJLT`` an
-    :class:`SjltPlan`.
-    """
-    A = as_rows(A)
-    n, d = A.shape
-    if n < 1:
-        raise ValueError("A must have at least one row")
+def build_plan(kind: PlanKind, hessian: PlanHessian, *, mix: float = 0.5,
+               m1: int | None = None, m2: int | None = None, seed: int = 0):
+    """A plan of the requested kind for ``hessian``'s (A, C), which it
+    keeps by reference.  Only the exact-leverage and shrinkage kinds read
+    ``hessian.exact`` here, for their probabilities.  ``PlanKind.SRHT``
+    returns a :class:`~randskew.hadamard.SrhtPlan` and ``PlanKind.SJLT``
+    an :class:`SjltPlan`."""
     if kind is PlanKind.SRHT:
         from .hadamard import SrhtPlan  # hadamard imports this module
-        return SrhtPlan(A, C)
+        return SrhtPlan(hessian)
     if kind is PlanKind.SJLT:
-        return SjltPlan(A, C)
+        return SjltPlan(hessian)
 
+    A, (n, d) = hessian.A, hessian.A.shape
     scores = probs = None
-    cached = {}
     if kind in (PlanKind.APPROX_LEVERAGE,
                 PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE):
         if m1 is None:
@@ -472,7 +478,7 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
             m2 = min(default_double_sketch_width(n), m1 - 1)
         if kind is PlanKind.APPROX_LEVERAGE:
             m2 = None
-        scores = sjlt_approx_leverage(A, C, m1, m2, seed=seed)
+        scores = sjlt_approx_leverage(A, hessian.C, m1, m2, seed=seed)
         total = scores.sum()
         if total <= 0:
             raise AllZeroRows("approximate leverage scores are all zero")
@@ -488,17 +494,12 @@ def build_plan(kind: PlanKind, A: np.ndarray | RowScaled, C: np.ndarray, *,
     elif kind is PlanKind.SHRINKAGE and not 0.0 <= mix <= 1.0:
         raise ValueError("shrinkage mix must lie in [0, 1]")
     elif kind in (PlanKind.EXACT_LEVERAGE, PlanKind.SHRINKAGE):
-        # the plan keeps a uniform plan's exact scores, G, H and L
-        uniform = build_plan(PlanKind.UNIFORM, A, C)
-        scores = uniform.exact
+        scores = hessian.exact
         probs = (scores / scores.sum() if kind is PlanKind.EXACT_LEVERAGE
                  else mix / n + (1.0 - mix) * scores / scores.sum())
-        cached = {k: vars(uniform)[k] for k in ("G", "H", "L", "exact")}
     else:
         raise ValueError(f"unknown plan kind {kind!r}")
-    plan = SamplingPlan(kind, probs, scores=scores, A=A, C=C)
-    vars(plan).update(cached)   # where a cached_property keeps its value
-    return plan
+    return SamplingPlan(kind, probs, scores=scores, hessian=hessian)
 
 
 def _squared_row_norms(X: RowScaled) -> np.ndarray:
@@ -579,8 +580,7 @@ class SketchDraw:
 
 def draw(plan: SamplingPlan, m: int, seed: int) -> SketchDraw:
     """One with-replacement sketch of size m, deterministic given seed."""
-    if m < 1:
-        raise ValueError("sketch size m must be >= 1")
+    check_sketch_size(m)
     indices = plan._cdf[0][plan._positions(rsrng.generator(seed).random(m))]
     return SketchDraw(m=m, indices=indices,
                       weights=1.0 / np.sqrt(m * plan.probs[indices]))

@@ -21,9 +21,9 @@ from randskew.linalg import gram, inv_sqrt
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod,
                             objective_eval, reference_point,
                             reference_solution, run_solver)
-from randskew.sampling import (PlanKind, SketchDraw, apply_sketch,
-                               approximation_factors, build_plan, draw,
-                               exact_leverage_scores)
+from randskew.sampling import (PlanHessian, PlanKind, SketchDraw,
+                               apply_sketch, approximation_factors,
+                               build_plan, draw, exact_leverage_scores)
 
 from oracles import (gaussian_sketch, hessian_sqrt, psd_relative_error,
                      sampled_rows, spd_inverse)
@@ -92,7 +92,7 @@ def test_criterion_01_counterexample_leverage_scores(tmp_path):
 
 
 def test_criterion_02_uniform_approximation_factors():
-    plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
+    plan = build_plan(PlanKind.UNIFORM, PlanHessian(A_CE, C0))
     fac = approximation_factors(plan)
     assert abs(fac.rho_min - 0.5) < 1e-12
     assert abs(fac.rho_max - 1.5) < 1e-12
@@ -116,7 +116,7 @@ def test_criterion_03_inverse_wishart_oracle():
 
 def test_criterion_04_zero_bias_counterexample():
     m, trials = 16, 1_000_000
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     counts = ce_coordinate_counts(plan, m, trials, seed=202)
     alive = np.all(counts > 0, axis=1)
     half = trials // 2
@@ -138,14 +138,15 @@ def test_criterion_04_zero_bias_counterexample():
 def test_criterion_05_fixed_point_characterization():
     # (a) closed form on the identity with a uniform plan
     d_id, m_id = 6, 15
-    plan_id = build_plan(PlanKind.UNIFORM, np.eye(d_id), np.zeros((d_id, d_id)))
+    plan_id = build_plan(PlanKind.UNIFORM,
+                         PlanHessian(np.eye(d_id), np.zeros((d_id, d_id))))
     fp_id = solve_fixed_point_d(plan_id, m_id)
     closed = np.abs(fp_id.diag - (m_id - d_id) / m_id).max()
     assert closed < 1e-10
 
     # (b) Monte-Carlo mean inverse vs (A^T D A)^{-1} at m = 20d
     m, trials = 20 * D, 500_000
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     fp = solve_fixed_point_d(plan, m)
     counts = ce_coordinate_counts(plan, m, trials, seed=303)
     alive = np.all(counts > 0, axis=1)
@@ -161,7 +162,7 @@ def test_criterion_05_fixed_point_characterization():
     # (c) the proven range holds on a spread of plans and sketch sizes
     for kind in (PlanKind.UNIFORM, PlanKind.EXACT_LEVERAGE,
                  PlanKind.SHRINKAGE):
-        p = build_plan(kind, A_CE, C0, mix=0.5)
+        p = build_plan(kind, PlanHessian(A_CE, C0), mix=0.5)
         fac = approximation_factors(p)
         for mm in (16 * D, 32 * D):
             sol = solve_fixed_point_d(p, mm)
@@ -177,7 +178,7 @@ def test_criterion_06_debias_efficacy_sweep():
     A = coherent_matrix()
     d = A.shape[1]
     C = 1e-2 * np.eye(d)
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
     d_eff = plan.d_eff
     m_grid = [int(np.ceil(k * d_eff)) for k in (4, 8, 16, 32)]
     rows = bias_sweep([plan], [DebiasMode.NONE, DebiasMode.SCALAR], m_grid,
@@ -193,7 +194,7 @@ def test_criterion_06_debias_efficacy_sweep():
 
 
 def test_criterion_07_scalar_fine_grained_coincidence():
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     m = 8 * D
     scalar_mult = np.sqrt(m / (m - plan.d_eff))
     fine = fine_grained_weights(plan, plan.scores, m)
@@ -218,7 +219,7 @@ def test_criterion_08_subspace_embedding():
     ]
     rates = {}
     for name, A, C in matrices:
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
         d_eff = plan.d_eff
         m = int(np.ceil(8 * 1.0 * d_eff * np.log(d_eff / delta) / eps ** 2))
         AC = A @ inv_sqrt(gram(A) + C)
@@ -252,7 +253,7 @@ def test_criterion_09_ssn_rate():
         rates = []
         for s in range(20):
             trace = run_solver(p, method, np.zeros(d), iters,
-                               reference=ref, seed=s)
+                               seed=s).scored(ref)
             final = trace.records[-1].rel_error_H
             rates.append(final ** (1.0 / iters))
         return float(np.median(rates))
@@ -289,7 +290,7 @@ def test_criterion_10_fwht_and_srht_debias():
     C = 1e-2 * np.eye(d)
     d_eff = float(exact_leverage_scores(Ac, C).sum())
     m = int(np.ceil(16 * d_eff))
-    scheme = build_plan(PlanKind.SRHT, Ac, C)
+    scheme = build_plan(PlanKind.SRHT, PlanHessian(Ac, C))
     none = estimate_bias(scheme, DebiasSpec.none(), m, 500, seed=21)
     scal = estimate_bias(scheme, DebiasSpec.scalar(m, d_eff), m, 500,
                          seed=21)

@@ -14,7 +14,8 @@ from randskew.errors import (AllTrialsSingular, NotPositiveDefinite,
                              SketchTooSmall)
 from randskew.linalg import (accepted_inverses, cholesky, gram, spectral_norm,
                              sqrt_psd)
-from randskew.sampling import PlanKind, SamplingPlan, build_plan
+from randskew.sampling import (PlanHessian, PlanKind, SamplingPlan,
+                               build_plan)
 
 from oracles import gaussian_sketch, psd_relative_error, spd_inverse
 
@@ -26,14 +27,15 @@ C0 = np.zeros((D, D))
 def test_degenerate_single_row_has_zero_bias():
     A = np.array([[1.0]])
     C = np.array([[1.0]])
-    plan = SamplingPlan(PlanKind.UNIFORM, np.array([1.0]), A=A, C=C)
+    plan = SamplingPlan(PlanKind.UNIFORM, np.array([1.0]),
+                        hessian=PlanHessian(A, C))
     est = estimate_bias(plan, DebiasSpec.none(), m=1, trials=4, seed=0)
     assert est.bias == pytest.approx(0.0, abs=1e-14)
     assert est.discarded == 0
 
 
 def test_scalar_debias_beats_none_on_skewed_matrix():
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     m = 8 * D
     none = estimate_bias(plan, DebiasSpec.none(), m, 500, seed=5)
     scal = estimate_bias(plan, DebiasSpec.scalar(m, plan.d_eff), m, 500,
@@ -61,7 +63,7 @@ def test_gaussian_sketch_determinism():
 
 
 def test_rank_deficient_gaussian_sketch_discards_trials():
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     # m below d: every sketched Gram is singular
     with pytest.raises(AllTrialsSingular):
         estimate_bias(plan, DebiasSpec.none(), m=2, trials=10, seed=1)
@@ -71,14 +73,14 @@ def test_estimator_consistency_at_large_m():
     for A in (A_CE, np.random.default_rng(0).standard_normal((32, 3))):
         d = A.shape[1]
         C = 1e-2 * np.eye(d)
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
         m = int(np.ceil(256 * plan.d_eff))
         est = estimate_bias(plan, DebiasSpec.none(), m, 200, seed=9)
         assert est.bias < 0.1
 
 
 def test_jackknife_stderr_halves_when_trials_quadruple():
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     m = 8 * D
     small = estimate_bias(plan, DebiasSpec.none(), m, 512, seed=2)
     big = estimate_bias(plan, DebiasSpec.none(), m, 2048, seed=2)
@@ -87,14 +89,14 @@ def test_jackknife_stderr_halves_when_trials_quadruple():
 
 
 def test_bitwise_reproducibility():
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     a = estimate_bias(plan, DebiasSpec.none(), 8 * D, 100, seed=7)
     b = estimate_bias(plan, DebiasSpec.none(), 8 * D, 100, seed=7)
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 def test_srht_scheme_runs_and_reports():
-    est = estimate_bias(build_plan(PlanKind.SRHT, A_CE, C0),
+    est = estimate_bias(build_plan(PlanKind.SRHT, PlanHessian(A_CE, C0)),
                         DebiasSpec.none(), m=16, trials=50, seed=4)
     assert est.bias >= 0
     assert est.trials == 50
@@ -106,11 +108,11 @@ def test_srht_rejects_fine_grained_spec(n):
     # whose padded row indices do not match the plan's row weights
     A = np.random.default_rng(n).standard_normal((n, 3))
     C = 1e-2 * np.eye(3)
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
     spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, 32)
     with pytest.raises(ValueError, match="only supports scalar"):
-        estimate_bias(build_plan(PlanKind.SRHT, A, C), spec, m=32,
-                      trials=4, seed=0)
+        estimate_bias(build_plan(PlanKind.SRHT, PlanHessian(A, C)), spec,
+                      m=32, trials=4, seed=0)
 
 
 def _per_trial_estimate(A, C, plan, spec, m, trials, seed):
@@ -162,7 +164,7 @@ def _per_trial_estimate(A, C, plan, spec, m, trials, seed):
     (PlanKind.SRHT, 1e-2, 16)])
 def test_stacked_trials_match_the_per_trial_oracle(kind, lam, m):
     C = lam * np.eye(D)
-    plan = build_plan(kind, A_CE, C)
+    plan = build_plan(kind, PlanHessian(A_CE, C))
     trials = 3 * JACKKNIFE_BATCH + 5
     est = estimate_bias(plan, DebiasSpec.none(), m, trials, seed=8)
     want = _per_trial_estimate(A_CE, C, plan, DebiasSpec.none(), m, trials,
@@ -207,7 +209,7 @@ def test_stacked_inverse_products_are_exactly_symmetric(T, m):
 
 @pytest.mark.parametrize("m", [8, 16])
 def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     spec = DebiasSpec.scalar(m, plan.d_eff)
     runs = []
     # one sub-block per jackknife group, then 3, 2 and 1 trials per block
@@ -222,7 +224,7 @@ def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
 
 
 def test_make_debias_spec_scalar_uses_plan_d_eff():
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     spec = make_debias_spec(DebiasMode.SCALAR, plan, 16)
     assert spec.factor == pytest.approx(16 / (16 - plan.d_eff))
     with pytest.raises(SketchTooSmall):
@@ -231,7 +233,7 @@ def test_make_debias_spec_scalar_uses_plan_d_eff():
 
 class TestBiasSweep:
     def test_single_cell_matches_direct_call(self):
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         rows = bias_sweep([plan], [DebiasMode.NONE], [8 * D], trials=64,
                           seed=11)
         direct = estimate_bias(plan, DebiasSpec.none(), 8 * D, 64,
@@ -239,13 +241,13 @@ class TestBiasSweep:
         assert rows[0].estimate == direct
 
     def test_grid_must_ascend(self):
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         with pytest.raises(ValueError):
             bias_sweep([plan], [DebiasMode.NONE], [32, 16], trials=4,
                        seed=0)
 
     def test_scalar_debiased_bias_decreases_in_m(self):
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         rows = bias_sweep([plan], [DebiasMode.SCALAR],
                           [4 * D, 8 * D, 16 * D, 32 * D], trials=500,
                           seed=13)

@@ -108,10 +108,10 @@ trials = 64
     from randskew.biaslab import estimate_bias
     from randskew.data import counterexample_matrix
     from randskew.debias import DebiasSpec
-    from randskew.sampling import PlanKind, build_plan
+    from randskew.sampling import PlanHessian, PlanKind, build_plan
     A = counterexample_matrix(4)
     C = np.zeros((4, 4))
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C,
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C),
                       seed=rsrng.split(7, 101))
     direct = estimate_bias(plan, DebiasSpec.none(), 32, 64,
                            rsrng.split(7, 0, 0, 0))
@@ -416,9 +416,9 @@ def test_lev_double_approx_uses_default_second_width(tmp_path):
 
     from randskew import rng as rsrng
     from randskew.data import counterexample_matrix
-    from randskew.sampling import PlanKind, build_plan
+    from randskew.sampling import PlanHessian, PlanKind, build_plan
     plan = build_plan(PlanKind.DOUBLE_SKETCH_APPROX_LEVERAGE,
-                      counterexample_matrix(4), np.zeros((4, 4)),
+                      PlanHessian(counterexample_matrix(4), np.zeros((4, 4))),
                       seed=rsrng.split(6, 101))
     assert columns["double"] != columns["sjlt"]
     assert columns["double"] == plan.scores.tolist()

@@ -9,7 +9,7 @@ from randskew import hadamard
 from randskew import rng as rsrng
 from randskew.data import counterexample_matrix
 from randskew.debias import DebiasMode, DebiasSpec, apply_debias
-from randskew.errors import NotPowerOfTwo
+from randskew.errors import NotPowerOfTwo, SketchTooSmall
 from randskew.hadamard import (SrhtDraw, _rotate, _rotated_sample,
                                _signed_rows, _srht_signs, _stage_bits,
                                _staged_hadamard, _streamed_sample,
@@ -17,7 +17,7 @@ from randskew.hadamard import (SrhtDraw, _rotate, _rotated_sample,
                                rotated_leverage_scores, srht_apply, srht_draw)
 from randskew.linalg import RowScaled, gram, inv_sqrt
 from randskew.optim import GlmProblem, ProblemKind, objective_eval
-from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
+from randskew.sampling import (PlanHessian, PlanKind, SamplingPlan, SketchDraw,
                                build_plan, draw, exact_leverage_scores)
 
 # frozen from a one-off 50-draw calibration at n=2^10, d=2^4
@@ -323,7 +323,8 @@ class TestSrhtDraw:
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_empty_sketch_rejected(self, m):
-        with pytest.raises(ValueError, match="m must be >= 1"):
+        with pytest.raises(SketchTooSmall,
+                           match=f"^sketch size m={m} must be at least 1$"):
             srht_draw(8, m, seed=0)
 
 
@@ -382,7 +383,8 @@ class TestSrhtPlan:
     M = 12
 
     def _plan(self):
-        plan = build_plan(PlanKind.SRHT, RowScaled(self.A), self.C)
+        plan = build_plan(PlanKind.SRHT,
+                          PlanHessian(RowScaled(self.A), self.C))
         return plan, DebiasSpec.scalar(self.M, plan.d_eff)
 
     def _sketch(self, seed, rotation):
@@ -400,10 +402,10 @@ class TestSrhtPlan:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_sketch_equals_srht_apply_of_the_debiased_draw(self, seed):
-        want = build_plan(PlanKind.SRHT, self.A, self.C)
+        want = build_plan(PlanKind.SRHT, PlanHessian(self.A, self.C))
         plan, spec = self._plan()
         # the view's plan takes the Gram of the formed data, bitwise
-        assert plan.H.tobytes() == want.H.tobytes()
+        assert plan.hessian.H.tobytes() == want.hessian.H.tobytes()
         assert plan.d_eff == want.d_eff
         for rotation in (True, False):
             assert_array_equal(self._sketch(seed, rotation),

@@ -27,7 +27,7 @@ from randskew.linalg import (RowScaled, cholesky, gram,
                              inverse_quadratic_forms, whitened_norms)
 from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, ssn_step)
-from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
+from randskew.sampling import (PlanHessian, PlanKind, SketchDraw,
                                _sjlt_apply, apply_sketch,
                                approximation_factors, build_plan, draw,
                                exact_leverage_scores)
@@ -76,7 +76,7 @@ def _one_ssn_step(kind, rule=None):
 
 @KINDS
 def test_every_plan_kind_runs_the_bias_lab_and_an_ssn_step(kind):
-    plan = build_plan(kind, A, C)
+    plan = build_plan(kind, PlanHessian(A, C))
     assert plan.kind is kind
     for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
         est = estimate_bias(plan, spec, M, trials=8, seed=2)
@@ -100,7 +100,7 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
     # rows: fewer draws weigh only the rows they drew, the stack of three
     # seeds weighs every support row once, and all match bitwise, whether
     # or not the sketcher writes into a given buffer
-    plan = build_plan(kind, A, C)
+    plan = build_plan(kind, PlanHessian(A, C))
     seeds = (0, 7, rsrng.split(3, 1))
     for m in (M_FINE if mode in FINE else M, N - 1, N):
         spec = make_debias_spec(mode, plan, m)
@@ -133,7 +133,7 @@ def test_sketch_is_the_one_seed_sketch_many(mode, kind):
 def test_consecutive_sketcher_calls_match_fresh_sketchers(kind):
     # a cell's row table (or SRHT buffer) outlives its calls, and calls
     # on either side of the support size share it
-    plan = build_plan(kind, A, C)
+    plan = build_plan(kind, PlanHessian(A, C))
     spec = DebiasSpec.scalar(M, plan.d_eff)
     sketch = plan.sketcher(M, spec)
     out = np.empty((3, M, D))
@@ -147,7 +147,7 @@ def test_consecutive_sketcher_calls_match_fresh_sketchers(kind):
     (mode, kind) for mode in (DebiasMode.SCALAR, *FINE) for kind in PlanKind
     if (kind, mode) not in REFUSED], ids=lambda x: x.value)
 def test_a_bias_cell_builds_its_debias_weights_once(mode, kind, monkeypatch):
-    plan = build_plan(kind, A, C)
+    plan = build_plan(kind, PlanHessian(A, C))
     m = M_FINE if mode in FINE else M
     spec = make_debias_spec(mode, plan, m)
     calls = []
@@ -182,7 +182,7 @@ def test_a_bias_cell_builds_its_debias_weights_once(mode, kind, monkeypatch):
 @KINDS
 @pytest.mark.parametrize("mode", FINE, ids=lambda m: m.value)
 def test_which_plans_refuse_fine_grained_debias(kind, mode):
-    plan = build_plan(kind, A, C)
+    plan = build_plan(kind, PlanHessian(A, C))
     if (kind, mode) not in REFUSED:
         spec = make_debias_spec(mode, plan, M_FINE)
         assert spec.row_weights.shape == (N,)
@@ -216,27 +216,27 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def _count_exact(monkeypatch) -> list:
-    """Count the exact-score passes: the first reads of a sampling plan's
-    ``exact``, each of which whitens A; returns the list that grows by one
-    per pass."""
-    calls, whiten = [], SamplingPlan.exact.func
+    """Count the exact-score passes: the first reads of a
+    :class:`PlanHessian`'s ``exact``, each of which whitens A; returns the
+    list that grows by one per pass."""
+    calls, whiten = [], PlanHessian.exact.func
 
-    def exact(plan):
+    def exact(hessian):
         calls.append(1)
-        return whiten(plan)
+        return whiten(hessian)
 
-    monkeypatch.setattr(SamplingPlan.exact, "func", exact)
+    monkeypatch.setattr(PlanHessian.exact, "func", exact)
     return calls
 
 
 def _exact_passes(monkeypatch) -> list:
     """Record every exact-score pass, as :func:`_count_exact` counts them:
     True for a pass made inside ``build_plan``."""
-    passes, building, whiten = [], [], SamplingPlan.exact.func
+    passes, building, whiten = [], [], PlanHessian.exact.func
 
-    def exact(plan):
+    def exact(hessian):
         passes.append(bool(building))
-        return whiten(plan)
+        return whiten(hessian)
 
     def build(*args, **kwargs):
         building.append(1)
@@ -245,7 +245,7 @@ def _exact_passes(monkeypatch) -> list:
         finally:
             building.pop()
 
-    monkeypatch.setattr(SamplingPlan.exact, "func", exact)
+    monkeypatch.setattr(PlanHessian.exact, "func", exact)
     _replace(monkeypatch, build_plan, build)
     return passes
 
@@ -256,7 +256,7 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
     calls = [_count_calls(monkeypatch, fn)
              for fn in (draw, apply_sketch, apply_debias, SketchDraw)]
     for kind in PlanKind:
-        plan = build_plan(kind, A, C)
+        plan = build_plan(kind, PlanHessian(A, C))
         for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
             estimate_bias(plan, spec, M, trials=8, seed=2)
         for rule in _rules(kind):
@@ -264,9 +264,9 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
     assert [len(c) for c in calls] == [0, 0, 0, 0]
 
 
-# a sampling plan computes its exact scores at most once, on first read:
+# a PlanHessian computes its exact scores at most once, on first read:
 # inside build_plan for the kinds that sample by them, else in the first
-# reader, and every reader takes the plan's ``exact``
+# reader, and every plan built from it takes its ``exact``
 
 @KINDS
 def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
@@ -283,7 +283,7 @@ def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
 @KINDS
 def test_bias_sweep_computes_no_exact_scores(kind, monkeypatch):
     passes = _exact_passes(monkeypatch)
-    plan = sampling.build_plan(kind, A, C)
+    plan = sampling.build_plan(kind, PlanHessian(A, C))
     for mode in DebiasMode:
         def sweep():
             return bias_sweep([plan], [mode], [M_FINE], trials=2, seed=1)
@@ -297,10 +297,11 @@ def test_bias_sweep_computes_no_exact_scores(kind, monkeypatch):
     assert passes == [kind in BY_EXACT] * kind.has_probs
 
 
-def test_bias_sweep_forms_each_plans_h_once(monkeypatch):
-    # every cell whitens its bias by the plan's factor L of H, and the
-    # scalar cells read d_eff from it: one n-row Gram and one Cholesky of
-    # H per plan, at build or at the first cell, for all its cells
+def test_bias_sweep_forms_h_once_for_all_its_plans(monkeypatch):
+    # every cell whitens its bias by the factor L of H, and the scalar
+    # cells read d_eff from it: the plans share one PlanHessian, so one
+    # n-row Gram and one Cholesky of H, at the first build that reads the
+    # exact scores, serve every cell of every plan
     H = gram(A) + C
     rows, factored = [], []
 
@@ -314,26 +315,25 @@ def test_bias_sweep_forms_each_plans_h_once(monkeypatch):
 
     _replace(monkeypatch, gram, recording_gram)
     _replace(monkeypatch, cholesky, recording_cholesky)
-    plans = [build_plan(kind, A, C) for kind in PlanKind]
-    assert rows.count(N) == len(BY_EXACT)
+    hessian = PlanHessian(A, C)
+    plans = [build_plan(kind, hessian) for kind in PlanKind]
+    assert (rows.count(N), factored.count(True)) == (1, 1)
     bias_sweep(plans, [DebiasMode.NONE, DebiasMode.SCALAR], [M, 2 * M],
                trials=2, seed=1)
-    assert rows.count(N) == len(plans)
-    assert factored.count(True) == len(plans)
+    assert (rows.count(N), factored.count(True)) == (1, 1)
 
 
 @pytest.mark.parametrize("overrides, wanted", [
     ({}, [False]),
     ({"approx": "sjlt"}, [False]),
-    ({"plans": "uniform,approx_leverage,shrinkage"}, [True, False, False]),
+    ({"plans": "uniform,approx_leverage,shrinkage"}, [True]),
     ({"approx": "double", "plans": "double_sketch_approx_leverage,row_norm"},
-     [False, False]),
+     [False]),
 ], ids=["default", "approx", "plans", "approx-plans"])
-def test_lev_takes_exact_scores_from_its_first_plan(overrides, wanted,
-                                                    monkeypatch):
-    # each summarized plan whitens A once for its own rho, the shrinkage
-    # plan inside build_plan; the plan that gives only the approximate
-    # column computes no exact scores
+def test_lev_computes_exact_scores_once(overrides, wanted, monkeypatch):
+    # every plan of the command, the approximate column's included, shares
+    # one PlanHessian: A is whitened once, inside build_plan for the
+    # shrinkage plan, else for the score_exact column
     passes = _exact_passes(monkeypatch)
     cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
                       "heavy_rows": "4", "lambda": "0.01", **overrides})
@@ -348,7 +348,7 @@ def test_lev_takes_exact_scores_from_its_first_plan(overrides, wanted,
 def test_a_sampling_plans_d_eff_is_the_sum_of_its_exact_scores(kind):
     # one rule for every kind: the approximate kinds sample by their
     # approximate scores, whose sum only estimates d_eff
-    plan = build_plan(kind, A, C, seed=2)
+    plan = build_plan(kind, PlanHessian(A, C), seed=2)
     assert plan.d_eff == float(plan.exact.sum())
 
 
@@ -361,7 +361,7 @@ def test_an_approximate_plans_scalar_bias_cell_reads_the_exact_d_eff():
                       "m_grid": ",".join(map(str, m_grid)),
                       "trials": str(trials)})
     _, rows, _ = cli.cmd_bias(cfg, seed, False)
-    plan = build_plan(PlanKind.APPROX_LEVERAGE, A, C,
+    plan = build_plan(PlanKind.APPROX_LEVERAGE, PlanHessian(A, C),
                       seed=rsrng.split(seed, 101))
     for mi, (m, row) in enumerate(zip(m_grid, rows)):
         spec = DebiasSpec.scalar(m, float(plan.exact.sum()))
@@ -459,7 +459,7 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
                          ids=lambda k: k.value)
 def test_analytic_sketch_is_the_one_seed_sketcher_draw(kind):
     for X in (A, RowScaled(A)):
-        plan = build_plan(kind, X, C)
+        plan = build_plan(kind, PlanHessian(X, C))
         spec = DebiasSpec.scalar(M, plan.d_eff)
         for seed in (0, 7):
             At, rho_max = plan.analytic_sketch(M, spec, seed)
@@ -478,7 +478,7 @@ def test_srht_sketcher_streams_one_seed_and_rotates_several(monkeypatch):
     # one seed rotates each residue class of the rows once and holds no
     # rotation; two seeds rotate the whole padded buffer once each, as the
     # analytic sketch does for its one seed
-    plan = build_plan(PlanKind.SRHT, A, C)
+    plan = build_plan(PlanKind.SRHT, PlanHessian(A, C))
     spec = DebiasSpec.scalar(M, plan.d_eff)
     rows = _rotated_rows(monkeypatch)
     n_padded = next_power_of_two(N)
@@ -545,7 +545,7 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     # the step wrote the signed factor into its rotation buffer: the
     # sketch of the formed factor, bitwise
     hs, C_ = hessian_sqrt(obj), P_.lam * np.eye(D)
-    plan = build_plan(PlanKind.SRHT, hs, C_)
+    plan = build_plan(PlanKind.SRHT, PlanHessian(hs, C_))
     spec = make_debias_spec(method.debias, plan, M)
     # every rule's sketch is the per-draw sketch of the whole rotation,
     # bitwise
@@ -568,7 +568,7 @@ def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
     hs = hessian_sqrt(objective_eval(P, np.zeros(D)))
     d_eff = exact_leverage_scores(hs, P.lam * np.eye(D)).sum()
     whitenings = _count_calls(monkeypatch, whitened_norms)
-    build_plan(kind, hs, P.lam * np.eye(D))
+    build_plan(kind, PlanHessian(hs, P.lam * np.eye(D)))
     # build_plan whitens A by H's factor only for the kinds that sample by
     # the exact scores, and the approximate-leverage plans by their
     # sketched Gram's; the Hadamard and SJLT plans whiten nothing
@@ -605,7 +605,7 @@ def test_no_plan_step_or_bias_estimate_takes_an_eigendecomposition(
         kind, monkeypatch):
     eigh = _count_numpy_calls(monkeypatch, "eigh")
     eigvalsh = _count_numpy_calls(monkeypatch, "eigvalsh")
-    plan = build_plan(kind, A, C)
+    plan = build_plan(kind, PlanHessian(A, C))
     _one_ssn_step(kind)
     assert (len(eigh), len(eigvalsh)) == (0, 0)
     # three jackknife groups, so three leave-one-group-out thetas
@@ -619,7 +619,7 @@ def test_no_plan_step_or_bias_estimate_takes_an_eigendecomposition(
 def test_srht_plan_d_eff_is_the_closed_form_effective_dimension():
     lam = 1e-2
     sigma2 = np.linalg.svd(A, compute_uv=False) ** 2
-    d_eff = build_plan(PlanKind.SRHT, A, lam * np.eye(D)).d_eff
+    d_eff = build_plan(PlanKind.SRHT, PlanHessian(A, lam * np.eye(D))).d_eff
     assert d_eff == pytest.approx(np.sum(sigma2 / (sigma2 + lam)),
                                   rel=1e-12, abs=0)
 
@@ -636,8 +636,9 @@ def test_srht_plan_d_eff_is_the_sum_of_the_exact_scores(n, d, rel, kind,
     A_ = synthetic_matrix(SyntheticSpec(kind, n, d, heavy_row_count=n // 8,
                                         seed=seed))
     C_ = rel * np.linalg.norm(gram(A_), 2) * np.eye(d)
-    assert build_plan(PlanKind.SRHT, A_, C_).d_eff == pytest.approx(
-        exact_leverage_scores(A_, C_).sum(), rel=1e-12, abs=0)
+    d_eff = build_plan(PlanKind.SRHT, PlanHessian(A_, C_)).d_eff
+    assert d_eff == pytest.approx(exact_leverage_scores(A_, C_).sum(),
+                                  rel=1e-12, abs=0)
 
 
 def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():
@@ -647,7 +648,7 @@ def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():
     with pytest.raises(NotPositiveDefinite) as from_scores:
         exact_leverage_scores(A_, C_)
     # the plan takes its Gram, and refuses, on the first read of d_eff
-    plan = build_plan(PlanKind.SRHT, A_, C_)
+    plan = build_plan(PlanKind.SRHT, PlanHessian(A_, C_))
     with pytest.raises(NotPositiveDefinite) as from_plan:
         plan.d_eff
     assert from_plan.value.pivot_index == from_scores.value.pivot_index
@@ -657,7 +658,7 @@ def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():
 @pytest.mark.parametrize("mode", [DebiasMode.FINE_GRAINED_EXACT,
                                   DebiasMode.FINE_GRAINED_APPROX])
 def test_srht_plan_refuses_fine_grained_debias(mode):
-    plan = build_plan(PlanKind.SRHT, A, C)
+    plan = build_plan(PlanKind.SRHT, PlanHessian(A, C))
     with pytest.raises(ValueError, match="only supports scalar"):
         make_debias_spec(mode, plan, M)
 
@@ -683,21 +684,21 @@ def test_sjlt_analytic_method_is_refused_when_built(monkeypatch):
 
 def test_sjlt_plan_takes_d_eff_from_the_gram_on_first_read(monkeypatch):
     grams = _count_calls(monkeypatch, gram)
-    plan = build_plan(PlanKind.SJLT, A, C)
+    plan = build_plan(PlanKind.SJLT, PlanHessian(A, C))
     assert grams == []
-    assert plan.d_eff == build_plan(PlanKind.SRHT, A, C).d_eff
+    assert plan.d_eff == build_plan(PlanKind.SRHT, PlanHessian(A, C)).d_eff
     # one Gram for each plan, and none for the SJLT plan's second read
     plan.d_eff
     assert len(grams) == 2
 
 
 def test_sjlt_sketcher_refuses_an_empty_sketch_and_row_weights():
-    plan = build_plan(PlanKind.SJLT, A, C)
+    plan = build_plan(PlanKind.SJLT, PlanHessian(A, C))
     with pytest.raises(SketchTooSmall, match="m=0 must be at least 1"):
         plan.sketcher(0, DebiasSpec.none())
     # a spec built for a sampling plan must not reach the SJLT sketch,
     # whose rows mix every row of A
-    exact = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+    exact = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
     spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, exact, M_FINE)
     with pytest.raises(ValueError, match="only supports scalar"):
         plan.sketcher(M_FINE, spec)

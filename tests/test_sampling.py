@@ -15,10 +15,10 @@ from randskew.data import counterexample_matrix
 from randskew.biaslab import estimate_bias
 from randskew.debias import DebiasSpec, solve_fixed_point_d
 from randskew.errors import (AllZeroRows, IndexOutOfRange,
-                             NotPositiveDefinite,
+                             NotPositiveDefinite, SketchTooSmall,
                              ZeroProbabilityWithPositiveScore)
 from randskew.linalg import gram, inv_sqrt, inverse_quadratic_forms
-from randskew.sampling import (PlanKind, SamplingPlan, SketchDraw,
+from randskew.sampling import (PlanHessian, PlanKind, SamplingPlan, SketchDraw,
                                apply_sketch, approximation_factors,
                                build_plan, draw, effective_dimension,
                                exact_leverage_scores, sjlt_approx_leverage)
@@ -265,28 +265,30 @@ def test_scipy_sparse_imports_after_the_private_kernel():
 
 class TestBuildPlan:
     def test_uniform(self):
-        plan = build_plan(PlanKind.UNIFORM, np.eye(4), np.zeros((4, 4)))
+        plan = build_plan(PlanKind.UNIFORM,
+                          PlanHessian(np.eye(4), np.zeros((4, 4))))
         assert np.allclose(plan.probs, 0.25)
 
     def test_exact_leverage_on_skewed_matrix(self):
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         expected = np.r_[1 / (4 * D), 3 / (4 * D),
                          np.full(2 * D - 2, 1 / (2 * D))]
         assert np.abs(plan.probs - expected).max() < 1e-12
 
     def test_shrinkage_mix(self):
-        plan = build_plan(PlanKind.SHRINKAGE, A_CE, C0, mix=0.5)
+        plan = build_plan(PlanKind.SHRINKAGE, PlanHessian(A_CE, C0), mix=0.5)
         assert plan.probs[0] == pytest.approx(0.5 / (2 * D) + 0.5 / (4 * D))
         assert plan.probs.sum() == pytest.approx(1.0)
 
     def test_row_norm(self):
         A = np.array([[1.0, 0.0], [0.0, 2.0]])
-        plan = build_plan(PlanKind.ROW_NORM, A, np.zeros((2, 2)))
+        plan = build_plan(PlanKind.ROW_NORM, PlanHessian(A, np.zeros((2, 2))))
         assert np.allclose(plan.probs, [0.2, 0.8])
 
     def test_row_norm_zero_matrix_rejected(self):
         with pytest.raises(AllZeroRows):
-            build_plan(PlanKind.ROW_NORM, np.zeros((3, 2)), np.zeros((2, 2)))
+            build_plan(PlanKind.ROW_NORM,
+                       PlanHessian(np.zeros((3, 2)), np.zeros((2, 2))))
 
     def test_plan_validates_probabilities(self):
         with pytest.raises(ValueError):
@@ -313,9 +315,11 @@ class TestBuildPlan:
             plan.d_eff
 
     def test_every_built_plan_keeps_its_matrix(self):
+        # by reference: every plan of one (A, C) reads one G, H, L and exact
+        hessian = PlanHessian(A_CE, C0)
         for kind in PlanKind:
-            plan = build_plan(kind, A_CE, C0)
-            assert plan.A.A is A_CE and plan.C is C0
+            assert build_plan(kind, hessian).hessian is hessian
+        assert hessian.A.A is A_CE and hessian.C is C0
 
     def test_plan_without_its_matrix_refuses_to_sketch(self):
         # a hand-built plan has no (A, C) to sketch, to measure bias
@@ -334,13 +338,13 @@ class TestBuildPlan:
 
 class TestApproximationFactors:
     def test_exact_leverage_plan_is_tight(self):
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         fac = approximation_factors(plan)
         assert fac.rho_min == pytest.approx(1.0, abs=1e-12)
         assert fac.rho_max == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_plan_on_skewed_matrix(self):
-        plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
+        plan = build_plan(PlanKind.UNIFORM, PlanHessian(A_CE, C0))
         fac = approximation_factors(plan)
         assert fac.rho_min == pytest.approx(0.5, abs=1e-12)
         assert fac.rho_max == pytest.approx(1.5, abs=1e-12)
@@ -351,22 +355,22 @@ class TestApproximationFactors:
         A = rng.standard_normal((12, 3))
         A /= np.linalg.norm(A, axis=1, keepdims=True)
         f_u = approximation_factors(
-            build_plan(PlanKind.UNIFORM, A, np.zeros((3, 3))))
+            build_plan(PlanKind.UNIFORM, PlanHessian(A, np.zeros((3, 3)))))
         f_r = approximation_factors(
-            build_plan(PlanKind.ROW_NORM, A, np.zeros((3, 3))))
+            build_plan(PlanKind.ROW_NORM, PlanHessian(A, np.zeros((3, 3)))))
         assert f_u.rho_min == pytest.approx(f_r.rho_min)
         assert f_u.rho_max == pytest.approx(f_r.rho_max)
 
     def test_ordering_invariant(self):
-        plan = build_plan(PlanKind.UNIFORM, A_CE, C0)
+        plan = build_plan(PlanKind.UNIFORM, PlanHessian(A_CE, C0))
         fac = approximation_factors(plan)
         assert fac.rho_min <= 1.0 <= fac.rho_max
 
     def test_zero_probability_with_positive_score(self):
         # the exact scores of (I, I) are 0.5 on both rows
         probs = np.array([1.0, 0.0])
-        plan = SamplingPlan(PlanKind.UNIFORM, probs, A=np.eye(2),
-                            C=np.eye(2))
+        plan = SamplingPlan(PlanKind.UNIFORM, probs,
+                            hessian=PlanHessian(np.eye(2), np.eye(2)))
         with pytest.raises(ZeroProbabilityWithPositiveScore):
             approximation_factors(plan)
 
@@ -389,14 +393,14 @@ class TestDraw:
         assert chi2 < stats.chi2.ppf(0.999, df=n - 1)
 
     def test_determinism(self):
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         a = draw(plan, 32, seed=5)
         b = draw(plan, 32, seed=5)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.weights, b.weights)
 
     def test_weight_formula(self):
-        plan = build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)
+        plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         sk = draw(plan, 16, seed=7)
         want = 1.0 / np.sqrt(16 * plan.probs[sk.indices])
         assert np.array_equal(sk.weights, want)
@@ -430,7 +434,7 @@ class TestDrawMany:
 
     @pytest.mark.parametrize("m", [1, 3, 5, 16, 257])
     @pytest.mark.parametrize("plan", [
-        PLAN, build_plan(PlanKind.EXACT_LEVERAGE, A_CE, C0)],
+        PLAN, build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))],
         ids=["zero_rows", "exact_leverage"])
     def test_equals_stacked_draws(self, plan, m):
         indices, weights = sampled_rows(plan, m, self.SEEDS)
@@ -452,9 +456,13 @@ class TestDrawMany:
     def test_rejects_empty_sketch(self):
         # the plan has its matrix, so only the size check can refuse
         plan = SamplingPlan(PlanKind.UNIFORM, self.PLAN.probs,
-                            A=np.ones((self.PLAN.n, 1)), C=np.eye(1))
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            plan.sketcher(0, DebiasSpec.none())([0])
+                            hessian=PlanHessian(np.ones((self.PLAN.n, 1)),
+                                                np.eye(1)))
+        refusal = "^sketch size m=0 must be at least 1$"
+        with pytest.raises(SketchTooSmall, match=refusal):
+            plan.sketcher(0, DebiasSpec.none())
+        with pytest.raises(SketchTooSmall, match=refusal):
+            draw(plan, 0, seed=0)
 
 def _searchsorted_rows(probs, u):
     """The rows a plan over ``probs`` draws for ``u`` by a binary search
@@ -522,7 +530,7 @@ class TestApplySketch:
     def test_gram_accumulation_oracle(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((10, 3))
-        plan = build_plan(PlanKind.ROW_NORM, A, np.zeros((3, 3)))
+        plan = build_plan(PlanKind.ROW_NORM, PlanHessian(A, np.zeros((3, 3))))
         sk = draw(plan, 25, seed=9)
         oracle = np.zeros((3, 3))
         for s in range(sk.m):
@@ -566,7 +574,7 @@ def test_sketch_gram_unbiasedness():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((20, 3))
     C = np.zeros((3, 3))
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
     m = max(4, int(4 * plan.d_eff))
     T = 2000
     grams = np.empty((T, 3, 3))
@@ -581,7 +589,7 @@ def test_subspace_embedding_failure_rate():
     rng = np.random.default_rng(6)
     A = rng.standard_normal((60, 4))
     C = np.zeros((4, 4))
-    plan = build_plan(PlanKind.EXACT_LEVERAGE, A, C)
+    plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
     eps, delta = 0.5, 0.1
     d_eff = plan.d_eff
     m = int(np.ceil(8 * 1.0 * d_eff * np.log(d_eff / delta) / eps ** 2))

@@ -18,7 +18,7 @@ from randskew.linalg import (GRAM_BLOCK_ROWS, WHITEN_BLOCK_FLOATS, RowScaled,
 from randskew.optim import (GlmProblem, NewtonExactMethod, ProblemKind,
                             SsnMethod, StepRule, objective_eval,
                             reference_point)
-from randskew.sampling import (PlanKind, _sjlt_apply, build_plan,
+from randskew.sampling import (PlanHessian, PlanKind, _sjlt_apply, build_plan,
                                exact_leverage_scores, sjlt_approx_leverage)
 
 from oracles import hessian_sqrt
@@ -155,7 +155,8 @@ def test_plans_and_sketches_of_the_view_are_those_of_the_formed(factor,
                                                                  kind):
     view, formed = factor
     C = 1e-3 * np.eye(D)
-    got, want = (build_plan(kind, X, C, seed=2) for X in (view, formed))
+    got, want = (build_plan(kind, PlanHessian(X, C), seed=2)
+                 for X in (view, formed))
     assert _same_bits(got.probs, want.probs) and got.d_eff == want.d_eff
     assert _same_bits(got.exact, want.exact)
     seeds = [rsrng.split(7, t) for t in range(2)]
@@ -170,8 +171,10 @@ def test_plans_and_sketches_of_the_view_are_those_of_the_formed(factor,
 def test_srht_plan_and_signed_rows_of_the_view(factor):
     view, formed = factor
     C = 1e-3 * np.eye(D)
-    got, want = (build_plan(PlanKind.SRHT, X, C) for X in (view, formed))
-    assert got.d_eff == want.d_eff and _same_bits(got.H, want.H)
+    got, want = (build_plan(PlanKind.SRHT, PlanHessian(X, C))
+                 for X in (view, formed))
+    assert got.d_eff == want.d_eff and _same_bits(got.hessian.H,
+                                                  want.hessian.H)
     signs = rsrng.generator(2).integers(0, 2, size=next_power_of_two(N))
     signs = signs * 2.0 - 1.0
     rows = _signed_rows(view, signs)
