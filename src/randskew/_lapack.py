@@ -1,5 +1,5 @@
-"""LAPACK's Cholesky routines and BLAS ``trmm`` from the OpenBLAS that
-numpy bundles.
+"""LAPACK's Cholesky routines and BLAS ``trmm`` and ``gemm`` from the
+OpenBLAS that numpy bundles.
 
 numpy's wheel ships a full OpenBLAS, LAPACK included, whose symbols take
 64-bit integers and end in ``64_`` (``scipy_dpotrf_64_``).  Calling it
@@ -17,8 +17,12 @@ and return their ``info`` values; in ``Z[t]`` itself, both write the
 upper triangle.  ``dtrmm(X, Z)`` overwrites a writable C-contiguous
 float64 r x d matrix ``X`` by ``X @ Z`` for a C-contiguous upper triangular
 d x d ``Z``, by one ``trmm('L', 'L', 'N', 'N')`` call on their Fortran
-views ``Z.T @ X.T``.  :func:`openblas_pools` finds the thread pools of the
-OpenBLAS bundled with numpy and with scipy.
+views ``Z.T @ X.T``.  ``dgram_stack(X, out)`` sets ``out[t] = X[t].T @
+X[t]`` for a C-contiguous float64 T x m x d stack ``X`` by one
+``gemm('N', 'T')`` call per matrix on the Fortran view ``X[t].T``, the
+stack itself as both operands, so nothing is copied; where numpy bundles
+no ``gemm``, it is numpy's stacked product.  :func:`openblas_pools` finds
+the thread pools of the OpenBLAS bundled with numpy and with scipy.
 """
 
 from __future__ import annotations
@@ -113,14 +117,32 @@ def _multiplied(trmm):
     return dtrmm
 
 
+def _grams(gram):
+    """The ``dgram_stack(X, out)`` that runs ``gram(X, out)`` once ``X`` and
+    ``out`` are checked to be stacks that a loop over raw addresses may
+    read and write; returns ``out``."""
+    def dgram_stack(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                    and a.flags.c_contiguous and a.ndim == 3
+                    for a in (X, out))
+                and out.flags.writeable
+                and out.shape == (len(X), X.shape[2], X.shape[2])):
+            raise ValueError("expected a C-contiguous float64 stack and a "
+                             "writable C-contiguous float64 stack fitting "
+                             "its Grams")
+        gram(X, out)
+        return out
+    return dgram_stack
+
+
 def _routines():
-    """``(dpotrf_stack, dpotrs, dtrtri_stack, dtrmm)`` on numpy's OpenBLAS,
-    or on ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` when numpy's
-    lacks one of them."""
+    """``(dpotrf_stack, dpotrs, dtrtri_stack, dtrmm, dgram_stack)`` on
+    numpy's OpenBLAS, or on ``scipy.linalg.lapack``, ``scipy.linalg.blas``
+    and numpy's stacked product when numpy's lacks one of them."""
     try:
-        potrf, potrs, trtri, trmm = (
+        potrf, potrs, trtri, trmm, gemm = (
             _symbol(f"scipy_d{name}_")
-            for name in ("potrf", "potrs", "trtri", "trmm"))
+            for name in ("potrf", "potrs", "trtri", "trmm", "gemm"))
     except AttributeError:
         from scipy.linalg import blas, lapack
 
@@ -132,13 +154,15 @@ def _routines():
         return (each(lapack.dpotrf, clean=0, overwrite_a=1), lapack.dpotrs,
                 each(lapack.dtrtri, overwrite_c=1),
                 _multiplied(lambda X, Z: blas.dtrmm(1.0, Z.T, X.T, side=0,
-                                                    lower=1, overwrite_b=1)))
+                                                    lower=1, overwrite_b=1)),
+                _grams(lambda X, out: np.matmul(np.swapaxes(X, 1, 2), X,
+                                                out=out)))
 
     # Fortran calling convention: every argument by reference, then one
     # hidden length per character argument.  The routines have no
     # ``argtypes``: every argument is a ctypes object built once per call
     # of a stack routine, which spares a conversion per LAPACK call.
-    for fn in (potrf, potrs, trtri, trmm):
+    for fn in (potrf, potrs, trtri, trmm, gemm):
         fn.restype = None
     byref, ptr, one = ctypes.byref, ctypes.c_void_p, ctypes.c_size_t(1)
 
@@ -179,8 +203,25 @@ def _routines():
         trmm(*flags, ld, byref(_INT(len(X))), alpha, ptr(Z.ctypes.data), ld,
              ptr(X.ctypes.data), ld, *(one,) * len(flags))
 
+    transposes = [ctypes.c_char_p(f) for f in (b"N", b"T")]
+    zero = byref(ctypes.c_double(0.0))
+
+    def grams(X, out):
+        # X[t] is the Fortran d x m matrix X[t].T, so gemm('N', 'T') on it
+        # and itself writes X[t].T @ X[t] to out[t]
+        T, m, d = X.shape
+        n, k, ld = byref(_INT(d)), byref(_INT(m)), byref(_INT(max(d, 1)))
+        x, c = ptr(), ptr()
+        args = (*transposes, n, n, k, alpha, x, ld, x, ld, zero, c, ld,
+                one, one)
+        x0, c0 = X.ctypes.data, out.ctypes.data   # one ctypes lookup each
+        for t in range(T):
+            x.value = x0 + t * X.strides[0]
+            c.value = c0 + t * out.strides[0]
+            gemm(*args)
+
     return (each(potrf, b"L"), dpotrs, each(trtri, b"L", b"N"),
-            _multiplied(multiply))
+            _multiplied(multiply), _grams(grams))
 
 
-dpotrf_stack, dpotrs, dtrtri_stack, dtrmm = _routines()
+dpotrf_stack, dpotrs, dtrtri_stack, dtrmm, dgram_stack = _routines()

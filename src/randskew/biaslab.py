@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack as lapack
 from . import rng as rsrng
 from .debias import DebiasMode, DebiasSpec, make_debias_spec
 from .errors import AllTrialsSingular
@@ -76,11 +77,11 @@ def estimate_bias(plan, debias: DebiasSpec, m: int, trials: int,
             k = min(lo + step, stop) - lo
             At = sketch([rsrng.split(seed, t) for t in range(lo, lo + k)],
                         out=stack[:k])
-            # gram(At) + C, bitwise, in the cell's buffer: numpy's stacked
-            # swapaxes(At) @ At is exactly symmetric (it takes syrk and
-            # copies one triangle), so gram's symmetrization is a no-op
-            # here (pinned by test_stacked_sketch_grams_are_exactly_symmetric)
-            G = np.matmul(np.swapaxes(At, 1, 2), At, out=grams[:k])
+            # gram(At) + C in the cell's buffer, by one BLAS gemm per trial
+            # on the stack itself: its Grams are exactly symmetric, so
+            # gram's symmetrization is skipped (pinned by
+            # test_stacked_sketch_grams_are_exactly_symmetric)
+            G = lapack.dgram_stack(At, grams[:k])
             M = np.add(G, C, out=G)
             Qs, ok = accepted_inverses(M)
             discarded += int(np.count_nonzero(~ok))
@@ -133,11 +134,16 @@ def bias_sweep(plans, debias_modes, m_grid, trials: int,
     stream-split per cell so cells are independent of each other.  Scalar
     debiasing reads the plan's own d_eff.  Cells run through
     :func:`~randskew.parallel.pmap`, largest m first, so the rows depend
-    on neither its worker count nor its dispatch order.
+    on neither its worker count nor its dispatch order.  Each plan
+    hessian's L, which every cell reads, is formed here, before any
+    worker forks, so a singular H is refused before any cell runs.
     """
-    m_grid = list(m_grid)
+    m_grid, plans = list(m_grid), list(plans)
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be nonempty and ascending")
+    for hessian in {id(p.hessian): p.hessian for p in plans
+                    if p.hessian is not None}.values():
+        hessian.L
 
     cells = [(pi, di, mi, plan, mode, m)
              for pi, plan in enumerate(plans)

@@ -129,7 +129,7 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def gram(A: np.ndarray | RowScaled) -> np.ndarray:
     """A^T A, symmetrized against floating-point accumulation skew; of a
-    stack of matrices, the stack of their Grams.
+    stack of matrices, the stack of their Grams by ``dgram_stack``.
 
     A matrix (an array or a :class:`RowScaled`) is read in blocks of
     ``GRAM_BLOCK_ROWS`` rows, whose Grams are summed in row order, so no
@@ -143,7 +143,9 @@ def gram(A: np.ndarray | RowScaled) -> np.ndarray:
     if A.shape[-1] < 1:
         raise ValueError("gram requires at least one column")
     if isinstance(A, np.ndarray) and A.ndim > 2:
-        G = np.swapaxes(A, -1, -2) @ A
+        X = np.ascontiguousarray(A).reshape(-1, *A.shape[-2:])
+        G = lapack.dgram_stack(X, np.empty((len(X),) + A.shape[-1:] * 2))
+        G = G.reshape(A.shape[:-2] + A.shape[-1:] * 2)
     else:
         products = (B.T @ B for _, B in as_rows(A).blocks(GRAM_BLOCK_ROWS))
         G = next(products)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from randskew import biaslab
+from randskew import _lapack, biaslab
 from randskew import rng as rsrng
 from randskew.biaslab import (JACKKNIFE_BATCH, bias_sweep, estimate_bias,
                               make_debias_spec)
@@ -182,16 +182,17 @@ def test_stacked_trials_match_the_per_trial_oracle(kind, lam, m):
         assert getattr(est, key) == pytest.approx(want[key], rel=1e-10), key
 
 
-@pytest.mark.parametrize("T, m", [(64, 128), (32, 256), (16, 512)])
+@pytest.mark.parametrize("T, m", [(64, 128), (32, 256), (16, 512), (8, 1024)])
 def test_stacked_sketch_grams_are_exactly_symmetric(T, m):
-    # estimate_bias skips gram's symmetrization of its stacked sketch
-    # Grams, a bitwise no-op while numpy's stacked product is exactly
-    # symmetric at the bias lab's sub-block shapes (d = 32)
+    # estimate_bias skips gram's symmetrization of the Grams dgram_stack
+    # writes, a bitwise no-op while they are exactly symmetric: checked at
+    # the bias lab's sub-block shapes (d = 32) and at m = 1024
     S = np.random.default_rng(T).standard_normal((T, m, 32))
-    for G in (np.swapaxes(S, 1, 2) @ S,
-              np.matmul(np.swapaxes(S, 1, 2), S, out=np.empty((T, 32, 32)))):
-        np.testing.assert_array_equal(G, np.swapaxes(G, 1, 2))
-        np.testing.assert_array_equal(gram(S), G)
+    G = _lapack.dgram_stack(S, np.empty((T, 32, 32)))
+    np.testing.assert_array_equal(G, np.swapaxes(G, 1, 2))
+    np.testing.assert_array_equal(gram(S), G)
+    want = np.swapaxes(S, 1, 2) @ S
+    assert np.linalg.norm(G - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("T, m", [(64, 128), (32, 256), (16, 512)])
@@ -239,6 +240,15 @@ class TestBiasSweep:
         direct = estimate_bias(plan, DebiasSpec.none(), 8 * D, 64,
                                rsrng.split(11, 0, 0, 0))
         assert rows[0].estimate == direct
+
+    def test_singular_h_is_refused_before_any_cell(self):
+        # the sweep forms H's factor before its cells run, so a singular H
+        # is refused ahead of the m = 0 cell's own refusal
+        plan = build_plan(PlanKind.UNIFORM, PlanHessian(np.ones((8, D)), C0))
+        with pytest.raises(NotPositiveDefinite):
+            bias_sweep([plan], [DebiasMode.NONE], [0, 16], trials=4, seed=0)
+        with pytest.raises(SketchTooSmall):
+            estimate_bias(plan, DebiasSpec.none(), 0, 4, seed=0)
 
     def test_grid_must_ascend(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))

@@ -77,27 +77,36 @@ def test_missing_library_or_symbol_is_a_silent_no_op(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "lev.csv")]) == 0
 
 
-SRHT_CONFIGS = {
-    "solve": ("data = synthetic\nsynthetic = coherent\nn = 4096\nd = 16\n"
-              "heavy_rows = 16\nlambda = 1e-3\nproblem = logistic\n"
-              "method = ssn\nplan = srht\ndebias = scalar\nstep = analytic\n"
-              "m = 256\niters = 4\ntiming = zero\n"),
-    "bias": ("data = synthetic\nsynthetic = coherent\nn = 2048\nd = 16\n"
-             "heavy_rows = 16\nlambda = 0\nplans = srht\n"
-             "debias = none,scalar\nm_grid = 64,128\ntrials = 64\n"),
+CONFIGS = {
+    "srht-solve": ("solve", "data = synthetic\nsynthetic = coherent\n"
+                   "n = 4096\nd = 16\nheavy_rows = 16\nlambda = 1e-3\n"
+                   "problem = logistic\nmethod = ssn\nplan = srht\n"
+                   "debias = scalar\nstep = analytic\nm = 256\niters = 4\n"
+                   "timing = zero\n"),
+    "srht-bias": ("bias", "data = synthetic\nsynthetic = coherent\n"
+                  "n = 2048\nd = 16\nheavy_rows = 16\nlambda = 0\n"
+                  "plans = srht\ndebias = none,scalar\nm_grid = 64,128\n"
+                  "trials = 64\n"),
+    # sketch Grams large enough for OpenBLAS to split a gemm between
+    # threads, past the size where gemm and syrk sum differently
+    "gram-bias": ("bias", "data = synthetic\nsynthetic = coherent\n"
+                  "n = 2048\nd = 32\nheavy_rows = 32\nlambda = 1e-3\n"
+                  "plans = exact_leverage\ndebias = none\n"
+                  "m_grid = 128,512\ntrials = 64\n"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(SRHT_CONFIGS))
-def test_srht_outputs_do_not_depend_on_the_blas_thread_count(tmp_path,
-                                                              command):
-    # the SRHT rotation is a chain of GEMMs that OpenBLAS may split
-    # between threads; each thread count runs in its own interpreter
-    cfg = tmp_path / f"{command}.cfg"
-    cfg.write_text(SRHT_CONFIGS[command])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, name):
+    # the SRHT rotation and the bias lab's sketch Grams are GEMMs that
+    # OpenBLAS may split between threads; each thread count runs in its
+    # own interpreter
+    command, text = CONFIGS[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / f"{command}-{threads}.csv"
+        out = tmp_path / f"{name}-{threads}.csv"
         env = {k: v for k, v in os.environ.items()
                if k not in cli._THREAD_VARS}
         env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=_SRC)

@@ -1,10 +1,10 @@
 """The LAPACK binding's two routes, and what importing the CLI loads.
 
-``randskew._lapack`` takes ``potrf``, ``potrs``, ``trtri`` and ``trmm`` from
-numpy's bundled OpenBLAS, and from ``scipy.linalg.lapack`` and
-``scipy.linalg.blas`` when that lookup fails.
-The ``route`` fixture runs a test on each route; the scipy route is made
-by failing the symbol lookup and binding the routines again.
+``randskew._lapack`` takes ``potrf``, ``potrs``, ``trtri``, ``trmm`` and
+``gemm`` from numpy's bundled OpenBLAS, and from ``scipy.linalg.lapack``,
+``scipy.linalg.blas`` and numpy's stacked product when that lookup fails.
+The ``route`` fixture runs a test on each route; the fallback route is
+made by failing the symbol lookup and binding the routines again.
 """
 
 import json
@@ -26,7 +26,8 @@ from randskew.sampling import exact_leverage_scores
 from oracles import spd_inverse
 
 _SRC = str(Path(randskew.__file__).resolve().parents[1])
-_ROUTINES = ("dpotrf_stack", "dpotrs", "dtrtri_stack", "dtrmm")
+_ROUTINES = ("dpotrf_stack", "dpotrs", "dtrtri_stack", "dtrmm",
+             "dgram_stack")
 # norm-wise relative distance allowed between the routes' results: the two
 # OpenBLAS builds round differently, and these inputs have cond <= 1e3 and
 # d <= 32, so cond * d * eps is about 7e-12
@@ -70,6 +71,11 @@ def route(request, monkeypatch):
     return request.param
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _spd(d, rng, cond=1e3):
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     return (Q * np.geomspace(1.0, cond, d)) @ Q.T
@@ -91,6 +97,7 @@ def _results():
             "spd_inverse": spd_inverse(M),
             "inverse_quadratic_forms": linalg.inverse_quadratic_forms(A, M),
             "accepted_inverses": Q,
+            "stacked_gram": linalg.gram(rng.standard_normal((3, 40, 32))),
             "exact_leverage_scores": exact_leverage_scores(A, 0.1 * np.eye(32))}
 
 
@@ -184,6 +191,33 @@ class TestErrorContract:
         X.flags.writeable = False
         with pytest.raises(ValueError, match="writable"):
             _lapack.dtrmm(X, np.eye(4))
+
+    def test_gram_stack_writes_each_matrix_gram(self, route):
+        X = np.random.default_rng(8).standard_normal((3, 9, 5))
+        out = np.full((3, 5, 5), np.nan)
+        assert _lapack.dgram_stack(X, out) is out
+        for Xt, G in zip(X, out):
+            np.testing.assert_allclose(G, Xt.T @ Xt, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(G, G.T)
+        for shape in [(0, 9, 5), (3, 0, 5)]:
+            out = np.full((shape[0], 5, 5), np.nan)
+            _lapack.dgram_stack(np.empty(shape), out)
+            assert np.array_equal(out, np.zeros_like(out))
+
+    @pytest.mark.parametrize("X, out", [
+        (np.ones((2, 3, 4)), _read_only(np.ones((2, 4, 4)))),
+        (np.ones((2, 4, 3)).transpose(0, 2, 1), np.ones((2, 4, 4))),
+        (np.ones((2, 3, 4)), np.ones((2, 3, 3))),
+        (np.ones((2, 3, 4)), np.ones((1, 4, 4))),
+        (np.ones((2, 3, 4), dtype=np.float32), np.ones((2, 4, 4))),
+    ], ids=["read-only-out", "stack-not-c-order", "wrong-out-shape",
+            "wrong-out-count", "float32"])
+    def test_gram_stack_refuses_what_it_cannot_fill(self, route, X, out):
+        before = X.copy(), out.copy()
+        with pytest.raises(ValueError):
+            _lapack.dgram_stack(X, out)
+        assert np.array_equal(X, before[0])
+        assert np.array_equal(out, before[1])
 
     @pytest.mark.parametrize("name", ["dpotrf_stack", "dtrtri_stack"])
     def test_stack_routines_refuse_a_read_only_stack(self, route, name):

@@ -3,6 +3,7 @@ protocol that the bias lab and the sketched Newton solver use without
 knowing the kind."""
 
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randskew import biaslab, cli, hadamard, optim, sampling
+from randskew import biaslab, cli, hadamard, optim, parallel, sampling
 from randskew import rng as rsrng
 from randskew.biaslab import (JACKKNIFE_BATCH, bias_sweep, estimate_bias,
                               make_debias_spec)
@@ -321,6 +322,33 @@ def test_bias_sweep_forms_h_once_for_all_its_plans(monkeypatch):
     bias_sweep(plans, [DebiasMode.NONE, DebiasMode.SCALAR], [M, 2 * M],
                trials=2, seed=1)
     assert (rows.count(N), factored.count(True)) == (1, 1)
+
+
+def test_pooled_bias_sweep_forms_h_once_before_forking(tmp_path,
+                                                      monkeypatch):
+    # neither plan reads its hessian when built, so the sweep forms L, and
+    # with it the one n-row Gram, before its workers fork; each forked
+    # worker would otherwise take a Gram of its own on its first cell
+    log = tmp_path / "grams"
+
+    def logging_gram(X):
+        # one write per line to a file opened for appending, so the lines
+        # of forked workers do not interleave
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {X.shape[0]}\n")
+        return gram(X)
+
+    _replace(monkeypatch, gram, logging_gram)
+    monkeypatch.setattr(parallel, "workers", 2)
+    hessian = PlanHessian(A, C)
+    plans = [build_plan(kind, hessian)
+             for kind in (PlanKind.UNIFORM, PlanKind.ROW_NORM)]
+    assert not log.exists()
+    rows = bias_sweep(plans, [DebiasMode.NONE, DebiasMode.SCALAR],
+                      [M, 2 * M], trials=2, seed=1)
+    assert len(rows) == 8
+    grams = [line.split() for line in log.read_text().splitlines()]
+    assert [pid for pid, n in grams if n == str(N)] == [str(os.getpid())]
 
 
 @pytest.mark.parametrize("overrides, wanted", [

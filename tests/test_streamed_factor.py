@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from randskew import _lapack
 from randskew import rng as rsrng
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
@@ -100,8 +101,10 @@ class TestGram:
         assert np.array_equal(got, got.T)
 
     def test_stack_takes_one_product(self):
+        # each matrix of a stack, rows past GRAM_BLOCK_ROWS included, takes
+        # one dgram_stack product, not a sum over row blocks
         S = np.random.default_rng(2).standard_normal((5, 3000, 4))
-        G = np.swapaxes(S, 1, 2) @ S
+        G = _lapack.dgram_stack(S, np.empty((5, 4, 4)))
         assert _same_bits(gram(S), (G + np.swapaxes(G, 1, 2)) / 2.0)
 
 

@@ -1,6 +1,7 @@
 """Run a fixed grid of ``randskew`` CLI configs and keep every output.
 
     python tools/output_grid.py TREE OUTDIR
+    python tools/output_grid.py compare A B
 
 TREE is a checkout of this repository (its ``src/`` is imported) and
 OUTDIR a directory to create.  Each case ``<name>`` of the grid runs one
@@ -21,11 +22,18 @@ solver config sets ``timing = zero``, so no output holds a wall time.
 Two output directories compare with ``diff -r``: the same tree run
 pooled and serially (``OPENBLAS_NUM_THREADS=1`` turns the CLI's worker
 pool off) must agree byte for byte, and so must two trees whose change
-keeps every output.
+keeps every output.  ``compare A B`` reports, for each file that differs
+between grid directories A and B, whether only numbers differ (CSV cells,
+or the leaves of a JSON sidecar) and the largest relative difference of
+each column or key, or else that its shape, text or exit code differs; it
+exits 0 when every file is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
+import json
+import math
 import os
 import subprocess
 import sys
@@ -114,9 +122,103 @@ def run_case(tree: Path, outdir: Path, name: str, command: str,
                                          encoding="utf-8")
 
 
+def _relative(a: str, b: str) -> float | None:
+    """|a - b| / max(|a|, |b|) of two numbers written as text: 0 for equal
+    ones or two NaNs, infinity where only one is finite, None where either
+    is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _csv_cells(path: Path) -> dict[tuple[int, str], str] | None:
+    """A CSV's cells keyed by (row number, column), or None if it does not
+    read as a table under one header."""
+    with path.open(newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    return {(i, name): cell for i, row in enumerate(rows[1:], 1)
+            for name, cell in zip(rows[0], row)}
+
+
+def _json_leaves(path: Path) -> dict[tuple[int, str], str] | None:
+    """A JSON file's leaves as text keyed by (0, their path), or None if it
+    does not parse."""
+    try:
+        stack = [("", json.loads(path.read_text(encoding="utf-8")))]
+    except ValueError:
+        return None
+    leaves = {}
+    while stack:
+        key, node = stack.pop()
+        if isinstance(node, dict | list):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            stack += [(f"{key}/{k}", child) for k, child in items]
+        else:
+            leaves[0, key] = json.dumps(node)
+    return leaves
+
+
+def _difference(a: Path, b: Path) -> list[str]:
+    """How grid file ``a`` differs from ``b``: [] when their bytes agree."""
+    if a.read_bytes() == b.read_bytes():
+        return []
+    if a.suffix == ".exit":
+        return [f"exit code {a.read_text().strip()} -> "
+                f"{b.read_text().strip()}"]
+    read = {".csv": _csv_cells, ".json": _json_leaves}.get(a.suffix)
+    cells = (read(a), read(b)) if read else (None, None)
+    if None in cells:
+        return ["text differs"]
+    if cells[0].keys() != cells[1].keys():
+        return ["shape differs"]
+    worst: dict[str, float] = {}   # column or key -> largest difference
+    rows = set()
+    for (row, column), x in cells[0].items():
+        y = cells[1][row, column]
+        if x == y:
+            continue
+        rel = _relative(x, y)
+        if rel is None:
+            at = f"{column} of row {row}" if read is _csv_cells else column
+            return [f"text differs: {at}: {x!r} -> {y!r}"]
+        rows.add(row)
+        worst[column] = max(worst.get(column, 0.0), rel)
+    where = (f" in rows {', '.join(map(str, sorted(rows)))}"
+             if read is _csv_cells else "")
+    return ([f"numbers only{where}"]
+            + [f"  {column}: largest relative difference {rel:.2g}"
+               for column, rel in worst.items()])
+
+
+def compare(a: Path, b: Path) -> int:
+    names = sorted({p.name for grid in (a, b) for p in grid.iterdir()})
+    same = 0
+    for name in names:
+        if not (a / name).is_file() or not (b / name).is_file():
+            print(f"{name}: only in {a if (a / name).is_file() else b}")
+            continue
+        lines = _difference(a / name, b / name)
+        same += not lines
+        for i, line in enumerate(lines):
+            print(f"{name}: {line}" if i == 0 else line)
+    print(f"{same} of {len(names)} files byte-identical")
+    return 0 if same == len(names) else 1
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
-        print("usage: python tools/output_grid.py TREE OUTDIR",
+        print("usage: python tools/output_grid.py TREE OUTDIR\n"
+              "       python tools/output_grid.py compare A B",
               file=sys.stderr)
         return 2
     tree, outdir = Path(argv[0]).resolve(), Path(argv[1])
