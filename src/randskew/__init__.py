@@ -11,8 +11,7 @@ from .linalg import (RowScaled, cholesky, gram, inv_sqrt, solve_spd,
 from .sampling import (ApproxFactors, PlanHessian, PlanKind, ProjectionPlan,
                        SamplingPlan, SjltPlan, SketchDraw, apply_sketch,
                        approximation_factors, build_plan, draw,
-                       effective_dimension, exact_leverage_scores,
-                       sjlt_approx_leverage)
+                       exact_leverage_scores, sjlt_approx_leverage)
 from .hadamard import (SrhtDraw, SrhtPlan, fwht_inplace, next_power_of_two,
                        rotated_leverage_scores, srht_apply, srht_draw)
 from .debias import (DebiasMode, DebiasSpec, FixedPointD, apply_debias,

@@ -132,7 +132,8 @@ def bias_sweep(plans, debias_modes, m_grid, trials: int,
 
     Each row's ``scheme`` is its plan's ``kind.value``; seeds are
     stream-split per cell so cells are independent of each other.  Scalar
-    debiasing reads the plan's own d_eff.  Cells run through
+    debiasing reads d_eff, trace(H^-1 G) by the hessian's L, so a scalar
+    cell whitens no rows of A in any process.  Cells run through
     :func:`~randskew.parallel.pmap`, largest m first, so the rows depend
     on neither its worker count nor its dispatch order.  Each plan
     hessian's L, which every cell reads, is formed here, before any

@@ -297,7 +297,8 @@ class SrhtPlan(ProjectionPlan):
     """The Hadamard sketch as a plan: uniform row sampling of the rotated
     matrix H D A / sqrt(n), with fresh signs for every sketch.
 
-    Its ``d_eff`` is the exact effective dimension of A (the rotation is
+    Its ``d_eff``, the hessian's trace(H^-1 G) as every plan's, is the
+    exact effective dimension of the rotation too (the rotation is
     orthogonal), and :meth:`analytic_sketch` whitens the rotation by the
     hessian's factor L of H = A^T A + C.  Row weights of A do not carry over
     to the rows of the rotated matrix, so only scalar debiasing applies.

@@ -223,8 +223,10 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     the diagnostics ``step_size``, ``d_eff`` and ``rho_max``.  ``rho_max``
     is None unless the step rule is analytic, the one rule that reads it,
     and ``d_eff`` is None unless the step rule is analytic or the debias
-    mode scalar, the two readers of it: the plan's own, which the SRHT
-    and SJLT plans compute only then.
+    mode scalar, the two readers of it: the hessian's trace(H^-1 G), which
+    every plan computes only then, from the d x d Gram.  So an armijo or
+    fixed step takes no exact-score pass unless its plan samples by the
+    exact scores.
 
     Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
     on the step's one PlanHessian of the factor, then the plan's one-seed

@@ -9,16 +9,17 @@ with many draws scales its support rows once and takes the drawn rows
 from that table.
 
 A :class:`PlanHessian` holds one (A, C) and forms G = A^T A, H = G + C,
-its Cholesky factor L and the exact leverage scores once each, on first
-read; :func:`build_plan` gives every plan it builds from it that one value
-by reference, ``plan.hessian``.  Every plan answers one protocol: ``kind``,
-``hessian``, ``d_eff``, ``probs``, ``scores`` (sampling scores or None),
-``exact`` (the hessian's), ``sketcher(m, spec)`` and ``analytic_sketch(m,
-spec, seed)``.  ``d_eff``, the exact effective dimension of A given C, is
-the sum of ``exact``, or trace(H^-1 G) for a :class:`ProjectionPlan`,
-which samples no rows of A and has no ``exact``: the Hadamard plan, which
-samples rows of a rotation of A, and the SJLT plan (:class:`SjltPlan`),
-which sums signed rows of A into each sketch row.  ``sketcher`` refuses
+its Cholesky factor L, the exact leverage scores and d_eff once each, on
+first read; :func:`build_plan` gives every plan it builds from it that one
+value by reference, ``plan.hessian``.  Every plan answers one protocol:
+``kind``, ``hessian``, ``d_eff``, ``probs``, ``scores`` (sampling scores
+or None), ``exact`` (the hessian's), ``sketcher(m, spec)`` and
+``analytic_sketch(m, spec, seed)``.  ``d_eff``, the exact effective
+dimension of A given C, is the hessian's trace(H^-1 G) for every plan, so
+reading it whitens no rows of A.  A :class:`ProjectionPlan` samples no
+rows of A and has no ``exact``: the Hadamard plan, which samples rows of
+a rotation of A, and the SJLT plan (:class:`SjltPlan`), which sums signed
+rows of A into each sketch row.  ``sketcher`` refuses
 m < 1 when called and returns ``draw(seeds, out=None)``, the T x m x d
 stack, one sketch per seed, of the cell (m, spec); a cell keeps its
 debias weights, and its buffers, across calls.  ``analytic_sketch``
@@ -46,7 +47,7 @@ from . import _lapack as lapack, rng as rsrng
 from .errors import (AllZeroRows, IndexOutOfRange, NotPositiveDefinite,
                      SketchTooSmall, ZeroProbabilityWithPositiveScore)
 from .linalg import (WHITEN_BLOCK_FLOATS, RowScaled, as_rows, cholesky, gram,
-                     inverse_quadratic_forms, whitened_norms)
+                     whitened_norms)
 
 SJLT_NNZ_PER_COLUMN = 4  # nonzeros per column of the sparse JL sketch
 GUIDE_PASSES = 8  # guide-table steps before searchsorted finishes a draw
@@ -82,10 +83,10 @@ def _finite_gram(M):
 class PlanHessian:
     """One (A, C), A as a :class:`~randskew.linalg.RowScaled` read in row
     blocks, and what every plan built from it reads: G = A^T A, H = G + C,
-    its Cholesky factor L and the exact leverage scores, each formed once,
-    on first read.  A and C are references, which the caller must not
-    write later.  A with no rows is refused, and a non-finite H without a
-    numpy warning."""
+    its Cholesky factor L, the exact leverage scores and d_eff, each
+    formed once, on first read.  A and C are references, which the caller
+    must not write later.  A with no rows is refused, and a non-finite H
+    without a numpy warning."""
     A: RowScaled
     C: np.ndarray
 
@@ -112,6 +113,12 @@ class PlanHessian:
     def exact(self) -> np.ndarray:
         """l_i = a_i^T H^-1 a_i for every row a_i of A."""
         return whitened_norms(self.A, self.L)
+
+    @cached_property
+    def d_eff(self) -> float:
+        """The exact effective dimension trace(H^-1 G), the sum of the exact
+        scores, solved by L: no pass over A beyond G's."""
+        return float(np.trace(lapack.dpotrs(self.L, self.G, lower=1)[0]))
 
 
 @dataclass(frozen=True)
@@ -147,10 +154,9 @@ class SamplingPlan:
     def exact(self) -> np.ndarray:
         return self.require_hessian().exact
 
-    @cached_property
+    @property
     def d_eff(self) -> float:
-        """The sum of the exact scores, whatever the plan samples by."""
-        return effective_dimension(self.exact)
+        return self.require_hessian().d_eff
 
     def sketcher(self, m: int, spec):
         """``draw(seeds, out=None)`` for the cell (m, spec): the T x m x d
@@ -262,13 +268,6 @@ def check_sketch_size(m: int) -> None:
         raise SketchTooSmall(f"sketch size m={m} must be at least 1")
 
 
-def effective_dimension(scores: np.ndarray) -> float:
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size and np.any(scores < 0):
-        raise ValueError("leverage scores must be nonnegative")
-    return float(scores.sum())
-
-
 def _sparsetools_path() -> Path | None:
     """scipy's compiled ``sparse/_sparsetools`` extension, found without
     importing scipy, or None."""
@@ -373,18 +372,17 @@ def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
 class ProjectionPlan:
     """The base of the two plans that sample no rows of A: each sketch row
     mixes rows of A, so only scalar debiasing applies, and the plan keeps
-    no per-row scores.  Its ``d_eff`` is trace(H^-1 G), solved by L on
-    first read; a step that reads no ``d_eff`` makes no pass over A."""
+    no per-row scores; a step that reads no ``d_eff`` makes no pass over
+    A."""
     hessian: PlanHessian
     kind: ClassVar[PlanKind]
     probs: ClassVar[None] = None
     scores: ClassVar[None] = None
     exact: ClassVar[None] = None
 
-    @cached_property
+    @property
     def d_eff(self) -> float:
-        h = self.hessian
-        return float(np.trace(lapack.dpotrs(h.L, h.G, lower=1)[0]))
+        return self.hessian.d_eff
 
     @classmethod
     def scalar_only(cls) -> ValueError:
@@ -429,11 +427,11 @@ def sjlt_approx_leverage(A: np.ndarray | RowScaled, C: np.ndarray, m1: int,
                          m2: int | None = None, seed: int = 0) -> np.ndarray:
     """Approximate leverage scores via a sparse JL sketch of the Gram.
 
-    Single-sketch mode returns ``a_i^T (A^T S1^T S1 A + C)^-1 a_i`` by
-    :func:`~randskew.linalg.inverse_quadratic_forms`; when ``m2`` is given,
-    the squared row norms of A L^-T S2^T for a second sketch S2 of width
-    m2, L L^T the sketched Gram plus C, with L^-T S2^T (d x m2) formed
-    first.  A is an array or a :class:`~randskew.linalg.RowScaled`.
+    Single-sketch mode returns ``a_i^T (A^T S1^T S1 A + C)^-1 a_i``, A
+    whitened by the factor L of ``PlanHessian(S1 A, C)``; when ``m2`` is
+    given, the squared row norms of A L^-T S2^T for a second sketch S2 of
+    width m2, with L^-T S2^T (d x m2) formed first.  A is an array or a
+    :class:`~randskew.linalg.RowScaled`.
     """
     A = as_rows(A)
     d = A.shape[1]
@@ -442,13 +440,12 @@ def sjlt_approx_leverage(A: np.ndarray | RowScaled, C: np.ndarray, m1: int,
     if m2 is not None and not 1 <= m2 < m1:
         raise ValueError(f"double-sketch width m2={m2} must satisfy "
                          f"1 <= m2 < m1={m1}")
-    SA = _sjlt_apply(A, m1, rsrng.generator(seed, 0))
+    sketched = PlanHessian(_sjlt_apply(A, m1, rsrng.generator(seed, 0)), C)
     S2 = (None if m2 is None
           else _sjlt_apply(np.eye(d), m2, rsrng.generator(seed, 1)))
-    with np.errstate(invalid="ignore", over="ignore"):  # refused as H is
-        M = _finite_gram(gram(SA) + C)
+    _ = sketched.H   # refuses a non-finite sketched Gram, as every H is
     try:
-        return inverse_quadratic_forms(A, M, S2)
+        return whitened_norms(A, sketched.L, S2)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             "sketched Gram plus C is singular; increase m1",

@@ -6,6 +6,7 @@ against the full pipeline on a subsample before being trusted.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ import pytest
 from randskew import rng as rsrng
 from randskew.biaslab import bias_sweep, estimate_bias
 from randskew.cli import main as cli_main
-from randskew.data import counterexample_matrix
+from randskew.data import (SyntheticKind, SyntheticSpec,
+                           counterexample_matrix, synthetic_matrix)
 from randskew.debias import (DebiasMode, DebiasSpec, fine_grained_weights,
                              make_debias_spec, solve_fixed_point_d)
 from randskew.hadamard import fwht_inplace
 from randskew.linalg import gram, inv_sqrt
-from randskew.optim import (GlmProblem, ProblemKind, SsnMethod,
+from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
                             objective_eval, reference_point,
                             reference_solution, run_solver)
 from randskew.sampling import (PlanHessian, PlanKind, SketchDraw,
@@ -265,6 +267,62 @@ def test_criterion_09_ssn_rate():
     assert debiased < plain
     report("criterion 9", f"debiased {debiased:.5f} <= bound {bound:.5f}; "
            f"undebiased {plain:.5f}")
+
+
+# the largest median contraction of one debiased step over the data kinds,
+# over the smallest: the paper's rate does not depend on the problem
+RATE_SPREAD = 1.5
+
+
+def test_ssn_rate_is_the_same_across_data():
+    # criterion 09's claim on three data kinds at m = 8 d_eff: each
+    # debiased step's median contraction stays under 2 d_eff / m and
+    # within RATE_SPREAD over the kinds, and debias helps exact leverage
+    # on every kind; uniform sampling, whose rate depends on the data,
+    # misses the bound on the coherent kind
+    n, d, lam, iters = 4096, 32, 1e-2, 5
+    data = {"gaussian": SyntheticSpec(SyntheticKind.GAUSSIAN_IID, n, d,
+                                      seed=1),
+            "spiked": SyntheticSpec(SyntheticKind.SPIKED, n, d, decay=0.1,
+                                    seed=1),
+            "coherent": SyntheticSpec(SyntheticKind.COHERENT, n, d,
+                                      heavy_row_count=32, seed=1)}
+    steps = {"leverage": (PlanKind.EXACT_LEVERAGE, DebiasMode.SCALAR,
+                          StepRule.ANALYTIC),
+             "srht": (PlanKind.SRHT, DebiasMode.SCALAR, StepRule.FIXED),
+             "leverage, no debias": (PlanKind.EXACT_LEVERAGE,
+                                     DebiasMode.NONE, StepRule.ANALYTIC),
+             "uniform": (PlanKind.UNIFORM, DebiasMode.SCALAR,
+                         StepRule.FIXED)}
+    medians, bounds = {}, {}
+    for name, spec in data.items():
+        A = synthetic_matrix(spec)
+        gen = rsrng.generator(1, 3)
+        y = A @ gen.standard_normal(d) + 0.1 * gen.standard_normal(n)
+        p = GlmProblem(A, y, lam, ProblemKind.LEAST_SQUARES)
+        ref = reference_point(p, reference_solution(p)[0])
+        d_eff = PlanHessian(hessian_sqrt(objective_eval(p, ref.beta)),
+                            lam * np.eye(d)).d_eff
+        m = math.ceil(8 * d_eff)
+        bounds[name] = 2.0 * d_eff / m
+        for step, (kind, debias, rule) in steps.items():
+            if step == "uniform" and name != "coherent":
+                continue
+            method = SsnMethod(plan_kind=kind, m=m, debias=debias,
+                               step_rule=rule)
+            medians[name, step] = float(np.median([
+                run_solver(p, method, np.zeros(d), iters, seed=s)
+                .scored(ref).records[-1].rel_error_H ** (1.0 / iters)
+                for s in range(10)]))
+    for step in ("leverage", "srht"):
+        rates = [medians[name, step] for name in data]
+        assert all(r <= bounds[name] for r, name in zip(rates, data))
+        assert max(rates) <= RATE_SPREAD * min(rates)
+    for name in data:
+        assert medians[name, "leverage"] < medians[name, "leverage, no debias"]
+    assert medians["coherent", "uniform"] > bounds["coherent"]
+    report("rate across data", ", ".join(
+        f"{name}/{step} {rate:.3f}" for (name, step), rate in medians.items()))
 
 
 def test_criterion_10_fwht_and_srht_debias():

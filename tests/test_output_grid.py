@@ -1,6 +1,9 @@
 """``tools/output_grid.py compare A B`` on hand-made grid directories."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,20 @@ def test_a_missing_file_is_named(grid, tmp_path, capsys):
                                 if k != "a.stderr"})
     assert grid.compare(a, b) == 1
     assert capsys.readouterr().out.splitlines()[0] == f"a.stderr: only in {a}"
+
+
+def test_a_closed_reader_ends_compare_quietly(tmp_path):
+    # ``compare A B | head``: the reader is gone before the report is
+    # written, so every write to stdout fails with EPIPE
+    a = _write(tmp_path / "a", BASE)
+    b = _write(tmp_path / "b", {**BASE, "a.exit": "3\n"})
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, str(_TOOL), "compare",
+                               str(a), str(b)],
+                              stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")

@@ -46,10 +46,14 @@ FINE = [DebiasMode.FINE_GRAINED_EXACT, DebiasMode.FINE_GRAINED_APPROX]
 # fine-grained weights need m above every l_i / pi_i, which reaches 59 for
 # the uniform plan on A
 M_FINE = 2 * N
-# the (kind, mode) pairs that make_debias_spec refuses at any m, and what
-# it says
 # the kinds whose build_plan reads the exact scores, for its probabilities
 BY_EXACT = (PlanKind.EXACT_LEVERAGE, PlanKind.SHRINKAGE)
+# d_eff, trace(H^-1 G), and the sum of the exact scores agree to about
+# d * eps * ||G|| / lambda; on A and C here, and on C a multiple of ||G||,
+# to within
+D_EFF_SUM_RTOL = 1e-12
+# the (kind, mode) pairs that make_debias_spec refuses at any m, and what
+# it says
 REFUSED = {
     **{(kind, mode): "only supports scalar" for mode in FINE
        for kind in (PlanKind.SRHT, PlanKind.SJLT)},
@@ -271,14 +275,16 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
 
 @KINDS
 def test_ssn_step_computes_exact_leverage_scores_once(kind, monkeypatch):
-    # once per step whatever the step rule, as every step here reads d_eff
-    # for its scalar debias; the Hadamard and SJLT plans take d_eff from
-    # the d x d Gram and need no scores
+    # every step here reads d_eff for its scalar debias, which every plan
+    # takes from the d x d Gram: the kinds that sample by the exact scores
+    # compute them once per step, inside build_plan, the other sampling
+    # kinds only for the analytic rule's rho_max, and the Hadamard and SJLT
+    # plans never
     passes = _exact_passes(monkeypatch)
     for rule in _rules(kind):
         _one_ssn_step(kind, rule)
-    assert passes == [kind in BY_EXACT] * (len(StepRule) if kind.has_probs
-                                           else 0)
+    assert passes == ([True] * len(StepRule) if kind in BY_EXACT
+                      else [False] * kind.has_probs)
 
 
 @KINDS
@@ -293,8 +299,8 @@ def test_bias_sweep_computes_no_exact_scores(kind, monkeypatch):
                 sweep()
         else:
             assert len(sweep()) == 1
-    # the first scalar cell reads d_eff, which computes them if build_plan
-    # did not, and every later reader takes them from the plan
+    # the fine_grained_exact cell reads them if build_plan did not, and
+    # every later reader takes them from the plan; no scalar cell does
     assert passes == [kind in BY_EXACT] * kind.has_probs
 
 
@@ -328,17 +334,24 @@ def test_pooled_bias_sweep_forms_h_once_before_forking(tmp_path,
                                                       monkeypatch):
     # neither plan reads its hessian when built, so the sweep forms L, and
     # with it the one n-row Gram, before its workers fork; each forked
-    # worker would otherwise take a Gram of its own on its first cell
-    log = tmp_path / "grams"
+    # worker would otherwise take a Gram of its own on its first cell.
+    # A scalar cell reads d_eff, trace(H^-1 G) by that L, so no process
+    # computes the exact scores, which neither plan samples by
+    log = tmp_path / "calls"
+    whiten = PlanHessian.exact.func
 
-    def logging_gram(X):
-        # one write per line to a file opened for appending, so the lines
-        # of forked workers do not interleave
-        with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{os.getpid()} {X.shape[0]}\n")
-        return gram(X)
+    def logging(fn, what):
+        def call(X):
+            # one write per line to a file opened for appending, so the
+            # lines of forked workers do not interleave
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {what(X)}\n")
+            return fn(X)
+        return call
 
-    _replace(monkeypatch, gram, logging_gram)
+    _replace(monkeypatch, gram, logging(gram, lambda X: X.shape[0]))
+    monkeypatch.setattr(PlanHessian.exact, "func",
+                        logging(whiten, lambda hessian: "exact"))
     monkeypatch.setattr(parallel, "workers", 2)
     hessian = PlanHessian(A, C)
     plans = [build_plan(kind, hessian)
@@ -347,8 +360,9 @@ def test_pooled_bias_sweep_forms_h_once_before_forking(tmp_path,
     rows = bias_sweep(plans, [DebiasMode.NONE, DebiasMode.SCALAR],
                       [M, 2 * M], trials=2, seed=1)
     assert len(rows) == 8
-    grams = [line.split() for line in log.read_text().splitlines()]
-    assert [pid for pid, n in grams if n == str(N)] == [str(os.getpid())]
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert [pid for pid, n in calls if n == str(N)] == [str(os.getpid())]
+    assert [pid for pid, n in calls if n == "exact"] == []
 
 
 @pytest.mark.parametrize("overrides, wanted", [
@@ -368,16 +382,18 @@ def test_lev_computes_exact_scores_once(overrides, wanted, monkeypatch):
     _, rows, sidecar = cli.cmd_lev(cfg, 3, False)
     assert passes == wanted
     assert [row[1] for row in rows] == list(EXACT)
-    assert sidecar["d_eff"] == float(EXACT.sum())
+    assert sidecar["d_eff"] == PlanHessian(A, C).d_eff
 
 
-@pytest.mark.parametrize("kind", [k for k in PlanKind if k.has_probs],
-                         ids=lambda k: k.value)
-def test_a_sampling_plans_d_eff_is_the_sum_of_its_exact_scores(kind):
-    # one rule for every kind: the approximate kinds sample by their
-    # approximate scores, whose sum only estimates d_eff
-    plan = build_plan(kind, PlanHessian(A, C), seed=2)
-    assert plan.d_eff == float(plan.exact.sum())
+@KINDS
+def test_every_plans_d_eff_is_its_hessians(kind):
+    # one rule for every kind, trace(H^-1 G): the approximate kinds sample
+    # by their approximate scores, whose sum only estimates d_eff
+    hessian = PlanHessian(A, C)
+    plan = build_plan(kind, hessian, seed=2)
+    assert plan.d_eff == hessian.d_eff
+    assert hessian.d_eff == pytest.approx(float(EXACT.sum()),
+                                          rel=D_EFF_SUM_RTOL, abs=0)
 
 
 def test_an_approximate_plans_scalar_bias_cell_reads_the_exact_d_eff():
@@ -392,7 +408,7 @@ def test_an_approximate_plans_scalar_bias_cell_reads_the_exact_d_eff():
     plan = build_plan(PlanKind.APPROX_LEVERAGE, PlanHessian(A, C),
                       seed=rsrng.split(seed, 101))
     for mi, (m, row) in enumerate(zip(m_grid, rows)):
-        spec = DebiasSpec.scalar(m, float(plan.exact.sum()))
+        spec = DebiasSpec.scalar(m, plan.hessian.d_eff)
         est = estimate_bias(plan, spec, m, trials,
                             rsrng.split(seed, 0, 0, mi))
         assert row == ["approx_leverage", "scalar", m, trials, est.discarded,
@@ -606,13 +622,14 @@ def test_only_the_analytic_step_computes_rho_max(kind, rule, monkeypatch):
     assert by_plan == (kind in BY_EXACT) + approximate
     factors = _count_calls(monkeypatch, approximation_factors)
     _, diagnostics = _one_ssn_step(kind, rule)
-    # the step builds the plan again, and its scalar debias reads d_eff:
-    # every sampling plan whitens A by H's factor once for that
-    assert len(whitenings) - by_plan == kind.has_probs + approximate
+    # the step builds the plan again, and its scalar debias reads d_eff
+    # from the d x d Gram: it whitens what build_plan whitens, no more
+    assert len(whitenings) - by_plan == by_plan
     assert factors == []
     assert diagnostics["rho_max"] is None
     # exact for every plan, the approximate-leverage ones included
-    assert diagnostics["d_eff"] == pytest.approx(d_eff, rel=1e-12, abs=0)
+    assert diagnostics["d_eff"] == pytest.approx(d_eff, rel=D_EFF_SUM_RTOL,
+                                                 abs=0)
 
 
 def _count_numpy_calls(monkeypatch, name) -> list:
@@ -666,7 +683,7 @@ def test_srht_plan_d_eff_is_the_sum_of_the_exact_scores(n, d, rel, kind,
     C_ = rel * np.linalg.norm(gram(A_), 2) * np.eye(d)
     d_eff = build_plan(PlanKind.SRHT, PlanHessian(A_, C_)).d_eff
     assert d_eff == pytest.approx(exact_leverage_scores(A_, C_).sum(),
-                                  rel=1e-12, abs=0)
+                                  rel=D_EFF_SUM_RTOL, abs=0)
 
 
 def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():

@@ -20,8 +20,8 @@ from randskew.errors import (AllZeroRows, IndexOutOfRange,
 from randskew.linalg import gram, inv_sqrt, inverse_quadratic_forms
 from randskew.sampling import (PlanHessian, PlanKind, SamplingPlan, SketchDraw,
                                apply_sketch, approximation_factors,
-                               build_plan, draw, effective_dimension,
-                               exact_leverage_scores, sjlt_approx_leverage)
+                               build_plan, draw, exact_leverage_scores,
+                               sjlt_approx_leverage)
 
 from oracles import psd_relative_error, sampled_rows
 
@@ -56,20 +56,16 @@ class TestExactLeverageScores:
 
 
 class TestEffectiveDimension:
+    # PlanHessian.d_eff, trace(H^-1 G), the one d_eff of every plan
     def test_skewed_pair_matrix(self):
-        lev = exact_leverage_scores(A_CE, C0)
-        assert effective_dimension(lev) == pytest.approx(D, abs=1e-12)
+        assert PlanHessian(A_CE, C0).d_eff == pytest.approx(D, abs=1e-12)
 
     def test_ridge_identity_closed_form(self):
-        lev = exact_leverage_scores(np.eye(6), 0.5 * np.eye(6))
-        assert effective_dimension(lev) == pytest.approx(6 / 1.5)
+        d_eff = PlanHessian(np.eye(6), 0.5 * np.eye(6)).d_eff
+        assert d_eff == pytest.approx(6 / 1.5)
 
-    def test_empty(self):
-        assert effective_dimension(np.array([])) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            effective_dimension(np.array([0.1, -0.2]))
+    def test_zero_matrix(self):
+        assert PlanHessian(np.zeros((3, D)), np.eye(D)).d_eff == 0.0
 
 
 class TestSjltApproxLeverage:
@@ -305,9 +301,8 @@ class TestBuildPlan:
                          scores=np.array([bad, 1.0]))
 
     def test_plan_without_exact_scores_refuses_to_give_d_eff(self):
-        # d_eff is the sum of the exact scores for every sampling plan,
-        # which it whitens from its (A, C), so a hand-built plan without
-        # them has none rather than a guess
+        # d_eff is its hessian's trace(H^-1 G) for every plan, so a
+        # hand-built plan without a hessian has none rather than a guess
         plan = SamplingPlan(PlanKind.EXACT_LEVERAGE, np.array([0.5, 0.5]),
                             scores=np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="^the exact_leverage plan has "

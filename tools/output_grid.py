@@ -26,7 +26,8 @@ keeps every output.  ``compare A B`` reports, for each file that differs
 between grid directories A and B, whether only numbers differ (CSV cells,
 or the leaves of a JSON sidecar) and the largest relative difference of
 each column or key, or else that its shape, text or exit code differs; it
-exits 0 when every file is byte-identical and 1 otherwise.
+exits 0 when every file is byte-identical and 1 otherwise, and quietly
+with 1 when its reader closes stdout early (``compare A B | head``).
 """
 
 from __future__ import annotations
@@ -236,4 +237,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``compare A B | head``): stop quietly,
+        # pointing stdout at devnull so that the exit flush fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
