@@ -137,19 +137,23 @@ def bias_sweep(plans, debias_modes, m_grid, trials: int,
     :func:`~randskew.parallel.pmap`, largest m first, so the rows depend
     on neither its worker count nor its dispatch order.  Each plan
     hessian's L, which every cell reads, is formed here, before any
-    worker forks, so a singular H is refused before any cell runs.
+    worker forks, so a singular H is refused before any cell runs, and so
+    are its exact scores for a sampling plan with fine_grained_exact cells.
     """
     m_grid, plans = list(m_grid), list(plans)
     if not m_grid or any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be nonempty and ascending")
-    for hessian in {id(p.hessian): p.hessian for p in plans
-                    if p.hessian is not None}.values():
-        hessian.L
 
     cells = [(pi, di, mi, plan, mode, m)
              for pi, plan in enumerate(plans)
              for di, mode in enumerate(debias_modes)
              for mi, m in enumerate(m_grid)]
+    fine_exact = any(c[4] is DebiasMode.FINE_GRAINED_EXACT for c in cells)
+    for plan in plans:   # read to form them: once per hessian, cached
+        if plan.hessian is not None:
+            plan.hessian.L
+            if fine_exact and plan.kind.has_probs:
+                plan.hessian.exact
 
     def run_cell(cell) -> BiasSweepRow:
         pi, di, mi, plan, mode, m = cell

@@ -3,11 +3,11 @@ correction, and first-order baselines.  The sketched Newton step takes
 every plan kind, the sampling plans, the SRHT and the sparse (SJLT)
 projection, through the plan protocol of :mod:`randskew.sampling` alone.
 
-The regularized objectives expose their Hessian through a square-root
-factor A(beta) with hessian = A(beta)^T A(beta) + lambda I, which is what
-the row-sampling machinery consumes.  The factor is a row-scaled view of
-the data (:class:`~randskew.linalg.RowScaled`): every reader takes it in
-row blocks or gathered rows, so no step forms an n x d array.
+The objectives expose their Hessian as one PlanHessian of a square-root
+factor A(beta), a row-scaled view of the data, and lambda I: a logistic
+point's own, a least-squares problem's one for its whole run.  Exact
+Newton, the reference and every sketched step read the factor in row
+blocks or gathered rows, so no step forms an n x d array.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence
-from .linalg import RowScaled, gram, solve_spd
-from .sampling import PlanHessian, PlanKind, build_plan
+from .linalg import RowScaled, solve_spd
+from .sampling import PlanHessian, PlanKind, build_plan, check_sketch_size
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
@@ -46,6 +47,8 @@ class ProblemKind(enum.Enum):
 
 @dataclass(frozen=True)
 class GlmProblem:
+    """A regularized loss.  A is kept by reference, as a PlanHessian keeps
+    it, so it must not be written after the first :func:`objective_eval`."""
     A: np.ndarray
     y: np.ndarray
     lam: float
@@ -66,26 +69,24 @@ class GlmProblem:
     def dim(self) -> int:
         return self.A.shape[1]
 
+    @cached_property
+    def constant_hessian(self) -> PlanHessian:
+        """The least-squares Hessian, of A over sqrt(n) and lambda I, which
+        does not depend on beta: one per problem, so one Gram."""
+        factor = RowScaled(self.A, np.divide, np.sqrt(self.A.shape[0]))
+        return PlanHessian(factor, self.lam * np.eye(self.dim))
+
 
 @dataclass(frozen=True)
 class Objective:
-    """Value, gradient and the Hessian's square-root factor at one point.
-
-    The factor is ``row_op(A, row_scale)``: A times the column
-    sqrt(w / n) for logistic loss, A over sqrt(n) for least squares.
-    :attr:`factor` is that matrix as a
-    :class:`~randskew.linalg.RowScaled` view, which is never formed.
-    """
+    """Value, gradient and Hessian at one point: the PlanHessian of a
+    factor, a :class:`~randskew.linalg.RowScaled` view never formed, and
+    lambda I.  The factor is A times the column sqrt(w / n) for logistic
+    loss, new at each point, and A over sqrt(n) for least squares, whose
+    hessian is the problem's one :attr:`GlmProblem.constant_hessian`."""
     value: float
     gradient: np.ndarray
-    A: np.ndarray
-    row_op: np.ufunc                 # np.multiply or np.divide
-    row_scale: np.ndarray | float    # an (n, 1) column or a scalar
-
-    @property
-    def factor(self) -> RowScaled:
-        """The n x d factor of the data term of the Hessian."""
-        return RowScaled(self.A, self.row_op, self.row_scale)
+    hessian: PlanHessian
 
 
 def _value(p: GlmProblem, beta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -104,12 +105,12 @@ def objective_value(p: GlmProblem, beta: np.ndarray) -> float:
 
 
 def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
-    """Value, gradient, and Hessian square-root factor at beta.
+    """Value, gradient, and Hessian at beta.
 
     The loss is the mean over samples plus (lambda/2) ||beta||^2, so the
     Hessian is gram(factor) + lambda I.  Overflow-safe at extreme
-    margins.  Makes no n x d array: the :class:`Objective`'s factor is a
-    view of the data.
+    margins.  Makes no n x d array, and forms no Gram: the
+    :class:`Objective`'s hessian forms its own on first read.
     """
     A, y, lam = p.A, p.y, p.lam
     n = A.shape[0]
@@ -120,11 +121,11 @@ def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
         tail = r > 50.0  # exp(-r) only there: it overflows for r < -709
         sig_neg[tail] = np.exp(-r[tail])
         gradient = -(A.T @ (y * sig_neg)) / n + lam * beta
-        w = sig_neg * (1.0 - sig_neg)
-        return Objective(value, gradient, A, np.multiply,
-                         np.sqrt(w / n)[:, None])
+        scale = np.sqrt(sig_neg * (1.0 - sig_neg) / n)[:, None]
+        return Objective(value, gradient, PlanHessian(
+            RowScaled(A, np.multiply, scale), lam * np.eye(p.dim)))
     gradient = (A.T @ r) / n + lam * beta
-    return Objective(value, gradient, A, np.divide, np.sqrt(n))
+    return Objective(value, gradient, p.constant_hessian)
 
 
 def _armijo(p: GlmProblem, beta, value, gradient, direction) -> float:
@@ -139,16 +140,13 @@ def _armijo(p: GlmProblem, beta, value, gradient, direction) -> float:
     return mu
 
 
-def _newton_update(p: GlmProblem, beta, obj: Objective,
-                   At: np.ndarray | RowScaled,
+def _newton_update(p: GlmProblem, beta, obj: Objective, hessian: PlanHessian,
                    armijo: bool, mu: float) -> tuple[np.ndarray, float]:
-    """Step along -(gram(At) + lambda I)^{-1} g, by Armijo or by ``mu``.
-
-    Exact Newton is At = obj.factor, whose Gram is read in row blocks; the
-    sketched methods pass a sketch of it.  Returns the next iterate and
-    the step size taken.
-    """
-    direction = solve_spd(gram(At) + p.lam * np.eye(p.dim), obj.gradient)
+    """Step along -H^{-1} g, H = ``hessian.H``, by Armijo or by ``mu``:
+    exact Newton passes ``obj.hessian``, the sketched methods the
+    PlanHessian of a sketch of its factor and its C.  Returns the next
+    iterate and the step size taken."""
+    direction = solve_spd(hessian.H, obj.gradient)
     if armijo:
         mu = _armijo(p, beta, obj.value, obj.gradient, direction)
     return beta - mu * direction, mu
@@ -201,8 +199,7 @@ class RunTrace:
 def reference_point(p: GlmProblem, beta: np.ndarray) -> ReferencePoint:
     """The reference at ``beta``; build it once to share it across runs."""
     beta = np.asarray(beta, dtype=np.float64)
-    factor = objective_eval(p, beta).factor
-    return ReferencePoint(beta, gram(factor) + p.lam * np.eye(p.dim))
+    return ReferencePoint(beta, objective_eval(p, beta).hessian.H)
 
 
 class StepRule(enum.Enum):
@@ -229,9 +226,10 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     exact scores.
 
     Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
-    on the step's one PlanHessian of the factor, then the plan's one-seed
-    ``sketcher`` draw, or under the analytic rule its ``analytic_sketch``,
-    which also gives rho_max.
+    on ``obj.hessian``, then the plan's one-seed ``sketcher`` draw, or
+    under the analytic rule its ``analytic_sketch``, which also gives
+    rho_max; the solve reads that sketch's PlanHessian.  A least-squares
+    hessian keeps its Gram and exact scores from step to step.
     No step forms the factor: a sampling plan reads it in row blocks and
     gathers its m rows from the data, the SJLT reads it in row blocks, and
     the SRHT signs it into a padded buffer that the analytic sketch
@@ -240,8 +238,7 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     """
     sketch_seed = rsrng.split(seed, 2)
     analytic = method.step_rule is StepRule.ANALYTIC
-    hessian = PlanHessian(obj.factor, p.lam * np.eye(p.dim))
-    plan = build_plan(method.plan_kind, hessian, mix=method.mix,
+    plan = build_plan(method.plan_kind, obj.hessian, mix=method.mix,
                       m1=method.m1, m2=method.m2, seed=rsrng.split(seed, 1))
     spec = make_debias_spec(method.debias, plan, method.m)  # before d_eff
     d_eff = (plan.d_eff if analytic or method.debias is DebiasMode.SCALAR
@@ -252,7 +249,8 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
         mu = analytic_step_size(method.m, d_eff, rho_max)
     else:
         At = plan.sketcher(method.m, spec)([sketch_seed])[0]
-    beta_next, mu = _newton_update(p, beta, obj, At,
+    beta_next, mu = _newton_update(p, beta, obj,
+                                   PlanHessian(At, obj.hessian.C),
                                    method.step_rule is StepRule.ARMIJO, mu)
     return beta_next, {"step_size": mu, "d_eff": d_eff, "rho_max": rho_max}
 
@@ -290,7 +288,7 @@ class NewtonExactMethod:
     line_search: bool = True
 
     def update(self, p, beta, obj, seed, t):
-        return _newton_update(p, beta, obj, obj.factor, self.line_search,
+        return _newton_update(p, beta, obj, obj.hessian, self.line_search,
                               1.0)
 
 
@@ -312,6 +310,7 @@ class SsnMethod:
             raise ValueError("the sjlt plan has no rho_max: the paper gives "
                              "no approximation factor for the SJLT, so the "
                              "analytic step rule does not apply")
+        check_sketch_size(self.m)
 
     def update(self, p, beta, obj, seed, t):
         beta_next, diagnostics = ssn_step(p, beta, obj, self,

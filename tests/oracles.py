@@ -63,8 +63,9 @@ def psd_relative_error(X_hat: np.ndarray, X: np.ndarray) -> float:
 
 def hessian_sqrt(obj) -> np.ndarray:
     """The formed n x d Hessian factor of an ``Objective``: the matrix its
-    ``factor`` view reads without forming."""
-    return obj.row_op(obj.A, obj.row_scale)
+    hessian's ``A`` view reads without forming."""
+    factor = obj.hessian.A
+    return factor.op(factor.A, factor.scale)
 
 
 def whiten(A: np.ndarray, M: np.ndarray) -> np.ndarray:

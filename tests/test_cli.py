@@ -635,7 +635,7 @@ def test_singular_gram_is_refused_at_its_cholesky(tmp_path, capsys, command,
     cfg, y = _csv_data(tmp_path, A)
     if command == "solve":
         p = GlmProblem(A, y, 0.0, ProblemKind.LOGISTIC)
-        A = objective_eval(p, np.zeros(4)).factor
+        A = objective_eval(p, np.zeros(4)).hessian.A
     with pytest.raises(NotPositiveDefinite) as refused:
         cholesky(gram(A) + np.zeros((4, 4)))
     assert run_cli([command, "--config", cfg, "--seed", "1", "--out",

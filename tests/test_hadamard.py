@@ -206,7 +206,7 @@ def _row_scaled(kind, n, cols):
     y = (np.where(A[:, 0] > 0, 1.0, -1.0) if kind is ProblemKind.LOGISTIC
          else A[:, 0])
     return objective_eval(GlmProblem(A, y, 1e-3, kind),
-                          np.full(cols, 0.1)).factor
+                          np.full(cols, 0.1)).hessian.A
 
 
 class TestStreamedSample:

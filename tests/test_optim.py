@@ -67,7 +67,7 @@ class TestObjectiveEval:
             want = p.A * np.sqrt(sig_neg * (1.0 - sig_neg) / n)[:, None]
         else:
             want = p.A / np.sqrt(n)
-        factor = obj.factor
+        factor = obj.hessian.A
         assert factor.shape == want.shape
         got = np.concatenate([b.copy() for _, b in factor.blocks(1000)])
         assert got.tobytes() == want.tobytes()

@@ -90,3 +90,11 @@ def test_a_closed_reader_ends_compare_quietly(tmp_path):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_a_missing_grid_exits_2(grid, tmp_path, capsys):
+    # 0 and 1 say whether two grids agree; a grid that is not there is
+    # neither, and a caller that accepts 1 must not accept it
+    a = _write(tmp_path / "a", BASE)
+    assert grid.main(["compare", str(a), str(tmp_path / "b")]) == 2
+    assert capsys.readouterr() == ("", f"no grid directory {tmp_path / 'b'}\n")

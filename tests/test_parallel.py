@@ -267,12 +267,13 @@ BAD_SOLVE_CFG = (COUNTEREXAMPLE + "problem = least_squares\nmethod = ssn\n"
                  "plan = exact_leverage\ndebias = scalar\nm = 2\n"
                  "iters = 2\ntiming = zero\n")
 # exact Newton on a zero column with lambda = 0 finds no Cholesky factor,
-# and the solver's own m = 0 refusal comes first in time
+# and the solver's own refusal of fine-grained debias for the srht plan,
+# at its first step, comes first in time
 SINGULAR_CSV = "".join(f"{i % 7 + 0.5},0,{1 if i % 3 else -1}\n"
                        for i in range(40))
-BAD_REFERENCE_CFG = ("data = csv\nlambda = 0\nmethod = ssn\nplan = sjlt\n"
-                     "debias = none\nm = 0\niters = 2\ntiming = zero\n"
-                     "path = ")
+BAD_REFERENCE_CFG = ("data = csv\nlambda = 0\nmethod = ssn\nplan = srht\n"
+                     "debias = fine_exact\nm = 8\niters = 2\n"
+                     "timing = zero\npath = ")
 
 
 def _main(tmp_path, command, cfg_text, pooled, forks=None):
@@ -340,8 +341,9 @@ def test_solve_reports_the_reference_error_first(tmp_path):
     (tmp_path / "bare").mkdir()
     rc, stderr, _ = _main(tmp_path / "bare", "solve", cfg_text
                           + "reference = false\n", pooled=True, forks=False)
-    assert (rc, stderr) == (cli.EXIT_NUMERICAL, "SketchTooSmall: sketch "
-                            "size m=0 must be at least 1\n")
+    assert (rc, stderr) == (cli.EXIT_NUMERICAL, "ValueError: the srht plan "
+                            "samples no rows of A, so it only supports "
+                            "scalar debiasing\n")
 
 
 @needs_two_cpus

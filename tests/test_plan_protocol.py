@@ -26,8 +26,9 @@ from randskew.hadamard import (_rotate, _signed_rows, _stage_bits,
                                srht_apply, srht_draw)
 from randskew.linalg import (RowScaled, cholesky, gram,
                              inverse_quadratic_forms, whitened_norms)
-from randskew.optim import (GlmProblem, ProblemKind, SsnMethod, StepRule,
-                            objective_eval, ssn_step)
+from randskew.optim import (GlmProblem, NewtonExactMethod, ProblemKind,
+                            SsnMethod, StepRule, objective_eval,
+                            reference_point, run_solver, ssn_step)
 from randskew.sampling import (PlanHessian, PlanKind, SketchDraw,
                                _sjlt_apply, apply_sketch,
                                approximation_factors, build_plan, draw,
@@ -330,14 +331,11 @@ def test_bias_sweep_forms_h_once_for_all_its_plans(monkeypatch):
     assert (rows.count(N), factored.count(True)) == (1, 1)
 
 
-def test_pooled_bias_sweep_forms_h_once_before_forking(tmp_path,
-                                                      monkeypatch):
-    # neither plan reads its hessian when built, so the sweep forms L, and
-    # with it the one n-row Gram, before its workers fork; each forked
-    # worker would otherwise take a Gram of its own on its first cell.
-    # A scalar cell reads d_eff, trace(H^-1 G) by that L, so no process
-    # computes the exact scores, which neither plan samples by
-    log = tmp_path / "calls"
+def _log_grams_and_exact(monkeypatch, log):
+    """Log each Gram's row count and each exact-score pass, one line per
+    call with the pid of the process that made it, forked workers
+    included; returns the reader of the log, which gives a list of
+    (pid, rows or "exact") pairs."""
     whiten = PlanHessian.exact.func
 
     def logging(fn, what):
@@ -352,17 +350,109 @@ def test_pooled_bias_sweep_forms_h_once_before_forking(tmp_path,
     _replace(monkeypatch, gram, logging(gram, lambda X: X.shape[0]))
     monkeypatch.setattr(PlanHessian.exact, "func",
                         logging(whiten, lambda hessian: "exact"))
+    return lambda: ([tuple(line.split()) for line in
+                     log.read_text().splitlines()] if log.exists() else [])
+
+
+def _pids(calls, what) -> list:
+    return [pid for pid, made in calls if made == str(what)]
+
+
+@pytest.mark.parametrize("modes, m_grid, exact_in_parent", [
+    ([DebiasMode.NONE, DebiasMode.SCALAR], [M, 2 * M], False),
+    ([DebiasMode.NONE, DebiasMode.FINE_GRAINED_EXACT],
+     [M_FINE, 2 * M_FINE], True)], ids=["scalar", "fine_exact"])
+def test_pooled_bias_sweep_forms_h_once_before_forking(
+        modes, m_grid, exact_in_parent, tmp_path, monkeypatch):
+    # neither plan reads its hessian when built, so the sweep forms L, and
+    # with it the one n-row Gram, before its workers fork; each forked
+    # worker would otherwise take a Gram of its own on its first cell.
+    # A scalar cell reads d_eff, trace(H^-1 G) by that L, so no process
+    # computes the exact scores, which neither plan samples by; a
+    # fine_grained_exact cell reads them, so the sweep forms them once
+    # before the fork too, and no worker whitens A itself
+    calls = _log_grams_and_exact(monkeypatch, tmp_path / "calls")
     monkeypatch.setattr(parallel, "workers", 2)
     hessian = PlanHessian(A, C)
     plans = [build_plan(kind, hessian)
              for kind in (PlanKind.UNIFORM, PlanKind.ROW_NORM)]
-    assert not log.exists()
-    rows = bias_sweep(plans, [DebiasMode.NONE, DebiasMode.SCALAR],
-                      [M, 2 * M], trials=2, seed=1)
+    assert calls() == []
+    rows = bias_sweep(plans, modes, m_grid, trials=2, seed=1)
     assert len(rows) == 8
-    calls = [line.split() for line in log.read_text().splitlines()]
-    assert [pid for pid, n in calls if n == str(N)] == [str(os.getpid())]
-    assert [pid for pid, n in calls if n == "exact"] == []
+    assert _pids(calls(), N) == [str(os.getpid())]
+    assert _pids(calls(), "exact") == [str(os.getpid())] * exact_in_parent
+
+
+# a least-squares problem, whose Hessian does not depend on beta, keeps one
+# PlanHessian for its whole run; a logistic point has its own
+K = 4
+
+
+def _least_squares(A_):
+    """A new least-squares problem on A_, so no Hessian of an earlier
+    test's problem is reused."""
+    return GlmProblem(A_, A @ np.arange(1.0, D + 1), 1e-2,
+                      ProblemKind.LEAST_SQUARES)
+
+
+RUN_METHODS = pytest.mark.parametrize("method", [
+    NewtonExactMethod(),
+    SsnMethod(PlanKind.EXACT_LEVERAGE, M, DebiasMode.SCALAR,
+              StepRule.ANALYTIC),
+    SsnMethod(PlanKind.UNIFORM, M, DebiasMode.SCALAR, StepRule.ARMIJO),
+    SsnMethod(PlanKind.SRHT, M, DebiasMode.SCALAR, StepRule.ARMIJO)],
+    ids=["newton", "exact_leverage", "uniform", "srht"])
+
+
+@RUN_METHODS
+def test_least_squares_run_forms_one_gram_of_a(method, tmp_path,
+                                               monkeypatch):
+    calls = _log_grams_and_exact(monkeypatch, tmp_path / "calls")
+    run_solver(_least_squares(A), method, np.zeros(D), K, seed=3)
+    assert len(_pids(calls(), N)) == 1
+    assert len(_pids(calls(), "exact")) <= 1
+
+
+@RUN_METHODS
+def test_logistic_run_forms_one_gram_of_a_per_step(method, tmp_path,
+                                                   monkeypatch):
+    calls = _log_grams_and_exact(monkeypatch, tmp_path / "calls")
+    run_solver(P, method, np.zeros(D), K, seed=3)
+    assert len(_pids(calls(), N)) == K
+
+
+def test_least_squares_problems_of_one_shape_share_no_hessian(tmp_path,
+                                                              monkeypatch):
+    # the reuse is keyed by the problem, not by the shape of its data
+    Q = np.linalg.qr(np.random.default_rng(4).standard_normal((D, D)))[0]
+    problems = [_least_squares(A), _least_squares(A @ Q)]
+    calls = _log_grams_and_exact(monkeypatch, tmp_path / "calls")
+    traces = [run_solver(p, NewtonExactMethod(), np.zeros(D), K)
+              for p in problems]
+    assert len(_pids(calls(), N)) == 2
+    assert problems[0].constant_hessian is not problems[1].constant_hessian
+    for p, trace in zip(problems, traces):
+        want = gram(p.A / np.sqrt(N)) + p.lam * np.eye(D)
+        assert reference_point(p, trace.beta).hessian.tobytes() == (
+            want.tobytes())
+    assert np.allclose(traces[1].beta, Q.T @ traces[0].beta, rtol=1e-10)
+
+
+def test_pooled_least_squares_sweep_forms_its_gram_in_the_parent(
+        tmp_path, monkeypatch):
+    # the reference solve forms the problem's one Gram before the runs
+    # fork, and every forked run reads it
+    calls = _log_grams_and_exact(monkeypatch, tmp_path / "calls")
+    monkeypatch.setattr(parallel, "workers", 2)
+    cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
+                      "heavy_rows": "4", "lambda": "0.01",
+                      "problem": "least_squares", "method": "ssn",
+                      "plan": "uniform", "debias": "scalar",
+                      "step": "armijo", "m_grid": f"{M},{M + M // 2}",
+                      "replicates": "2", "iters": "3", "timing": "zero"})
+    _, rows, _ = cli.cmd_sweep(cfg, 3, False)
+    assert len(rows) == 2
+    assert _pids(calls(), N) == [str(os.getpid())]
 
 
 @pytest.mark.parametrize("overrides, wanted", [
@@ -563,7 +653,7 @@ def test_signed_buffer_holds_the_signed_factor_bitwise(kind, n):
     # every product of the Gram
     _, _, obj = _objective(kind, n)
     signs = srht_draw(n, M, 9).signs
-    rows = _signed_rows(obj.factor, signs)
+    rows = _signed_rows(obj.hessian.A, signs)
     hs = hessian_sqrt(obj)
     assert rows.shape == (next_power_of_two(n), D)
     assert _same_bits(rows[:n], signs[:n, None] * hs)
@@ -578,9 +668,9 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     P_, beta, obj = _objective(kind, n)
     sketches = []
 
-    def newton_update(p, beta, obj, At, armijo, mu):
-        sketches.append(At)
-        return newton_update.real(p, beta, obj, At, armijo, mu)
+    def newton_update(p, beta, obj, hessian, armijo, mu):
+        sketches.append(hessian.A.A)
+        return newton_update.real(p, beta, obj, hessian, armijo, mu)
 
     newton_update.real = optim._newton_update
     monkeypatch.setattr(optim, "_newton_update", newton_update)
@@ -725,6 +815,24 @@ def test_sjlt_analytic_method_is_refused_when_built(monkeypatch):
     with pytest.raises(ValueError, match="^the sjlt plan has no rho_max"):
         _one_ssn_step(PlanKind.SJLT, StepRule.ANALYTIC)
     assert (grams, passes) == ([], [])
+
+
+@pytest.mark.parametrize("mode", list(DebiasMode), ids=lambda m: m.value)
+def test_ssn_method_refuses_m_below_one_when_built(mode, monkeypatch):
+    # before any n-row work: a solve or a sweep refuses before its
+    # reference solve, whatever its debias mode
+    grams = _count_calls(monkeypatch, gram)
+    with pytest.raises(SketchTooSmall, match="^sketch size m=0 must be at "
+                       "least 1$"):
+        SsnMethod(plan_kind=PlanKind.UNIFORM, m=0, debias=mode)
+    data = {"synthetic": "coherent", "n": str(N), "d": str(D),
+            "method": "ssn", "plan": "uniform",
+            "debias": {v: k for k, v in cli._DEBIAS_NAMES.items()}[mode]}
+    for command, grid in ((cli.cmd_solve, {"m": "0"}),
+                          (cli.cmd_sweep, {"m_grid": "0,64"})):
+        with pytest.raises(SketchTooSmall, match="must be at least 1$"):
+            command(cli.Config({**data, **grid}), 3, False)
+    assert grams == []
 
 
 def test_sjlt_plan_takes_d_eff_from_the_gram_on_first_read(monkeypatch):

@@ -49,7 +49,7 @@ def factor(request):
     multiplied column) or least squares (a divided scalar)."""
     p = _problem(request.param, N, D)
     obj = objective_eval(p, np.full(D, 0.05))
-    return obj.factor, hessian_sqrt(obj)
+    return obj.hessian.A, hessian_sqrt(obj)
 
 
 def test_the_factor_spans_several_blocks_of_every_reader():

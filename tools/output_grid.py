@@ -27,7 +27,9 @@ between grid directories A and B, whether only numbers differ (CSV cells,
 or the leaves of a JSON sidecar) and the largest relative difference of
 each column or key, or else that its shape, text or exit code differs; it
 exits 0 when every file is byte-identical and 1 otherwise, and quietly
-with 1 when its reader closes stdout early (``compare A B | head``).
+with 1 when its reader closes stdout early (``compare A B | head``).  It
+exits 2 when A or B is not a directory, so a caller can tell a missing
+grid from a changed one.
 """
 
 from __future__ import annotations
@@ -216,6 +218,10 @@ def compare(a: Path, b: Path) -> int:
 
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "compare":
+        for grid_dir in argv[1:]:
+            if not Path(grid_dir).is_dir():
+                print(f"no grid directory {grid_dir}", file=sys.stderr)
+                return 2
         return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 2:
         print("usage: python tools/output_grid.py TREE OUTDIR\n"
