@@ -66,7 +66,7 @@ def estimate_bias(plan, debias: DebiasSpec, m: int, trials: int,
     group_kept: list[int] = []
     discarded = 0
     step = max(1, SUBBLOCK_FLOATS // (m * d))
-    # the cell's buffers: sketches and gram(At) + C
+    # the cell's buffers: sketches and At^T At + C
     size = min(step, JACKKNIFE_BATCH, trials)
     stack, grams = np.empty((size, m, d)), np.empty((size, d, d))
 
@@ -77,9 +77,9 @@ def estimate_bias(plan, debias: DebiasSpec, m: int, trials: int,
             k = min(lo + step, stop) - lo
             At = sketch([rsrng.split(seed, t) for t in range(lo, lo + k)],
                         out=stack[:k])
-            # gram(At) + C in the cell's buffer, by one BLAS gemm per trial
-            # on the stack itself: its Grams are exactly symmetric, so
-            # gram's symmetrization is skipped (pinned by
+            # At^T At + C in the cell's buffer, by one BLAS gemm per trial
+            # on the stack itself: its Grams are exactly symmetric, so no
+            # symmetrization is needed (pinned by
             # test_stacked_sketch_grams_are_exactly_symmetric)
             G = lapack.dgram_stack(At, grams[:k])
             M = np.add(G, C, out=G)

@@ -173,22 +173,26 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
         if not kind.has_probs:
             raise ConfigError(f"{kind.value} has no sampling plan summary")
     hessian = PlanHessian(A, C)   # one Gram and factor for every plan
-    plans = [_make_plan(kind, hessian, cfg, seed) for kind in kinds]
+    plans = {kind: _make_plan(kind, hessian, cfg, seed)
+             for kind in dict.fromkeys(kinds)}
     exact = hessian.exact
 
     header, columns = ["index", "score_exact"], [exact]
     if approx_kind is not None:
+        # a plan of the same kind, options and seed has the same scores
+        approx = plans.get(approx_kind) or _make_plan(approx_kind, hessian,
+                                                      cfg, seed)
         header.append("score_approx")
-        columns.append(_make_plan(approx_kind, hessian, cfg, seed).scores)
+        columns.append(approx.scores)
     rows = [[i, *(float(col[i]) for col in columns)]
             for i in range(len(exact))]
 
     summary = []
-    for plan in plans:
+    for plan in (plans[kind] for kind in kinds):
         fac = approximation_factors(plan)
         summary.append({"plan": plan.kind.value, "d_eff": plan.d_eff,
                         "rho_min": fac.rho_min, "rho_max": fac.rho_max})
-    return header, rows, {"d_eff": plans[0].d_eff, "plans": summary}
+    return header, rows, {"d_eff": hessian.d_eff, "plans": summary}
 
 
 def cmd_bias(cfg: Config, seed: int, standardize: bool):

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (NoConvergence, NotPositiveDefinite, SketchTooSmall,
                      ZeroProbabilityWithPositiveScore)
-from .linalg import inverse_quadratic_forms
-from .sampling import (SamplingPlan, SketchDraw, PlanKind,
+from .linalg import RowScaled, whitened_norms
+from .sampling import (PlanHessian, SamplingPlan, SketchDraw, PlanKind,
                        approximation_factors, check_support)
 
 RANGE_SLACK = 1e-9  # numerical slack on the proven range of D
@@ -141,7 +141,8 @@ def solve_fixed_point_d(plan: SamplingPlan, m: int, tol: float = 1e-10,
     the plan's own A, C and pi.
 
     Plain fixed-point iteration from the midpoint initialization
-    D = m/(m + d_eff).  The result is checked against the proven range
+    D = m/(m + d_eff), whitening A by ``PlanHessian(A sqrt(D), C).L``.
+    The result is checked against the proven range
     [m/(m + 2 rho_max d_eff), m/(m + rho_min d_eff)]; a fixed point
     outside it raises :class:`NoConvergence`, as does running out of sweeps.
     """
@@ -160,10 +161,10 @@ def solve_fixed_point_d(plan: SamplingPlan, m: int, tol: float = 1e-10,
     diag = np.where(active, m / (m + d_eff), 1.0)
     residual = math.inf
     for it in range(1, max_iters + 1):
-        scaled = A * np.sqrt(diag)[:, None]
+        scaled = RowScaled(A, np.multiply, np.sqrt(diag)[:, None])
         try:
             # a_i^T (A^T D A + C)^{-1} a_i
-            quad = inverse_quadratic_forms(A, scaled.T @ scaled + C)
+            quad = whitened_norms(A, PlanHessian(scaled, C).L)
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 "A^T D A + C lost positive definiteness during the "

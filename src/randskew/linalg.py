@@ -3,7 +3,8 @@
 All matrices are plain ``numpy.ndarray`` in row-major order, except that
 the n-row readers (:func:`gram`, :func:`whitened_norms`) also take a
 :class:`RowScaled` matrix, which they read in row blocks without forming
-it.  Operations are pure functions; nothing here holds state.
+it.  Operations are pure functions; nothing here holds state.  Run paths
+reach :func:`gram` and :func:`cholesky` only through ``sampling.PlanHessian``.
 """
 
 from __future__ import annotations
@@ -128,30 +129,27 @@ def check_symmetric(M: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def gram(A: np.ndarray | RowScaled) -> np.ndarray:
-    """A^T A, symmetrized against floating-point accumulation skew; of a
-    stack of matrices, the stack of their Grams by ``dgram_stack``.
+    """A^T A of one matrix, an array or a :class:`RowScaled`, symmetrized
+    against floating-point accumulation skew.
 
-    A matrix (an array or a :class:`RowScaled`) is read in blocks of
-    ``GRAM_BLOCK_ROWS`` rows, whose Grams are summed in row order, so no
-    n x d temporary is made and the block size alone fixes the bits.  A
-    one-block matrix takes one product, ``A^T A``.
+    A is read in blocks of ``GRAM_BLOCK_ROWS`` rows, whose Grams are
+    summed in row order, so no n x d temporary is made and the block size
+    alone fixes the bits.  A one-block matrix takes one product,
+    ``A^T A``.  An array that is not 2-D raises ``ValueError``.
     """
     if not isinstance(A, RowScaled):
         A = np.asarray(A, dtype=np.float64)
-    if A.shape[-2] < 1:
+        if A.ndim != 2:
+            raise ValueError(f"gram takes a 2-D matrix, not shape {A.shape}")
+    if A.shape[0] < 1:
         raise ValueError("gram requires at least one row")
-    if A.shape[-1] < 1:
+    if A.shape[1] < 1:
         raise ValueError("gram requires at least one column")
-    if isinstance(A, np.ndarray) and A.ndim > 2:
-        X = np.ascontiguousarray(A).reshape(-1, *A.shape[-2:])
-        G = lapack.dgram_stack(X, np.empty((len(X),) + A.shape[-1:] * 2))
-        G = G.reshape(A.shape[:-2] + A.shape[-1:] * 2)
-    else:
-        products = (B.T @ B for _, B in as_rows(A).blocks(GRAM_BLOCK_ROWS))
-        G = next(products)
-        for P in products:
-            G += P
-    return (G + np.swapaxes(G, -1, -2)) / 2.0
+    products = (B.T @ B for _, B in as_rows(A).blocks(GRAM_BLOCK_ROWS))
+    G = next(products)
+    for P in products:
+        G += P
+    return (G + G.T) / 2.0
 
 
 def _pivot_threshold(M: np.ndarray):
@@ -191,13 +189,6 @@ def cholesky(M: np.ndarray) -> np.ndarray:
     return Z[0].T
 
 
-def solve_spd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B for symmetric positive definite M."""
-    X, _ = lapack.dpotrs(cholesky(M), np.asarray(B, dtype=np.float64),
-                         lower=1)
-    return X
-
-
 def accepted_inverses(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of the matrices of a stack of symmetric matrices that
     :func:`cholesky` accepts.
@@ -228,12 +219,6 @@ def _invert_upper(Z: np.ndarray, what: str) -> None:
         raise NotPositiveDefinite(
             f"trtri failed on {what} {t} (info={info})",
             pivot_index=info - 1 if info > 0 else None)
-
-
-def inverse_quadratic_forms(A: np.ndarray | RowScaled, M: np.ndarray,
-                            sketch: np.ndarray | None = None) -> np.ndarray:
-    """a_i^T M^-1 a_i for every row a_i of A, by M's :func:`cholesky`."""
-    return whitened_norms(A, cholesky(M), sketch)
 
 
 def whitened_norms(A: np.ndarray | RowScaled, L: np.ndarray,
@@ -269,7 +254,15 @@ def whitened_norms(A: np.ndarray | RowScaled, L: np.ndarray,
     return out
 
 
-# No package code calls these eigen routines; perfbench's TRACED names them.
+# No package code calls solve_spd or these eigen routines: tests take
+# solve_spd as an oracle, and perfbench's TRACED names them all.
+
+
+def solve_spd(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve M X = B for symmetric positive definite M."""
+    X, _ = lapack.dpotrs(cholesky(M), np.asarray(B, dtype=np.float64),
+                         lower=1)
+    return X
 
 
 def spectral_norm(M: np.ndarray) -> float:

@@ -7,7 +7,8 @@ The objectives expose their Hessian as one PlanHessian of a square-root
 factor A(beta), a row-scaled view of the data, and lambda I: a logistic
 point's own, a least-squares problem's one for its whole run.  Exact
 Newton, the reference and every sketched step read the factor in row
-blocks or gathered rows, so no step forms an n x d array.
+blocks or gathered rows, so no step forms an n x d array, and each solves
+by one PlanHessian's factor L: the objective's or its sketch's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import rng as rsrng
 from .debias import DebiasMode, make_debias_spec
 from .errors import NoConvergence
-from .linalg import RowScaled, solve_spd
+from .linalg import RowScaled
 from .sampling import PlanHessian, PlanKind, build_plan, check_sketch_size
 from .data import require_binary_labels
 
@@ -31,6 +32,12 @@ ARMIJO_C1 = 1e-4
 ARMIJO_RATIO = 0.5
 ARMIJO_MAX_HALVINGS = 40
 REFERENCE_GRAD_TOL = 1e-12
+# a run with grad_tol also stops at its rounding floor: once its gradient
+# norm has set no new minimum for STALL_ITERS iterations and half the Newton
+# decrement g^T H^-1 g is at most STALL_EPS_FACTOR * eps * |f|, the stopping
+# rule of Boyd & Vandenberghe 2004 (Convex Optimization, section 9.5)
+STALL_ITERS = 5
+STALL_EPS_FACTOR = 1.0
 
 
 def check_lambda(lam: float) -> float:
@@ -108,7 +115,7 @@ def objective_eval(p: GlmProblem, beta: np.ndarray) -> Objective:
     """Value, gradient, and Hessian at beta.
 
     The loss is the mean over samples plus (lambda/2) ||beta||^2, so the
-    Hessian is gram(factor) + lambda I.  Overflow-safe at extreme
+    Hessian is factor^T factor + lambda I.  Overflow-safe at extreme
     margins.  Makes no n x d array, and forms no Gram: the
     :class:`Objective`'s hessian forms its own on first read.
     """
@@ -142,11 +149,11 @@ def _armijo(p: GlmProblem, beta, value, gradient, direction) -> float:
 
 def _newton_update(p: GlmProblem, beta, obj: Objective, hessian: PlanHessian,
                    armijo: bool, mu: float) -> tuple[np.ndarray, float]:
-    """Step along -H^{-1} g, H = ``hessian.H``, by Armijo or by ``mu``:
-    exact Newton passes ``obj.hessian``, the sketched methods the
-    PlanHessian of a sketch of its factor and its C.  Returns the next
-    iterate and the step size taken."""
-    direction = solve_spd(hessian.H, obj.gradient)
+    """Step along -H^{-1} g, solved by ``hessian``'s one factor L, by
+    Armijo or by ``mu``: exact Newton passes ``obj.hessian``, the sketched
+    methods the PlanHessian of a sketch of its factor and its C.  Returns
+    the next iterate and the step size taken."""
+    direction = hessian.solve(obj.gradient)
     if armijo:
         mu = _armijo(p, beta, obj.value, obj.gradient, direction)
     return beta - mu * direction, mu
@@ -228,8 +235,8 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
     on ``obj.hessian``, then the plan's one-seed ``sketcher`` draw, or
     under the analytic rule its ``analytic_sketch``, which also gives
-    rho_max; the solve reads that sketch's PlanHessian.  A least-squares
-    hessian keeps its Gram and exact scores from step to step.
+    rho_max; the direction solves by that sketch's PlanHessian's L.  A
+    least-squares hessian keeps its Gram, factor and scores across steps.
     No step forms the factor: a sampling plan reads it in row blocks and
     gathers its m rows from the data, the SJLT reads it in row blocks, and
     the SRHT signs it into a padded buffer that the analytic sketch
@@ -325,6 +332,15 @@ def check_iters(iters: int) -> int:
     return iters
 
 
+def _at_rounding_floor(obj: Objective) -> bool:
+    """Whether lambda^2 / 2 <= STALL_EPS_FACTOR * eps * |f| for the Newton
+    decrement lambda^2 = g^T H^-1 g, solved by ``obj.hessian``'s factor:
+    then a Newton step lowers f by no more than rounding."""
+    decrement = float(obj.gradient @ obj.hessian.solve(obj.gradient))
+    return (decrement / 2.0
+            <= STALL_EPS_FACTOR * np.finfo(float).eps * abs(obj.value))
+
+
 def run_solver(p: GlmProblem, method, beta0, iters: int, seed: int = 0,
                grad_tol: float = 0.0) -> RunTrace:
     """Iterate ``method.update``, recording per-iteration iterate,
@@ -336,7 +352,10 @@ def run_solver(p: GlmProblem, method, beta0, iters: int, seed: int = 0,
 
     With grad_tol set, a step that leaves beta bitwise unchanged also ends
     the run after its record: for a method whose update depends on beta
-    alone, every later step would repeat it.
+    alone, every later step would repeat it.  So does an iterate at the
+    rounding floor (:func:`_at_rounding_floor`) once the gradient norm has
+    set no new minimum for ``STALL_ITERS`` iterations: where the norm
+    floors just above grad_tol, no later step would cross it.
 
     Raises :class:`NoConvergence` when the objective or its gradient
     stops being finite (so numpy's overflow warnings are silenced), and
@@ -345,6 +364,7 @@ def run_solver(p: GlmProblem, method, beta0, iters: int, seed: int = 0,
     check_iters(iters)
     beta = np.asarray(beta0, dtype=np.float64).copy()
     trace = RunTrace()
+    best, stalled = math.inf, 0   # least gradient norm, iterations since
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(iters + 1):
             t_start = time.perf_counter_ns()
@@ -355,7 +375,11 @@ def run_solver(p: GlmProblem, method, beta0, iters: int, seed: int = 0,
                     f"iterate {t} is not finite: objective {obj.value}, "
                     f"gradient norm {grad_norm}", iterations=t)
             trace.iterates.append(beta)
-            if t == iters or grad_norm < grad_tol:
+            best, stalled = ((grad_norm, 0) if grad_norm < best
+                             else (best, stalled + 1))
+            if (t == iters or grad_norm < grad_tol
+                    or (grad_tol > 0 and stalled >= STALL_ITERS
+                        and _at_rounding_floor(obj))):
                 trace.records.append(IterationRecord(
                     t, math.nan, grad_norm, 0.0, 0))
                 break

@@ -10,8 +10,9 @@ from that table.
 
 A :class:`PlanHessian` holds one (A, C) and forms G = A^T A, H = G + C,
 its Cholesky factor L, the exact leverage scores and d_eff once each, on
-first read; :func:`build_plan` gives every plan it builds from it that one
-value by reference, ``plan.hessian``.  Every plan answers one protocol:
+first read, and solves by that L; :func:`build_plan` gives every plan it
+builds from it that one value by reference, ``plan.hessian``.  Every plan
+answers one protocol:
 ``kind``, ``hessian``, ``d_eff``, ``probs``, ``scores`` (sampling scores
 or None), ``exact`` (the hessian's), ``sketcher(m, spec)`` and
 ``analytic_sketch(m, spec, seed)``.  ``d_eff``, the exact effective
@@ -84,9 +85,9 @@ class PlanHessian:
     """One (A, C), A as a :class:`~randskew.linalg.RowScaled` read in row
     blocks, and what every plan built from it reads: G = A^T A, H = G + C,
     its Cholesky factor L, the exact leverage scores and d_eff, each
-    formed once, on first read.  A and C are references, which the caller
-    must not write later.  A with no rows is refused, and a non-finite H
-    without a numpy warning."""
+    formed once, on first read, and every solve by L (:meth:`solve`).  A
+    and C are references, which the caller must not write later.  A with
+    no rows is refused, and a non-finite H without a numpy warning."""
     A: RowScaled
     C: np.ndarray
 
@@ -114,11 +115,15 @@ class PlanHessian:
         """l_i = a_i^T H^-1 a_i for every row a_i of A."""
         return whitened_norms(self.A, self.L)
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """H^-1 b, for a vector or a matrix b, by LAPACK ``potrs`` on L."""
+        return lapack.dpotrs(self.L, b, lower=1)[0]
+
     @cached_property
     def d_eff(self) -> float:
         """The exact effective dimension trace(H^-1 G), the sum of the exact
         scores, solved by L: no pass over A beyond G's."""
-        return float(np.trace(lapack.dpotrs(self.L, self.G, lower=1)[0]))
+        return float(np.trace(self.solve(self.G)))
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def hessian_sqrt(obj) -> np.ndarray:
 def whiten(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     """A L^-T for M = L L^T symmetric positive definite, so that
     (A L^-T)(A L^-T)^T = A M^-1 A^T: one ``trmm`` on a copy of all of A,
-    the unblocked reference of ``linalg.inverse_quadratic_forms``.
+    the unblocked reference of ``linalg.whitened_norms(A, cholesky(M))``.
     Raises as ``linalg.cholesky`` does."""
     Z = np.array(cholesky(M).T, order="C")   # L^-T by trtri, in place
     assert not lapack.dtrtri_stack(Z[None]).any()

@@ -50,7 +50,8 @@ def test_inverse_wishart_oracle():
     for lo in range(0, T, 10_000):
         At = np.stack([gaussian_sketch(np.eye(d), m, rsrng.split(17, t))
                        for t in range(lo, lo + 10_000)])
-        acc += np.linalg.inv(gram(At)).sum(axis=0)
+        G = _lapack.dgram_stack(At, np.empty((len(At), d, d)))
+        acc += np.linalg.inv(G).sum(axis=0)
     mean = acc / T
     want = m / (m - d - 1) * np.eye(d)
     assert np.abs(mean - want).max() < 0.05
@@ -190,7 +191,6 @@ def test_stacked_sketch_grams_are_exactly_symmetric(T, m):
     S = np.random.default_rng(T).standard_normal((T, m, 32))
     G = _lapack.dgram_stack(S, np.empty((T, 32, 32)))
     np.testing.assert_array_equal(G, np.swapaxes(G, 1, 2))
-    np.testing.assert_array_equal(gram(S), G)
     want = np.swapaxes(S, 1, 2) @ S
     assert np.linalg.norm(G - want) <= 1e-13 * np.linalg.norm(want)
 

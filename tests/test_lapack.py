@@ -95,9 +95,8 @@ def _results():
             "solve_spd": linalg.solve_spd(M, B),
             "solve_spd_vector": linalg.solve_spd(M, B[:, 0]),
             "spd_inverse": spd_inverse(M),
-            "inverse_quadratic_forms": linalg.inverse_quadratic_forms(A, M),
+            "whitened_norms": linalg.whitened_norms(A, linalg.cholesky(M)),
             "accepted_inverses": Q,
-            "stacked_gram": linalg.gram(rng.standard_normal((3, 40, 32))),
             "exact_leverage_scores": exact_leverage_scores(A, 0.1 * np.eye(32))}
 
 

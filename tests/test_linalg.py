@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from scipy.linalg import lapack
 from randskew import linalg
 from randskew.errors import NotPositiveDefinite
 from randskew.linalg import (accepted_inverses, cholesky, gram, inv_sqrt,
-                             inverse_quadratic_forms, solve_spd,
-                             spectral_norm, sqrt_psd)
+                             solve_spd, spectral_norm, sqrt_psd,
+                             whitened_norms)
+from randskew.sampling import PlanHessian
 
 from oracles import psd_relative_error, spd_inverse, whiten
 
@@ -42,12 +45,11 @@ class TestGram:
         G = gram(rng.standard_normal((20, 6)))
         assert np.array_equal(G, G.T)
 
-    def test_stack_is_the_per_matrix_grams_bitwise(self):
-        A = np.random.default_rng(2).standard_normal((5, 40, 6))
-        got = gram(A)
-        assert got.shape == (5, 6, 6)
-        for t in range(5):
-            assert np.array_equal(got[t], gram(A[t]))
+    @pytest.mark.parametrize("shape", [(5,), (5, 40, 6)])
+    def test_refuses_an_array_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gram takes a 2-D matrix, not shape {shape}")):
+            gram(np.ones(shape))
 
 
 class TestCholesky:
@@ -99,7 +101,7 @@ class TestWhiten:
         M = random_spd(6, rng)
         B = whiten(A, M)
         np.testing.assert_array_equal(np.einsum("ij,ij->i", B, B),
-                                      inverse_quadratic_forms(A, M))
+                                      whitened_norms(A, cholesky(M)))
 
     @pytest.mark.parametrize("d", [1, 7, 32, 64, 65, 130])
     @pytest.mark.parametrize("rows", [
@@ -114,7 +116,7 @@ class TestWhiten:
         M = random_spd(d, rng)
         B = whiten(A, M)
         want = np.einsum("ij,ij->i", B, B)
-        got = inverse_quadratic_forms(A, M)
+        got = whitened_norms(A, cholesky(M))
         assert got.shape == (n,)
         # both sides compute b_i = a_i L^-T, maybe with different trmm
         # summation orders: |db_i| <= 2 d eps |a_i| sqrt(d) ||L^-T||, so q_i
@@ -130,10 +132,15 @@ class TestWhiten:
                                    np.diag([1.0, 1e-16, 1.0])],
                              ids=["rank-one", "negative", "tiny"])
     def test_singular_matrix_raises_with_the_cholesky_pivot(self, M):
+        # a PlanHessian of one zero row has H = M bitwise, and its solve
+        # refuses M as solve_spd does: same type, pivot and text
+        b = np.ones(len(M))
         with pytest.raises(NotPositiveDefinite) as want:
-            cholesky(M)
+            solve_spd(M, b)
         with pytest.raises(NotPositiveDefinite) as err:
-            inverse_quadratic_forms(np.ones((3, len(M))), M)
+            PlanHessian(np.zeros((1, len(M))), M).solve(b)
+        assert type(err.value) is type(want.value)
+        assert str(err.value) == str(want.value)
         assert err.value.pivot_index == want.value.pivot_index is not None
 
 
@@ -241,6 +248,16 @@ class TestSolveSpd:
     def test_diagonal_solve(self):
         got = solve_spd(np.diag([2.0, 4.0]), np.array([[2.0], [4.0]]))
         assert np.allclose(got, [[1.0], [1.0]])
+
+    @pytest.mark.parametrize("columns", [None, 1, 4], ids=["vector", "1",
+                                                           "4"])
+    def test_plan_hessian_solve_is_solve_spd_bitwise(self, columns):
+        rng = np.random.default_rng(4)
+        hessian = PlanHessian(rng.standard_normal((30, 6)), 1e-2 * np.eye(6))
+        b = rng.standard_normal(6 if columns is None else (6, columns))
+        got = hessian.solve(b)
+        assert got.shape == b.shape
+        assert got.tobytes() == solve_spd(hessian.H, b).tobytes()
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(3)

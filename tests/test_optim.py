@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from randskew import optim
 from randskew import rng as rsrng
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
@@ -13,12 +14,13 @@ from randskew.debias import DebiasMode
 from randskew.errors import LabelDomainError, NoConvergence
 from randskew.hadamard import next_power_of_two
 from randskew.linalg import gram
-from randskew.optim import (GdMethod, GlmProblem, NewtonExactMethod,
-                            ProblemKind, SgdMethod, SsnMethod, StepRule,
-                            objective_eval, objective_value,
-                            reference_point, reference_solution, run_solver,
-                            ssn_step, analytic_step_size)
-from randskew.sampling import PlanKind, _sjlt_apply
+from randskew.optim import (STALL_ITERS, GdMethod, GlmProblem,
+                            NewtonExactMethod, Objective, ProblemKind,
+                            SgdMethod, SsnMethod, StepRule, objective_eval,
+                            objective_value, reference_point,
+                            reference_solution, run_solver, ssn_step,
+                            analytic_step_size)
+from randskew.sampling import PlanHessian, PlanKind, _sjlt_apply
 
 from oracles import hessian_sqrt
 
@@ -230,6 +232,55 @@ class TestNewtonExact:
         trace = run_solver(p, NewtonExactMethod(), np.zeros(p.dim),
                            2).scored(reference_point(p, ref))
         assert trace.records[0].rel_error_H == pytest.approx(1.0)
+
+
+class _OneUnitStep:
+    """A method that moves beta[0] from t to t + 1, so it names the
+    iteration whose stubbed objective is evaluated there."""
+
+    def update(self, p, beta, obj, seed, t):
+        return beta + np.array([1.0, 0.0]), 1.0
+
+
+class TestRoundingFloorStop:
+    """A run with grad_tol stops where the gradient norm sets no new
+    minimum for STALL_ITERS iterations and half the Newton decrement is at
+    most eps |f|, on stubbed trajectories: norms[t] is the gradient norm at
+    iteration t, f = 1 and H = I, so the decrement is norms[t] ** 2."""
+
+    @staticmethod
+    def _run(monkeypatch, norms, grad_tol=1e-12, iters=60):
+        hessian = PlanHessian(np.zeros((1, 2)), np.eye(2))
+        monkeypatch.setattr(optim, "objective_eval", lambda p, beta: Objective(
+            1.0, np.array([norms[int(beta[0])], 0.0]), hessian))
+        return run_solver(None, _OneUnitStep(), np.zeros(2), iters,
+                          grad_tol=grad_tol)
+
+    # a floor just above 1e-12, as at the reference of ssn-srht's seed
+    # 9602000: its least norm at t = 4, none lower after it
+    PLATEAU = [0.4, 1e-3, 1e-7, 5.5e-12, 2.2e-12] + [
+        3e-12, 4e-12, 2.5e-12, 5e-12, 3.5e-12] * 20
+
+    def test_plateau_at_the_rounding_floor_stops(self, monkeypatch):
+        trace = self._run(monkeypatch, self.PLATEAU)
+        assert [r.t for r in trace.records] == list(range(5 + STALL_ITERS))
+        assert trace.records[-1].step_size == 0.0
+        assert trace.beta[0] == 4 + STALL_ITERS
+
+    def test_converging_run_keeps_its_gradient_stop(self, monkeypatch):
+        trace = self._run(monkeypatch, [0.4, 1e-3, 1e-7, 1e-13, 1e-20])
+        assert [r.grad_norm for r in trace.records] == [0.4, 1e-3, 1e-7,
+                                                        1e-13]
+
+    def test_plateau_above_the_floor_runs_on(self, monkeypatch):
+        # a decrement of 1e-10 is far above eps |f|: the run goes on to
+        # the norm that crosses grad_tol
+        trace = self._run(monkeypatch, [0.4] + [1e-5] * 10 + [1e-13])
+        assert len(trace.records) == 12
+
+    def test_run_without_grad_tol_takes_every_step(self, monkeypatch):
+        trace = self._run(monkeypatch, self.PLATEAU, grad_tol=0.0, iters=30)
+        assert len(trace.records) == 31
 
 
 class TestSsnStep:

@@ -24,11 +24,12 @@ from randskew.errors import (ConfigError, NotPositiveDefinite,
 from randskew.hadamard import (_rotate, _signed_rows, _stage_bits,
                                _staged_hadamard, next_power_of_two,
                                srht_apply, srht_draw)
-from randskew.linalg import (RowScaled, cholesky, gram,
-                             inverse_quadratic_forms, whitened_norms)
+from randskew.linalg import (RowScaled, cholesky, gram, solve_spd,
+                             whitened_norms)
 from randskew.optim import (GlmProblem, NewtonExactMethod, ProblemKind,
                             SsnMethod, StepRule, objective_eval,
-                            reference_point, run_solver, ssn_step)
+                            reference_point, reference_solution, run_solver,
+                            ssn_step)
 from randskew.sampling import (PlanHessian, PlanKind, SketchDraw,
                                _sjlt_apply, apply_sketch,
                                approximation_factors, build_plan, draw,
@@ -413,6 +414,68 @@ def test_least_squares_run_forms_one_gram_of_a(method, tmp_path,
     assert len(_pids(calls(), "exact")) <= 1
 
 
+def _log_factored(monkeypatch) -> list:
+    """Every matrix that ``cholesky`` factors, from every module."""
+    factored = []
+
+    def recording(M):
+        factored.append(np.array(M))
+        return cholesky(M)
+
+    _replace(monkeypatch, cholesky, recording)
+    return factored
+
+
+def _newton_by_solve_spd(p, iters) -> list:
+    """The iterates of exact Newton with Armijo from 0, each direction
+    ``solve_spd(H, g)``: the solve before PlanHessian.solve."""
+    beta, iterates = np.zeros(D), []
+    for _ in range(iters):
+        iterates.append(beta)
+        obj = objective_eval(p, beta)
+        direction = solve_spd(obj.hessian.H, obj.gradient)
+        beta = beta - optim._armijo(p, beta, obj.value, obj.gradient,
+                                    direction) * direction
+    return iterates + [beta]
+
+
+@RUN_METHODS
+def test_least_squares_run_factors_h_once(method, monkeypatch):
+    # every exact Newton step solves by the problem's one factor L, bitwise
+    # as by solve_spd; a sketched step factors its own sketch once, and H
+    # only for d_eff
+    p = _least_squares(A)
+    newton = isinstance(method, NewtonExactMethod)
+    want = _newton_by_solve_spd(p, K) if newton else None
+    factored = _log_factored(monkeypatch)
+    trace = run_solver(p, method, np.zeros(D), K, seed=3)
+    of_h = [np.array_equal(M, p.constant_hessian.H) for M in factored]
+    assert (of_h.count(True), of_h.count(False)) == (1, 0 if newton else K)
+    if newton:
+        assert all(_same_bits(got, beta)
+                   for got, beta in zip(trace.iterates, want, strict=True))
+
+
+def test_least_squares_reference_factors_h_once(monkeypatch):
+    p = _least_squares(A)
+    factored = _log_factored(monkeypatch)
+    beta, _ = reference_solution(p)
+    assert [np.array_equal(M, p.constant_hessian.H)
+            for M in factored] == [True]
+    assert _same_bits(beta, _newton_by_solve_spd(p, 1)[-1])
+
+
+def test_logistic_newton_run_factors_once_per_step(monkeypatch):
+    want = _newton_by_solve_spd(P, K)
+    factored = _log_factored(monkeypatch)
+    trace = run_solver(P, NewtonExactMethod(), np.zeros(D), K)
+    assert len(factored) == K
+    assert all(np.array_equal(M, objective_eval(P, beta).hessian.H)
+               for M, beta in zip(factored, trace.iterates))
+    assert all(_same_bits(got, beta)
+               for got, beta in zip(trace.iterates, want, strict=True))
+
+
 @RUN_METHODS
 def test_logistic_run_forms_one_gram_of_a_per_step(method, tmp_path,
                                                    monkeypatch):
@@ -473,6 +536,28 @@ def test_lev_computes_exact_scores_once(overrides, wanted, monkeypatch):
     assert passes == wanted
     assert [row[1] for row in rows] == list(EXACT)
     assert sidecar["d_eff"] == PlanHessian(A, C).d_eff
+
+
+@pytest.mark.parametrize("plans, sketches", [
+    ("uniform", 1), ("uniform,approx_leverage", 1),
+    ("approx_leverage,double_sketch_approx_leverage,approx_leverage", 2)],
+    ids=["apart", "among-plans", "repeated"])
+def test_lev_builds_each_approximate_plan_once(plans, sketches,
+                                               monkeypatch):
+    # the score_approx column reads the plan of its kind that the command
+    # built already, with the same options and seed, so lev takes one SJLT
+    # sketch and whitening pass per approximate kind, and the column keeps
+    # its bits
+    cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
+                      "heavy_rows": "4", "lambda": "0.01", "plans": plans,
+                      "approx": "sjlt"})
+    alone = cli.cmd_lev(cli.Config({**cfg.values, "plans": "uniform"}),
+                        3, False)[1]
+    calls = _count_calls(monkeypatch, sampling.sjlt_approx_leverage)
+    _, rows, sidecar = cli.cmd_lev(cfg, 3, False)
+    assert len(calls) == sketches
+    assert [row[2] for row in rows] == [row[2] for row in alone]
+    assert len(sidecar["plans"]) == len(plans.split(","))
 
 
 @KINDS
@@ -689,7 +774,7 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     assert len(sketches) == 1 and _same_bits(sketches[0], At)
     assert diagnostics["d_eff"] == plan.d_eff
     # rho_max by the rotation's scores given gram(hs) + C, formed afresh
-    scores = inverse_quadratic_forms(rotated, gram(hs) + C_)
+    scores = whitened_norms(rotated, cholesky(gram(hs) + C_))
     assert diagnostics["rho_max"] == (
         float(scores.max() * rotated.shape[0] / plan.d_eff)
         if rule is StepRule.ANALYTIC else None)

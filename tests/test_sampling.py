@@ -17,7 +17,7 @@ from randskew.debias import DebiasSpec, solve_fixed_point_d
 from randskew.errors import (AllZeroRows, IndexOutOfRange,
                              NotPositiveDefinite, SketchTooSmall,
                              ZeroProbabilityWithPositiveScore)
-from randskew.linalg import gram, inv_sqrt, inverse_quadratic_forms
+from randskew.linalg import cholesky, gram, inv_sqrt, whitened_norms
 from randskew.sampling import (PlanHessian, PlanKind, SamplingPlan, SketchDraw,
                                apply_sketch, approximation_factors,
                                build_plan, draw, exact_leverage_scores,
@@ -83,7 +83,7 @@ class TestSjltApproxLeverage:
         C = 1e-3 * np.eye(D)
         for m1, seed in ((D, 0), (4 * D, 9), (8 * D, 23)):
             SA = sampling._sjlt_apply(A_CE, m1, rsrng.generator(seed, 0))
-            want = inverse_quadratic_forms(A_CE, gram(SA) + C)
+            want = whitened_norms(A_CE, cholesky(gram(SA) + C))
             got = sjlt_approx_leverage(A_CE, C, m1=m1, seed=seed)
             np.testing.assert_array_equal(got, want)
 

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randskew import _lapack
 from randskew import rng as rsrng
 from randskew.data import (SyntheticKind, SyntheticSpec, synthetic_labels,
                            synthetic_matrix)
@@ -15,7 +14,7 @@ from randskew.debias import DebiasMode, DebiasSpec
 from randskew.hadamard import (FWHT_BLOCK_FLOATS, STAGE_TILE_FLOATS,
                                _signed_rows, next_power_of_two)
 from randskew.linalg import (GRAM_BLOCK_ROWS, WHITEN_BLOCK_FLOATS, RowScaled,
-                             gram, inverse_quadratic_forms)
+                             cholesky, gram, whitened_norms)
 from randskew.optim import (GlmProblem, NewtonExactMethod, ProblemKind,
                             SsnMethod, StepRule, objective_eval,
                             reference_point)
@@ -100,12 +99,6 @@ class TestGram:
         assert _same_bits(got, (G + G.T) / 2.0)
         assert np.array_equal(got, got.T)
 
-    def test_stack_takes_one_product(self):
-        # each matrix of a stack, rows past GRAM_BLOCK_ROWS included, takes
-        # one dgram_stack product, not a sum over row blocks
-        S = np.random.default_rng(2).standard_normal((5, 3000, 4))
-        G = _lapack.dgram_stack(S, np.empty((5, 4, 4)))
-        assert _same_bits(gram(S), (G + np.swapaxes(G, 1, 2)) / 2.0)
 
 
 def test_gram_of_the_view_is_the_gram_of_the_formed_factor(factor):
@@ -115,12 +108,11 @@ def test_gram_of_the_view_is_the_gram_of_the_formed_factor(factor):
 
 def test_quadratic_forms_of_the_view_are_those_of_the_formed_factor(factor):
     view, formed = factor
-    H = gram(formed) + 1e-3 * np.eye(D)
-    assert _same_bits(inverse_quadratic_forms(view, H),
-                      inverse_quadratic_forms(formed, H))
+    L = cholesky(gram(formed) + 1e-3 * np.eye(D))
+    assert _same_bits(whitened_norms(view, L), whitened_norms(formed, L))
     S = _sjlt_apply(np.eye(D), 40, rsrng.generator(6))
-    assert _same_bits(inverse_quadratic_forms(view, H, S),
-                      inverse_quadratic_forms(formed, H, S))
+    assert _same_bits(whitened_norms(view, L, S),
+                      whitened_norms(formed, L, S))
     assert _same_bits(exact_leverage_scores(view, 1e-3 * np.eye(D)),
                       exact_leverage_scores(formed, 1e-3 * np.eye(D)))
 

@@ -14,10 +14,13 @@ OUTDIR a directory to create.  Each case ``<name>`` of the grid runs one
 
 The grid covers ``lev`` and ``bias`` over every plan kind and debias
 mode, ``solve`` over every plan kind, step rule and loss, the first-order
-and Newton methods, ``sweep``, refusals (m < 1, a plan with no sampling
-summary, the SJLT's analytic rule), and the full configs of the three
-benchmark workloads (``perfbench/workloads.py``) at seeds 1 and 2.  Every
-solver config sets ``timing = zero``, so no output holds a wall time.
+and Newton methods (exact Newton also on a Gram of two row blocks),
+``sweep``, refusals (m < 1, a plan with no sampling summary, the SJLT's
+analytic rule), and the full configs of the three benchmark workloads
+(``perfbench/workloads.py``) at seeds 1 and 2, and ssn-srht's at seed
+9602000, whose reference solve floors above its gradient tolerance.
+Every solver config sets ``timing = zero``, so no output holds a wall
+time.
 
 Two output directories compare with ``diff -r``: the same tree run
 pooled and serially (``OPENBLAS_NUM_THREADS=1`` turns the CLI's worker
@@ -97,6 +100,10 @@ def grid() -> list[tuple[str, str, dict[str, str], int]]:
         for loss in LOSSES:
             cases.append((f"solve-{method}-{loss}", "solve",
                           {**SOLVE, "method": method, "problem": loss}, 8))
+    # exact Newton on a Gram of two GRAM_BLOCK_ROWS blocks, factored once
+    cases.append(("solve-newton-least_squares-n4096", "solve",
+                  {**SOLVE, "method": "newton", "problem": "least_squares",
+                   "n": "4096"}, 8))
     cases.append(("solve-no-reference", "solve",
                   {**SOLVE, "plan": "uniform", "reference": "false"}, 8))
     for kind in ("uniform", "srht"):
@@ -107,6 +114,9 @@ def grid() -> list[tuple[str, str, dict[str, str], int]]:
         for seed in (1, 2):
             cases.append((f"bench-{name}-seed{seed}", workload.command,
                           dict(workload.config), seed))
+    # an input whose reference solve floors above its gradient tolerance
+    cases.append(("bench-ssn-srht-seed9602000", "solve",
+                  dict(WORKLOADS["ssn-srht"].config), 9602000))
     return cases
 
 
