@@ -21,10 +21,10 @@ from .biaslab import (BiasEstimate, BiasSweepRow, bias_sweep, estimate_bias,
                       make_debias_spec)
 from .data import (DataSource, SyntheticKind, SyntheticSpec,
                    counterexample_matrix, load_data)
-from .optim import (GdMethod, GlmProblem, NewtonExactMethod, ProblemKind,
-                    ReferencePoint, RunTrace, SgdMethod, SsnMethod,
-                    StepRule, objective_eval, objective_value,
-                    reference_point, reference_solution, run_solver,
-                    ssn_step, analytic_step_size)
+from .optim import (GlmProblem, NewtonExactMethod, ProblemKind,
+                    ReferencePoint, RunTrace, SsnMethod, StepRule,
+                    objective_eval, objective_value, reference_point,
+                    reference_solution, run_solver, ssn_step,
+                    analytic_step_size)
 
 __version__ = "0.1.0"

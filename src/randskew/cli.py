@@ -24,10 +24,9 @@ from .biaslab import bias_sweep
 from .data import (DataSource, SyntheticKind, SyntheticSpec, load_data)
 from .debias import DebiasMode
 from .errors import (ConfigError, ParseError, RandskewError)
-from .optim import (GdMethod, NewtonExactMethod, ProblemKind, GlmProblem,
-                    SgdMethod, SsnMethod, StepRule, check_iters,
-                    check_lambda, reference_point, reference_solution,
-                    run_solver)
+from .optim import (NewtonExactMethod, ProblemKind, GlmProblem, SsnMethod,
+                    StepRule, check_iters, check_lambda, reference_point,
+                    reference_solution, run_solver)
 from .sampling import (PlanHessian, PlanKind, approximation_factors,
                        build_plan)
 
@@ -220,13 +219,6 @@ def cmd_bias(cfg: Config, seed: int, standardize: bool):
 def _build_method(cfg: Config):
     """The configured method and the name it was built from."""
     name = cfg.get("method", "newton")
-    if name == "gd":
-        return name, GdMethod(lr=cfg.get("lr", 0.5, float))
-    if name == "sgd":
-        batch = cfg.get("batch", 32, int)
-        if batch < 1:
-            raise ConfigError(f"sgd batch must be at least 1, got {batch}")
-        return name, SgdMethod(lr=cfg.get("lr", 0.1, float), batch=batch)
     if name == "newton":
         return name, NewtonExactMethod(
             line_search=cfg.get("line_search", True, _bool))
@@ -264,6 +256,8 @@ def cmd_solve(cfg: Config, seed: int, standardize: bool):
 
     reference = ref_grad = None
     if cfg.get("reference", True, _bool):
+        if p.kind is ProblemKind.LEAST_SQUARES:
+            p.constant_hessian.L   # one Gram and factor for both processes
         # the reference is read only to score the finished trace
         (reference, ref_grad), trace = parallel.overlap(solve_reference,
                                                         solve)

@@ -1,7 +1,8 @@
-"""Objectives and solvers: exact Newton, sketched Newton with bias
-correction, and first-order baselines.  The sketched Newton step takes
-every plan kind, the sampling plans, the SRHT and the sparse (SJLT)
-projection, through the plan protocol of :mod:`randskew.sampling` alone.
+"""Objectives and solvers: exact Newton and sketched Newton with bias
+correction, two Newton-type steps through one update.  The sketched
+Newton step takes every plan kind, the sampling plans, the SRHT and the
+sparse (SJLT) projection, through the plan protocol of
+:mod:`randskew.sampling` alone.
 
 The objectives expose their Hessian as one PlanHessian of a square-root
 factor A(beta), a row-scaled view of the data, and lambda I: a logistic
@@ -35,9 +36,12 @@ REFERENCE_GRAD_TOL = 1e-12
 # a run with grad_tol also stops at its rounding floor: once its gradient
 # norm has set no new minimum for STALL_ITERS iterations and half the Newton
 # decrement g^T H^-1 g is at most STALL_EPS_FACTOR * eps * |f|, the stopping
-# rule of Boyd & Vandenberghe 2004 (Convex Optimization, section 9.5)
+# rule of Boyd & Vandenberghe 2004 (Convex Optimization, section 9.5).  A
+# new minimum must fall below the least norm by the fraction STALL_FALL, so
+# a norm that creeps down by rounding still counts as stalled.
 STALL_ITERS = 5
 STALL_EPS_FACTOR = 1.0
+STALL_FALL = 1e-3
 
 
 def check_lambda(lam: float) -> float:
@@ -266,31 +270,6 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
 # the step size, given obj = objective_eval(p, beta) and iteration t.
 
 @dataclass(frozen=True)
-class GdMethod:
-    lr: float
-
-    def update(self, p, beta, obj, seed, t):
-        return beta - self.lr * obj.gradient, self.lr
-
-
-@dataclass(frozen=True)
-class SgdMethod:
-    """Mini-batches without replacement, reshuffled each epoch; the
-    n mod batch rows left over in an epoch are skipped."""
-    lr: float
-    batch: int
-
-    def update(self, p, beta, obj, seed, t):
-        n = p.A.shape[0]
-        per_epoch = max(n // self.batch, 1)
-        perm = rsrng.generator(seed, 3, t // per_epoch).permutation(n)
-        offset = (t % per_epoch) * self.batch
-        idx = perm[offset:offset + self.batch]
-        sub = GlmProblem(p.A[idx], p.y[idx], p.lam, p.kind)
-        return beta - self.lr * objective_eval(sub, beta).gradient, self.lr
-
-
-@dataclass(frozen=True)
 class NewtonExactMethod:
     line_search: bool = True
 
@@ -354,8 +333,10 @@ def run_solver(p: GlmProblem, method, beta0, iters: int, seed: int = 0,
     the run after its record: for a method whose update depends on beta
     alone, every later step would repeat it.  So does an iterate at the
     rounding floor (:func:`_at_rounding_floor`) once the gradient norm has
-    set no new minimum for ``STALL_ITERS`` iterations: where the norm
-    floors just above grad_tol, no later step would cross it.
+    set no new minimum, one below the least norm by the fraction
+    ``STALL_FALL``, for ``STALL_ITERS`` iterations: where the norm floors
+    just above grad_tol, or creeps down by rounding, no later step would
+    cross it.
 
     Raises :class:`NoConvergence` when the objective or its gradient
     stops being finite (so numpy's overflow warnings are silenced), and
@@ -375,7 +356,8 @@ def run_solver(p: GlmProblem, method, beta0, iters: int, seed: int = 0,
                     f"iterate {t} is not finite: objective {obj.value}, "
                     f"gradient norm {grad_norm}", iterations=t)
             trace.iterates.append(beta)
-            best, stalled = ((grad_norm, 0) if grad_norm < best
+            best, stalled = ((grad_norm, 0)
+                             if grad_norm < (1.0 - STALL_FALL) * best
                              else (best, stalled + 1))
             if (t == iters or grad_norm < grad_tol
                     or (grad_tol > 0 and stalled >= STALL_ITERS

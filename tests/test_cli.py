@@ -332,11 +332,16 @@ def test_bias_fine_approx_on_exact_leverage_equals_fine_exact(tmp_path):
     assert cells["fine_approx"] == cells["fine_exact"]
 
 
-def test_sgd_batch_below_one_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("method", ["gd", "sgd"])
+def test_first_order_method_is_unknown(tmp_path, capsys, command, method):
     cfg = write_cfg(tmp_path, "c.cfg", SOLVE_CFG)
-    assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
-                    str(tmp_path / "x.csv"), "method=sgd", "batch=0"]) == 4
-    assert "batch" in capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--config", cfg, "--seed", "1", "--out",
+                    str(out), f"method={method}", "m_grid=32"]) == 4
+    assert capsys.readouterr().err == (
+        f"ConfigError: unknown method '{method}'\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("replicates", ["0", "-1"])
@@ -359,7 +364,8 @@ def test_diverging_solver_is_numerical_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli(["solve", "--config", cfg, "--seed", "1", "--out",
                     str(out), "n=100", "d=4", "problem=least_squares",
-                    "method=gd", "lr=1e3", "iters=300"]) == 3
+                    "method=ssn", "plan=uniform", "m=32", "debias=none",
+                    "step=fixed", "fixed_step=1e3", "iters=300"]) == 3
     # numpy's overflow warnings stay silent: one line, the error
     err = capsys.readouterr().err
     assert err.startswith("NoConvergence: iterate ")

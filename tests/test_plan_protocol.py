@@ -518,6 +518,22 @@ def test_pooled_least_squares_sweep_forms_its_gram_in_the_parent(
     assert _pids(calls(), N) == [str(os.getpid())]
 
 
+def test_pooled_least_squares_solve_forms_one_gram(tmp_path, monkeypatch):
+    # the solve forms the problem's one Gram and factor before its
+    # reference worker forks, so neither process forms one of its own
+    calls = _log_grams_and_exact(monkeypatch, tmp_path / "calls")
+    monkeypatch.setattr(parallel, "workers", 2)
+    cfg = cli.Config({"synthetic": "coherent", "n": str(N), "d": str(D),
+                      "heavy_rows": "4", "lambda": "0.01",
+                      "problem": "least_squares", "method": "ssn",
+                      "plan": "uniform", "debias": "scalar",
+                      "step": "armijo", "m": str(M), "iters": "3",
+                      "timing": "zero"})
+    _, rows, _ = cli.cmd_solve(cfg, 3, False)
+    assert len(rows) == 4
+    assert _pids(calls(), N) == [str(os.getpid())]
+
+
 @pytest.mark.parametrize("overrides, wanted", [
     ({}, [False]),
     ({"approx": "sjlt"}, [False]),

@@ -13,10 +13,11 @@ OUTDIR a directory to create.  Each case ``<name>`` of the grid runs one
 - ``<name>.stderr`` and ``<name>.exit``, its stderr and exit code.
 
 The grid covers ``lev`` and ``bias`` over every plan kind and debias
-mode, ``solve`` over every plan kind, step rule and loss, the first-order
-and Newton methods (exact Newton also on a Gram of two row blocks),
-``sweep``, refusals (m < 1, a plan with no sampling summary, the SJLT's
-analytic rule), and the full configs of the three benchmark workloads
+mode, ``solve`` over every plan kind, step rule and loss, exact Newton
+(also on a Gram of two row blocks), ``sweep``, refusals (m < 1, a plan
+with no sampling summary, the SJLT's analytic rule), a solver that
+diverges, a reference whose gradient norm creeps down at its rounding
+floor, and the full configs of the three benchmark workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, and ssn-srht's at seed
 9602000, whose reference solve floors above its gradient tolerance.
 Every solver config sets ``timing = zero``, so no output holds a wall
@@ -96,16 +97,28 @@ def grid() -> list[tuple[str, str, dict[str, str], int]]:
         cases.append((f"solve-{kind}-m0", "solve",
                       {**SOLVE, "plan": kind, "m": "0", "debias": "none",
                        "step": "armijo"}, 7))
-    for method in ("newton", "gd", "sgd"):
-        for loss in LOSSES:
-            cases.append((f"solve-{method}-{loss}", "solve",
-                          {**SOLVE, "method": method, "problem": loss}, 8))
+    for loss in LOSSES:
+        cases.append((f"solve-newton-{loss}", "solve",
+                      {**SOLVE, "method": "newton", "problem": loss}, 8))
     # exact Newton on a Gram of two GRAM_BLOCK_ROWS blocks, factored once
     cases.append(("solve-newton-least_squares-n4096", "solve",
                   {**SOLVE, "method": "newton", "problem": "least_squares",
                    "n": "4096"}, 8))
     cases.append(("solve-no-reference", "solve",
                   {**SOLVE, "plan": "uniform", "reference": "false"}, 8))
+    # fixed steps of 1e3 overflow the iterates: exit 3, one stderr line
+    cases.append(("solve-ssn-fixed-diverges", "solve",
+                  {"data": "synthetic", "synthetic": "gaussian", "n": "100",
+                   "d": "4", "lambda": "0.01", "problem": "least_squares",
+                   "method": "ssn", "plan": "uniform", "m": "32",
+                   "debias": "none", "step": "fixed", "fixed_step": "1e3",
+                   "iters": "300", "timing": "zero"}, 1))
+    # a reference whose gradient norm falls by about 1e-8 relative per
+    # step at its rounding floor
+    cases.append(("solve-logistic-creeping-reference", "solve",
+                  {**SOLVE, "n": "8192", "d": "32", "heavy_rows": "32",
+                   "plan": "uniform", "step": "armijo",
+                   "problem": "logistic"}, 189))
     for kind in ("uniform", "srht"):
         cases.append((f"sweep-{kind}", "sweep",
                       {**SOLVE, "plan": kind, "step": "armijo",
