@@ -150,10 +150,9 @@ def bias_sweep(plans, debias_modes, m_grid, trials: int,
              for mi, m in enumerate(m_grid)]
     fine_exact = any(c[4] is DebiasMode.FINE_GRAINED_EXACT for c in cells)
     for plan in plans:   # read to form them: once per hessian, cached
-        if plan.hessian is not None:
-            plan.hessian.L
-            if fine_exact and plan.kind.has_probs:
-                plan.hessian.exact
+        plan.hessian.L
+        if fine_exact and plan.kind.has_probs:
+            plan.hessian.exact
 
     def run_cell(cell) -> BiasSweepRow:
         pi, di, mi, plan, mode, m = cell

@@ -189,7 +189,7 @@ def cmd_lev(cfg: Config, seed: int, standardize: bool):
     summary = []
     for plan in (plans[kind] for kind in kinds):
         fac = approximation_factors(plan)
-        summary.append({"plan": plan.kind.value, "d_eff": plan.d_eff,
+        summary.append({"plan": plan.kind.value, "d_eff": hessian.d_eff,
                         "rho_min": fac.rho_min, "rho_max": fac.rho_max})
     return header, rows, {"d_eff": hessian.d_eff, "plans": summary}
 

@@ -7,9 +7,9 @@ what the uncorrected sketched inverse actually estimates.  The bias lab
 and the sketched Newton solver share :func:`make_debias_spec`.
 
 This module alone turns a mode into sketch weights; a plan supplies only
-its data (``d_eff``, the exact effective dimension, ``probs``, ``scores``,
-``exact``, and its hessian's A and C).  A plan whose ``probs`` is None
-(the Hadamard and SJLT plans) takes the scalar factor only.
+its data (``probs``, ``scores`` and its hessian's ``d_eff``, the exact
+effective dimension, ``exact``, A and C).  A plan kind whose ``has_probs``
+is false (the Hadamard and SJLT plans) takes the scalar factor only.
 """
 
 from __future__ import annotations
@@ -69,28 +69,44 @@ def scalar_factor(m: int, d_eff: float) -> float:
     return m / (m - d_eff)
 
 
+def _no_scores(kind: PlanKind) -> ValueError:
+    return ValueError(f"fine_grained_approx debiasing needs approximate "
+                      f"leverage scores, and a {kind.value} plan has none")
+
+
+def check_debias(mode: DebiasMode, kind: PlanKind) -> None:
+    """Refuse a fine-grained ``mode`` that plans of ``kind`` never take:
+    :func:`make_debias_spec`, before it reads a score, and an SSN method
+    when it is built."""
+    if mode in (DebiasMode.NONE, DebiasMode.SCALAR):
+        return
+    if not kind.has_probs:
+        raise kind.scalar_only()
+    if (mode is DebiasMode.FINE_GRAINED_APPROX
+            and kind in (PlanKind.UNIFORM, PlanKind.ROW_NORM)):
+        raise _no_scores(kind)
+
+
 def fine_grained_weights(plan, scores: np.ndarray | None,
                          m: int) -> np.ndarray:
     """Per-row multipliers sqrt(m / (m - l_i / pi_i)) on the sketch weights.
 
-    For an exact-leverage plan's own ``scores`` (also its ``exact``)
-    l_i / pi_i is identically d_eff, so every multiplier equals the
-    scalar-mode sqrt(m / (m - d_eff)) bitwise.
+    For an exact-leverage plan's own ``scores`` (also its hessian's
+    ``exact``) l_i / pi_i is identically d_eff, so every multiplier equals
+    the scalar-mode sqrt(m / (m - d_eff)) bitwise.
     Rows with zero score need no correction and get multiplier 1.  A plan
     without ``probs`` refuses with ValueError, as do None ``scores``.
     """
-    if plan.probs is None:
-        raise plan.scalar_only()
+    if not plan.kind.has_probs:
+        raise plan.kind.scalar_only()
     if scores is None:
-        raise ValueError(f"fine_grained_approx debiasing needs approximate "
-                         f"leverage scores, and a {plan.kind.value} plan "
-                         f"has none")
+        raise _no_scores(plan.kind)
     scores = np.asarray(scores, dtype=np.float64)
     ratios = np.zeros(plan.n)
     check_support(plan.probs, scores)
     positive = scores > 0
     if plan.kind is PlanKind.EXACT_LEVERAGE and scores is plan.scores:
-        ratios[positive] = plan.d_eff  # l_i / pi_i == d_eff analytically
+        ratios[positive] = plan.hessian.d_eff  # l_i / pi_i == d_eff
     else:
         ratios[positive] = scores[positive] / plan.probs[positive]
     worst = ratios.max(initial=0.0)
@@ -114,17 +130,19 @@ def apply_debias(sketch: SketchDraw, spec: DebiasSpec) -> SketchDraw:
 def make_debias_spec(mode: DebiasMode, plan, m: int) -> DebiasSpec:
     """Build the debias spec a (plan, m) cell needs.
 
-    Scalar mode reads the plan's ``d_eff``, the exact effective dimension,
-    which no other mode reads; :func:`fine_grained_weights` turns the
-    plan's own exact or approximate scores into multipliers, or refuses
-    when it has none or supports scalar debiasing only.
+    Scalar mode reads the ``d_eff`` of the plan's hessian, the exact
+    effective dimension, which no other mode reads;
+    :func:`fine_grained_weights` turns the hessian's exact scores or the
+    plan's approximate ones into multipliers.  A mode that the plan's
+    kind does not take is refused first (:func:`check_debias`).
     """
+    check_debias(mode, plan.kind)
     if mode is DebiasMode.NONE:
         return DebiasSpec.none()
     if mode is DebiasMode.SCALAR:
-        return DebiasSpec.scalar(m, plan.d_eff)
+        return DebiasSpec.scalar(m, plan.hessian.d_eff)
     exact = mode is DebiasMode.FINE_GRAINED_EXACT
-    scores = plan.exact if exact else plan.scores
+    scores = plan.hessian.exact if exact else plan.scores
     return DebiasSpec(mode, row_weights=fine_grained_weights(plan, scores, m))
 
 
@@ -146,10 +164,10 @@ def solve_fixed_point_d(plan: SamplingPlan, m: int, tol: float = 1e-10,
     [m/(m + 2 rho_max d_eff), m/(m + rho_min d_eff)]; a fixed point
     outside it raises :class:`NoConvergence`, as does running out of sweeps.
     """
-    A, C = plan.require_hessian().A.rows(0, plan.n), plan.hessian.C
+    A, C = plan.hessian.A.rows(0, plan.n), plan.hessian.C
     if not np.all(np.isfinite(A)):  # only writes made after build_plan
         raise NotPositiveDefinite("A has NaN or infinite entries")
-    probs, d_eff = plan.probs, plan.d_eff
+    probs, d_eff = plan.probs, plan.hessian.d_eff
     factors = approximation_factors(plan)
 
     active = np.any(A != 0.0, axis=1)

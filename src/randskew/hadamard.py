@@ -176,7 +176,7 @@ def _debiased_rows(n_padded: int, m: int, spec: DebiasSpec,
     """The m rows of the rotation drawn at ``seed`` and their weights,
     debiased by ``spec``, which must not weigh rows."""
     if spec.row_weights is not None:
-        raise SrhtPlan.scalar_only()
+        raise PlanKind.SRHT.scalar_only()
     indices, weight = _srht_rows(n_padded, m, seed)
     return indices, spec.reweight(indices, weight)
 
@@ -297,11 +297,11 @@ class SrhtPlan(ProjectionPlan):
     """The Hadamard sketch as a plan: uniform row sampling of the rotated
     matrix H D A / sqrt(n), with fresh signs for every sketch.
 
-    Its ``d_eff``, the hessian's trace(H^-1 G) as every plan's, is the
-    exact effective dimension of the rotation too (the rotation is
-    orthogonal), and :meth:`analytic_sketch` whitens the rotation by the
-    hessian's factor L of H = A^T A + C.  Row weights of A do not carry over
-    to the rows of the rotated matrix, so only scalar debiasing applies.
+    Its hessian's ``d_eff``, trace(H^-1 G), is the exact effective
+    dimension of the rotation too (the rotation is orthogonal), and
+    :meth:`analytic_sketch` whitens the rotation by the hessian's factor L
+    of H = A^T A + C.  Row weights of A do not carry over to the rows of
+    the rotated matrix, so only scalar debiasing applies.
     """
     kind = PlanKind.SRHT
 
@@ -342,4 +342,4 @@ class SrhtPlan(ProjectionPlan):
         rows = _signed_rows(X, _srht_signs(X.shape[0], seed))
         At = _rotated_sample(rows, m, spec, seed)
         scores = whitened_norms(rows, self.hessian.L)
-        return At, float(scores.max() * rows.shape[0] / self.d_eff)
+        return At, float(scores.max() * rows.shape[0] / self.hessian.d_eff)

@@ -23,10 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from . import rng as rsrng
-from .debias import DebiasMode, make_debias_spec
+from .debias import DebiasMode, check_debias, make_debias_spec
 from .errors import NoConvergence
 from .linalg import RowScaled
-from .sampling import PlanHessian, PlanKind, build_plan, check_sketch_size
+from .sampling import (PlanHessian, PlanKind, build_plan, check_mix,
+                       check_sketch_size)
 from .data import require_binary_labels
 
 ARMIJO_C1 = 1e-4
@@ -231,10 +232,10 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     the diagnostics ``step_size``, ``d_eff`` and ``rho_max``.  ``rho_max``
     is None unless the step rule is analytic, the one rule that reads it,
     and ``d_eff`` is None unless the step rule is analytic or the debias
-    mode scalar, the two readers of it: the hessian's trace(H^-1 G), which
-    every plan computes only then, from the d x d Gram.  So an armijo or
-    fixed step takes no exact-score pass unless its plan samples by the
-    exact scores.
+    mode scalar, the two readers of it: ``obj.hessian.d_eff``, the plan's
+    hessian's trace(H^-1 G), computed only then, from the d x d Gram.  So
+    an armijo or fixed step takes no exact-score pass unless its plan
+    samples by the exact scores.
 
     Every plan kind takes one route: :func:`~randskew.sampling.build_plan`
     on ``obj.hessian``, then the plan's one-seed ``sketcher`` draw, or
@@ -252,8 +253,8 @@ def ssn_step(p: GlmProblem, beta, obj: Objective, method: SsnMethod,
     plan = build_plan(method.plan_kind, obj.hessian, mix=method.mix,
                       m1=method.m1, m2=method.m2, seed=rsrng.split(seed, 1))
     spec = make_debias_spec(method.debias, plan, method.m)  # before d_eff
-    d_eff = (plan.d_eff if analytic or method.debias is DebiasMode.SCALAR
-             else None)
+    d_eff = (obj.hessian.d_eff
+             if analytic or method.debias is DebiasMode.SCALAR else None)
     rho_max, mu = None, method.fixed_step
     if analytic:
         At, rho_max = plan.analytic_sketch(method.m, spec, sketch_seed)
@@ -297,6 +298,8 @@ class SsnMethod:
                              "no approximation factor for the SJLT, so the "
                              "analytic step rule does not apply")
         check_sketch_size(self.m)
+        check_mix(self.plan_kind, self.mix)
+        check_debias(self.debias, self.plan_kind)
 
     def update(self, p, beta, obj, seed, t):
         beta_next, diagnostics = ssn_step(p, beta, obj, self,

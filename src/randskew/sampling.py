@@ -12,15 +12,15 @@ A :class:`PlanHessian` holds one (A, C) and forms G = A^T A, H = G + C,
 its Cholesky factor L, the exact leverage scores and d_eff once each, on
 first read, and solves by that L; :func:`build_plan` gives every plan it
 builds from it that one value by reference, ``plan.hessian``.  Every plan
-answers one protocol:
-``kind``, ``hessian``, ``d_eff``, ``probs``, ``scores`` (sampling scores
-or None), ``exact`` (the hessian's), ``sketcher(m, spec)`` and
-``analytic_sketch(m, spec, seed)``.  ``d_eff``, the exact effective
-dimension of A given C, is the hessian's trace(H^-1 G) for every plan, so
-reading it whitens no rows of A.  A :class:`ProjectionPlan` samples no
-rows of A and has no ``exact``: the Hadamard plan, which samples rows of
-a rotation of A, and the SJLT plan (:class:`SjltPlan`), which sums signed
-rows of A into each sketch row.  ``sketcher`` refuses
+answers one protocol, which holds only what differs between plan kinds:
+``kind``, ``hessian``, ``probs``, ``scores`` (sampling scores or None),
+``sketcher(m, spec)`` and ``analytic_sketch(m, spec, seed)``.  Readers
+take ``d_eff``, the exact effective dimension trace(H^-1 G) of A given C,
+and the exact scores from ``plan.hessian``; reading ``d_eff`` whitens no
+rows of A.  A :class:`ProjectionPlan` samples no rows of A: the Hadamard
+plan, which samples rows of a rotation of A, and the SJLT plan
+(:class:`SjltPlan`), which sums signed rows of A into each sketch row.
+``sketcher`` refuses
 m < 1 when called and returns ``draw(seeds, out=None)``, the T x m x d
 stack, one sketch per seed, of the cell (m, spec); a cell keeps its
 debias weights, and its buffers, across calls.  ``analytic_sketch``
@@ -69,6 +69,11 @@ class PlanKind(enum.Enum):
         """Whether the kind's plans sample rows of A by probabilities; the
         SRHT and SJLT plans do not."""
         return self not in (PlanKind.SRHT, PlanKind.SJLT)
+
+    def scalar_only(self) -> ValueError:
+        """The refusal of fine-grained debiasing by a kind without probs."""
+        return ValueError(f"the {self.value} plan samples no rows of A, so "
+                          f"it only supports scalar debiasing")
 
 
 def _finite_gram(M):
@@ -130,8 +135,8 @@ class PlanHessian:
 class SamplingPlan:
     kind: PlanKind
     probs: np.ndarray           # length n, nonnegative, sums to 1
+    hessian: PlanHessian        # the (A, C) build_plan read
     scores: np.ndarray | None = None   # leverage scores used, if any
-    hessian: PlanHessian | None = None   # the (A, C) build_plan read
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -146,22 +151,9 @@ class SamplingPlan:
                 raise ValueError("scores must be finite")
             object.__setattr__(self, "scores", s)
 
-    def require_hessian(self) -> PlanHessian:
-        if self.hessian is None:
-            raise ValueError(f"the {self.kind.value} plan has no matrix")
-        return self.hessian
-
     @property
     def n(self) -> int:
         return self.probs.shape[0]
-
-    @property
-    def exact(self) -> np.ndarray:
-        return self.require_hessian().exact
-
-    @property
-    def d_eff(self) -> float:
-        return self.require_hessian().d_eff
 
     def sketcher(self, m: int, spec):
         """``draw(seeds, out=None)`` for the cell (m, spec): the T x m x d
@@ -176,7 +168,7 @@ class SamplingPlan:
         that (one SSN step's single sketch) weigh only the rows they drew.
         """
         check_sketch_size(m)
-        A = self.require_hessian().A
+        A = self.hessian.A
         support = self._cdf[0]
         table = None
 
@@ -271,6 +263,13 @@ def check_sketch_size(m: int) -> None:
     """Refuse a sketch of fewer than one row: every plan's sketcher."""
     if m < 1:
         raise SketchTooSmall(f"sketch size m={m} must be at least 1")
+
+
+def check_mix(kind: PlanKind, mix: float) -> None:
+    """Refuse a shrinkage plan whose mix lies outside [0, 1]: build_plan,
+    and an SSN method when it is built."""
+    if kind is PlanKind.SHRINKAGE and not 0.0 <= mix <= 1.0:
+        raise ValueError("shrinkage mix must lie in [0, 1]")
 
 
 def _sparsetools_path() -> Path | None:
@@ -377,22 +376,12 @@ def _sjlt_apply(A: np.ndarray | RowScaled, m: int, gen: np.random.Generator,
 class ProjectionPlan:
     """The base of the two plans that sample no rows of A: each sketch row
     mixes rows of A, so only scalar debiasing applies, and the plan keeps
-    no per-row scores; a step that reads no ``d_eff`` makes no pass over
-    A."""
+    no per-row scores; a step that reads no ``hessian.d_eff`` makes no
+    pass over A."""
     hessian: PlanHessian
     kind: ClassVar[PlanKind]
     probs: ClassVar[None] = None
     scores: ClassVar[None] = None
-    exact: ClassVar[None] = None
-
-    @property
-    def d_eff(self) -> float:
-        return self.hessian.d_eff
-
-    @classmethod
-    def scalar_only(cls) -> ValueError:
-        return ValueError(f"the {cls.kind.value} plan samples no rows of A, "
-                          f"so it only supports scalar debiasing")
 
 
 class SjltPlan(ProjectionPlan):
@@ -409,7 +398,7 @@ class SjltPlan(ProjectionPlan):
         given."""
         check_sketch_size(m)
         if spec.row_weights is not None:
-            raise self.scalar_only()
+            raise self.kind.scalar_only()
         X = self.hessian.A
         weight = spec.reweight(None, 1.0)
 
@@ -464,6 +453,7 @@ def build_plan(kind: PlanKind, hessian: PlanHessian, *, mix: float = 0.5,
     ``hessian.exact`` here, for their probabilities.  ``PlanKind.SRHT``
     returns a :class:`~randskew.hadamard.SrhtPlan` and ``PlanKind.SJLT``
     an :class:`SjltPlan`."""
+    check_mix(kind, mix)
     if kind is PlanKind.SRHT:
         from .hadamard import SrhtPlan  # hadamard imports this module
         return SrhtPlan(hessian)
@@ -493,15 +483,13 @@ def build_plan(kind: PlanKind, hessian: PlanHessian, *, mix: float = 0.5,
         probs = sq / total
     elif kind is PlanKind.UNIFORM:
         probs = np.full(n, 1.0 / n)
-    elif kind is PlanKind.SHRINKAGE and not 0.0 <= mix <= 1.0:
-        raise ValueError("shrinkage mix must lie in [0, 1]")
     elif kind in (PlanKind.EXACT_LEVERAGE, PlanKind.SHRINKAGE):
         scores = hessian.exact
         probs = (scores / scores.sum() if kind is PlanKind.EXACT_LEVERAGE
                  else mix / n + (1.0 - mix) * scores / scores.sum())
     else:
         raise ValueError(f"unknown plan kind {kind!r}")
-    return SamplingPlan(kind, probs, scores=scores, hessian=hessian)
+    return SamplingPlan(kind, probs, hessian, scores=scores)
 
 
 def _squared_row_norms(X: RowScaled) -> np.ndarray:
@@ -524,13 +512,13 @@ def check_support(probs: np.ndarray, scores: np.ndarray) -> None:
 
 
 def approximation_factors(plan: SamplingPlan) -> ApproxFactors:
-    """(rho_min, rho_max) = extremes of l_i / (pi_i * d_eff), by the plan's
-    own exact scores l and ``d_eff``.
+    """(rho_min, rho_max) = extremes of l_i / (pi_i * d_eff), by the exact
+    scores l and ``d_eff`` of the plan's hessian.
 
     Rows with zero score and zero probability are excluded; a zero
     probability paired with a positive score is an error.
     """
-    scores, probs, d_eff = plan.exact, plan.probs, plan.d_eff
+    scores, probs, d_eff = plan.hessian.exact, plan.probs, plan.hessian.d_eff
     if d_eff <= 0:
         raise ValueError("d_eff must be positive")
     check_support(probs, scores)

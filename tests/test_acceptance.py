@@ -181,7 +181,7 @@ def test_criterion_06_debias_efficacy_sweep():
     d = A.shape[1]
     C = 1e-2 * np.eye(d)
     plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
-    d_eff = plan.d_eff
+    d_eff = plan.hessian.d_eff
     m_grid = [int(np.ceil(k * d_eff)) for k in (4, 8, 16, 32)]
     rows = bias_sweep([plan], [DebiasMode.NONE, DebiasMode.SCALAR], m_grid,
                       trials=500, seed=404)
@@ -198,12 +198,12 @@ def test_criterion_06_debias_efficacy_sweep():
 def test_criterion_07_scalar_fine_grained_coincidence():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     m = 8 * D
-    scalar_mult = np.sqrt(m / (m - plan.d_eff))
+    scalar_mult = np.sqrt(m / (m - plan.hessian.d_eff))
     fine = fine_grained_weights(plan, plan.scores, m)
     assert np.all(fine[plan.probs > 0] == scalar_mult)
     sk = draw(plan, m, seed=77)
     from randskew.debias import apply_debias
-    a = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
+    a = apply_debias(sk, DebiasSpec.scalar(m, plan.hessian.d_eff))
     fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m)
     b = apply_debias(sk, fine_spec)
     assert np.array_equal(a.weights, b.weights)
@@ -222,7 +222,7 @@ def test_criterion_08_subspace_embedding():
     rates = {}
     for name, A, C in matrices:
         plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
-        d_eff = plan.d_eff
+        d_eff = plan.hessian.d_eff
         m = int(np.ceil(8 * 1.0 * d_eff * np.log(d_eff / delta) / eps ** 2))
         AC = A @ inv_sqrt(gram(A) + C)
         target = gram(AC)

@@ -38,8 +38,8 @@ def test_scalar_debias_beats_none_on_skewed_matrix():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     m = 8 * D
     none = estimate_bias(plan, DebiasSpec.none(), m, 500, seed=5)
-    scal = estimate_bias(plan, DebiasSpec.scalar(m, plan.d_eff), m, 500,
-                         seed=5)
+    scal = estimate_bias(plan, DebiasSpec.scalar(m, plan.hessian.d_eff), m,
+                         500, seed=5)
     assert scal.bias < none.bias
 
 
@@ -75,7 +75,7 @@ def test_estimator_consistency_at_large_m():
         d = A.shape[1]
         C = 1e-2 * np.eye(d)
         plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
-        m = int(np.ceil(256 * plan.d_eff))
+        m = int(np.ceil(256 * plan.hessian.d_eff))
         est = estimate_bias(plan, DebiasSpec.none(), m, 200, seed=9)
         assert est.bias < 0.1
 
@@ -211,7 +211,7 @@ def test_stacked_inverse_products_are_exactly_symmetric(T, m):
 @pytest.mark.parametrize("m", [8, 16])
 def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
     plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
-    spec = DebiasSpec.scalar(m, plan.d_eff)
+    spec = DebiasSpec.scalar(m, plan.hessian.d_eff)
     runs = []
     # one sub-block per jackknife group, then 3, 2 and 1 trials per block
     for floats in (JACKKNIFE_BATCH * m * D, 3 * m * D, 2 * m * D, 1):
@@ -227,7 +227,7 @@ def test_sub_block_size_does_not_change_the_estimate(m, monkeypatch):
 def test_make_debias_spec_scalar_uses_plan_d_eff():
     plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
     spec = make_debias_spec(DebiasMode.SCALAR, plan, 16)
-    assert spec.factor == pytest.approx(16 / (16 - plan.d_eff))
+    assert spec.factor == pytest.approx(16 / (16 - plan.hessian.d_eff))
     with pytest.raises(SketchTooSmall):
         make_debias_spec(DebiasMode.SCALAR, plan, 4)
 

@@ -38,7 +38,7 @@ class TestScalarFactor:
 class TestFineGrainedWeights:
     def test_exact_leverage_plan_collapses_to_scalar(self):
         plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
-        m = int(4 * plan.d_eff)
+        m = int(4 * plan.hessian.d_eff)
         w = fine_grained_weights(plan, plan.scores, m)
         assert np.unique(w).size == 1  # one shared multiplier
         assert w[0] == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-12)
@@ -66,7 +66,8 @@ class TestFineGrainedWeights:
         assert err.value.index == 1
 
     def test_positive_score_at_zero_probability_names_its_row(self):
-        plan = SamplingPlan(PlanKind.ROW_NORM, [0.5, 0.0, 0.5])
+        plan = SamplingPlan(PlanKind.ROW_NORM, [0.5, 0.0, 0.5],
+                            PlanHessian(np.ones((3, 1)), np.eye(1)))
         with pytest.raises(ZeroProbabilityWithPositiveScore) as err:
             fine_grained_weights(plan, np.array([0.4, 0.2, 0.4]), 10)
         assert err.value.index == 1
@@ -85,7 +86,7 @@ class TestApproxFineGrainedWeights:
         plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         m = 8 * D
         w = fine_grained_weights(plan, 1.2 * plan.scores, m)
-        want = np.sqrt(m / (m - 1.2 * plan.d_eff))
+        want = np.sqrt(m / (m - 1.2 * plan.hessian.d_eff))
         assert np.allclose(w, want)
 
     def test_violating_scores_rejected(self):
@@ -94,20 +95,18 @@ class TestApproxFineGrainedWeights:
             fine_grained_weights(plan, 100.0 * plan.scores, 8 * D)
 
 
-@pytest.mark.parametrize("mode, kind", [
-    (DebiasMode.FINE_GRAINED_EXACT, "exact"),
-    (DebiasMode.FINE_GRAINED_APPROX, "approximate")],
-    ids=lambda x: getattr(x, "value", x))
-def test_missing_scores_refusal_names_the_mode_asked_for(mode, kind):
-    # a hand-built uniform plan keeps no approximate scores, and without
-    # the (A, C) that its exact scores are whitened from it has none
-    plan = SamplingPlan(PlanKind.UNIFORM, [0.5, 0.5])
+@pytest.mark.parametrize("kind", [PlanKind.UNIFORM, PlanKind.EXACT_LEVERAGE],
+                         ids=lambda k: k.value)
+def test_missing_scores_refusal_names_the_mode_asked_for(kind):
+    # a uniform plan keeps no approximate scores, and neither does this
+    # hand-built exact-leverage plan: its kind refuses, the plan's missing
+    # scores refuse in fine_grained_weights
+    plan = SamplingPlan(kind, [0.5, 0.5], PlanHessian(np.eye(2), np.eye(2)))
     with pytest.raises(ValueError) as refused:
-        make_debias_spec(mode, plan, 10)
+        make_debias_spec(DebiasMode.FINE_GRAINED_APPROX, plan, 10)
     assert str(refused.value) == (
-        "the uniform plan has no matrix" if kind == "exact" else
-        f"{mode.value} debiasing needs {kind} leverage scores, and a "
-        f"uniform plan has none")
+        f"fine_grained_approx debiasing needs approximate leverage scores, "
+        f"and a {kind.value} plan has none")
 
 
 class TestApplyDebias:
@@ -134,7 +133,7 @@ class TestApplyDebias:
         plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A_CE, C0))
         m = 8 * D
         sk = draw(plan, m, seed=13)
-        scalar = apply_debias(sk, DebiasSpec.scalar(m, plan.d_eff))
+        scalar = apply_debias(sk, DebiasSpec.scalar(m, plan.hessian.d_eff))
         fine_spec = make_debias_spec(DebiasMode.FINE_GRAINED_EXACT, plan, m)
         fine = apply_debias(sk, fine_spec)
         assert np.array_equal(scalar.weights, fine.weights)

@@ -315,7 +315,8 @@ class TestSrhtDraw:
         for seed in (0, 3, 11):
             sd = srht_draw(n, m, seed)
             N = sd.n_padded
-            plan = SamplingPlan(PlanKind.UNIFORM, np.full(N, 1.0 / N))
+            plan = SamplingPlan(PlanKind.UNIFORM, np.full(N, 1.0 / N),
+                                PlanHessian(np.ones((N, 1)), np.eye(1)))
             want = draw(plan, m, rsrng.split(seed, 1))
             assert_array_equal(sd.sample.indices, want.indices)
             assert_array_equal(sd.sample.weights, want.weights)
@@ -385,7 +386,7 @@ class TestSrhtPlan:
     def _plan(self):
         plan = build_plan(PlanKind.SRHT,
                           PlanHessian(RowScaled(self.A), self.C))
-        return plan, DebiasSpec.scalar(self.M, plan.d_eff)
+        return plan, DebiasSpec.scalar(self.M, plan.hessian.d_eff)
 
     def _sketch(self, seed, rotation):
         """The one-seed sketch of the view of A: the analytic sketch, which
@@ -406,7 +407,7 @@ class TestSrhtPlan:
         plan, spec = self._plan()
         # the view's plan takes the Gram of the formed data, bitwise
         assert plan.hessian.H.tobytes() == want.hessian.H.tobytes()
-        assert plan.d_eff == want.d_eff
+        assert plan.hessian.d_eff == want.hessian.d_eff
         for rotation in (True, False):
             assert_array_equal(self._sketch(seed, rotation),
                                self._srht_apply(seed, spec))

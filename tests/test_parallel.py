@@ -271,9 +271,9 @@ BAD_SOLVE_CFG = (COUNTEREXAMPLE + "problem = least_squares\nmethod = ssn\n"
 # at its first step, comes first in time
 SINGULAR_CSV = "".join(f"{i % 7 + 0.5},0,{1 if i % 3 else -1}\n"
                        for i in range(40))
-BAD_REFERENCE_CFG = ("data = csv\nlambda = 0\nmethod = ssn\nplan = srht\n"
-                     "debias = fine_exact\nm = 8\niters = 2\n"
-                     "timing = zero\npath = ")
+BAD_REFERENCE_CFG = ("data = csv\nlambda = 0\nmethod = ssn\n"
+                     "plan = approx_leverage\ndebias = none\nm = 8\n"
+                     "iters = 2\ntiming = zero\npath = ")
 
 
 def _main(tmp_path, command, cfg_text, pooled, forks=None):
@@ -334,16 +334,32 @@ def test_solve_reports_the_reference_error_first(tmp_path):
     rc, stderr, files = _main(tmp_path, "solve", cfg_text, pooled=True,
                               forks=True)
     assert (rc, files) == (cli.EXIT_NUMERICAL, [])
-    assert stderr.startswith("NotPositiveDefinite: ")
+    assert stderr.startswith("NotPositiveDefinite: pivot at index ")
     assert (rc, stderr, files) == _main(tmp_path, "solve", cfg_text,
                                         pooled=False)
-    # without the reference, the solver's own error is the one reported
+    # without the reference, the solver's own error is the one reported:
+    # its first step's sketched Gram is singular too
     (tmp_path / "bare").mkdir()
     rc, stderr, _ = _main(tmp_path / "bare", "solve", cfg_text
                           + "reference = false\n", pooled=True, forks=False)
-    assert (rc, stderr) == (cli.EXIT_NUMERICAL, "ValueError: the srht plan "
-                            "samples no rows of A, so it only supports "
-                            "scalar debiasing\n")
+    assert (rc, stderr) == (cli.EXIT_NUMERICAL, "NotPositiveDefinite: "
+                            "sketched Gram plus C is singular; increase "
+                            "m1\n")
+
+
+@needs_two_cpus
+def test_solve_reports_a_config_refusal_before_its_reference(tmp_path):
+    # a debias mode the plan refuses is refused when the method is built,
+    # before the reference that would fail on this data is forked
+    data = tmp_path / "singular.csv"
+    data.write_text(SINGULAR_CSV)
+    cfg_text = (BAD_REFERENCE_CFG + f"{data}\n"
+                + "plan = srht\ndebias = fine_exact\n")
+    want = (cli.EXIT_NUMERICAL, "ValueError: the srht plan samples no rows "
+            "of A, so it only supports scalar debiasing\n", [])
+    assert _main(tmp_path, "solve", cfg_text, pooled=True,
+                 forks=False) == want
+    assert _main(tmp_path, "solve", cfg_text, pooled=False) == want
 
 
 @needs_two_cpus

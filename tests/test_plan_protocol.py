@@ -85,7 +85,7 @@ def _one_ssn_step(kind, rule=None):
 def test_every_plan_kind_runs_the_bias_lab_and_an_ssn_step(kind):
     plan = build_plan(kind, PlanHessian(A, C))
     assert plan.kind is kind
-    for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
+    for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.hessian.d_eff)):
         est = estimate_bias(plan, spec, M, trials=8, seed=2)
         assert est.trials == 8
         assert np.isfinite(est.bias)
@@ -141,7 +141,7 @@ def test_consecutive_sketcher_calls_match_fresh_sketchers(kind):
     # a cell's row table (or SRHT buffer) outlives its calls, and calls
     # on either side of the support size share it
     plan = build_plan(kind, PlanHessian(A, C))
-    spec = DebiasSpec.scalar(M, plan.d_eff)
+    spec = DebiasSpec.scalar(M, plan.hessian.d_eff)
     sketch = plan.sketcher(M, spec)
     out = np.empty((3, M, D))
     for seeds in ([5], [1, 2, 3], [5], [4, 6], [1, 2, 3]):
@@ -264,7 +264,8 @@ def test_no_run_path_builds_a_per_draw_sketch(monkeypatch):
              for fn in (draw, apply_sketch, apply_debias, SketchDraw)]
     for kind in PlanKind:
         plan = build_plan(kind, PlanHessian(A, C))
-        for spec in (DebiasSpec.none(), DebiasSpec.scalar(M, plan.d_eff)):
+        for spec in (DebiasSpec.none(),
+                     DebiasSpec.scalar(M, plan.hessian.d_eff)):
             estimate_bias(plan, spec, M, trials=8, seed=2)
         for rule in _rules(kind):
             _one_ssn_step(kind, rule)
@@ -576,17 +577,6 @@ def test_lev_builds_each_approximate_plan_once(plans, sketches,
     assert len(sidecar["plans"]) == len(plans.split(","))
 
 
-@KINDS
-def test_every_plans_d_eff_is_its_hessians(kind):
-    # one rule for every kind, trace(H^-1 G): the approximate kinds sample
-    # by their approximate scores, whose sum only estimates d_eff
-    hessian = PlanHessian(A, C)
-    plan = build_plan(kind, hessian, seed=2)
-    assert plan.d_eff == hessian.d_eff
-    assert hessian.d_eff == pytest.approx(float(EXACT.sum()),
-                                          rel=D_EFF_SUM_RTOL, abs=0)
-
-
 def test_an_approximate_plans_scalar_bias_cell_reads_the_exact_d_eff():
     # the bias table's scalar factor is the one solve, sweep and lev read
     seed, m_grid, trials = 3, [16, 32], 8
@@ -620,20 +610,22 @@ def test_lev_refuses_a_plan_without_probabilities_before_building_one(
     assert (passes, plans) == ([], [])
 
 
-def test_srht_step_refuses_fine_exact_before_any_n_row_work(monkeypatch):
-    # the refusal reads the plan, which has no probabilities: no Gram of
-    # A for the analytic rule's d_eff, and no exact scores, come first
+def test_srht_fine_exact_is_refused_before_any_n_row_work(monkeypatch):
+    # the refusal reads the plan's kind, which has no probabilities: no
+    # Gram of A for the analytic rule's d_eff, and no exact scores, come
+    # first, whether the method is built or a step's debias spec
     calls = _count_exact(monkeypatch)
     grams = _count_calls(monkeypatch, gram)
-    beta = np.zeros(D)
-    obj = objective_eval(P, beta)
-    method = SsnMethod(plan_kind=PlanKind.SRHT, m=M,
-                       debias=DebiasMode.FINE_GRAINED_EXACT)
-    with pytest.raises(ValueError) as refused:
-        ssn_step(P, beta, obj, method, seed=5)
-    assert type(refused.value) is ValueError
-    assert str(refused.value) == ("the srht plan samples no rows of A, so "
-                                  "it only supports scalar debiasing")
+    plan = build_plan(PlanKind.SRHT, PlanHessian(A, C))
+    for refuse in (lambda: SsnMethod(plan_kind=PlanKind.SRHT, m=M,
+                                     debias=DebiasMode.FINE_GRAINED_EXACT),
+                   lambda: make_debias_spec(DebiasMode.FINE_GRAINED_EXACT,
+                                            plan, M)):
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == ("the srht plan samples no rows of A, "
+                                      "so it only supports scalar debiasing")
     assert (calls, grams) == ([], [])
 
 
@@ -695,7 +687,7 @@ def test_srht_ssn_step_computes_no_exact_scores(rule, monkeypatch):
 def test_analytic_sketch_is_the_one_seed_sketcher_draw(kind):
     for X in (A, RowScaled(A)):
         plan = build_plan(kind, PlanHessian(X, C))
-        spec = DebiasSpec.scalar(M, plan.d_eff)
+        spec = DebiasSpec.scalar(M, plan.hessian.d_eff)
         for seed in (0, 7):
             At, rho_max = plan.analytic_sketch(M, spec, seed)
             assert _same_bits(At, plan.sketcher(M, spec)([seed])[0])
@@ -714,7 +706,7 @@ def test_srht_sketcher_streams_one_seed_and_rotates_several(monkeypatch):
     # rotation; two seeds rotate the whole padded buffer once each, as the
     # analytic sketch does for its one seed
     plan = build_plan(PlanKind.SRHT, PlanHessian(A, C))
-    spec = DebiasSpec.scalar(M, plan.d_eff)
+    spec = DebiasSpec.scalar(M, plan.hessian.d_eff)
     rows = _rotated_rows(monkeypatch)
     n_padded = next_power_of_two(N)
     k = 1 << _stage_bits(n_padded)[-1]
@@ -788,11 +780,11 @@ def test_srht_ssn_step_is_the_sketch_of_the_formed_factor(kind, n, rule,
     At = srht_apply(replace(sd, sample=apply_debias(sd.sample, spec)), hs)
     rotated = _rotate(sd.signs, hs)
     assert len(sketches) == 1 and _same_bits(sketches[0], At)
-    assert diagnostics["d_eff"] == plan.d_eff
+    assert diagnostics["d_eff"] == plan.hessian.d_eff
     # rho_max by the rotation's scores given gram(hs) + C, formed afresh
     scores = whitened_norms(rotated, cholesky(gram(hs) + C_))
     assert diagnostics["rho_max"] == (
-        float(scores.max() * rotated.shape[0] / plan.d_eff)
+        float(scores.max() * rotated.shape[0] / plan.hessian.d_eff)
         if rule is StepRule.ANALYTIC else None)
 
 
@@ -845,19 +837,23 @@ def test_no_plan_step_or_bias_estimate_takes_an_eigendecomposition(
     _one_ssn_step(kind)
     assert (len(eigh), len(eigvalsh)) == (0, 0)
     # three jackknife groups, so three leave-one-group-out thetas
-    est = estimate_bias(plan, DebiasSpec.scalar(M, plan.d_eff), M,
+    est = estimate_bias(plan, DebiasSpec.scalar(M, plan.hessian.d_eff), M,
                         trials=2 * JACKKNIFE_BATCH + 1, seed=2)
     assert est.discarded < JACKKNIFE_BATCH
     # one eigvalsh of the whitened grand mean gives bias and eps_def5
     assert (len(eigh), len(eigvalsh)) == (0, 1 + 3)
 
 
-def test_srht_plan_d_eff_is_the_closed_form_effective_dimension():
+def test_hessian_d_eff_is_the_closed_form_effective_dimension():
+    # one rule for every plan kind, trace(H^-1 G): the approximate kinds
+    # sample by their approximate scores, whose sum only estimates d_eff
     lam = 1e-2
     sigma2 = np.linalg.svd(A, compute_uv=False) ** 2
-    d_eff = build_plan(PlanKind.SRHT, PlanHessian(A, lam * np.eye(D))).d_eff
+    d_eff = PlanHessian(A, lam * np.eye(D)).d_eff
     assert d_eff == pytest.approx(np.sum(sigma2 / (sigma2 + lam)),
                                   rel=1e-12, abs=0)
+    assert d_eff == pytest.approx(float(EXACT.sum()), rel=D_EFF_SUM_RTOL,
+                                  abs=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -865,28 +861,29 @@ def test_srht_plan_d_eff_is_the_closed_form_effective_dimension():
        st.sampled_from([1e-2, 1.0, 1e2]),
        st.sampled_from([SyntheticKind.GAUSSIAN_IID, SyntheticKind.COHERENT]),
        st.integers(0, 2**16))
-def test_srht_plan_d_eff_is_the_sum_of_the_exact_scores(n, d, rel, kind,
-                                                        seed):
+def test_hessian_d_eff_is_the_sum_of_the_exact_scores(n, d, rel, kind,
+                                                      seed):
     # C is a multiple of ||A^T A||: the Gram trace and the score sum agree
     # to about d * eps * ||A^T A|| / lambda, rounding for these C
     A_ = synthetic_matrix(SyntheticSpec(kind, n, d, heavy_row_count=n // 8,
                                         seed=seed))
     C_ = rel * np.linalg.norm(gram(A_), 2) * np.eye(d)
-    d_eff = build_plan(PlanKind.SRHT, PlanHessian(A_, C_)).d_eff
+    d_eff = PlanHessian(A_, C_).d_eff
     assert d_eff == pytest.approx(exact_leverage_scores(A_, C_).sum(),
                                   rel=D_EFF_SUM_RTOL, abs=0)
 
 
-def test_srht_plan_refuses_a_singular_gram_like_the_exact_scores():
+def test_hessian_d_eff_refuses_a_singular_gram_like_the_exact_scores():
     A_ = A.copy()
     A_[:, 2] = A_[:, 0] - A_[:, 1]
     C_ = np.zeros((D, D))
     with pytest.raises(NotPositiveDefinite) as from_scores:
         exact_leverage_scores(A_, C_)
-    # the plan takes its Gram, and refuses, on the first read of d_eff
+    # building the SRHT plan reads nothing; its hessian takes the Gram,
+    # and refuses, on the first read of d_eff
     plan = build_plan(PlanKind.SRHT, PlanHessian(A_, C_))
     with pytest.raises(NotPositiveDefinite) as from_plan:
-        plan.d_eff
+        plan.hessian.d_eff
     assert from_plan.value.pivot_index == from_scores.value.pivot_index
     assert from_plan.value.pivot_index is not None
 
@@ -936,13 +933,77 @@ def test_ssn_method_refuses_m_below_one_when_built(mode, monkeypatch):
     assert grams == []
 
 
+# the SSN options a step refuses by the config alone, and the refusals
+CONFIG_REFUSALS = {
+    **{f"{kind.value}-{mode.value}": (
+        {"plan_kind": kind, "debias": mode},
+        f"the {kind.value} plan samples no rows of A, so it only supports "
+        f"scalar debiasing") for mode in FINE
+       for kind in (PlanKind.SRHT, PlanKind.SJLT)},
+    **{f"{kind.value}-fine_grained_approx": (
+        {"plan_kind": kind, "debias": DebiasMode.FINE_GRAINED_APPROX},
+        f"fine_grained_approx debiasing needs approximate leverage scores, "
+        f"and a {kind.value} plan has none")
+       for kind in (PlanKind.UNIFORM, PlanKind.ROW_NORM)},
+    **{f"shrinkage-mix{mix}": (
+        {"plan_kind": PlanKind.SHRINKAGE, "mix": mix},
+        "shrinkage mix must lie in [0, 1]") for mix in (2.0, -0.5, math.nan)},
+}
+
+
+@pytest.mark.parametrize("options, refusal", CONFIG_REFUSALS.values(),
+                         ids=CONFIG_REFUSALS.keys())
+def test_config_only_refusals_are_made_when_the_method_is_built(
+        options, refusal, monkeypatch):
+    # each depends on the config alone: a solve or a sweep refuses before
+    # its reference solve, which is not reached here, and any n-row work
+    grams = _count_calls(monkeypatch, gram)
+    monkeypatch.setattr(cli, "reference_solution", None)
+    with pytest.raises(ValueError) as refused:
+        SsnMethod(m=M, step_rule=StepRule.ARMIJO, **options)
+    assert (type(refused.value), str(refused.value)) == (ValueError, refusal)
+    data = {"synthetic": "coherent", "n": str(N), "d": str(D),
+            "method": "ssn", "plan": options["plan_kind"].value,
+            "debias": {v: k for k, v in cli._DEBIAS_NAMES.items()}[
+                options.get("debias", DebiasMode.SCALAR)],
+            "mix": str(options.get("mix", 0.5))}
+    for command, grid in ((cli.cmd_solve, {"m": str(M)}),
+                          (cli.cmd_sweep, {"m_grid": f"{M},{2 * M}"})):
+        with pytest.raises(ValueError) as refused:
+            command(cli.Config({**data, **grid}), 3, False)
+        assert (type(refused.value), str(refused.value)) == (ValueError,
+                                                             refusal)
+    assert grams == []
+
+
+@pytest.mark.parametrize("mode, kind", [
+    (mode, kind) for mode in DebiasMode for kind in PlanKind],
+    ids=lambda x: x.value)
+def test_ssn_method_refuses_the_debias_modes_its_plans_refuse(mode, kind):
+    # fine_grained_approx stays open to the kinds that keep scores, the
+    # exact_leverage and shrinkage plans' being the exact scores
+    plan = build_plan(kind, PlanHessian(A, C))
+    if (kind, mode) not in REFUSED:
+        make_debias_spec(mode, plan, M_FINE)
+        SsnMethod(plan_kind=kind, m=M, debias=mode,
+                  step_rule=StepRule.ARMIJO)
+        return
+    with pytest.raises(ValueError) as from_spec:
+        make_debias_spec(mode, plan, M_FINE)
+    with pytest.raises(ValueError) as from_method:
+        SsnMethod(plan_kind=kind, m=M, debias=mode,
+                  step_rule=StepRule.ARMIJO)
+    assert REFUSED[kind, mode] in str(from_spec.value)
+    assert str(from_method.value) == str(from_spec.value)
+
+
 def test_sjlt_plan_takes_d_eff_from_the_gram_on_first_read(monkeypatch):
     grams = _count_calls(monkeypatch, gram)
     plan = build_plan(PlanKind.SJLT, PlanHessian(A, C))
     assert grams == []
-    assert plan.d_eff == build_plan(PlanKind.SRHT, PlanHessian(A, C)).d_eff
+    assert plan.hessian.d_eff == PlanHessian(A, C).d_eff
     # one Gram for each plan, and none for the SJLT plan's second read
-    plan.d_eff
+    plan.hessian.d_eff
     assert len(grams) == 2
 
 

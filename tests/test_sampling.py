@@ -12,8 +12,7 @@ from scipy import stats
 from randskew import rng as rsrng
 from randskew import sampling
 from randskew.data import counterexample_matrix
-from randskew.biaslab import estimate_bias
-from randskew.debias import DebiasSpec, solve_fixed_point_d
+from randskew.debias import DebiasSpec
 from randskew.errors import (AllZeroRows, IndexOutOfRange,
                              NotPositiveDefinite, SketchTooSmall,
                              ZeroProbabilityWithPositiveScore)
@@ -28,6 +27,14 @@ from oracles import psd_relative_error, sampled_rows
 D = 4
 A_CE = counterexample_matrix(D)
 C0 = np.zeros((D, D))
+
+
+def _plan(probs, kind=PlanKind.UNIFORM, scores=None) -> SamplingPlan:
+    """A hand-built plan over ``probs``, with a one-column hessian of as
+    many rows for the sketchers that read its A."""
+    probs = np.asarray(probs)
+    hessian = PlanHessian(np.ones((len(probs), 1)), np.eye(1))
+    return SamplingPlan(kind, probs, hessian, scores=scores)
 
 
 class TestExactLeverageScores:
@@ -288,26 +295,17 @@ class TestBuildPlan:
 
     def test_plan_validates_probabilities(self):
         with pytest.raises(ValueError):
-            SamplingPlan(PlanKind.UNIFORM, np.array([0.7, 0.7]))
+            _plan([0.7, 0.7])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_plan_refuses_non_finite_probabilities_and_scores(self, bad):
         with pytest.raises(ValueError, match="probabilities must be finite"):
-            SamplingPlan(PlanKind.UNIFORM, np.array([bad, bad]))
+            _plan([bad, bad])
         with pytest.raises(ValueError, match="probabilities must be finite"):
-            SamplingPlan(PlanKind.UNIFORM, np.array([bad, 0.5]))
+            _plan([bad, 0.5])
         with pytest.raises(ValueError, match="scores must be finite"):
-            SamplingPlan(PlanKind.EXACT_LEVERAGE, np.array([0.5, 0.5]),
-                         scores=np.array([bad, 1.0]))
-
-    def test_plan_without_exact_scores_refuses_to_give_d_eff(self):
-        # d_eff is its hessian's trace(H^-1 G) for every plan, so a
-        # hand-built plan without a hessian has none rather than a guess
-        plan = SamplingPlan(PlanKind.EXACT_LEVERAGE, np.array([0.5, 0.5]),
-                            scores=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="^the exact_leverage plan has "
-                                             "no matrix$"):
-            plan.d_eff
+            _plan([0.5, 0.5], PlanKind.EXACT_LEVERAGE,
+                  scores=np.array([bad, 1.0]))
 
     def test_every_built_plan_keeps_its_matrix(self):
         # by reference: every plan of one (A, C) reads one G, H, L and exact
@@ -315,20 +313,6 @@ class TestBuildPlan:
         for kind in PlanKind:
             assert build_plan(kind, hessian).hessian is hessian
         assert hessian.A.A is A_CE and hessian.C is C0
-
-    def test_plan_without_its_matrix_refuses_to_sketch(self):
-        # a hand-built plan has no (A, C) to sketch, to measure bias
-        # against or to solve the fixed point on
-        plan = SamplingPlan(PlanKind.ROW_NORM, np.array([0.5, 0.5]))
-        refusal = "^the row_norm plan has no matrix"
-        with pytest.raises(ValueError, match=refusal):
-            plan.sketcher(4, DebiasSpec.none())
-        with pytest.raises(ValueError, match=refusal):
-            plan.analytic_sketch(4, DebiasSpec.none(), 0)
-        with pytest.raises(ValueError, match=refusal):
-            estimate_bias(plan, DebiasSpec.none(), 4, 2, 0)
-        with pytest.raises(ValueError, match=refusal):
-            solve_fixed_point_d(plan, 4)
 
 
 class TestApproximationFactors:
@@ -365,22 +349,21 @@ class TestApproximationFactors:
         # the exact scores of (I, I) are 0.5 on both rows
         probs = np.array([1.0, 0.0])
         plan = SamplingPlan(PlanKind.UNIFORM, probs,
-                            hessian=PlanHessian(np.eye(2), np.eye(2)))
+                            PlanHessian(np.eye(2), np.eye(2)))
         with pytest.raises(ZeroProbabilityWithPositiveScore):
             approximation_factors(plan)
 
 
 class TestDraw:
     def test_degenerate_distribution(self):
-        plan = SamplingPlan(PlanKind.UNIFORM,
-                            np.array([1.0, 0.0, 0.0]))
+        plan = _plan([1.0, 0.0, 0.0])
         sk = draw(plan, 9, seed=0)
         assert np.all(sk.indices == 0)
         assert np.allclose(sk.weights, 1.0 / 3.0)
 
     def test_empirical_frequencies_chi_square(self):
         n, m = 8, 100_000
-        plan = SamplingPlan(PlanKind.UNIFORM, np.full(n, 1.0 / n))
+        plan = _plan(np.full(n, 1.0 / n))
         sk = draw(plan, m, seed=12)
         counts = np.bincount(sk.indices, minlength=n)
         chi2 = ((counts - m / n) ** 2 / (m / n)).sum()
@@ -402,7 +385,7 @@ class TestDraw:
 
     def test_zero_probability_rows_never_drawn(self):
         probs = np.array([0.0, 0.5, 0.5, 0.0])
-        plan = SamplingPlan(PlanKind.UNIFORM, probs)
+        plan = _plan(probs)
         sk = draw(plan, 10_000, seed=3)
         assert np.all(np.isin(sk.indices, [1, 2]))
 
@@ -414,7 +397,7 @@ class TestDraw:
 
         monkeypatch.setattr(rsrng, "generator",
                             lambda *path: TopOfUnitInterval())
-        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]))
+        plan = _plan([0.1] * 10 + [0.0])
         sk = draw(plan, 4, seed=0)
         assert np.all(sk.indices == 9)
 
@@ -422,8 +405,7 @@ class TestDraw:
 
 class TestDrawMany:
     # interior and trailing zero-probability rows
-    PLAN = SamplingPlan(PlanKind.UNIFORM,
-                        np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.4, 0.0]))
+    PLAN = _plan([0.2, 0.0, 0.3, 0.1, 0.0, 0.4, 0.0])
     SEEDS = [0, 1, 2 ** 64 - 1, 2 ** 64 - 2, 2 ** 64 - 5, 2 ** 63,
              *(rsrng.split(11, t) for t in range(40))]
 
@@ -443,16 +425,13 @@ class TestDrawMany:
         monkeypatch.setattr(rsrng, "uniform_rows",
                             lambda seeds, m: np.full((len(list(seeds)), m),
                                                      1.0 - 2.0 ** -53))
-        plan = SamplingPlan(PlanKind.UNIFORM, np.array([0.1] * 10 + [0.0]))
+        plan = _plan([0.1] * 10 + [0.0])
         indices, _ = sampled_rows(plan, 4, [0, 1, 2])
         assert indices.shape == (3, 4)
         assert np.all(indices == 9)
 
     def test_rejects_empty_sketch(self):
-        # the plan has its matrix, so only the size check can refuse
-        plan = SamplingPlan(PlanKind.UNIFORM, self.PLAN.probs,
-                            hessian=PlanHessian(np.ones((self.PLAN.n, 1)),
-                                                np.eye(1)))
+        plan = self.PLAN
         refusal = "^sketch size m=0 must be at least 1$"
         with pytest.raises(SketchTooSmall, match=refusal):
             plan.sketcher(0, DebiasSpec.none())
@@ -491,7 +470,7 @@ class TestGuideTable:
         if not w.any():
             w[0] = 1.0
         probs = w / w.sum()
-        plan = SamplingPlan(PlanKind.UNIFORM, probs)
+        plan = _plan(probs)
         u = _edge_uniforms(probs)
         indices = plan._cdf[0][plan._positions(u)]
         np.testing.assert_array_equal(indices, _searchsorted_rows(probs, u))
@@ -500,7 +479,7 @@ class TestGuideTable:
         # 64 tiny rows share the first of 65 buckets with a heavy last row,
         # so a draw between them takes more steps than the passes allow
         probs = np.array([1e-6] * 64 + [1.0 - 64e-6])
-        plan = SamplingPlan(PlanKind.UNIFORM, probs)
+        plan = _plan(probs)
         u = _edge_uniforms(probs)
         cdf = plan._cdf[1]
         steps = (np.searchsorted(cdf, u, side="right")
@@ -570,7 +549,7 @@ def test_sketch_gram_unbiasedness():
     A = rng.standard_normal((20, 3))
     C = np.zeros((3, 3))
     plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
-    m = max(4, int(4 * plan.d_eff))
+    m = max(4, int(4 * plan.hessian.d_eff))
     T = 2000
     grams = np.empty((T, 3, 3))
     for t in range(T):
@@ -586,7 +565,7 @@ def test_subspace_embedding_failure_rate():
     C = np.zeros((4, 4))
     plan = build_plan(PlanKind.EXACT_LEVERAGE, PlanHessian(A, C))
     eps, delta = 0.5, 0.1
-    d_eff = plan.d_eff
+    d_eff = plan.hessian.d_eff
     m = int(np.ceil(8 * 1.0 * d_eff * np.log(d_eff / delta) / eps ** 2))
     R = inv_sqrt(gram(A) + C)
     AC = A @ R

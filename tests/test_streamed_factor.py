@@ -152,13 +152,14 @@ def test_plans_and_sketches_of_the_view_are_those_of_the_formed(factor,
     C = 1e-3 * np.eye(D)
     got, want = (build_plan(kind, PlanHessian(X, C), seed=2)
                  for X in (view, formed))
-    assert _same_bits(got.probs, want.probs) and got.d_eff == want.d_eff
-    assert _same_bits(got.exact, want.exact)
+    assert _same_bits(got.probs, want.probs)
+    assert got.hessian.d_eff == want.hessian.d_eff
+    assert _same_bits(got.hessian.exact, want.hessian.exact)
     seeds = [rsrng.split(7, t) for t in range(2)]
     # 64 draws weigh only the rows they drew; N draws build the table of
     # the support's rows
     for m in (64, N):
-        spec = DebiasSpec.scalar(m, got.d_eff)
+        spec = DebiasSpec.scalar(m, got.hessian.d_eff)
         assert _same_bits(got.sketcher(m, spec)(seeds),
                           want.sketcher(m, spec)(seeds))
 
@@ -168,8 +169,8 @@ def test_srht_plan_and_signed_rows_of_the_view(factor):
     C = 1e-3 * np.eye(D)
     got, want = (build_plan(PlanKind.SRHT, PlanHessian(X, C))
                  for X in (view, formed))
-    assert got.d_eff == want.d_eff and _same_bits(got.hessian.H,
-                                                  want.hessian.H)
+    assert got.hessian.d_eff == want.hessian.d_eff
+    assert _same_bits(got.hessian.H, want.hessian.H)
     signs = rsrng.generator(2).integers(0, 2, size=next_power_of_two(N))
     signs = signs * 2.0 - 1.0
     rows = _signed_rows(view, signs)

@@ -15,9 +15,10 @@ OUTDIR a directory to create.  Each case ``<name>`` of the grid runs one
 The grid covers ``lev`` and ``bias`` over every plan kind and debias
 mode, ``solve`` over every plan kind, step rule and loss, exact Newton
 (also on a Gram of two row blocks), ``sweep``, refusals (m < 1, a plan
-with no sampling summary, the SJLT's analytic rule), a solver that
-diverges, a reference whose gradient norm creeps down at its rounding
-floor, and the full configs of the three benchmark workloads
+with no sampling summary, the SJLT's analytic rule, a fine-grained
+debias mode the plan does not take, a shrinkage mix outside [0, 1]), a
+solver that diverges, a reference whose gradient norm creeps down at its
+rounding floor, and the full configs of the three benchmark workloads
 (``perfbench/workloads.py``) at seeds 1 and 2, and ssn-srht's at seed
 9602000, whose reference solve floors above its gradient tolerance.
 Every solver config sets ``timing = zero``, so no output holds a wall
@@ -119,10 +120,18 @@ def grid() -> list[tuple[str, str, dict[str, str], int]]:
                   {**SOLVE, "n": "8192", "d": "32", "heavy_rows": "32",
                    "plan": "uniform", "step": "armijo",
                    "problem": "logistic"}, 189))
+    sweep = {"step": "armijo", "m_grid": "64,96", "replicates": "2"}
     for kind in ("uniform", "srht"):
         cases.append((f"sweep-{kind}", "sweep",
-                      {**SOLVE, "plan": kind, "step": "armijo",
-                       "m_grid": "64,96", "replicates": "2"}, 9))
+                      {**SOLVE, "plan": kind, **sweep}, 9))
+    # refused from the config alone, before the reference: exit 3
+    for kind, debias in (("srht", "fine_exact"), ("uniform", "fine_approx")):
+        cases.append((f"sweep-{kind}-{debias}", "sweep",
+                      {**SOLVE, "plan": kind, **sweep, "debias": debias}, 9))
+    for command, options in (("solve", {}), ("sweep", sweep)):
+        cases.append((f"{command}-shrinkage-mix2", command,
+                      {**SOLVE, "plan": "shrinkage", **options, "mix": "2"},
+                      9))
     for name, workload in sorted(WORKLOADS.items()):
         for seed in (1, 2):
             cases.append((f"bench-{name}-seed{seed}", workload.command,
